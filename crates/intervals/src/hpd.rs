@@ -6,9 +6,12 @@
 //! * **Unimodal** (`α > 1, β > 1`, the standard case `0 < τ < n`):
 //!   solved as the paper does — SLSQP minimizing `u - l` under
 //!   `F(u) - F(l) = 1 - α` with the ET interval as the initial guess —
-//!   plus an independent exact solver ([`hpd_interval_exact`]) based on
-//!   the density-equality first-order condition `f(l) = f(u)` and Brent
-//!   root finding, used for cross-validation.
+//!   and by an exact solver ([`hpd_interval_exact`]) based on the
+//!   density-equality first-order condition `f(l) = f(u)` and Brent root
+//!   finding. The exact solver is the production path for SRS campaigns
+//!   (the posterior-kernel cache memoizes it) and for cold starts; the
+//!   SLSQP path serves warm-started and cluster-design solves, and each
+//!   cross-validates the other in the tests.
 //! * **Monotone increasing** (all-correct limiting case, Eq. 10):
 //!   `[qBeta(α), 1]`.
 //! * **Monotone decreasing** (all-incorrect limiting case, Eq. 11):
@@ -89,11 +92,11 @@ pub fn hpd_interval_warm(
 /// `width ≥ (1-α) / f(mode)`. One density evaluation. `None` when the
 /// posterior is not unimodal.
 ///
-/// This is the reference form of the bound whose contrapositive
-/// short-circuits [`hpd_width_achievable`]; the evaluation framework
+/// This is the reference form of the bound whose contrapositive is the
+/// first step of [`hpd_width_achievable`]; the evaluation framework
 /// consumes the bound through that predicate rather than calling this
-/// directly, but the inequality (and its tests below) document why the
-/// short-circuit is sound.
+/// directly, but the inequality (and its tests below) document why that
+/// step is sound.
 #[must_use]
 pub fn hpd_width_lower_bound(posterior: &Beta, alpha: f64) -> Option<f64> {
     let mode = posterior.mode()?;
@@ -108,18 +111,19 @@ pub fn hpd_width_lower_bound(posterior: &Beta, alpha: f64) -> Option<f64> {
 /// width `w` hold `1-α` posterior mass? Equivalently, is the `1-α` HPD
 /// width at most `w`?
 ///
-/// For a unimodal posterior the best-placed window of width `w` either
-/// straddles the mode with `f(l) = f(l+w)` (found by Brent on the
-/// monotone density difference) or abuts the boundary nearest the mode;
-/// its mass is then two CDF evaluations. Monotone and uniform shapes
-/// have closed-form best windows. U-shaped posteriors return `true`
-/// (nothing can be certified, so the caller must construct and check).
+/// For a unimodal posterior this is three steps:
 ///
-/// A cheap necessary condition — `w·f(mode) ≥ 1-α`, the contrapositive
-/// of Theorem 1's width bound — short-circuits the common "clearly not
-/// yet" case with a single density evaluation, so the evaluation
-/// framework's lookahead search pays the Brent solve only near the
-/// achievability boundary.
+/// 1. the necessary condition `w·f(mode) ≥ 1-α` (the contrapositive of
+///    Theorem 1's width bound) rejects the common "clearly not yet" case
+///    with one density evaluation;
+/// 2. the best-placed width-`w` window `[l, l+w]` is located by a
+///    bracketed Newton solve of `f(l) = f(l+w)` in log space, which
+///    needs no CDF, no normalizer and no `exp`;
+/// 3. that window's mass, two CDF evaluations, is compared with `1-α`.
+///
+/// Monotone and uniform shapes have closed-form best windows. U-shaped
+/// posteriors return `true` (nothing can be certified, so the caller
+/// must construct and check).
 #[must_use]
 pub fn hpd_width_achievable(post: &Beta, alpha: f64, w: f64) -> bool {
     if w >= 1.0 {
@@ -136,55 +140,81 @@ pub fn hpd_width_achievable(post: &Beta, alpha: f64, w: f64) -> bool {
         BetaShape::Decreasing => post.cdf(w) >= target,
         BetaShape::Unimodal => {
             let mode = post.mode().expect("unimodal posterior has a mode");
-            // Necessary condition: mass in any width-w window ≤ w·f(mode).
             if w * post.pdf(mode) < target {
                 return false;
             }
-            // Sufficient condition: the mode-centered window is *a*
-            // width-w window, so its mass lower-bounds the best one —
-            // two CDF evaluations, no root find.
-            let c_lo = (mode - 0.5 * w).clamp(0.0, 1.0 - w);
-            if post.cdf(c_lo + w) - post.cdf(c_lo) >= target {
-                return true;
-            }
-            // Best window position: f(l) = f(l+w) around the mode, or a
-            // boundary-anchored window when the mode sits within w of a
-            // boundary.
-            let lo = (mode - w).max(0.0);
-            let hi = mode.min(1.0 - w);
-            let h = |l: f64| post.pdf(l) - post.pdf(l + w);
-            let l = if hi <= lo {
-                // Window wider than the space around the mode allows:
-                // anchor at the nearer boundary.
-                lo.min(hi.max(0.0)).clamp(0.0, 1.0 - w)
-            } else {
-                let h_lo = h(lo);
-                let h_hi = h(hi);
-                if h_lo >= 0.0 {
-                    lo // left-anchored (mode close to 0)
-                } else if h_hi <= 0.0 {
-                    hi // right-anchored (mode close to 1)
-                } else {
-                    brent(
-                        h,
-                        lo,
-                        hi,
-                        RootConfig {
-                            xtol: 1e-12,
-                            max_iter: 200,
-                        },
-                    )
-                    .unwrap_or(0.5 * (lo + hi))
-                }
-            };
+            let l = best_window_start(post, mode, w);
             post.cdf(l + w) - post.cdf(l) >= target
         }
     }
 }
 
+/// Newton step size below which [`best_window_start`] accepts a root,
+/// provided `|g| ≤` [`WINDOW_GTOL`] as well.
+const WINDOW_XTOL: f64 = 1e-12;
+
+/// `|g|` below which a tiny Newton step is accepted as converged. Near
+/// either bracket end (`l → 0`, `l → 1 − w`) the derivative `g′`
+/// diverges, so a tiny step alone is no evidence of a root there.
+const WINDOW_GTOL: f64 = 1e-9;
+
+/// Left end `l` of the width-`w` window holding the most mass of a
+/// unimodal posterior: the root of
+/// `g(l) = (a−1)·ln(l/(l+w)) + (b−1)·ln((1−l)/(1−l−w))` on
+/// `[max(mode−w, 0), min(mode, 1−w)]`.
+///
+/// `g(l) = ln f(l) − ln f(l+w)`, so it has the sign of the density
+/// difference the first-order condition sets to zero, but needs neither
+/// the normalizer nor `exp`. It is strictly increasing (`g′ > 0` below),
+/// runs from `−∞` to `+∞` when the bracket ends are `0` and `1−w`, and
+/// is negative at `mode − w` and positive at `mode` otherwise, so the
+/// root is unique and bracketed. Newton steps that leave the current
+/// bracket are replaced by bisection.
+fn best_window_start(post: &Beta, mode: f64, w: f64) -> f64 {
+    let (a1, b1) = (post.alpha() - 1.0, post.beta() - 1.0);
+    let c = 1.0 - w;
+    let (mut lo, mut hi) = ((mode - w).max(0.0), mode.min(c));
+    // `c − l` instead of `1 − l − w`, which can round to zero or below:
+    // `c − l` is positive for every iterate strictly inside the bracket.
+    let g = |l: f64| b1 * (w / (c - l)).ln_1p() - a1 * (w / l).ln_1p();
+    let dg = |l: f64| w * (a1 / (l * (l + w)) + b1 / ((1.0 - l) * (c - l)));
+    let mut l = mode - 0.5 * w;
+    if !(l > lo && l < hi) {
+        l = 0.5 * (lo + hi);
+    }
+    for _ in 0..200 {
+        let gl = g(l);
+        let step = gl / dg(l);
+        if step.abs() <= WINDOW_XTOL && gl.abs() <= WINDOW_GTOL {
+            return l - step;
+        }
+        if gl < 0.0 {
+            lo = l;
+        } else {
+            hi = l;
+        }
+        let next = l - step;
+        l = if next > lo && next < hi {
+            next
+        } else {
+            0.5 * (lo + hi)
+        };
+        // Roots within a few ulps of a bracket end (shape parameters near
+        // 1) are only reached by bisection; the window mass is sensitive
+        // to `l` there, so bisect to double precision (relative to `w`
+        // when the bracket closes in on 0).
+        if hi - lo <= f64::EPSILON * hi.max(w) {
+            break;
+        }
+    }
+    l
+}
+
 /// Computes the `1-α` HPD interval with the exact solver only (Brent on
-/// the density-equality condition). Same closed forms for the limiting
-/// cases. Used by tests and benchmarks to cross-validate the SLSQP path.
+/// the density-equality condition; same closed forms for the limiting
+/// cases). This is the production SRS solver: the posterior-kernel cache
+/// memoizes it, and [`hpd_interval_warm`] uses it whenever no warm start
+/// is available.
 pub fn hpd_interval_exact(posterior: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
     check_alpha(alpha)?;
     match posterior.shape() {
@@ -329,6 +359,7 @@ fn unimodal_exact(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
 mod tests {
     use super::*;
     use crate::prior::BetaPrior;
+    use proptest::prelude::*;
 
     /// Posterior grid spanning the shapes the framework produces:
     /// (prior, τ, n) across skewness levels and evidence sizes.
@@ -616,6 +647,35 @@ mod tests {
     }
 
     #[test]
+    fn best_window_is_located_for_near_degenerate_shapes() {
+        // A shape parameter near 1 puts the density-equality root within
+        // a few ulps of a bracket end, where g′ diverges: Newton steps
+        // there are tiny even far from the root. The located window of
+        // the HPD width must still stay in bounds and hold 1-α.
+        for (a, b) in [
+            (1.037, 8745.0),
+            (1.0119, 9144.0),
+            (1.005, 200.0),
+            (1.02, 3.0),
+            (1.1, 5.0),
+        ] {
+            for post in [Beta::new(a, b).unwrap(), Beta::new(b, a).unwrap()] {
+                for alpha in [0.15, 0.1, 0.05, 0.01] {
+                    let w = hpd_interval_exact(&post, alpha).unwrap().width();
+                    let l = best_window_start(&post, post.mode().unwrap(), w);
+                    let mass = post.cdf(l + w) - post.cdf(l);
+                    assert!(
+                        (0.0..=1.0 - w).contains(&l) && (mass - (1.0 - alpha)).abs() < 1e-11,
+                        "Beta({}, {}), α={alpha}: window at {l:e} of width {w} holds {mass}",
+                        post.alpha(),
+                        post.beta()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn width_achievable_matches_actual_hpd_width() {
         // The predicate must be the exact indicator `w ≥ hpd_width`:
         // true just above the actual width, false just below.
@@ -659,6 +719,115 @@ mod tests {
             0.05,
             0.01
         ));
+    }
+
+    /// Reference for the unimodal branch of [`hpd_width_achievable`]: a
+    /// mode-centred sufficient check, then Brent on the density
+    /// difference `f(l) − f(l+w)` and the located window's mass.
+    fn achievable_by_brent(post: &Beta, alpha: f64, w: f64) -> bool {
+        let target = 1.0 - alpha;
+        let mode = post.mode().expect("unimodal posterior has a mode");
+        if w * post.pdf(mode) < target {
+            return false;
+        }
+        let c_lo = (mode - 0.5 * w).clamp(0.0, 1.0 - w);
+        if post.cdf(c_lo + w) - post.cdf(c_lo) >= target {
+            return true;
+        }
+        let lo = (mode - w).max(0.0);
+        let hi = mode.min(1.0 - w);
+        let h = |l: f64| post.pdf(l) - post.pdf(l + w);
+        let l = if hi <= lo {
+            lo.min(hi.max(0.0)).clamp(0.0, 1.0 - w)
+        } else if h(lo) >= 0.0 {
+            lo
+        } else if h(hi) <= 0.0 {
+            hi
+        } else {
+            let cfg = RootConfig {
+                xtol: 1e-12,
+                max_iter: 200,
+            };
+            brent(h, lo, hi, cfg).unwrap_or(0.5 * (lo + hi))
+        };
+        post.cdf(l + w) - post.cdf(l) >= target
+    }
+
+    /// Checks [`hpd_width_achievable`] against [`achievable_by_brent`] at
+    /// `extra_w` and at widths within ±1e-3 of the true HPD width, where
+    /// the verdict flips. A disagreement is allowed only when the best
+    /// window's mass is within 1e-9 of `1-α`, where rounding decides.
+    fn agrees_with_brent(post: &Beta, alpha: f64, extra_w: f64) -> Result<(), TestCaseError> {
+        let Some(mode) = post.mode() else {
+            return Ok(()); // closed-form shapes: no root find to compare
+        };
+        let hpd = hpd_interval_exact(post, alpha).unwrap().width();
+        let offsets = [-1e-3, -1e-4, -1e-5, -1e-7, 0.0, 1e-7, 1e-5, 1e-4, 1e-3];
+        let widths = offsets.iter().map(|d| hpd + d).chain([extra_w]);
+        for w in widths.filter(|&w| w > 0.0 && w < 1.0) {
+            let (got, want) = (
+                hpd_width_achievable(post, alpha, w),
+                achievable_by_brent(post, alpha, w),
+            );
+            if got != want {
+                let l = best_window_start(post, mode, w);
+                let mass = post.cdf(l + w) - post.cdf(l);
+                prop_assert!(
+                    (mass - (1.0 - alpha)).abs() < 1e-9,
+                    "Beta({}, {}), α={alpha}, w={w} (hpd {hpd}): newton {got}, brent {want}, \
+                     mass {mass}",
+                    post.alpha(),
+                    post.beta()
+                );
+            }
+        }
+        Ok(())
+    }
+
+    fn alphas() -> impl Strategy<Value = f64> {
+        prop_oneof![Just(0.10), Just(0.05), Just(0.01), 0.005f64..0.2]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        #[test]
+        fn width_achievable_agrees_with_brent_on_srs_posteriors(
+            (n, tau) in (1u64..=2000).prop_flat_map(|n| (Just(n), 0..=n)),
+            prior in 0usize..3,
+            alpha in alphas(),
+            extra_w in 0.0f64..1.0,
+        ) {
+            let post = BetaPrior::UNINFORMATIVE[prior].posterior(tau, n);
+            agrees_with_brent(&post, alpha, extra_w)?;
+        }
+
+        #[test]
+        fn width_achievable_agrees_with_brent_on_cluster_posteriors(
+            mu in 0.0f64..=1.0,
+            log_n_eff in 0.0f64..5.0,
+            prior in 0usize..3,
+            alpha in alphas(),
+            extra_w in 0.0f64..1.0,
+        ) {
+            let post = BetaPrior::UNINFORMATIVE[prior]
+                .posterior_effective(mu, 10f64.powf(log_n_eff))
+                .unwrap();
+            agrees_with_brent(&post, alpha, extra_w)?;
+        }
+
+        #[test]
+        fn width_achievable_agrees_with_brent_on_near_degenerate_shapes(
+            log_a in -2.0f64..4.0,
+            b in 1.000_001f64..1.1,
+            mirrored in 0u8..2,
+            alpha in alphas(),
+            extra_w in 0.0f64..1.0,
+        ) {
+            let a = 1.0 + 10f64.powf(log_a);
+            let (a, b) = if mirrored == 1 { (b, a) } else { (a, b) };
+            agrees_with_brent(&Beta::new(a, b).unwrap(), alpha, extra_w)?;
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Shared posterior-kernel cache: memoized solves of the Beta-posterior
 //! interval kernels, keyed by integer annotation counts.
 //!
-//! Every interval, width bound, and lookahead certificate the evaluation
-//! engines compute under SRS is a **pure function of integer counts**
+//! Every interval and lookahead certificate the evaluation engines
+//! compute under SRS is a **pure function of integer counts**
 //! `(τ, n)` plus a fixed `(prior, α)` configuration: the conjugate
 //! posterior is `Beta(a + τ, b + n − τ)` and the solver output depends on
 //! nothing else. A multi-tenant server answering thousands of campaigns
@@ -39,7 +39,7 @@
 use crate::error::IntervalError;
 use crate::et::et_interval;
 use crate::frequentist::wilson;
-use crate::hpd::{hpd_interval_exact, hpd_width_achievable, hpd_width_lower_bound};
+use crate::hpd::{hpd_interval_exact, hpd_width_achievable};
 use crate::prior::BetaPrior;
 use crate::types::Interval;
 use std::collections::HashMap;
@@ -68,8 +68,6 @@ enum Op {
     Wilson,
     /// [`hpd_width_achievable`] certificate verdict.
     Achievable,
-    /// [`hpd_width_lower_bound`] over the count posterior.
-    WidthBound,
 }
 
 /// A self-describing memo key: the op, the method configuration as raw
@@ -115,7 +113,6 @@ impl Key {
 enum Value {
     Interval { lower: f64, upper: f64 },
     Verdict(bool),
-    Bound(Option<f64>),
 }
 
 /// A point-in-time snapshot of the cache counters, taken by
@@ -312,13 +309,6 @@ pub fn solve_achievable_by_counts(
     hpd_width_achievable(&prior.posterior(tau, n), alpha, width)
 }
 
-/// Theorem 1's `(1-α)/f(mode)` width lower bound for the count
-/// posterior (`None` for shapes without the bound).
-#[must_use]
-pub fn solve_width_bound_by_counts(prior: &BetaPrior, tau: u64, n: u64, alpha: f64) -> Option<f64> {
-    hpd_width_lower_bound(&prior.posterior(tau, n), alpha)
-}
-
 // ---------------------------------------------------------------------
 // Dispatch handle
 // ---------------------------------------------------------------------
@@ -434,31 +424,6 @@ impl<'a> Kernel<'a> {
             Err(_) => unreachable!("achievable solve is infallible"),
         }
     }
-
-    /// Memoized [`solve_width_bound_by_counts`].
-    #[must_use]
-    pub fn width_lower_bound(
-        &self,
-        prior: &BetaPrior,
-        tau: u64,
-        n: u64,
-        alpha: f64,
-    ) -> Option<f64> {
-        let Some(cache) = self.cache else {
-            return solve_width_bound_by_counts(prior, tau, n, alpha);
-        };
-        let key = Key::new(Op::WidthBound, prior, alpha, 0.0, tau, n);
-        let value = cache.memo(key, || {
-            Ok(Value::Bound(solve_width_bound_by_counts(
-                prior, tau, n, alpha,
-            )))
-        });
-        match value {
-            Ok(Value::Bound(bound)) => bound,
-            Ok(_) => unreachable!("width-bound op memoized a non-bound"),
-            Err(_) => unreachable!("width-bound solve is infallible"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -511,10 +476,6 @@ mod tests {
                             direct.achievable(&prior, tau, n, alpha, width),
                         );
                     }
-                    assert_eq!(
-                        cached.width_lower_bound(&prior, tau, n, alpha),
-                        direct.width_lower_bound(&prior, tau, n, alpha),
-                    );
                 }
             }
         }

@@ -9,8 +9,8 @@
 //!   [`et_interval`] (§4.2) and [`hpd_interval`] (§4.3, computed the way
 //!   the paper computes it: SLSQP with the ET interval as warm start, and
 //!   closed forms Eq. 10/11 in the limiting cases);
-//! * [`hpd_interval_exact`] — an independent Brent-based solver for the
-//!   same optimum, used to cross-validate SLSQP in tests and benches;
+//! * [`hpd_interval_exact`] — a Brent-based solver for the same optimum,
+//!   the production path for SRS campaigns and cold starts;
 //! * [`BetaPrior`] — Kerman / Jeffreys / Uniform uninformative priors and
 //!   informative priors, with integer and design-effect-adjusted
 //!   fractional posterior updates;

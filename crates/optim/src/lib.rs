@@ -11,9 +11,8 @@
 //! * [`slsqp`] — a dense SQP solver for small smooth problems with equality
 //!   constraints and box bounds (damped BFGS Hessian approximation,
 //!   primal active-set QP subproblems, L1-merit backtracking line search);
-//! * [`root`] — bracketed root finding (bisection and Brent), used for the
-//!   independent "exact" HPD solver that cross-validates SLSQP;
-//! * [`minimize1d`] — derivative-free 1-D minimization (Brent);
+//! * [`root`] — bracketed root finding (bisection and Brent), used by the
+//!   exact HPD solver;
 //! * [`linalg`] — the small dense LU factorization backing the QP solves.
 //!
 //! Everything is `f64`, allocation-light, and panic-free on valid input.
@@ -32,7 +31,6 @@
 #![warn(clippy::all)]
 
 pub mod linalg;
-pub mod minimize1d;
 pub mod root;
 pub mod slsqp;
 

@@ -1,7 +1,6 @@
 //! Property-based tests for the optimization substrate.
 
 use kgae_optim::linalg::{solve, Matrix};
-use kgae_optim::minimize1d::brent_min;
 use kgae_optim::root::{brent, RootConfig};
 use kgae_optim::slsqp::{slsqp, FnProblem, SlsqpConfig};
 use proptest::prelude::*;
@@ -37,15 +36,6 @@ proptest! {
         let f = |x: f64| scale * (x - root) * (1.0 + (x - root) * (x - root));
         let r = brent(f, root - 7.0, root + 9.0, RootConfig::default()).unwrap();
         prop_assert!((r - root).abs() < 1e-9, "found {r}, want {root}");
-    }
-
-    /// Brent 1-D minimization on random parabolas.
-    #[test]
-    fn brent_min_on_parabolas(center in -3.0f64..3.0, curvature in 0.1f64..50.0) {
-        let f = |x: f64| curvature * (x - center) * (x - center) - 1.0;
-        let m = brent_min(f, -10.0, 10.0, 1e-12).unwrap();
-        prop_assert!((m.x - center).abs() < 1e-5, "argmin {} vs {center}", m.x);
-        prop_assert!((m.fx + 1.0).abs() < 1e-9);
     }
 
     /// SLSQP on random projection problems:
