@@ -1,6 +1,7 @@
 //! HPD solver comparison: cold SLSQP (paper's method, ET warm start)
 //! vs warm-started SLSQP (the framework's incremental path) vs the exact
-//! Brent solver, across posterior shapes and evidence sizes.
+//! solver (Newton on the best-window width), across posterior shapes and
+//! evidence sizes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kgae_intervals::{hpd_interval, hpd_interval_exact, hpd_interval_warm, BetaPrior};
@@ -20,7 +21,7 @@ fn bench_hpd(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("slsqp_cold", name), &post, |b, p| {
             b.iter(|| hpd_interval(black_box(p), 0.05).unwrap())
         });
-        g.bench_with_input(BenchmarkId::new("brent_exact", name), &post, |b, p| {
+        g.bench_with_input(BenchmarkId::new("newton_exact", name), &post, |b, p| {
             b.iter(|| hpd_interval_exact(black_box(p), 0.05).unwrap())
         });
         let warm = hpd_interval(&post, 0.05).unwrap();

@@ -33,7 +33,7 @@ fn bench_intervals(c: &mut Criterion) {
     g.bench_function("hpd_slsqp", |b| {
         b.iter(|| hpd_interval(black_box(&post), alpha).unwrap())
     });
-    g.bench_function("hpd_exact_brent", |b| {
+    g.bench_function("hpd_exact", |b| {
         b.iter(|| hpd_interval_exact(black_box(&post), alpha).unwrap())
     });
     g.finish();

@@ -18,7 +18,9 @@
 //!   bound, compute how many future annotation units *provably* cannot
 //!   satisfy `MoE ≤ ε`, so the evaluation loop skips interval
 //!   construction (and even the one-step bound check) entirely until the
-//!   first unit where stopping is achievable. The stopping decision is
+//!   first unit where stopping is achievable. The SRS search runs on the
+//!   decisive extreme outcome first and certifies its candidate with one
+//!   probe of the full outcome-and-prior union. The stopping decision is
 //!   unchanged — every skipped step is one where the reference
 //!   check-every-unit loop could not have stopped either.
 
@@ -319,9 +321,19 @@ impl IntervalMethod {
     /// evaluated — via the *exact* best-window predicate
     /// [`hpd_width_achievable`] — at the range endpoints plus their
     /// one-step-inside neighbors (covering the transition into the
-    /// monotone limiting shapes of Eq. 10/11). The smallest achievable
-    /// `k` is found by exponential + binary search; everything before it
-    /// is skipped.
+    /// monotone limiting shapes of Eq. 10/11). That union over outcomes
+    /// and priors is the certificate; everything before the first
+    /// horizon where it holds is skipped.
+    ///
+    /// The search runs on the *decisive path* first: the extreme outcome
+    /// nearer the boundary (`τ+k` when `2τ ≥ n`, else `τ`), where the
+    /// posterior narrows fastest. Its first stoppable horizon, found by
+    /// exponential + binary search, gives a candidate skip that one union
+    /// probe at the candidate horizon certifies. Only when that probe
+    /// fails (another outcome stops earlier) is the union bisected below
+    /// the candidate. With stoppability monotone in the horizon, which
+    /// both searches assume, the result is the union's own first
+    /// stoppable horizon less one.
     ///
     /// Returns 0 (check the very next annotation) for methods without a
     /// certified bound (Wald, Wilson).
@@ -339,7 +351,22 @@ impl IntervalMethod {
         debug_assert_eq!(state.kind(), DesignKind::Srs);
         let (tau, n) = (state.tau(), state.n());
         let kernel = cache.kernel();
-        find_certified_skip(|k| srs_stoppable_at(priors, &kernel, tau, n, k, alpha, epsilon))
+        let toward_one = 2 * tau >= n;
+        let skip = find_certified_skip(|k| {
+            let t = if toward_one { tau + k } else { tau };
+            priors
+                .iter()
+                .any(|prior| kernel.achievable(prior, t, n + k, alpha, 2.0 * epsilon))
+        });
+        let union = |k| srs_stoppable_at(priors, &kernel, tau, n, k, alpha, epsilon);
+        if skip == 0 || !union(skip) {
+            return skip;
+        }
+        if union(1) {
+            0
+        } else {
+            bisect_skip(union, 1, skip)
+        }
     }
 
     /// Certified cluster lookahead: the number of further stage-1 draws
@@ -509,7 +536,13 @@ fn find_certified_skip(stoppable_at: impl Fn(u64) -> bool) -> u64 {
         lo = hi;
         hi = (hi * 2).min(MAX_SKIP);
     }
-    // invariant: !stoppable(lo) && stoppable(hi)
+    bisect_skip(stoppable_at, lo, hi)
+}
+
+/// Binary search between a horizon `lo` that is not stoppable and a
+/// horizon `hi` that is: the last non-stoppable horizon before the
+/// first stoppable one.
+fn bisect_skip(stoppable_at: impl Fn(u64) -> bool, mut lo: u64, mut hi: u64) -> u64 {
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
         if stoppable_at(mid) {
@@ -524,6 +557,7 @@ fn find_certified_skip(stoppable_at: impl Fn(u64) -> bool) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn srs_state(tau: u64, n: u64) -> SampleState {
         let mut s = SampleState::new_srs();
@@ -744,6 +778,68 @@ mod tests {
             wilson.certified_skip_srs(&state, 0.05, 0.05, &wilson.new_state()),
             0
         );
+    }
+
+    /// Reference for [`IntervalMethod::certified_skip_srs`]: exponential
+    /// + binary search over the union predicate from horizon 1, without
+    /// the decisive-path candidate.
+    fn skip_by_union_search(
+        method: &IntervalMethod,
+        state: &SampleState,
+        alpha: f64,
+        epsilon: f64,
+    ) -> u64 {
+        let Some(priors) = method.priors() else {
+            return 0;
+        };
+        let kernel = Kernel::new(None);
+        find_certified_skip(|k| {
+            srs_stoppable_at(priors, &kernel, state.tau(), state.n(), k, alpha, epsilon)
+        })
+    }
+
+    fn skip_methods() -> [IntervalMethod; 3] {
+        let mut with_informative = BetaPrior::UNINFORMATIVE.to_vec();
+        with_informative.push(BetaPrior::informative(8.0, 2.0).unwrap());
+        [
+            IntervalMethod::ahpd_default(),
+            IntervalMethod::AHpd(with_informative),
+            IntervalMethod::Hpd(BetaPrior::informative(8.0, 2.0).unwrap()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn decisive_path_skip_equals_the_union_search(
+            (n, tau) in (1u64..=5000).prop_flat_map(|n| (Just(n), 0..=n)),
+            alpha in prop_oneof![Just(0.01), Just(0.05), Just(0.1)],
+            epsilon in 0.01f64..0.1,
+        ) {
+            let state = srs_state(tau, n);
+            for method in skip_methods() {
+                let got = method.certified_skip_srs(&state, alpha, epsilon, &method.new_state());
+                let want = skip_by_union_search(&method, &state, alpha, epsilon);
+                prop_assert_eq!(got, want, "{:?} at (τ={}, n={}), α={}, ε={}",
+                    method, tau, n, alpha, epsilon);
+            }
+        }
+    }
+
+    #[test]
+    fn decisive_path_skip_equals_the_union_search_at_the_cap() {
+        // At ε = 1e-5 even an unbroken run of correct (or incorrect)
+        // labels needs more than MAX_SKIP annotations: both searches stop
+        // at the cap.
+        for (tau, n) in [(5u64, 10u64), (500, 1000), (1, 3), (0, 7)] {
+            let state = srs_state(tau, n);
+            for method in skip_methods() {
+                let got = method.certified_skip_srs(&state, 0.01, 1e-5, &method.new_state());
+                assert_eq!(got, MAX_SKIP, "{method:?} at (τ={tau}, n={n})");
+                assert_eq!(got, skip_by_union_search(&method, &state, 0.01, 1e-5));
+            }
+        }
     }
 
     #[test]

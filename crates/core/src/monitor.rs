@@ -62,7 +62,7 @@ use crate::session::{
 use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::hash::mix2;
 use kgae_graph::{DeltaKg, KnowledgeGraph, StableId};
-use kgae_intervals::{hpd_interval, BetaPrior, Interval};
+use kgae_intervals::{hpd_interval_exact, BetaPrior, Interval};
 use kgae_stats::dist::Beta;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -412,7 +412,7 @@ impl<'a> MonitorSession<'a> {
             let Ok(posterior) = Beta::new(m * nu, (1.0 - m) * nu) else {
                 continue;
             };
-            let Ok(interval) = hpd_interval(&posterior, self.cfg.alpha) else {
+            let Ok(interval) = hpd_interval_exact(&posterior, self.cfg.alpha) else {
                 continue;
             };
             let cap = self.carry_weight.min(nu);

@@ -6,12 +6,16 @@
 //! * **Unimodal** (`α > 1, β > 1`, the standard case `0 < τ < n`):
 //!   solved as the paper does — SLSQP minimizing `u - l` under
 //!   `F(u) - F(l) = 1 - α` with the ET interval as the initial guess —
-//!   and by an exact solver ([`hpd_interval_exact`]) based on the
-//!   density-equality first-order condition `f(l) = f(u)` and Brent root
-//!   finding. The exact solver is the production path for SRS campaigns
-//!   (the posterior-kernel cache memoizes it) and for cold starts; the
-//!   SLSQP path serves warm-started and cluster-design solves, and each
-//!   cross-validates the other in the tests.
+//!   and by an exact solver ([`hpd_interval_exact`]): Newton on the
+//!   window width `w` for `M(w) = 1 - α`, where `M(w)` is the mass of
+//!   the best-placed width-`w` window (the same best-window primitive
+//!   [`hpd_width_achievable`] uses), started from the certified
+//!   under-estimate [`hpd_width_lower_bound`]. It needs no quantile and
+//!   no nested root-finding. The exact solver is the production path for
+//!   SRS campaigns (the posterior-kernel cache memoizes it), for cold
+//!   starts and for the monitor's appraisal; the SLSQP path serves
+//!   warm-started cluster-design solves, and each cross-validates the
+//!   other in the tests.
 //! * **Monotone increasing** (all-correct limiting case, Eq. 10):
 //!   `[qBeta(α), 1]`.
 //! * **Monotone decreasing** (all-incorrect limiting case, Eq. 11):
@@ -24,14 +28,13 @@
 use crate::error::IntervalError;
 use crate::et::{check_alpha, et_interval};
 use crate::types::Interval;
-use kgae_optim::root::{brent, RootConfig};
 use kgae_optim::slsqp::{slsqp, Problem, SlsqpConfig};
 use kgae_stats::dist::{Beta, BetaShape};
 
 /// Computes the `1-α` HPD interval by the paper's method (SLSQP with ET
 /// warm start in the standard case, closed forms in the limiting cases).
 ///
-/// Falls back to the exact Brent solver if SLSQP fails to converge —
+/// Falls back to the exact solver if SLSQP fails to converge —
 /// this keeps the evaluation loop total while preserving the paper's
 /// computational pathway in the overwhelmingly common case.
 pub fn hpd_interval(posterior: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
@@ -60,11 +63,11 @@ pub fn hpd_interval(posterior: &Beta, alpha: f64) -> Result<Interval, IntervalEr
 /// result is identical to the cold-started one within tolerance — this
 /// is purely a constant-factor optimization.
 ///
-/// Without a usable warm start the *exact* Brent solver is used instead
-/// of cold SLSQP: on the strongly skewed posteriors high-accuracy KGs
-/// produce, SLSQP from the ET initial guess can burn its whole iteration
-/// budget before the fallback fires (~60× the Brent cost, see the
-/// `hpd_solvers` bench), while Theorem 2 guarantees both land on the
+/// Without a usable warm start the exact solver ([`hpd_interval_exact`])
+/// is used instead of cold SLSQP: on the strongly skewed posteriors
+/// high-accuracy KGs produce, SLSQP from the ET initial guess can burn
+/// its whole iteration budget before the fallback fires (the `hpd_solvers`
+/// bench compares the two), while Theorem 2 guarantees both land on the
 /// same optimum.
 pub fn hpd_interval_warm(
     posterior: &Beta,
@@ -92,11 +95,11 @@ pub fn hpd_interval_warm(
 /// `width ≥ (1-α) / f(mode)`. One density evaluation. `None` when the
 /// posterior is not unimodal.
 ///
-/// This is the reference form of the bound whose contrapositive is the
-/// first step of [`hpd_width_achievable`]; the evaluation framework
-/// consumes the bound through that predicate rather than calling this
-/// directly, but the inequality (and its tests below) document why that
-/// step is sound.
+/// The exact solver ([`hpd_interval_exact`]) starts its Newton iteration
+/// on the width here: the best-window mass is concave in the width, so
+/// from a certified under-estimate the iterates approach the HPD width
+/// from the left. The bound's contrapositive is also the first step of
+/// [`hpd_width_achievable`].
 #[must_use]
 pub fn hpd_width_lower_bound(posterior: &Beta, alpha: f64) -> Option<f64> {
     let mode = posterior.mode()?;
@@ -210,11 +213,11 @@ fn best_window_start(post: &Beta, mode: f64, w: f64) -> f64 {
     l
 }
 
-/// Computes the `1-α` HPD interval with the exact solver only (Brent on
-/// the density-equality condition; same closed forms for the limiting
-/// cases). This is the production SRS solver: the posterior-kernel cache
-/// memoizes it, and [`hpd_interval_warm`] uses it whenever no warm start
-/// is available.
+/// Computes the `1-α` HPD interval with the exact solver only (Newton on
+/// the best-window width, see the module docs; same closed forms for
+/// the limiting cases). This is the production SRS solver: the
+/// posterior-kernel cache memoizes it, the monitor's appraisal calls it,
+/// and [`hpd_interval_warm`] uses it whenever no warm start is available.
 pub fn hpd_interval_exact(posterior: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
     check_alpha(alpha)?;
     match posterior.shape() {
@@ -283,7 +286,7 @@ fn unimodal_slsqp_from(
     let problem = HpdProblem { post, alpha };
     // 40 iterations is ~3× what a converging run ever needs here; a run
     // that hasn't converged by then never will (extreme-skew posteriors
-    // with far-off warm starts), and the exact Brent fallback is both
+    // with far-off warm starts), and the exact solver fallback is both
     // correct (Theorem 2: same unique optimum) and faster than letting
     // SLSQP burn a large budget first.
     let cfg = SlsqpConfig {
@@ -311,54 +314,72 @@ fn unimodal_slsqp_from(
     Ok(Interval::new(l, u))
 }
 
-/// Exact solver: the optimal interior interval satisfies `f(l) = f(u)`
-/// with `u(l) = F⁻¹(F(l) + 1 - α)` (first-order conditions of Theorem 1's
-/// Lagrangian). `h(l) = f(l) - f(u(l))` brackets a sign change over
-/// `[0, F⁻¹(α)]` for any unimodal posterior, so Brent converges
-/// unconditionally.
+/// Newton step on the window width below which [`unimodal_exact`]
+/// stops. The step is first order in the mass residual, so the width it
+/// lands on is accurate to `O(step²)`; the residual's own rounding noise
+/// (CDF error over a density of at least `α`) stays below ~1e-13.
+const WIDTH_XTOL: f64 = 1e-11;
+
+/// Exact solver: Newton on the window width `w`. With `[l, l+w]` the
+/// best-placed width-`w` window ([`best_window_start`]), its mass
+/// `M(w) = F(l+w) − F(l)` is the most any width-`w` interval holds, so
+/// the HPD width is the root of `M(w) = 1 − α` (Theorem 1) and the HPD
+/// interval is that root's best window. By the envelope theorem
+/// `M′(w) = f(l+w)`, which falls as `w` grows: `M` is concave and
+/// increasing, so Newton started at the certified under-estimate
+/// [`hpd_width_lower_bound`] approaches the root from the left. No
+/// quantile (`betainc_inv`) and no nested root-finding.
+///
+/// A shape parameter within ~0.1 of 1 (low-effective-evidence cluster
+/// samples) puts the density-equality root within a few ulps of the
+/// boundary, where the best window's start is resolved only to the
+/// bisection's double-precision bracket. Such a window is anchored at
+/// the boundary exactly, `[0, w]` or `[1 − w, 1]`, so its mass (and the
+/// returned interval) does not carry that few-ulp error times the
+/// density.
 fn unimodal_exact(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
-    let l_max = post.quantile(alpha)?;
-    let h = |l: f64| {
-        let fl = post.cdf(l);
-        let u = post.quantile((fl + 1.0 - alpha).min(1.0)).unwrap_or(1.0);
-        post.pdf(l) - post.pdf(u)
+    const MAX_ITER: usize = 100;
+    const ANCHOR: f64 = 4.0 * f64::EPSILON;
+    let no_convergence = |iterations| {
+        IntervalError::Optim(kgae_optim::OptimError::NoConvergence {
+            algorithm: "newton-hpd",
+            iterations,
+        })
     };
-    // h(0) = -f(u(0)) < 0 and h(l_max) = f(l_max) - f(1) > 0 since the
-    // density vanishes at both endpoints for α, β > 1. The exception is a
-    // shape parameter within ~0.1 of 1 (low-effective-evidence cluster
-    // samples): the density then vanishes at its boundary so slowly
-    // (e.g. (1-x)^0.1) that the density-equality root sits within one
-    // ulp of the boundary and no representable sign change exists. The
-    // HPD interval is then boundary-anchored to double precision, so
-    // return the shorter of the two anchored 1-α intervals.
-    let h0 = h(0.0);
-    let hmax = h(l_max);
-    if h0 * hmax > 0.0 {
-        let upper_anchored = Interval::new(l_max.clamp(0.0, 1.0), 1.0);
-        let lower_anchored = Interval::new(0.0, post.quantile(1.0 - alpha)?.clamp(0.0, 1.0));
-        return Ok(if upper_anchored.width() <= lower_anchored.width() {
-            upper_anchored
+    let mode = post.mode().expect("unimodal posterior has a mode");
+    let window = |w: f64| {
+        let l = best_window_start(post, mode, w);
+        if l <= ANCHOR * w {
+            (0.0, w)
+        } else if l + w >= 1.0 - ANCHOR {
+            (1.0 - w, 1.0)
         } else {
-            lower_anchored
-        });
+            (l, l + w)
+        }
+    };
+    let target = 1.0 - alpha;
+    let mut w = hpd_width_lower_bound(post, alpha).ok_or_else(|| no_convergence(0))?;
+    for _ in 0..MAX_ITER {
+        let (l, u) = window(w);
+        // M′(w) = f(u) = f(l); an anchored window's boundary endpoint
+        // has a meaningless density, so read the one farther from its
+        // boundary.
+        let slope = post.pdf(if l < 1.0 - u { u } else { l });
+        let step = (target - (post.cdf(u) - post.cdf(l))) / slope;
+        w += step;
+        if step.abs() <= WIDTH_XTOL {
+            let (l, u) = window(w);
+            return Ok(Interval::new(l, u));
+        }
     }
-    let l = brent(
-        h,
-        0.0,
-        l_max,
-        RootConfig {
-            xtol: 1e-14,
-            max_iter: 300,
-        },
-    )?;
-    let u = post.quantile((post.cdf(l) + 1.0 - alpha).min(1.0))?;
-    Ok(Interval::new(l.clamp(0.0, 1.0), u.clamp(0.0, 1.0)))
+    Err(no_convergence(MAX_ITER))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prior::BetaPrior;
+    use kgae_optim::root::{brent, RootConfig};
     use proptest::prelude::*;
 
     /// Posterior grid spanning the shapes the framework produces:
@@ -827,6 +848,116 @@ mod tests {
             let a = 1.0 + 10f64.powf(log_a);
             let (a, b) = if mirrored == 1 { (b, a) } else { (a, b) };
             agrees_with_brent(&Beta::new(a, b).unwrap(), alpha, extra_w)?;
+        }
+    }
+
+    /// Reference for [`unimodal_exact`]: Brent on the density difference
+    /// `h(l) = f(l) − f(u(l))` with `u(l) = F⁻¹(F(l) + 1 − α)` over
+    /// `[0, F⁻¹(α)]`. Without a representable sign change (a shape
+    /// parameter within ~0.1 of 1) the HPD interval is boundary-anchored
+    /// to double precision, and the shorter anchored 1-α interval is
+    /// returned.
+    fn exact_by_brent(post: &Beta, alpha: f64) -> Interval {
+        let l_max = post.quantile(alpha).unwrap();
+        let h = |l: f64| {
+            let fl = post.cdf(l);
+            let u = post.quantile((fl + 1.0 - alpha).min(1.0)).unwrap_or(1.0);
+            post.pdf(l) - post.pdf(u)
+        };
+        if h(0.0) * h(l_max) > 0.0 {
+            let upper_anchored = Interval::new(l_max.clamp(0.0, 1.0), 1.0);
+            let lower_anchored =
+                Interval::new(0.0, post.quantile(1.0 - alpha).unwrap().clamp(0.0, 1.0));
+            return if upper_anchored.width() <= lower_anchored.width() {
+                upper_anchored
+            } else {
+                lower_anchored
+            };
+        }
+        let cfg = RootConfig {
+            xtol: 1e-14,
+            max_iter: 300,
+        };
+        let l = brent(h, 0.0, l_max, cfg).unwrap();
+        let u = post.quantile((post.cdf(l) + 1.0 - alpha).min(1.0)).unwrap();
+        Interval::new(l.clamp(0.0, 1.0), u.clamp(0.0, 1.0))
+    }
+
+    /// Theorem 1's optimality conditions for [`hpd_interval_exact`] —
+    /// mass `1-α` to 1e-12 and `f(l) = f(u)` to 1e-9 relative — and
+    /// agreement with [`exact_by_brent`] to 1e-12 per endpoint.
+    ///
+    /// The density tolerance widens by each endpoint's log-density slope
+    /// times a few ulps, which is how well a root near the boundary can be
+    /// represented. An endpoint within a few ulps of 0 or 1 is anchored
+    /// there: the density-equality root lies below double resolution, so
+    /// only the mass and the oracle check such an interval.
+    fn meets_theorem_1(post: &Beta, alpha: f64) -> Result<(), TestCaseError> {
+        if post.mode().is_none() {
+            return Ok(()); // closed-form shapes: no root find to check
+        }
+        let got = hpd_interval_exact(post, alpha).unwrap();
+        let (l, u) = (got.lower(), got.upper());
+        let (a, b) = (post.alpha(), post.beta());
+        let mass = post.cdf(u) - post.cdf(l);
+        prop_assert!(
+            (mass - (1.0 - alpha)).abs() <= 1e-12,
+            "Beta({a}, {b}), α={alpha}: {got} holds {mass}"
+        );
+        if l > 4.0 * f64::EPSILON && u < 1.0 - 4.0 * f64::EPSILON {
+            let slope = |x: f64| ((a - 1.0) / x - (b - 1.0) / (1.0 - x)).abs();
+            let tol = 1e-9 + 4.0 * f64::EPSILON * (slope(l) + slope(u));
+            let gap = (post.ln_pdf(l) - post.ln_pdf(u)).abs();
+            prop_assert!(
+                gap <= tol,
+                "Beta({a}, {b}), α={alpha}: {got} has |ln f(l) − ln f(u)| = {gap:e}"
+            );
+        }
+        let want = exact_by_brent(post, alpha);
+        prop_assert!(
+            (l - want.lower()).abs() <= 1e-12 && (u - want.upper()).abs() <= 1e-12,
+            "Beta({a}, {b}), α={alpha}: newton [{l:e}, {u:e}], brent [{:e}, {:e}]",
+            want.lower(),
+            want.upper()
+        );
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn exact_hpd_meets_theorem_1_on_srs_posteriors(
+            (n, tau) in (1u64..=2000).prop_flat_map(|n| (Just(n), 0..=n)),
+            prior in 0usize..3,
+            alpha in alphas(),
+        ) {
+            meets_theorem_1(&BetaPrior::UNINFORMATIVE[prior].posterior(tau, n), alpha)?;
+        }
+
+        #[test]
+        fn exact_hpd_meets_theorem_1_on_cluster_posteriors(
+            mu in 0.0f64..=1.0,
+            log_n_eff in 0.0f64..5.0,
+            prior in 0usize..3,
+            alpha in alphas(),
+        ) {
+            let post = BetaPrior::UNINFORMATIVE[prior]
+                .posterior_effective(mu, 10f64.powf(log_n_eff))
+                .unwrap();
+            meets_theorem_1(&post, alpha)?;
+        }
+
+        #[test]
+        fn exact_hpd_meets_theorem_1_on_near_degenerate_shapes(
+            log_a in -2.0f64..4.0,
+            b in 1.000_001f64..1.1,
+            mirrored in 0u8..2,
+            alpha in alphas(),
+        ) {
+            let a = 1.0 + 10f64.powf(log_a);
+            let (a, b) = if mirrored == 1 { (b, a) } else { (a, b) };
+            meets_theorem_1(&Beta::new(a, b).unwrap(), alpha)?;
         }
     }
 

@@ -9,8 +9,10 @@
 //!   [`et_interval`] (§4.2) and [`hpd_interval`] (§4.3, computed the way
 //!   the paper computes it: SLSQP with the ET interval as warm start, and
 //!   closed forms Eq. 10/11 in the limiting cases);
-//! * [`hpd_interval_exact`] — a Brent-based solver for the same optimum,
-//!   the production path for SRS campaigns and cold starts;
+//! * [`hpd_interval_exact`] — an exact solver for the same optimum
+//!   (Newton on the width of the best-placed window, started from the
+//!   certified bound [`hpd_width_lower_bound`]), the production path for
+//!   SRS campaigns, cold starts and the monitor's appraisal;
 //! * [`BetaPrior`] — Kerman / Jeffreys / Uniform uninformative priors and
 //!   informative priors, with integer and design-effect-adjusted
 //!   fractional posterior updates;

@@ -11,8 +11,8 @@
 //! * [`slsqp`] — a dense SQP solver for small smooth problems with equality
 //!   constraints and box bounds (damped BFGS Hessian approximation,
 //!   primal active-set QP subproblems, L1-merit backtracking line search);
-//! * [`root`] — bracketed root finding (bisection and Brent), used by the
-//!   exact HPD solver;
+//! * [`root`] — bracketed root finding (bisection and Brent), the test
+//!   oracle for the exact HPD solver;
 //! * [`linalg`] — the small dense LU factorization backing the QP solves.
 //!
 //! Everything is `f64`, allocation-light, and panic-free on valid input.
