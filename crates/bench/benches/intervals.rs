@@ -1,11 +1,20 @@
 //! Construction latency of every interval method at a representative
-//! annotation outcome (27/30 correct — a skewed, unimodal posterior).
+//! annotation outcome (27/30 correct — a skewed, unimodal posterior),
+//! and the SRS aHPD certified-lookahead search at late-campaign NELL
+//! states, started cold and from the previous round's frontier.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use kgae_core::{
+    AnnotationRequest, EvalConfig, EvaluationSession, IntervalMethod, PreparedDesign, SampleState,
+    SamplingDesign,
+};
+use kgae_graph::GroundTruth;
 use kgae_intervals::{
     agresti_coull, clopper_pearson, et_interval, hpd_interval, hpd_interval_exact, wald_srs,
     wilson, BetaPrior,
 };
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 
 fn bench_intervals(c: &mut Criterion) {
     let mut g = c.benchmark_group("interval_construction");
@@ -39,5 +48,66 @@ fn bench_intervals(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_intervals);
+/// The sample state at each lookahead round of one SRS aHPD campaign on
+/// NELL, from the first round on: the state after every annotation of
+/// the campaign, visited at the intervals the certified skips set.
+fn lookahead_rounds(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec<SampleState> {
+    let kg = kgae_graph::datasets::nell();
+    let prepared = PreparedDesign::new(&kg, SamplingDesign::Srs);
+    let mut session = EvaluationSession::from_prepared(
+        &kg,
+        &prepared,
+        method,
+        cfg,
+        SmallRng::seed_from_u64(seed),
+    );
+    let mut request = AnnotationRequest::default();
+    let mut states = Vec::new();
+    while session.next_request_into(1, &mut request).unwrap() {
+        session
+            .submit(&[kg.is_correct(request.triples[0].triple)])
+            .unwrap();
+        states.push(session.sample_state().clone());
+    }
+    let mut solver = method.new_state();
+    let mut rounds = Vec::new();
+    let mut at = cfg.min_triples.saturating_sub(1) as usize;
+    while at < states.len() {
+        let skip = method.certified_skip_srs(&states[at], cfg.alpha, cfg.epsilon, &mut solver);
+        rounds.push(states[at].clone());
+        at += skip as usize + 1;
+    }
+    rounds
+}
+
+fn bench_certified_skip_srs(c: &mut Criterion) {
+    let mut g = c.benchmark_group("certified_skip_srs");
+    g.sample_size(60);
+    let method = IntervalMethod::ahpd_default();
+    let cfg = EvalConfig::default();
+    let rounds = lookahead_rounds(&method, &cfg, 7);
+    // The campaign's last lookahead rounds, each seeded by a call at the
+    // round before it.
+    for pair in rounds[rounds.len().saturating_sub(5)..].windows(2) {
+        let (prev, state) = (&pair[0], &pair[1]);
+        let id = format!("tau{}_n{}", state.tau(), state.n());
+        g.bench_function(format!("cold/{id}"), |b| {
+            b.iter(|| {
+                let mut solver = method.new_state();
+                method.certified_skip_srs(black_box(state), cfg.alpha, cfg.epsilon, &mut solver)
+            })
+        });
+        let mut seeded = method.new_state();
+        let _ = method.certified_skip_srs(prev, cfg.alpha, cfg.epsilon, &mut seeded);
+        g.bench_function(format!("seeded/{id}"), |b| {
+            b.iter(|| {
+                let mut solver = seeded.clone();
+                method.certified_skip_srs(black_box(state), cfg.alpha, cfg.epsilon, &mut solver)
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, bench_intervals, bench_certified_skip_srs);
 criterion_main!(benches);

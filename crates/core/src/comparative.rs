@@ -410,7 +410,7 @@ impl<'a> ComparativeSession<'a> {
                         state,
                         cfg.alpha,
                         cfg.epsilon,
-                        &rival.solver,
+                        &mut rival.solver,
                     ),
                     DesignKind::Cluster => rival.method.certified_skip_cluster(
                         state,

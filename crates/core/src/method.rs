@@ -19,16 +19,22 @@
 //!   satisfy `MoE ≤ ε`, so the evaluation loop skips interval
 //!   construction (and even the one-step bound check) entirely until the
 //!   first unit where stopping is achievable. The SRS search runs on the
-//!   decisive extreme outcome first and certifies its candidate with one
-//!   probe of the full outcome-and-prior union. The stopping decision is
-//!   unchanged — every skipped step is one where the reference
-//!   check-every-unit loop could not have stopped either.
+//!   decisive extreme outcome first, starting near the previous round's
+//!   answer (the state's `Frontier` hint), and certifies its candidate
+//!   with one probe of the rest of the outcome-and-prior union. The
+//!   stopping decision is unchanged — every skipped step is one where the
+//!   reference check-every-unit loop could not have stopped either.
+//! * **Pruned aHPD selection**: at the SRS stop, the prior with the
+//!   smallest certified width lower bound is solved first, and every
+//!   other prior whose HPD width is certified wider than that solution is
+//!   never solved. The selected interval is the one solving every prior
+//!   would select, bit for bit.
 
 use crate::ahpd::{ahpd_select_posteriors, posteriors_for_state};
 use crate::state::{DesignKind, SampleState};
 use kgae_intervals::{
-    et_interval, hpd_interval_warm, hpd_width_achievable, wald_from_variance, wilson, BetaPrior,
-    Interval, IntervalError, Kernel, KernelCache,
+    et_interval, hpd_interval_warm, hpd_width_achievable, hpd_width_lower_bound,
+    wald_from_variance, wilson, BetaPrior, Interval, IntervalError, Kernel, KernelCache,
 };
 use kgae_stats::dist::Beta;
 use std::sync::Arc;
@@ -38,11 +44,52 @@ use std::sync::Arc;
 /// skips simply arrive in installments.
 const MAX_SKIP: u64 = 1 << 16;
 
+/// Relative margin by which a prior's HPD width must be certified wider
+/// than the best solved width before the pruned aHPD selection skips its
+/// solve — far above the exact solver's error, so a skipped prior could
+/// never have been selected.
+const PRUNE_MARGIN: f64 = 1e-6;
+
+/// Where the last SRS lookahead found the decisive path's first
+/// stoppable horizon. The next search starts from it, rescaled to the
+/// new state's fixed count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Frontier {
+    /// The path's direction: `true` when successes move (`τ+k`).
+    toward_one: bool,
+    /// The count fixed along the path: failures toward one, successes
+    /// toward zero.
+    fixed: u64,
+    /// The moving count at the path's first stoppable horizon.
+    stop: u64,
+}
+
+impl Frontier {
+    /// The horizon to start the next decisive search at, from a path
+    /// with the given direction and counts. At high accuracy the moving
+    /// count needed to stop grows as the square root of the fixed count
+    /// (the normal approximation), so the hint is `stop·√(fixed/f₀)`. A
+    /// flipped direction, or a first failure after a run without any,
+    /// starts cold at horizon 1.
+    fn start(&self, toward_one: bool, fixed: u64, moving: u64) -> u64 {
+        if toward_one != self.toward_one || (self.fixed == 0 && fixed > 0) {
+            return 1;
+        }
+        let scale = if self.fixed == 0 {
+            1.0
+        } else {
+            (fixed as f64 / self.fixed as f64).sqrt()
+        };
+        ((self.stop as f64 * scale).ceil() as u64).saturating_sub(moving)
+    }
+}
+
 /// Per-run solver state carried across the framework's successive calls:
 /// SLSQP warm starts for the cluster paths (the optimum is unique, so
 /// warm starting changes cost, not results), the incrementally-advanced
-/// per-prior posteriors for SRS samples, and an optional handle on the
-/// process-wide posterior-kernel cache.
+/// per-prior posteriors for SRS samples, an optional handle on the
+/// process-wide posterior-kernel cache, and the SRS lookahead's search
+/// hint.
 #[derive(Debug, Clone, Default)]
 pub struct MethodState {
     pub(crate) warm: Vec<Option<(f64, f64)>>,
@@ -61,6 +108,11 @@ pub struct MethodState {
     /// no memoization. Never serialized: a resumed session re-attaches
     /// the host's cache (or none).
     pub(crate) kernel: Option<Arc<KernelCache>>,
+    /// Where the last SRS lookahead's decisive search ended: a cache
+    /// that only moves where the next search starts, never its result.
+    /// Never serialized: snapshots keep their bytes, and a resumed
+    /// session's first search starts cold and finds the same skip.
+    pub(crate) frontier: Option<Frontier>,
 }
 
 impl MethodState {
@@ -142,6 +194,7 @@ impl IntervalMethod {
                 .collect(),
             tracked: (0, 0),
             kernel: None,
+            frontier: None,
         }
     }
 
@@ -248,20 +301,41 @@ impl IntervalMethod {
                     assert!(state.n() > 0, "aHPD needs at least one annotation");
                     let kernel = cache.kernel();
                     let (tau, n) = (state.tau(), state.n());
-                    // Strict `<` keeps the first minimal prior as winner,
-                    // matching ahpd_select_posteriors' min_by tie-break.
-                    let mut best: Option<Interval> = None;
-                    for prior in priors {
-                        let interval = match kernel.hpd(prior, tau, n, alpha) {
-                            Ok(i) => i,
-                            Err(IntervalError::UShapedPosterior { .. }) => Interval::new(0.0, 1.0),
-                            Err(e) => return Err(e),
-                        };
-                        if best.is_none_or(|b| interval.width() < b.width()) {
-                            best = Some(interval);
+                    let solve = |prior| match kernel.hpd(prior, tau, n, alpha) {
+                        Err(IntervalError::UShapedPosterior { .. }) => Ok(Interval::new(0.0, 1.0)),
+                        solved => solved,
+                    };
+                    // Unimodal posteriors carry a certified width lower
+                    // bound; solve the smallest first, as it almost
+                    // always wins.
+                    let posteriors: Vec<Beta> =
+                        priors.iter().map(|prior| prior.posterior(tau, n)).collect();
+                    let (_, first) = posteriors
+                        .iter()
+                        .enumerate()
+                        .map(|(i, post)| {
+                            let bound = hpd_width_lower_bound(post, alpha);
+                            (bound.unwrap_or(f64::INFINITY), i)
+                        })
+                        .min_by(|a, b| a.0.total_cmp(&b.0))
+                        .expect("aHPD requires at least one prior");
+                    let mut best = (solve(&priors[first])?, first);
+                    for (i, (prior, post)) in priors.iter().zip(&posteriors).enumerate() {
+                        // A prior that cannot fit its mass into a window
+                        // just wider than the best is certified to lose
+                        // (U-shaped posteriors certify nothing).
+                        let wider = best.0.width() * (1.0 + PRUNE_MARGIN);
+                        if i == first || !hpd_width_achievable(post, alpha, wider) {
+                            continue;
+                        }
+                        // Ties go to the lower prior index, matching
+                        // ahpd_select_posteriors' first-minimal min_by.
+                        let interval = solve(prior)?;
+                        if (interval.width(), i) < (best.0.width(), best.1) {
+                            best = (interval, i);
                         }
                     }
-                    Ok(best.expect("aHPD requires at least one prior"))
+                    Ok(best.0)
                 }
                 DesignKind::Cluster => {
                     let posteriors = posteriors_for_state(state, priors)?;
@@ -328,12 +402,20 @@ impl IntervalMethod {
     /// The search runs on the *decisive path* first: the extreme outcome
     /// nearer the boundary (`τ+k` when `2τ ≥ n`, else `τ`), where the
     /// posterior narrows fastest. Its first stoppable horizon, found by
-    /// exponential + binary search, gives a candidate skip that one union
-    /// probe at the candidate horizon certifies. Only when that probe
-    /// fails (another outcome stops earlier) is the union bisected below
+    /// an exponential search outward from a start horizon and then
+    /// bisection, gives a candidate skip. One union probe at the
+    /// candidate horizon certifies it; the probe leaves out the decisive
+    /// outcome, which the search has just refuted there. Only when that
+    /// probe finds another outcome stoppable is the union bisected below
     /// the candidate. With stoppability monotone in the horizon, which
     /// both searches assume, the result is the union's own first
-    /// stoppable horizon less one.
+    /// stoppable horizon less one, whatever the start.
+    ///
+    /// The start comes from `cache`'s `Frontier`: each call records
+    /// where its decisive path first became stoppable, and the next call
+    /// rescales that to its own state (horizon 1 when there is none). A
+    /// campaign's answer moves by only a few units between rounds, so the
+    /// search is a handful of probes instead of a cold search from 1.
     ///
     /// Returns 0 (check the very next annotation) for methods without a
     /// certified bound (Wald, Wilson).
@@ -343,29 +425,43 @@ impl IntervalMethod {
         state: &SampleState,
         alpha: f64,
         epsilon: f64,
-        cache: &MethodState,
+        cache: &mut MethodState,
     ) -> u64 {
         let Some(priors) = self.priors() else {
             return 0;
         };
         debug_assert_eq!(state.kind(), DesignKind::Srs);
         let (tau, n) = (state.tau(), state.n());
-        let kernel = cache.kernel();
         let toward_one = 2 * tau >= n;
-        let skip = find_certified_skip(|k| {
-            let t = if toward_one { tau + k } else { tau };
+        let (fixed, moving) = if toward_one {
+            (n - tau, tau)
+        } else {
+            (tau, n - tau)
+        };
+        let decisive = |k| if toward_one { tau + k } else { tau };
+        let start = cache
+            .frontier
+            .map_or(1, |f| f.start(toward_one, fixed, moving));
+        let kernel = Kernel::new(cache.kernel.as_deref());
+        let skip = find_certified_skip(start, |k| {
             priors
                 .iter()
-                .any(|prior| kernel.achievable(prior, t, n + k, alpha, 2.0 * epsilon))
+                .any(|prior| kernel.achievable(prior, decisive(k), n + k, alpha, 2.0 * epsilon))
         });
-        let union = |k| srs_stoppable_at(priors, &kernel, tau, n, k, alpha, epsilon);
-        if skip == 0 || !union(skip) {
+        cache.frontier = Some(Frontier {
+            toward_one,
+            fixed,
+            stop: moving + skip + 1,
+        });
+        let union =
+            |k, refuted| srs_stoppable_at(priors, &kernel, tau, n, k, alpha, epsilon, refuted);
+        if skip == 0 || !union(skip, Some(decisive(skip))) {
             return skip;
         }
-        if union(1) {
+        if union(1, None) {
             0
         } else {
-            bisect_skip(union, 1, skip)
+            bisect_skip(|k| union(k, None), 1, skip)
         }
     }
 
@@ -404,7 +500,7 @@ impl IntervalMethod {
         let d = state.draws() as u64;
         let n = state.n();
         let mu = state.draw_mean().clamp(0.0, 1.0);
-        find_certified_skip(|j| {
+        find_certified_skip(1, |j| {
             let d_j = (d + j) as f64;
             let n_j = (n + j * max_draw_size.max(1)) as f64;
             let mut nu = (d_j * (d_j - 1.0) / (4.0 * ss)).min(1e3 * n_j);
@@ -489,7 +585,10 @@ impl std::str::FromStr for IntervalMethod {
 /// achievable outcomes (plus their one-step-inside neighbors, covering
 /// the monotone-shape transitions). Verdicts route through the kernel,
 /// so a shared cache memoizes them across campaigns — the lookahead loop
-/// no longer reconstructs a `Beta` per polled count.
+/// no longer reconstructs a `Beta` per polled count. A `refuted`
+/// outcome, already shown not stoppable under every prior at this
+/// horizon, is not evaluated again.
+#[allow(clippy::too_many_arguments)]
 fn srs_stoppable_at(
     priors: &[BetaPrior],
     kernel: &Kernel<'_>,
@@ -498,6 +597,7 @@ fn srs_stoppable_at(
     k: u64,
     alpha: f64,
     epsilon: f64,
+    refuted: Option<u64>,
 ) -> bool {
     let n_k = n + k;
     let mut candidates = [tau, tau + k, tau + k - 1, tau + 1];
@@ -508,6 +608,9 @@ fn srs_stoppable_at(
             continue;
         }
         prev = t;
+        if refuted == Some(t) {
+            continue;
+        }
         for prior in priors {
             if kernel.achievable(prior, t, n_k, alpha, 2.0 * epsilon) {
                 return true;
@@ -518,29 +621,45 @@ fn srs_stoppable_at(
 }
 
 /// Searches for the number of units to skip: one less than the smallest
-/// horizon at which stopping becomes achievable, exploiting that
-/// achievability is monotone in the horizon (more evidence can only
-/// narrow the best achievable interval). Exponential bracketing plus
-/// binary search: O(log k) predicate evaluations, most of which
-/// short-circuit on the one-density-evaluation necessary condition.
-fn find_certified_skip(stoppable_at: impl Fn(u64) -> bool) -> u64 {
-    if stoppable_at(1) {
-        return 0;
+/// horizon at which stopping becomes achievable, capped at `MAX_SKIP`.
+/// It exploits that achievability is monotone in the horizon (more
+/// evidence can only narrow the best achievable interval): an
+/// exponential search outward from `start` (clamped to `1..=MAX_SKIP`)
+/// brackets the first stoppable horizon, and bisection finds it. Every
+/// start gives the same answer; a start near it costs O(log distance)
+/// predicate evaluations, most of which short-circuit on the
+/// one-density-evaluation necessary condition. A non-zero result was
+/// itself evaluated and found not stoppable.
+fn find_certified_skip(start: u64, stoppable_at: impl Fn(u64) -> bool) -> u64 {
+    let start = start.clamp(1, MAX_SKIP);
+    let mut step = 1;
+    if stoppable_at(start) {
+        // Down: invariant stoppable(hi); horizon 0 is "now", never
+        // evaluated.
+        let mut hi = start;
+        let mut lo = start - 1;
+        while lo > 0 && stoppable_at(lo) {
+            hi = lo;
+            step *= 2;
+            lo = hi.saturating_sub(step);
+        }
+        return bisect_skip(stoppable_at, lo, hi);
     }
-    let mut lo = 1u64; // invariant: !stoppable(lo)
-    let mut hi = 2u64;
-    while !stoppable_at(hi) {
-        if hi >= MAX_SKIP {
-            return hi;
+    // Up: invariant !stoppable(lo).
+    let mut lo = start;
+    while lo < MAX_SKIP {
+        let hi = (lo + step).min(MAX_SKIP);
+        if stoppable_at(hi) {
+            return bisect_skip(stoppable_at, lo, hi);
         }
         lo = hi;
-        hi = (hi * 2).min(MAX_SKIP);
+        step *= 2;
     }
-    bisect_skip(stoppable_at, lo, hi)
+    MAX_SKIP
 }
 
-/// Binary search between a horizon `lo` that is not stoppable and a
-/// horizon `hi` that is: the last non-stoppable horizon before the
+/// Binary search between a horizon `lo` that is not stoppable (or 0)
+/// and a horizon `hi` that is: the last non-stoppable horizon before the
 /// first stoppable one.
 fn bisect_skip(stoppable_at: impl Fn(u64) -> bool, mut lo: u64, mut hi: u64) -> u64 {
     while hi - lo > 1 {
@@ -718,8 +837,8 @@ mod tests {
                     method.stop_possible_now(&state, 0.05, 0.05, &cached),
                 );
                 assert_eq!(
-                    method.certified_skip_srs(&state, 0.05, 0.05, &plain),
-                    method.certified_skip_srs(&state, 0.05, 0.05, &cached),
+                    method.certified_skip_srs(&state, 0.05, 0.05, &mut plain),
+                    method.certified_skip_srs(&state, 0.05, 0.05, &mut cached),
                 );
             }
         }
@@ -738,7 +857,7 @@ mod tests {
                 IntervalMethod::Et(BetaPrior::UNIFORM),
             ] {
                 let state = srs_state(tau, n);
-                let skip = method.certified_skip_srs(&state, 0.05, 0.05, &method.new_state());
+                let skip = method.certified_skip_srs(&state, 0.05, 0.05, &mut method.new_state());
                 // Brute-force: for each skipped horizon k and each
                 // achievable τ', the constructed interval is wider than ε.
                 for k in 1..=skip.min(60) {
@@ -765,24 +884,24 @@ mod tests {
         // certify a long skip even under the loose f(mode) bound.
         let state = srs_state(15, 30);
         let ahpd = IntervalMethod::ahpd_default();
-        let skip = ahpd.certified_skip_srs(&state, 0.05, 0.05, &ahpd.new_state());
+        let skip = ahpd.certified_skip_srs(&state, 0.05, 0.05, &mut ahpd.new_state());
         assert!(skip >= 30, "skip = {skip} is uselessly small");
         // And frequentist methods certify nothing.
         let wald = IntervalMethod::Wald;
         assert_eq!(
-            wald.certified_skip_srs(&state, 0.05, 0.05, &wald.new_state()),
+            wald.certified_skip_srs(&state, 0.05, 0.05, &mut wald.new_state()),
             0
         );
         let wilson = IntervalMethod::Wilson;
         assert_eq!(
-            wilson.certified_skip_srs(&state, 0.05, 0.05, &wilson.new_state()),
+            wilson.certified_skip_srs(&state, 0.05, 0.05, &mut wilson.new_state()),
             0
         );
     }
 
     /// Reference for [`IntervalMethod::certified_skip_srs`]: exponential
-    /// + binary search over the union predicate from horizon 1, without
-    /// the decisive-path candidate.
+    /// and binary search over the union predicate from horizon 1, without
+    /// the decisive-path candidate or a frontier hint.
     fn skip_by_union_search(
         method: &IntervalMethod,
         state: &SampleState,
@@ -793,8 +912,17 @@ mod tests {
             return 0;
         };
         let kernel = Kernel::new(None);
-        find_certified_skip(|k| {
-            srs_stoppable_at(priors, &kernel, state.tau(), state.n(), k, alpha, epsilon)
+        find_certified_skip(1, |k| {
+            srs_stoppable_at(
+                priors,
+                &kernel,
+                state.tau(),
+                state.n(),
+                k,
+                alpha,
+                epsilon,
+                None,
+            )
         })
     }
 
@@ -814,15 +942,34 @@ mod tests {
         #[test]
         fn decisive_path_skip_equals_the_union_search(
             (n, tau) in (1u64..=5000).prop_flat_map(|n| (Just(n), 0..=n)),
+            // The frontier hint comes from a prior call at another state:
+            // far-off hints, flipped directions, and runs without a
+            // single failure (or success) all occur.
+            (n0, tau0) in (1u64..=5000).prop_flat_map(|n0| {
+                (Just(n0), prop_oneof![Just(0), Just(n0), 0..=n0])
+            }),
             alpha in prop_oneof![Just(0.01), Just(0.05), Just(0.1)],
             epsilon in 0.01f64..0.1,
         ) {
             let state = srs_state(tau, n);
             for method in skip_methods() {
-                let got = method.certified_skip_srs(&state, alpha, epsilon, &method.new_state());
                 let want = skip_by_union_search(&method, &state, alpha, epsilon);
-                prop_assert_eq!(got, want, "{:?} at (τ={}, n={}), α={}, ε={}",
+                let cold = method.certified_skip_srs(&state, alpha, epsilon, &mut method.new_state());
+                prop_assert_eq!(cold, want, "{:?} at (τ={}, n={}), α={}, ε={}",
                     method, tau, n, alpha, epsilon);
+                let mut seeded = method.new_state();
+                let _ = method.certified_skip_srs(&srs_state(tau0, n0), alpha, epsilon, &mut seeded);
+                let hinted = method.certified_skip_srs(&state, alpha, epsilon, &mut seeded);
+                prop_assert_eq!(hinted, want, "{:?} at (τ={}, n={}) seeded at (τ={}, n={}), \
+                    α={}, ε={}", method, tau, n, tau0, n0, alpha, epsilon);
+                // A predecessor state of the same campaign.
+                let back = (n - tau).min(tau).min(7);
+                let mut chained = method.new_state();
+                let _ = method.certified_skip_srs(
+                    &srs_state(tau - back, n - 2 * back), alpha, epsilon, &mut chained);
+                prop_assert_eq!(method.certified_skip_srs(&state, alpha, epsilon, &mut chained),
+                    want, "{:?} at (τ={}, n={}) after (τ={}, n={})",
+                    method, tau, n, tau - back, n - 2 * back);
             }
         }
     }
@@ -835,7 +982,7 @@ mod tests {
         for (tau, n) in [(5u64, 10u64), (500, 1000), (1, 3), (0, 7)] {
             let state = srs_state(tau, n);
             for method in skip_methods() {
-                let got = method.certified_skip_srs(&state, 0.01, 1e-5, &method.new_state());
+                let got = method.certified_skip_srs(&state, 0.01, 1e-5, &mut method.new_state());
                 assert_eq!(got, MAX_SKIP, "{method:?} at (τ={tau}, n={n})");
                 assert_eq!(got, skip_by_union_search(&method, &state, 0.01, 1e-5));
             }
@@ -886,13 +1033,105 @@ mod tests {
 
     #[test]
     fn find_certified_skip_search_is_consistent() {
-        // Synthetic monotone predicate: first stoppable horizon k = 100
-        // ⇒ 99 units are skippable.
-        let skip = find_certified_skip(|k| k >= 100);
-        assert_eq!(skip, 99);
-        // Immediately stoppable ⇒ no skip.
-        assert_eq!(find_certified_skip(|_| true), 0);
-        // Never stoppable within the cap ⇒ capped skip.
-        assert_eq!(find_certified_skip(|_| false), MAX_SKIP);
+        // Synthetic monotone predicates with first stoppable horizon T
+        // ⇒ T − 1 units are skippable: immediately stoppable, mid-range,
+        // at the cap, and never stoppable within the cap (capped skip).
+        // Every start gives the same answer, and a non-zero answer was
+        // itself evaluated (the union probe relies on it).
+        for threshold in [1, MAX_SKIP / 2 + 7, MAX_SKIP, u64::MAX] {
+            let want = threshold.saturating_sub(1).min(MAX_SKIP);
+            for start in 1..=MAX_SKIP + 1 {
+                let seen = std::cell::Cell::new(false);
+                let skip = find_certified_skip(start, |k| {
+                    assert!((1..=MAX_SKIP).contains(&k), "probed horizon {k}");
+                    seen.set(seen.get() || k == want);
+                    k >= threshold
+                });
+                assert_eq!(skip, want, "threshold {threshold}, start {start}");
+                assert!(
+                    want == 0 || seen.get(),
+                    "threshold {threshold}, start {start}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn frontier_starts_follow_the_square_root_law() {
+        let f = Frontier {
+            toward_one: true,
+            fixed: 4,
+            stop: 100,
+        };
+        // Four times the failures need twice the successes.
+        assert_eq!(f.start(true, 16, 150), 50);
+        assert_eq!(f.start(true, 4, 97), 3);
+        // Already past the hint: the search clamps it to horizon 1.
+        assert_eq!(f.start(true, 4, 120), 0);
+        // A flipped direction starts cold.
+        assert_eq!(f.start(false, 4, 97), 1);
+        // From a run without failures, a first failure starts cold; more
+        // successes alone keep the hint.
+        let clean = Frontier {
+            toward_one: true,
+            fixed: 0,
+            stop: 60,
+        };
+        assert_eq!(clean.start(true, 1, 50), 1);
+        assert_eq!(clean.start(true, 0, 50), 10);
+    }
+
+    /// The aHPD selection the pruned branch must reproduce: solve every
+    /// prior and keep the first minimal width.
+    fn ahpd_by_every_prior(priors: &[BetaPrior], state: &SampleState, alpha: f64) -> Interval {
+        let mut best: Option<Interval> = None;
+        for &prior in priors {
+            let i = IntervalMethod::Hpd(prior).interval(state, alpha).unwrap();
+            if best.is_none_or(|b| i.width() < b.width()) {
+                best = Some(i);
+            }
+        }
+        best.unwrap()
+    }
+
+    #[test]
+    fn pruned_ahpd_selection_equals_solving_every_prior() {
+        // Every τ (0 and n included) at sample sizes up to 2000, for the
+        // default priors and with an informative prior added.
+        let sizes = [
+            1u64, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987, 1597, 2000,
+        ];
+        for method in &skip_methods()[..2] {
+            let priors = method.priors().unwrap();
+            let kernel = Arc::new(KernelCache::new());
+            let mut cache = method.new_state();
+            cache.attach_kernel(Arc::clone(&kernel));
+            let (mut selections, mut single_solves) = (0u64, 0u64);
+            for (n, alpha) in sizes.iter().map(|&n| (n, 0.05)).chain([
+                (30, 0.01),
+                (30, 0.1),
+                (400, 0.01),
+                (400, 0.1),
+            ]) {
+                for tau in 0..=n {
+                    let state = srs_state(tau, n);
+                    let before = kernel.stats().lookups();
+                    let got = method.interval_stateful(&state, alpha, &mut cache).unwrap();
+                    let solves = kernel.stats().lookups() - before;
+                    let want = ahpd_by_every_prior(priors, &state, alpha);
+                    assert_eq!(
+                        (got.lower().to_bits(), got.upper().to_bits()),
+                        (want.lower().to_bits(), want.upper().to_bits()),
+                        "{method:?} at (τ={tau}, n={n}), α={alpha}: {got} vs {want}"
+                    );
+                    selections += 1;
+                    single_solves += u64::from(solves == 1);
+                }
+            }
+            assert!(
+                single_solves as f64 >= 0.99 * selections as f64,
+                "{method:?}: {single_solves} of {selections} selections solved one prior"
+            );
+        }
     }
 }

@@ -788,7 +788,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
                             &self.state,
                             self.cfg.alpha,
                             self.cfg.epsilon,
-                            &self.solver,
+                            &mut self.solver,
                         ),
                         DesignKind::Cluster => self.method.certified_skip_cluster(
                             &self.state,
@@ -973,6 +973,7 @@ pub(crate) fn read_solver(r: &mut Reader<'_>, priors: usize) -> Result<MethodSta
         posteriors,
         tracked,
         kernel: None,
+        frontier: None,
     })
 }
 

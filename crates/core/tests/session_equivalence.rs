@@ -309,3 +309,76 @@ fn snapshots_are_canonical_bytes() {
         "resume→snapshot not identity"
     );
 }
+
+#[test]
+fn late_stage_resume_without_the_search_hint_is_exact() {
+    // Near the stop, the SRS aHPD lookahead certifies skips below 10 and
+    // starts each search from the previous round's frontier. That hint
+    // is never serialized, so a resumed session's first search starts
+    // cold. The stop point, the interval bits and every later snapshot
+    // must still equal the uninterrupted twin's.
+    let kg = kgae_graph::datasets::nell();
+    let method = IntervalMethod::ahpd_default();
+    let cfg = EvalConfig::default();
+    let prepared = PreparedDesign::new(&kg, SamplingDesign::Srs);
+    let mut request = AnnotationRequest::default();
+    for seed in 0..8 {
+        let mut twin = EvaluationSession::from_prepared(
+            &kg,
+            &prepared,
+            &method,
+            &cfg,
+            SmallRng::seed_from_u64(seed),
+        );
+        // Snapshot after every annotation; `late` is the first one whose
+        // state certifies a skip below 10.
+        let mut snapshots = Vec::new();
+        let mut late = None;
+        while twin.next_request_into(1, &mut request).unwrap() {
+            twin.submit(&[kg.is_correct(request.triples[0].triple)])
+                .unwrap();
+            if twin.stop_reason().is_some() {
+                break;
+            }
+            snapshots.push(twin.snapshot().unwrap());
+            let skip = method.certified_skip_srs(
+                twin.sample_state(),
+                cfg.alpha,
+                cfg.epsilon,
+                &mut method.new_state(),
+            );
+            if late.is_none() && skip < 10 {
+                late = Some(snapshots.len() - 1);
+            }
+        }
+        let want = twin.into_result().expect("stopped session has a result");
+        let late = late.unwrap_or_else(|| panic!("seed {seed}: no late stage"));
+        for at in late..snapshots.len() {
+            let mut resumed = EvaluationSession::resume(
+                &kg,
+                &prepared,
+                &method,
+                &cfg,
+                SmallRng::seed_from_u64(0xDEAD_BEEF),
+                &snapshots[at],
+            )
+            .unwrap();
+            let mut step = at;
+            while resumed.next_request_into(1, &mut request).unwrap() {
+                resumed
+                    .submit(&[kg.is_correct(request.triples[0].triple)])
+                    .unwrap();
+                step += 1;
+                if resumed.stop_reason().is_none() {
+                    assert_eq!(
+                        resumed.snapshot().unwrap(),
+                        snapshots[step],
+                        "seed {seed}: resumed at {at}, snapshot {step} differs"
+                    );
+                }
+            }
+            let got = resumed.into_result().expect("stopped session has a result");
+            assert_bit_identical(&want, &got, &format!("seed {seed} resumed at {at}"));
+        }
+    }
+}
