@@ -1,6 +1,6 @@
 //! HPD solver comparison: cold SLSQP (paper's method, ET warm start)
-//! vs warm-started SLSQP (the framework's incremental path) vs the exact
-//! solver (Newton on the best-window width), across posterior shapes and
+//! vs warm-started SLSQP vs the exact solver (Newton on the best-window
+//! width, every engine path's solver), across posterior shapes and
 //! evidence sizes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};

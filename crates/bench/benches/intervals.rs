@@ -1,7 +1,9 @@
 //! Construction latency of every interval method at a representative
 //! annotation outcome (27/30 correct — a skewed, unimodal posterior),
-//! and the SRS aHPD certified-lookahead search at late-campaign NELL
-//! states, started cold and from the previous round's frontier.
+//! the SRS aHPD certified-lookahead search at late-campaign NELL states,
+//! started cold and from the previous round's frontier, and the TWCS(3)
+//! aHPD lookahead search at early-campaign NELL states that certify a
+//! skip.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kgae_core::{
@@ -48,12 +50,16 @@ fn bench_intervals(c: &mut Criterion) {
     g.finish();
 }
 
-/// The sample state at each lookahead round of one SRS aHPD campaign on
-/// NELL, from the first round on: the state after every annotation of
-/// the campaign, visited at the intervals the certified skips set.
-fn lookahead_rounds(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec<SampleState> {
+/// The sample state after every annotation unit of one aHPD campaign on
+/// NELL under `design`, and the design's largest unit.
+fn campaign_states(
+    design: SamplingDesign,
+    method: &IntervalMethod,
+    cfg: &EvalConfig,
+    seed: u64,
+) -> (Vec<SampleState>, u64) {
     let kg = kgae_graph::datasets::nell();
-    let prepared = PreparedDesign::new(&kg, SamplingDesign::Srs);
+    let prepared = PreparedDesign::new(&kg, design);
     let mut session = EvaluationSession::from_prepared(
         &kg,
         &prepared,
@@ -64,11 +70,22 @@ fn lookahead_rounds(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec
     let mut request = AnnotationRequest::default();
     let mut states = Vec::new();
     while session.next_request_into(1, &mut request).unwrap() {
-        session
-            .submit(&[kg.is_correct(request.triples[0].triple)])
-            .unwrap();
+        let labels: Vec<bool> = request
+            .triples
+            .iter()
+            .map(|t| kg.is_correct(t.triple))
+            .collect();
+        session.submit(&labels).unwrap();
         states.push(session.sample_state().clone());
     }
+    (states, prepared.max_draw_size())
+}
+
+/// The sample state at each lookahead round of one SRS aHPD campaign on
+/// NELL, from the first round on: the state after every annotation of
+/// the campaign, visited at the intervals the certified skips set.
+fn lookahead_rounds(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec<SampleState> {
+    let (states, _) = campaign_states(SamplingDesign::Srs, method, cfg, seed);
     let mut solver = method.new_state();
     let mut rounds = Vec::new();
     let mut at = cfg.min_triples.saturating_sub(1) as usize;
@@ -109,5 +126,41 @@ fn bench_certified_skip_srs(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_intervals, bench_certified_skip_srs);
+fn bench_certified_skip_cluster(c: &mut Criterion) {
+    let mut g = c.benchmark_group("certified_skip_cluster");
+    g.sample_size(60);
+    let method = IntervalMethod::ahpd_default();
+    let cfg = EvalConfig::default();
+    let (states, max_draw_size) = campaign_states(SamplingDesign::Twcs { m: 3 }, &method, &cfg, 7);
+    let skip = |state: &SampleState| {
+        method.certified_skip_cluster(state, cfg.alpha, cfg.epsilon, max_draw_size, false)
+    };
+    // The campaign's first lookahead rounds that certify a skip, visited
+    // at the intervals the skips set from the first draw the stopping
+    // rule is consulted at.
+    let mut at = states
+        .iter()
+        .position(|s| s.n() >= cfg.min_triples && s.draws() >= cfg.min_draws)
+        .unwrap_or(states.len());
+    let mut rounds = Vec::new();
+    while at < states.len() && rounds.len() < 4 {
+        let s = skip(&states[at]);
+        if s > 0 {
+            rounds.push(&states[at]);
+        }
+        at += s as usize + 1;
+    }
+    for state in rounds {
+        let id = format!("draws{}_n{}", state.draws(), state.n());
+        g.bench_function(id, |b| b.iter(|| skip(black_box(state))));
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_intervals,
+    bench_certified_skip_srs,
+    bench_certified_skip_cluster
+);
 criterion_main!(benches);

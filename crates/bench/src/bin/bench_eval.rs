@@ -9,9 +9,10 @@
 //! * the within-PR A/B: the certified-lookahead + incremental-posterior
 //!   path (`StoppingPolicy::CertifiedLookahead`, the default) against
 //!   the naive per-annotation path (`StoppingPolicy::EveryUnit`, paper
-//!   Figure 1 literal) on the aHPD/SRS cell, verifying bit-identical
-//!   stopping statistics across every repetition;
-//! * parallel harness throughput (work-stealing runner) on the same
+//!   Figure 1 literal) on the aHPD/SRS and aHPD/TWCS(3) cells,
+//!   verifying bit-identical stopping statistics and interval bits
+//!   across every repetition;
+//! * parallel harness throughput (work-stealing runner) on the aHPD/SRS
 //!   cell;
 //! * poll-based `EvaluationSession` throughput on the same cell at
 //!   annotation batch sizes 1/16/256, each verified bit-identical to
@@ -70,6 +71,22 @@ impl CellStats {
 
     fn ns_per_annotation(&self) -> f64 {
         self.wall_seconds * 1e9 / self.total_observations as f64
+    }
+}
+
+/// One lookahead-vs-`EveryUnit` A/B row: the same seeded campaigns
+/// under both stopping policies.
+struct AbRow {
+    cell: &'static str,
+    naive: CellStats,
+    fast: CellStats,
+    identical_stopping: bool,
+    identical_intervals: bool,
+}
+
+impl AbRow {
+    fn speedup(&self) -> f64 {
+        self.naive.wall_seconds / self.fast.wall_seconds
     }
 }
 
@@ -184,32 +201,49 @@ fn run() -> Result<(), String> {
 
     // ------------------------------------------------------------------
     // A/B: certified lookahead + incremental posterior vs. naive
-    // per-annotation interval construction, on aHPD/SRS.
+    // per-annotation interval construction, on aHPD/SRS and
+    // aHPD/TWCS(3).
     // ------------------------------------------------------------------
     let ahpd = IntervalMethod::ahpd_default();
-    let (naive, naive_results) =
-        run_cell(&kg, SamplingDesign::Srs, &ahpd, &naive_cfg, reps, base_seed);
-    let (fast, fast_results) = run_cell(
-        &kg,
-        SamplingDesign::Srs,
-        &ahpd,
-        &lookahead_cfg,
-        reps,
-        base_seed,
-    );
-    let identical_stopping = naive_results.iter().zip(&fast_results).all(|(a, b)| {
-        a.observations == b.observations
-            && a.annotated_triples == b.annotated_triples
-            && a.mu_hat == b.mu_hat
-            && a.converged == b.converged
-    });
-    let speedup = naive.wall_seconds / fast.wall_seconds;
-    eprintln!(
-        "A/B aHPD/SRS: naive {:.1} reps/s vs lookahead {:.1} reps/s → {speedup:.2}× \
-         (identical stopping: {identical_stopping})",
-        naive.reps_per_sec(),
-        fast.reps_per_sec(),
-    );
+    let mut ab_rows = Vec::new();
+    // The aHPD/SRS lookahead runs, reused by the legs below.
+    let mut fast_results = Vec::new();
+    for (cell, design) in [
+        ("aHPD/SRS", SamplingDesign::Srs),
+        ("aHPD/TWCS(3)", SamplingDesign::Twcs { m: 3 }),
+    ] {
+        let (naive, naive_results) = run_cell(&kg, design, &ahpd, &naive_cfg, reps, base_seed);
+        let (fast, results) = run_cell(&kg, design, &ahpd, &lookahead_cfg, reps, base_seed);
+        let pairs = || naive_results.iter().zip(&results);
+        let row = AbRow {
+            cell,
+            identical_stopping: pairs().all(|(a, b)| {
+                a.observations == b.observations
+                    && a.annotated_triples == b.annotated_triples
+                    && a.mu_hat == b.mu_hat
+                    && a.converged == b.converged
+            }),
+            identical_intervals: pairs().all(|(a, b)| {
+                a.interval.lower().to_bits() == b.interval.lower().to_bits()
+                    && a.interval.upper().to_bits() == b.interval.upper().to_bits()
+            }),
+            naive,
+            fast,
+        };
+        eprintln!(
+            "A/B {cell}: naive {:.1} reps/s vs lookahead {:.1} reps/s → {:.2}× \
+             (identical stopping: {}, identical intervals: {})",
+            row.naive.reps_per_sec(),
+            row.fast.reps_per_sec(),
+            row.speedup(),
+            row.identical_stopping,
+            row.identical_intervals,
+        );
+        ab_rows.push(row);
+        if design == SamplingDesign::Srs {
+            fast_results = results;
+        }
+    }
 
     // ------------------------------------------------------------------
     // Poll-based session engine at several annotation batch sizes, on
@@ -694,31 +728,27 @@ fn run() -> Result<(), String> {
         out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
     }
     let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"ab_lookahead_vs_naive\": {{");
-    let _ = writeln!(out, "    \"cell\": \"aHPD/SRS\",");
-    let _ = writeln!(
-        out,
-        "    \"naive_reps_per_sec\": {:.2},",
-        naive.reps_per_sec()
-    );
-    let _ = writeln!(
-        out,
-        "    \"lookahead_reps_per_sec\": {:.2},",
-        fast.reps_per_sec()
-    );
-    let _ = writeln!(
-        out,
-        "    \"naive_ns_per_annotation\": {:.1},",
-        naive.ns_per_annotation()
-    );
-    let _ = writeln!(
-        out,
-        "    \"lookahead_ns_per_annotation\": {:.1},",
-        fast.ns_per_annotation()
-    );
-    let _ = writeln!(out, "    \"speedup\": {speedup:.3},");
-    let _ = writeln!(out, "    \"identical_stopping\": {identical_stopping}");
-    let _ = writeln!(out, "  }},");
+    // The aHPD/SRS row keeps its original key; the TWCS row is additive.
+    for (key, row) in ["ab_lookahead_vs_naive", "ab_lookahead_vs_naive_twcs"]
+        .into_iter()
+        .zip(&ab_rows)
+    {
+        let _ = writeln!(
+            out,
+            "  \"{key}\": {{\"cell\": \"{}\", \"naive_reps_per_sec\": {:.2}, \
+             \"lookahead_reps_per_sec\": {:.2}, \"naive_ns_per_annotation\": {:.1}, \
+             \"lookahead_ns_per_annotation\": {:.1}, \"speedup\": {:.3}, \
+             \"identical_stopping\": {}, \"identical_intervals\": {}}},",
+            row.cell,
+            row.naive.reps_per_sec(),
+            row.fast.reps_per_sec(),
+            row.naive.ns_per_annotation(),
+            row.fast.ns_per_annotation(),
+            row.speedup(),
+            row.identical_stopping,
+            row.identical_intervals,
+        );
+    }
     let _ = writeln!(out, "  \"session_batched\": [");
     for (i, row) in session_rows.iter().enumerate() {
         let _ = write!(
@@ -879,8 +909,14 @@ fn run() -> Result<(), String> {
     std::fs::write(&out_path, &out).map_err(|e| format!("writing {out_path}: {e}"))?;
     eprintln!("wrote {out_path}");
 
-    if !identical_stopping {
-        return Err("lookahead changed stopping statistics — certified bound violated".into());
+    for row in &ab_rows {
+        if !(row.identical_stopping && row.identical_intervals) {
+            return Err(format!(
+                "lookahead changed the stopping statistics or interval bits on {} — \
+                 certified bound violated",
+                row.cell
+            ));
+        }
     }
     if greedy_mean >= proportional_mean {
         return Err(format!(

@@ -14,7 +14,7 @@
 //! [`crate::framework`].
 
 use crate::state::{DesignKind, SampleState};
-use kgae_intervals::{hpd_interval_warm, BetaPrior, Interval, IntervalError};
+use kgae_intervals::{hpd_interval_exact, BetaPrior, Interval, IntervalError};
 use kgae_stats::dist::Beta;
 
 /// Result of one aHPD interval selection.
@@ -30,11 +30,13 @@ pub struct AHpdSelection {
 }
 
 /// Algorithm 1, lines 10–24: compute the design-effect-adjusted posterior
-/// for each prior, build each `1-α` HPD interval (the limiting cases
-/// Eq. 10/11 are dispatched inside [`kgae_intervals::hpd_interval`] by
-/// posterior shape,
-/// which subsumes the `τ = n` / `τ = 0` branches of lines 15–18), and
-/// select the smallest.
+/// for each prior, build each `1-α` HPD interval with the exact solver
+/// (the limiting cases Eq. 10/11 are dispatched inside
+/// [`kgae_intervals::hpd_interval_exact`] by posterior shape, which
+/// subsumes the `τ = n` / `τ = 0` branches of lines 15–18), and select
+/// the smallest. This is the solve-every-prior reference; the
+/// evaluation loop's pruned selection returns the same interval, bit for
+/// bit, without solving the priors certified to lose.
 ///
 /// # Errors
 ///
@@ -49,25 +51,12 @@ pub fn ahpd_select(
     alpha: f64,
     priors: &[BetaPrior],
 ) -> Result<AHpdSelection, IntervalError> {
-    ahpd_select_warm(state, alpha, priors, &mut vec![None; priors.len()])
-}
-
-/// [`ahpd_select`] with per-prior warm starts carried across the
-/// iterative framework's successive calls (pure constant-factor speedup;
-/// the HPD optimum is unique, so results are unchanged).
-pub fn ahpd_select_warm(
-    state: &SampleState,
-    alpha: f64,
-    priors: &[BetaPrior],
-    warm: &mut Vec<Option<(f64, f64)>>,
-) -> Result<AHpdSelection, IntervalError> {
     assert!(!priors.is_empty(), "aHPD needs at least one prior");
     assert!(state.n() > 0, "aHPD needs at least one annotation");
 
     // Lines 10–12: annotation outcome (exact integer counts under SRS,
     // design-effect-corrected effective counts under cluster designs).
-    let posteriors = posteriors_for_state(state, priors)?;
-    ahpd_select_posteriors(&posteriors, alpha, warm)
+    ahpd_select_posteriors(&posteriors_for_state(state, priors)?, alpha)
 }
 
 /// Per-prior posteriors for the current sample: the conjugate update of
@@ -96,23 +85,17 @@ pub(crate) fn posteriors_for_state(
 }
 
 /// Algorithm 1 lines 14–24 against precomputed posteriors: build each
-/// `1-α` HPD interval and select the smallest. Exposed to the framework
-/// so incrementally-maintained posteriors skip reconstruction entirely.
+/// `1-α` HPD interval and select the smallest.
 pub(crate) fn ahpd_select_posteriors(
     posteriors: &[Beta],
     alpha: f64,
-    warm: &mut Vec<Option<(f64, f64)>>,
 ) -> Result<AHpdSelection, IntervalError> {
     assert!(!posteriors.is_empty(), "aHPD needs at least one prior");
-    warm.resize(posteriors.len(), None);
 
     let mut candidates = Vec::with_capacity(posteriors.len());
-    for (i, posterior) in posteriors.iter().enumerate() {
-        let interval = match hpd_interval_warm(posterior, alpha, warm[i]) {
-            Ok(interval) => {
-                warm[i] = Some((interval.lower(), interval.upper()));
-                interval
-            }
+    for posterior in posteriors {
+        let interval = match hpd_interval_exact(posterior, alpha) {
+            Ok(interval) => interval,
             // A sub-uniform prior with (near-)zero effective evidence
             // yields a U-shaped posterior with no single HPD interval.
             // That candidate carries no usable information this round:

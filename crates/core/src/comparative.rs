@@ -46,7 +46,7 @@
 //! bit-identical to a standalone session with the same seed, design and
 //! config (property-tested). Rival trackers replay the *exact*
 //! per-unit stopping sequence of the engine — same readiness gate, same
-//! certified-lookahead schedule, same warm-started solvers — against
+//! certified-lookahead schedule, same solvers — against
 //! the shared [`SampleState`], whose trajectory is method-independent.
 //! A rival that converges before the primary therefore reports the
 //! same stopping observation count and interval a standalone campaign
@@ -456,7 +456,7 @@ impl<'a> ComparativeSession<'a> {
                 let state = self.primary.sample_state();
                 let has_data = state.n() > 0;
                 // Scratch solver clone: observing never perturbs the
-                // rival's warm-started trajectory.
+                // rival's stopping trajectory.
                 let interval = has_data
                     .then(|| {
                         let mut scratch = rival.solver.clone();

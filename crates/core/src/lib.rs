@@ -68,7 +68,7 @@ mod snapshot;
 pub mod state;
 pub mod stratified;
 
-pub use ahpd::{ahpd_select, ahpd_select_warm, AHpdSelection};
+pub use ahpd::{ahpd_select, AHpdSelection};
 pub use annotator::{Annotator, MajorityVoteAnnotator, NoisyAnnotator, OracleAnnotator};
 pub use comparative::{
     compared_methods, peek_comparative_header, ComparativeResult, ComparativeSession,

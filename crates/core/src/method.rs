@@ -11,29 +11,30 @@
 //!   are memoized process-wide; without one the same functions run
 //!   directly, so cached and uncached runs are bit-identical by
 //!   construction. (Cluster designs have fractional effective counts and
-//!   stay on the warm-started SLSQP path.)
+//!   call the exact HPD solver on their effective posteriors directly.)
 //! * **Certified multi-step lookahead**
 //!   ([`IntervalMethod::certified_skip_srs`] /
 //!   [`IntervalMethod::certified_skip_cluster`]): from Theorem 1's width
 //!   bound, compute how many future annotation units *provably* cannot
 //!   satisfy `MoE ≤ ε`, so the evaluation loop skips interval
 //!   construction (and even the one-step bound check) entirely until the
-//!   first unit where stopping is achievable. The SRS search runs on the
-//!   decisive extreme outcome first, starting near the previous round's
-//!   answer (the state's `Frontier` hint), and certifies its candidate
-//!   with one probe of the rest of the outcome-and-prior union. The
-//!   stopping decision is unchanged — every skipped step is one where the
-//!   reference check-every-unit loop could not have stopped either.
-//! * **Pruned aHPD selection**: at the SRS stop, the prior with the
-//!   smallest certified width lower bound is solved first, and every
-//!   other prior whose HPD width is certified wider than that solution is
-//!   never solved. The selected interval is the one solving every prior
-//!   would select, bit for bit.
+//!   first unit where stopping is achievable. Both searches run on the
+//!   decisive extreme outcome first, starting near its expected answer
+//!   (SRS: the state's `Frontier` hint; clusters: the normal
+//!   approximation's horizon), and certify the candidate with one probe
+//!   of the rest of the outcome-and-prior union. The stopping decision is
+//!   unchanged — every skipped step is one where the reference
+//!   check-every-unit loop could not have stopped either.
+//! * **Pruned aHPD selection**: at the stop, the prior with the smallest
+//!   certified width lower bound is solved first, and every other prior
+//!   whose HPD width is certified wider than that solution is never
+//!   solved. The selected interval is the one solving every prior would
+//!   select, bit for bit.
 
-use crate::ahpd::{ahpd_select_posteriors, posteriors_for_state};
+use crate::ahpd::posteriors_for_state;
 use crate::state::{DesignKind, SampleState};
 use kgae_intervals::{
-    et_interval, hpd_interval_warm, hpd_width_achievable, hpd_width_lower_bound,
+    et_interval, hpd_interval_exact, hpd_width_achievable, hpd_width_lower_bound,
     wald_from_variance, wilson, BetaPrior, Interval, IntervalError, Kernel, KernelCache,
 };
 use kgae_stats::dist::Beta;
@@ -85,14 +86,12 @@ impl Frontier {
 }
 
 /// Per-run solver state carried across the framework's successive calls:
-/// SLSQP warm starts for the cluster paths (the optimum is unique, so
-/// warm starting changes cost, not results), the incrementally-advanced
-/// per-prior posteriors for SRS samples, an optional handle on the
-/// process-wide posterior-kernel cache, and the SRS lookahead's search
-/// hint.
+/// the incrementally-advanced per-prior posteriors for SRS samples, an
+/// optional handle on the process-wide posterior-kernel cache, and the
+/// SRS lookahead's search hint. Every interval is solved from the
+/// current sample alone, so no state changes a result.
 #[derive(Debug, Clone, Default)]
 pub struct MethodState {
-    pub(crate) warm: Vec<Option<(f64, f64)>>,
     /// Per-prior posteriors `Beta(a + τ, b + n − τ)`, advanced by
     /// [`IntervalMethod::record_observation`]. Empty for methods without
     /// posteriors (Wald, Wilson). SRS interval construction routes
@@ -187,7 +186,6 @@ impl IntervalMethod {
     pub fn new_state(&self) -> MethodState {
         let priors = self.priors().unwrap_or(&[]);
         MethodState {
-            warm: vec![None; priors.len()],
             posteriors: priors
                 .iter()
                 .map(|p| Beta::new(p.a, p.b).expect("priors have positive parameters"))
@@ -227,8 +225,8 @@ impl IntervalMethod {
         self.interval_stateful(state, alpha, &mut self.new_state())
     }
 
-    /// [`Self::interval`] with warm-start and posterior state carried
-    /// across calls.
+    /// [`Self::interval`] with the posterior state and kernel cache
+    /// carried across calls.
     pub fn interval_stateful(
         &self,
         state: &SampleState,
@@ -265,83 +263,31 @@ impl IntervalMethod {
                     et_interval(&prior.posterior_effective(eff.mu, eff.n_eff)?, alpha)
                 }
             },
-            IntervalMethod::Hpd(prior) => match state.kind() {
-                DesignKind::Srs => {
-                    match cache.kernel().hpd(prior, state.tau(), state.n(), alpha) {
-                        Ok(i) => Ok(i),
-                        // No single HPD interval exists (U-shaped
-                        // posterior from near-zero evidence): report the
-                        // maximally uninformative sentinel so the loop
-                        // keeps sampling instead of aborting.
-                        Err(IntervalError::UShapedPosterior { .. }) => Ok(Interval::new(0.0, 1.0)),
-                        Err(e) => Err(e),
+            IntervalMethod::Hpd(prior) => {
+                // No single HPD interval exists for a U-shaped posterior
+                // (near-zero evidence): report the maximally
+                // uninformative sentinel so the loop keeps sampling
+                // instead of aborting.
+                ushaped_as_sentinel(match state.kind() {
+                    DesignKind::Srs => cache.kernel().hpd(prior, state.tau(), state.n(), alpha),
+                    DesignKind::Cluster => {
+                        let eff = state.effective();
+                        hpd_interval_exact(&prior.posterior_effective(eff.mu, eff.n_eff)?, alpha)
                     }
-                }
-                DesignKind::Cluster => {
-                    let eff = state.effective();
-                    let post = prior.posterior_effective(eff.mu, eff.n_eff)?;
-                    let warm = cache.warm.first().copied().flatten();
-                    match hpd_interval_warm(&post, alpha, warm) {
-                        Ok(i) => {
-                            if let Some(slot) = cache.warm.first_mut() {
-                                *slot = Some((i.lower(), i.upper()));
-                            }
-                            Ok(i)
-                        }
-                        Err(IntervalError::UShapedPosterior { .. }) => Ok(Interval::new(0.0, 1.0)),
-                        Err(e) => Err(e),
-                    }
-                }
-            },
-            IntervalMethod::AHpd(priors) => match state.kind() {
-                DesignKind::Srs => {
-                    // Match ahpd_select_warm's loud failure on an empty
-                    // sample — a prior-only "posterior" interval would
-                    // look plausible and hide the caller's bug.
-                    assert!(state.n() > 0, "aHPD needs at least one annotation");
-                    let kernel = cache.kernel();
-                    let (tau, n) = (state.tau(), state.n());
-                    let solve = |prior| match kernel.hpd(prior, tau, n, alpha) {
-                        Err(IntervalError::UShapedPosterior { .. }) => Ok(Interval::new(0.0, 1.0)),
-                        solved => solved,
-                    };
-                    // Unimodal posteriors carry a certified width lower
-                    // bound; solve the smallest first, as it almost
-                    // always wins.
-                    let posteriors: Vec<Beta> =
-                        priors.iter().map(|prior| prior.posterior(tau, n)).collect();
-                    let (_, first) = posteriors
-                        .iter()
-                        .enumerate()
-                        .map(|(i, post)| {
-                            let bound = hpd_width_lower_bound(post, alpha);
-                            (bound.unwrap_or(f64::INFINITY), i)
-                        })
-                        .min_by(|a, b| a.0.total_cmp(&b.0))
-                        .expect("aHPD requires at least one prior");
-                    let mut best = (solve(&priors[first])?, first);
-                    for (i, (prior, post)) in priors.iter().zip(&posteriors).enumerate() {
-                        // A prior that cannot fit its mass into a window
-                        // just wider than the best is certified to lose
-                        // (U-shaped posteriors certify nothing).
-                        let wider = best.0.width() * (1.0 + PRUNE_MARGIN);
-                        if i == first || !hpd_width_achievable(post, alpha, wider) {
-                            continue;
-                        }
-                        // Ties go to the lower prior index, matching
-                        // ahpd_select_posteriors' first-minimal min_by.
-                        let interval = solve(prior)?;
-                        if (interval.width(), i) < (best.0.width(), best.1) {
-                            best = (interval, i);
-                        }
-                    }
-                    Ok(best.0)
-                }
-                DesignKind::Cluster => {
-                    let posteriors = posteriors_for_state(state, priors)?;
-                    Ok(ahpd_select_posteriors(&posteriors, alpha, &mut cache.warm)?.interval)
-                }
-            },
+                })
+            }
+            IntervalMethod::AHpd(priors) => {
+                // Match ahpd_select's loud failure on an empty sample — a
+                // prior-only "posterior" interval would look plausible
+                // and hide the caller's bug.
+                assert!(state.n() > 0, "aHPD needs at least one annotation");
+                let posteriors = posteriors_for_state(state, priors)?;
+                let kernel = cache.kernel();
+                pruned_ahpd(&posteriors, alpha, |i| match state.kind() {
+                    DesignKind::Srs => kernel.hpd(&priors[i], state.tau(), state.n(), alpha),
+                    DesignKind::Cluster => hpd_interval_exact(&posteriors[i], alpha),
+                })
+            }
         }
     }
 
@@ -401,15 +347,8 @@ impl IntervalMethod {
     ///
     /// The search runs on the *decisive path* first: the extreme outcome
     /// nearer the boundary (`τ+k` when `2τ ≥ n`, else `τ`), where the
-    /// posterior narrows fastest. Its first stoppable horizon, found by
-    /// an exponential search outward from a start horizon and then
-    /// bisection, gives a candidate skip. One union probe at the
-    /// candidate horizon certifies it; the probe leaves out the decisive
-    /// outcome, which the search has just refuted there. Only when that
-    /// probe finds another outcome stoppable is the union bisected below
-    /// the candidate. With stoppability monotone in the horizon, which
-    /// both searches assume, the result is the union's own first
-    /// stoppable horizon less one, whatever the start.
+    /// posterior narrows fastest, and [`decisive_first_skip`] certifies
+    /// its answer against the rest of the union.
     ///
     /// The start comes from `cache`'s `Frontier`: each call records
     /// where its decisive path first became stoppable, and the next call
@@ -443,26 +382,24 @@ impl IntervalMethod {
             .frontier
             .map_or(1, |f| f.start(toward_one, fixed, moving));
         let kernel = Kernel::new(cache.kernel.as_deref());
-        let skip = find_certified_skip(start, |k| {
-            priors
-                .iter()
-                .any(|prior| kernel.achievable(prior, decisive(k), n + k, alpha, 2.0 * epsilon))
-        });
+        let (candidate, skip) = decisive_first_skip(
+            start,
+            |k| {
+                priors
+                    .iter()
+                    .any(|prior| kernel.achievable(prior, decisive(k), n + k, alpha, 2.0 * epsilon))
+            },
+            |k, refuted| {
+                let refuted = refuted.then(|| decisive(k));
+                srs_stoppable_at(priors, &kernel, tau, n, k, alpha, epsilon, refuted)
+            },
+        );
         cache.frontier = Some(Frontier {
             toward_one,
             fixed,
-            stop: moving + skip + 1,
+            stop: moving + candidate + 1,
         });
-        let union =
-            |k, refuted| srs_stoppable_at(priors, &kernel, tau, n, k, alpha, epsilon, refuted);
-        if skip == 0 || !union(skip, Some(decisive(skip))) {
-            return skip;
-        }
-        if union(1, None) {
-            0
-        } else {
-            bisect_skip(|k| union(k, None), 1, skip)
-        }
+        skip
     }
 
     /// Certified cluster lookahead: the number of further stage-1 draws
@@ -480,6 +417,14 @@ impl IntervalMethod {
     /// `deff = 1 ⇒ n_eff' = n'` case. Zero draw spread certifies
     /// nothing (the Kish clamp can explode `n_eff` on the next draw), so
     /// the method returns 0 and the loop checks every draw.
+    ///
+    /// The certificate is a union over priors and the two range
+    /// endpoints. Its decisive endpoint is the one nearer the boundary
+    /// (`μ_hi` when `2μ̂ ≥ 1`, else `μ_lo`), searched first by
+    /// [`decisive_first_skip`] from the horizon where the normal
+    /// approximation on that endpoint, `ν·ε² ≥ z²·m(1−m)`, first holds.
+    /// Any start gives the same skip; this one is usually the first
+    /// stoppable horizon or the one after it.
     #[must_use]
     pub fn certified_skip_cluster(
         &self,
@@ -500,7 +445,9 @@ impl IntervalMethod {
         let d = state.draws() as u64;
         let n = state.n();
         let mu = state.draw_mean().clamp(0.0, 1.0);
-        find_certified_skip(1, |j| {
+        // The certificate's effective-sample bound ν and the endpoint on
+        // the `toward_one` side of the reachable mean range, `j` draws on.
+        let bound = |j: u64, toward_one: bool| {
             let d_j = (d + j) as f64;
             let n_j = (n + j * max_draw_size.max(1)) as f64;
             let mut nu = (d_j * (d_j - 1.0) / (4.0 * ss)).min(1e3 * n_j);
@@ -510,15 +457,28 @@ impl IntervalMethod {
             } else {
                 (mu * d as f64 / d_j, (mu * d as f64 + j as f64) / d_j)
             };
-            let nu = nu.max(1.0);
+            (nu.max(1.0), if toward_one { mu_hi } else { mu_lo })
+        };
+        let stoppable = |j, toward_one| {
+            let (nu, m) = bound(j, toward_one);
             priors.iter().any(|prior| {
-                [mu_lo, mu_hi].into_iter().any(|mu_p| {
-                    let post = Beta::new(prior.a + mu_p * nu, prior.b + (1.0 - mu_p) * nu)
-                        .expect("positive posterior parameters");
-                    hpd_width_achievable(&post, alpha, 2.0 * epsilon)
-                })
+                let post = Beta::new(prior.a + m * nu, prior.b + (1.0 - m) * nu)
+                    .expect("positive posterior parameters");
+                hpd_width_achievable(&post, alpha, 2.0 * epsilon)
             })
-        })
+        };
+        let toward_one = 2.0 * mu >= 1.0;
+        let z = upper_normal_quantile(alpha / 2.0);
+        let start = 1 + find_certified_skip(1, |j| {
+            let (nu, m) = bound(j, toward_one);
+            nu * epsilon * epsilon >= z * z * m * (1.0 - m)
+        });
+        decisive_first_skip(
+            start,
+            |j| stoppable(j, toward_one),
+            |j, refuted| (!refuted && stoppable(j, toward_one)) || stoppable(j, !toward_one),
+        )
+        .1
     }
 }
 
@@ -618,6 +578,91 @@ fn srs_stoppable_at(
         }
     }
     false
+}
+
+/// A U-shaped posterior (near-zero evidence under a sub-uniform prior)
+/// has no single HPD interval; it gets the full-range sentinel (width 1,
+/// MoE 0.5), which can neither stop the loop nor win an aHPD selection.
+fn ushaped_as_sentinel(solved: Result<Interval, IntervalError>) -> Result<Interval, IntervalError> {
+    match solved {
+        Err(IntervalError::UShapedPosterior { .. }) => Ok(Interval::new(0.0, 1.0)),
+        solved => solved,
+    }
+}
+
+/// Algorithm 1's selection (lines 14–24) without solving every prior.
+/// `solve(i)` builds prior `i`'s HPD interval on `posteriors[i]`. The
+/// prior with the smallest certified width lower bound is solved first,
+/// as it almost always wins; every other prior that cannot fit its mass
+/// into a window just wider than the best solution is certified to lose
+/// and never solved (U-shaped posteriors certify nothing and are solved).
+/// Ties go to the lower prior index, so the result is
+/// [`crate::ahpd_select`]'s first minimal interval, bit for bit.
+fn pruned_ahpd(
+    posteriors: &[Beta],
+    alpha: f64,
+    solve: impl Fn(usize) -> Result<Interval, IntervalError>,
+) -> Result<Interval, IntervalError> {
+    let (_, first) = posteriors
+        .iter()
+        .enumerate()
+        .map(|(i, post)| {
+            let bound = hpd_width_lower_bound(post, alpha);
+            (bound.unwrap_or(f64::INFINITY), i)
+        })
+        .min_by(|a, b| a.0.total_cmp(&b.0))
+        .expect("aHPD requires at least one prior");
+    let mut best = (ushaped_as_sentinel(solve(first))?, first);
+    for (i, post) in posteriors.iter().enumerate() {
+        let wider = best.0.width() * (1.0 + PRUNE_MARGIN);
+        if i == first || !hpd_width_achievable(post, alpha, wider) {
+            continue;
+        }
+        let interval = ushaped_as_sentinel(solve(i))?;
+        if (interval.width(), i) < (best.0.width(), best.1) {
+            best = (interval, i);
+        }
+    }
+    Ok(best.0)
+}
+
+/// `z` with upper-tail normal probability `p ∈ (0, 0.5]`, by the
+/// rational approximation of Abramowitz & Stegun 26.2.23 (absolute error
+/// below 4.5e-4). Only the cluster lookahead's start horizon uses it,
+/// and any start gives the same skip.
+fn upper_normal_quantile(p: f64) -> f64 {
+    let t = (-2.0 * p.ln()).sqrt();
+    t - (2.515_517 + t * (0.802_853 + t * 0.010_328))
+        / (1.0 + t * (1.432_788 + t * (0.189_269 + t * 0.001_308)))
+}
+
+/// The lookahead's skip from a decisive-first search. The decisive
+/// outcome's last non-stoppable horizon, found by [`find_certified_skip`]
+/// from `start`, is the candidate: the union is stoppable one horizon
+/// later. One probe of the rest of the union at the candidate,
+/// `union(k, true)`, which leaves out the decisive outcome the search
+/// has just refuted there, certifies it. Only when that probe finds
+/// another outcome stoppable is the full union, `union(k, false)`,
+/// bisected below the candidate. With stoppability monotone in the
+/// horizon, which both searches assume, the skip is the union's own first
+/// stoppable horizon less one, whatever the start.
+///
+/// Returns the decisive candidate and the skip.
+fn decisive_first_skip(
+    start: u64,
+    decisive: impl Fn(u64) -> bool,
+    union: impl Fn(u64, bool) -> bool,
+) -> (u64, u64) {
+    let candidate = find_certified_skip(start, decisive);
+    if candidate == 0 || !union(candidate, true) {
+        return (candidate, candidate);
+    }
+    let skip = if union(1, false) {
+        0
+    } else {
+        bisect_skip(|k| union(k, false), 1, candidate)
+    };
+    (candidate, skip)
 }
 
 /// Searches for the number of units to skip: one less than the smallest
@@ -989,6 +1034,147 @@ mod tests {
         }
     }
 
+    /// A cluster state of `d` draws of `size` triples each: the first
+    /// `c` draws estimate `q`, the rest `p`.
+    fn cluster_state(d: u64, c: u64, p: f64, q: f64, size: u64) -> SampleState {
+        let mut s = SampleState::new_cluster();
+        for i in 0..d {
+            let est = if i < c { q } else { p };
+            s.record_cluster_draw(est, (est.min(1.0) * size as f64).round() as u64, size);
+        }
+        s
+    }
+
+    /// Reference for [`IntervalMethod::certified_skip_cluster`]:
+    /// exponential and binary search from horizon 1 over the whole
+    /// prior × `{μ_lo, μ_hi}` union, without the decisive-first search or
+    /// the predicted start.
+    fn cluster_skip_by_union_search(
+        method: &IntervalMethod,
+        state: &SampleState,
+        alpha: f64,
+        epsilon: f64,
+        max_draw_size: u64,
+        hansen_hurwitz: bool,
+    ) -> u64 {
+        let Some(priors) = method.priors() else {
+            return 0;
+        };
+        let ss = state.draw_sum_sq_dev();
+        if ss <= 0.0 {
+            return 0;
+        }
+        let d = state.draws() as u64;
+        let n = state.n();
+        let mu = state.draw_mean().clamp(0.0, 1.0);
+        find_certified_skip(1, |j| {
+            let d_j = (d + j) as f64;
+            let n_j = (n + j * max_draw_size.max(1)) as f64;
+            let mut nu = (d_j * (d_j - 1.0) / (4.0 * ss)).min(1e3 * n_j);
+            let (mu_lo, mu_hi) = if hansen_hurwitz {
+                nu = nu.max(n_j);
+                (0.0, 1.0)
+            } else {
+                (mu * d as f64 / d_j, (mu * d as f64 + j as f64) / d_j)
+            };
+            let nu = nu.max(1.0);
+            priors.iter().any(|prior| {
+                [mu_lo, mu_hi].into_iter().any(|mu_p| {
+                    let post = Beta::new(prior.a + mu_p * nu, prior.b + (1.0 - mu_p) * nu)
+                        .expect("positive posterior parameters");
+                    hpd_width_achievable(&post, alpha, 2.0 * epsilon)
+                })
+            })
+        })
+    }
+
+    /// Per-draw estimates: the boundaries, values within a hair of them,
+    /// and the interior.
+    fn draw_estimate() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(1.0),
+            1e-9f64..1e-3,
+            (1e-9f64..1e-3).prop_map(|x| 1.0 - x),
+            0.0f64..=1.0,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn cluster_skip_equals_the_union_search(
+            (d, c) in (2u64..=400).prop_flat_map(|d| {
+                (Just(d), prop_oneof![Just(0), Just(1), 0..=d])
+            }),
+            p in draw_estimate(),
+            q in prop_oneof![draw_estimate(), Just(f64::NAN)],
+            (max_draw_size, size_frac) in (prop_oneof![Just(1u64), Just(3), Just(10)], 0.0f64..=1.0),
+            (hansen_hurwitz, hh_scale) in (prop::bool::ANY, 1.0f64..3.0),
+            alpha in prop_oneof![Just(0.01), Just(0.05), Just(0.1)],
+            epsilon in 0.01f64..0.1,
+        ) {
+            // A NaN `q` stands for "every draw agrees" (SS = 0).
+            let q = if q.is_nan() { p } else { q };
+            // Hansen–Hurwitz per-draw estimates are not bounded by 1.
+            let scale = if hansen_hurwitz { hh_scale } else { 1.0 };
+            let size = 1 + (size_frac * (max_draw_size - 1) as f64) as u64;
+            let state = cluster_state(d, c, p * scale, q * scale, size);
+            for method in skip_methods() {
+                let want = cluster_skip_by_union_search(
+                    &method, &state, alpha, epsilon, max_draw_size, hansen_hurwitz);
+                let got = method.certified_skip_cluster(
+                    &state, alpha, epsilon, max_draw_size, hansen_hurwitz);
+                prop_assert_eq!(got, want, "{:?} at d={}, c={}, p={}, q={}, size={}/{}, \
+                    HH={}, α={}, ε={}", method, d, c, p * scale, q * scale, size,
+                    max_draw_size, hansen_hurwitz, alpha, epsilon);
+            }
+        }
+    }
+
+    #[test]
+    fn cluster_skip_equals_the_union_search_at_the_cap() {
+        // At ε = 1e-9 no reachable effective sample is large enough, not
+        // even Hansen–Hurwitz's widest range: both searches stop at the
+        // cap, on either side of μ̂ = 1/2.
+        for (d, c, p, q) in [(10u64, 5u64, 0.0, 1.0), (40, 3, 0.9, 0.2), (7, 6, 0.6, 0.1)] {
+            let state = cluster_state(d, c, p, q, 3);
+            for method in skip_methods() {
+                for hansen_hurwitz in [false, true] {
+                    let got = method.certified_skip_cluster(&state, 0.01, 1e-9, 3, hansen_hurwitz);
+                    assert_eq!(
+                        got, MAX_SKIP,
+                        "{method:?} at d={d}, c={c}, HH={hansen_hurwitz}"
+                    );
+                    assert_eq!(
+                        got,
+                        cluster_skip_by_union_search(
+                            &method,
+                            &state,
+                            0.01,
+                            1e-9,
+                            3,
+                            hansen_hurwitz
+                        )
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn upper_normal_quantile_is_within_its_stated_error() {
+        for (p, z) in [
+            (0.005, 2.575_829),
+            (0.025, 1.959_964),
+            (0.05, 1.644_854),
+            (0.5, 0.0),
+        ] {
+            assert!((upper_normal_quantile(p) - z).abs() < 4.5e-4, "p = {p}");
+        }
+    }
+
     #[test]
     fn certified_skip_cluster_requires_draw_spread() {
         let mut s = SampleState::new_cluster();
@@ -1132,6 +1318,101 @@ mod tests {
                 single_solves as f64 >= 0.99 * selections as f64,
                 "{method:?}: {single_solves} of {selections} selections solved one prior"
             );
+        }
+    }
+
+    #[test]
+    fn pruned_cluster_ahpd_selection_equals_solving_every_prior() {
+        // Effective posteriors over n_eff ∈ [1, 1e5] (log-spaced) and
+        // μ̂ ∈ [0, 1] with the boundaries and their near neighbours, for
+        // the default priors and with an informative prior added.
+        let mus: Vec<f64> = [0.0, 1e-9, 1e-4, 1.0 - 1e-4, 1.0 - 1e-9, 1.0]
+            .into_iter()
+            .chain((1..40).map(|i| f64::from(i) / 40.0))
+            .collect();
+        let (mut selections, mut single_solves, mut solver_failures) = (0u64, 0u64, 0u64);
+        for method in &skip_methods()[..2] {
+            let priors = method.priors().unwrap();
+            for alpha in [0.01, 0.05, 0.1] {
+                for &mu in &mus {
+                    for n_eff in (0..=50).map(|i| 10f64.powf(f64::from(i) / 10.0)) {
+                        let posteriors: Vec<Beta> = priors
+                            .iter()
+                            .map(|p| p.posterior_effective(mu, n_eff).unwrap())
+                            .collect();
+                        // The exact solver fails where a shape parameter
+                        // exceeds 1 by a few ulps and the mode rounds onto
+                        // the boundary (e.g. Jeffreys at μ̂ = 0.95, n_eff =
+                        // 10): the reference then has no interval to match.
+                        let Ok(want) = crate::ahpd::ahpd_select_posteriors(&posteriors, alpha)
+                        else {
+                            solver_failures += 1;
+                            continue;
+                        };
+                        let solves = std::cell::Cell::new(0u32);
+                        let got = pruned_ahpd(&posteriors, alpha, |i| {
+                            solves.set(solves.get() + 1);
+                            hpd_interval_exact(&posteriors[i], alpha)
+                        })
+                        .unwrap();
+                        assert_eq!(
+                            (got.lower().to_bits(), got.upper().to_bits()),
+                            (
+                                want.interval.lower().to_bits(),
+                                want.interval.upper().to_bits()
+                            ),
+                            "{method:?} at μ̂={mu}, n_eff={n_eff}, α={alpha}: {got} vs {}",
+                            want.interval
+                        );
+                        selections += 1;
+                        single_solves += u64::from(solves.get() == 1);
+                    }
+                }
+            }
+        }
+        eprintln!(
+            "{single_solves} of {selections} cluster selections solved one prior \
+             ({solver_failures} grid points without a reference)"
+        );
+        assert!(
+            solver_failures <= selections / 1000,
+            "{solver_failures} solver failures"
+        );
+        assert!(
+            single_solves as f64 >= 0.8 * selections as f64,
+            "{single_solves} of {selections} selections solved one prior"
+        );
+
+        // Whole cluster states through the dispatch against ahpd_select,
+        // including ahpd.rs's low-evidence state whose Kerman posterior
+        // is U-shaped (the sentinel case).
+        let mut ushaped = SampleState::new_cluster();
+        for i in 0..40 {
+            let est = if i % 2 == 0 { 3.0 } else { 0.0 };
+            ushaped.record_cluster_draw(est, (est.min(1.0) * 14.0) as u64, 14);
+        }
+        let mut states = vec![ushaped];
+        for d in [2u64, 3, 5, 20, 100, 400] {
+            for c in [0, 1, d / 2, d - 1] {
+                for (p, q) in [(0.0, 1.0), (0.9, 1.0), (0.5, 0.6), (0.99, 0.0), (1.0, 0.95)] {
+                    states.push(cluster_state(d, c, p, q, 3));
+                }
+            }
+        }
+        for state in &states {
+            for method in skip_methods() {
+                let priors = method.priors().unwrap();
+                for alpha in [0.01, 0.05, 0.1] {
+                    let got = method.interval(state, alpha).unwrap();
+                    let want = crate::ahpd_select(state, alpha, priors).unwrap().interval;
+                    assert_eq!(
+                        (got.lower().to_bits(), got.upper().to_bits()),
+                        (want.lower().to_bits(), want.upper().to_bits()),
+                        "{method:?} at {:?}, α={alpha}: {got} vs {want}",
+                        state.effective()
+                    );
+                }
+            }
         }
     }
 }

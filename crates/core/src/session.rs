@@ -571,7 +571,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
     ///
     /// On a running session the interval is constructed from a scratch
     /// copy of the solver state, so observing a session never perturbs
-    /// its (warm-started) stopping trajectory.
+    /// its stopping trajectory.
     #[must_use]
     pub fn status(&self) -> SessionStatus {
         if let Some(o) = &self.outcome {
@@ -918,21 +918,16 @@ pub(crate) fn method_fingerprint_matches(
     Ok(matches)
 }
 
-/// Encodes a solver's dynamic state (tracked counts, warm starts,
-/// posteriors) in the canonical session-snapshot layout.
+/// Encodes a solver's dynamic state (tracked counts, posteriors) in the
+/// canonical session-snapshot layout. The layout keeps a reserved
+/// per-prior slot that once held an SLSQP warm start; it is always
+/// written empty.
 pub(crate) fn write_solver(w: &mut Writer, solver: &MethodState) {
     w.u64(solver.tracked.0);
     w.u64(solver.tracked.1);
-    w.u32(solver.warm.len() as u32);
-    for warm in &solver.warm {
-        match warm {
-            Some((lo, hi)) => {
-                w.bool(true);
-                w.f64(*lo);
-                w.f64(*hi);
-            }
-            None => w.bool(false),
-        }
+    w.u32(solver.posteriors.len() as u32);
+    for _ in &solver.posteriors {
+        w.bool(false);
     }
     w.u32(solver.posteriors.len() as u32);
     for post in &solver.posteriors {
@@ -943,20 +938,19 @@ pub(crate) fn write_solver(w: &mut Writer, solver: &MethodState) {
 }
 
 /// Decodes a solver state written by [`write_solver`], validating the
-/// vector lengths against the method's prior count.
+/// vector lengths against the method's prior count. Values in the
+/// reserved slots, written by older encoders, are read and dropped:
+/// no solve depends on them.
 pub(crate) fn read_solver(r: &mut Reader<'_>, priors: usize) -> Result<MethodState, &'static str> {
     let tracked = (r.u64()?, r.u64()?);
-    let warm_len = r.u32()? as usize;
-    if warm_len != priors {
+    let reserved_len = r.u32()? as usize;
+    if reserved_len != priors {
         return Err("warm-start count mismatch");
     }
-    let mut warm = Vec::with_capacity(warm_len);
-    for _ in 0..warm_len {
-        warm.push(if r.bool()? {
-            Some((r.f64()?, r.f64()?))
-        } else {
-            None
-        });
+    for _ in 0..reserved_len {
+        if r.bool()? {
+            let _ = (r.f64()?, r.f64()?);
+        }
     }
     let post_len = r.u32()? as usize;
     if post_len != priors {
@@ -969,7 +963,6 @@ pub(crate) fn read_solver(r: &mut Reader<'_>, priors: usize) -> Result<MethodSta
             .push(Beta::from_raw_parts(a, b, ln_norm).map_err(|_| "invalid posterior parameters")?);
     }
     Ok(MethodState {
-        warm,
         posteriors,
         tracked,
         kernel: None,

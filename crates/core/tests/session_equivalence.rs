@@ -253,7 +253,7 @@ fn batched_sessions_pin_the_benchmark_cell() {
 fn snapshot_round_trip_mid_evaluation_is_exactly_resumable() {
     // Deterministic, non-property variant for quick failure isolation:
     // suspend after every batch on a cluster design (label cache, PPS
-    // table, Welford moments and warm starts all in play).
+    // table and Welford moments all in play).
     let kg = kgae_graph::datasets::factbench();
     let method = IntervalMethod::ahpd_default();
     let cfg = EvalConfig::default();
@@ -308,6 +308,86 @@ fn snapshots_are_canonical_bytes() {
         a,
         "resume→snapshot not identity"
     );
+}
+
+#[test]
+fn stored_warm_starts_in_old_snapshots_are_ignored_on_resume() {
+    // The solver record keeps one reserved slot per prior that once held
+    // an SLSQP warm start. Encoders write it empty; a snapshot carrying
+    // values there (as older encoders wrote after a cluster solve) must
+    // resume to the same stop, the same interval bits and the same
+    // canonical bytes as the snapshot without them.
+    let kg = kgae_graph::datasets::nell();
+    let method = IntervalMethod::ahpd_default();
+    let cfg = EvalConfig {
+        stopping: StoppingPolicy::EveryUnit,
+        ..EvalConfig::default()
+    };
+    let prepared = PreparedDesign::new(&kg, SamplingDesign::Twcs { m: 3 });
+    let mut request = AnnotationRequest::default();
+    let mut labels = Vec::new();
+    for seed in 0..6 {
+        let mut session = EvaluationSession::from_prepared(
+            &kg,
+            &prepared,
+            &method,
+            &cfg,
+            SmallRng::seed_from_u64(seed),
+        );
+        for _ in 0..3 {
+            assert!(session.next_request_into(2, &mut request).unwrap());
+            labels.clear();
+            labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
+            session.submit(&labels).unwrap();
+        }
+        assert!(session.stop_reason().is_none(), "seed {seed} stopped early");
+        let bytes = session.snapshot().unwrap();
+        // The solver record of a cluster session: no tracked counts, three
+        // empty reserved slots, then three posteriors starting at Kerman's.
+        let mut empty = vec![0u8; 16];
+        empty.extend_from_slice(&3u32.to_le_bytes());
+        empty.extend_from_slice(&[0, 0, 0]);
+        empty.extend_from_slice(&3u32.to_le_bytes());
+        empty.extend_from_slice(&(1.0f64 / 3.0).to_le_bytes());
+        let at = bytes
+            .windows(empty.len())
+            .position(|w| w == empty)
+            .expect("solver record in the snapshot");
+        let mut stored = bytes[..at + 20].to_vec();
+        for (lo, hi) in [(0.1f64, 0.9f64), (0.5, 0.6), (0.0, 1.0)] {
+            stored.push(1);
+            stored.extend_from_slice(&lo.to_le_bytes());
+            stored.extend_from_slice(&hi.to_le_bytes());
+        }
+        stored.extend_from_slice(&bytes[at + 23..]);
+        let resume = |snapshot: &[u8]| {
+            EvaluationSession::resume(
+                &kg,
+                &prepared,
+                &method,
+                &cfg,
+                SmallRng::seed_from_u64(0xDEAD_BEEF),
+                snapshot,
+            )
+            .unwrap()
+        };
+        let mut finished = Vec::new();
+        for snapshot in [&bytes, &stored] {
+            let mut resumed = resume(snapshot);
+            assert_eq!(
+                resumed.snapshot().unwrap(),
+                bytes,
+                "seed {seed}: not canonical"
+            );
+            while resumed.next_request_into(2, &mut request).unwrap() {
+                labels.clear();
+                labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
+                resumed.submit(&labels).unwrap();
+            }
+            finished.push(resumed.into_result().expect("stopped session has a result"));
+        }
+        assert_bit_identical(&finished[0], &finished[1], &format!("seed {seed}"));
+    }
 }
 
 #[test]

@@ -11,11 +11,13 @@
 //!   the best-placed width-`w` window (the same best-window primitive
 //!   [`hpd_width_achievable`] uses), started from the certified
 //!   under-estimate [`hpd_width_lower_bound`]. It needs no quantile and
-//!   no nested root-finding. The exact solver is the production path for
-//!   SRS campaigns (the posterior-kernel cache memoizes it), for cold
-//!   starts and for the monitor's appraisal; the SLSQP path serves
-//!   warm-started cluster-design solves, and each cross-validates the
-//!   other in the tests.
+//!   no nested root-finding. The exact solver is every engine path's
+//!   solver: SRS campaigns (the posterior-kernel cache memoizes it),
+//!   cluster designs on their effective posteriors, and the monitor's
+//!   appraisal. The SLSQP paths ([`hpd_interval`], [`hpd_interval_warm`])
+//!   have no engine caller; they keep the paper's computational pathway
+//!   for the figure binaries and benchmarks, and each solver
+//!   cross-validates the other in the tests.
 //! * **Monotone increasing** (all-correct limiting case, Eq. 10):
 //!   `[qBeta(α), 1]`.
 //! * **Monotone decreasing** (all-incorrect limiting case, Eq. 11):
@@ -56,12 +58,12 @@ pub fn hpd_interval(posterior: &Beta, alpha: f64) -> Result<Interval, IntervalEr
 
 /// [`hpd_interval`] with an optional warm start for the SLSQP path.
 ///
-/// The evaluation framework recomputes the HPD interval after every
-/// annotation; consecutive posteriors differ by one observation, so the
-/// previous solution is an excellent initial iterate. SLSQP converges to
-/// the *unique* HPD optimum (Theorem 2) from any interior start, so the
-/// result is identical to the cold-started one within tolerance — this
-/// is purely a constant-factor optimization.
+/// No engine path calls it: every interval the evaluation framework
+/// builds comes from [`hpd_interval_exact`]. Consecutive posteriors of
+/// a campaign differ by one observation, so a previous solution is an
+/// excellent initial iterate, and SLSQP converges to the *unique* HPD
+/// optimum (Theorem 2) from any interior start: the result equals the
+/// cold-started one within tolerance, not bit for bit.
 ///
 /// Without a usable warm start the exact solver ([`hpd_interval_exact`])
 /// is used instead of cold SLSQP: on the strongly skewed posteriors
@@ -215,9 +217,10 @@ fn best_window_start(post: &Beta, mode: f64, w: f64) -> f64 {
 
 /// Computes the `1-α` HPD interval with the exact solver only (Newton on
 /// the best-window width, see the module docs; same closed forms for
-/// the limiting cases). This is the production SRS solver: the
-/// posterior-kernel cache memoizes it, the monitor's appraisal calls it,
-/// and [`hpd_interval_warm`] uses it whenever no warm start is available.
+/// the limiting cases). This is every engine path's solver: the
+/// posterior-kernel cache memoizes it for SRS, cluster designs call it
+/// on their effective posteriors, the monitor's appraisal calls it, and
+/// [`hpd_interval_warm`] uses it whenever no warm start is available.
 pub fn hpd_interval_exact(posterior: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
     check_alpha(alpha)?;
     match posterior.shape() {

@@ -11,8 +11,9 @@
 //!   closed forms Eq. 10/11 in the limiting cases);
 //! * [`hpd_interval_exact`] — an exact solver for the same optimum
 //!   (Newton on the width of the best-placed window, started from the
-//!   certified bound [`hpd_width_lower_bound`]), the production path for
-//!   SRS campaigns, cold starts and the monitor's appraisal;
+//!   certified bound [`hpd_width_lower_bound`]), the solver behind every
+//!   engine path: SRS campaigns, cluster designs and the monitor's
+//!   appraisal;
 //! * [`BetaPrior`] — Kerman / Jeffreys / Uniform uninformative priors and
 //!   informative priors, with integer and design-effect-adjusted
 //!   fractional posterior updates;
