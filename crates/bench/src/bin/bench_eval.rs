@@ -6,8 +6,7 @@
 //! * repetitions/second and per-annotation latency for every
 //!   (design × method) cell of {SRS, TWCS(m=3)} × {Wald, Wilson, aHPD},
 //!   single-threaded (scheduling-free numbers);
-//! * the within-PR A/B: the certified-lookahead + incremental-posterior
-//!   path (`StoppingPolicy::CertifiedLookahead`, the default) against
+//! * the within-PR A/B: the certified-lookahead path (`StoppingPolicy::CertifiedLookahead`, the default) against
 //!   the naive per-annotation path (`StoppingPolicy::EveryUnit`, paper
 //!   Figure 1 literal) on the aHPD/SRS and aHPD/TWCS(3) cells,
 //!   verifying bit-identical stopping statistics and interval bits
@@ -200,8 +199,8 @@ fn run() -> Result<(), String> {
     }
 
     // ------------------------------------------------------------------
-    // A/B: certified lookahead + incremental posterior vs. naive
-    // per-annotation interval construction, on aHPD/SRS and
+    // A/B: certified lookahead vs. naive per-annotation interval
+    // construction, on aHPD/SRS and
     // aHPD/TWCS(3).
     // ------------------------------------------------------------------
     let ahpd = IntervalMethod::ahpd_default();

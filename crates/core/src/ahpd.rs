@@ -62,9 +62,8 @@ pub fn ahpd_select(
 /// Per-prior posteriors for the current sample: the conjugate update of
 /// Algorithm 1 line 14, with the design-effect correction of line 12
 /// applied only where a complex design requires it. SRS uses the exact
-/// integer counts so the posterior parameters (and the cached
-/// normalization constants maintained incrementally by the framework)
-/// are reproducible to the bit.
+/// integer counts so the posterior parameters are reproducible to the
+/// bit.
 pub(crate) fn posteriors_for_state(
     state: &SampleState,
     priors: &[BetaPrior],

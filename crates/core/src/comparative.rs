@@ -61,16 +61,16 @@
 //! **Suspend/resume.** [`ComparativeSession::snapshot`] reuses the
 //! `KGAESNAP` container with its own record tag (5): the shared-stream
 //! design and KG fingerprints, the roster's method fingerprints, one
-//! embedded primary-session snapshot and each rival's solver +
-//! scheduling state. Resume validates everything and the re-snapshot is
+//! embedded primary-session snapshot and each rival's scheduling
+//! state. Resume validates everything and the re-snapshot is
 //! byte-identical.
 
 use crate::framework::{EvalConfig, EvalResult, PreparedDesign, SamplingDesign, StoppingPolicy};
 use crate::method::{IntervalMethod, MethodState};
 use crate::session::{
-    design_from_tag, design_tag, method_fingerprint_matches, read_record_prefix, read_solver,
-    write_method_fingerprint, write_solver, AnnotationRequest, EvaluationSession, SessionError,
-    SessionStatus, StopReason, COMPARATIVE_SNAPSHOT_TAG,
+    design_from_tag, design_tag, method_fingerprint_matches, read_record_prefix,
+    write_method_fingerprint, AnnotationRequest, EvaluationSession, SessionError, SessionStatus,
+    StopReason, COMPARATIVE_SNAPSHOT_TAG,
 };
 use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::state::{DesignKind, SampleState};
@@ -335,7 +335,7 @@ impl<'a> ComparativeSession<'a> {
     /// any method's interval construction.
     pub fn submit(&mut self, labels: &[bool]) -> Result<(), SessionError> {
         self.primary.submit(labels)?;
-        self.observe_unit(labels)?;
+        self.observe_unit()?;
         if self.primary.stop_reason().is_some() {
             self.finalize();
         }
@@ -356,25 +356,17 @@ impl<'a> ComparativeSession<'a> {
         self.primary.cancel_request()
     }
 
-    /// Replays the just-processed unit through every live rival: SRS
-    /// posterior updates per label, then the engine's stopping sequence
-    /// (readiness gate → lookahead skip → exact one-step gate →
-    /// interval construction → certified skip) against the shared
-    /// sample state.
-    fn observe_unit(&mut self, labels: &[bool]) -> Result<(), SessionError> {
+    /// Replays the just-processed unit through every live rival: the
+    /// engine's stopping sequence (readiness gate → lookahead skip →
+    /// exact one-step gate → interval construction → certified skip)
+    /// against the shared sample state.
+    fn observe_unit(&mut self) -> Result<(), SessionError> {
         let state = self.primary.sample_state();
         let cfg = self.primary.config();
         let kind = self.kind;
         for rival in &mut self.rivals {
             if rival.stopped.is_some() {
                 continue;
-            }
-            if kind == DesignKind::Srs {
-                // An SRS unit is one fresh triple; cluster designs feed
-                // their solvers from the effective sample instead.
-                for &label in labels {
-                    rival.method.record_observation(&mut rival.solver, label);
-                }
             }
             let ready = state.n() >= cfg.min_triples
                 && (kind == DesignKind::Srs || state.draws() >= cfg.min_draws);
@@ -542,7 +534,7 @@ impl<'a> ComparativeSession<'a> {
     /// `KGAESNAP` container with the comparative record tag (5), the
     /// shared-stream design and KG fingerprints, the roster's method
     /// fingerprints, the embedded primary-session snapshot and every
-    /// rival's solver + scheduling state.
+    /// rival's scheduling state.
     ///
     /// # Errors
     ///
@@ -583,7 +575,6 @@ impl<'a> ComparativeSession<'a> {
         w.bytes(&child);
         // Rival trackers, roster order.
         for rival in &self.rivals {
-            write_solver(&mut w, &rival.solver);
             w.u64(rival.skip_left);
             match &rival.stopped {
                 Some(stop) => {
@@ -666,8 +657,6 @@ impl<'a> ComparativeSession<'a> {
             if index == primary_index {
                 continue;
             }
-            let priors = method.priors().map_or(0, <[BetaPrior]>::len);
-            let solver = read_solver(&mut r, priors).map_err(corrupt)?;
             let skip_left = r.u64().map_err(corrupt)?;
             let stopped = if r.bool().map_err(corrupt)? {
                 let observations = r.u64().map_err(corrupt)?;
@@ -689,8 +678,8 @@ impl<'a> ComparativeSession<'a> {
             };
             rivals.push(Rival {
                 index,
+                solver: method.new_state(),
                 method,
-                solver,
                 skip_left,
                 stopped,
             });

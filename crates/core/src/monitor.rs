@@ -34,11 +34,11 @@
 //! If the mixture's HPD interval still meets the MoE target the monitor
 //! keeps watching — the update cost **zero** annotations. Otherwise it
 //! re-opens a campaign seeded with the surviving posterior as an
-//! informative prior via [`posterior_as_prior`] (evidence capped at
-//! `carry_weight` pseudo-observations and never inflated past the
-//! evidence actually held), hedged by the standard uninformative priors
-//! against deceptive updates — the aHPD carryover mechanism of
-//! [`crate::dynamic`], now running inside the engine world.
+//! informative prior (the surviving posterior's mean, its evidence
+//! capped at `carry_weight` pseudo-observations and never inflated past
+//! the evidence actually held), hedged by the standard uninformative
+//! priors against deceptive updates — the paper's §8 carryover of prior
+//! knowledge into the evaluation of an evolving KG.
 //!
 //! A delta-free monitor is **bit-identical** to a plain
 //! [`EvaluationSession`] with the same seed/method/config (property
@@ -51,7 +51,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::dynamic::posterior_as_prior;
 use crate::engine::{EngineKind, EngineOutcome, EngineRequest, SessionEngine, SessionStatusView};
 use crate::framework::{EvalConfig, PreparedDesign, SamplingDesign};
 use crate::method::IntervalMethod;
@@ -62,7 +61,7 @@ use crate::session::{
 use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::hash::mix2;
 use kgae_graph::{DeltaKg, KnowledgeGraph, StableId};
-use kgae_intervals::{hpd_interval_exact, BetaPrior, Interval};
+use kgae_intervals::{hpd_interval_exact, BetaPrior, Interval, IntervalError};
 use kgae_stats::dist::Beta;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -1020,6 +1019,30 @@ impl SessionEngine for MonitorSession<'_> {
     }
 }
 
+/// Rescales a posterior into a prior with a chosen evidence weight.
+///
+/// The posterior `Beta(A, B)` carries `A + B` pseudo-observations; the
+/// carried-over prior keeps the posterior *mean* but caps the evidence at
+/// `equivalent_n` pseudo-observations, so stale knowledge cannot drown
+/// out fresh annotations. `equivalent_n = A + B` reproduces the raw
+/// posterior.
+fn posterior_as_prior(posterior: &Beta, equivalent_n: f64) -> Result<BetaPrior, IntervalError> {
+    if !(equivalent_n.is_finite() && equivalent_n > 0.0) {
+        return Err(IntervalError::Stats(
+            kgae_stats::StatsError::InvalidParameter {
+                name: "equivalent_n",
+                value: equivalent_n,
+                constraint: "must be finite and > 0",
+            },
+        ));
+    }
+    let mean = posterior.mean();
+    Ok(BetaPrior::informative(
+        (mean * equivalent_n).max(1e-6),
+        ((1.0 - mean) * equivalent_n).max(1e-6),
+    )?)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1041,6 +1064,21 @@ mod tests {
             guard += 1;
             assert!(guard < 10_000, "campaign failed to converge");
         }
+    }
+
+    #[test]
+    fn posterior_as_prior_preserves_mean_and_caps_weight() {
+        let post = Beta::new(180.0, 20.0).unwrap(); // mean 0.9, weight 200
+        let prior = posterior_as_prior(&post, 50.0).unwrap();
+        assert!((prior.a / (prior.a + prior.b) - 0.9).abs() < 1e-12);
+        assert!((prior.a + prior.b - 50.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn posterior_as_prior_rejects_bad_weight() {
+        let post = Beta::new(2.0, 2.0).unwrap();
+        assert!(posterior_as_prior(&post, 0.0).is_err());
+        assert!(posterior_as_prior(&post, f64::NAN).is_err());
     }
 
     #[test]

@@ -42,7 +42,7 @@
 //! itself rebuilt as a thin driver over a session (batch size 1).
 //!
 //! Sessions also suspend and resume: [`EvaluationSession::snapshot`]
-//! serializes the full dynamic state (posteriors, Welford accumulators,
+//! serializes the full dynamic state (counts, Welford accumulators,
 //! RNG, sampler stream, label cache, cost sets) into a compact manual
 //! binary encoding — no serde — and
 //! [`EvaluationSession::resume`] reconstructs a session that continues
@@ -58,7 +58,6 @@ use kgae_intervals::{Interval, IntervalError, KernelCache};
 use kgae_sampling::driver::{build_driver, DesignDriver, UnitEstimator};
 use kgae_sampling::SampledTriple;
 use kgae_stats::descriptive::OnlineMoments;
-use kgae_stats::dist::Beta;
 use rand::rngs::SmallRng;
 use rand::RngCore;
 use std::collections::HashSet;
@@ -708,8 +707,6 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
                     let label = labels[*next_label];
                     *next_label += 1;
                     self.state.record_triple(label);
-                    // O(1) incremental posterior advance per annotation.
-                    self.method.record_observation(&mut self.solver, label);
                     self.cost.record(st.triple, st.cluster);
                 }
             }
@@ -918,58 +915,6 @@ pub(crate) fn method_fingerprint_matches(
     Ok(matches)
 }
 
-/// Encodes a solver's dynamic state (tracked counts, posteriors) in the
-/// canonical session-snapshot layout. The layout keeps a reserved
-/// per-prior slot that once held an SLSQP warm start; it is always
-/// written empty.
-pub(crate) fn write_solver(w: &mut Writer, solver: &MethodState) {
-    w.u64(solver.tracked.0);
-    w.u64(solver.tracked.1);
-    w.u32(solver.posteriors.len() as u32);
-    for _ in &solver.posteriors {
-        w.bool(false);
-    }
-    w.u32(solver.posteriors.len() as u32);
-    for post in &solver.posteriors {
-        w.f64(post.alpha());
-        w.f64(post.beta());
-        w.f64(post.ln_norm());
-    }
-}
-
-/// Decodes a solver state written by [`write_solver`], validating the
-/// vector lengths against the method's prior count. Values in the
-/// reserved slots, written by older encoders, are read and dropped:
-/// no solve depends on them.
-pub(crate) fn read_solver(r: &mut Reader<'_>, priors: usize) -> Result<MethodState, &'static str> {
-    let tracked = (r.u64()?, r.u64()?);
-    let reserved_len = r.u32()? as usize;
-    if reserved_len != priors {
-        return Err("warm-start count mismatch");
-    }
-    for _ in 0..reserved_len {
-        if r.bool()? {
-            let _ = (r.f64()?, r.f64()?);
-        }
-    }
-    let post_len = r.u32()? as usize;
-    if post_len != priors {
-        return Err("posterior count mismatch");
-    }
-    let mut posteriors = Vec::with_capacity(post_len);
-    for _ in 0..post_len {
-        let (a, b, ln_norm) = (r.f64()?, r.f64()?, r.f64()?);
-        posteriors
-            .push(Beta::from_raw_parts(a, b, ln_norm).map_err(|_| "invalid posterior parameters")?);
-    }
-    Ok(MethodState {
-        posteriors,
-        tracked,
-        kernel: None,
-        frontier: None,
-    })
-}
-
 /// The identity prefix of a session snapshot: which design produced it
 /// and the shape of the KG it belongs to. Enough for a snapshot store
 /// to index and sanity-check dormant sessions without paying a full
@@ -1139,8 +1084,6 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         w.u64(mn);
         w.f64(mmean);
         w.f64(mm2);
-        // Solver state.
-        write_solver(&mut w, &self.solver);
         // Cost sets (sorted ⇒ canonical bytes).
         let entities = self.cost.entity_ids_sorted();
         w.u32(entities.len() as u32);
@@ -1266,8 +1209,6 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         let mn = r.u64().map_err(corrupt)?;
         let mmean = r.f64().map_err(corrupt)?;
         let mm2 = r.f64().map_err(corrupt)?;
-        let priors = method.priors().unwrap_or(&[]);
-        let solver = read_solver(&mut r, priors.len()).map_err(corrupt)?;
         let ent_len = r.u32().map_err(corrupt)? as usize;
         if ent_len as u64 > u64::from(kg.num_clusters()) {
             return Err(SessionError::CorruptSnapshot("too many entities"));
@@ -1312,7 +1253,6 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
             tau,
             OnlineMoments::from_raw_parts(mn, mmean, mm2),
         );
-        self.solver = solver;
         self.cost = CostTracker::from_saved(self.cfg.cost_model, &entities, &triples);
         if let Some(cache) = &mut self.cache {
             for (t, label) in triples.iter().zip(&labels) {

@@ -5,16 +5,16 @@
 //! worker, resume), not an interchange format, so the encoding is a
 //! hand-rolled little-endian byte stream with an explicit version tag.
 //! Floats are encoded via `f64::to_bits`, preserving every bit of the
-//! running posteriors and Welford accumulators — a resumed session must
-//! continue the exact float trajectory of the suspended one.
+//! Welford accumulators — a resumed session must continue the exact
+//! float trajectory of the suspended one.
 
 /// The shared container magic of every snapshot record — plain session
 /// records (design tags 0–3) and the stratified coordinator record
 /// (tag 4) carry the same header, so the constants live in one place.
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"KGAESNAP";
 /// The shared container version; bumping it re-gates every record type
-/// at once.
-pub(crate) const SNAPSHOT_VERSION: u16 = 1;
+/// at once (readers reject every other version).
+pub(crate) const SNAPSHOT_VERSION: u16 = 2;
 
 /// Append-only snapshot writer.
 #[derive(Debug, Default)]

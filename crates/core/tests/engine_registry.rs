@@ -10,7 +10,7 @@ use kgae_core::engine::{
 };
 use kgae_core::{
     DeltaBatch, EvalConfig, EvalResult, IntervalMethod, MonitorReport, PreparedDesign,
-    SamplingDesign, StratifiedConfig,
+    SamplingDesign, SessionError, StratifiedConfig,
 };
 use kgae_graph::stratify::Stratification;
 use kgae_graph::{CompactKg, DeltaKg, GroundTruth, KnowledgeGraph};
@@ -305,5 +305,78 @@ proptest! {
             monitor_fingerprint(engine.as_ref()),
             monitor_fingerprint(resumed_again.as_ref())
         );
+    }
+}
+
+/// A version-1 record — the layout that still carried a per-prior solver
+/// section — is rejected as a typed version mismatch for every registry
+/// tag, before any kind-specific parsing; no v1 reader exists.
+#[test]
+fn version_1_records_are_rejected_for_every_registry_tag() {
+    let kg = dataset("nell");
+    let method = IntervalMethod::ahpd_default();
+    let eval_cfg = EvalConfig::default();
+    let strat_cfg = StratifiedConfig::default();
+    let stratification = Stratification::by_hash(&kg, 4, 1);
+    let prepared: Vec<PreparedDesign> = [
+        SamplingDesign::Srs,
+        SamplingDesign::Twcs { m: 3 },
+        SamplingDesign::Wcs,
+        SamplingDesign::Scs,
+    ]
+    .into_iter()
+    .map(|design| PreparedDesign::new(&kg, design))
+    .collect();
+    let mut specs: Vec<EngineSpec<'_, '_>> = prepared
+        .iter()
+        .map(|prepared| EngineSpec::Plain {
+            kg: &kg,
+            prepared,
+            method: &method,
+            config: &eval_cfg,
+            seed: 7,
+        })
+        .collect();
+    specs.push(EngineSpec::Stratified {
+        kg: &kg,
+        stratification: &stratification,
+        method: &method,
+        config: &strat_cfg,
+        seed: 7,
+    });
+    specs.push(EngineSpec::Comparative {
+        kg: &kg,
+        prepared: &prepared[0],
+        primary: ComparePrimary::AHpd,
+        config: &eval_cfg,
+        seed: 7,
+    });
+    specs.push(EngineSpec::Monitor {
+        kg: &kg,
+        method: &method,
+        config: &eval_cfg,
+        carry_weight: 50.0,
+        seed: 7,
+    });
+    let truth = DeltaKg::with_truth(&kg, &kg);
+    for (tag, spec) in specs.iter().enumerate() {
+        let mut engine = spec.build();
+        assert!(
+            drive_monitor(&truth, engine.as_mut(), 2, 4),
+            "tag {tag} stopped"
+        );
+        let mut snap = engine.snapshot().unwrap();
+        assert_eq!(usize::from(snap[10]), tag);
+        assert_eq!(snap[8..10], 2u16.to_le_bytes(), "tag {tag}");
+        spec.resume(&snap).unwrap();
+        snap[8..10].copy_from_slice(&1u16.to_le_bytes());
+        let unsupported = |e: Option<SessionError>| {
+            matches!(
+                e,
+                Some(SessionError::SnapshotMismatch("unsupported version"))
+            )
+        };
+        assert!(unsupported(spec.resume(&snap).err()), "tag {tag}");
+        assert!(unsupported(peek_any_header(&snap).err()), "tag {tag}");
     }
 }

@@ -671,6 +671,36 @@ mod tests {
     }
 
     #[test]
+    fn modes_rounding_onto_the_boundary_take_the_monotone_limit() {
+        // Jeffreys at μ̂ = 0.95, n_eff = 10 is Beta(10, 1 + 4.4e-16): its
+        // mode rounds onto 1, where the density is 0. It must solve as
+        // the increasing limit [α^(1/10), 1], and its mirror as the
+        // decreasing limit [0, 1 − α^(1/10)], by every HPD entry point.
+        let post = BetaPrior::JEFFREYS.posterior_effective(0.95, 10.0).unwrap();
+        assert!(post.beta() > 1.0 && post.beta() < 1.0 + 1e-15);
+        let mirror = Beta::new(post.beta(), post.alpha()).unwrap();
+        let l = 0.05f64.powf(0.1);
+        for (post, want) in [
+            (post, Interval::new(l, 1.0)),
+            (mirror, Interval::new(0.0, 1.0 - l)),
+        ] {
+            let got = hpd_interval_exact(&post, 0.05).unwrap();
+            assert!(
+                (got.lower() - want.lower()).abs() < 1e-12
+                    && (got.upper() - want.upper()).abs() < 1e-12,
+                "Beta({}, {}): {got} vs {want}",
+                post.alpha(),
+                post.beta()
+            );
+            assert!(hpd_width_achievable(&post, 0.05, 0.5));
+            assert!(!hpd_width_achievable(&post, 0.05, 0.25));
+            if let Some(lb) = hpd_width_lower_bound(&post, 0.05) {
+                assert!(lb <= got.width() + 1e-12);
+            }
+        }
+    }
+
+    #[test]
     fn best_window_is_located_for_near_degenerate_shapes() {
         // A shape parameter near 1 puts the density-equality root within
         // a few ulps of a bracket end, where g′ diverges: Newton steps

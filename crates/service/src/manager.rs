@@ -428,7 +428,8 @@ struct Live<'a> {
     pending_stratum: Option<(u32, String)>,
     /// Fencing token: incremented for every freshly issued batch. A
     /// submit carrying a stale seq is rejected instead of silently
-    /// applying old labels to a newer batch.
+    /// applying old labels to a newer batch. Persisted in the meta
+    /// record, so a rehydrated session never re-issues a seq.
     seq: u64,
     /// Last request activity (create/poll/submit/resume), the clock the
     /// janitor's TTL aging reads. Status reads deliberately do not
@@ -440,6 +441,28 @@ impl Live<'_> {
     fn pending_labels(&self) -> u64 {
         self.pending.as_ref().map_or(0, |r| r.triples.len() as u64)
     }
+
+    /// Writes the session to `store` as suspended: the snapshot plus a
+    /// meta record carrying the cached status and the fencing seq, in
+    /// one atomic save. Returns the snapshot and the status it cached.
+    fn persist(
+        &self,
+        store: &SnapshotStore,
+        id: &str,
+    ) -> ServiceResult<(Vec<u8>, kgae_core::SessionStatusView)> {
+        let snapshot = self.engine.snapshot()?;
+        let view = self.engine.status();
+        let meta = meta_encode(
+            &self.spec,
+            &view.primary,
+            view.strata.as_deref(),
+            view.methods.as_deref(),
+            view.monitor.as_ref(),
+            MetaTail::Suspended { seq: self.seq },
+        );
+        store.save(id, &meta, Some(&snapshot))?;
+        Ok((snapshot, view))
+    }
 }
 
 struct Dormant {
@@ -449,6 +472,8 @@ struct Dormant {
     methods: Option<Vec<MethodReport>>,
     monitor: Option<MonitorReport>,
     snapshot_bytes: u64,
+    /// The fencing seq at suspension (see [`Live::seq`]).
+    seq: u64,
     /// When this stub last saw activity (see [`Live::touched`]).
     touched: Instant,
 }
@@ -461,6 +486,20 @@ struct FinishedSlot {
     methods: Option<Vec<MethodReport>>,
     /// When this result last saw activity (see [`Live::touched`]).
     touched: Instant,
+}
+
+impl FinishedSlot {
+    /// The meta-only record that persists this result.
+    fn meta(&self) -> String {
+        meta_encode(
+            &self.spec,
+            &finished_status(self.reason, &self.result),
+            self.strata.as_deref(),
+            self.methods.as_deref(),
+            None,
+            MetaTail::Finished(self.reason, &self.result),
+        )
+    }
 }
 
 enum Slot<'a> {
@@ -685,15 +724,26 @@ impl Slot<'_> {
 // Meta records
 // ---------------------------------------------------------------------
 
+/// The state-specific end of a meta record, which also names the state.
+enum MetaTail<'r> {
+    /// A suspended session's fencing seq.
+    Suspended { seq: u64 },
+    /// A finished session's stop reason and result.
+    Finished(StopReason, &'r EvalResult),
+}
+
 fn meta_encode(
     spec: &SessionSpec,
-    state: SessionState,
     status: &SessionStatus,
     strata: Option<&[StratumReport]>,
     methods: Option<&[MethodReport]>,
     monitor: Option<&MonitorReport>,
-    finished: Option<(StopReason, &EvalResult)>,
+    tail: MetaTail<'_>,
 ) -> String {
+    let state = match tail {
+        MetaTail::Suspended { .. } => SessionState::Suspended,
+        MetaTail::Finished(..) => SessionState::Finished,
+    };
     let mut doc = Json::obj(vec![
         ("spec", spec.to_json()),
         ("state", Json::str(state.name())),
@@ -708,9 +758,12 @@ fn meta_encode(
     if let Some(monitor) = monitor {
         doc.set("monitor", api::monitor_report_to_json(monitor));
     }
-    if let Some((reason, result)) = finished {
-        doc.set("reason", Json::str(api::stop_reason_name(reason)));
-        doc.set("result", api::result_to_json(result));
+    match tail {
+        MetaTail::Suspended { seq } => doc.set("seq", Json::int(seq)),
+        MetaTail::Finished(reason, result) => {
+            doc.set("reason", Json::str(api::stop_reason_name(reason)));
+            doc.set("result", api::result_to_json(result));
+        }
     }
     doc.encode()
 }
@@ -722,6 +775,8 @@ struct MetaRecord {
     strata: Option<Vec<StratumReport>>,
     methods: Option<Vec<MethodReport>>,
     monitor: Option<MonitorReport>,
+    /// The fencing seq of a suspended record (0 when absent).
+    seq: u64,
     finished: Option<(StopReason, EvalResult)>,
 }
 
@@ -760,6 +815,12 @@ fn meta_decode(id: &str, meta: &str) -> ServiceResult<MetaRecord> {
             Some(api::monitor_report_from_json(field).map_err(|e| corrupt(e.to_string()))?)
         }
     };
+    let seq = match doc.get("seq") {
+        None => 0,
+        Some(field) => field
+            .as_u64()
+            .ok_or_else(|| corrupt("seq is not an integer".into()))?,
+    };
     let finished = if state == SessionState::Finished {
         let reason = doc
             .get("reason")
@@ -784,6 +845,7 @@ fn meta_decode(id: &str, meta: &str) -> ServiceResult<MetaRecord> {
         strata,
         methods,
         monitor,
+        seq,
         finished,
     })
 }
@@ -1215,17 +1277,7 @@ impl<'a> SessionManager<'a> {
                         report.suspended.push(id);
                     }
                     Slot::Finished(finished) => {
-                        let status = finished_status(finished.reason, &finished.result);
-                        let meta = meta_encode(
-                            &finished.spec,
-                            SessionState::Finished,
-                            &status,
-                            finished.strata.as_deref(),
-                            finished.methods.as_deref(),
-                            None,
-                            Some((finished.reason, &finished.result)),
-                        );
-                        match self.store.save(&id, &meta, None) {
+                        match self.store.save(&id, &finished.meta(), None) {
                             Ok(()) => {
                                 shard.remove(&id);
                                 report.finished.push(id);
@@ -1247,23 +1299,8 @@ impl<'a> SessionManager<'a> {
                                 }
                             }
                         }
-                        let persisted = (|| -> ServiceResult<()> {
-                            let snapshot = live.engine.snapshot()?;
-                            let view = live.engine.status();
-                            let meta = meta_encode(
-                                &live.spec,
-                                SessionState::Suspended,
-                                &view.primary,
-                                view.strata.as_deref(),
-                                view.methods.as_deref(),
-                                view.monitor.as_ref(),
-                                None,
-                            );
-                            self.store.save(&id, &meta, Some(&snapshot))?;
-                            Ok(())
-                        })();
-                        match persisted {
-                            Ok(()) => {
+                        match live.persist(&self.store, &id) {
+                            Ok(_) => {
                                 shard.remove(&id);
                                 report.suspended.push(id);
                             }
@@ -1403,7 +1440,9 @@ impl<'a> SessionManager<'a> {
         })
     }
 
-    fn rehydrate(&self, spec: &SessionSpec, snapshot: &[u8]) -> ServiceResult<Live<'a>> {
+    /// Rebuilds a live session from its stored snapshot, resuming the
+    /// fencing seq it was persisted with.
+    fn rehydrate(&self, spec: &SessionSpec, seq: u64, snapshot: &[u8]) -> ServiceResult<Live<'a>> {
         let blueprint = self.blueprint(spec)?;
         // Registry-dispatched: the snapshot's record tag is validated
         // against the engine kind the spec denotes before any
@@ -1417,7 +1456,7 @@ impl<'a> SessionManager<'a> {
             engine,
             pending: None,
             pending_stratum: None,
-            seq: 0,
+            seq,
             touched: Instant::now(),
         })
     }
@@ -1443,7 +1482,7 @@ impl<'a> SessionManager<'a> {
                 let snapshot = record.snapshot.as_deref().ok_or_else(|| {
                     ServiceError::Corrupt(format!("session {id:?}: suspended without a snapshot"))
                 })?;
-                let live = self.rehydrate(&meta.spec, snapshot)?;
+                let live = self.rehydrate(&meta.spec, meta.seq, snapshot)?;
                 Ok(Slot::Live(Box::new(live)))
             }
         }
@@ -1463,7 +1502,6 @@ impl<'a> SessionManager<'a> {
                 Err(ServiceError::AlreadyFinished(finished.spec.id.clone()))
             }
             Some(Slot::Suspended(dormant)) => {
-                let spec = dormant.spec.clone();
                 let rehydrated = (|| -> ServiceResult<Live<'a>> {
                     let record = self.store.load(id)?.ok_or_else(|| {
                         ServiceError::Corrupt(format!("session {id:?}: meta vanished"))
@@ -1471,7 +1509,7 @@ impl<'a> SessionManager<'a> {
                     let snapshot = record.snapshot.as_deref().ok_or_else(|| {
                         ServiceError::Corrupt(format!("session {id:?}: snapshot vanished"))
                     })?;
-                    self.rehydrate(&spec, snapshot)
+                    self.rehydrate(&dormant.spec, dormant.seq, snapshot)
                 })();
                 match rehydrated {
                     Ok(live) => {
@@ -1811,26 +1849,15 @@ impl<'a> SessionManager<'a> {
                 if live.engine.has_pending_request() {
                     return Err(ServiceError::RequestOutstanding(id.to_string()));
                 }
-                let snapshot = live.engine.snapshot()?;
-                let view = live.engine.status();
-                let spec = live.spec.clone();
-                let meta = meta_encode(
-                    &spec,
-                    SessionState::Suspended,
-                    &view.primary,
-                    view.strata.as_deref(),
-                    view.methods.as_deref(),
-                    view.monitor.as_ref(),
-                    None,
-                );
-                self.store.save(id, &meta, Some(&snapshot))?;
+                let (snapshot, view) = live.persist(&self.store, id)?;
                 let dormant = Dormant {
-                    spec,
+                    spec: live.spec.clone(),
                     status: view.primary,
                     strata: view.strata,
                     methods: view.methods,
                     monitor: view.monitor,
                     snapshot_bytes: snapshot.len() as u64,
+                    seq: live.seq,
                     touched: Instant::now(),
                 };
                 shard.insert(id.to_string(), Slot::Suspended(Box::new(dormant)));
@@ -1855,57 +1882,19 @@ impl<'a> SessionManager<'a> {
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnknownSession`], corrupt/mismatched snapshots
-    /// ([`ServiceError::Session`] / [`ServiceError::Corrupt`]).
+    /// [`ServiceError::UnknownSession`], or
+    /// [`ServiceError::Quarantined`] for a stored record that fails
+    /// validation (corrupt, mismatched or an unsupported version).
     pub fn resume(&self, id: &str) -> ServiceResult<SessionView> {
         self.check_quarantined(id)?;
         let mut shard = self.shard(id).lock().expect("shard lock");
-        match shard.get(id) {
-            Some(Slot::Live(_) | Slot::Finished(_)) => {
-                let slot = shard.get_mut(id).expect("slot exists");
-                slot.touch();
-                Ok(slot.view())
-            }
-            Some(Slot::Suspended(dormant)) => {
-                let spec = dormant.spec.clone();
-                let rehydrated = (|| -> ServiceResult<Live<'a>> {
-                    let record = self.store.load(id)?.ok_or_else(|| {
-                        ServiceError::Corrupt(format!("session {id:?}: meta vanished"))
-                    })?;
-                    let snapshot = record.snapshot.as_deref().ok_or_else(|| {
-                        ServiceError::Corrupt(format!("session {id:?}: snapshot vanished"))
-                    })?;
-                    self.rehydrate(&spec, snapshot)
-                })();
-                match rehydrated {
-                    Ok(live) => {
-                        shard.insert(id.to_string(), Slot::Live(Box::new(live)));
-                        self.bump(|m| &m.sessions_resumed);
-                        Ok(shard.get(id).expect("slot exists").view())
-                    }
-                    Err(e) => {
-                        let e = self.quarantine_on_corruption(id, e);
-                        if matches!(e, ServiceError::Quarantined(_)) {
-                            shard.remove(id);
-                        }
-                        Err(e)
-                    }
-                }
-            }
-            None => {
-                let Some(record) = self.store.load(id)? else {
-                    return Err(ServiceError::UnknownSession(id.to_string()));
-                };
-                let slot = self
-                    .slot_from_store(id, &record)
-                    .map_err(|e| self.quarantine_on_corruption(id, e))?;
-                if matches!(slot, Slot::Live(_)) {
-                    self.bump(|m| &m.sessions_resumed);
-                }
-                shard.insert(id.to_string(), slot);
-                Ok(shard.get(id).expect("slot exists").view())
-            }
+        match self.ensure_live(&mut shard, id) {
+            Ok(()) | Err(ServiceError::AlreadyFinished(_)) => {}
+            Err(e) => return Err(e),
         }
+        let slot = shard.get_mut(id).expect("slot exists");
+        slot.touch();
+        Ok(slot.view())
     }
 
     /// Drops a session's last in-memory bytes, persisting it first if
@@ -1925,18 +1914,7 @@ impl<'a> SessionManager<'a> {
                 if live.engine.has_pending_request() {
                     return Err(ServiceError::RequestOutstanding(id.to_string()));
                 }
-                let snapshot = live.engine.snapshot()?;
-                let view = live.engine.status();
-                let meta = meta_encode(
-                    &live.spec,
-                    SessionState::Suspended,
-                    &view.primary,
-                    view.strata.as_deref(),
-                    view.methods.as_deref(),
-                    view.monitor.as_ref(),
-                    None,
-                );
-                self.store.save(id, &meta, Some(&snapshot))?;
+                live.persist(&self.store, id)?;
                 shard.remove(id);
                 self.bump(|m| &m.sessions_evicted);
                 Ok(())
@@ -1948,17 +1926,7 @@ impl<'a> SessionManager<'a> {
                 Ok(())
             }
             Some(Slot::Finished(finished)) => {
-                let status = finished_status(finished.reason, &finished.result);
-                let meta = meta_encode(
-                    &finished.spec,
-                    SessionState::Finished,
-                    &status,
-                    finished.strata.as_deref(),
-                    finished.methods.as_deref(),
-                    None,
-                    Some((finished.reason, &finished.result)),
-                );
-                self.store.save(id, &meta, None)?;
+                self.store.save(id, &finished.meta(), None)?;
                 shard.remove(id);
                 self.bump(|m| &m.sessions_evicted);
                 Ok(())

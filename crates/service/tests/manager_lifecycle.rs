@@ -200,6 +200,51 @@ fn repolls_are_idempotent_and_stale_submits_are_fenced() {
     let _ = std::fs::remove_dir_all(manager.store().dir());
 }
 
+#[test]
+fn fences_survive_suspend_evict_and_restart() {
+    // poll (seq 1) → submit → suspend → evict → poll again at the same
+    // size → replay the old labels with seq 1: the rehydrated session
+    // must not re-issue seq 1, so the replay is a stale 409 — and so is
+    // the same replay after a restart over the same store.
+    let registry = DatasetRegistry::standard();
+    let store = temp_store("fence-rehydrate");
+    let dir = store.dir().to_path_buf();
+    let mut manager = SessionManager::new(&registry, store, 2);
+    let kg = registry.get("nell").unwrap();
+    let oracle = |request: &kgae_core::AnnotationRequest| -> Vec<bool> {
+        request
+            .triples
+            .iter()
+            .map(|st| kg.is_correct(st.triple))
+            .collect()
+    };
+    manager.create(&spec("r", "nell", "srs", 11)).unwrap();
+    let (request, view) = manager.next_request("r", 4).unwrap();
+    let old = oracle(&request.unwrap());
+    let old_seq = view.pending_seq.unwrap();
+    manager.submit("r", &old, Some(old_seq)).unwrap();
+    for restart in [false, true] {
+        manager.suspend("r").unwrap();
+        manager.evict("r").unwrap();
+        if restart {
+            drop(manager);
+            manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 2);
+        }
+        let (request, view) = manager.next_request("r", 4).unwrap();
+        let fresh = oracle(&request.unwrap());
+        let seq = view.pending_seq.unwrap();
+        assert!(seq > old_seq, "restart {restart}: seq {seq} re-issued");
+        let err = manager.submit("r", &old, Some(old_seq)).unwrap_err();
+        assert!(
+            matches!(err, ServiceError::StaleRequest(_)),
+            "restart {restart}: replay answered {err}"
+        );
+        assert_eq!(err.http_status(), 409);
+        manager.submit("r", &fresh, Some(seq)).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn stratified_spec(id: &str, design: &str, seed: u64) -> SessionSpec {
     SessionSpec {
         epsilon: 0.04,

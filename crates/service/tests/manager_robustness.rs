@@ -277,3 +277,51 @@ fn corrupt_records_are_quarantined_as_410_not_500() {
     assert_eq!(manager.status("victim").unwrap_err().http_status(), 410);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn version_1_snapshots_are_quarantined_as_410_not_500() {
+    // A record stored before the v2 snapshot bump is a typed version
+    // mismatch: deep resume quarantines it, and so does a restart's
+    // recovery sweep.
+    let registry = DatasetRegistry::standard();
+    let kg = registry.get("nell").unwrap();
+    let dir = temp_dir("v1");
+    let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 2);
+    for id in ["live", "boot"] {
+        manager.create(&spec(id, None, 5)).unwrap();
+        let (request, view) = manager.next_request(id, 8).unwrap();
+        let labels: Vec<bool> = request
+            .unwrap()
+            .triples
+            .iter()
+            .map(|st| kg.is_correct(st.triple))
+            .collect();
+        manager.submit(id, &labels, view.pending_seq).unwrap();
+        manager.evict(id).unwrap();
+        let snap_path = dir.join(format!("{id}.snap"));
+        let mut bytes = std::fs::read(&snap_path).unwrap();
+        assert_eq!(bytes[8..10], 2u16.to_le_bytes());
+        bytes[8..10].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&snap_path, &bytes).unwrap();
+    }
+
+    let err = manager.resume("live").unwrap_err();
+    assert!(
+        matches!(err, ServiceError::Quarantined(_)),
+        "expected quarantine, got {err}"
+    );
+    assert_eq!(err.http_status(), 410);
+    assert!(
+        std::fs::read_to_string(dir.join("quarantine").join("live.reason"))
+            .unwrap()
+            .contains("unsupported version")
+    );
+
+    drop(manager);
+    let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 2);
+    for id in ["live", "boot"] {
+        let err = manager.next_request(id, 8).map(|_| ()).unwrap_err();
+        assert_eq!(err.http_status(), 410, "{id}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

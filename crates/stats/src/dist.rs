@@ -1,20 +1,11 @@
 //! Probability distributions built on the scalar kernels of [`crate::special`].
 //!
 //! The central object is [`Beta`], the conjugate posterior family of the
-//! whole credible-interval machinery. Two performance properties matter
-//! to the evaluation framework's hot loop and are guaranteed here:
-//!
-//! 1. **Cached normalization constant.** `ln B(α, β)` (three `ln_gamma`
-//!    evaluations) is computed once at construction and threaded through
-//!    every `pdf` / `cdf` / `quantile` call via the `*_pre` kernel
-//!    variants, so repeated interval construction on one posterior never
-//!    re-derives it.
-//! 2. **Incremental conjugate updates.** [`Beta::observe`] advances the
-//!    posterior by a single Bernoulli observation using the recurrences
-//!    `ln B(α+1, β) = ln B(α, β) + ln α − ln(α+β)` and
-//!    `ln B(α, β+1) = ln B(α, β) + ln β − ln(α+β)` — two `ln`s instead
-//!    of three `ln_gamma`s — which is what makes the per-annotation
-//!    posterior maintenance of the evaluation loop O(1).
+//! whole credible-interval machinery. Its normalization constant
+//! `ln B(α, β)` (three `ln_gamma` evaluations) is computed once at
+//! construction and threaded through every `pdf` / `cdf` / `quantile`
+//! call via the `*_pre` kernel variants, so repeated interval
+//! construction on one posterior never re-derives it.
 //!
 //! [`Binomial`], [`StudentT`] and [`Normal`] cover the remaining needs:
 //! exact coverage sums, the significance tests of the experiment tables,
@@ -42,10 +33,13 @@ pub enum BetaShape {
     /// `α > 1, β > 1`: interior mode, the standard case.
     Unimodal,
     /// `α ≥ 1, β ≤ 1` (not both 1): density increasing toward 1 — the
-    /// all-correct limiting case.
+    /// all-correct limiting case. Also `α, β > 1` when the mode rounds
+    /// onto 1 (`β` a few ulps above 1): no interior peak is
+    /// representable, so the posterior is its monotone limit.
     Increasing,
     /// `α ≤ 1, β ≥ 1` (not both 1): density decreasing from 0 — the
-    /// all-incorrect limiting case.
+    /// all-incorrect limiting case. Also `α, β > 1` when the mode
+    /// rounds onto 0.
     Decreasing,
     /// `α = β = 1`: the uniform density.
     Uniform,
@@ -59,8 +53,7 @@ pub enum BetaShape {
 pub struct Beta {
     alpha: f64,
     beta: f64,
-    /// `ln B(α, β)`, computed once and advanced incrementally by
-    /// [`Beta::observe`].
+    /// `ln B(α, β)`, computed once.
     ln_norm: f64,
 }
 
@@ -88,68 +81,6 @@ impl Beta {
     #[inline]
     pub fn beta(&self) -> f64 {
         self.beta
-    }
-
-    /// The cached normalization constant `ln B(α, β)`.
-    #[must_use]
-    #[inline]
-    pub fn ln_norm(&self) -> f64 {
-        self.ln_norm
-    }
-
-    /// Rebuilds a `Beta` from raw parts captured off a live instance
-    /// (`alpha()`, `beta()`, `ln_norm()`), **preserving the cached
-    /// normalizer bit for bit**.
-    ///
-    /// This exists for suspend/resume snapshots: a posterior advanced by
-    /// a chain of [`Beta::observe`] recurrences carries a normalizer
-    /// that can differ in the last ulp from a fresh `ln_beta(α, β)`
-    /// evaluation, and resumed evaluations must construct bit-identical
-    /// intervals. Do not feed this parameters that did not come from a
-    /// live instance.
-    ///
-    /// # Errors
-    ///
-    /// Rejects non-finite or non-positive shape parameters (the same
-    /// domain as [`Beta::new`]) and a non-finite normalizer.
-    pub fn from_raw_parts(alpha: f64, beta: f64, ln_norm: f64) -> Result<Beta> {
-        check_positive("alpha", alpha)?;
-        check_positive("beta", beta)?;
-        if !ln_norm.is_finite() {
-            return Err(StatsError::InvalidParameter {
-                name: "ln_norm",
-                value: ln_norm,
-                constraint: "must be finite",
-            });
-        }
-        Ok(Beta {
-            alpha,
-            beta,
-            ln_norm,
-        })
-    }
-
-    /// Posterior after one more Bernoulli observation: `α+1` on success,
-    /// `β+1` on failure. The normalization constant is advanced by the
-    /// beta-function recurrence (two `ln`s; no `ln_gamma`), so a chain of
-    /// `observe` calls is O(1) each and bit-reproducible regardless of
-    /// when intervals are constructed along the chain.
-    #[must_use]
-    pub fn observe(&self, success: bool) -> Beta {
-        let nu = self.alpha + self.beta;
-        if success {
-            Beta {
-                alpha: self.alpha + 1.0,
-                beta: self.beta,
-                ln_norm: self.ln_norm + self.alpha.ln() - nu.ln(),
-            }
-        } else {
-            Beta {
-                alpha: self.alpha,
-                beta: self.beta + 1.0,
-                ln_norm: self.ln_norm + self.beta.ln() - nu.ln(),
-            }
-        }
     }
 
     /// Mean `α / (α + β)`.
@@ -188,7 +119,14 @@ impl Beta {
     pub fn shape(&self) -> BetaShape {
         let (a, b) = (self.alpha, self.beta);
         if a > 1.0 && b > 1.0 {
-            BetaShape::Unimodal
+            let mode = (a - 1.0) / (a + b - 2.0);
+            if mode >= 1.0 {
+                BetaShape::Increasing
+            } else if mode <= 0.0 {
+                BetaShape::Decreasing
+            } else {
+                BetaShape::Unimodal
+            }
         } else if a < 1.0 && b < 1.0 {
             BetaShape::UShaped
         } else if a == 1.0 && b == 1.0 {
@@ -546,6 +484,18 @@ mod tests {
         assert_eq!(Beta::new(1.0, 2.0).unwrap().shape(), BetaShape::Decreasing);
         assert_eq!(Beta::new(0.5, 1.0).unwrap().shape(), BetaShape::Decreasing);
         assert!(Beta::new(30.0, 0.5).unwrap().mode().is_none());
+        // A mode that rounds onto the boundary classifies as the
+        // monotone limit it rounds to.
+        let eps = 2.0 * f64::EPSILON;
+        assert_eq!(
+            Beta::new(10.0, 1.0 + eps).unwrap().shape(),
+            BetaShape::Increasing
+        );
+        assert!(Beta::new(10.0, 1.0 + eps).unwrap().mode().is_none());
+        assert_eq!(
+            Beta::new(10.0, 1.0 + 1e-9).unwrap().shape(),
+            BetaShape::Unimodal
+        );
     }
 
     #[test]
@@ -581,36 +531,10 @@ mod tests {
             (5000.0, 100.0),
         ] {
             let d = Beta::new(a, b).unwrap();
-            assert_close(d.ln_norm(), ln_beta(a, b), 1e-13, "cached ln B");
+            assert_close(d.ln_norm, ln_beta(a, b), 1e-13, "cached ln B");
             for &x in &[0.01, 0.3, 0.9, 0.999] {
                 assert_close(d.cdf(x), betainc(a, b, x).unwrap(), 1e-13, "cdf vs betainc");
             }
-        }
-    }
-
-    #[test]
-    fn observe_matches_fresh_construction() {
-        // The incremental recurrence tracks Beta::new to ~1 ulp per step
-        // over hundreds of updates (the framework's whole working range).
-        let mut post = Beta::new(1.0 / 3.0, 1.0 / 3.0).unwrap();
-        let mut tau = 0u64;
-        for i in 0..400u64 {
-            let success = i % 10 != 3;
-            post = post.observe(success);
-            if success {
-                tau += 1;
-            }
-            let fresh =
-                Beta::new(1.0 / 3.0 + tau as f64, 1.0 / 3.0 + (i + 1 - tau) as f64).unwrap();
-            assert_close(post.alpha(), fresh.alpha(), 1e-9, "alpha");
-            assert_close(post.beta(), fresh.beta(), 1e-9, "beta");
-            assert!(
-                (post.ln_norm() - fresh.ln_norm()).abs()
-                    <= 1e-12 * fresh.ln_norm().abs().max(1.0) * (i + 1) as f64,
-                "ln_norm drift at step {i}: {} vs {}",
-                post.ln_norm(),
-                fresh.ln_norm()
-            );
         }
     }
 
@@ -728,7 +652,7 @@ mod tests {
         let (a, b) = (4.5, 2.5);
         let d = Beta::new(a, b).unwrap();
         assert_close(
-            d.ln_norm(),
+            d.ln_norm,
             ln_gamma(a) + ln_gamma(b) - ln_gamma(a + b),
             1e-13,
             "definition",

@@ -54,8 +54,8 @@ pub fn betainc(a: f64, b: f64, x: f64) -> Result<f64> {
 ///
 /// The continued-fraction prefactor needs `ln B(a, b)` — three `ln_gamma`
 /// evaluations — on every call. Posterior objects cache that constant
-/// once at construction (and advance it incrementally across conjugate
-/// updates), so the per-`cdf` cost drops to the continued fraction alone.
+/// once at construction, so the per-`cdf` cost drops to the continued
+/// fraction alone.
 /// Passing a wrong constant silently yields a wrong result; callers are
 /// expected to own the invariant.
 pub fn betainc_pre(a: f64, b: f64, x: f64, ln_beta_ab: f64) -> Result<f64> {
