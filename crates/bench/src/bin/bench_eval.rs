@@ -1,528 +1,157 @@
-//! Machine-readable evaluation-loop benchmark: emits `BENCH_eval.json`.
+//! Kernel-cache A/B: the shared posterior-kernel memo table on vs. off,
+//! in the deployment shape the service uses (one cache shared by every
+//! campaign of a tenant pool), on three cells of the NELL twins:
 //!
-//! Measures, on the NELL twin (the paper's canonical mixed-accuracy
-//! dataset):
+//! * aHPD/SRS poll-driven sessions at batch 1 — one interval solve per
+//!   annotation, the per-poll regime the cache targets;
+//! * comparative campaigns (Wald/Wilson/ET/aHPD racing one SRS stream,
+//!   primary aHPD) — several solves per annotation over a shared
+//!   `(τ, n)` grid;
+//! * stratified width-greedy campaigns on the NELL predicate twin at
+//!   ε = 0.03 — low-variance strata retrace short posterior paths.
 //!
-//! * repetitions/second and per-annotation latency for every
-//!   (design × method) cell of {SRS, TWCS(m=3)} × {Wald, Wilson, aHPD},
-//!   single-threaded (scheduling-free numbers);
-//! * the within-PR A/B: the certified-lookahead path (`StoppingPolicy::CertifiedLookahead`, the default) against
-//!   the naive per-annotation path (`StoppingPolicy::EveryUnit`, paper
-//!   Figure 1 literal) on the aHPD/SRS and aHPD/TWCS(3) cells,
-//!   verifying bit-identical stopping statistics and interval bits
-//!   across every repetition;
-//! * parallel harness throughput (work-stealing runner) on the aHPD/SRS
-//!   cell;
-//! * poll-based `EvaluationSession` throughput on the same cell at
-//!   annotation batch sizes 1/16/256, each verified bit-identical to
-//!   the closed-loop path;
-//! * stratified width-greedy vs. proportional allocation on the NELL
-//!   predicate twin (width-greedy must win);
-//! * comparative multi-method campaigns (one shared SRS stream racing
-//!   Wald/Wilson/ET/aHPD, primary aHPD) against four independent
-//!   single-method campaigns — the shared stream must use strictly
-//!   fewer annotations and the primary must stay bit-identical to the
-//!   standalone aHPD runs;
-//! * the kernel-cache A/B (`kernel_cache`): the shared posterior-kernel
-//!   memo table on vs. off, on the aHPD/SRS, comparative and
-//!   stratified cells — cache-on must win every cell (≥ 1.25× on
-//!   aHPD/SRS) while stopping bit-identically, and the steady-state
-//!   hit rate is recorded;
-//! * monitor carryover load (`monitor_load`): long-lived
-//!   `MonitorSession`s absorb a removal-heavy drift of the NELL twin
-//!   and re-certify from the surviving posterior — the carryover
-//!   campaigns must reach the MoE target with materially fewer
-//!   annotations than restarting each audit from scratch.
+//! Each cell runs 5 alternating off/on pairs. An arm is a warm-up
+//! campaign followed by the seeded campaigns (seeds from `0xBE5C`), and
+//! every on-arm starts from a fresh cache that all its campaigns share.
+//! The cache memoizes exact solver outputs keyed by the full method
+//! configuration, so every pair must stop bit-identically. The speed
+//! gates are decided on the median per-pair speedup (off wall / on
+//! wall): cache-on must beat cache-off in every cell, and by at least
+//! 1.25× on aHPD/SRS. Every pair and the IQR of the speedups is
+//! printed; the run exits non-zero naming each failing cell and gate.
 //!
-//! Usage: `cargo run --release -p kgae-bench --bin bench_eval [--reps N]
-//! [--out PATH]`.
+//! Only the speed ratio needs timing: the deterministic claims about
+//! these campaigns (lookahead and batching equivalence, the stratified,
+//! comparative and monitor savings) are workspace tests, and repeatable
+//! throughput figures come from `perfbench`.
+//!
+//! Usage: `cargo run --release -p kgae-bench --bin bench_eval [-- --reps
+//! N]` — N campaigns per aHPD/SRS arm (default 600) and N/10, clamped
+//! to 10–80, per comparative and stratified arm.
 
-use kgae_bench::{arg_value, drive_session_oracle, reps_from_args};
+use kgae_bench::reps_from_args;
 use kgae_core::comparative::ComparativeSession;
 use kgae_core::{
-    compared_methods, evaluate, evaluate_prepared, repeat_evaluation, AnnotationRequest,
-    ComparativeResult, DeltaBatch, EvalConfig, EvalResult, EvaluationSession, IntervalMethod,
-    MonitorSession, OracleAnnotator, PreparedDesign, SamplingDesign, SessionEngine, StoppingPolicy,
-    StratifiedConfig, StratifiedResult, StratifiedSession,
+    AnnotationRequest, EvalConfig, EvaluationSession, IntervalMethod, PreparedDesign,
+    SamplingDesign, StratifiedConfig, StratifiedSession,
 };
-use kgae_graph::{CompactKg, DeltaKg, GroundTruth, KnowledgeGraph};
+use kgae_graph::GroundTruth;
 use kgae_intervals::KernelCache;
 use kgae_sampling::{AllocationPolicy, ComparePrimary};
+use kgae_stats::descriptive::{median, percentile};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-struct CellStats {
-    design: String,
-    method: String,
-    reps: u64,
-    wall_seconds: f64,
-    total_observations: u64,
-    mean_triples: f64,
+/// Times one arm: a warm-up campaign, then `reps` seeded campaigns.
+fn time_arm<R>(reps: u64, base_seed: u64, run: impl Fn(u64) -> R) -> (f64, Vec<R>) {
+    let _ = run(base_seed);
+    let t0 = Instant::now();
+    let results: Vec<R> = (0..reps)
+        .map(|rep| run(base_seed.wrapping_add(rep)))
+        .collect();
+    (t0.elapsed().as_secs_f64(), results)
 }
 
-impl CellStats {
-    fn reps_per_sec(&self) -> f64 {
-        self.reps as f64 / self.wall_seconds
-    }
-
-    fn ns_per_annotation(&self) -> f64 {
-        self.wall_seconds * 1e9 / self.total_observations as f64
-    }
-}
-
-/// One lookahead-vs-`EveryUnit` A/B row: the same seeded campaigns
-/// under both stopping policies.
-struct AbRow {
-    cell: &'static str,
-    naive: CellStats,
-    fast: CellStats,
-    identical_stopping: bool,
-    identical_intervals: bool,
-}
-
-impl AbRow {
-    fn speedup(&self) -> f64 {
-        self.naive.wall_seconds / self.fast.wall_seconds
-    }
-}
-
-/// Runs `reps` sequential evaluations and also returns the per-rep
-/// results (for the A/B identity check).
-fn run_cell(
-    kg: &CompactKg,
-    design: SamplingDesign,
-    method: &IntervalMethod,
-    cfg: &EvalConfig,
+/// Runs one cell's 5 alternating off/on pairs and returns its failed
+/// gates: bit-identity in any pair, then the median speedup against
+/// cache-off and against the cell's `floor`.
+fn ab_cell<R: PartialEq>(
+    cell: &str,
     reps: u64,
     base_seed: u64,
-) -> (CellStats, Vec<EvalResult>) {
-    let prepared = PreparedDesign::new(kg, design);
-    // Warm-up pass so one-time costs (PPS table faults, allocator) stay
-    // out of the measurement.
-    let mut rng = SmallRng::seed_from_u64(base_seed);
-    let _ = evaluate_prepared(kg, &OracleAnnotator, &prepared, method, cfg, &mut rng);
-
-    let mut results = Vec::with_capacity(reps as usize);
-    let t0 = Instant::now();
-    for rep in 0..reps {
-        let mut rng = SmallRng::seed_from_u64(base_seed.wrapping_add(rep));
-        let r = evaluate_prepared(kg, &OracleAnnotator, &prepared, method, cfg, &mut rng)
-            .expect("evaluation must not fail");
-        results.push(r);
+    floor: Option<f64>,
+    run: impl Fn(Option<&Arc<KernelCache>>, u64) -> R,
+) -> Vec<String> {
+    let mut failures = Vec::new();
+    let mut speedups = Vec::new();
+    for pair in 1..=5 {
+        let (off_wall, off) = time_arm(reps, base_seed, |seed| run(None, seed));
+        let cache = Arc::new(KernelCache::new());
+        let (on_wall, on) = time_arm(reps, base_seed, |seed| run(Some(&cache), seed));
+        let speedup = off_wall / on_wall;
+        eprintln!(
+            "kernel_cache {cell:<11} pair {pair}: off {:>7.1} ms, on {:>7.1} ms → {speedup:.2}× \
+             (hit rate {:.1}%, identical stopping: {})",
+            1e3 * off_wall,
+            1e3 * on_wall,
+            100.0 * cache.stats().hit_rate(),
+            off == on,
+        );
+        if off != on {
+            failures.push(format!(
+                "{cell}: bit-identity — cached campaigns diverged from uncached in pair {pair}"
+            ));
+        }
+        speedups.push(speedup);
     }
-    let wall_seconds = t0.elapsed().as_secs_f64();
-    let total_observations: u64 = results.iter().map(|r| r.observations).sum();
-    let mean_triples = results
-        .iter()
-        .map(|r| r.annotated_triples as f64)
-        .sum::<f64>()
-        / reps as f64;
-    (
-        CellStats {
-            design: design.name(),
-            method: method.name(),
-            reps,
-            wall_seconds,
-            total_observations,
-            mean_triples,
-        },
-        results,
-    )
-}
-
-fn json_cell(out: &mut String, c: &CellStats) {
-    let _ = write!(
-        out,
-        "    {{\"design\": \"{}\", \"method\": \"{}\", \"reps\": {}, \
-         \"wall_seconds\": {:.6}, \"reps_per_sec\": {:.2}, \
-         \"ns_per_annotation\": {:.1}, \"mean_triples\": {:.2}}}",
-        c.design,
-        c.method,
-        c.reps,
-        c.wall_seconds,
-        c.reps_per_sec(),
-        c.ns_per_annotation(),
-        c.mean_triples,
+    let median_speedup = median(&speedups);
+    let iqr = percentile(&speedups, 0.75) - percentile(&speedups, 0.25);
+    eprintln!(
+        "kernel_cache {cell:<11}: median speedup {median_speedup:.2}× (IQR {iqr:.2}) over \
+         {} pairs of {reps} campaigns",
+        speedups.len()
     );
+    if median_speedup <= 1.0 {
+        failures.push(format!(
+            "{cell}: beats cache-off — median speedup {median_speedup:.2}× (IQR {iqr:.2})"
+        ));
+    }
+    if let Some(floor) = floor.filter(|&floor| median_speedup < floor) {
+        failures.push(format!(
+            "{cell}: {floor}× floor — median speedup {median_speedup:.2}× (IQR {iqr:.2})"
+        ));
+    }
+    failures
 }
 
 fn main() {
-    // CI smoke steps gate on the exit code: any failure — I/O included —
-    // must exit non-zero, never print-and-return.
-    if let Err(message) = run() {
-        eprintln!("bench_eval: FAILED: {message}");
-        std::process::exit(1);
-    }
-}
-
-fn run() -> Result<(), String> {
-    let reps: u64 = reps_from_args(600);
-    let out_path: String = arg_value("--out").unwrap_or_else(|| "BENCH_eval.json".into());
-    let kg = kgae_graph::datasets::nell();
-    if kg.num_triples() == 0 {
-        return Err("NELL dataset loaded empty".into());
-    }
+    let reps = reps_from_args(600);
+    let small_reps = (reps / 10).clamp(10, 80);
     let base_seed = 0xBE5C_u64;
-
-    let lookahead_cfg = EvalConfig::default(); // CertifiedLookahead
-    let naive_cfg = EvalConfig {
-        stopping: StoppingPolicy::EveryUnit,
-        ..EvalConfig::default()
-    };
-
-    // ------------------------------------------------------------------
-    // Grid: {SRS, TWCS(3)} × {Wald, Wilson, aHPD}, default (fast) path.
-    // ------------------------------------------------------------------
-    let designs = [SamplingDesign::Srs, SamplingDesign::Twcs { m: 3 }];
-    let methods = [
-        IntervalMethod::Wald,
-        IntervalMethod::Wilson,
-        IntervalMethod::ahpd_default(),
-    ];
-    let mut cells = Vec::new();
-    for design in designs {
-        for method in &methods {
-            let (stats, _) = run_cell(&kg, design, method, &lookahead_cfg, reps, base_seed);
-            eprintln!(
-                "{:>9} / {:<6}: {:>9.1} reps/s, {:>8.0} ns/annotation, {:>6.1} triples/rep",
-                stats.design,
-                stats.method,
-                stats.reps_per_sec(),
-                stats.ns_per_annotation(),
-                stats.mean_triples,
-            );
-            cells.push(stats);
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // A/B: certified lookahead vs. naive per-annotation interval
-    // construction, on aHPD/SRS and
-    // aHPD/TWCS(3).
-    // ------------------------------------------------------------------
-    let ahpd = IntervalMethod::ahpd_default();
-    let mut ab_rows = Vec::new();
-    // The aHPD/SRS lookahead runs, reused by the legs below.
-    let mut fast_results = Vec::new();
-    for (cell, design) in [
-        ("aHPD/SRS", SamplingDesign::Srs),
-        ("aHPD/TWCS(3)", SamplingDesign::Twcs { m: 3 }),
-    ] {
-        let (naive, naive_results) = run_cell(&kg, design, &ahpd, &naive_cfg, reps, base_seed);
-        let (fast, results) = run_cell(&kg, design, &ahpd, &lookahead_cfg, reps, base_seed);
-        let pairs = || naive_results.iter().zip(&results);
-        let row = AbRow {
-            cell,
-            identical_stopping: pairs().all(|(a, b)| {
-                a.observations == b.observations
-                    && a.annotated_triples == b.annotated_triples
-                    && a.mu_hat == b.mu_hat
-                    && a.converged == b.converged
-            }),
-            identical_intervals: pairs().all(|(a, b)| {
-                a.interval.lower().to_bits() == b.interval.lower().to_bits()
-                    && a.interval.upper().to_bits() == b.interval.upper().to_bits()
-            }),
-            naive,
-            fast,
-        };
-        eprintln!(
-            "A/B {cell}: naive {:.1} reps/s vs lookahead {:.1} reps/s → {:.2}× \
-             (identical stopping: {}, identical intervals: {})",
-            row.naive.reps_per_sec(),
-            row.fast.reps_per_sec(),
-            row.speedup(),
-            row.identical_stopping,
-            row.identical_intervals,
-        );
-        ab_rows.push(row);
-        if design == SamplingDesign::Srs {
-            fast_results = results;
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Poll-based session engine at several annotation batch sizes, on
-    // the same aHPD/SRS cell; results must match the closed-loop path
-    // bit for bit at every batch size.
-    // ------------------------------------------------------------------
-    struct SessionRow {
-        batch: u64,
-        wall_seconds: f64,
-        total_observations: u64,
-        identical: bool,
-    }
-    let prepared_srs = PreparedDesign::new(&kg, SamplingDesign::Srs);
-    let mut session_rows = Vec::new();
-    for batch in [1u64, 16, 256] {
-        let _ = drive_session_oracle(&kg, &prepared_srs, &ahpd, &lookahead_cfg, base_seed, batch);
-        let mut results = Vec::with_capacity(reps as usize);
-        let t0 = Instant::now();
-        for rep in 0..reps {
-            let (r, _requests) = drive_session_oracle(
-                &kg,
-                &prepared_srs,
-                &ahpd,
-                &lookahead_cfg,
-                base_seed.wrapping_add(rep),
-                batch,
-            );
-            results.push(r);
-        }
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        let identical = fast_results == results;
-        let total_observations: u64 = results.iter().map(|r| r.observations).sum();
-        eprintln!(
-            "session aHPD/SRS batch {batch:>3}: {:>9.1} reps/s (identical to loop: {identical})",
-            reps as f64 / wall_seconds,
-        );
-        session_rows.push(SessionRow {
-            batch,
-            wall_seconds,
-            total_observations,
-            identical,
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // Stratified campaigns: width-greedy vs proportional budget
-    // allocation on the NELL predicate twin. Both arms run the same
-    // pooled-MoE target; the acceptance claim is that width-greedy
-    // reaches it with fewer annotations (per-predicate accuracies span
-    // 0.45–0.99, so per-stratum variances differ by ~25×).
-    // ------------------------------------------------------------------
+    let kg = kgae_graph::datasets::nell();
     let (pred_kg, pred_strat) = kgae_graph::datasets::nell_by_predicate();
-    let strat_epsilon = 0.03;
-    let strat_reps = (reps / 10).clamp(10, 80);
-    let run_allocation = |allocation: AllocationPolicy| -> Result<f64, String> {
-        let mut total_observations = 0u64;
-        for rep in 0..strat_reps {
-            let cfg = StratifiedConfig {
-                allocation,
-                epsilon: strat_epsilon,
-                ..StratifiedConfig::default()
-            };
-            let mut session = StratifiedSession::new(
-                &pred_kg,
-                &pred_strat,
-                &ahpd,
-                &cfg,
-                base_seed.wrapping_add(rep),
-            );
-            let mut labels = Vec::new();
-            while let Some(req) = session
-                .next_request(8)
-                .map_err(|e| format!("stratified poll: {e}"))?
-            {
-                labels.clear();
-                labels.extend(
-                    req.request
-                        .triples
-                        .iter()
-                        .map(|st| pred_kg.is_correct(st.triple)),
-                );
-                session
-                    .submit(&labels)
-                    .map_err(|e| format!("stratified submit: {e}"))?;
-            }
-            let result = session
-                .into_result()
-                .ok_or("stratified campaign ended without a result")?;
-            if !result.pooled.converged {
-                return Err(format!(
-                    "stratified campaign ({}) failed to converge",
-                    allocation.canonical_name()
-                ));
-            }
-            total_observations += result.pooled.observations;
-        }
-        Ok(total_observations as f64 / strat_reps as f64)
+    let ahpd = IntervalMethod::ahpd_default();
+    let cfg = EvalConfig::default();
+    let prepared_srs = PreparedDesign::new(&kg, SamplingDesign::Srs);
+    let strat_cfg = StratifiedConfig {
+        allocation: AllocationPolicy::WidthGreedy,
+        epsilon: 0.03,
+        ..StratifiedConfig::default()
     };
-    let greedy_mean = run_allocation(AllocationPolicy::WidthGreedy)?;
-    let proportional_mean = run_allocation(AllocationPolicy::Proportional)?;
-    let stratified_savings = 1.0 - greedy_mean / proportional_mean;
-    eprintln!(
-        "stratified NELL-pred (ε = {strat_epsilon}): width-greedy {greedy_mean:.1} vs \
-         proportional {proportional_mean:.1} annotations/campaign → {:.1}% saved",
-        100.0 * stratified_savings,
-    );
 
-    // ------------------------------------------------------------------
-    // Comparative multi-method campaigns: one shared SRS stream fanned
-    // out to the full roster (Wald/Wilson/ET/aHPD, primary aHPD) vs.
-    // four independent single-method campaigns with the same seeds. The
-    // acceptance claims: the shared stream prices the whole comparison
-    // table strictly below the independent campaigns, and the primary
-    // stays bit-identical to the standalone aHPD runs above.
-    // ------------------------------------------------------------------
-    let comp_reps = (reps / 10).clamp(10, 80).min(reps);
-    let comp_primary = ComparePrimary::AHpd;
-    let primary_index = comp_primary.roster_index();
-    let roster = compared_methods();
-    // The identity check and the primary-arm reuse below lean on
-    // `fast_results` being standalone runs of exactly this method.
-    assert_eq!(roster[primary_index], ahpd, "primary must stay aHPD");
-    let mut shared_observations = 0u64;
-    let mut independent_observations = 0u64;
-    let mut primary_identical = true;
-    // Per roster method: (reps whose own MoE fired inside the shared
-    // stream, summed counterfactual stopping points).
-    let mut rival_stops = vec![(0u64, 0u64); roster.len()];
-    for rep in 0..comp_reps {
-        let seed = base_seed.wrapping_add(rep);
-        let mut session =
-            ComparativeSession::new(&kg, &prepared_srs, comp_primary, &lookahead_cfg, seed);
-        let mut labels = Vec::new();
-        while let Some(request) = session
-            .next_request(1)
-            .map_err(|e| format!("comparative poll: {e}"))?
+    let mut failures = ab_cell("aHPD/SRS", reps, base_seed, Some(1.25), |kernel, seed| {
+        let mut session = EvaluationSession::from_prepared(
+            &kg,
+            &prepared_srs,
+            &ahpd,
+            &cfg,
+            SmallRng::seed_from_u64(seed),
+        );
+        if let Some(kernel) = kernel {
+            session.set_kernel_cache(Arc::clone(kernel));
+        }
+        let mut request = AnnotationRequest::default();
+        let mut labels: Vec<bool> = Vec::new();
+        while session
+            .next_request_into(1, &mut request)
+            .expect("session protocol")
         {
             labels.clear();
             labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
-            session
-                .submit(&labels)
-                .map_err(|e| format!("comparative submit: {e}"))?;
+            session.submit(&labels).expect("label submission");
         }
-        let result = session
-            .into_result()
-            .ok_or("comparative campaign ended without a result")?;
-        primary_identical &= result.primary == fast_results[rep as usize];
-        shared_observations += result.primary.observations;
-        for (i, row) in result.methods.iter().enumerate() {
-            // Guard on `converged`, not `stopped_at`: the primary row
-            // carries a stopping point on budget/stream stops too.
-            if let (true, Some(at)) = (row.converged, row.stopped_at) {
-                rival_stops[i].0 += 1;
-                rival_stops[i].1 += at;
-            }
-        }
-        for (i, method) in roster.iter().enumerate() {
-            // The primary arm re-uses the measured standalone results;
-            // the other three run their own campaigns.
-            independent_observations += if i == primary_index {
-                fast_results[rep as usize].observations
-            } else {
-                let mut rng = SmallRng::seed_from_u64(seed);
-                evaluate_prepared(
-                    &kg,
-                    &OracleAnnotator,
-                    &prepared_srs,
-                    method,
-                    &lookahead_cfg,
-                    &mut rng,
-                )
-                .map_err(|e| format!("independent {} campaign: {e}", method.name()))?
-                .observations
-            };
-        }
-    }
-    let shared_mean = shared_observations as f64 / comp_reps as f64;
-    let independent_mean = independent_observations as f64 / comp_reps as f64;
-    let comparative_savings = 1.0 - shared_mean / independent_mean;
-    eprintln!(
-        "comparative NELL (primary aHPD): shared stream {shared_mean:.1} vs four independent \
-         campaigns {independent_mean:.1} annotations → {:.1}% saved \
-         (primary identical: {primary_identical})",
-        100.0 * comparative_savings,
-    );
-
-    // ------------------------------------------------------------------
-    // Kernel-cache A/B: the shared posterior-kernel memo table on vs.
-    // off, in the deployment shape the service uses (one cache shared
-    // by every campaign of a tenant pool). The cache memoizes exact
-    // solver outputs keyed by the full method configuration, so a hit
-    // returns the same f64 bits a fresh solve would — cached and
-    // uncached arms must therefore stop bit-identically, and the gate
-    // below enforces it. Each on-arm reuses one cache across all reps
-    // (after a warm-up rep), so the numbers are steady-state hit
-    // rates, not cold-start.
-    // ------------------------------------------------------------------
-    struct CacheAbRow {
-        cell: &'static str,
-        reps: u64,
-        off_wall: f64,
-        on_wall: f64,
-        off_observations: u64,
-        on_observations: u64,
-        hit_rate: f64,
-        identical: bool,
-    }
-    impl CacheAbRow {
-        fn speedup(&self) -> f64 {
-            self.off_wall / self.on_wall
-        }
-
-        fn off_ns(&self) -> f64 {
-            self.off_wall * 1e9 / self.off_observations as f64
-        }
-
-        fn on_ns(&self) -> f64 {
-            self.on_wall * 1e9 / self.on_observations as f64
-        }
-    }
-    // Times one arm: a warm-up run, then `arm_reps` seeded campaigns.
-    fn time_arm<R>(arm_reps: u64, base_seed: u64, run: impl Fn(u64) -> R) -> (f64, Vec<R>) {
-        let _ = run(base_seed);
-        let t0 = Instant::now();
-        let results: Vec<R> = (0..arm_reps)
-            .map(|rep| run(base_seed.wrapping_add(rep)))
-            .collect();
-        (t0.elapsed().as_secs_f64(), results)
-    }
-    let mut cache_rows: Vec<CacheAbRow> = Vec::new();
-
-    // Cell 1: aHPD/SRS poll-driven sessions, batch 1 — one interval
-    // solve per annotation, the per-poll regime the cache targets.
-    {
-        let drive_plain = |kernel: Option<&Arc<KernelCache>>, seed: u64| -> EvalResult {
-            let mut session = EvaluationSession::from_prepared(
-                &kg,
-                &prepared_srs,
-                &ahpd,
-                &lookahead_cfg,
-                SmallRng::seed_from_u64(seed),
-            );
-            if let Some(kernel) = kernel {
-                session.set_kernel_cache(Arc::clone(kernel));
-            }
-            let mut request = AnnotationRequest::default();
-            let mut labels: Vec<bool> = Vec::new();
-            while session
-                .next_request_into(1, &mut request)
-                .expect("session protocol")
-            {
-                labels.clear();
-                labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
-                session.submit(&labels).expect("label submission");
-            }
-            session.into_result().expect("stopped session has a result")
-        };
-        let (off_wall, off_results) = time_arm(reps, base_seed, |seed| drive_plain(None, seed));
-        let cache = Arc::new(KernelCache::new());
-        let (on_wall, on_results) =
-            time_arm(reps, base_seed, |seed| drive_plain(Some(&cache), seed));
-        cache_rows.push(CacheAbRow {
-            cell: "aHPD/SRS",
-            reps,
-            off_wall,
-            on_wall,
-            off_observations: off_results.iter().map(|r| r.observations).sum(),
-            on_observations: on_results.iter().map(|r| r.observations).sum(),
-            hit_rate: cache.stats().hit_rate(),
-            identical: off_results == on_results,
-        });
-    }
-
-    // Cell 2: comparative campaigns — four solvers share one SRS
-    // stream, so every annotation pays several interval solves and the
-    // roster revisits the same (τ, n) grid across methods and reps.
-    {
-        let drive_comp = |kernel: Option<&Arc<KernelCache>>, seed: u64| -> ComparativeResult {
+        session.into_result().expect("stopped session has a result")
+    });
+    failures.extend(ab_cell(
+        "comparative",
+        small_reps,
+        base_seed,
+        None,
+        |kernel, seed| {
             let mut session =
-                ComparativeSession::new(&kg, &prepared_srs, comp_primary, &lookahead_cfg, seed);
+                ComparativeSession::new(&kg, &prepared_srs, ComparePrimary::AHpd, &cfg, seed);
             if let Some(kernel) = kernel {
                 session.set_kernel_cache(kernel);
             }
@@ -533,32 +162,14 @@ fn run() -> Result<(), String> {
                 session.submit(&labels).expect("comparative submit");
             }
             session.into_result().expect("comparative result")
-        };
-        let (off_wall, off_results) = time_arm(comp_reps, base_seed, |seed| drive_comp(None, seed));
-        let cache = Arc::new(KernelCache::new());
-        let (on_wall, on_results) =
-            time_arm(comp_reps, base_seed, |seed| drive_comp(Some(&cache), seed));
-        cache_rows.push(CacheAbRow {
-            cell: "comparative",
-            reps: comp_reps,
-            off_wall,
-            on_wall,
-            off_observations: off_results.iter().map(|r| r.primary.observations).sum(),
-            on_observations: on_results.iter().map(|r| r.primary.observations).sum(),
-            hit_rate: cache.stats().hit_rate(),
-            identical: off_results == on_results,
-        });
-    }
-
-    // Cell 3: stratified campaigns — every stratum is an SRS session,
-    // and low-variance strata retrace the same short posterior paths.
-    {
-        let strat_cfg = StratifiedConfig {
-            allocation: AllocationPolicy::WidthGreedy,
-            epsilon: strat_epsilon,
-            ..StratifiedConfig::default()
-        };
-        let drive_strat = |kernel: Option<&Arc<KernelCache>>, seed: u64| -> StratifiedResult {
+        },
+    ));
+    failures.extend(ab_cell(
+        "stratified",
+        small_reps,
+        base_seed,
+        None,
+        |kernel, seed| {
             let mut session =
                 StratifiedSession::new(&pred_kg, &pred_strat, &ahpd, &strat_cfg, seed);
             if let Some(kernel) = kernel {
@@ -576,402 +187,14 @@ fn run() -> Result<(), String> {
                 session.submit(&labels).expect("stratified submit");
             }
             session.into_result().expect("stratified result")
-        };
-        let (off_wall, off_results) =
-            time_arm(strat_reps, base_seed, |seed| drive_strat(None, seed));
-        let cache = Arc::new(KernelCache::new());
-        let (on_wall, on_results) = time_arm(strat_reps, base_seed, |seed| {
-            drive_strat(Some(&cache), seed)
-        });
-        cache_rows.push(CacheAbRow {
-            cell: "stratified",
-            reps: strat_reps,
-            off_wall,
-            on_wall,
-            off_observations: off_results.iter().map(|r| r.pooled.observations).sum(),
-            on_observations: on_results.iter().map(|r| r.pooled.observations).sum(),
-            hit_rate: cache.stats().hit_rate(),
-            identical: off_results == on_results,
-        });
-    }
-    for row in &cache_rows {
-        eprintln!(
-            "kernel_cache {:<11}: off {:>7.0} ns/annotation vs on {:>7.0} → {:.2}× \
-             (hit rate {:.1}%, identical stopping: {})",
-            row.cell,
-            row.off_ns(),
-            row.on_ns(),
-            row.speedup(),
-            100.0 * row.hit_rate,
-            row.identical,
-        );
-    }
+        },
+    ));
 
-    // ------------------------------------------------------------------
-    // Monitor carryover load: long-lived monitors over a drifting NELL
-    // vs. restart-from-scratch audits. Each rep certifies the base twin,
-    // absorbs a removal-heavy drift (most of the graph pruned, a small
-    // batch of ~90 %-correct adds — the regime where enough annotated
-    // survivors remain for the carried posterior to stay informative),
-    // and re-certifies from the carried prior. Seeds whose surviving
-    // ledger still certifies within the MoE stay watching at zero cost —
-    // that is the monitor's cheap path, and it counts as 0 annotations;
-    // the majority must degrade and re-open so the carryover path is
-    // actually exercised. The counterfactual re-audits the drifted view
-    // cold with the same seed (it cannot know the old evidence still
-    // certifies without paying for new labels). The acceptance claim:
-    // maintaining certification costs materially (≥ 20 %) fewer
-    // annotations than restarting each audit.
-    // ------------------------------------------------------------------
-    let monitor_reps = (reps / 10).clamp(10, 80);
-    let monitor_carry_weight = 50.0;
-    let drive_monitor = |monitor: &mut MonitorSession<'_>, truth: &DeltaKg<'_>| -> u64 {
-        let mut spent = 0u64;
-        while let Some(polled) = monitor.next_request(16).expect("monitor poll") {
-            let labels: Vec<bool> = polled
-                .request
-                .triples
-                .iter()
-                .map(|st| truth.is_correct(st.triple))
-                .collect();
-            spent += labels.len() as u64;
-            monitor.submit(&labels).expect("monitor submit");
+    // CI gates on the exit code, so every failed gate exits non-zero.
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("bench_eval: FAILED: kernel_cache {failure}");
         }
-        spent
-    };
-    let mut monitor_initial = 0u64;
-    let mut monitor_carry = 0u64;
-    let mut monitor_scratch = 0u64;
-    let mut monitor_reopened = 0u64;
-    let monitor_t0 = Instant::now();
-    for rep in 0..monitor_reps {
-        let seed = base_seed.wrapping_add(rep);
-        let mut truth = DeltaKg::with_truth(&kg, &kg);
-        let mut monitor =
-            MonitorSession::new(&kg, &ahpd, &lookahead_cfg, monitor_carry_weight, seed);
-        monitor_initial += drive_monitor(&mut monitor, &truth);
-
-        let drift = DeltaBatch {
-            predicate: Some("drift".into()),
-            removes: (0..1100).collect(),
-            adds: (0..20).map(|k| k % 10 != 0).collect(),
-        };
-        let outcome = monitor
-            .apply_deltas(&drift)
-            .map_err(|e| format!("monitor drift batch: {e}"))?;
-        truth
-            .apply(&drift.removes, &drift.adds)
-            .map_err(|e| format!("truth twin drift batch: {e}"))?;
-        monitor_reopened += u64::from(outcome.reopened);
-        monitor_carry += drive_monitor(&mut monitor, &truth);
-
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let cold = evaluate(
-            &truth,
-            &OracleAnnotator,
-            SamplingDesign::Srs,
-            &ahpd,
-            &lookahead_cfg,
-            &mut rng,
-        )
-        .map_err(|e| format!("restart-from-scratch audit: {e}"))?;
-        monitor_scratch += cold.observations;
+        std::process::exit(1);
     }
-    let monitor_wall = monitor_t0.elapsed().as_secs_f64();
-    let monitor_initial_mean = monitor_initial as f64 / monitor_reps as f64;
-    let monitor_carry_mean = monitor_carry as f64 / monitor_reps as f64;
-    let monitor_scratch_mean = monitor_scratch as f64 / monitor_reps as f64;
-    let monitor_savings = 1.0 - monitor_carry_mean / monitor_scratch_mean;
-    eprintln!(
-        "monitor_load NELL drift: carryover {monitor_carry_mean:.1} vs scratch \
-         {monitor_scratch_mean:.1} annotations/re-certification → {:.1}% saved \
-         (initial campaign {monitor_initial_mean:.1}, re-opened \
-         {monitor_reopened}/{monitor_reps})",
-        100.0 * monitor_savings,
-    );
-
-    // ------------------------------------------------------------------
-    // Parallel harness throughput (work-stealing runner).
-    // ------------------------------------------------------------------
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let t0 = Instant::now();
-    let runs = repeat_evaluation(
-        &kg,
-        SamplingDesign::Srs,
-        &ahpd,
-        &lookahead_cfg,
-        reps,
-        base_seed,
-    );
-    let parallel_wall = t0.elapsed().as_secs_f64();
-    eprintln!(
-        "parallel harness ({threads} threads): {:.1} reps/s (mean triples {:.1})",
-        reps as f64 / parallel_wall,
-        runs.triples_summary().mean,
-    );
-
-    // ------------------------------------------------------------------
-    // Emit JSON.
-    // ------------------------------------------------------------------
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"benchmark\": \"evaluation_loop\",");
-    let _ = writeln!(out, "  \"schema_version\": 9,");
-    let _ = writeln!(out, "  \"dataset\": \"NELL\",");
-    let _ = writeln!(out, "  \"reps_per_cell\": {reps},");
-    let _ = writeln!(out, "  \"cells\": [");
-    for (i, c) in cells.iter().enumerate() {
-        json_cell(&mut out, c);
-        out.push_str(if i + 1 < cells.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(out, "  ],");
-    // The aHPD/SRS row keeps its original key; the TWCS row is additive.
-    for (key, row) in ["ab_lookahead_vs_naive", "ab_lookahead_vs_naive_twcs"]
-        .into_iter()
-        .zip(&ab_rows)
-    {
-        let _ = writeln!(
-            out,
-            "  \"{key}\": {{\"cell\": \"{}\", \"naive_reps_per_sec\": {:.2}, \
-             \"lookahead_reps_per_sec\": {:.2}, \"naive_ns_per_annotation\": {:.1}, \
-             \"lookahead_ns_per_annotation\": {:.1}, \"speedup\": {:.3}, \
-             \"identical_stopping\": {}, \"identical_intervals\": {}}},",
-            row.cell,
-            row.naive.reps_per_sec(),
-            row.fast.reps_per_sec(),
-            row.naive.ns_per_annotation(),
-            row.fast.ns_per_annotation(),
-            row.speedup(),
-            row.identical_stopping,
-            row.identical_intervals,
-        );
-    }
-    let _ = writeln!(out, "  \"session_batched\": [");
-    for (i, row) in session_rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"cell\": \"aHPD/SRS\", \"batch\": {}, \"reps_per_sec\": {:.2}, \
-             \"ns_per_annotation\": {:.1}, \"identical_stopping\": {}}}",
-            row.batch,
-            reps as f64 / row.wall_seconds,
-            row.wall_seconds * 1e9 / row.total_observations as f64,
-            row.identical,
-        );
-        out.push_str(if i + 1 < session_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"stratified\": {{");
-    let _ = writeln!(out, "    \"dataset\": \"NELL-pred\",");
-    let _ = writeln!(out, "    \"strata\": {},", pred_strat.num_strata());
-    let _ = writeln!(out, "    \"epsilon\": {strat_epsilon},");
-    let _ = writeln!(out, "    \"reps\": {strat_reps},");
-    let _ = writeln!(
-        out,
-        "    \"width_greedy_mean_observations\": {greedy_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"proportional_mean_observations\": {proportional_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"savings_pct\": {:.2},",
-        100.0 * stratified_savings
-    );
-    let _ = writeln!(
-        out,
-        "    \"width_greedy_beats_proportional\": {}",
-        greedy_mean < proportional_mean
-    );
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"comparative\": {{");
-    let _ = writeln!(out, "    \"dataset\": \"NELL\",");
-    let _ = writeln!(out, "    \"design\": \"srs\",");
-    let _ = writeln!(
-        out,
-        "    \"primary\": \"{}\",",
-        comp_primary.canonical_name()
-    );
-    let _ = writeln!(out, "    \"reps\": {comp_reps},");
-    let _ = writeln!(
-        out,
-        "    \"shared_stream_mean_observations\": {shared_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"independent_campaigns_mean_observations\": {independent_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"savings_pct\": {:.2},",
-        100.0 * comparative_savings
-    );
-    let _ = writeln!(
-        out,
-        "    \"shared_beats_independent\": {},",
-        shared_observations < independent_observations
-    );
-    let _ = writeln!(
-        out,
-        "    \"primary_identical_to_standalone\": {primary_identical},"
-    );
-    let _ = writeln!(out, "    \"methods\": [");
-    for (i, method) in roster.iter().enumerate() {
-        let (converged, stopped_sum) = rival_stops[i];
-        let mean_stop = if converged > 0 {
-            format!("{:.2}", stopped_sum as f64 / converged as f64)
-        } else {
-            "null".into()
-        };
-        let _ = write!(
-            out,
-            "      {{\"method\": \"{}\", \"primary\": {}, \
-             \"converged_in_shared_stream\": {}, \"mean_stopped_at\": {}}}",
-            method.canonical_name(),
-            i == primary_index,
-            converged,
-            mean_stop,
-        );
-        out.push_str(if i + 1 < roster.len() { ",\n" } else { "\n" });
-    }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"kernel_cache\": {{");
-    let _ = writeln!(out, "    \"cells\": [");
-    for (i, row) in cache_rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "      {{\"cell\": \"{}\", \"reps\": {}, \
-             \"off_ns_per_annotation\": {:.1}, \"on_ns_per_annotation\": {:.1}, \
-             \"speedup\": {:.3}, \"hit_rate\": {:.4}, \"identical_stopping\": {}}}",
-            row.cell,
-            row.reps,
-            row.off_ns(),
-            row.on_ns(),
-            row.speedup(),
-            row.hit_rate,
-            row.identical,
-        );
-        out.push_str(if i + 1 < cache_rows.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    let _ = writeln!(out, "    ]");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"monitor_load\": {{");
-    let _ = writeln!(out, "    \"dataset\": \"NELL\",");
-    let _ = writeln!(out, "    \"reps\": {monitor_reps},");
-    let _ = writeln!(out, "    \"carry_weight\": {monitor_carry_weight},");
-    let _ = writeln!(
-        out,
-        "    \"drift\": \"removes 1100 of 1860, adds 20 at 90% accuracy\","
-    );
-    let _ = writeln!(out, "    \"wall_seconds\": {monitor_wall:.6},");
-    let _ = writeln!(
-        out,
-        "    \"initial_mean_annotations\": {monitor_initial_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"carryover_mean_annotations\": {monitor_carry_mean:.2},"
-    );
-    let _ = writeln!(
-        out,
-        "    \"scratch_mean_annotations\": {monitor_scratch_mean:.2},"
-    );
-    let _ = writeln!(out, "    \"savings_pct\": {:.2},", 100.0 * monitor_savings);
-    let _ = writeln!(out, "    \"reopened\": {monitor_reopened},");
-    let _ = writeln!(
-        out,
-        "    \"carryover_beats_scratch\": {}",
-        monitor_carry_mean < monitor_scratch_mean
-    );
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"parallel_harness\": {{");
-    let _ = writeln!(out, "    \"threads\": {threads},");
-    let _ = writeln!(
-        out,
-        "    \"reps_per_sec\": {:.2}",
-        reps as f64 / parallel_wall
-    );
-    let _ = writeln!(out, "  }}");
-    out.push_str("}\n");
-
-    std::fs::write(&out_path, &out).map_err(|e| format!("writing {out_path}: {e}"))?;
-    eprintln!("wrote {out_path}");
-
-    for row in &ab_rows {
-        if !(row.identical_stopping && row.identical_intervals) {
-            return Err(format!(
-                "lookahead changed the stopping statistics or interval bits on {} — \
-                 certified bound violated",
-                row.cell
-            ));
-        }
-    }
-    if greedy_mean >= proportional_mean {
-        return Err(format!(
-            "width-greedy allocation ({greedy_mean:.1} annotations) failed to beat \
-             proportional ({proportional_mean:.1}) on NELL predicates"
-        ));
-    }
-    if !primary_identical {
-        return Err(
-            "comparative primary diverged from the standalone aHPD runs — the shared \
-             stream perturbed the primary trajectory"
-                .into(),
-        );
-    }
-    if shared_observations >= independent_observations {
-        return Err(format!(
-            "shared-stream comparison ({shared_mean:.1} annotations/campaign) failed to \
-             beat four independent campaigns ({independent_mean:.1})"
-        ));
-    }
-    for row in &cache_rows {
-        if !row.identical {
-            return Err(format!(
-                "kernel_cache: cached {} campaigns diverged from uncached — \
-                 bit-identity violated",
-                row.cell
-            ));
-        }
-        if row.speedup() <= 1.0 {
-            return Err(format!(
-                "kernel_cache: {} cache-on arm ({:.2}×) failed to beat cache-off",
-                row.cell,
-                row.speedup()
-            ));
-        }
-    }
-    let ahpd_cache_row = &cache_rows[0];
-    if ahpd_cache_row.speedup() < 1.25 {
-        return Err(format!(
-            "kernel_cache: aHPD/SRS speedup {:.2}× is below the 1.25× floor the \
-             cache is meant to clear",
-            ahpd_cache_row.speedup()
-        ));
-    }
-    if monitor_reopened * 2 < monitor_reps {
-        return Err(format!(
-            "monitor_load: only {monitor_reopened}/{monitor_reps} drift batches re-opened \
-             annotation — the churn is not exercising the carryover path"
-        ));
-    }
-    if monitor_carry_mean >= 0.8 * monitor_scratch_mean {
-        return Err(format!(
-            "monitor_load: carryover re-certification ({monitor_carry_mean:.1} \
-             annotations) failed to materially beat restart-from-scratch \
-             ({monitor_scratch_mean:.1}; need ≥ 20% savings)"
-        ));
-    }
-    Ok(())
 }

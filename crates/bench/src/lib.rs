@@ -7,34 +7,26 @@
 //! grid runners so each binary stays a readable experiment script.
 //!
 //! ```
-//! use kgae_bench::drive_session_oracle;
-//! use kgae_core::{EvalConfig, IntervalMethod, PreparedDesign, SamplingDesign};
+//! use kgae_bench::{real_datasets, run_cell};
+//! use kgae_core::{EvalConfig, IntervalMethod, SamplingDesign};
 //!
-//! // One poll-driven evaluation on the YAGO twin, oracle-labeled.
-//! let kg = kgae_graph::datasets::yago();
-//! let prepared = PreparedDesign::new(&kg, SamplingDesign::Srs);
-//! let (result, requests) = drive_session_oracle(
-//!     &kg,
-//!     &prepared,
+//! // Ten seeded Wilson campaigns on the YAGO twin under SRS.
+//! let yago = &real_datasets()[0];
+//! let runs = run_cell(
+//!     yago,
+//!     SamplingDesign::Srs,
 //!     &IntervalMethod::Wilson,
 //!     &EvalConfig::default(),
-//!     7,
-//!     16, // batch size: 16 triples per annotation request
+//!     10,
 //! );
-//! assert!(result.converged);
-//! assert!(requests >= 1);
+//! assert_eq!(runs.triples.len(), 10);
 //! ```
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-use kgae_core::{
-    repeat_evaluation, AnnotationRequest, EvalConfig, EvalResult, EvaluationSession,
-    IntervalMethod, PreparedDesign, RepeatedRuns, SamplingDesign,
-};
-use kgae_graph::{CompactKg, GroundTruth};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use kgae_core::{repeat_evaluation, EvalConfig, IntervalMethod, RepeatedRuns, SamplingDesign};
+use kgae_graph::CompactKg;
 
 /// A named dataset with its ground-truth accuracy.
 pub struct Dataset {
@@ -119,40 +111,6 @@ pub fn run_cell(
         (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
     });
     repeat_evaluation(&ds.kg, design, method, cfg, reps, seed)
-}
-
-/// Drives a poll-based [`EvaluationSession`] to completion with oracle
-/// labels, submitting annotation batches of `batch` stage-1 units.
-/// Returns the final result and the number of annotation requests the
-/// external "annotator" served — the round-trip count a real annotation
-/// service would pay at that batch size.
-#[must_use]
-pub fn drive_session_oracle(
-    kg: &CompactKg,
-    prepared: &PreparedDesign,
-    method: &IntervalMethod,
-    cfg: &EvalConfig,
-    seed: u64,
-    batch: u64,
-) -> (EvalResult, u64) {
-    let mut session =
-        EvaluationSession::from_prepared(kg, prepared, method, cfg, SmallRng::seed_from_u64(seed));
-    let mut request = AnnotationRequest::default();
-    let mut labels: Vec<bool> = Vec::new();
-    let mut requests = 0u64;
-    while session
-        .next_request_into(batch, &mut request)
-        .expect("session protocol")
-    {
-        requests += 1;
-        labels.clear();
-        labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
-        session.submit(&labels).expect("label submission");
-    }
-    (
-        session.into_result().expect("stopped session has a result"),
-        requests,
-    )
 }
 
 /// The standard method lineup of Table 3/4.

@@ -388,12 +388,6 @@ impl Client {
         self
     }
 
-    /// The attached retry schedule, if any.
-    #[must_use]
-    pub fn retry_policy(&self) -> Option<&RetryPolicy> {
-        self.retry.as_ref()
-    }
-
     fn reconnect(&mut self) -> ClientResult<()> {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_read_timeout(Some(self.timeout))?;

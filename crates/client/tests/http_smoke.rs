@@ -8,7 +8,7 @@ use kgae_client::{Client, ClientError};
 use kgae_core::{DeltaBatch, StopReason};
 use kgae_graph::{GroundTruth, KnowledgeGraph};
 use kgae_service::api::SessionSpec;
-use kgae_service::manager::{DatasetRegistry, SessionState};
+use kgae_service::manager::{DatasetRegistry, DrainReport, SessionState};
 use kgae_service::{Server, SessionManager, SnapshotStore};
 use std::net::SocketAddr;
 
@@ -570,6 +570,31 @@ fn api_errors_map_to_http_statuses() {
     });
 }
 
+/// Runs one server generation over the store in `dir`, listening on
+/// `port` (0 picks an ephemeral one): `f` drives it, then a graceful
+/// shutdown drains every live session to the store — also when `f`
+/// panics, so a failed assertion fails the test instead of hanging it.
+/// Returns `f`'s output, the bound address and the drain report.
+fn generation<T>(
+    registry: &DatasetRegistry,
+    dir: &std::path::Path,
+    port: u16,
+    f: impl FnOnce(SocketAddr) -> T,
+) -> (T, SocketAddr, DrainReport) {
+    let manager = SessionManager::new(registry, SnapshotStore::open(dir).unwrap(), 8);
+    let server = Server::bind(&format!("127.0.0.1:{port}"), 4).unwrap();
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle().unwrap();
+    std::thread::scope(|scope| {
+        let server_thread = scope.spawn(|| server.run(&manager));
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(addr)));
+        handle.shutdown();
+        let report = server_thread.join().unwrap();
+        let out = out.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (out, addr, report)
+    })
+}
+
 /// Graceful shutdown is not an outage: `ServerHandle::shutdown` drains
 /// every live session to the store (withdrawing outstanding batches
 /// exactly), and a second server generation over the same directory
@@ -591,12 +616,7 @@ fn shutdown_drains_and_a_restarted_server_resumes_midflight_sessions() {
 
     // Generation 1: two batches land, a third is left outstanding when
     // the shutdown arrives.
-    let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 8);
-    let server = Server::bind("127.0.0.1:0", 4).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.handle().unwrap();
-    let withdrawn = std::thread::scope(|scope| {
-        let server_thread = scope.spawn(|| server.run(&manager));
+    let (withdrawn, _, report) = generation(&registry, &dir, 0, |addr| {
         let mut client = Client::connect(addr).unwrap();
         client.create(&srs_spec("phoenix", 77)).unwrap();
         for _ in 0..2 {
@@ -604,23 +624,15 @@ fn shutdown_drains_and_a_restarted_server_resumes_midflight_sessions() {
             let labels = label(&request);
             client.submit("phoenix", &labels).unwrap();
         }
-        let withdrawn = client.next_request("phoenix", 8).unwrap();
-        handle.shutdown();
-        let report = server_thread.join().unwrap();
-        assert_eq!(report.suspended, vec!["phoenix".to_string()]);
-        assert_eq!(report.cancelled, vec!["phoenix".to_string()]);
-        assert!(report.is_clean(), "drain failed: {:?}", report.failed);
-        withdrawn
+        client.next_request("phoenix", 8).unwrap()
     });
+    assert_eq!(report.suspended, vec!["phoenix".to_string()]);
+    assert_eq!(report.cancelled, vec!["phoenix".to_string()]);
+    assert!(report.is_clean(), "drain failed: {:?}", report.failed);
 
     // Generation 2 over the same store: the withdrawn batch replays
     // bit-identically, and the campaign runs to completion.
-    let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 8);
-    let server = Server::bind("127.0.0.1:0", 4).unwrap();
-    let addr = server.local_addr().unwrap();
-    let handle = server.handle().unwrap();
-    std::thread::scope(|scope| {
-        let server_thread = scope.spawn(|| server.run(&manager));
+    generation(&registry, &dir, 0, |addr| {
         let mut client = Client::connect(addr)
             .unwrap()
             .with_retry(kgae_client::RetryPolicy::default());
@@ -642,8 +654,66 @@ fn shutdown_drains_and_a_restarted_server_resumes_midflight_sessions() {
         let done = client.status("phoenix").unwrap();
         assert_eq!(done.state, SessionState::Finished);
         assert_eq!(done.status.stopped, Some(StopReason::MoeSatisfied));
-        handle.shutdown();
-        server_thread.join().unwrap();
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The submit fence survives rehydration over HTTP. Labels for a batch
+/// that was already answered, replayed under that batch's seq after the
+/// session was evicted and re-polled, are refused 409 `stale_request`
+/// instead of landing on the new batch — and so are they after a
+/// restarted server over the same store re-polls it.
+#[test]
+fn stale_labels_are_refused_after_evict_and_after_restart() {
+    let dir = std::env::temp_dir().join(format!("kgae-smoke-fence-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = DatasetRegistry::standard();
+    let kg = registry.get("nell").unwrap();
+    let label = |request: &kgae_service::api::WireRequest| -> Vec<bool> {
+        request
+            .triples
+            .iter()
+            .map(|t| kg.is_correct(kgae_graph::TripleId(t.triple)))
+            .collect()
+    };
+    let assert_stale = |client: &mut Client, labels: &[bool]| match client.submit("fence", labels) {
+        Err(ClientError::Api {
+            status: 409, code, ..
+        }) => assert_eq!(code.as_deref(), Some("stale_request")),
+        other => panic!("expected 409 stale_request, got {other:?}"),
+    };
+
+    // Generation 1: the replayer polls and answers the first batch, so
+    // it keeps that batch's seq; the session is suspended and evicted,
+    // and a second client polls the next batch from the rehydrated
+    // session.
+    let ((mut replayer, first_labels), addr, _) = generation(&registry, &dir, 0, |addr| {
+        let mut replayer = Client::connect(addr).unwrap();
+        replayer.create(&srs_spec("fence", 31)).unwrap();
+        let first = replayer.next_request("fence", 8).unwrap();
+        let first_labels = label(&first);
+        replayer.submit("fence", &first_labels).unwrap();
+        replayer.suspend("fence").unwrap();
+        replayer.evict("fence").unwrap();
+        let mut poller = Client::connect(addr).unwrap();
+        let second = poller.next_request("fence", 8).unwrap();
+        assert!(!second.done);
+        assert_stale(&mut replayer, &first_labels);
+        (replayer, first_labels)
+    });
+
+    // Generation 2 on the same port and store: the drained session
+    // rehydrates and a new poll is served; the old seq is still stale.
+    generation(&registry, &dir, addr.port(), |addr| {
+        let mut poller = Client::connect(addr).unwrap();
+        let third = poller.next_request("fence", 8).unwrap();
+        assert!(!third.done);
+        // Re-open the replayer's keep-alive connection, which the
+        // first generation's drain closed.
+        replayer.health().unwrap();
+        assert_stale(&mut replayer, &first_labels);
+        // The fresh batch still takes its own labels.
+        poller.submit("fence", &label(&third)).unwrap();
     });
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -245,12 +245,6 @@ impl<'a> ComparativeSession<'a> {
         }
     }
 
-    /// The primary method (the campaign's stopping authority).
-    #[must_use]
-    pub fn primary_method(&self) -> &IntervalMethod {
-        self.primary.method()
-    }
-
     /// The primary's roster index.
     #[must_use]
     pub fn primary_index(&self) -> usize {
@@ -383,10 +377,9 @@ impl<'a> ComparativeSession<'a> {
                     .method
                     .stop_possible_now(state, cfg.alpha, cfg.epsilon, &rival.solver);
             if construct {
-                let interval =
-                    rival
-                        .method
-                        .interval_stateful(state, cfg.alpha, &mut rival.solver)?;
+                let interval = rival
+                    .method
+                    .interval_stateful(state, cfg.alpha, &rival.solver)?;
                 if interval.moe() <= cfg.epsilon {
                     rival.stopped = Some(RivalStop {
                         observations: state.n(),
@@ -447,14 +440,11 @@ impl<'a> ComparativeSession<'a> {
             None => {
                 let state = self.primary.sample_state();
                 let has_data = state.n() > 0;
-                // Scratch solver clone: observing never perturbs the
-                // rival's stopping trajectory.
                 let interval = has_data
                     .then(|| {
-                        let mut scratch = rival.solver.clone();
                         rival
                             .method
-                            .interval_stateful(state, self.primary.config().alpha, &mut scratch)
+                            .interval_stateful(state, self.primary.config().alpha, &rival.solver)
                             .ok()
                     })
                     .flatten();

@@ -183,16 +183,15 @@ impl IntervalMethod {
     /// maximally uninformative sentinel interval `[μ̂-0.5, μ̂+0.5]`
     /// (MoE 0.5), so the stopping rule simply keeps sampling.
     pub fn interval(&self, state: &SampleState, alpha: f64) -> Result<Interval, IntervalError> {
-        self.interval_stateful(state, alpha, &mut self.new_state())
+        self.interval_stateful(state, alpha, &self.new_state())
     }
 
-    /// [`Self::interval`] with the kernel cache and lookahead hint
-    /// carried across calls.
+    /// [`Self::interval`] solved through the state's kernel cache.
     pub fn interval_stateful(
         &self,
         state: &SampleState,
         alpha: f64,
-        cache: &mut MethodState,
+        cache: &MethodState,
     ) -> Result<Interval, IntervalError> {
         match self {
             IntervalMethod::Wald => {
@@ -798,8 +797,8 @@ mod tests {
             cached.attach_kernel(Arc::clone(&shared));
             for (tau, n) in [(1, 1), (5, 30), (27, 30), (30, 30), (88, 100), (109, 120)] {
                 let state = srs_state(tau, n);
-                let a = method.interval_stateful(&state, 0.05, &mut plain).unwrap();
-                let b = method.interval_stateful(&state, 0.05, &mut cached).unwrap();
+                let a = method.interval_stateful(&state, 0.05, &plain).unwrap();
+                let b = method.interval_stateful(&state, 0.05, &cached).unwrap();
                 let cold = method.interval(&state, 0.05).unwrap();
                 for other in [b, cold] {
                     assert_eq!(
@@ -1234,7 +1233,7 @@ mod tests {
                 for tau in 0..=n {
                     let state = srs_state(tau, n);
                     let before = kernel.stats().lookups();
-                    let got = method.interval_stateful(&state, alpha, &mut cache).unwrap();
+                    let got = method.interval_stateful(&state, alpha, &cache).unwrap();
                     let solves = kernel.stats().lookups() - before;
                     let want = ahpd_by_every_prior(priors, &state, alpha);
                     assert_eq!(

@@ -66,12 +66,6 @@ impl RepeatedRuns {
         self.coverage_hits as f64 / self.triples.len() as f64
     }
 
-    /// Mean absolute estimation error against the true accuracy.
-    #[must_use]
-    pub fn mean_abs_error(&self, mu: f64) -> f64 {
-        self.mu_hats.iter().map(|m| (m - mu).abs()).sum::<f64>() / self.mu_hats.len() as f64
-    }
-
     /// Fraction of runs exhibiting the zero-width-halt pathology.
     #[must_use]
     pub fn zero_width_rate(&self) -> f64 {

@@ -587,9 +587,8 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         let has_data = self.state.n() > 0;
         let estimate = has_data.then(|| self.point_estimate());
         let interval = if has_data {
-            let mut scratch = self.solver.clone();
             self.method
-                .interval_stateful(&self.state, self.cfg.alpha, &mut scratch)
+                .interval_stateful(&self.state, self.cfg.alpha, &self.solver)
                 .ok()
         } else {
             None
@@ -684,7 +683,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         } else {
             let interval =
                 self.method
-                    .interval_stateful(&self.state, self.cfg.alpha, &mut self.solver)?;
+                    .interval_stateful(&self.state, self.cfg.alpha, &self.solver)?;
             let mu = self.point_estimate();
             self.finish(mu, interval, StopReason::StreamExhausted, false, false);
         }
@@ -768,11 +767,9 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
                         &self.solver,
                     );
                 if construct {
-                    let interval = self.method.interval_stateful(
-                        &self.state,
-                        self.cfg.alpha,
-                        &mut self.solver,
-                    )?;
+                    let interval =
+                        self.method
+                            .interval_stateful(&self.state, self.cfg.alpha, &self.solver)?;
                     if interval.moe() <= self.cfg.epsilon {
                         let mu = self.point_estimate();
                         self.finish(mu, interval, StopReason::MoeSatisfied, true, at_floor);
@@ -809,7 +806,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         if budget_spent {
             let interval =
                 self.method
-                    .interval_stateful(&self.state, self.cfg.alpha, &mut self.solver)?;
+                    .interval_stateful(&self.state, self.cfg.alpha, &self.solver)?;
             let mu = self.point_estimate();
             self.finish(mu, interval, StopReason::BudgetExhausted, false, false);
         }

@@ -121,8 +121,10 @@ proptest! {
 
 #[test]
 fn lookahead_equivalence_on_the_benchmark_cell() {
-    // The A/B benchmark cell (aHPD / SRS / NELL) pinned explicitly:
-    // 200 seeds, bit-identical stopping statistics.
+    // The aHPD / NELL benchmark cells under SRS and TWCS(3), pinned
+    // explicitly: seeds 0..200 plus 100 seeds from the benchmark seed
+    // base 0xBE5C, with bit-identical stopping statistics and interval
+    // bits.
     let kg = kgae_graph::datasets::nell();
     let method = IntervalMethod::ahpd_default();
     let reference_cfg = EvalConfig {
@@ -130,12 +132,22 @@ fn lookahead_equivalence_on_the_benchmark_cell() {
         ..EvalConfig::default()
     };
     let lookahead_cfg = EvalConfig::default();
-    for seed in 0..200 {
-        let a = run(&kg, SamplingDesign::Srs, &method, &reference_cfg, seed);
-        let b = run(&kg, SamplingDesign::Srs, &method, &lookahead_cfg, seed);
-        assert_eq!(a.observations, b.observations, "seed {seed}");
-        assert_eq!(a.annotated_triples, b.annotated_triples, "seed {seed}");
-        assert!(a.mu_hat == b.mu_hat, "seed {seed}");
-        assert_eq!(a.converged, b.converged, "seed {seed}");
+    for design in [SamplingDesign::Srs, SamplingDesign::Twcs { m: 3 }] {
+        for seed in (0..200).chain(0xBE5C..0xBE5C + 100) {
+            let what = format!("{} seed {seed}", design.name());
+            let a = run(&kg, design, &method, &reference_cfg, seed);
+            let b = run(&kg, design, &method, &lookahead_cfg, seed);
+            assert_eq!(a.observations, b.observations, "{what}");
+            assert_eq!(a.annotated_triples, b.annotated_triples, "{what}");
+            assert!(a.mu_hat == b.mu_hat, "{what}");
+            assert_eq!(a.converged, b.converged, "{what}");
+            assert_eq!(
+                (a.interval.lower().to_bits(), a.interval.upper().to_bits()),
+                (b.interval.lower().to_bits(), b.interval.upper().to_bits()),
+                "{what}: interval {} vs {}",
+                a.interval,
+                b.interval
+            );
+        }
     }
 }

@@ -225,26 +225,31 @@ proptest! {
 
 #[test]
 fn batched_sessions_pin_the_benchmark_cell() {
-    // The canonical cell (aHPD / SRS / NELL), every batch size, 100
-    // seeds: bit-identical to the legacy loop.
-    let kg = kgae_graph::datasets::nell();
+    // aHPD on NELL and YAGO under SRS and TWCS(3), 100 seeds: batches
+    // 1, 16 and 256 are bit-identical to the legacy loop, and so is a
+    // batch-16 run suspended to bytes and resumed with a fresh RNG after
+    // every request.
     let method = IntervalMethod::ahpd_default();
     let cfg = EvalConfig::default();
-    let prepared = PreparedDesign::new(&kg, SamplingDesign::Srs);
-    for seed in 0..100 {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let legacy = evaluate(
-            &kg,
-            &OracleAnnotator,
-            SamplingDesign::Srs,
-            &method,
-            &cfg,
-            &mut rng,
-        )
-        .unwrap();
-        for batch in [1u64, 16, 256] {
-            let sessioned = drive_session(&kg, &prepared, &method, &cfg, seed, batch);
-            assert_bit_identical(&legacy, &sessioned, &format!("seed {seed} batch {batch}"));
+    for (name, kg) in [
+        ("NELL", kgae_graph::datasets::nell()),
+        ("YAGO", kgae_graph::datasets::yago()),
+    ] {
+        for design in [SamplingDesign::Srs, SamplingDesign::Twcs { m: 3 }] {
+            let prepared = PreparedDesign::new(&kg, design);
+            for seed in 0..100 {
+                let what = format!("{name}/{} seed {seed}", design.name());
+                let mut rng = SmallRng::seed_from_u64(seed);
+                let legacy =
+                    evaluate(&kg, &OracleAnnotator, design, &method, &cfg, &mut rng).unwrap();
+                for batch in [1u64, 16, 256] {
+                    let sessioned = drive_session(&kg, &prepared, &method, &cfg, seed, batch);
+                    assert_bit_identical(&legacy, &sessioned, &format!("{what} batch {batch}"));
+                }
+                let (resumed, _) =
+                    drive_session_with_suspensions(&kg, &prepared, &method, &cfg, seed, 16, 1);
+                assert_bit_identical(&legacy, &resumed, &format!("{what} suspended"));
+            }
         }
     }
 }

@@ -328,12 +328,6 @@ impl<'a> Kernel<'a> {
         Kernel { cache }
     }
 
-    /// Whether lookups go through a shared cache.
-    #[must_use]
-    pub fn is_cached(&self) -> bool {
-        self.cache.is_some()
-    }
-
     fn interval(
         &self,
         key: Key,

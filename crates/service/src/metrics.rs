@@ -353,16 +353,6 @@ impl Metrics {
         self.latency[r].observe_nanos(nanos);
     }
 
-    /// Total requests recorded across every route and status.
-    #[must_use]
-    pub fn requests_total(&self) -> u64 {
-        self.requests
-            .iter()
-            .flat_map(|row| row.iter())
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Encodes the registry in the Prometheus text exposition format.
     /// `census` supplies the point-in-time per-shard session gauges
     /// (pass `&[]` to omit them, e.g. in unit tests without a manager);
