@@ -44,13 +44,13 @@
 //! **Bit-identity.** The primary method runs inside an unmodified
 //! [`EvaluationSession`], so its interval and stopping point are
 //! bit-identical to a standalone session with the same seed, design and
-//! config (property-tested). Rival trackers replay the *exact*
-//! per-unit stopping sequence of the engine — same readiness gate, same
-//! certified-lookahead schedule, same solvers — against
-//! the shared [`SampleState`], whose trajectory is method-independent.
-//! A rival that converges before the primary therefore reports the
-//! same stopping observation count and interval a standalone campaign
-//! of that method would have.
+//! config (property-tested). Each rival runs the session's own per-unit
+//! stopping step — the code the primary's engine runs, with the same
+//! readiness gate, certified-lookahead schedule and solvers — against
+//! the shared [`crate::SampleState`], whose trajectory is
+//! method-independent. A rival that converges before the primary
+//! therefore reports the same stopping observation count and interval
+//! a standalone campaign of that method would have.
 //!
 //! **Batching.** The shared stream is unit-granular: rival stopping
 //! rules are consulted after every stage-1 unit, exactly like a
@@ -65,15 +65,14 @@
 //! state. Resume validates everything and the re-snapshot is
 //! byte-identical.
 
-use crate::framework::{EvalConfig, EvalResult, PreparedDesign, SamplingDesign, StoppingPolicy};
-use crate::method::{IntervalMethod, MethodState};
+use crate::framework::{EvalConfig, EvalResult, PreparedDesign, SamplingDesign};
+use crate::method::IntervalMethod;
 use crate::session::{
     design_from_tag, design_tag, method_fingerprint_matches, read_record_prefix,
     write_method_fingerprint, AnnotationRequest, EvaluationSession, SessionError, SessionStatus,
-    StopReason, COMPARATIVE_SNAPSHOT_TAG,
+    StepOutcome, StopReason, StoppingStep, COMPARATIVE_SNAPSHOT_TAG,
 };
 use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-use crate::state::{DesignKind, SampleState};
 use kgae_graph::KnowledgeGraph;
 use kgae_intervals::{BetaPrior, Interval};
 use kgae_sampling::ComparePrimary;
@@ -150,16 +149,12 @@ struct RivalStop {
     interval: Interval,
 }
 
-/// A rival method's tracker: an independent solver plus the engine's
-/// per-unit stopping schedule, replayed over the shared sample.
+/// A rival method's tracker: its own stopping step (solver and
+/// lookahead schedule) run over the shared sample.
 struct Rival {
     /// Index into the roster ([`ComparePrimary::ALL`] order).
     index: usize,
-    method: IntervalMethod,
-    solver: MethodState,
-    /// Annotation units left before the next stopping check (certified
-    /// unreachable in between) — the rival's own lookahead schedule.
-    skip_left: u64,
+    step: StoppingStep,
     stopped: Option<RivalStop>,
 }
 
@@ -169,17 +164,7 @@ pub struct ComparativeSession<'a> {
     primary: EvaluationSession<'a, SmallRng>,
     primary_index: usize,
     rivals: Vec<Rival>,
-    kind: DesignKind,
-    max_draw_size: u64,
-    hansen_hurwitz: bool,
     outcome: Option<ComparativeResult>,
-}
-
-fn point_estimate(state: &SampleState, kind: DesignKind) -> f64 {
-    match kind {
-        DesignKind::Srs => state.mu_hat(),
-        DesignKind::Cluster => state.effective().mu,
-    }
 }
 
 impl<'a> ComparativeSession<'a> {
@@ -205,20 +190,13 @@ impl<'a> ComparativeSession<'a> {
             cfg,
             SmallRng::seed_from_u64(seed),
         );
-        let design = prepared.design();
-        let kind = match design {
-            SamplingDesign::Srs => DesignKind::Srs,
-            _ => DesignKind::Cluster,
-        };
         let rivals = roster
             .into_iter()
             .enumerate()
             .filter(|(i, _)| *i != primary_index)
             .map(|(index, method)| Rival {
                 index,
-                solver: method.new_state(),
-                method,
-                skip_left: 0,
+                step: StoppingStep::new(method),
                 stopped: None,
             })
             .collect();
@@ -226,9 +204,6 @@ impl<'a> ComparativeSession<'a> {
             primary: session,
             primary_index,
             rivals,
-            kind,
-            max_draw_size: prepared.max_draw_size(),
-            hansen_hurwitz: design == SamplingDesign::Scs,
             outcome: None,
         }
     }
@@ -241,7 +216,10 @@ impl<'a> ComparativeSession<'a> {
     pub fn set_kernel_cache(&mut self, kernel: &std::sync::Arc<kgae_intervals::KernelCache>) {
         self.primary.set_kernel_cache(std::sync::Arc::clone(kernel));
         for rival in &mut self.rivals {
-            rival.solver.attach_kernel(std::sync::Arc::clone(kernel));
+            rival
+                .step
+                .solver
+                .attach_kernel(std::sync::Arc::clone(kernel));
         }
     }
 
@@ -319,8 +297,8 @@ impl<'a> ComparativeSession<'a> {
     }
 
     /// Submits labels for the outstanding unit, advances the primary
-    /// engine, then replays the unit through every live rival tracker
-    /// (posterior updates + the exact per-unit stopping sequence).
+    /// engine, then runs every live rival's stopping step on the
+    /// updated shared sample.
     ///
     /// # Errors
     ///
@@ -350,61 +328,20 @@ impl<'a> ComparativeSession<'a> {
         self.primary.cancel_request()
     }
 
-    /// Replays the just-processed unit through every live rival: the
-    /// engine's stopping sequence (readiness gate → lookahead skip →
-    /// exact one-step gate → interval construction → certified skip)
-    /// against the shared sample state.
+    /// Runs the session's stopping step for every live rival against
+    /// the shared sample the just-processed unit updated.
     fn observe_unit(&mut self) -> Result<(), SessionError> {
-        let state = self.primary.sample_state();
-        let cfg = self.primary.config();
-        let kind = self.kind;
         for rival in &mut self.rivals {
             if rival.stopped.is_some() {
                 continue;
             }
-            let ready = state.n() >= cfg.min_triples
-                && (kind == DesignKind::Srs || state.draws() >= cfg.min_draws);
-            if !ready {
-                continue;
-            }
-            if rival.skip_left > 0 {
-                rival.skip_left -= 1;
-                continue;
-            }
-            let lookahead = cfg.stopping == StoppingPolicy::CertifiedLookahead;
-            let construct = !lookahead
-                || rival
-                    .method
-                    .stop_possible_now(state, cfg.alpha, cfg.epsilon, &rival.solver);
-            if construct {
-                let interval = rival
-                    .method
-                    .interval_stateful(state, cfg.alpha, &rival.solver)?;
-                if interval.moe() <= cfg.epsilon {
-                    rival.stopped = Some(RivalStop {
-                        observations: state.n(),
-                        estimate: point_estimate(state, kind),
-                        interval,
-                    });
-                    continue;
-                }
-            }
-            if lookahead {
-                rival.skip_left = match kind {
-                    DesignKind::Srs => rival.method.certified_skip_srs(
-                        state,
-                        cfg.alpha,
-                        cfg.epsilon,
-                        &mut rival.solver,
-                    ),
-                    DesignKind::Cluster => rival.method.certified_skip_cluster(
-                        state,
-                        cfg.alpha,
-                        cfg.epsilon,
-                        self.max_draw_size,
-                        self.hansen_hurwitz,
-                    ),
-                };
+            if let StepOutcome::Stop(interval) = self.primary.run_stopping_step(&mut rival.step)? {
+                let state = self.primary.sample_state();
+                rival.stopped = Some(RivalStop {
+                    observations: state.n(),
+                    estimate: state.effective().mu,
+                    interval,
+                });
             }
         }
         Ok(())
@@ -427,7 +364,7 @@ impl<'a> ComparativeSession<'a> {
     }
 
     fn rival_row(&self, rival: &Rival) -> MethodReport {
-        let method = rival.method.canonical_name();
+        let method = rival.step.method.canonical_name();
         match &rival.stopped {
             Some(stop) => MethodReport {
                 method,
@@ -441,19 +378,14 @@ impl<'a> ComparativeSession<'a> {
                 let state = self.primary.sample_state();
                 let has_data = state.n() > 0;
                 let interval = has_data
-                    .then(|| {
-                        rival
-                            .method
-                            .interval_stateful(state, self.primary.config().alpha, &rival.solver)
-                            .ok()
-                    })
+                    .then(|| rival.step.interval(state, self.primary.config().alpha).ok())
                     .flatten();
                 MethodReport {
                     method,
                     primary: false,
                     converged: false,
                     stopped_at: None,
-                    estimate: has_data.then(|| point_estimate(state, self.kind)),
+                    estimate: has_data.then(|| state.effective().mu),
                     interval,
                 }
             }
@@ -565,7 +497,7 @@ impl<'a> ComparativeSession<'a> {
         w.bytes(&child);
         // Rival trackers, roster order.
         for rival in &self.rivals {
-            w.u64(rival.skip_left);
+            w.u64(rival.step.skip_left);
             match &rival.stopped {
                 Some(stop) => {
                     w.bool(true);
@@ -668,24 +600,18 @@ impl<'a> ComparativeSession<'a> {
             };
             rivals.push(Rival {
                 index,
-                solver: method.new_state(),
-                method,
-                skip_left,
+                step: StoppingStep {
+                    skip_left,
+                    ..StoppingStep::new(method)
+                },
                 stopped,
             });
         }
         r.finish().map_err(corrupt)?;
-        let kind = match design {
-            SamplingDesign::Srs => DesignKind::Srs,
-            _ => DesignKind::Cluster,
-        };
         Ok(Self {
             primary: session,
             primary_index,
             rivals,
-            kind,
-            max_draw_size: prepared.max_draw_size(),
-            hansen_hurwitz: design == SamplingDesign::Scs,
             outcome: None,
         })
     }

@@ -191,9 +191,6 @@ pub trait SessionEngine: Send {
     /// The unified point-in-time view.
     fn status(&self) -> SessionStatusView;
 
-    /// The headline status alone — what poll/submit hot paths report —
-    /// without materializing per-stratum or per-method rows (every row
-    /// costs an interval construction). Identical to
     /// Withdraws the outstanding request, rewinding the engine to its
     /// exact pre-draw state: afterwards the engine snapshots cleanly
     /// and a re-poll regenerates the bit-identical batch. This is what
@@ -206,6 +203,9 @@ pub trait SessionEngine: Send {
     /// request.
     fn cancel_request(&mut self) -> Result<(), SessionError>;
 
+    /// The headline status alone — what poll/submit hot paths report —
+    /// without materializing per-stratum or per-method rows (every row
+    /// costs an interval construction). Identical to
     /// [`SessionEngine::status`]'s `primary` field; engines whose rows
     /// are expensive override the default.
     fn headline(&self) -> SessionStatus {

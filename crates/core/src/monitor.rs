@@ -55,8 +55,9 @@ use crate::engine::{EngineKind, EngineOutcome, EngineRequest, SessionEngine, Ses
 use crate::framework::{EvalConfig, PreparedDesign, SamplingDesign};
 use crate::method::IntervalMethod;
 use crate::session::{
-    method_fingerprint_matches, read_record_prefix, write_method_fingerprint, EvaluationSession,
-    SessionError, SessionStatus, MONITOR_SNAPSHOT_TAG,
+    config_fingerprint_matches, method_fingerprint_matches, read_record_prefix,
+    write_config_fingerprint, write_method_fingerprint, EvaluationSession, SessionError,
+    SessionStatus, MONITOR_SNAPSHOT_TAG,
 };
 use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::hash::mix2;
@@ -627,17 +628,7 @@ impl<'a> MonitorSession<'a> {
         w.u32(self.view.base().num_clusters());
         w.u64(self.epoch);
         w.bool(self.inner.is_some());
-        // Config fingerprint (the plain-session shape).
-        w.f64(self.cfg.alpha);
-        w.f64(self.cfg.epsilon);
-        w.u64(self.cfg.min_triples);
-        w.u64(self.cfg.min_draws as u64);
-        w.opt_u64(self.cfg.max_observations);
-        w.opt_f64(self.cfg.max_cost_seconds);
-        w.f64(self.cfg.cost_model.entity_seconds);
-        w.f64(self.cfg.cost_model.triple_seconds);
-        w.u64(self.cfg.cost_model.judgments_per_label);
-        w.u8(crate::session::stopping_tag(self.cfg.stopping));
+        write_config_fingerprint(&mut w, &self.cfg);
         w.f64(self.carry_weight);
         write_method_fingerprint(&mut w, &self.base_method);
         w.u64(self.seed);
@@ -745,18 +736,7 @@ impl<'a> MonitorSession<'a> {
         }
         let epoch = r.u64().map_err(corrupt)?;
         let annotating = r.bool().map_err(corrupt)?;
-        let config_matches = r.f64().map_err(corrupt)?.to_bits() == cfg.alpha.to_bits()
-            && r.f64().map_err(corrupt)?.to_bits() == cfg.epsilon.to_bits()
-            && r.u64().map_err(corrupt)? == cfg.min_triples
-            && r.u64().map_err(corrupt)? == cfg.min_draws as u64
-            && r.opt_u64().map_err(corrupt)? == cfg.max_observations
-            && r.opt_f64().map_err(corrupt)?.map(f64::to_bits)
-                == cfg.max_cost_seconds.map(f64::to_bits)
-            && r.f64().map_err(corrupt)?.to_bits() == cfg.cost_model.entity_seconds.to_bits()
-            && r.f64().map_err(corrupt)?.to_bits() == cfg.cost_model.triple_seconds.to_bits()
-            && r.u64().map_err(corrupt)? == cfg.cost_model.judgments_per_label
-            && r.u8().map_err(corrupt)? == crate::session::stopping_tag(cfg.stopping);
-        if !config_matches {
+        if !config_fingerprint_matches(&mut r, cfg).map_err(corrupt)? {
             return Err(mismatch("config differs"));
         }
         if r.f64().map_err(corrupt)?.to_bits() != carry_weight.to_bits() {

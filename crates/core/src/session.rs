@@ -235,26 +235,111 @@ struct BatchOrigin {
     driver: Vec<u8>,
 }
 
+/// One method's stopping rule over a sample: the method, its solver
+/// state and its certified-lookahead countdown. A session runs one for
+/// its own method; a comparative campaign runs one per rival method
+/// over the primary session's sample.
+pub(crate) struct StoppingStep {
+    pub(crate) method: IntervalMethod,
+    pub(crate) solver: MethodState,
+    /// Annotation units left before the next stopping check (certified
+    /// unreachable in between).
+    pub(crate) skip_left: u64,
+}
+
+/// What one [`StoppingStep::run`] found.
+pub(crate) enum StepOutcome {
+    /// Below the minimum sample: no check was due.
+    NotReady,
+    /// A check was due and `MoE ≤ ε` did not fire.
+    Open,
+    /// `MoE ≤ ε` fired with this interval.
+    Stop(Interval),
+}
+
+impl StoppingStep {
+    pub(crate) fn new(method: IntervalMethod) -> Self {
+        Self {
+            solver: method.new_state(),
+            method,
+            skip_left: 0,
+        }
+    }
+
+    /// The method's `1-α` interval over `state`.
+    pub(crate) fn interval(
+        &self,
+        state: &SampleState,
+        alpha: f64,
+    ) -> Result<Interval, IntervalError> {
+        self.method.interval_stateful(state, alpha, &self.solver)
+    }
+
+    /// The stopping sequence after one labeled unit: readiness gate
+    /// (≥ `min_triples`, and ≥ `min_draws` stage-1 draws under cluster
+    /// designs so the variance estimator exists), lookahead countdown,
+    /// exact one-step gate, interval construction and MoE check, then
+    /// the certified skip. The [`StoppingPolicy::EveryUnit`] reference
+    /// path constructs the interval at every check and never skips.
+    pub(crate) fn run(
+        &mut self,
+        state: &SampleState,
+        cfg: &EvalConfig,
+        driver: &dyn DesignDriver,
+    ) -> Result<StepOutcome, SessionError> {
+        let srs = state.kind() == DesignKind::Srs;
+        if state.n() < cfg.min_triples || (!srs && state.draws() < cfg.min_draws) {
+            return Ok(StepOutcome::NotReady);
+        }
+        if self.skip_left > 0 {
+            self.skip_left -= 1;
+            return Ok(StepOutcome::Open);
+        }
+        let lookahead = cfg.stopping == StoppingPolicy::CertifiedLookahead;
+        // Exact one-step gate: construct only when the current posterior
+        // could actually stop.
+        if !lookahead
+            || self
+                .method
+                .stop_possible_now(state, cfg.alpha, cfg.epsilon, &self.solver)
+        {
+            let interval = self.interval(state, cfg.alpha)?;
+            if interval.moe() <= cfg.epsilon {
+                return Ok(StepOutcome::Stop(interval));
+            }
+        }
+        if lookahead {
+            self.skip_left = if srs {
+                self.method
+                    .certified_skip_srs(state, cfg.alpha, cfg.epsilon, &mut self.solver)
+            } else {
+                self.method.certified_skip_cluster(
+                    state,
+                    cfg.alpha,
+                    cfg.epsilon,
+                    driver.max_unit_size(),
+                    matches!(driver.estimator(), UnitEstimator::HansenHurwitz { .. }),
+                )
+            };
+        }
+        Ok(StepOutcome::Open)
+    }
+}
+
 /// Poll-based evaluation engine over any KG backend, sampling design
 /// and interval method. See the module docs for the protocol.
 pub struct EvaluationSession<'a, R: RngCore> {
     kg: &'a dyn KnowledgeGraph,
     driver: Box<dyn DesignDriver + Send + 'a>,
     design: SamplingDesign,
-    method: IntervalMethod,
     cfg: EvalConfig,
     rng: R,
-    kind: DesignKind,
-    estimator: UnitEstimator,
-    hansen_hurwitz: bool,
-    max_draw_size: u64,
     state: SampleState,
-    solver: MethodState,
+    stop: StoppingStep,
     cost: CostTracker,
     cache: Option<LabelCache>,
-    /// Annotation units left before the next stopping check (certified
-    /// unreachable in between).
-    skip_left: u64,
+    /// Whether the stopping rule has yet to be consulted (the next
+    /// check is the one at the minimum-sample floor).
     first_check: bool,
     // Pending-batch bookkeeping. Buffers are reused across requests.
     pending: bool,
@@ -312,37 +397,24 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         cfg: &EvalConfig,
         rng: R,
     ) -> Self {
-        let estimator = driver.estimator();
-        let kind = match estimator {
-            UnitEstimator::Triple => DesignKind::Srs,
-            UnitEstimator::SampleMean | UnitEstimator::HansenHurwitz { .. } => DesignKind::Cluster,
-        };
-        let state = match kind {
-            DesignKind::Srs => SampleState::new_srs(),
-            DesignKind::Cluster => SampleState::new_cluster(),
-        };
-        let cache = match kind {
-            DesignKind::Srs => None,
+        let (state, cache) = match driver.estimator() {
+            UnitEstimator::Triple => (SampleState::new_srs(), None),
             // Flat two-bit seen/label cache over the whole KG; the
             // backing zeroed pages only materialize where sampled.
-            DesignKind::Cluster => Some(LabelCache::new(kg.num_triples())),
+            UnitEstimator::SampleMean | UnitEstimator::HansenHurwitz { .. } => (
+                SampleState::new_cluster(),
+                Some(LabelCache::new(kg.num_triples())),
+            ),
         };
-        let max_draw_size = driver.max_unit_size();
         Self {
             kg,
             design,
-            method: method.clone(),
             cfg: cfg.clone(),
             rng,
-            kind,
-            estimator,
-            hansen_hurwitz: matches!(estimator, UnitEstimator::HansenHurwitz { .. }),
-            max_draw_size,
             state,
-            solver: method.new_state(),
+            stop: StoppingStep::new(method.clone()),
             cost: CostTracker::new(cfg.cost_model),
             cache,
-            skip_left: 0,
             first_check: true,
             pending: false,
             batch_units: Vec::new(),
@@ -362,7 +434,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
     /// Purely a cost lever — outputs are bit-identical with or without
     /// one attached, and the cache is never serialized into snapshots.
     pub fn set_kernel_cache(&mut self, kernel: Arc<KernelCache>) {
-        self.solver.attach_kernel(kernel);
+        self.stop.solver.attach_kernel(kernel);
     }
 
     /// The session's sampling design.
@@ -380,7 +452,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
     /// The session's interval method.
     #[must_use]
     pub fn method(&self) -> &IntervalMethod {
-        &self.method
+        &self.stop.method
     }
 
     /// The session's evaluation configuration.
@@ -585,11 +657,9 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
             };
         }
         let has_data = self.state.n() > 0;
-        let estimate = has_data.then(|| self.point_estimate());
+        let estimate = has_data.then(|| self.state.effective().mu);
         let interval = if has_data {
-            self.method
-                .interval_stateful(&self.state, self.cfg.alpha, &self.solver)
-                .ok()
+            self.stop.interval(&self.state, self.cfg.alpha).ok()
         } else {
             None
         };
@@ -622,23 +692,25 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         self.outcome.map(|o| o.result)
     }
 
+    /// Runs a rival method's stopping step over this session's shared
+    /// sample and design (the comparative engine's per-unit check).
+    pub(crate) fn run_stopping_step(
+        &self,
+        step: &mut StoppingStep,
+    ) -> Result<StepOutcome, SessionError> {
+        step.run(&self.state, &self.cfg, &*self.driver)
+    }
+
     fn stage1_draws(&self) -> u64 {
-        match self.kind {
+        match self.state.kind() {
             DesignKind::Srs => 0,
             DesignKind::Cluster => self.state.draws() as u64,
         }
     }
 
-    fn point_estimate(&self) -> f64 {
-        match self.kind {
-            DesignKind::Srs => self.state.mu_hat(),
-            DesignKind::Cluster => self.state.effective().mu,
-        }
-    }
-
+    /// Ends the session with the current point estimate `μ̂`.
     fn finish(
         &mut self,
-        mu: f64,
         interval: Interval,
         reason: StopReason,
         converged: bool,
@@ -647,7 +719,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         self.outcome = Some(SessionOutcome {
             reason,
             result: EvalResult {
-                mu_hat: mu,
+                mu_hat: self.state.effective().mu,
                 interval,
                 annotated_triples: self.cost.triples(),
                 annotated_entities: self.cost.entities(),
@@ -668,24 +740,20 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         // triple really was annotated; a custom bounded triple-stream
         // driver that ends early must not be mistaken for a census.
         let full_census =
-            self.kind == DesignKind::Srs && self.cost.triples() == self.kg.num_triples();
+            self.state.kind() == DesignKind::Srs && self.cost.triples() == self.kg.num_triples();
         if full_census {
             // Whole KG annotated: the estimate is the population value
             // and the interval degenerates to a point.
             let mu = self.state.mu_hat();
             self.finish(
-                mu,
                 Interval::new(mu, mu),
                 StopReason::PopulationExhausted,
                 true,
                 false,
             );
         } else {
-            let interval =
-                self.method
-                    .interval_stateful(&self.state, self.cfg.alpha, &self.solver)?;
-            let mu = self.point_estimate();
-            self.finish(mu, interval, StopReason::StreamExhausted, false, false);
+            let interval = self.stop.interval(&self.state, self.cfg.alpha)?;
+            self.finish(interval, StopReason::StreamExhausted, false, false);
         }
         Ok(())
     }
@@ -699,7 +767,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         labels: &[bool],
         next_label: &mut usize,
     ) -> Result<(), SessionError> {
-        match self.kind {
+        match self.state.kind() {
             DesignKind::Srs => {
                 for i in unit.start..unit.end {
                     let st = self.batch_triples[i];
@@ -735,7 +803,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
                     }
                     self.cost.record(st.triple, st.cluster);
                 }
-                let per_draw = match self.estimator {
+                let per_draw = match self.driver.estimator() {
                     UnitEstimator::SampleMean => correct as f64 / size as f64,
                     UnitEstimator::HansenHurwitz { scale } => correct as f64 * scale,
                     UnitEstimator::Triple => unreachable!("cluster kind with triple estimator"),
@@ -744,55 +812,12 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
             }
         }
 
-        // Stopping rule: consulted after every unit once the minimum
-        // sample is reached (and ≥ min_draws stage-1 draws under
-        // cluster designs, so the variance estimator exists).
-        let ready = self.state.n() >= self.cfg.min_triples
-            && (self.kind == DesignKind::Srs || self.state.draws() >= self.cfg.min_draws);
-        if ready {
-            let at_floor = self.first_check;
-            self.first_check = false;
-            if self.skip_left > 0 {
-                self.skip_left -= 1;
-            } else {
-                let lookahead = self.cfg.stopping == StoppingPolicy::CertifiedLookahead;
-                // Exact one-step gate: construct only when the current
-                // posterior could actually stop (always, in the
-                // reference path).
-                let construct = !lookahead
-                    || self.method.stop_possible_now(
-                        &self.state,
-                        self.cfg.alpha,
-                        self.cfg.epsilon,
-                        &self.solver,
-                    );
-                if construct {
-                    let interval =
-                        self.method
-                            .interval_stateful(&self.state, self.cfg.alpha, &self.solver)?;
-                    if interval.moe() <= self.cfg.epsilon {
-                        let mu = self.point_estimate();
-                        self.finish(mu, interval, StopReason::MoeSatisfied, true, at_floor);
-                        return Ok(());
-                    }
-                }
-                if lookahead {
-                    self.skip_left = match self.kind {
-                        DesignKind::Srs => self.method.certified_skip_srs(
-                            &self.state,
-                            self.cfg.alpha,
-                            self.cfg.epsilon,
-                            &mut self.solver,
-                        ),
-                        DesignKind::Cluster => self.method.certified_skip_cluster(
-                            &self.state,
-                            self.cfg.alpha,
-                            self.cfg.epsilon,
-                            self.max_draw_size,
-                            self.hansen_hurwitz,
-                        ),
-                    };
-                }
+        let step = self.stop.run(&self.state, &self.cfg, &*self.driver)?;
+        if !matches!(step, StepOutcome::NotReady) {
+            let at_floor = std::mem::replace(&mut self.first_check, false);
+            if let StepOutcome::Stop(interval) = step {
+                self.finish(interval, StopReason::MoeSatisfied, true, at_floor);
+                return Ok(());
             }
         }
         let budget_spent = self
@@ -804,11 +829,8 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
                 .max_cost_seconds
                 .is_some_and(|cap| self.cost.seconds() >= cap);
         if budget_spent {
-            let interval =
-                self.method
-                    .interval_stateful(&self.state, self.cfg.alpha, &self.solver)?;
-            let mu = self.point_estimate();
-            self.finish(mu, interval, StopReason::BudgetExhausted, false, false);
+            let interval = self.stop.interval(&self.state, self.cfg.alpha)?;
+            self.finish(interval, StopReason::BudgetExhausted, false, false);
         }
         Ok(())
     }
@@ -862,7 +884,7 @@ pub(crate) fn method_tag(method: &IntervalMethod) -> u8 {
     }
 }
 
-pub(crate) fn stopping_tag(policy: StoppingPolicy) -> u8 {
+fn stopping_tag(policy: StoppingPolicy) -> u8 {
     match policy {
         StoppingPolicy::EveryUnit => 0,
         StoppingPolicy::CertifiedLookahead => 1,
@@ -910,6 +932,39 @@ pub(crate) fn method_fingerprint_matches(
         }
     }
     Ok(matches)
+}
+
+/// Encodes an evaluation config's fingerprint — the shape shared by
+/// plain-session and monitor records.
+pub(crate) fn write_config_fingerprint(w: &mut Writer, cfg: &EvalConfig) {
+    w.f64(cfg.alpha);
+    w.f64(cfg.epsilon);
+    w.u64(cfg.min_triples);
+    w.u64(cfg.min_draws as u64);
+    w.opt_u64(cfg.max_observations);
+    w.opt_f64(cfg.max_cost_seconds);
+    w.f64(cfg.cost_model.entity_seconds);
+    w.f64(cfg.cost_model.triple_seconds);
+    w.u64(cfg.cost_model.judgments_per_label);
+    w.u8(stopping_tag(cfg.stopping));
+}
+
+/// Consumes a config fingerprint from the reader and reports whether it
+/// matches `cfg` bit for bit (reading stops at the first mismatch).
+pub(crate) fn config_fingerprint_matches(
+    r: &mut Reader<'_>,
+    cfg: &EvalConfig,
+) -> Result<bool, &'static str> {
+    Ok(r.f64()?.to_bits() == cfg.alpha.to_bits()
+        && r.f64()?.to_bits() == cfg.epsilon.to_bits()
+        && r.u64()? == cfg.min_triples
+        && r.u64()? == cfg.min_draws as u64
+        && r.opt_u64()? == cfg.max_observations
+        && r.opt_f64()?.map(f64::to_bits) == cfg.max_cost_seconds.map(f64::to_bits)
+        && r.f64()?.to_bits() == cfg.cost_model.entity_seconds.to_bits()
+        && r.f64()?.to_bits() == cfg.cost_model.triple_seconds.to_bits()
+        && r.u64()? == cfg.cost_model.judgments_per_label
+        && r.u8()? == stopping_tag(cfg.stopping))
 }
 
 /// The identity prefix of a session snapshot: which design produced it
@@ -1054,25 +1109,14 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         w.u64(m);
         w.u64(self.kg.num_triples());
         w.u32(self.kg.num_clusters());
-        // Config fingerprint.
-        w.f64(self.cfg.alpha);
-        w.f64(self.cfg.epsilon);
-        w.u64(self.cfg.min_triples);
-        w.u64(self.cfg.min_draws as u64);
-        w.opt_u64(self.cfg.max_observations);
-        w.opt_f64(self.cfg.max_cost_seconds);
-        w.f64(self.cfg.cost_model.entity_seconds);
-        w.f64(self.cfg.cost_model.triple_seconds);
-        w.u64(self.cfg.cost_model.judgments_per_label);
-        w.u8(stopping_tag(self.cfg.stopping));
-        // Method fingerprint.
-        write_method_fingerprint(&mut w, &self.method);
+        write_config_fingerprint(&mut w, &self.cfg);
+        write_method_fingerprint(&mut w, &self.stop.method);
         // RNG.
         for word in self.rng.save_state() {
             w.u64(word);
         }
         // Loop scheduling state.
-        w.u64(self.skip_left);
+        w.u64(self.stop.skip_left);
         w.bool(self.first_check);
         // Sample state.
         w.u64(self.state.n());
@@ -1161,7 +1205,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
     /// session's own design/KG/config/method, then overwrites the
     /// session's dynamic state with the snapshot's.
     fn apply_snapshot(mut self, bytes: &[u8]) -> Result<Self, SessionError> {
-        let (kg, cfg, method) = (self.kg, &self.cfg, &self.method);
+        let (kg, cfg, method) = (self.kg, &self.cfg, &self.stop.method);
         let corrupt = SessionError::CorruptSnapshot;
         let mut r = Reader::new(bytes);
         let tag = read_record_prefix(&mut r)?;
@@ -1174,18 +1218,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         {
             return Err(SessionError::SnapshotMismatch("KG shape differs"));
         }
-        let cfg_matches = r.f64().map_err(corrupt)?.to_bits() == cfg.alpha.to_bits()
-            && r.f64().map_err(corrupt)?.to_bits() == cfg.epsilon.to_bits()
-            && r.u64().map_err(corrupt)? == cfg.min_triples
-            && r.u64().map_err(corrupt)? == cfg.min_draws as u64
-            && r.opt_u64().map_err(corrupt)? == cfg.max_observations
-            && r.opt_f64().map_err(corrupt)?.map(f64::to_bits)
-                == cfg.max_cost_seconds.map(f64::to_bits)
-            && r.f64().map_err(corrupt)?.to_bits() == cfg.cost_model.entity_seconds.to_bits()
-            && r.f64().map_err(corrupt)?.to_bits() == cfg.cost_model.triple_seconds.to_bits()
-            && r.u64().map_err(corrupt)? == cfg.cost_model.judgments_per_label
-            && r.u8().map_err(corrupt)? == stopping_tag(cfg.stopping);
-        if !cfg_matches {
+        if !config_fingerprint_matches(&mut r, cfg).map_err(corrupt)? {
             return Err(SessionError::SnapshotMismatch("evaluation config differs"));
         }
         if !method_fingerprint_matches(&mut r, method).map_err(corrupt)? {
@@ -1242,10 +1275,10 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
             ));
         }
         self.rng.load_state(rng_state);
-        self.skip_left = skip_left;
+        self.stop.skip_left = skip_left;
         self.first_check = first_check;
         self.state = SampleState::from_parts(
-            self.kind,
+            self.state.kind(),
             n,
             tau,
             OnlineMoments::from_raw_parts(mn, mmean, mm2),

@@ -308,58 +308,88 @@ proptest! {
     }
 }
 
+/// Everything an engine spec of each registry tag borrows: one NELL
+/// twin, the four plain designs, a 4-way hash stratification and the
+/// default configs.
+struct EveryTag {
+    kg: CompactKg,
+    prepared: Vec<PreparedDesign>,
+    stratification: Stratification,
+    method: IntervalMethod,
+    eval_cfg: EvalConfig,
+    strat_cfg: StratifiedConfig,
+}
+
+impl EveryTag {
+    fn new() -> Self {
+        let kg = dataset("nell");
+        let prepared = [
+            SamplingDesign::Srs,
+            SamplingDesign::Twcs { m: 3 },
+            SamplingDesign::Wcs,
+            SamplingDesign::Scs,
+        ]
+        .into_iter()
+        .map(|design| PreparedDesign::new(&kg, design))
+        .collect();
+        let stratification = Stratification::by_hash(&kg, 4, 1);
+        Self {
+            kg,
+            prepared,
+            stratification,
+            method: IntervalMethod::ahpd_default(),
+            eval_cfg: EvalConfig::default(),
+            strat_cfg: StratifiedConfig::default(),
+        }
+    }
+
+    /// One spec per record tag, in tag order 0–6: SRS, TWCS(3), WCS,
+    /// SCS, stratified, comparative (SRS, aHPD primary), monitor.
+    fn specs(&self, seed: u64) -> Vec<EngineSpec<'_, '_>> {
+        let mut specs: Vec<EngineSpec<'_, '_>> = self
+            .prepared
+            .iter()
+            .map(|prepared| EngineSpec::Plain {
+                kg: &self.kg,
+                prepared,
+                method: &self.method,
+                config: &self.eval_cfg,
+                seed,
+            })
+            .collect();
+        specs.push(EngineSpec::Stratified {
+            kg: &self.kg,
+            stratification: &self.stratification,
+            method: &self.method,
+            config: &self.strat_cfg,
+            seed,
+        });
+        specs.push(EngineSpec::Comparative {
+            kg: &self.kg,
+            prepared: &self.prepared[0],
+            primary: ComparePrimary::AHpd,
+            config: &self.eval_cfg,
+            seed,
+        });
+        specs.push(EngineSpec::Monitor {
+            kg: &self.kg,
+            method: &self.method,
+            config: &self.eval_cfg,
+            carry_weight: 50.0,
+            seed,
+        });
+        specs
+    }
+}
+
 /// A version-1 record — the layout that still carried a per-prior solver
 /// section — is rejected as a typed version mismatch for every registry
 /// tag, before any kind-specific parsing; no v1 reader exists.
 #[test]
 fn version_1_records_are_rejected_for_every_registry_tag() {
-    let kg = dataset("nell");
-    let method = IntervalMethod::ahpd_default();
-    let eval_cfg = EvalConfig::default();
-    let strat_cfg = StratifiedConfig::default();
-    let stratification = Stratification::by_hash(&kg, 4, 1);
-    let prepared: Vec<PreparedDesign> = [
-        SamplingDesign::Srs,
-        SamplingDesign::Twcs { m: 3 },
-        SamplingDesign::Wcs,
-        SamplingDesign::Scs,
-    ]
-    .into_iter()
-    .map(|design| PreparedDesign::new(&kg, design))
-    .collect();
-    let mut specs: Vec<EngineSpec<'_, '_>> = prepared
-        .iter()
-        .map(|prepared| EngineSpec::Plain {
-            kg: &kg,
-            prepared,
-            method: &method,
-            config: &eval_cfg,
-            seed: 7,
-        })
-        .collect();
-    specs.push(EngineSpec::Stratified {
-        kg: &kg,
-        stratification: &stratification,
-        method: &method,
-        config: &strat_cfg,
-        seed: 7,
-    });
-    specs.push(EngineSpec::Comparative {
-        kg: &kg,
-        prepared: &prepared[0],
-        primary: ComparePrimary::AHpd,
-        config: &eval_cfg,
-        seed: 7,
-    });
-    specs.push(EngineSpec::Monitor {
-        kg: &kg,
-        method: &method,
-        config: &eval_cfg,
-        carry_weight: 50.0,
-        seed: 7,
-    });
-    let truth = DeltaKg::with_truth(&kg, &kg);
-    for (tag, spec) in specs.iter().enumerate() {
+    let every = EveryTag::new();
+    let truth = DeltaKg::with_truth(&every.kg, &every.kg);
+    for (tag, spec) in every.specs(7).iter().enumerate() {
         let mut engine = spec.build();
         assert!(
             drive_monitor(&truth, engine.as_mut(), 2, 4),
@@ -378,5 +408,45 @@ fn version_1_records_are_rejected_for_every_registry_tag() {
         };
         assert!(unsupported(spec.resume(&snap).err()), "tag {tag}");
         assert!(unsupported(peek_any_header(&snap).err()), "tag {tag}");
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Golden snapshot bytes for every record tag: a mid-campaign snapshot
+/// (seed 7, batch 4, first poll boundary at ≥ 40 observations) keeps
+/// its exact length and digest across commits. Round-trip tests only
+/// compare bytes within one build; this pins the encoding itself, so a
+/// refactor that claims "no byte changes" is checked against the bytes
+/// the previous code wrote.
+#[test]
+fn mid_campaign_snapshot_bytes_are_pinned_for_every_registry_tag() {
+    const GOLDEN: [(usize, u64); 7] = [
+        (1973, 0x8221_019f_2e85_d6f3),
+        (765, 0x4eca_56dd_2d6a_76eb),
+        (686, 0x8448_b648_274c_8e6a),
+        (743, 0x1bd0_0aea_19a1_4fa3),
+        (2926, 0x2818_ea49_3e86_217e),
+        (2126, 0x9705_9c89_f0bd_bbc3),
+        (2631, 0x4846_fecb_ea4a_afb3),
+    ];
+    let every = EveryTag::new();
+    let truth = DeltaKg::with_truth(&every.kg, &every.kg);
+    for (tag, spec) in every.specs(7).iter().enumerate() {
+        let mut engine = spec.build();
+        while engine.headline().observations < 40 {
+            assert!(
+                drive_monitor(&truth, engine.as_mut(), 1, 4),
+                "tag {tag} ran out of work"
+            );
+        }
+        assert!(engine.stop_reason().is_none(), "tag {tag} stopped");
+        let snap = engine.snapshot().unwrap();
+        assert_eq!((snap.len(), fnv1a(&snap)), GOLDEN[tag], "tag {tag}");
     }
 }

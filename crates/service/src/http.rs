@@ -521,10 +521,10 @@ pub fn reason_phrase(status: u16) -> &'static str {
 }
 
 /// Renders a complete JSON response to bytes — status line, standard
-/// headers, any `extra` headers, and the body. Split out from
-/// [`write_response_with`] so callers that need byte-level control of
-/// the transmit (fault-injection harnesses writing torn prefixes) share
-/// the exact production formatting.
+/// headers, any `extra` headers, and the body. The reactor queues these
+/// bytes, and callers that need byte-level control of the transmit
+/// (fault-injection harnesses writing torn prefixes) share the exact
+/// production formatting.
 #[must_use]
 pub fn format_response(
     status: u16,
@@ -564,36 +564,6 @@ pub fn format_response_with(
     out.into_bytes()
 }
 
-/// Writes a JSON response with extra headers (e.g. `Retry-After`).
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn write_response_with<W: Write>(
-    writer: &mut W,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-    extra: &[(&str, String)],
-) -> std::io::Result<()> {
-    writer.write_all(&format_response(status, body, keep_alive, extra))?;
-    writer.flush()
-}
-
-/// Writes a JSON response.
-///
-/// # Errors
-///
-/// Propagates transport failures.
-pub fn write_response<W: Write>(
-    writer: &mut W,
-    status: u16,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_with(writer, status, body, keep_alive, &[])
-}
-
 /// Writes a JSON request (client side). `body` may be empty (`GET`).
 ///
 /// # Errors
@@ -631,8 +601,7 @@ mod tests {
 
     #[test]
     fn response_round_trip() {
-        let mut wire = Vec::new();
-        write_response(&mut wire, 201, r#"{"ok":true}"#, true).unwrap();
+        let wire = format_response(201, r#"{"ok":true}"#, true, &[]);
         let resp = read_response(&mut BufReader::new(&wire[..])).unwrap();
         assert_eq!(resp.status, 201);
         assert_eq!(resp.body, br#"{"ok":true}"#);
@@ -641,15 +610,12 @@ mod tests {
 
     #[test]
     fn retry_after_round_trips_and_bad_values_are_ignored() {
-        let mut wire = Vec::new();
-        write_response_with(
-            &mut wire,
+        let wire = format_response(
             429,
             r#"{"error":"quota"}"#,
             true,
             &[("Retry-After", "7".to_string())],
-        )
-        .unwrap();
+        );
         let resp = read_response(&mut BufReader::new(&wire[..])).unwrap();
         assert_eq!(resp.status, 429);
         assert_eq!(resp.retry_after, Some(7));

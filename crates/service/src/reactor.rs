@@ -38,8 +38,7 @@
 //! writes one byte to the waker, the loop observes the flag on the
 //! same iteration, stops accepting, closes idle connections
 //! immediately and lets in-flight requests finish their response
-//! writes — a no-session drain completes in well under the 1 s
-//! `READ_TICK` the blocking front needed just to notice the flag.
+//! writes, so a no-session drain completes without any polling tick.
 
 use crate::http::{self, Parsed, RequestParser};
 use crate::metrics::{self, Metrics, RequestLog, Route};
