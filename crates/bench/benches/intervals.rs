@@ -1,9 +1,8 @@
 //! Construction latency of every interval method at a representative
 //! annotation outcome (27/30 correct — a skewed, unimodal posterior),
 //! the SRS aHPD certified-lookahead search at late-campaign NELL states,
-//! started cold and from the previous round's frontier, and the TWCS(3)
-//! aHPD lookahead search at early-campaign NELL states that certify a
-//! skip.
+//! and the TWCS(3) aHPD lookahead search at early-campaign NELL states
+//! that certify a skip.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kgae_core::{
@@ -13,7 +12,7 @@ use kgae_core::{
 use kgae_graph::GroundTruth;
 use kgae_intervals::{
     agresti_coull, clopper_pearson, et_interval, hpd_interval, hpd_interval_exact, wald_srs,
-    wilson, BetaPrior,
+    wilson, BetaPrior, Kernel,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -86,11 +85,11 @@ fn campaign_states(
 /// the campaign, visited at the intervals the certified skips set.
 fn lookahead_rounds(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec<SampleState> {
     let (states, _) = campaign_states(SamplingDesign::Srs, method, cfg, seed);
-    let mut solver = method.new_state();
     let mut rounds = Vec::new();
     let mut at = cfg.min_triples.saturating_sub(1) as usize;
     while at < states.len() {
-        let skip = method.certified_skip_srs(&states[at], cfg.alpha, cfg.epsilon, &mut solver);
+        let skip =
+            method.certified_skip_srs(&states[at], cfg.alpha, cfg.epsilon, Kernel::new(None));
         rounds.push(states[at].clone());
         at += skip as usize + 1;
     }
@@ -103,23 +102,17 @@ fn bench_certified_skip_srs(c: &mut Criterion) {
     let method = IntervalMethod::ahpd_default();
     let cfg = EvalConfig::default();
     let rounds = lookahead_rounds(&method, &cfg, 7);
-    // The campaign's last lookahead rounds, each seeded by a call at the
-    // round before it.
-    for pair in rounds[rounds.len().saturating_sub(5)..].windows(2) {
-        let (prev, state) = (&pair[0], &pair[1]);
+    // The campaign's last four lookahead rounds.
+    for state in &rounds[rounds.len().saturating_sub(4)..] {
         let id = format!("tau{}_n{}", state.tau(), state.n());
-        g.bench_function(format!("cold/{id}"), |b| {
+        g.bench_function(id, |b| {
             b.iter(|| {
-                let mut solver = method.new_state();
-                method.certified_skip_srs(black_box(state), cfg.alpha, cfg.epsilon, &mut solver)
-            })
-        });
-        let mut seeded = method.new_state();
-        let _ = method.certified_skip_srs(prev, cfg.alpha, cfg.epsilon, &mut seeded);
-        g.bench_function(format!("seeded/{id}"), |b| {
-            b.iter(|| {
-                let mut solver = seeded.clone();
-                method.certified_skip_srs(black_box(state), cfg.alpha, cfg.epsilon, &mut solver)
+                method.certified_skip_srs(
+                    black_box(state),
+                    cfg.alpha,
+                    cfg.epsilon,
+                    Kernel::new(None),
+                )
             })
         });
     }

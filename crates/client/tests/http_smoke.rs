@@ -539,6 +539,21 @@ fn api_errors_map_to_http_statuses() {
             Err(ClientError::Api { status: 400, .. }) => {}
             other => panic!("expected 400, got {other:?}"),
         }
+        // α outside (2^-52, 1) → 400 bad_request, and no session.
+        let mut zero_alpha = srs_spec("zero-alpha", 1);
+        zero_alpha.alpha = 0.0;
+        match client.create(&zero_alpha) {
+            Err(ClientError::Api {
+                status: 400,
+                code: Some(code),
+                ..
+            }) if code == "bad_request" => {}
+            other => panic!("expected 400 bad_request, got {other:?}"),
+        }
+        match client.status("zero-alpha") {
+            Err(ClientError::Api { status: 404, .. }) => {}
+            other => panic!("expected 404, got {other:?}"),
+        }
         // Duplicate create → 409.
         client.create(&srs_spec("dup", 1)).unwrap();
         match client.create(&srs_spec("dup", 2)) {

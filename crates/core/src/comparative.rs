@@ -216,10 +216,7 @@ impl<'a> ComparativeSession<'a> {
     pub fn set_kernel_cache(&mut self, kernel: &std::sync::Arc<kgae_intervals::KernelCache>) {
         self.primary.set_kernel_cache(std::sync::Arc::clone(kernel));
         for rival in &mut self.rivals {
-            rival
-                .step
-                .solver
-                .attach_kernel(std::sync::Arc::clone(kernel));
+            rival.step.kernel = Some(std::sync::Arc::clone(kernel));
         }
     }
 

@@ -6,8 +6,9 @@
 //! * **The posterior kernel** ([`Kernel`]): under SRS every interval and
 //!   certificate is a pure function of the integer counts `(τ, n)` plus
 //!   the `(prior, α)` configuration, so all SRS solves route through
-//!   [`kgae_intervals::kernel`]'s canonical count-keyed functions. When a
-//!   shared [`KernelCache`] is attached to the [`MethodState`] the solves
+//!   [`kgae_intervals::kernel`]'s canonical count-keyed functions. When the
+//!   caller's [`Kernel`] handle carries a shared
+//!   [`KernelCache`](kgae_intervals::KernelCache) the solves
 //!   are memoized process-wide; without one the same functions run
 //!   directly, so cached and uncached runs are bit-identical by
 //!   construction. (Cluster designs have fractional effective counts and
@@ -19,12 +20,14 @@
 //!   satisfy `MoE ≤ ε`, so the evaluation loop skips interval
 //!   construction (and even the one-step bound check) entirely until the
 //!   first unit where stopping is achievable. Both searches run on the
-//!   decisive extreme outcome first, starting near its expected answer
-//!   (SRS: the state's `Frontier` hint; clusters: the normal
-//!   approximation's horizon), and certify the candidate with one probe
-//!   of the rest of the outcome-and-prior union. The stopping decision is
-//!   unchanged — every skipped step is one where the reference
-//!   check-every-unit loop could not have stopped either.
+//!   decisive extreme outcome first, starting at the horizon where the
+//!   normal approximation on that outcome, `ν·ε² ≥ z²·m(1−m)`, first
+//!   holds, and certify the candidate with one probe of the rest of the
+//!   outcome-and-prior union. The skip is a pure function of the
+//!   sample and `(α, ε, priors)`: no search state is kept between calls.
+//!   The stopping decision is unchanged — every skipped step is one
+//!   where the reference check-every-unit loop could not have stopped
+//!   either.
 //! * **Pruned aHPD selection**: at the stop, the prior with the smallest
 //!   certified width lower bound is solved first, and every other prior
 //!   whose HPD width is certified wider than that solution is never
@@ -35,10 +38,9 @@ use crate::ahpd::posteriors_for_state;
 use crate::state::{DesignKind, SampleState};
 use kgae_intervals::{
     et_interval, hpd_interval_exact, hpd_width_achievable, hpd_width_lower_bound,
-    wald_from_variance, wilson, BetaPrior, Interval, IntervalError, Kernel, KernelCache,
+    wald_from_variance, wilson, BetaPrior, Interval, IntervalError, Kernel,
 };
 use kgae_stats::dist::Beta;
-use std::sync::Arc;
 
 /// Hard cap on a single certified skip, bounding the cost of one
 /// lookahead computation. Re-derived after the cap is reached, so larger
@@ -50,72 +52,6 @@ const MAX_SKIP: u64 = 1 << 16;
 /// solve — far above the exact solver's error, so a skipped prior could
 /// never have been selected.
 const PRUNE_MARGIN: f64 = 1e-6;
-
-/// Where the last SRS lookahead found the decisive path's first
-/// stoppable horizon. The next search starts from it, rescaled to the
-/// new state's fixed count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Frontier {
-    /// The path's direction: `true` when successes move (`τ+k`).
-    toward_one: bool,
-    /// The count fixed along the path: failures toward one, successes
-    /// toward zero.
-    fixed: u64,
-    /// The moving count at the path's first stoppable horizon.
-    stop: u64,
-}
-
-impl Frontier {
-    /// The horizon to start the next decisive search at, from a path
-    /// with the given direction and counts. At high accuracy the moving
-    /// count needed to stop grows as the square root of the fixed count
-    /// (the normal approximation), so the hint is `stop·√(fixed/f₀)`. A
-    /// flipped direction, or a first failure after a run without any,
-    /// starts cold at horizon 1.
-    fn start(&self, toward_one: bool, fixed: u64, moving: u64) -> u64 {
-        if toward_one != self.toward_one || (self.fixed == 0 && fixed > 0) {
-            return 1;
-        }
-        let scale = if self.fixed == 0 {
-            1.0
-        } else {
-            (fixed as f64 / self.fixed as f64).sqrt()
-        };
-        ((self.stop as f64 * scale).ceil() as u64).saturating_sub(moving)
-    }
-}
-
-/// Per-run solver state carried across the framework's successive calls:
-/// an optional handle on the process-wide posterior-kernel cache and the
-/// SRS lookahead's search hint. Every interval is solved from the
-/// current sample alone (each prior's posterior is derived from the
-/// counts), so no state changes a result and none is serialized.
-#[derive(Debug, Clone, Default)]
-pub struct MethodState {
-    /// Shared posterior-kernel cache. `None` solves every kernel
-    /// directly through the same canonical functions — identical bits,
-    /// no memoization. Never serialized: a resumed session re-attaches
-    /// the host's cache (or none).
-    pub(crate) kernel: Option<Arc<KernelCache>>,
-    /// Where the last SRS lookahead's decisive search ended: a cache
-    /// that only moves where the next search starts, never its result.
-    /// Never serialized: snapshots keep their bytes, and a resumed
-    /// session's first search starts cold and finds the same skip.
-    pub(crate) frontier: Option<Frontier>,
-}
-
-impl MethodState {
-    /// The dispatch handle for this state's SRS kernel solves.
-    pub(crate) fn kernel(&self) -> Kernel<'_> {
-        Kernel::new(self.kernel.as_deref())
-    }
-
-    /// Attaches the shared posterior-kernel cache; subsequent SRS solves
-    /// memoize through it.
-    pub(crate) fn attach_kernel(&mut self, kernel: Arc<KernelCache>) {
-        self.kernel = Some(kernel);
-    }
-}
 
 /// An interval-estimation method under evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -171,27 +107,21 @@ impl IntervalMethod {
         }
     }
 
-    /// Fresh solver state for a run of [`Self::interval_stateful`] calls.
-    #[must_use]
-    pub fn new_state(&self) -> MethodState {
-        MethodState::default()
-    }
-
     /// Builds the `1-α` interval from the current sample.
     ///
     /// Degenerate cluster variance (a single stage-1 draw) yields the
     /// maximally uninformative sentinel interval `[μ̂-0.5, μ̂+0.5]`
     /// (MoE 0.5), so the stopping rule simply keeps sampling.
     pub fn interval(&self, state: &SampleState, alpha: f64) -> Result<Interval, IntervalError> {
-        self.interval_stateful(state, alpha, &self.new_state())
+        self.interval_stateful(state, alpha, Kernel::new(None))
     }
 
-    /// [`Self::interval`] solved through the state's kernel cache.
+    /// [`Self::interval`] with its SRS solves routed through `kernel`.
     pub fn interval_stateful(
         &self,
         state: &SampleState,
         alpha: f64,
-        cache: &MethodState,
+        kernel: Kernel<'_>,
     ) -> Result<Interval, IntervalError> {
         match self {
             IntervalMethod::Wald => {
@@ -207,7 +137,7 @@ impl IntervalMethod {
                 )?)
             }
             IntervalMethod::Wilson => match state.kind() {
-                DesignKind::Srs => cache.kernel().wilson(state.tau(), state.n(), alpha),
+                DesignKind::Srs => kernel.wilson(state.tau(), state.n(), alpha),
                 DesignKind::Cluster => {
                     let eff = state.effective();
                     if state.draws() < 2 {
@@ -217,7 +147,7 @@ impl IntervalMethod {
                 }
             },
             IntervalMethod::Et(prior) => match state.kind() {
-                DesignKind::Srs => cache.kernel().et(prior, state.tau(), state.n(), alpha),
+                DesignKind::Srs => kernel.et(prior, state.tau(), state.n(), alpha),
                 DesignKind::Cluster => {
                     let eff = state.effective();
                     et_interval(&prior.posterior_effective(eff.mu, eff.n_eff)?, alpha)
@@ -229,7 +159,7 @@ impl IntervalMethod {
                 // uninformative sentinel so the loop keeps sampling
                 // instead of aborting.
                 ushaped_as_sentinel(match state.kind() {
-                    DesignKind::Srs => cache.kernel().hpd(prior, state.tau(), state.n(), alpha),
+                    DesignKind::Srs => kernel.hpd(prior, state.tau(), state.n(), alpha),
                     DesignKind::Cluster => {
                         let eff = state.effective();
                         hpd_interval_exact(&prior.posterior_effective(eff.mu, eff.n_eff)?, alpha)
@@ -242,7 +172,6 @@ impl IntervalMethod {
                 // and hide the caller's bug.
                 assert!(state.n() > 0, "aHPD needs at least one annotation");
                 let posteriors = posteriors_for_state(state, priors)?;
-                let kernel = cache.kernel();
                 pruned_ahpd(&posteriors, alpha, |i| match state.kind() {
                     DesignKind::Srs => kernel.hpd(&priors[i], state.tau(), state.n(), alpha),
                     DesignKind::Cluster => hpd_interval_exact(&posteriors[i], alpha),
@@ -267,19 +196,16 @@ impl IntervalMethod {
         state: &SampleState,
         alpha: f64,
         epsilon: f64,
-        cache: &MethodState,
+        kernel: Kernel<'_>,
     ) -> bool {
         let Some(priors) = self.priors() else {
             return true;
         };
         let width = 2.0 * epsilon;
         match state.kind() {
-            DesignKind::Srs => {
-                let kernel = cache.kernel();
-                priors
-                    .iter()
-                    .any(|prior| kernel.achievable(prior, state.tau(), state.n(), alpha, width))
-            }
+            DesignKind::Srs => priors
+                .iter()
+                .any(|prior| kernel.achievable(prior, state.tau(), state.n(), alpha, width)),
             DesignKind::Cluster => {
                 let eff = state.effective();
                 priors.iter().any(|prior| {
@@ -308,13 +234,11 @@ impl IntervalMethod {
     /// The search runs on the *decisive path* first: the extreme outcome
     /// nearer the boundary (`τ+k` when `2τ ≥ n`, else `τ`), where the
     /// posterior narrows fastest, and `decisive_first_skip` certifies
-    /// its answer against the rest of the union.
-    ///
-    /// The start comes from `cache`'s `Frontier`: each call records
-    /// where its decisive path first became stoppable, and the next call
-    /// rescales that to its own state (horizon 1 when there is none). A
-    /// campaign's answer moves by only a few units between rounds, so the
-    /// search is a handful of probes instead of a cold search from 1.
+    /// its answer against the rest of the union. It starts where the
+    /// normal approximation on the decisive endpoint,
+    /// `ν·ε² ≥ z²·m(1−m)` at `(ν, m) = (n+k, τ′/(n+k))`, first holds —
+    /// the cluster lookahead's start. Any start gives the same skip, so
+    /// the skip depends on the sample and `(α, ε, priors)` alone.
     ///
     /// Returns 0 (check the very next annotation) for methods without a
     /// certified bound (Wald, Wilson).
@@ -324,7 +248,20 @@ impl IntervalMethod {
         state: &SampleState,
         alpha: f64,
         epsilon: f64,
-        cache: &mut MethodState,
+        kernel: Kernel<'_>,
+    ) -> u64 {
+        self.srs_skip_from(state, alpha, epsilon, kernel, None)
+    }
+
+    /// [`Self::certified_skip_srs`] with its decisive search started at
+    /// `start` (`None`: the normal-approximation start).
+    fn srs_skip_from(
+        &self,
+        state: &SampleState,
+        alpha: f64,
+        epsilon: f64,
+        kernel: Kernel<'_>,
+        start: Option<u64>,
     ) -> u64 {
         let Some(priors) = self.priors() else {
             return 0;
@@ -332,17 +269,14 @@ impl IntervalMethod {
         debug_assert_eq!(state.kind(), DesignKind::Srs);
         let (tau, n) = (state.tau(), state.n());
         let toward_one = 2 * tau >= n;
-        let (fixed, moving) = if toward_one {
-            (n - tau, tau)
-        } else {
-            (tau, n - tau)
-        };
         let decisive = |k| if toward_one { tau + k } else { tau };
-        let start = cache
-            .frontier
-            .map_or(1, |f| f.start(toward_one, fixed, moving));
-        let kernel = Kernel::new(cache.kernel.as_deref());
-        let (candidate, skip) = decisive_first_skip(
+        let start = start.unwrap_or_else(|| {
+            normal_start(alpha, epsilon, |k| {
+                let nu = (n + k) as f64;
+                (nu, decisive(k) as f64 / nu)
+            })
+        });
+        decisive_first_skip(
             start,
             |k| {
                 priors
@@ -353,13 +287,7 @@ impl IntervalMethod {
                 let refuted = refuted.then(|| decisive(k));
                 srs_stoppable_at(priors, &kernel, tau, n, k, alpha, epsilon, refuted)
             },
-        );
-        cache.frontier = Some(Frontier {
-            toward_one,
-            fixed,
-            stop: moving + candidate + 1,
-        });
-        skip
+        )
     }
 
     /// Certified cluster lookahead: the number of further stage-1 draws
@@ -381,10 +309,8 @@ impl IntervalMethod {
     /// The certificate is a union over priors and the two range
     /// endpoints. Its decisive endpoint is the one nearer the boundary
     /// (`μ_hi` when `2μ̂ ≥ 1`, else `μ_lo`), searched first by
-    /// `decisive_first_skip` from the horizon where the normal
-    /// approximation on that endpoint, `ν·ε² ≥ z²·m(1−m)`, first holds.
-    /// Any start gives the same skip; this one is usually the first
-    /// stoppable horizon or the one after it.
+    /// `decisive_first_skip` from `normal_start` on that endpoint, as the
+    /// SRS lookahead is.
     #[must_use]
     pub fn certified_skip_cluster(
         &self,
@@ -428,17 +354,11 @@ impl IntervalMethod {
             })
         };
         let toward_one = 2.0 * mu >= 1.0;
-        let z = upper_normal_quantile(alpha / 2.0);
-        let start = 1 + find_certified_skip(1, |j| {
-            let (nu, m) = bound(j, toward_one);
-            nu * epsilon * epsilon >= z * z * m * (1.0 - m)
-        });
         decisive_first_skip(
-            start,
+            normal_start(alpha, epsilon, |j| bound(j, toward_one)),
             |j| stoppable(j, toward_one),
             |j, refuted| (!refuted && stoppable(j, toward_one)) || stoppable(j, !toward_one),
         )
-        .1
     }
 }
 
@@ -588,12 +508,24 @@ fn pruned_ahpd(
 
 /// `z` with upper-tail normal probability `p ∈ (0, 0.5]`, by the
 /// rational approximation of Abramowitz & Stegun 26.2.23 (absolute error
-/// below 4.5e-4). Only the cluster lookahead's start horizon uses it,
-/// and any start gives the same skip.
+/// below 4.5e-4). Only the lookaheads' start horizon uses it, and any
+/// start gives the same skip.
 fn upper_normal_quantile(p: f64) -> f64 {
     let t = (-2.0 * p.ln()).sqrt();
     t - (2.515_517 + t * (0.802_853 + t * 0.010_328))
         / (1.0 + t * (1.432_788 + t * (0.189_269 + t * 0.001_308)))
+}
+
+/// Where a decisive-first search starts: the first horizon at which the
+/// normal approximation on the decisive endpoint `(ν, m) = endpoint(k)`,
+/// `ν·ε² ≥ z²·m(1−m)`, holds — the Wald sample-size condition. It is
+/// usually the decisive path's first stoppable horizon or the one after.
+fn normal_start(alpha: f64, epsilon: f64, endpoint: impl Fn(u64) -> (f64, f64)) -> u64 {
+    let z = upper_normal_quantile(alpha / 2.0);
+    1 + find_certified_skip(1, |k| {
+        let (nu, m) = endpoint(k);
+        nu * epsilon * epsilon >= z * z * m * (1.0 - m)
+    })
 }
 
 /// The lookahead's skip from a decisive-first search. The decisive
@@ -606,23 +538,20 @@ fn upper_normal_quantile(p: f64) -> f64 {
 /// bisected below the candidate. With stoppability monotone in the
 /// horizon, which both searches assume, the skip is the union's own first
 /// stoppable horizon less one, whatever the start.
-///
-/// Returns the decisive candidate and the skip.
 fn decisive_first_skip(
     start: u64,
     decisive: impl Fn(u64) -> bool,
     union: impl Fn(u64, bool) -> bool,
-) -> (u64, u64) {
+) -> u64 {
     let candidate = find_certified_skip(start, decisive);
     if candidate == 0 || !union(candidate, true) {
-        return (candidate, candidate);
+        return candidate;
     }
-    let skip = if union(1, false) {
+    if union(1, false) {
         0
     } else {
         bisect_skip(|k| union(k, false), 1, candidate)
-    };
-    (candidate, skip)
+    }
 }
 
 /// Searches for the number of units to skip: one less than the smallest
@@ -681,6 +610,7 @@ fn bisect_skip(stoppable_at: impl Fn(u64) -> bool, mut lo: u64, mut hi: u64) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kgae_intervals::KernelCache;
     use proptest::prelude::*;
 
     fn srs_state(tau: u64, n: u64) -> SampleState {
@@ -780,11 +710,9 @@ mod tests {
 
     #[test]
     fn cached_and_uncached_states_agree_bit_for_bit() {
-        // The tentpole invariant at the dispatch layer: attaching a
-        // shared kernel cache changes cost, not a single output bit, and
-        // neither does carrying a state across calls (a cold state
-        // builds the same interval).
-        let shared = Arc::new(KernelCache::new());
+        // The tentpole invariant at the dispatch layer: routing through a
+        // shared kernel cache changes cost, not a single output bit.
+        let shared = KernelCache::new();
         let methods = [
             IntervalMethod::Wilson,
             IntervalMethod::Et(BetaPrior::KERMAN),
@@ -792,13 +720,12 @@ mod tests {
             IntervalMethod::ahpd_default(),
         ];
         for method in methods {
-            let mut plain = method.new_state();
-            let mut cached = method.new_state();
-            cached.attach_kernel(Arc::clone(&shared));
+            let plain = Kernel::new(None);
+            let cached = Kernel::new(Some(&shared));
             for (tau, n) in [(1, 1), (5, 30), (27, 30), (30, 30), (88, 100), (109, 120)] {
                 let state = srs_state(tau, n);
-                let a = method.interval_stateful(&state, 0.05, &plain).unwrap();
-                let b = method.interval_stateful(&state, 0.05, &cached).unwrap();
+                let a = method.interval_stateful(&state, 0.05, plain).unwrap();
+                let b = method.interval_stateful(&state, 0.05, cached).unwrap();
                 let cold = method.interval(&state, 0.05).unwrap();
                 for other in [b, cold] {
                     assert_eq!(
@@ -809,12 +736,12 @@ mod tests {
                     );
                 }
                 assert_eq!(
-                    method.stop_possible_now(&state, 0.05, 0.05, &plain),
-                    method.stop_possible_now(&state, 0.05, 0.05, &cached),
+                    method.stop_possible_now(&state, 0.05, 0.05, plain),
+                    method.stop_possible_now(&state, 0.05, 0.05, cached),
                 );
                 assert_eq!(
-                    method.certified_skip_srs(&state, 0.05, 0.05, &mut plain),
-                    method.certified_skip_srs(&state, 0.05, 0.05, &mut cached),
+                    method.certified_skip_srs(&state, 0.05, 0.05, plain),
+                    method.certified_skip_srs(&state, 0.05, 0.05, cached),
                 );
             }
         }
@@ -833,7 +760,7 @@ mod tests {
                 IntervalMethod::Et(BetaPrior::UNIFORM),
             ] {
                 let state = srs_state(tau, n);
-                let skip = method.certified_skip_srs(&state, 0.05, 0.05, &mut method.new_state());
+                let skip = method.certified_skip_srs(&state, 0.05, 0.05, Kernel::new(None));
                 // Brute-force: for each skipped horizon k and each
                 // achievable τ', the constructed interval is wider than ε.
                 for k in 1..=skip.min(60) {
@@ -860,24 +787,24 @@ mod tests {
         // certify a long skip even under the loose f(mode) bound.
         let state = srs_state(15, 30);
         let ahpd = IntervalMethod::ahpd_default();
-        let skip = ahpd.certified_skip_srs(&state, 0.05, 0.05, &mut ahpd.new_state());
+        let skip = ahpd.certified_skip_srs(&state, 0.05, 0.05, Kernel::new(None));
         assert!(skip >= 30, "skip = {skip} is uselessly small");
         // And frequentist methods certify nothing.
         let wald = IntervalMethod::Wald;
         assert_eq!(
-            wald.certified_skip_srs(&state, 0.05, 0.05, &mut wald.new_state()),
+            wald.certified_skip_srs(&state, 0.05, 0.05, Kernel::new(None)),
             0
         );
         let wilson = IntervalMethod::Wilson;
         assert_eq!(
-            wilson.certified_skip_srs(&state, 0.05, 0.05, &mut wilson.new_state()),
+            wilson.certified_skip_srs(&state, 0.05, 0.05, Kernel::new(None)),
             0
         );
     }
 
     /// Reference for [`IntervalMethod::certified_skip_srs`]: exponential
     /// and binary search over the union predicate from horizon 1, without
-    /// the decisive-path candidate or a frontier hint.
+    /// the decisive-path candidate or the normal-approximation start.
     fn skip_by_union_search(
         method: &IntervalMethod,
         state: &SampleState,
@@ -918,34 +845,22 @@ mod tests {
         #[test]
         fn decisive_path_skip_equals_the_union_search(
             (n, tau) in (1u64..=5000).prop_flat_map(|n| (Just(n), 0..=n)),
-            // The frontier hint comes from a prior call at another state:
-            // far-off hints, flipped directions, and runs without a
-            // single failure (or success) all occur.
-            (n0, tau0) in (1u64..=5000).prop_flat_map(|n0| {
-                (Just(n0), prop_oneof![Just(0), Just(n0), 0..=n0])
-            }),
+            // The decisive search from an arbitrary start must land on
+            // the same skip as from the normal-approximation start.
+            start in prop_oneof![Just(1u64), Just(MAX_SKIP), 1..=MAX_SKIP, 1u64..=2000],
             alpha in prop_oneof![Just(0.01), Just(0.05), Just(0.1)],
             epsilon in 0.01f64..0.1,
         ) {
             let state = srs_state(tau, n);
+            let kernel = Kernel::new(None);
             for method in skip_methods() {
                 let want = skip_by_union_search(&method, &state, alpha, epsilon);
-                let cold = method.certified_skip_srs(&state, alpha, epsilon, &mut method.new_state());
-                prop_assert_eq!(cold, want, "{:?} at (τ={}, n={}), α={}, ε={}",
+                let got = method.certified_skip_srs(&state, alpha, epsilon, kernel);
+                prop_assert_eq!(got, want, "{:?} at (τ={}, n={}), α={}, ε={}",
                     method, tau, n, alpha, epsilon);
-                let mut seeded = method.new_state();
-                let _ = method.certified_skip_srs(&srs_state(tau0, n0), alpha, epsilon, &mut seeded);
-                let hinted = method.certified_skip_srs(&state, alpha, epsilon, &mut seeded);
-                prop_assert_eq!(hinted, want, "{:?} at (τ={}, n={}) seeded at (τ={}, n={}), \
-                    α={}, ε={}", method, tau, n, tau0, n0, alpha, epsilon);
-                // A predecessor state of the same campaign.
-                let back = (n - tau).min(tau).min(7);
-                let mut chained = method.new_state();
-                let _ = method.certified_skip_srs(
-                    &srs_state(tau - back, n - 2 * back), alpha, epsilon, &mut chained);
-                prop_assert_eq!(method.certified_skip_srs(&state, alpha, epsilon, &mut chained),
-                    want, "{:?} at (τ={}, n={}) after (τ={}, n={})",
-                    method, tau, n, tau - back, n - 2 * back);
+                let from = method.srs_skip_from(&state, alpha, epsilon, kernel, Some(start));
+                prop_assert_eq!(from, want, "{:?} at (τ={}, n={}) from horizon {}, \
+                    α={}, ε={}", method, tau, n, start, alpha, epsilon);
             }
         }
     }
@@ -958,7 +873,7 @@ mod tests {
         for (tau, n) in [(5u64, 10u64), (500, 1000), (1, 3), (0, 7)] {
             let state = srs_state(tau, n);
             for method in skip_methods() {
-                let got = method.certified_skip_srs(&state, 0.01, 1e-5, &mut method.new_state());
+                let got = method.certified_skip_srs(&state, 0.01, 1e-5, Kernel::new(None));
                 assert_eq!(got, MAX_SKIP, "{method:?} at (τ={tau}, n={n})");
                 assert_eq!(got, skip_by_union_search(&method, &state, 0.01, 1e-5));
             }
@@ -1173,31 +1088,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn frontier_starts_follow_the_square_root_law() {
-        let f = Frontier {
-            toward_one: true,
-            fixed: 4,
-            stop: 100,
-        };
-        // Four times the failures need twice the successes.
-        assert_eq!(f.start(true, 16, 150), 50);
-        assert_eq!(f.start(true, 4, 97), 3);
-        // Already past the hint: the search clamps it to horizon 1.
-        assert_eq!(f.start(true, 4, 120), 0);
-        // A flipped direction starts cold.
-        assert_eq!(f.start(false, 4, 97), 1);
-        // From a run without failures, a first failure starts cold; more
-        // successes alone keep the hint.
-        let clean = Frontier {
-            toward_one: true,
-            fixed: 0,
-            stop: 60,
-        };
-        assert_eq!(clean.start(true, 1, 50), 1);
-        assert_eq!(clean.start(true, 0, 50), 10);
-    }
-
     /// The aHPD selection the pruned branch must reproduce: solve every
     /// prior and keep the first minimal width.
     fn ahpd_by_every_prior(priors: &[BetaPrior], state: &SampleState, alpha: f64) -> Interval {
@@ -1220,9 +1110,7 @@ mod tests {
         ];
         for method in &skip_methods()[..2] {
             let priors = method.priors().unwrap();
-            let kernel = Arc::new(KernelCache::new());
-            let mut cache = method.new_state();
-            cache.attach_kernel(Arc::clone(&kernel));
+            let kernel = KernelCache::new();
             let (mut selections, mut single_solves) = (0u64, 0u64);
             for (n, alpha) in sizes.iter().map(|&n| (n, 0.05)).chain([
                 (30, 0.01),
@@ -1233,7 +1121,9 @@ mod tests {
                 for tau in 0..=n {
                     let state = srs_state(tau, n);
                     let before = kernel.stats().lookups();
-                    let got = method.interval_stateful(&state, alpha, &cache).unwrap();
+                    let got = method
+                        .interval_stateful(&state, alpha, Kernel::new(Some(&kernel)))
+                        .unwrap();
                     let solves = kernel.stats().lookups() - before;
                     let want = ahpd_by_every_prior(priors, &state, alpha);
                     assert_eq!(

@@ -50,11 +50,11 @@
 
 use crate::cost::CostTracker;
 use crate::framework::{EvalConfig, EvalResult, PreparedDesign, SamplingDesign, StoppingPolicy};
-use crate::method::{IntervalMethod, MethodState};
+use crate::method::IntervalMethod;
 use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::state::{DesignKind, SampleState};
 use kgae_graph::{KnowledgeGraph, LabelCache};
-use kgae_intervals::{Interval, IntervalError, KernelCache};
+use kgae_intervals::{Interval, IntervalError, Kernel, KernelCache};
 use kgae_sampling::driver::{build_driver, DesignDriver, UnitEstimator};
 use kgae_sampling::SampledTriple;
 use kgae_stats::descriptive::OnlineMoments;
@@ -235,13 +235,17 @@ struct BatchOrigin {
     driver: Vec<u8>,
 }
 
-/// One method's stopping rule over a sample: the method, its solver
-/// state and its certified-lookahead countdown. A session runs one for
-/// its own method; a comparative campaign runs one per rival method
-/// over the primary session's sample.
+/// One method's stopping rule over a sample: the method, the kernel
+/// cache its SRS solves memoize through and its certified-lookahead
+/// countdown. A session runs one for its own method; a comparative
+/// campaign runs one per rival method over the primary session's sample.
 pub(crate) struct StoppingStep {
     pub(crate) method: IntervalMethod,
-    pub(crate) solver: MethodState,
+    /// Shared posterior-kernel cache. `None` solves every kernel
+    /// directly through the same canonical functions — identical bits,
+    /// no memoization. Never serialized: a resumed session re-attaches
+    /// the host's cache (or none).
+    pub(crate) kernel: Option<Arc<KernelCache>>,
     /// Annotation units left before the next stopping check (certified
     /// unreachable in between).
     pub(crate) skip_left: u64,
@@ -260,10 +264,15 @@ pub(crate) enum StepOutcome {
 impl StoppingStep {
     pub(crate) fn new(method: IntervalMethod) -> Self {
         Self {
-            solver: method.new_state(),
             method,
+            kernel: None,
             skip_left: 0,
         }
+    }
+
+    /// The dispatch handle for this step's SRS kernel solves.
+    fn kernel(&self) -> Kernel<'_> {
+        Kernel::new(self.kernel.as_deref())
     }
 
     /// The method's `1-α` interval over `state`.
@@ -272,7 +281,7 @@ impl StoppingStep {
         state: &SampleState,
         alpha: f64,
     ) -> Result<Interval, IntervalError> {
-        self.method.interval_stateful(state, alpha, &self.solver)
+        self.method.interval_stateful(state, alpha, self.kernel())
     }
 
     /// The stopping sequence after one labeled unit: readiness gate
@@ -301,7 +310,7 @@ impl StoppingStep {
         if !lookahead
             || self
                 .method
-                .stop_possible_now(state, cfg.alpha, cfg.epsilon, &self.solver)
+                .stop_possible_now(state, cfg.alpha, cfg.epsilon, self.kernel())
         {
             let interval = self.interval(state, cfg.alpha)?;
             if interval.moe() <= cfg.epsilon {
@@ -311,7 +320,7 @@ impl StoppingStep {
         if lookahead {
             self.skip_left = if srs {
                 self.method
-                    .certified_skip_srs(state, cfg.alpha, cfg.epsilon, &mut self.solver)
+                    .certified_skip_srs(state, cfg.alpha, cfg.epsilon, self.kernel())
             } else {
                 self.method.certified_skip_cluster(
                     state,
@@ -434,7 +443,7 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
     /// Purely a cost lever — outputs are bit-identical with or without
     /// one attached, and the cache is never serialized into snapshots.
     pub fn set_kernel_cache(&mut self, kernel: Arc<KernelCache>) {
-        self.stop.solver.attach_kernel(kernel);
+        self.stop.kernel = Some(kernel);
     }
 
     /// The session's sampling design.
@@ -640,9 +649,9 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
 
     /// Point-in-time view: estimate, interval, cost and stop state.
     ///
-    /// On a running session the interval is constructed from a scratch
-    /// copy of the solver state, so observing a session never perturbs
-    /// its stopping trajectory.
+    /// On a running session the interval is built from the sample counts
+    /// alone, so observing a session never perturbs its stopping
+    /// trajectory.
     #[must_use]
     pub fn status(&self) -> SessionStatus {
         if let Some(o) = &self.outcome {

@@ -15,7 +15,7 @@ use kgae_core::{
     OracleAnnotator, PreparedDesign, SamplingDesign, StoppingPolicy,
 };
 use kgae_graph::{CompactKg, GroundTruth};
-use kgae_intervals::BetaPrior;
+use kgae_intervals::{BetaPrior, Kernel};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -317,11 +317,12 @@ fn snapshots_are_canonical_bytes() {
 
 #[test]
 fn late_stage_resume_without_the_search_hint_is_exact() {
-    // Near the stop, the SRS aHPD lookahead certifies skips below 10 and
-    // starts each search from the previous round's frontier. That hint
-    // is never serialized, so a resumed session's first search starts
-    // cold. The stop point, the interval bits and every later snapshot
-    // must still equal the uninterrupted twin's.
+    // Near the stop, the SRS aHPD lookahead certifies skips below 10.
+    // Its search keeps no state between rounds: each one starts at the
+    // current sample's normal-approximation horizon, so a session
+    // resumed from the snapshot alone searches exactly as its twin does.
+    // The stop point, the interval bits and every later snapshot must
+    // equal the uninterrupted twin's.
     let kg = kgae_graph::datasets::nell();
     let method = IntervalMethod::ahpd_default();
     let cfg = EvalConfig::default();
@@ -350,7 +351,7 @@ fn late_stage_resume_without_the_search_hint_is_exact() {
                 twin.sample_state(),
                 cfg.alpha,
                 cfg.epsilon,
-                &mut method.new_state(),
+                Kernel::new(None),
             );
             if late.is_none() && skip < 10 {
                 late = Some(snapshots.len() - 1);

@@ -1576,7 +1576,10 @@ impl<'a> SessionManager<'a> {
     /// # Errors
     ///
     /// [`ServiceError::Draining`] in drain mode,
-    /// [`ServiceError::InvalidId`], [`ServiceError::Quarantined`] on a
+    /// [`ServiceError::InvalidId`], [`ServiceError::BadRequest`] unless
+    /// `f64::EPSILON < α < 1` and ε is finite and positive (every
+    /// interval's critical value needs `1 − α/2` strictly inside
+    /// `(1/2, 1)`), [`ServiceError::Quarantined`] on a
     /// quarantined id (quarantined bytes must be inspected and cleared
     /// out-of-band before the id can be reused),
     /// [`ServiceError::SessionExists`] (in memory or on disk),
@@ -1592,6 +1595,17 @@ impl<'a> SessionManager<'a> {
         }
         if !valid_session_id(&spec.id) {
             return Err(ServiceError::InvalidId(spec.id.clone()));
+        }
+        let in_range = f64::EPSILON < spec.alpha
+            && spec.alpha < 1.0
+            && spec.epsilon.is_finite()
+            && spec.epsilon > 0.0;
+        if !in_range {
+            return Err(ServiceError::BadRequest(format!(
+                "alpha must lie in (2^-52, 1) and epsilon must be finite and positive, \
+                 got alpha {} and epsilon {}",
+                spec.alpha, spec.epsilon
+            )));
         }
         self.check_quarantined(&spec.id)?;
         let live = self.build_live(spec)?;

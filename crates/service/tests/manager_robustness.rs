@@ -1,8 +1,10 @@
 //! The crash-safe / backpressure half of the [`SessionManager`]
 //! contract: per-tenant quotas (429-shaped refusals that free on
 //! delete and survive restarts), graceful drain (mid-batch sessions
-//! suspend exactly and resume bit-identically), and quarantine of
-//! records that fail deep validation (410, never a wedged 500).
+//! suspend exactly and resume bit-identically), quarantine of
+//! records that fail deep validation (410, never a wedged 500), and
+//! refusal of out-of-range α/ε before any session exists (400, never a
+//! poisoned shard).
 
 use kgae_core::{IntervalMethod, StopReason};
 use kgae_graph::GroundTruth;
@@ -323,5 +325,53 @@ fn version_1_snapshots_are_quarantined_as_410_not_500() {
         let err = manager.next_request(id, 8).map(|_| ()).unwrap_err();
         assert_eq!(err.http_status(), 410, "{id}: {err}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn out_of_range_alpha_is_refused_before_a_session_exists() {
+    // Each body, if accepted, makes the session's first interval panic
+    // in the critical-value solve under the shard lock, poisoning the
+    // shard for every later request. α = 1e-300 lies inside (0, 1), but
+    // `1 − α/2` rounds to 1.
+    let registry = DatasetRegistry::standard();
+    let kg = registry.get("nell").unwrap();
+    let dir = temp_dir("alpha");
+    // One shard: every create below lands on the same lock.
+    let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 1);
+    for body in [
+        r#"{"id":"s","dataset":"nell","design":"srs","method":"wald","alpha":0}"#,
+        r#"{"id":"s","dataset":"nell","design":"srs","method":"wilson","alpha":1}"#,
+        r#"{"id":"s","dataset":"nell","design":"compare:wald","method":"wald","alpha":0}"#,
+        r#"{"id":"s","dataset":"nell","design":"srs","method":"wald","alpha":1e-300}"#,
+        r#"{"id":"s","dataset":"nell","design":"srs","method":"ahpd","epsilon":0}"#,
+    ] {
+        let spec = SessionSpec::from_json(&kgae_service::json::parse(body).unwrap()).unwrap();
+        let err = manager.create(&spec).unwrap_err();
+        assert_eq!(
+            (err.http_status(), err.wire_code()),
+            (400, "bad_request"),
+            "{body}: {err}"
+        );
+        assert!(
+            matches!(manager.status("s"), Err(ServiceError::UnknownSession(_))),
+            "{body}: a refused create left a session behind"
+        );
+    }
+    // The shard still serves: a campaign under the same id runs to its
+    // stop.
+    manager.create(&spec("s", None, 3)).unwrap();
+    loop {
+        let (request, view) = manager.next_request("s", 64).unwrap();
+        let Some(request) = request else { break };
+        let labels: Vec<bool> = request
+            .triples
+            .iter()
+            .map(|st| kg.is_correct(st.triple))
+            .collect();
+        manager.submit("s", &labels, view.pending_seq).unwrap();
+    }
+    let (reason, _) = manager.final_result("s").unwrap();
+    assert_eq!(reason, StopReason::MoeSatisfied);
     let _ = std::fs::remove_dir_all(&dir);
 }
