@@ -1,5 +1,6 @@
 //! Construction latency of every interval method at a representative
-//! annotation outcome (27/30 correct — a skewed, unimodal posterior),
+//! annotation outcome (27/30 correct — a skewed, unimodal posterior; HPD
+//! through its one solver, `hpd_interval_exact`),
 //! the SRS aHPD certified-lookahead search at late-campaign NELL states,
 //! and the TWCS(3) aHPD lookahead search at early-campaign NELL states
 //! that certify a skip.
@@ -11,8 +12,8 @@ use kgae_core::{
 };
 use kgae_graph::GroundTruth;
 use kgae_intervals::{
-    agresti_coull, clopper_pearson, et_interval, hpd_interval, hpd_interval_exact, wald_srs,
-    wilson, BetaPrior, Kernel,
+    agresti_coull, clopper_pearson, et_interval, hpd_interval_exact, wald_srs, wilson, BetaPrior,
+    Kernel,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -39,9 +40,6 @@ fn bench_intervals(c: &mut Criterion) {
     });
     g.bench_function("et", |b| {
         b.iter(|| et_interval(black_box(&post), alpha).unwrap())
-    });
-    g.bench_function("hpd_slsqp", |b| {
-        b.iter(|| hpd_interval(black_box(&post), alpha).unwrap())
     });
     g.bench_function("hpd_exact", |b| {
         b.iter(|| hpd_interval_exact(black_box(&post), alpha).unwrap())

@@ -10,7 +10,7 @@
 //! ```
 
 use kgae_core::report::MarkdownTable;
-use kgae_intervals::{et_interval, hpd_interval};
+use kgae_intervals::{et_interval, hpd_interval_exact};
 use kgae_stats::dist::Beta;
 
 fn main() {
@@ -36,7 +36,7 @@ fn main() {
 
     for (name, post) in &scenarios {
         let et = et_interval(post, alpha).unwrap();
-        let hpd = hpd_interval(post, alpha).unwrap();
+        let hpd = hpd_interval_exact(post, alpha).unwrap();
 
         // These left-skewed (high-accuracy) posteriors shift the HPD
         // region right of the ET interval: the HPD mass that ET excludes

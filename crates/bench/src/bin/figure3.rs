@@ -11,7 +11,7 @@
 
 use kgae_core::report::MarkdownTable;
 use kgae_intervals::expected::expected_width;
-use kgae_intervals::{hpd_interval, BetaPrior};
+use kgae_intervals::{hpd_interval_exact, BetaPrior};
 
 fn main() {
     let n = 30;
@@ -33,7 +33,7 @@ fn main() {
         let mu = i as f64 / 50.0;
         let widths: Vec<f64> = priors
             .iter()
-            .map(|p| expected_width(p, n, alpha, mu, hpd_interval).expect("expected width"))
+            .map(|p| expected_width(p, n, alpha, mu, hpd_interval_exact).expect("expected width"))
             .collect();
         let best = (0..3)
             .min_by(|&a, &b| widths[a].partial_cmp(&widths[b]).expect("finite widths"))

@@ -7,12 +7,15 @@ use std::fmt;
 pub enum IntervalError {
     /// A statistical kernel failed (bad parameters, no convergence).
     Stats(StatsError),
-    /// The HPD optimizer failed.
+    /// The HPD solver failed.
     Optim(OptimError),
     /// The posterior is U-shaped (`α < 1` and `β < 1`), where the highest
     /// density region is a *union of two intervals* and no single HPD
-    /// interval exists. Reachable only with zero annotations under a
-    /// sub-uniform prior — the evaluation framework never produces it.
+    /// interval exists. Zero annotations under a sub-uniform prior
+    /// produce it, and so do cluster designs with little effective
+    /// evidence: Kerman at `n_eff = 1`, `μ̂ = 0.5` is `Beta(0.83, 0.83)`.
+    /// The evaluation engines map it to the uninformative `[0, 1]`
+    /// interval.
     UShapedPosterior {
         /// Posterior α parameter.
         alpha: f64,
@@ -64,7 +67,7 @@ mod tests {
     fn conversions_and_display() {
         let e: IntervalError = StatsError::InvalidProbability(2.0).into();
         assert!(e.to_string().contains("stats"));
-        let e: IntervalError = OptimError::SingularMatrix.into();
+        let e: IntervalError = OptimError::InvalidBracket { lo: 0.0, hi: 1.0 }.into();
         assert!(e.to_string().contains("optimization"));
         let e = IntervalError::UShapedPosterior {
             alpha: 0.5,

@@ -57,7 +57,7 @@ pub fn best_prior_index(
     let mut best = 0;
     let mut best_w = f64::INFINITY;
     for (i, p) in priors.iter().enumerate() {
-        let w = expected_width(p, n, alpha, mu, crate::hpd::hpd_interval)?;
+        let w = expected_width(p, n, alpha, mu, crate::hpd::hpd_interval_exact)?;
         if w < best_w {
             best_w = w;
             best = i;
@@ -70,13 +70,13 @@ pub fn best_prior_index(
 mod tests {
     use super::*;
     use crate::et::et_interval;
-    use crate::hpd::hpd_interval;
+    use crate::hpd::hpd_interval_exact;
 
     #[test]
     fn expected_hpd_width_never_exceeds_expected_et_width() {
         for &mu in &[0.1, 0.5, 0.9, 0.99] {
             for prior in BetaPrior::UNINFORMATIVE {
-                let w_hpd = expected_width(&prior, 30, 0.05, mu, hpd_interval).unwrap();
+                let w_hpd = expected_width(&prior, 30, 0.05, mu, hpd_interval_exact).unwrap();
                 let w_et = expected_width(&prior, 30, 0.05, mu, et_interval).unwrap();
                 assert!(
                     w_hpd <= w_et + 1e-9,
@@ -113,9 +113,9 @@ mod tests {
     #[test]
     fn expected_width_shrinks_with_n() {
         let p = BetaPrior::UNIFORM;
-        let w30 = expected_width(&p, 30, 0.05, 0.85, hpd_interval).unwrap();
-        let w100 = expected_width(&p, 100, 0.05, 0.85, hpd_interval).unwrap();
-        let w300 = expected_width(&p, 300, 0.05, 0.85, hpd_interval).unwrap();
+        let w30 = expected_width(&p, 30, 0.05, 0.85, hpd_interval_exact).unwrap();
+        let w100 = expected_width(&p, 100, 0.05, 0.85, hpd_interval_exact).unwrap();
+        let w300 = expected_width(&p, 300, 0.05, 0.85, hpd_interval_exact).unwrap();
         assert!(w30 > w100 && w100 > w300);
         // Roughly √n scaling.
         assert!((w100 / w300 - (3.0f64).sqrt()).abs() < 0.2);

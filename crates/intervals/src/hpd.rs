@@ -4,92 +4,50 @@
 //! `1-α` (Theorem 1) and is unique (Theorem 2). Cases by posterior shape:
 //!
 //! * **Unimodal** (`α > 1, β > 1`, the standard case `0 < τ < n`):
-//!   solved as the paper does — SLSQP minimizing `u - l` under
-//!   `F(u) - F(l) = 1 - α` with the ET interval as the initial guess —
-//!   and by an exact solver ([`hpd_interval_exact`]): Newton on the
-//!   window width `w` for `M(w) = 1 - α`, where `M(w)` is the mass of
-//!   the best-placed width-`w` window (the same best-window primitive
+//!   solved exactly by [`hpd_interval_exact`]: Newton on the window width
+//!   `w` for `M(w) = 1 - α`, where `M(w)` is the mass of the best-placed
+//!   width-`w` window (the same best-window primitive
 //!   [`hpd_width_achievable`] uses), started from the certified
 //!   under-estimate [`hpd_width_lower_bound`]. It needs no quantile and
-//!   no nested root-finding. The exact solver is every engine path's
-//!   solver: SRS campaigns (the posterior-kernel cache memoizes it),
-//!   cluster designs on their effective posteriors, and the monitor's
-//!   appraisal. The SLSQP paths ([`hpd_interval`], [`hpd_interval_warm`])
-//!   have no engine caller; they keep the paper's computational pathway
-//!   for the figure binaries and benchmarks, and each solver
-//!   cross-validates the other in the tests.
+//!   no nested root-finding. The paper instead minimizes `u - l` under
+//!   `F(u) - F(l) = 1 - α` with sequential quadratic programming from
+//!   the ET interval; Theorem 2 makes that optimum unique, so both solve
+//!   for the same interval. This is the only HPD solver: SRS campaigns
+//!   (the posterior-kernel cache memoizes it), cluster designs on their
+//!   effective posteriors, the monitor's appraisal and the figure
+//!   binaries all call it.
 //! * **Monotone increasing** (all-correct limiting case, Eq. 10):
 //!   `[qBeta(α), 1]`.
 //! * **Monotone decreasing** (all-incorrect limiting case, Eq. 11):
 //!   `[0, qBeta(1-α)]`.
 //! * **Uniform**: every width-`(1-α)` interval is an HPD set; the central
 //!   one is returned (it coincides with ET, Theorem 3's degenerate case).
-//! * **U-shaped**: no single HPD interval exists — an error (unreachable
-//!   through the evaluation framework, which annotates ≥ 1 triple).
+//! * **U-shaped**: no single HPD interval exists — an error. Cluster
+//!   designs reach it with little effective evidence under a sub-uniform
+//!   prior (Kerman at `n_eff = 1`, `μ̂ = 0.5` is `Beta(0.83, 0.83)`); the
+//!   engines map it to the uninformative `[0, 1]` interval.
 
 use crate::error::IntervalError;
 use crate::et::{check_alpha, et_interval};
 use crate::types::Interval;
-use kgae_optim::slsqp::{slsqp, Problem, SlsqpConfig};
 use kgae_stats::dist::{Beta, BetaShape};
 
-/// Computes the `1-α` HPD interval by the paper's method (SLSQP with ET
-/// warm start in the standard case, closed forms in the limiting cases).
-///
-/// Falls back to the exact solver if SLSQP fails to converge —
-/// this keeps the evaluation loop total while preserving the paper's
-/// computational pathway in the overwhelmingly common case.
+/// [`hpd_interval_exact`] under its former name, kept only because the
+/// repository benchmark's `intervals.hpd.cold` row calls it.
+#[doc(hidden)]
 pub fn hpd_interval(posterior: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
-    check_alpha(alpha)?;
-    match posterior.shape() {
-        BetaShape::Increasing => increasing_case(posterior, alpha),
-        BetaShape::Decreasing => decreasing_case(posterior, alpha),
-        BetaShape::Uniform => et_interval(posterior, alpha),
-        BetaShape::UShaped => Err(IntervalError::UShapedPosterior {
-            alpha: posterior.alpha(),
-            beta: posterior.beta(),
-        }),
-        BetaShape::Unimodal => match unimodal_slsqp(posterior, alpha) {
-            Ok(i) => Ok(i),
-            Err(_) => unimodal_exact(posterior, alpha),
-        },
-    }
+    hpd_interval_exact(posterior, alpha)
 }
 
-/// [`hpd_interval`] with an optional warm start for the SLSQP path.
-///
-/// No engine path calls it: every interval the evaluation framework
-/// builds comes from [`hpd_interval_exact`]. Consecutive posteriors of
-/// a campaign differ by one observation, so a previous solution is an
-/// excellent initial iterate, and SLSQP converges to the *unique* HPD
-/// optimum (Theorem 2) from any interior start: the result equals the
-/// cold-started one within tolerance, not bit for bit.
-///
-/// Without a usable warm start the exact solver ([`hpd_interval_exact`])
-/// is used instead of cold SLSQP: on the strongly skewed posteriors
-/// high-accuracy KGs produce, SLSQP from the ET initial guess can burn
-/// its whole iteration budget before the fallback fires (the `hpd_solvers`
-/// bench compares the two), while Theorem 2 guarantees both land on the
-/// same optimum.
+/// [`hpd_interval_exact`], ignoring `_warm`: kept only because the
+/// repository benchmark's `intervals.hpd.warm` row calls it.
+#[doc(hidden)]
 pub fn hpd_interval_warm(
     posterior: &Beta,
     alpha: f64,
-    warm: Option<(f64, f64)>,
+    _warm: Option<(f64, f64)>,
 ) -> Result<Interval, IntervalError> {
-    check_alpha(alpha)?;
-    match posterior.shape() {
-        BetaShape::Unimodal => {
-            if let Some((l, u)) = warm {
-                if l >= 0.0 && u <= 1.0 && l < u {
-                    if let Ok(i) = unimodal_slsqp_from(posterior, alpha, l, u) {
-                        return Ok(i);
-                    }
-                }
-            }
-            unimodal_exact(posterior, alpha)
-        }
-        _ => hpd_interval(posterior, alpha),
-    }
+    hpd_interval_exact(posterior, alpha)
 }
 
 /// Certified lower bound on the `1-α` HPD width of a *unimodal*
@@ -215,12 +173,12 @@ fn best_window_start(post: &Beta, mode: f64, w: f64) -> f64 {
     l
 }
 
-/// Computes the `1-α` HPD interval with the exact solver only (Newton on
-/// the best-window width, see the module docs; same closed forms for
-/// the limiting cases). This is every engine path's solver: the
+/// Computes the `1-α` HPD interval: Newton on the best-window width in
+/// the unimodal case (see the module docs), closed forms Eq. 10/11 in
+/// the limiting cases. This is every caller's solver: the
 /// posterior-kernel cache memoizes it for SRS, cluster designs call it
-/// on their effective posteriors, the monitor's appraisal calls it, and
-/// [`hpd_interval_warm`] uses it whenever no warm start is available.
+/// on their effective posteriors, and the monitor's appraisal and the
+/// figure binaries call it.
 pub fn hpd_interval_exact(posterior: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
     check_alpha(alpha)?;
     match posterior.shape() {
@@ -245,76 +203,6 @@ fn increasing_case(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
 /// 0.
 fn decreasing_case(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
     Ok(Interval::new(0.0, post.quantile(1.0 - alpha)?))
-}
-
-/// The constrained minimization of Theorem 1 solved with SLSQP, using
-/// analytic gradients (the constraint gradient is the posterior density).
-struct HpdProblem<'a> {
-    post: &'a Beta,
-    alpha: f64,
-}
-
-impl Problem for HpdProblem<'_> {
-    fn dims(&self) -> (usize, usize) {
-        (2, 1)
-    }
-    fn objective(&self, x: &[f64]) -> f64 {
-        x[1] - x[0]
-    }
-    fn objective_grad(&self, _x: &[f64], grad: &mut [f64]) {
-        grad[0] = -1.0;
-        grad[1] = 1.0;
-    }
-    fn constraints(&self, x: &[f64], out: &mut [f64]) {
-        out[0] = self.post.cdf(x[1]) - self.post.cdf(x[0]) - (1.0 - self.alpha);
-    }
-    fn constraints_jac(&self, x: &[f64], jac: &mut [f64]) {
-        jac[0] = -self.post.pdf(x[0]);
-        jac[1] = self.post.pdf(x[1]);
-    }
-}
-
-fn unimodal_slsqp(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
-    // The ET interval is the paper's initial guess (Algorithm 1 line 20).
-    let guess = et_interval(post, alpha)?;
-    unimodal_slsqp_from(post, alpha, guess.lower(), guess.upper())
-}
-
-fn unimodal_slsqp_from(
-    post: &Beta,
-    alpha: f64,
-    l0: f64,
-    u0: f64,
-) -> Result<Interval, IntervalError> {
-    let problem = HpdProblem { post, alpha };
-    // 40 iterations is ~3× what a converging run ever needs here; a run
-    // that hasn't converged by then never will (extreme-skew posteriors
-    // with far-off warm starts), and the exact solver fallback is both
-    // correct (Theorem 2: same unique optimum) and faster than letting
-    // SLSQP burn a large budget first.
-    let cfg = SlsqpConfig {
-        max_iter: 40,
-        ..SlsqpConfig::default()
-    };
-    let sol = slsqp(&problem, &[l0, u0], &[0.0, 0.0], &[1.0, 1.0], &cfg)?;
-    if !sol.converged || sol.constraint_violation > 1e-8 {
-        return Err(IntervalError::Optim(
-            kgae_optim::OptimError::NoConvergence {
-                algorithm: "slsqp-hpd",
-                iterations: sol.iterations,
-            },
-        ));
-    }
-    let (l, u) = (sol.x[0].clamp(0.0, 1.0), sol.x[1].clamp(0.0, 1.0));
-    if l > u {
-        return Err(IntervalError::Optim(
-            kgae_optim::OptimError::NoConvergence {
-                algorithm: "slsqp-hpd",
-                iterations: sol.iterations,
-            },
-        ));
-    }
-    Ok(Interval::new(l, u))
 }
 
 /// Newton step on the window width below which [`unimodal_exact`]
@@ -413,7 +301,7 @@ mod tests {
     fn coverage_constraint_holds() {
         for post in posterior_grid() {
             for &alpha in &[0.10, 0.05, 0.01] {
-                let i = hpd_interval(&post, alpha).unwrap();
+                let i = hpd_interval_exact(&post, alpha).unwrap();
                 let mass = post.cdf(i.upper()) - post.cdf(i.lower());
                 assert!(
                     (mass - (1.0 - alpha)).abs() < 1e-7,
@@ -429,7 +317,7 @@ mod tests {
     fn density_is_equal_at_the_endpoints() {
         // First-order condition of Theorem 1 for interior solutions.
         for post in posterior_grid() {
-            let i = hpd_interval(&post, 0.05).unwrap();
+            let i = hpd_interval_exact(&post, 0.05).unwrap();
             if i.lower() > 1e-9 && i.upper() < 1.0 - 1e-9 {
                 let fl = post.pdf(i.lower());
                 let fu = post.pdf(i.upper());
@@ -444,26 +332,10 @@ mod tests {
     }
 
     #[test]
-    fn slsqp_and_exact_solvers_agree() {
-        for post in posterior_grid() {
-            for &alpha in &[0.10, 0.05, 0.01] {
-                let a = hpd_interval(&post, alpha).unwrap();
-                let b = hpd_interval_exact(&post, alpha).unwrap();
-                assert!(
-                    (a.lower() - b.lower()).abs() < 1e-6 && (a.upper() - b.upper()).abs() < 1e-6,
-                    "Beta({}, {}), α={alpha}: slsqp={a}, exact={b}",
-                    post.alpha(),
-                    post.beta()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn hpd_is_never_wider_than_et() {
         // Theorem 1: HPD is the shortest 1-α interval.
         for post in posterior_grid() {
-            let hpd = hpd_interval(&post, 0.05).unwrap();
+            let hpd = hpd_interval_exact(&post, 0.05).unwrap();
             let et = et_interval(&post, 0.05).unwrap();
             assert!(
                 hpd.width() <= et.width() + 1e-9,
@@ -478,7 +350,7 @@ mod tests {
     fn hpd_is_strictly_shorter_for_skewed_posteriors() {
         // Fig. 2(b,c): visible gains under skew.
         let post = BetaPrior::KERMAN.posterior(28, 30);
-        let hpd = hpd_interval(&post, 0.05).unwrap();
+        let hpd = hpd_interval_exact(&post, 0.05).unwrap();
         let et = et_interval(&post, 0.05).unwrap();
         assert!(hpd.width() < et.width() - 1e-4, "hpd={hpd}, et={et}");
     }
@@ -488,7 +360,7 @@ mod tests {
         // Theorem 3.
         for &(a, b) in &[(16.0, 16.0), (4.0, 4.0), (151.0, 151.0)] {
             let post = Beta::new(a, b).unwrap();
-            let hpd = hpd_interval(&post, 0.05).unwrap();
+            let hpd = hpd_interval_exact(&post, 0.05).unwrap();
             let et = et_interval(&post, 0.05).unwrap();
             assert!(
                 (hpd.lower() - et.lower()).abs() < 1e-7 && (hpd.upper() - et.upper()).abs() < 1e-7,
@@ -500,7 +372,7 @@ mod tests {
     #[test]
     fn hpd_contains_the_mode() {
         for post in posterior_grid() {
-            let i = hpd_interval(&post, 0.05).unwrap();
+            let i = hpd_interval_exact(&post, 0.05).unwrap();
             if let Some(mode) = post.mode() {
                 assert!(i.contains(mode), "mode {mode} outside {i}");
             }
@@ -512,7 +384,7 @@ mod tests {
         // τ = n = 30 under each uninformative prior.
         for prior in BetaPrior::UNINFORMATIVE {
             let post = prior.posterior(30, 30);
-            let i = hpd_interval(&post, 0.05).unwrap();
+            let i = hpd_interval_exact(&post, 0.05).unwrap();
             assert_eq!(i.upper(), 1.0);
             let want_l = post.quantile(0.05).unwrap();
             assert!((i.lower() - want_l).abs() < 1e-12);
@@ -525,7 +397,7 @@ mod tests {
     fn limiting_case_all_incorrect_matches_eq_11() {
         for prior in BetaPrior::UNINFORMATIVE {
             let post = prior.posterior(0, 30);
-            let i = hpd_interval(&post, 0.05).unwrap();
+            let i = hpd_interval_exact(&post, 0.05).unwrap();
             assert_eq!(i.lower(), 0.0);
             let want_u = post.quantile(0.95).unwrap();
             assert!((i.upper() - want_u).abs() < 1e-12);
@@ -537,7 +409,7 @@ mod tests {
         // Minimality (Corollary 1): shifting the all-correct interval
         // inward while keeping coverage must widen it.
         let post = BetaPrior::JEFFREYS.posterior(30, 30);
-        let hpd = hpd_interval(&post, 0.05).unwrap();
+        let hpd = hpd_interval_exact(&post, 0.05).unwrap();
         for &shift in &[0.001, 0.01, 0.05] {
             let u = 1.0 - shift;
             let target = post.cdf(u) - 0.95;
@@ -558,7 +430,7 @@ mod tests {
         // Theorem 1 again, numerically: perturb l and re-solve u from the
         // coverage constraint; the width must not decrease.
         let post = BetaPrior::UNIFORM.posterior(170, 200);
-        let hpd = hpd_interval(&post, 0.05).unwrap();
+        let hpd = hpd_interval_exact(&post, 0.05).unwrap();
         for &delta in &[-0.02, -0.005, 0.005, 0.02] {
             let l = (hpd.lower() + delta).clamp(0.0, 1.0);
             let fl = post.cdf(l);
@@ -576,7 +448,7 @@ mod tests {
     #[test]
     fn uniform_posterior_returns_central_interval() {
         let post = Beta::new(1.0, 1.0).unwrap();
-        let i = hpd_interval(&post, 0.10).unwrap();
+        let i = hpd_interval_exact(&post, 0.10).unwrap();
         assert!((i.width() - 0.9).abs() < 1e-9);
     }
 
@@ -584,31 +456,36 @@ mod tests {
     fn u_shaped_posterior_is_an_error() {
         let post = Beta::new(0.5, 0.5).unwrap();
         assert!(matches!(
-            hpd_interval(&post, 0.05),
+            hpd_interval_exact(&post, 0.05),
             Err(IntervalError::UShapedPosterior { .. })
         ));
     }
 
+    /// `a` and `b` are the same interval, bit for bit.
+    fn bit_identical(a: Interval, b: Interval) -> bool {
+        a.lower().to_bits() == b.lower().to_bits() && a.upper().to_bits() == b.upper().to_bits()
+    }
+
     #[test]
     fn warm_start_reproduces_cold_start() {
-        // Theorem 2 (uniqueness) in practice: warm-started SLSQP lands on
-        // the same interval, from good and from sloppy warm starts.
+        // The kept aliases are the exact solver: whatever the warm start,
+        // both return its interval bit for bit.
         for post in posterior_grid() {
-            let cold = hpd_interval(&post, 0.05).unwrap();
+            let exact = hpd_interval_exact(&post, 0.05).unwrap();
+            assert!(bit_identical(hpd_interval(&post, 0.05).unwrap(), exact));
             for warm in [
-                Some((cold.lower(), cold.upper())),
+                Some((exact.lower(), exact.upper())),
                 Some((
-                    (cold.lower() - 0.05).max(0.0),
-                    (cold.upper() + 0.05).min(1.0),
+                    (exact.lower() - 0.05).max(0.0),
+                    (exact.upper() + 0.05).min(1.0),
                 )),
                 Some((0.3, 0.6)),
                 None,
             ] {
                 let w = hpd_interval_warm(&post, 0.05, warm).unwrap();
                 assert!(
-                    (w.lower() - cold.lower()).abs() < 1e-6
-                        && (w.upper() - cold.upper()).abs() < 1e-6,
-                    "Beta({}, {}), warm {warm:?}: {w} vs {cold}",
+                    bit_identical(w, exact),
+                    "Beta({}, {}), warm {warm:?}: {w} vs {exact}",
                     post.alpha(),
                     post.beta()
                 );
@@ -619,10 +496,10 @@ mod tests {
     #[test]
     fn degenerate_warm_start_falls_back() {
         let post = BetaPrior::KERMAN.posterior(27, 30);
-        let cold = hpd_interval(&post, 0.05).unwrap();
+        let exact = hpd_interval_exact(&post, 0.05).unwrap();
         for warm in [Some((0.9, 0.1)), Some((-0.5, 0.5)), Some((0.2, 1.7))] {
             let w = hpd_interval_warm(&post, 0.05, warm).unwrap();
-            assert!((w.lower() - cold.lower()).abs() < 1e-6);
+            assert!(bit_identical(w, exact), "warm {warm:?}: {w} vs {exact}");
         }
     }
 
@@ -632,7 +509,7 @@ mod tests {
             let Some(lb) = hpd_width_lower_bound(&post, 0.05) else {
                 continue;
             };
-            let actual = hpd_interval(&post, 0.05).unwrap().width();
+            let actual = hpd_interval_exact(&post, 0.05).unwrap().width();
             assert!(
                 lb <= actual + 1e-12,
                 "Beta({}, {}): bound {lb} exceeds width {actual}",
@@ -649,24 +526,18 @@ mod tests {
     fn near_degenerate_shape_parameters_anchor_to_the_boundary() {
         // Beta(5, 1.1): interior mode at ~0.976 but the density falls to
         // zero only within ~1e-10 of x = 1; the HPD is boundary-anchored
-        // at double precision. Both solver paths must return it without
-        // erroring, with exact coverage.
+        // at double precision. The solver must return it without erroring,
+        // with exact coverage.
         for (a, b) in [(5.0, 1.1), (1.1, 5.0), (3.0, 1.02), (1.05, 1.8)] {
             let post = Beta::new(a, b).unwrap();
-            let i = hpd_interval(&post, 0.05).unwrap();
-            let e = hpd_interval_exact(&post, 0.05).unwrap();
-            for (label, iv) in [("dispatch", i), ("exact", e)] {
-                let mass = post.cdf(iv.upper()) - post.cdf(iv.lower());
-                assert!(
-                    (mass - 0.95).abs() < 1e-6,
-                    "Beta({a},{b}) {label}: coverage {mass}"
-                );
-                let et = et_interval(&post, 0.05).unwrap();
-                assert!(
-                    iv.width() <= et.width() + 1e-6,
-                    "Beta({a},{b}) {label}: wider than ET"
-                );
-            }
+            let iv = hpd_interval_exact(&post, 0.05).unwrap();
+            let mass = post.cdf(iv.upper()) - post.cdf(iv.lower());
+            assert!((mass - 0.95).abs() < 1e-6, "Beta({a},{b}): coverage {mass}");
+            let et = et_interval(&post, 0.05).unwrap();
+            assert!(
+                iv.width() <= et.width() + 1e-6,
+                "Beta({a},{b}): wider than ET"
+            );
         }
     }
 
@@ -740,7 +611,7 @@ mod tests {
         }
         for post in posts {
             for &alpha in &[0.10, 0.05, 0.01] {
-                let w = hpd_interval(&post, alpha).unwrap().width();
+                let w = hpd_interval_exact(&post, alpha).unwrap().width();
                 if w >= 1.0 {
                     continue;
                 }
@@ -1009,7 +880,7 @@ mod tests {
         // coverage but ET is wider and shifted left for a right-skewed
         // (high-accuracy) posterior.
         let post = BetaPrior::KERMAN.posterior(29, 30);
-        let hpd = hpd_interval(&post, 0.05).unwrap();
+        let hpd = hpd_interval_exact(&post, 0.05).unwrap();
         let et = et_interval(&post, 0.05).unwrap();
         assert!(et.lower() < hpd.lower(), "ET extends below the HPD region");
         assert!(et.upper() < hpd.upper(), "ET stops short of the HPD top");

@@ -6,14 +6,13 @@
 //!   (§3.1), [`wilson`] (§3.2), plus [`agresti_coull`] and
 //!   [`clopper_pearson`] as extra baselines for the coverage ablation;
 //! * Bayesian credible intervals on the conjugate Beta–Binomial model —
-//!   [`et_interval`] (§4.2) and [`hpd_interval`] (§4.3, computed the way
-//!   the paper computes it: SLSQP with the ET interval as warm start, and
-//!   closed forms Eq. 10/11 in the limiting cases);
-//! * [`hpd_interval_exact`] — an exact solver for the same optimum
-//!   (Newton on the width of the best-placed window, started from the
-//!   certified bound [`hpd_width_lower_bound`]), the solver behind every
-//!   engine path: SRS campaigns, cluster designs and the monitor's
-//!   appraisal;
+//!   [`et_interval`] (§4.2) and [`hpd_interval_exact`] (§4.3): the
+//!   paper's unique shortest `1-α` interval (Theorems 1–2), solved
+//!   exactly by Newton on the width of the best-placed window, started
+//!   from the certified bound [`hpd_width_lower_bound`], with closed
+//!   forms Eq. 10/11 in the limiting cases. It is the solver behind
+//!   every engine path (SRS campaigns, cluster designs and the monitor's
+//!   appraisal) and the figure binaries;
 //! * [`BetaPrior`] — Kerman / Jeffreys / Uniform uninformative priors and
 //!   informative priors, with integer and design-effect-adjusted
 //!   fractional posterior updates;
@@ -21,11 +20,11 @@
 //!   distribution (Figure 3).
 //!
 //! ```
-//! use kgae_intervals::{BetaPrior, hpd_interval, et_interval};
+//! use kgae_intervals::{BetaPrior, hpd_interval_exact, et_interval};
 //!
 //! // 27 of 30 annotated triples correct, Kerman prior, 95% level.
 //! let post = BetaPrior::KERMAN.posterior(27, 30);
-//! let hpd = hpd_interval(&post, 0.05).unwrap();
+//! let hpd = hpd_interval_exact(&post, 0.05).unwrap();
 //! let et = et_interval(&post, 0.05).unwrap();
 //! assert!(hpd.width() <= et.width()); // Theorem 1
 //! assert!(hpd.contains(0.9));

@@ -17,20 +17,6 @@ pub enum OptimError {
         /// Iterations performed.
         iterations: usize,
     },
-    /// The linear system is singular (or numerically so).
-    SingularMatrix,
-    /// Dimension mismatch between problem pieces.
-    DimensionMismatch {
-        /// What was expected.
-        expected: usize,
-        /// What was received.
-        got: usize,
-    },
-    /// The objective or a constraint returned a non-finite value.
-    NonFiniteValue {
-        /// Which evaluation produced the non-finite value.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for OptimError {
@@ -46,13 +32,6 @@ impl fmt::Display for OptimError {
                 f,
                 "{algorithm} did not converge after {iterations} iterations"
             ),
-            OptimError::SingularMatrix => write!(f, "singular linear system"),
-            OptimError::DimensionMismatch { expected, got } => {
-                write!(f, "dimension mismatch: expected {expected}, got {got}")
-            }
-            OptimError::NonFiniteValue { what } => {
-                write!(f, "non-finite value encountered in {what}")
-            }
         }
     }
 }
@@ -65,15 +44,14 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        assert!(OptimError::SingularMatrix.to_string().contains("singular"));
         assert!(OptimError::InvalidBracket { lo: 0.0, hi: 1.0 }
             .to_string()
             .contains("[0, 1]"));
         assert!(OptimError::NoConvergence {
-            algorithm: "slsqp",
+            algorithm: "newton-hpd",
             iterations: 100
         }
         .to_string()
-        .contains("slsqp"));
+        .contains("newton-hpd"));
     }
 }

@@ -1,21 +1,16 @@
 //! # kgae-optim
 //!
-//! Numerical optimization substrate for the HPD credible-interval solver.
+//! Bracketed root finding and the error type of the HPD interval solver.
 //!
-//! The paper computes Highest Posterior Density intervals by minimizing the
-//! interval width `u - l` under the coverage constraint
-//! `F(u) - F(l) = 1 - α` with both endpoints bounded to `[0, 1]`, using the
-//! SLSQP sequential-quadratic-programming method (Kraft 1988). This crate
-//! provides:
+//! The HPD interval is computed by an exact solver in `kgae-intervals`
+//! (Newton on the width of the best-placed window), which needs no
+//! general-purpose optimizer. This crate provides:
 //!
-//! * [`slsqp`] — a dense SQP solver for small smooth problems with equality
-//!   constraints and box bounds (damped BFGS Hessian approximation,
-//!   primal active-set QP subproblems, L1-merit backtracking line search);
-//! * [`root`] — bracketed root finding (bisection and Brent), the test
+//! * [`root`] — Brent's bracketed root finder, the independent test
 //!   oracle for the exact HPD solver;
-//! * [`linalg`] — the small dense LU factorization backing the QP solves.
+//! * [`OptimError`] — the failure type the HPD solver reports.
 //!
-//! Everything is `f64`, allocation-light, and panic-free on valid input.
+//! Everything is `f64`, allocation-free, and panic-free on valid input.
 //!
 //! ## Example
 //!
@@ -30,9 +25,7 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod linalg;
 pub mod root;
-pub mod slsqp;
 
 mod error;
 

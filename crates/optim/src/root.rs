@@ -1,13 +1,14 @@
 //! Bracketed scalar root finding.
 //!
-//! The exact HPD solver reduces the interval problem to a single root:
-//! find `l` with `f(l) = f(u(l))` where `u(l)` tracks the coverage
-//! constraint. Brent's method gives superlinear convergence with the
-//! robustness of bisection, which is exactly what that reduction needs.
+//! The HPD problem reduces to a single root: find `l` with
+//! `f(l) = f(u(l))` where `u(l)` tracks the coverage constraint. Brent's
+//! method solves that reduction independently of the exact HPD solver
+//! (Newton on the window width), so the interval tests use it as their
+//! oracle.
 
 use crate::{OptimError, Result};
 
-/// Configuration for the root finders.
+/// Configuration for the root finder.
 #[derive(Debug, Clone, Copy)]
 pub struct RootConfig {
     /// Absolute tolerance on the root location.
@@ -23,45 +24,6 @@ impl Default for RootConfig {
             max_iter: 200,
         }
     }
-}
-
-/// Finds a root of `f` in `[lo, hi]` by plain bisection.
-///
-/// Requires a sign change over the bracket. Guaranteed linear convergence;
-/// used as the fallback of last resort.
-pub fn bisect<F: FnMut(f64) -> f64>(mut f: F, lo: f64, hi: f64, cfg: RootConfig) -> Result<f64> {
-    let (mut lo, mut hi) = (lo, hi);
-    let mut flo = f(lo);
-    let fhi = f(hi);
-    if flo == 0.0 {
-        return Ok(lo);
-    }
-    if fhi == 0.0 {
-        return Ok(hi);
-    }
-    if flo * fhi > 0.0 {
-        return Err(OptimError::InvalidBracket { lo, hi });
-    }
-    for _ in 0..cfg.max_iter {
-        let mid = 0.5 * (lo + hi);
-        if (hi - lo).abs() < cfg.xtol || mid == lo || mid == hi {
-            return Ok(mid);
-        }
-        let fm = f(mid);
-        if fm == 0.0 {
-            return Ok(mid);
-        }
-        if flo * fm < 0.0 {
-            hi = mid;
-        } else {
-            lo = mid;
-            flo = fm;
-        }
-    }
-    Err(OptimError::NoConvergence {
-        algorithm: "bisect",
-        iterations: cfg.max_iter,
-    })
 }
 
 /// Finds a root of `f` in `[a, b]` with Brent's method.
@@ -188,21 +150,6 @@ mod tests {
             brent(|x| x * x + 1.0, -1.0, 1.0, RootConfig::default()),
             Err(OptimError::InvalidBracket { .. })
         ));
-    }
-
-    #[test]
-    fn bisect_matches_brent() {
-        let cfg = RootConfig::default();
-        let f = |x: f64| x.exp() - 3.0;
-        let rb = brent(f, 0.0, 2.0, cfg).unwrap();
-        let ri = bisect(f, 0.0, 2.0, cfg).unwrap();
-        assert!((rb - 3.0f64.ln()).abs() < 1e-12);
-        assert!((ri - 3.0f64.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn bisect_rejects_bad_bracket() {
-        assert!(bisect(|x| x * x + 1.0, -1.0, 1.0, RootConfig::default()).is_err());
     }
 
     #[test]

@@ -27,7 +27,7 @@ fn check_positive(name: &'static str, v: f64) -> Result<()> {
 }
 
 /// Qualitative shape of a `Beta(α, β)` density — the case analysis the
-/// HPD solver dispatches on (paper Eq. 10/11 vs. the SLSQP path).
+/// HPD solver dispatches on (paper Eq. 10/11 vs. the unimodal solve).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BetaShape {
     /// `α > 1, β > 1`: interior mode, the standard case.

@@ -10,7 +10,7 @@
 //! This façade crate re-exports the whole workspace:
 //!
 //! * [`stats`] — special functions, distributions, t-tests;
-//! * [`optim`] — SLSQP and Brent solvers behind the HPD optimizer;
+//! * [`optim`] — the HPD solver's error type and Brent root finding;
 //! * [`graph`] — KG model, compact storage, Table-1 dataset twins;
 //! * [`sampling`] — SRS / TWCS / WCS / SCS with unbiased estimators and
 //!   Kish design effects;
