@@ -16,18 +16,26 @@
 //! * **Certified multi-step lookahead**
 //!   ([`IntervalMethod::certified_skip_srs`] /
 //!   [`IntervalMethod::certified_skip_cluster`]): from Theorem 1's width
-//!   bound, compute how many future annotation units *provably* cannot
-//!   satisfy `MoE ≤ ε`, so the evaluation loop skips interval
-//!   construction (and even the one-step bound check) entirely until the
-//!   first unit where stopping is achievable. Both searches run on the
-//!   decisive extreme outcome first, starting at the horizon where the
-//!   normal approximation on that outcome, `ν·ε² ≥ z²·m(1−m)`, first
-//!   holds, and certify the candidate with one probe of the rest of the
-//!   outcome-and-prior union. The skip is a pure function of the
-//!   sample and `(α, ε, priors)`: no search state is kept between calls.
-//!   The stopping decision is unchanged — every skipped step is one
-//!   where the reference check-every-unit loop could not have stopped
-//!   either.
+//!   bound, made exact by the best-window predicate, compute how many
+//!   future annotation units cannot satisfy `MoE ≤ ε`, so the evaluation
+//!   loop skips interval construction (and even the one-step bound
+//!   check) entirely until the first unit where stopping is achievable.
+//!   Both searches run on the decisive extreme outcome first, starting at
+//!   the horizon where the normal approximation at that outcome's
+//!   posterior mode, `ν·ε² ≥ z²·m(1−m)`, first holds, and certify the
+//!   candidate with one probe of the other extreme outcome. The skip is a
+//!   pure function of the sample and `(α, ε, priors)`: no search state is
+//!   kept between calls.
+//!
+//!   The certificates evaluate only the extreme outcomes and, for a set
+//!   of symmetric priors, only the extreme pseudo-counts. That every
+//!   skipped step is one where the reference check-every-unit loop could
+//!   not have stopped either rests on three properties that are verified,
+//!   not proven: stoppability is monotone in the horizon, two-tailed in
+//!   the outcome, and two-tailed in a symmetric prior's pseudo-count.
+//!   `tests/certificate_lemmas.rs` pins all three on the SRS counts (the
+//!   pseudo-count property on fractional cluster evidence too), and
+//!   `tests/lookahead_equivalence.rs` pins the resulting stops.
 //! * **Pruned aHPD selection**: at the stop, the prior with the smallest
 //!   certified width lower bound is solved first, and every other prior
 //!   whose HPD width is certified wider than that solution is never
@@ -187,9 +195,10 @@ impl IntervalMethod {
     /// on the actual posteriors — the exact indicator `HPD width ≤ 2ε` —
     /// so full interval construction runs only at steps that actually
     /// stop (plus measure-zero boundary ties and shapes with no
-    /// certificate). Methods without a certificate (Wald, Wilson)
-    /// return `true` and always construct; ET gates on the HPD predicate
-    /// (ET is at least as wide, so a negative gate is still sound).
+    /// certificate). Only the priors `certificate_priors` keeps are
+    /// evaluated. Methods without a certificate (Wald, Wilson) return
+    /// `true` and always construct; ET gates on the HPD predicate (ET is
+    /// at least as wide, so a negative gate is still sound).
     #[must_use]
     pub fn stop_possible_now(
         &self,
@@ -202,13 +211,14 @@ impl IntervalMethod {
             return true;
         };
         let width = 2.0 * epsilon;
+        let mut priors = certificate_priors(priors);
         match state.kind() {
-            DesignKind::Srs => priors
-                .iter()
-                .any(|prior| kernel.achievable(prior, state.tau(), state.n(), alpha, width)),
+            DesignKind::Srs => {
+                priors.any(|prior| kernel.achievable(prior, state.tau(), state.n(), alpha, width))
+            }
             DesignKind::Cluster => {
                 let eff = state.effective();
-                priors.iter().any(|prior| {
+                priors.any(|prior| {
                     prior
                         .posterior_effective(eff.mu, eff.n_eff)
                         .map_or(true, |post| hpd_width_achievable(&post, alpha, width))
@@ -218,27 +228,25 @@ impl IntervalMethod {
     }
 
     /// Certified SRS lookahead: the number of further annotations that
-    /// provably cannot satisfy `MoE ≤ ε`, from the current `(τ, n)`.
+    /// cannot satisfy `MoE ≤ ε`, from the current `(τ, n)`.
     ///
     /// For each horizon `k`, every achievable posterior has
-    /// `τ' ∈ [τ, τ+k]` at `n + k` observations. HPD width at fixed
-    /// evidence is smallest in the extreme outcome regions (the Fig. 3
-    /// width curves peak centrally), so stopping achievability is
-    /// evaluated — via the *exact* best-window predicate
-    /// [`hpd_width_achievable`] — at the range endpoints plus their
-    /// one-step-inside neighbors (covering the transition into the
-    /// monotone limiting shapes of Eq. 10/11). That union over outcomes
-    /// and priors is the certificate; everything before the first
-    /// horizon where it holds is skipped.
+    /// `τ' ∈ [τ, τ+k]` at `n + k` observations. At fixed `n + k` the
+    /// stoppable outcomes are two-tailed, `{τ' ≤ lo} ∪ {τ' ≥ hi}` (the
+    /// Fig. 3 width curves peak centrally), so the union over `[τ, τ+k]`
+    /// is decided at its two ends. Each end is evaluated with the *exact*
+    /// best-window predicate [`hpd_width_achievable`] under the priors
+    /// `certificate_priors` keeps; everything before the first horizon
+    /// where one holds is skipped. Two-tailedness is verified, not
+    /// proven: `tests/certificate_lemmas.rs` pins it.
     ///
     /// The search runs on the *decisive path* first: the extreme outcome
     /// nearer the boundary (`τ+k` when `2τ ≥ n`, else `τ`), where the
     /// posterior narrows fastest, and `decisive_first_skip` certifies
-    /// its answer against the rest of the union. It starts where the
-    /// normal approximation on the decisive endpoint,
-    /// `ν·ε² ≥ z²·m(1−m)` at `(ν, m) = (n+k, τ′/(n+k))`, first holds —
-    /// the cluster lookahead's start. Any start gives the same skip, so
-    /// the skip depends on the sample and `(α, ε, priors)` alone.
+    /// its answer with one probe of the other end. It starts at
+    /// `normal_start` on the decisive endpoint, as the cluster lookahead
+    /// does. Any start gives the same skip, so the skip depends on the
+    /// sample and `(α, ε, priors)` alone.
     ///
     /// Returns 0 (check the very next annotation) for methods without a
     /// certified bound (Wald, Wilson).
@@ -254,7 +262,7 @@ impl IntervalMethod {
     }
 
     /// [`Self::certified_skip_srs`] with its decisive search started at
-    /// `start` (`None`: the normal-approximation start).
+    /// `start` (`None`: `normal_start`).
     fn srs_skip_from(
         &self,
         state: &SampleState,
@@ -268,30 +276,29 @@ impl IntervalMethod {
         };
         debug_assert_eq!(state.kind(), DesignKind::Srs);
         let (tau, n) = (state.tau(), state.n());
+        // The outcome `k` annotations on at the `toward_one` end of
+        // `[τ, τ+k]`, and whether it can stop.
+        let end = |k, toward_one| if toward_one { tau + k } else { tau };
+        let stoppable = |k, toward_one| {
+            certificate_priors(priors).any(|prior| {
+                kernel.achievable(prior, end(k, toward_one), n + k, alpha, 2.0 * epsilon)
+            })
+        };
         let toward_one = 2 * tau >= n;
-        let decisive = |k| if toward_one { tau + k } else { tau };
         let start = start.unwrap_or_else(|| {
-            normal_start(alpha, epsilon, |k| {
-                let nu = (n + k) as f64;
-                (nu, decisive(k) as f64 / nu)
+            normal_start(alpha, epsilon, priors, |k| {
+                ((n + k) as f64, end(k, toward_one) as f64)
             })
         });
         decisive_first_skip(
             start,
-            |k| {
-                priors
-                    .iter()
-                    .any(|prior| kernel.achievable(prior, decisive(k), n + k, alpha, 2.0 * epsilon))
-            },
-            |k, refuted| {
-                let refuted = refuted.then(|| decisive(k));
-                srs_stoppable_at(priors, &kernel, tau, n, k, alpha, epsilon, refuted)
-            },
+            |k| stoppable(k, toward_one),
+            |k, refuted| (!refuted && stoppable(k, toward_one)) || stoppable(k, !toward_one),
         )
     }
 
     /// Certified cluster lookahead: the number of further stage-1 draws
-    /// that provably cannot satisfy `MoE ≤ ε`.
+    /// that cannot satisfy `MoE ≤ ε`.
     ///
     /// The effective sample size after `j` more draws is bounded by
     /// `n_eff' = μ̂'(1−μ̂')/V̂' ≤ (d+j)(d+j−1)/(4·SS)` because the sum of
@@ -306,11 +313,12 @@ impl IntervalMethod {
     /// nothing (the Kish clamp can explode `n_eff` on the next draw), so
     /// the method returns 0 and the loop checks every draw.
     ///
-    /// The certificate is a union over priors and the two range
-    /// endpoints. Its decisive endpoint is the one nearer the boundary
-    /// (`μ_hi` when `2μ̂ ≥ 1`, else `μ_lo`), searched first by
-    /// `decisive_first_skip` from `normal_start` on that endpoint, as the
-    /// SRS lookahead is.
+    /// The certificate is a union over the priors `certificate_priors`
+    /// keeps and the two range endpoints; as under SRS, the stoppable
+    /// means are two-tailed, so the endpoints decide the range. Its
+    /// decisive endpoint is the one nearer the boundary (`μ_hi` when
+    /// `2μ̂ ≥ 1`, else `μ_lo`), searched first by `decisive_first_skip`
+    /// from `normal_start` on that endpoint, as the SRS lookahead is.
     #[must_use]
     pub fn certified_skip_cluster(
         &self,
@@ -347,7 +355,7 @@ impl IntervalMethod {
         };
         let stoppable = |j, toward_one| {
             let (nu, m) = bound(j, toward_one);
-            priors.iter().any(|prior| {
+            certificate_priors(priors).any(|prior| {
                 let post = Beta::new(prior.a + m * nu, prior.b + (1.0 - m) * nu)
                     .expect("positive posterior parameters");
                 hpd_width_achievable(&post, alpha, 2.0 * epsilon)
@@ -355,7 +363,10 @@ impl IntervalMethod {
         };
         let toward_one = 2.0 * mu >= 1.0;
         decisive_first_skip(
-            normal_start(alpha, epsilon, |j| bound(j, toward_one)),
+            normal_start(alpha, epsilon, priors, |j| {
+                let (nu, m) = bound(j, toward_one);
+                (nu, m * nu)
+            }),
             |j| stoppable(j, toward_one),
             |j, refuted| (!refuted && stoppable(j, toward_one)) || stoppable(j, !toward_one),
         )
@@ -420,44 +431,27 @@ impl std::str::FromStr for IntervalMethod {
     }
 }
 
-/// Whether `MoE ≤ ε` is achievable at horizon `k` under SRS: the exact
-/// best-window predicate evaluated over priors and the extreme
-/// achievable outcomes (plus their one-step-inside neighbors, covering
-/// the monotone-shape transitions). Verdicts route through the kernel,
-/// so a shared cache memoizes them across campaigns — the lookahead loop
-/// no longer reconstructs a `Beta` per polled count. A `refuted`
-/// outcome, already shown not stoppable under every prior at this
-/// horizon, is not evaluated again.
-#[allow(clippy::too_many_arguments)]
-fn srs_stoppable_at(
-    priors: &[BetaPrior],
-    kernel: &Kernel<'_>,
-    tau: u64,
-    n: u64,
-    k: u64,
-    alpha: f64,
-    epsilon: f64,
-    refuted: Option<u64>,
-) -> bool {
-    let n_k = n + k;
-    let mut candidates = [tau, tau + k, tau + k - 1, tau + 1];
-    candidates.sort_unstable();
-    let mut prev = u64::MAX;
-    for &t in &candidates {
-        if t == prev || t < tau || t > tau + k {
-            continue;
-        }
-        prev = t;
-        if refuted == Some(t) {
-            continue;
-        }
-        for prior in priors {
-            if kernel.achievable(prior, t, n_k, alpha, 2.0 * epsilon) {
-                return true;
-            }
-        }
-    }
-    false
+/// Pseudo-counts `c` of the symmetric priors `Beta(c, c)` on which
+/// `certificate_priors` drops the interior priors: the range over which
+/// the two-tail property in `c` was verified.
+const SYMMETRIC_VERIFIED: std::ops::RangeInclusive<f64> = 0.2..=5.0;
+
+/// The priors a stopping certificate evaluates. When every prior is a
+/// symmetric `Beta(c, c)` with `c` in `SYMMETRIC_VERIFIED`, only those with
+/// the smallest and the largest `c`: at any outcome the stoppable `c` are
+/// two-tailed, so an interior prior never stops alone (verified, not
+/// proven; `tests/certificate_lemmas.rs` pins it). With the default set
+/// this is Kerman and Uniform. Any other set keeps every prior.
+fn certificate_priors(priors: &[BetaPrior]) -> impl Iterator<Item = &BetaPrior> {
+    let symmetric = priors
+        .iter()
+        .all(|p| p.a == p.b && SYMMETRIC_VERIFIED.contains(&p.a));
+    let (lo, hi) = priors.iter().fold((f64::INFINITY, 0.0), |(lo, hi), p| {
+        (p.a.min(lo), p.a.max(hi))
+    });
+    priors
+        .iter()
+        .filter(move |p| !symmetric || p.a == lo || p.a == hi)
 }
 
 /// A U-shaped posterior (near-zero evidence under a sub-uniform prior)
@@ -517,13 +511,33 @@ fn upper_normal_quantile(p: f64) -> f64 {
 }
 
 /// Where a decisive-first search starts: the first horizon at which the
-/// normal approximation on the decisive endpoint `(ν, m) = endpoint(k)`,
-/// `ν·ε² ≥ z²·m(1−m)`, holds — the Wald sample-size condition. It is
-/// usually the decisive path's first stoppable horizon or the one after.
-fn normal_start(alpha: f64, epsilon: f64, endpoint: impl Fn(u64) -> (f64, f64)) -> u64 {
+/// Wald sample-size condition `ν·ε² ≥ z²·m(1−m)` holds on the decisive
+/// endpoint `(ν, t) = endpoint(k)`, `t` successes in `ν` observations. `m`
+/// is that endpoint's posterior mode `(t + a − 1)/(ν + a + b − 2)` under the
+/// method's prior with the smallest `a + b`, the one that narrows
+/// fastest (`t/ν` while `ν + a + b − 2 ≤ 0`). Any start gives the same
+/// skip; a near one saves predicate calls. Over NELL's SRS aHPD campaigns
+/// at `α = ε = 0.05`, `t/ν` started on average three horizons past the
+/// decisive path's first stoppable horizon, and the mode two before it.
+fn normal_start(
+    alpha: f64,
+    epsilon: f64,
+    priors: &[BetaPrior],
+    endpoint: impl Fn(u64) -> (f64, f64),
+) -> u64 {
     let z = upper_normal_quantile(alpha / 2.0);
+    let prior = priors
+        .iter()
+        .min_by(|p, q| (p.a + p.b).total_cmp(&(q.a + q.b)))
+        .expect("a certified method has a prior");
+    let pseudo = prior.a + prior.b - 2.0;
     1 + find_certified_skip(1, |k| {
-        let (nu, m) = endpoint(k);
+        let (nu, t) = endpoint(k);
+        let m = if nu + pseudo > 0.0 {
+            (t + prior.a - 1.0) / (nu + pseudo)
+        } else {
+            t / nu
+        };
         nu * epsilon * epsilon >= z * z * m * (1.0 - m)
     })
 }
@@ -533,9 +547,9 @@ fn normal_start(alpha: f64, epsilon: f64, endpoint: impl Fn(u64) -> (f64, f64)) 
 /// from `start`, is the candidate: the union is stoppable one horizon
 /// later. One probe of the rest of the union at the candidate,
 /// `union(k, true)`, which leaves out the decisive outcome the search
-/// has just refuted there, certifies it. Only when that probe finds
-/// another outcome stoppable is the full union, `union(k, false)`,
-/// bisected below the candidate. With stoppability monotone in the
+/// has just refuted there and so evaluates only the other end,
+/// certifies it. Only when that probe finds the other end stoppable is
+/// the full union, `union(k, false)`, bisected below the candidate. With stoppability monotone in the
 /// horizon, which both searches assume, the skip is the union's own first
 /// stoppable horizon less one, whatever the start.
 fn decisive_first_skip(
@@ -761,10 +775,10 @@ mod tests {
             ] {
                 let state = srs_state(tau, n);
                 let skip = method.certified_skip_srs(&state, 0.05, 0.05, Kernel::new(None));
-                // Brute-force: for each skipped horizon k and each
+                // Brute-force: for each skipped horizon k and every
                 // achievable τ', the constructed interval is wider than ε.
                 for k in 1..=skip.min(60) {
-                    for t in [0u64, k / 2, k] {
+                    for t in 0..=k {
                         let future = srs_state(tau + t, n + k);
                         let i = method.interval(&future, 0.05).unwrap();
                         assert!(
@@ -804,7 +818,9 @@ mod tests {
 
     /// Reference for [`IntervalMethod::certified_skip_srs`]: exponential
     /// and binary search over the union predicate from horizon 1, without
-    /// the decisive-path candidate or the normal-approximation start.
+    /// the decisive-path candidate, the normal-approximation start or the
+    /// two-tail reductions. At each horizon `k` it evaluates every prior
+    /// at the outcomes `{τ, τ+1, τ+k−1, τ+k}` within `[τ, τ+k]`.
     fn skip_by_union_search(
         method: &IntervalMethod,
         state: &SampleState,
@@ -814,18 +830,17 @@ mod tests {
         let Some(priors) = method.priors() else {
             return 0;
         };
+        let (tau, n) = (state.tau(), state.n());
         let kernel = Kernel::new(None);
         find_certified_skip(1, |k| {
-            srs_stoppable_at(
-                priors,
-                &kernel,
-                state.tau(),
-                state.n(),
-                k,
-                alpha,
-                epsilon,
-                None,
-            )
+            [tau, tau + 1, tau + k - 1, tau + k]
+                .into_iter()
+                .filter(|t| (tau..=tau + k).contains(t))
+                .any(|t| {
+                    priors
+                        .iter()
+                        .any(|prior| kernel.achievable(prior, t, n + k, alpha, 2.0 * epsilon))
+                })
         })
     }
 
@@ -876,6 +891,33 @@ mod tests {
                 let got = method.certified_skip_srs(&state, 0.01, 1e-5, Kernel::new(None));
                 assert_eq!(got, MAX_SKIP, "{method:?} at (τ={tau}, n={n})");
                 assert_eq!(got, skip_by_union_search(&method, &state, 0.01, 1e-5));
+            }
+        }
+    }
+
+    #[test]
+    fn decisive_path_skip_equals_the_union_search_on_small_samples() {
+        // Every (τ, n) with n ≤ 40: at small n an informative prior
+        // outweighs the sample, and the end away from the sample's
+        // boundary can stop first, so the certificate's probe of that end
+        // decides the skip.
+        let mut methods = skip_methods().to_vec();
+        methods.extend([
+            IntervalMethod::Hpd(BetaPrior::informative(80.0, 20.0).unwrap()),
+            IntervalMethod::Hpd(BetaPrior::informative(0.5, 2.0).unwrap()),
+        ]);
+        for method in &methods {
+            for epsilon in [0.05, 0.1] {
+                for n in 1..=40u64 {
+                    for tau in 0..=n {
+                        let state = srs_state(tau, n);
+                        assert_eq!(
+                            method.certified_skip_srs(&state, 0.05, epsilon, Kernel::new(None)),
+                            skip_by_union_search(method, &state, 0.05, epsilon),
+                            "{method:?} at (τ={tau}, n={n}), ε={epsilon}"
+                        );
+                    }
+                }
             }
         }
     }

@@ -45,10 +45,24 @@ fn designs() -> impl Strategy<Value = SamplingDesign> {
     ]
 }
 
+/// aHPD over `Beta(c, c)` for five pseudo-counts `c`: the certificates
+/// evaluate only the two extreme ones, so three interior priors are never
+/// evaluated there.
+fn symmetric_ahpd() -> IntervalMethod {
+    IntervalMethod::AHpd(
+        [0.2, 1.0 / 3.0, 0.5, 1.0, 2.0]
+            .into_iter()
+            .map(|c| BetaPrior::informative(c, c).unwrap())
+            .collect(),
+    )
+}
+
 fn methods() -> impl Strategy<Value = IntervalMethod> {
     prop_oneof![
         Just(IntervalMethod::ahpd_default()),
+        Just(symmetric_ahpd()),
         Just(IntervalMethod::Hpd(BetaPrior::KERMAN)),
+        Just(IntervalMethod::Hpd(BetaPrior::UNIFORM)),
         Just(IntervalMethod::Et(BetaPrior::JEFFREYS)),
         Just(IntervalMethod::Wilson),
         Just(IntervalMethod::Wald),
@@ -67,7 +81,7 @@ fn run(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn lookahead_and_reference_loops_halt_identically(
