@@ -1029,10 +1029,13 @@ fn run_reactor_smoke(addr: SocketAddr, kg: &CompactKg, connections: u64) -> Resu
     Ok(())
 }
 
+/// The `schema_version` `write_report` stamps into `BENCH_eval.json`.
+const SCHEMA_VERSION: u64 = 9;
+
 /// Merges the `service_load`, `fault_load`, `reactor_load`,
 /// `metrics_overhead` and `metrics_reconciliation` rows into the
-/// benchmark JSON, bumping it to schema 7 (creates a minimal document
-/// when the file is absent).
+/// benchmark JSON, bumping it to [`SCHEMA_VERSION`] (creates a minimal
+/// document when the file is absent).
 fn write_report(
     out_path: &str,
     report: &LoadReport,
@@ -1049,7 +1052,7 @@ fn write_report(
         ]),
         Err(e) => return Err(format!("reading {out_path}: {e}")),
     };
-    doc.set("schema_version", Json::int(9));
+    doc.set("schema_version", Json::int(SCHEMA_VERSION));
     doc.set(
         "service_load",
         Json::obj(vec![
@@ -1166,7 +1169,7 @@ fn write_report(
     );
     std::fs::write(out_path, format!("{}\n", doc.encode_pretty()))
         .map_err(|e| format!("writing {out_path}: {e}"))?;
-    eprintln!("wrote {out_path} (schema_version 9)");
+    eprintln!("wrote {out_path} (schema_version {SCHEMA_VERSION})");
     Ok(())
 }
 

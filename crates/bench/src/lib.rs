@@ -87,13 +87,35 @@ pub fn syn_scale_from_args() -> (u64, u32) {
 }
 
 /// Value of a space-separated CLI flag (`--flag value`), parsed; `None`
-/// when the flag is absent or its value fails to parse.
+/// when the flag is absent. A present flag whose value is missing or
+/// fails to parse prints an error naming the flag and exits with status
+/// 2, so a typo never silently runs the default.
+#[must_use]
 pub fn arg_value<T: std::str::FromStr>(flag: &str) -> Option<T> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    parse_arg(&args, flag).unwrap_or_else(|message| {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    })
+}
+
+/// [`arg_value`] over an explicit argument list.
+///
+/// # Errors
+///
+/// A message naming `flag` when it is present but its value is missing
+/// or does not parse as `T`.
+pub fn parse_arg<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{flag}: missing value"))?;
+    value
+        .parse()
+        .map(Some)
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
 }
 
 /// Runs one (dataset, design, method) cell of a table.
@@ -160,5 +182,23 @@ mod tests {
         ta.sort_by(f64::total_cmp);
         tb.sort_by(f64::total_cmp);
         assert_eq!(ta, tb);
+    }
+
+    #[test]
+    fn cli_flags_fail_loudly_on_bad_values() {
+        let args: Vec<String> = ["bin", "--port", "junk", "--reps", "12", "--out"]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(parse_arg::<u64>(&args, "--reps"), Ok(Some(12)));
+        assert_eq!(parse_arg::<u64>(&args, "--clients"), Ok(None));
+        assert_eq!(
+            parse_arg::<u16>(&args, "--port"),
+            Err("--port: cannot parse \"junk\"".to_string())
+        );
+        assert_eq!(
+            parse_arg::<String>(&args, "--out"),
+            Err("--out: missing value".to_string())
+        );
     }
 }

@@ -281,7 +281,7 @@ impl<'a> ComparativeSession<'a> {
         if self.outcome.is_some() {
             return Ok(None);
         }
-        match self.primary.next_request_cancellable(1)? {
+        match self.primary.next_request(1)? {
             Some(request) => Ok(Some(request)),
             None => {
                 // The stream exhausted inside the poll: the primary

@@ -86,30 +86,6 @@ impl CostTracker {
         self.model
     }
 
-    /// Distinct entity ids, sorted — canonical snapshot encoding of the
-    /// set despite hash iteration order.
-    pub(crate) fn entity_ids_sorted(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.entities.iter().map(|c| c.index()).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Distinct triple ids, sorted (canonical snapshot encoding).
-    pub(crate) fn triple_ids_sorted(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.triples.iter().map(|t| t.index()).collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    /// Rebuilds a tracker from snapshot parts.
-    pub(crate) fn from_saved(model: CostModel, entities: &[u32], triples: &[u64]) -> Self {
-        Self {
-            model,
-            entities: entities.iter().map(|&c| ClusterId(c)).collect(),
-            triples: triples.iter().map(|&t| TripleId(t)).collect(),
-        }
-    }
-
     /// Total cost in seconds (Eq. 12).
     #[must_use]
     pub fn seconds(&self) -> f64 {

@@ -191,11 +191,12 @@ pub trait SessionEngine: Send {
     /// The unified point-in-time view.
     fn status(&self) -> SessionStatusView;
 
-    /// Withdraws the outstanding request, rewinding the engine to its
-    /// exact pre-draw state: afterwards the engine snapshots cleanly
-    /// and a re-poll regenerates the bit-identical batch. This is what
-    /// lets a draining server suspend mid-batch sessions to disk
-    /// without perturbing their evaluation trajectories.
+    /// Withdraws the outstanding request, returning the engine to its
+    /// exact pre-draw state by re-drawing its absorbed units from the
+    /// starting RNG state: afterwards the engine snapshots cleanly and
+    /// a re-poll regenerates the bit-identical batch. This is what lets
+    /// a draining server suspend mid-batch sessions to disk without
+    /// perturbing their evaluation trajectories.
     ///
     /// # Errors
     ///
@@ -215,9 +216,9 @@ pub trait SessionEngine: Send {
     /// Why the engine stopped, or `None` while it runs.
     fn stop_reason(&self) -> Option<StopReason>;
 
-    /// Serializes the engine's complete dynamic state into a canonical
-    /// `KGAESNAP` snapshot (the record tag identifies the engine kind;
-    /// see [`registry`]).
+    /// Serializes the engine into a canonical `KGAESNAP` snapshot from
+    /// which [`EngineSpec::resume`] rebuilds its exact state (the record
+    /// tag identifies the engine kind; see [`registry`]).
     ///
     /// # Errors
     ///
@@ -263,15 +264,10 @@ impl<'a> SessionEngine for EvaluationSession<'a, SmallRng> {
     }
 
     fn next_request(&mut self, max_units: u64) -> Result<Option<EngineRequest>, SessionError> {
-        // The cancellable path: network hosts must be able to withdraw
-        // a batch when draining, and the per-batch capture is noise
-        // next to a network round trip.
         Ok(
-            EvaluationSession::next_request_cancellable(self, max_units)?.map(|request| {
-                EngineRequest {
-                    request,
-                    stratum: None,
-                }
+            EvaluationSession::next_request(self, max_units)?.map(|request| EngineRequest {
+                request,
+                stratum: None,
             }),
         )
     }

@@ -26,12 +26,11 @@
 use crate::annotator::Annotator;
 use crate::cost::CostModel;
 use crate::method::IntervalMethod;
-use crate::session::{AnnotationRequest, EvaluationSession, SessionError};
+use crate::session::{AnnotationRequest, EvaluationSession, SessionError, SnapshotRng};
 use kgae_graph::{ClusterId, GroundTruth, KnowledgeGraph};
 use kgae_intervals::{Interval, IntervalError};
 use kgae_sampling::driver::DesignSpec;
 use kgae_sampling::{pps_by_size_table, AliasTable};
-use rand::Rng;
 use std::sync::Arc;
 
 /// The sampling strategy S of the minimization problem.
@@ -316,7 +315,7 @@ pub fn evaluate<K, A, R>(
 where
     K: KnowledgeGraph + GroundTruth,
     A: Annotator,
-    R: Rng,
+    R: SnapshotRng,
 {
     evaluate_prepared(
         kg,
@@ -348,7 +347,7 @@ pub fn evaluate_prepared<K, A, R>(
 where
     K: KnowledgeGraph + GroundTruth,
     A: Annotator,
-    R: Rng,
+    R: SnapshotRng,
 {
     let mut session = EvaluationSession::from_prepared(kg, prepared, method, cfg, rng);
     let mut request = AnnotationRequest::default();

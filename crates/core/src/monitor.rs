@@ -885,7 +885,7 @@ impl SessionEngine for MonitorSession<'_> {
             // monitor idles until a delta degrades the interval.
             return Ok(None);
         };
-        match inner.next_request_cancellable(max_units)? {
+        match inner.next_request(max_units)? {
             Some(request) => {
                 self.pending_triples = request.triples.iter().map(|st| st.triple.index()).collect();
                 Ok(Some(EngineRequest {

@@ -41,23 +41,24 @@
 //! schedule and the same interval constructions — the legacy API is
 //! itself rebuilt as a thin driver over a session (batch size 1).
 //!
-//! Sessions also suspend and resume: [`EvaluationSession::snapshot`]
-//! serializes the full dynamic state (counts, Welford accumulators,
-//! RNG, sampler stream, label cache, cost sets) into a compact manual
-//! binary encoding — no serde — and
-//! [`EvaluationSession::resume`] reconstructs a session that continues
-//! the exact float-for-float trajectory of the suspended one.
+//! Sessions also suspend and resume. A session's state is a pure
+//! function of the units it drew and the labels they got, so
+//! [`EvaluationSession::snapshot`] writes only the fingerprints, the
+//! RNG state the session started from, the number of absorbed units and
+//! the fresh labels in draw order, one bit each (manual binary, no
+//! serde). [`EvaluationSession::resume`] builds a fresh session and
+//! replays that log, so it continues the exact trajectory of the
+//! suspended one.
 
 use crate::cost::CostTracker;
 use crate::framework::{EvalConfig, EvalResult, PreparedDesign, SamplingDesign, StoppingPolicy};
 use crate::method::IntervalMethod;
-use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use crate::snapshot::{LabelLog, Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::state::{DesignKind, SampleState};
 use kgae_graph::{KnowledgeGraph, LabelCache};
 use kgae_intervals::{Interval, IntervalError, Kernel, KernelCache};
 use kgae_sampling::driver::{build_driver, DesignDriver, UnitEstimator};
 use kgae_sampling::SampledTriple;
-use kgae_stats::descriptive::OnlineMoments;
 use rand::rngs::SmallRng;
 use rand::RngCore;
 use std::collections::HashSet;
@@ -183,8 +184,9 @@ pub struct SessionStatus {
     pub stopped: Option<StopReason>,
 }
 
-/// An RNG whose full state can be captured and restored, enabling
-/// bit-identical suspend/resume of in-flight sessions.
+/// An RNG whose full state can be captured and restored: a session
+/// records the state it started from, and resume and cancel replay
+/// its draws from there.
 pub trait SnapshotRng: RngCore {
     /// Captures the generator's complete state.
     fn save_state(&self) -> [u64; 4];
@@ -226,15 +228,6 @@ struct SessionOutcome {
     result: EvalResult,
 }
 
-/// Pre-draw sampler state captured by the cancellable poll path:
-/// restoring it makes the outstanding batch as if never drawn, so a
-/// later re-poll regenerates the bit-identical batch.
-#[derive(Debug, Clone)]
-struct BatchOrigin {
-    rng: [u64; 4],
-    driver: Vec<u8>,
-}
-
 /// One method's stopping rule over a sample: the method, the kernel
 /// cache its SRS solves memoize through and its certified-lookahead
 /// countdown. A session runs one for its own method; a comparative
@@ -253,7 +246,7 @@ pub(crate) struct StoppingStep {
 
 /// What one [`StoppingStep::run`] found.
 pub(crate) enum StepOutcome {
-    /// Below the minimum sample: no check was due.
+    /// Below the minimum sample ([`ready`]): no check was due.
     NotReady,
     /// A check was due and `MoE ≤ ε` did not fire.
     Open,
@@ -296,10 +289,10 @@ impl StoppingStep {
         cfg: &EvalConfig,
         driver: &dyn DesignDriver,
     ) -> Result<StepOutcome, SessionError> {
-        let srs = state.kind() == DesignKind::Srs;
-        if state.n() < cfg.min_triples || (!srs && state.draws() < cfg.min_draws) {
+        if !ready(state, cfg) {
             return Ok(StepOutcome::NotReady);
         }
+        let srs = state.kind() == DesignKind::Srs;
         if self.skip_left > 0 {
             self.skip_left -= 1;
             return Ok(StepOutcome::Open);
@@ -335,14 +328,31 @@ impl StoppingStep {
     }
 }
 
+/// Whether `state` has reached the minimum sample at which the stopping
+/// rule is consulted: ≥ `min_triples`, and ≥ `min_draws` stage-1 draws
+/// under cluster designs so the variance estimator exists. Readiness
+/// only grows as units are absorbed.
+fn ready(state: &SampleState, cfg: &EvalConfig) -> bool {
+    state.n() >= cfg.min_triples
+        && (state.kind() == DesignKind::Srs || state.draws() >= cfg.min_draws)
+}
+
 /// Poll-based evaluation engine over any KG backend, sampling design
 /// and interval method. See the module docs for the protocol.
-pub struct EvaluationSession<'a, R: RngCore> {
+pub struct EvaluationSession<'a, R: SnapshotRng> {
     kg: &'a dyn KnowledgeGraph,
     driver: Box<dyn DesignDriver + Send + 'a>,
     design: SamplingDesign,
     cfg: EvalConfig,
     rng: R,
+    /// The RNG state at construction: with `log`, the whole record a
+    /// snapshot needs.
+    origin: [u64; 4],
+    /// Fresh labels absorbed so far, in draw order.
+    log: LabelLog,
+    /// `false` once [`EvaluationSession::rng_mut`] lent the stream out:
+    /// the draws no longer follow from `origin`.
+    replayable: bool,
     state: SampleState,
     stop: StoppingStep,
     cost: CostTracker,
@@ -354,15 +364,13 @@ pub struct EvaluationSession<'a, R: RngCore> {
     pending: bool,
     batch_units: Vec<UnitMeta>,
     batch_triples: Vec<SampledTriple>,
-    batch_fresh: Vec<bool>,
     batch_expected: usize,
     batch_requested: HashSet<u64>,
     unit_buf: Vec<SampledTriple>,
     outcome: Option<SessionOutcome>,
-    batch_origin: Option<BatchOrigin>,
 }
 
-impl<'a, R: RngCore> EvaluationSession<'a, R> {
+impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
     /// Creates a session, preparing the design against the KG (builds
     /// the PPS table for PPS designs — O(#clusters); for repeated
     /// sessions over one KG prefer [`EvaluationSession::from_prepared`]).
@@ -419,7 +427,10 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
             kg,
             design,
             cfg: cfg.clone(),
+            origin: rng.save_state(),
             rng,
+            log: LabelLog::default(),
+            replayable: true,
             state,
             stop: StoppingStep::new(method.clone()),
             cost: CostTracker::new(cfg.cost_model),
@@ -428,13 +439,11 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
             pending: false,
             batch_units: Vec::new(),
             batch_triples: Vec::new(),
-            batch_fresh: Vec::new(),
             batch_expected: 0,
             batch_requested: HashSet::new(),
             unit_buf: Vec::new(),
             driver,
             outcome: None,
-            batch_origin: None,
         }
     }
 
@@ -515,7 +524,13 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
     /// session's sampling on one deterministic stream — exactly what
     /// the legacy `evaluate` driver does to preserve its historical
     /// seed-for-seed behavior.
+    ///
+    /// The session's draws then no longer follow from its starting RNG
+    /// state, so it can no longer be replayed:
+    /// [`EvaluationSession::snapshot`] and
+    /// [`EvaluationSession::cancel_request`] refuse from here on.
     pub fn rng_mut(&mut self) -> &mut R {
+        self.replayable = false;
         &mut self.rng
     }
 
@@ -562,9 +577,6 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
         if self.pending {
             return Err(SessionError::RequestPending);
         }
-        // Any rollback point belongs to a previous batch; the
-        // cancellable wrapper re-records one for this batch.
-        self.batch_origin = None;
         let max_units = max_units.max(1);
         self.batch_requested.clear();
         // Within a multi-unit batch, a triple re-drawn by a later unit
@@ -588,7 +600,6 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
                     None => true,
                 };
                 self.batch_triples.push(st);
-                self.batch_fresh.push(fresh);
                 if fresh {
                     out.triples.push(st);
                 }
@@ -628,21 +639,21 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
             });
         }
         self.pending = false;
-        self.batch_origin = None;
-        let mut next_label = 0usize;
+        let triples = std::mem::take(&mut self.batch_triples);
+        let mut labels = labels.iter().copied();
         let result = (|| {
             for i in 0..self.batch_units.len() {
                 if self.outcome.is_some() {
                     break;
                 }
                 let unit = self.batch_units[i];
-                self.process_unit(unit, labels, &mut next_label)?;
+                self.process_unit(&triples[unit.start..unit.end], &mut labels)?;
             }
             Ok(())
         })();
-        self.batch_units.clear();
+        self.batch_triples = triples;
         self.batch_triples.clear();
-        self.batch_fresh.clear();
+        self.batch_units.clear();
         self.batch_expected = 0;
         result
     }
@@ -772,55 +783,11 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
     /// design.
     fn process_unit(
         &mut self,
-        unit: UnitMeta,
-        labels: &[bool],
-        next_label: &mut usize,
+        triples: &[SampledTriple],
+        labels: &mut impl Iterator<Item = bool>,
     ) -> Result<(), SessionError> {
-        match self.state.kind() {
-            DesignKind::Srs => {
-                for i in unit.start..unit.end {
-                    let st = self.batch_triples[i];
-                    let label = labels[*next_label];
-                    *next_label += 1;
-                    self.state.record_triple(label);
-                    self.cost.record(st.triple, st.cluster);
-                }
-            }
-            DesignKind::Cluster => {
-                let mut correct = 0u64;
-                let size = (unit.end - unit.start) as u64;
-                for i in unit.start..unit.end {
-                    let st = self.batch_triples[i];
-                    let t = st.triple.index();
-                    let label = if self.batch_fresh[i] {
-                        let l = labels[*next_label];
-                        *next_label += 1;
-                        self.cache
-                            .as_mut()
-                            .expect("cluster session has a cache")
-                            .insert(t, l);
-                        l
-                    } else {
-                        self.cache
-                            .as_ref()
-                            .expect("cluster session has a cache")
-                            .get(t)
-                            .expect("non-fresh triple is cached")
-                    };
-                    if label {
-                        correct += 1;
-                    }
-                    self.cost.record(st.triple, st.cluster);
-                }
-                let per_draw = match self.driver.estimator() {
-                    UnitEstimator::SampleMean => correct as f64 / size as f64,
-                    UnitEstimator::HansenHurwitz { scale } => correct as f64 * scale,
-                    UnitEstimator::Triple => unreachable!("cluster kind with triple estimator"),
-                };
-                self.state.record_cluster_draw(per_draw, correct, size);
-            }
-        }
-
+        let absorbed = self.absorb(triples, labels);
+        debug_assert!(absorbed, "submit checked the label count");
         let step = self.stop.run(&self.state, &self.cfg, &*self.driver)?;
         if !matches!(step, StepOutcome::NotReady) {
             let at_floor = std::mem::replace(&mut self.first_check, false);
@@ -829,21 +796,305 @@ impl<'a, R: RngCore> EvaluationSession<'a, R> {
                 return Ok(());
             }
         }
-        let budget_spent = self
-            .cfg
-            .max_observations
-            .is_some_and(|cap| self.state.n() >= cap)
-            || self
-                .cfg
-                .max_cost_seconds
-                .is_some_and(|cap| self.cost.seconds() >= cap);
-        if budget_spent {
+        if self.budget_spent() {
             let interval = self.stop.interval(&self.state, self.cfg.alpha)?;
             self.finish(interval, StopReason::BudgetExhausted, false, false);
         }
         Ok(())
     }
+
+    /// Folds one drawn unit into the sample, the cost sets and the label
+    /// cache. Every triple not labeled before takes the next label from
+    /// `labels`, which is logged; a cluster re-draw reads the cache.
+    /// Returns `false` if `labels` ran out.
+    fn absorb(
+        &mut self,
+        triples: &[SampledTriple],
+        labels: &mut impl Iterator<Item = bool>,
+    ) -> bool {
+        match &mut self.cache {
+            None => {
+                for st in triples {
+                    let Some(label) = labels.next() else {
+                        return false;
+                    };
+                    self.log.push(label);
+                    self.state.record_triple(label);
+                    self.cost.record(st.triple, st.cluster);
+                }
+            }
+            Some(cache) => {
+                let mut correct = 0u64;
+                for st in triples {
+                    let t = st.triple.index();
+                    let label = match cache.get(t) {
+                        Some(label) => label,
+                        None => {
+                            let Some(label) = labels.next() else {
+                                return false;
+                            };
+                            self.log.push(label);
+                            cache.insert(t, label);
+                            label
+                        }
+                    };
+                    correct += u64::from(label);
+                    self.cost.record(st.triple, st.cluster);
+                }
+                let size = triples.len() as u64;
+                let per_draw = match self.driver.estimator() {
+                    UnitEstimator::SampleMean => correct as f64 / size as f64,
+                    UnitEstimator::HansenHurwitz { scale } => correct as f64 * scale,
+                    UnitEstimator::Triple => unreachable!("cluster kind with triple estimator"),
+                };
+                self.state.record_cluster_draw(per_draw, correct, size);
+            }
+        }
+        true
+    }
+
+    /// Whether the observation or cost budget is spent.
+    fn budget_spent(&self) -> bool {
+        self.cfg
+            .max_observations
+            .is_some_and(|cap| self.state.n() >= cap)
+            || self
+                .cfg
+                .max_cost_seconds
+                .is_some_and(|cap| self.cost.seconds() >= cap)
+    }
+
+    /// Units absorbed so far: triples under SRS, stage-1 draws under
+    /// cluster designs (a fully cached draw consumes no label, so the
+    /// label count alone cannot tell).
+    fn units_absorbed(&self) -> u64 {
+        match self.state.kind() {
+            DesignKind::Srs => self.state.n(),
+            DesignKind::Cluster => self.state.draws() as u64,
+        }
+    }
+
+    /// Withdraws the outstanding request: the RNG and design driver go
+    /// back to the session's starting state and re-draw the units
+    /// absorbed so far, without absorbing them again. Afterwards the
+    /// session snapshots cleanly, and the next poll regenerates the
+    /// bit-identical batch. Costs one re-draw of the absorbed prefix.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::NoRequestPending`] without an outstanding
+    /// request; [`SessionError::SnapshotUnavailable`] after
+    /// [`EvaluationSession::rng_mut`] lent the stream out.
+    pub fn cancel_request(&mut self) -> Result<(), SessionError> {
+        if !self.pending {
+            return Err(SessionError::NoRequestPending);
+        }
+        self.check_replayable()?;
+        self.rng.load_state(self.origin);
+        self.driver.rewind();
+        for _ in 0..self.units_absorbed() {
+            self.driver
+                .next_unit(&mut self.rng, &mut self.unit_buf)
+                .expect("the absorbed prefix was drawn from this origin before");
+        }
+        self.pending = false;
+        self.batch_units.clear();
+        self.batch_triples.clear();
+        self.batch_expected = 0;
+        Ok(())
+    }
+
+    fn check_replayable(&self) -> Result<(), SessionError> {
+        if self.replayable {
+            Ok(())
+        } else {
+            Err(SessionError::SnapshotUnavailable(
+                "the RNG stream was lent out through rng_mut; the session cannot be replayed",
+            ))
+        }
+    }
+
+    /// Serializes the session into a compact binary snapshot: the
+    /// design, KG, config and method fingerprints, the RNG state the
+    /// session started from, the number of absorbed units and the fresh
+    /// labels in draw order, one bit each. The encoding is canonical:
+    /// identical logical state yields identical bytes.
+    ///
+    /// [`EvaluationSession::resume`] validates the fingerprints, so a
+    /// snapshot cannot silently resume against the wrong setup. See
+    /// `docs/SNAPSHOT.md` for the byte layout.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::SnapshotUnavailable`] while a request is
+    /// outstanding (submit its labels first), after the session has
+    /// stopped (read [`EvaluationSession::result`] instead), or after
+    /// [`EvaluationSession::rng_mut`] lent the stream out.
+    pub fn snapshot(&self) -> Result<Vec<u8>, SessionError> {
+        if self.pending {
+            return Err(SessionError::SnapshotUnavailable(
+                "a request is outstanding; submit its labels first",
+            ));
+        }
+        if self.outcome.is_some() {
+            return Err(SessionError::SnapshotUnavailable(
+                "session already stopped; read its result instead",
+            ));
+        }
+        self.check_replayable()?;
+        let mut w = Writer::new();
+        w.bytes(SNAPSHOT_MAGIC);
+        w.u16(SNAPSHOT_VERSION);
+        // Design + KG fingerprint.
+        let (tag, m) = design_tag(self.design);
+        w.u8(tag);
+        w.u64(m);
+        w.u64(self.kg.num_triples());
+        w.u32(self.kg.num_clusters());
+        write_config_fingerprint(&mut w, &self.cfg);
+        write_method_fingerprint(&mut w, &self.stop.method);
+        // The replay log.
+        for word in self.origin {
+            w.u64(word);
+        }
+        w.u64(self.units_absorbed());
+        self.log.write(&mut w);
+        Ok(w.into_bytes())
+    }
+
+    /// Reconstructs a suspended session from a snapshot, validating it
+    /// against the supplied KG, prepared design, method and config,
+    /// then replaying its log. The passed `rng`'s state is overwritten
+    /// with the snapshot's starting state; the resumed session
+    /// continues the exact stream — and hence the exact evaluation
+    /// trajectory — of the suspended one.
+    ///
+    /// Standard drivers are rebuilt from `prepared`. Custom driver
+    /// configuration (e.g. [`kgae_sampling::driver::ScsDriver::limit_draws`])
+    /// is not part of the snapshot — resume such sessions through
+    /// [`EvaluationSession::resume_with_driver`] with an identically
+    /// configured driver.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::CorruptSnapshot`] on malformed bytes or a log
+    /// the session could not have written;
+    /// [`SessionError::SnapshotMismatch`] when the snapshot belongs to
+    /// a different design, KG shape, config or method.
+    pub fn resume(
+        kg: &'a dyn KnowledgeGraph,
+        prepared: &PreparedDesign,
+        method: &IntervalMethod,
+        cfg: &EvalConfig,
+        rng: R,
+        bytes: &[u8],
+    ) -> Result<Self, SessionError> {
+        Self::from_prepared(kg, prepared, method, cfg, rng).apply_snapshot(bytes)
+    }
+
+    /// [`EvaluationSession::resume`] for sessions created through
+    /// [`EvaluationSession::with_driver`]: the caller rebuilds the
+    /// driver with its full configuration (e.g. a draw limit) and the
+    /// replay re-draws the logged units through it. The `design` label
+    /// must match the one the session was created with — it is
+    /// fingerprint-checked against the snapshot.
+    ///
+    /// # Errors
+    ///
+    /// As [`EvaluationSession::resume`].
+    pub fn resume_with_driver(
+        kg: &'a dyn KnowledgeGraph,
+        driver: Box<dyn DesignDriver + Send + 'a>,
+        design: SamplingDesign,
+        method: &IntervalMethod,
+        cfg: &EvalConfig,
+        rng: R,
+        bytes: &[u8],
+    ) -> Result<Self, SessionError> {
+        Self::with_driver(kg, driver, design, method, cfg, rng).apply_snapshot(bytes)
+    }
+
+    /// Parses and validates `bytes` against this freshly constructed
+    /// session's own design/KG/config/method, then replays the log.
+    fn apply_snapshot(mut self, bytes: &[u8]) -> Result<Self, SessionError> {
+        let (kg, cfg, method) = (self.kg, &self.cfg, &self.stop.method);
+        let corrupt = SessionError::CorruptSnapshot;
+        let mut r = Reader::new(bytes);
+        let tag = read_record_prefix(&mut r)?;
+        let (want_tag, want_m) = design_tag(self.design);
+        if tag != want_tag || r.u64().map_err(corrupt)? != want_m {
+            return Err(SessionError::SnapshotMismatch("sampling design differs"));
+        }
+        if r.u64().map_err(corrupt)? != kg.num_triples()
+            || r.u32().map_err(corrupt)? != kg.num_clusters()
+        {
+            return Err(SessionError::SnapshotMismatch("KG shape differs"));
+        }
+        if !config_fingerprint_matches(&mut r, cfg).map_err(corrupt)? {
+            return Err(SessionError::SnapshotMismatch("evaluation config differs"));
+        }
+        if !method_fingerprint_matches(&mut r, method).map_err(corrupt)? {
+            return Err(SessionError::SnapshotMismatch("interval method differs"));
+        }
+        let mut origin = [0u64; 4];
+        for word in &mut origin {
+            *word = r.u64().map_err(corrupt)?;
+        }
+        // Replay time grows with the unit count, so it is capped before
+        // any unit is drawn: an SRS unit is one distinct triple.
+        let unit_cap = match self.state.kind() {
+            DesignKind::Srs => kg.num_triples(),
+            DesignKind::Cluster => MAX_REPLAY_DRAWS,
+        };
+        let units = r.len_capped(unit_cap).map_err(corrupt)? as u64;
+        // Each fresh label belongs to a distinct triple.
+        let log = LabelLog::read(&mut r, kg.num_triples()).map_err(corrupt)?;
+        r.finish().map_err(corrupt)?;
+        self.replay(origin, units, &log)?;
+        Ok(self)
+    }
+
+    /// Rebuilds the state of a freshly built session that started at
+    /// `origin` and absorbed `units` units with the labels in `log`:
+    /// each unit is re-drawn and absorbed, and no stopping check runs.
+    ///
+    /// Skipping the checks is exact. A logged session had not stopped,
+    /// so no check in the prefix fired, and the certified lookahead
+    /// only skips units where no stop is possible; checking the next
+    /// unit afresh (the skip countdown stays at zero) therefore stops
+    /// at the unit the uninterrupted session does. Readiness only
+    /// grows, so the first check fell on the first ready unit: it is
+    /// still due exactly when the replayed state is not ready.
+    fn replay(&mut self, origin: [u64; 4], units: u64, log: &LabelLog) -> Result<(), SessionError> {
+        let corrupt = SessionError::CorruptSnapshot;
+        self.origin = origin;
+        self.rng.load_state(origin);
+        let mut labels = (0..log.len()).map(|i| log.get(i));
+        let mut unit = Vec::new();
+        for _ in 0..units {
+            if self.driver.next_unit(&mut self.rng, &mut unit).is_none() {
+                return Err(corrupt("unit stream exhausted during replay"));
+            }
+            if !self.absorb(&unit, &mut labels) {
+                return Err(corrupt("label log ran out while a unit needed a label"));
+            }
+            if self.budget_spent() {
+                return Err(corrupt("replay passes the observation or cost budget"));
+            }
+        }
+        if labels.next().is_some() {
+            return Err(corrupt("labels left over after the last unit"));
+        }
+        self.first_check = !ready(&self.state, &self.cfg);
+        Ok(())
+    }
 }
+
+/// Sanity cap on the stage-1 draws a cluster-design record may replay
+/// (an SRS record is capped by the KG size), far beyond any campaign.
+/// A corrupt count below it still fails as soon as a drawn unit needs a
+/// label the log does not have.
+const MAX_REPLAY_DRAWS: u64 = 1 << 32;
 
 // ---------------------------------------------------------------------
 // Snapshot encode/decode (manual binary, serde-free).
@@ -1013,296 +1264,6 @@ pub(crate) fn peek_plain_header(bytes: &[u8]) -> Result<SnapshotHeader, SessionE
         num_triples: r.u64().map_err(corrupt)?,
         num_clusters: r.u32().map_err(corrupt)?,
     })
-}
-
-impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
-    /// Like [`EvaluationSession::next_request`], but first records a
-    /// rollback point (RNG state + design-driver state), so the
-    /// outstanding request can be withdrawn with
-    /// [`EvaluationSession::cancel_request`]. The rollback point makes
-    /// cancellation *exact*: a re-poll after cancel regenerates the
-    /// bit-identical batch, which is what lets a server drain mid-batch
-    /// sessions to disk without perturbing their trajectories.
-    ///
-    /// The capture costs one driver-state serialization per batch —
-    /// negligible against network polling, which is why the network
-    /// engines use this path while the in-process benchmark loops keep
-    /// the plain one.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvaluationSession::next_request`].
-    pub fn next_request_cancellable(
-        &mut self,
-        max_units: u64,
-    ) -> Result<Option<AnnotationRequest>, SessionError> {
-        if self.outcome.is_some() {
-            return Ok(None);
-        }
-        if self.pending {
-            return Err(SessionError::RequestPending);
-        }
-        let rng = self.rng.save_state();
-        let mut driver = Vec::new();
-        self.driver.save_state(&mut driver);
-        let request = self.next_request(max_units)?;
-        if request.is_some() {
-            self.batch_origin = Some(BatchOrigin { rng, driver });
-        }
-        Ok(request)
-    }
-
-    /// Withdraws the outstanding request by rewinding the RNG and
-    /// design driver to their pre-draw states and discarding the batch
-    /// buffers — afterwards the session snapshots cleanly, and the next
-    /// poll regenerates the bit-identical batch.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::NoRequestPending`] without an outstanding
-    /// request; [`SessionError::SnapshotUnavailable`] when the request
-    /// was polled through the plain (non-cancellable) path and no
-    /// rollback point exists.
-    pub fn cancel_request(&mut self) -> Result<(), SessionError> {
-        if !self.pending {
-            return Err(SessionError::NoRequestPending);
-        }
-        let Some(origin) = self.batch_origin.take() else {
-            return Err(SessionError::SnapshotUnavailable(
-                "request was not polled through the cancellable path",
-            ));
-        };
-        self.rng.load_state(origin.rng);
-        self.driver
-            .restore_state(&origin.driver)
-            .map_err(|_| SessionError::CorruptSnapshot("cancel rollback driver state"))?;
-        self.pending = false;
-        self.batch_units.clear();
-        self.batch_triples.clear();
-        self.batch_fresh.clear();
-        self.batch_expected = 0;
-        Ok(())
-    }
-
-    /// Serializes the session's complete dynamic state into a compact
-    /// binary snapshot. The encoding is canonical: identical logical
-    /// state yields identical bytes.
-    ///
-    /// The snapshot embeds fingerprints of the design, KG shape,
-    /// configuration and method; [`EvaluationSession::resume`]
-    /// validates them, so a snapshot cannot silently resume against the
-    /// wrong setup. See the README for the byte layout.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::SnapshotUnavailable`] while a request is
-    /// outstanding (submit its labels first) or after the session has
-    /// stopped (read [`EvaluationSession::result`] instead).
-    pub fn snapshot(&self) -> Result<Vec<u8>, SessionError> {
-        if self.pending {
-            return Err(SessionError::SnapshotUnavailable(
-                "a request is outstanding; submit its labels first",
-            ));
-        }
-        if self.outcome.is_some() {
-            return Err(SessionError::SnapshotUnavailable(
-                "session already stopped; read its result instead",
-            ));
-        }
-        let mut w = Writer::new();
-        w.bytes(SNAPSHOT_MAGIC);
-        w.u16(SNAPSHOT_VERSION);
-        // Design + KG fingerprint.
-        let (tag, m) = design_tag(self.design);
-        w.u8(tag);
-        w.u64(m);
-        w.u64(self.kg.num_triples());
-        w.u32(self.kg.num_clusters());
-        write_config_fingerprint(&mut w, &self.cfg);
-        write_method_fingerprint(&mut w, &self.stop.method);
-        // RNG.
-        for word in self.rng.save_state() {
-            w.u64(word);
-        }
-        // Loop scheduling state.
-        w.u64(self.stop.skip_left);
-        w.bool(self.first_check);
-        // Sample state.
-        w.u64(self.state.n());
-        w.u64(self.state.tau());
-        let (mn, mmean, mm2) = self.state.moments().raw_parts();
-        w.u64(mn);
-        w.f64(mmean);
-        w.f64(mm2);
-        // Cost sets (sorted ⇒ canonical bytes).
-        let entities = self.cost.entity_ids_sorted();
-        w.u32(entities.len() as u32);
-        for e in entities {
-            w.u32(e);
-        }
-        let triples = self.cost.triple_ids_sorted();
-        w.u64(triples.len() as u64);
-        // Labels ride along with the triple ids (cluster designs only;
-        // SRS aggregates labels into (τ, n) and never re-reads them).
-        w.bool(self.cache.is_some());
-        for t in &triples {
-            w.u64(*t);
-            if let Some(cache) = &self.cache {
-                w.bool(cache.get(*t).expect("annotated triple has a cached label"));
-            }
-        }
-        // Driver stream state (length-prefixed, driver-defined).
-        let mut driver_state = Vec::new();
-        self.driver.save_state(&mut driver_state);
-        w.u64(driver_state.len() as u64);
-        w.bytes(&driver_state);
-        Ok(w.into_bytes())
-    }
-
-    /// Reconstructs a suspended session from a snapshot, validating it
-    /// against the supplied KG, prepared design, method and config. The
-    /// passed `rng`'s state is overwritten from the snapshot; the
-    /// resumed session continues the exact stream — and hence the exact
-    /// evaluation trajectory — of the suspended one.
-    ///
-    /// Standard drivers are rebuilt from `prepared`. Custom driver
-    /// configuration (e.g. [`kgae_sampling::driver::ScsDriver::limit_draws`])
-    /// is not part of
-    /// the snapshot — resume such sessions through
-    /// [`EvaluationSession::resume_with_driver`] with an identically
-    /// configured driver.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::CorruptSnapshot`] on malformed bytes;
-    /// [`SessionError::SnapshotMismatch`] when the snapshot belongs to
-    /// a different design, KG shape, config or method.
-    pub fn resume(
-        kg: &'a dyn KnowledgeGraph,
-        prepared: &PreparedDesign,
-        method: &IntervalMethod,
-        cfg: &EvalConfig,
-        rng: R,
-        bytes: &[u8],
-    ) -> Result<Self, SessionError> {
-        Self::from_prepared(kg, prepared, method, cfg, rng).apply_snapshot(bytes)
-    }
-
-    /// [`EvaluationSession::resume`] for sessions created through
-    /// [`EvaluationSession::with_driver`]: the caller rebuilds the
-    /// driver with its full configuration (e.g. a draw limit) and the
-    /// snapshot restores the driver's dynamic state on top. The
-    /// `design` label must match the one the session was created with —
-    /// it is fingerprint-checked against the snapshot.
-    ///
-    /// # Errors
-    ///
-    /// As [`EvaluationSession::resume`].
-    pub fn resume_with_driver(
-        kg: &'a dyn KnowledgeGraph,
-        driver: Box<dyn DesignDriver + Send + 'a>,
-        design: SamplingDesign,
-        method: &IntervalMethod,
-        cfg: &EvalConfig,
-        rng: R,
-        bytes: &[u8],
-    ) -> Result<Self, SessionError> {
-        Self::with_driver(kg, driver, design, method, cfg, rng).apply_snapshot(bytes)
-    }
-
-    /// Parses and validates `bytes` against this freshly constructed
-    /// session's own design/KG/config/method, then overwrites the
-    /// session's dynamic state with the snapshot's.
-    fn apply_snapshot(mut self, bytes: &[u8]) -> Result<Self, SessionError> {
-        let (kg, cfg, method) = (self.kg, &self.cfg, &self.stop.method);
-        let corrupt = SessionError::CorruptSnapshot;
-        let mut r = Reader::new(bytes);
-        let tag = read_record_prefix(&mut r)?;
-        let (want_tag, want_m) = design_tag(self.design);
-        if tag != want_tag || r.u64().map_err(corrupt)? != want_m {
-            return Err(SessionError::SnapshotMismatch("sampling design differs"));
-        }
-        if r.u64().map_err(corrupt)? != kg.num_triples()
-            || r.u32().map_err(corrupt)? != kg.num_clusters()
-        {
-            return Err(SessionError::SnapshotMismatch("KG shape differs"));
-        }
-        if !config_fingerprint_matches(&mut r, cfg).map_err(corrupt)? {
-            return Err(SessionError::SnapshotMismatch("evaluation config differs"));
-        }
-        if !method_fingerprint_matches(&mut r, method).map_err(corrupt)? {
-            return Err(SessionError::SnapshotMismatch("interval method differs"));
-        }
-
-        let mut rng_state = [0u64; 4];
-        for word in &mut rng_state {
-            *word = r.u64().map_err(corrupt)?;
-        }
-        let skip_left = r.u64().map_err(corrupt)?;
-        let first_check = r.bool().map_err(corrupt)?;
-        let n = r.u64().map_err(corrupt)?;
-        let tau = r.u64().map_err(corrupt)?;
-        if tau > n {
-            return Err(SessionError::CorruptSnapshot("tau exceeds n"));
-        }
-        let mn = r.u64().map_err(corrupt)?;
-        let mmean = r.f64().map_err(corrupt)?;
-        let mm2 = r.f64().map_err(corrupt)?;
-        let ent_len = r.u32().map_err(corrupt)? as usize;
-        if ent_len as u64 > u64::from(kg.num_clusters()) {
-            return Err(SessionError::CorruptSnapshot("too many entities"));
-        }
-        let mut entities = Vec::with_capacity(ent_len);
-        for _ in 0..ent_len {
-            let e = r.u32().map_err(corrupt)?;
-            if e >= kg.num_clusters() {
-                return Err(SessionError::CorruptSnapshot("entity id out of range"));
-            }
-            entities.push(e);
-        }
-        let tri_len = r.len_capped(kg.num_triples()).map_err(corrupt)?;
-        let has_labels = r.bool().map_err(corrupt)?;
-        let mut triples = Vec::with_capacity(tri_len);
-        let mut labels = Vec::with_capacity(if has_labels { tri_len } else { 0 });
-        for _ in 0..tri_len {
-            let t = r.u64().map_err(corrupt)?;
-            if t >= kg.num_triples() {
-                return Err(SessionError::CorruptSnapshot("triple id out of range"));
-            }
-            triples.push(t);
-            if has_labels {
-                labels.push(r.bool().map_err(corrupt)?);
-            }
-        }
-        let driver_len = r.len_capped(bytes.len() as u64).map_err(corrupt)?;
-        let driver_state = r.bytes(driver_len).map_err(corrupt)?.to_vec();
-        r.finish().map_err(corrupt)?;
-
-        if has_labels != self.cache.is_some() {
-            return Err(SessionError::CorruptSnapshot(
-                "label presence disagrees with the design",
-            ));
-        }
-        self.rng.load_state(rng_state);
-        self.stop.skip_left = skip_left;
-        self.first_check = first_check;
-        self.state = SampleState::from_parts(
-            self.state.kind(),
-            n,
-            tau,
-            OnlineMoments::from_raw_parts(mn, mmean, mm2),
-        );
-        self.cost = CostTracker::from_saved(self.cfg.cost_model, &entities, &triples);
-        if let Some(cache) = &mut self.cache {
-            for (t, label) in triples.iter().zip(&labels) {
-                cache.insert(*t, *label);
-            }
-        }
-        self.driver
-            .restore_state(&driver_state)
-            .map_err(|e| SessionError::CorruptSnapshot(e.0))?;
-        Ok(self)
-    }
 }
 
 // Sessions are sent across threads by multi-tenant session hosts (one
@@ -1669,6 +1630,211 @@ mod tests {
         assert_eq!(resumed_reason, StopReason::StreamExhausted);
         assert_eq!(straight.stage1_draws, limit);
         assert_eq!(straight, resumed, "suspend/resume changed the bounded run");
+    }
+
+    /// A session record split into its fingerprint prefix and its log:
+    /// `(prefix, origin, units, labels)`.
+    fn split_record(
+        session: &EvaluationSession<'_, SmallRng>,
+    ) -> (Vec<u8>, [u64; 4], u64, Vec<bool>) {
+        let bytes = session.snapshot().unwrap();
+        let log = &session.log;
+        let tail = 48 + log.len().div_ceil(8) as usize;
+        let labels = (0..log.len()).map(|i| log.get(i)).collect();
+        let prefix = bytes[..bytes.len() - tail].to_vec();
+        (prefix, session.origin, session.units_absorbed(), labels)
+    }
+
+    /// The record `split_record` took apart, with `units` and `labels`
+    /// replaced.
+    fn forge(prefix: &[u8], origin: [u64; 4], units: u64, labels: &[bool]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.bytes(prefix);
+        for word in origin {
+            w.u64(word);
+        }
+        w.u64(units);
+        let mut log = LabelLog::default();
+        for &label in labels {
+            log.push(label);
+        }
+        log.write(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn record_is_the_origin_the_unit_count_and_the_label_bits() {
+        let kg = kgae_graph::datasets::nell();
+        let prepared = PreparedDesign::new(&kg, SamplingDesign::Twcs { m: 3 });
+        let method = IntervalMethod::ahpd_default();
+        let cfg = EvalConfig::default();
+        let mut s = EvaluationSession::from_prepared(
+            &kg,
+            &prepared,
+            &method,
+            &cfg,
+            SmallRng::seed_from_u64(21),
+        );
+        let fresh = split_record(&s);
+        assert_eq!(fresh.1, SmallRng::seed_from_u64(21).state());
+        assert_eq!((fresh.2, fresh.3.len()), (0, 0));
+        let mut req = AnnotationRequest::default();
+        let mut labels = Vec::new();
+        for _ in 0..5 {
+            assert!(s.next_request_into(3, &mut req).unwrap());
+            labels.clear();
+            labels.extend(req.triples.iter().map(|st| kg.is_correct(st.triple)));
+            s.submit(&labels).unwrap();
+        }
+        let (prefix, origin, units, logged) = split_record(&s);
+        assert_eq!(prefix, fresh.0, "fingerprints do not move");
+        assert_eq!(units, 15);
+        assert_eq!(logged.len() as u64, s.annotated_triples());
+        let bytes = s.snapshot().unwrap();
+        assert_eq!(forge(&prefix, origin, units, &logged), bytes);
+        // Resume replays the log and re-snapshots the same bytes.
+        let resumed = EvaluationSession::resume(
+            &kg,
+            &prepared,
+            &method,
+            &cfg,
+            SmallRng::seed_from_u64(0),
+            &bytes,
+        )
+        .unwrap();
+        assert_eq!(resumed.snapshot().unwrap(), bytes);
+        assert_eq!(resumed.status(), s.status());
+    }
+
+    #[test]
+    fn impossible_logs_are_corrupt_snapshots_not_panics() {
+        let kg = kgae_graph::datasets::factbench();
+        let method = IntervalMethod::Wilson;
+        let cfg = EvalConfig {
+            epsilon: 0.000_5,
+            max_observations: Some(400),
+            ..EvalConfig::default()
+        };
+        let scs = |limit| Box::new(ScsDriver::new(&kg).limit_draws(limit));
+        let build = |limit| {
+            EvaluationSession::with_driver(
+                &kg,
+                scs(limit),
+                SamplingDesign::Scs,
+                &method,
+                &cfg,
+                SmallRng::seed_from_u64(8),
+            )
+        };
+        let resume = |limit, bytes: &[u8]| {
+            EvaluationSession::resume_with_driver(
+                &kg,
+                scs(limit),
+                SamplingDesign::Scs,
+                &method,
+                &cfg,
+                SmallRng::seed_from_u64(0),
+                bytes,
+            )
+        };
+        let mut s = build(40);
+        let mut req = AnnotationRequest::default();
+        while s.status().observations < 30 {
+            assert!(s.next_request_into(1, &mut req).unwrap());
+            let labels: Vec<bool> = req
+                .triples
+                .iter()
+                .map(|st| kg.is_correct(st.triple))
+                .collect();
+            s.submit(&labels).unwrap();
+        }
+        let (prefix, origin, units, labels) = split_record(&s);
+        assert!(units > 2 && labels.len() > 2);
+        let intact = forge(&prefix, origin, units, &labels);
+        assert!(resume(40, &intact).is_ok());
+        let corrupt = |limit, bytes: &[u8], why: &str| match resume(limit, bytes) {
+            Err(SessionError::CorruptSnapshot(got)) => assert_eq!(got, why),
+            other => panic!("{why}: resumed as {:?}", other.map(|r| r.status())),
+        };
+        let cap = "snapshot length field exceeds sanity cap";
+        let ran_out = "label log ran out while a unit needed a label";
+        // More labels than the KG has triples; more draws than the cap.
+        let mut too_many = intact[..intact.len() - 8 - labels.len().div_ceil(8)].to_vec();
+        too_many.extend_from_slice(&(kg.num_triples() + 1).to_le_bytes());
+        corrupt(40, &too_many, cap);
+        corrupt(
+            40,
+            &forge(&prefix, origin, MAX_REPLAY_DRAWS + 1, &labels),
+            cap,
+        );
+        // The log runs out while a unit still needs a label.
+        corrupt(40, &forge(&prefix, origin, units + 1, &labels), ran_out);
+        corrupt(
+            40,
+            &forge(&prefix, origin, units, &labels[..labels.len() - 1]),
+            ran_out,
+        );
+        // Labels left over after the last unit.
+        let mut extra = labels.clone();
+        extra.push(true);
+        let leftover = "labels left over after the last unit";
+        corrupt(40, &forge(&prefix, origin, units, &extra), leftover);
+        // The stream ends during replay.
+        corrupt(units - 1, &intact, "unit stream exhausted during replay");
+        // Replay passes the observation budget: every unit's labels
+        // re-used, so the log stays consistent until the budget trips.
+        let mut over = build(400);
+        while over.status().observations < 400 {
+            assert!(over.next_request_into(1, &mut req).unwrap());
+            over.submit(&vec![false; req.triples.len()]).unwrap();
+            if over.stop_reason().is_some() {
+                break;
+            }
+        }
+        assert_eq!(over.stop_reason(), Some(StopReason::BudgetExhausted));
+        let draws = over.result().unwrap().stage1_draws;
+        let all_false = vec![false; over.log.len() as usize];
+        let past_budget = forge(&prefix, over.origin, draws, &all_false);
+        let over_budget = "replay passes the observation or cost budget";
+        corrupt(400, &past_budget, over_budget);
+        // Non-zero padding bits and trailing bytes.
+        assert_ne!(labels.len() % 8, 0, "the last byte has padding");
+        let mut padded = intact.clone();
+        *padded.last_mut().unwrap() |= 0x80;
+        corrupt(40, &padded, "non-zero label padding bits");
+        let mut trailing = intact;
+        trailing.push(0);
+        corrupt(40, &trailing, "trailing bytes after snapshot payload");
+    }
+
+    #[test]
+    fn lending_the_rng_out_refuses_snapshot_and_cancel() {
+        let kg = kgae_graph::datasets::nell();
+        let mut s = EvaluationSession::new(
+            &kg,
+            SamplingDesign::Srs,
+            &IntervalMethod::Wilson,
+            &EvalConfig::default(),
+            SmallRng::seed_from_u64(4),
+        );
+        assert!(s.snapshot().is_ok());
+        let _ = s.rng_mut();
+        assert!(matches!(
+            s.snapshot(),
+            Err(SessionError::SnapshotUnavailable(_))
+        ));
+        let req = s.next_request(2).unwrap().unwrap();
+        assert!(matches!(
+            s.cancel_request(),
+            Err(SessionError::SnapshotUnavailable(_))
+        ));
+        // The batch stays outstanding and submits normally.
+        let labels: Vec<bool> = req
+            .triples
+            .iter()
+            .map(|st| kg.is_correct(st.triple))
+            .collect();
+        s.submit(&labels).unwrap();
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! artifact (suspend an in-flight evaluation, ship it to another
 //! worker, resume), not an interchange format, so the encoding is a
 //! hand-rolled little-endian byte stream with an explicit version tag.
-//! Floats are encoded via `f64::to_bits`, preserving every bit of the
-//! Welford accumulators — a resumed session must continue the exact
-//! float trajectory of the suspended one.
+//! Floats are encoded via `f64::to_bits`, so fingerprints compare bit
+//! for bit. A session's dynamic state is not encoded at all: the record
+//! carries its starting RNG state and its [`LabelLog`], and resume
+//! replays them.
 
 /// The shared container magic of every snapshot record — plain session
 /// records (design tags 0–3) and the stratified coordinator record
@@ -14,7 +15,7 @@
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"KGAESNAP";
 /// The shared container version; bumping it re-gates every record type
 /// at once (readers reject every other version).
-pub(crate) const SNAPSHOT_VERSION: u16 = 2;
+pub(crate) const SNAPSHOT_VERSION: u16 = 3;
 
 /// Append-only snapshot writer.
 #[derive(Debug, Default)]
@@ -175,6 +176,53 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// The fresh labels a session consumed, in draw order, one bit each —
+/// the only per-annotation state a session record stores.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct LabelLog {
+    /// Bits LSB-first; the bits past `len` in the last byte are zero.
+    bytes: Vec<u8>,
+    len: u64,
+}
+
+impl LabelLog {
+    #[inline]
+    pub(crate) fn push(&mut self, label: bool) {
+        let bit = (self.len % 8) as u8;
+        if bit == 0 {
+            self.bytes.push(0);
+        }
+        *self.bytes.last_mut().expect("a byte was pushed") |= u8::from(label) << bit;
+        self.len += 1;
+    }
+
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Label `i` (`i < len`).
+    pub(crate) fn get(&self, i: u64) -> bool {
+        (self.bytes[(i / 8) as usize] >> (i % 8)) & 1 == 1
+    }
+
+    /// `u64` label count, then the bits, zero-padded to a byte.
+    pub(crate) fn write(&self, w: &mut Writer) {
+        w.u64(self.len);
+        w.bytes(&self.bytes);
+    }
+
+    /// Inverse of [`LabelLog::write`]; the count is checked against
+    /// `cap` before any allocation, and padding bits must be zero.
+    pub(crate) fn read(r: &mut Reader<'_>, cap: u64) -> ReadResult<Self> {
+        let len = r.len_capped(cap)? as u64;
+        let bytes = r.bytes(len.div_ceil(8) as usize)?.to_vec();
+        if !len.is_multiple_of(8) && bytes.last().is_some_and(|&b| b >> (len % 8) != 0) {
+            return Err("non-zero label padding bits");
+        }
+        Ok(Self { bytes, len })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,5 +275,31 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert!(r.len_capped(1 << 20).is_err());
+    }
+
+    #[test]
+    fn label_log_round_trips_and_rejects_bad_padding() {
+        let labels = [
+            true, false, true, true, false, false, true, false, true, true,
+        ];
+        let mut log = LabelLog::default();
+        for &l in &labels {
+            log.push(l);
+        }
+        assert_eq!(log.len(), 10);
+        assert!(labels
+            .iter()
+            .enumerate()
+            .all(|(i, &l)| log.get(i as u64) == l));
+        let mut w = Writer::new();
+        log.write(&mut w);
+        let mut bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 + 2);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(LabelLog::read(&mut r, 10).unwrap(), log);
+        r.finish().unwrap();
+        assert!(LabelLog::read(&mut Reader::new(&bytes), 9).is_err(), "cap");
+        bytes[9] |= 0x80; // a padding bit of the last byte
+        assert!(LabelLog::read(&mut Reader::new(&bytes), 10).is_err());
     }
 }

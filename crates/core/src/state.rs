@@ -110,27 +110,6 @@ impl SampleState {
         self.kind
     }
 
-    /// The raw per-draw Welford accumulator (session snapshots).
-    pub(crate) fn moments(&self) -> &OnlineMoments {
-        &self.draw_moments
-    }
-
-    /// Rebuilds a state from snapshot parts, preserving every bit of
-    /// the running tallies.
-    pub(crate) fn from_parts(
-        kind: DesignKind,
-        n: u64,
-        tau: u64,
-        draw_moments: OnlineMoments,
-    ) -> Self {
-        Self {
-            kind,
-            n,
-            tau,
-            draw_moments,
-        }
-    }
-
     /// Total annotated observations.
     #[must_use]
     pub fn n(&self) -> u64 {

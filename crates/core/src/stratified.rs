@@ -632,7 +632,7 @@ impl<'a> StratifiedSession<'a> {
             let StratumSlot::Live(session) = &mut self.slots[h] else {
                 unreachable!("allocate returns live strata")
             };
-            match session.next_request_cancellable(max_units)? {
+            match session.next_request(max_units)? {
                 Some(request) => {
                     self.pending = Some(h as u32);
                     return Ok(Some(StratifiedRequest {

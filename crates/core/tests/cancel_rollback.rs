@@ -113,8 +113,8 @@ fn assert_cancel_exactness(spec: &EngineSpec<'_, '_>, kg: &CompactKg, batch: u64
 #[test]
 fn plain_engine_cancel_is_exact() {
     let kg = kg();
-    // SRS and TWCS cover both driver-state families (the displaced-entry
-    // rejection table and the bounded PPS draw counter); WCS converges
+    // SRS and TWCS cover both driver families (the without-replacement
+    // triple stream and the with-replacement PPS draws); WCS converges
     // too fast on this KG to survive the warm-up.
     for design in [SamplingDesign::Srs, SamplingDesign::Twcs { m: 3 }] {
         let prepared = PreparedDesign::new(&kg, design);
@@ -163,33 +163,46 @@ fn comparative_engine_cancel_is_exact() {
 }
 
 #[test]
-fn plain_non_cancellable_poll_refuses_cancel() {
+fn plain_polled_request_cancels_exactly() {
     use kgae_core::EvaluationSession;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     let kg = kg();
-    let prepared = PreparedDesign::new(&kg, SamplingDesign::Srs);
+    let prepared = PreparedDesign::new(&kg, SamplingDesign::Twcs { m: 3 });
     let method = IntervalMethod::Wilson;
     let config = EvalConfig::default();
-    let mut session = EvaluationSession::from_prepared(
-        &kg,
-        &prepared,
-        &method,
-        &config,
-        SmallRng::seed_from_u64(5),
-    );
-    // The plain poll records no rollback point, so cancel must refuse
-    // rather than rewind to a wrong state.
-    let request = session.next_request(4).unwrap().unwrap();
-    assert!(matches!(
-        session.cancel_request(),
-        Err(SessionError::SnapshotUnavailable(_))
-    ));
-    // The batch is still outstanding and can be submitted normally.
-    let labels: Vec<bool> = request
-        .triples
-        .iter()
-        .map(|st| kg.is_correct(st.triple))
-        .collect();
-    session.submit(&labels).unwrap();
+    let session = || {
+        EvaluationSession::from_prepared(
+            &kg,
+            &prepared,
+            &method,
+            &config,
+            SmallRng::seed_from_u64(5),
+        )
+    };
+    let labels = |request: &kgae_core::AnnotationRequest| -> Vec<bool> {
+        request
+            .triples
+            .iter()
+            .map(|st| kg.is_correct(st.triple))
+            .collect()
+    };
+    let (mut cancelled, mut twin) = (session(), session());
+    // There is one poll path: any outstanding request can be withdrawn,
+    // at any point of the campaign, and the re-poll is the same batch.
+    let mut polls = 0;
+    while let Some(request) = cancelled.next_request(4).unwrap() {
+        cancelled.cancel_request().unwrap();
+        assert!(!cancelled.has_pending_request());
+        let again = cancelled.next_request(4).unwrap().expect("still running");
+        assert_eq!(request.triples, again.triples, "poll {polls}");
+        assert_eq!(request.units, again.units, "poll {polls}");
+        cancelled.submit(&labels(&again)).unwrap();
+        let twin_request = twin.next_request(4).unwrap().expect("in lockstep");
+        twin.submit(&labels(&twin_request)).unwrap();
+        polls += 1;
+    }
+    assert!(twin.next_request(4).unwrap().is_none());
+    assert!(polls > 3);
+    assert_eq!(cancelled.result(), twin.result());
 }

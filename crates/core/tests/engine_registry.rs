@@ -382,11 +382,13 @@ impl EveryTag {
     }
 }
 
-/// A version-1 record — the layout that still carried a per-prior solver
-/// section — is rejected as a typed version mismatch for every registry
-/// tag, before any kind-specific parsing; no v1 reader exists.
+/// Records of the retired versions are rejected as a typed version
+/// mismatch for every registry tag, before any kind-specific parsing:
+/// version 1 still carried a per-prior solver section, and version 2
+/// serialized the session's derived state instead of its label log. No
+/// reader for either exists.
 #[test]
-fn version_1_records_are_rejected_for_every_registry_tag() {
+fn older_version_records_are_rejected_for_every_registry_tag() {
     let every = EveryTag::new();
     let truth = DeltaKg::with_truth(&every.kg, &every.kg);
     for (tag, spec) in every.specs(7).iter().enumerate() {
@@ -397,17 +399,25 @@ fn version_1_records_are_rejected_for_every_registry_tag() {
         );
         let mut snap = engine.snapshot().unwrap();
         assert_eq!(usize::from(snap[10]), tag);
-        assert_eq!(snap[8..10], 2u16.to_le_bytes(), "tag {tag}");
+        assert_eq!(snap[8..10], 3u16.to_le_bytes(), "tag {tag}");
         spec.resume(&snap).unwrap();
-        snap[8..10].copy_from_slice(&1u16.to_le_bytes());
-        let unsupported = |e: Option<SessionError>| {
-            matches!(
-                e,
-                Some(SessionError::SnapshotMismatch("unsupported version"))
-            )
-        };
-        assert!(unsupported(spec.resume(&snap).err()), "tag {tag}");
-        assert!(unsupported(peek_any_header(&snap).err()), "tag {tag}");
+        for version in [1u16, 2] {
+            snap[8..10].copy_from_slice(&version.to_le_bytes());
+            let unsupported = |e: Option<SessionError>| {
+                matches!(
+                    e,
+                    Some(SessionError::SnapshotMismatch("unsupported version"))
+                )
+            };
+            assert!(
+                unsupported(spec.resume(&snap).err()),
+                "tag {tag} v{version}"
+            );
+            assert!(
+                unsupported(peek_any_header(&snap).err()),
+                "tag {tag} v{version}"
+            );
+        }
     }
 }
 
@@ -427,13 +437,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn mid_campaign_snapshot_bytes_are_pinned_for_every_registry_tag() {
     const GOLDEN: [(usize, u64); 7] = [
-        (1973, 0x8221_019f_2e85_d6f3),
-        (765, 0x4eca_56dd_2d6a_76eb),
-        (686, 0x8448_b648_274c_8e6a),
-        (743, 0x1bd0_0aea_19a1_4fa3),
-        (2926, 0x2818_ea49_3e86_217e),
-        (2126, 0x9705_9c89_f0bd_bbc3),
-        (2631, 0x4846_fecb_ea4a_afb3),
+        (196, 0xfb29_4e80_442e_15f6),
+        (197, 0x81b0_84de_a714_2643),
+        (197, 0x92df_2d35_415b_f7a7),
+        (197, 0xed74_70e2_4352_1aba),
+        (925, 0x23f6_b3b8_91f0_01fa),
+        (349, 0x1a8a_4029_a3c4_3bb3),
+        (854, 0xb66e_5af0_d640_6eeb),
     ];
     let every = EveryTag::new();
     let truth = DeltaKg::with_truth(&every.kg, &every.kg);

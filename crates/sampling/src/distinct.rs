@@ -72,38 +72,6 @@ impl IncrementalWithoutReplacement {
         self.n - self.drawn
     }
 
-    /// The displaced-entry table as sorted `(position, value)` pairs —
-    /// together with `n` and [`Self::drawn`], the sampler's complete
-    /// state. Sorted so snapshots are canonical (byte-identical for
-    /// identical logical state) despite hash-map iteration order.
-    #[must_use]
-    pub fn displaced_entries(&self) -> Vec<(u64, u64)> {
-        let mut entries: Vec<(u64, u64)> = self.displaced.iter().map(|(&k, &v)| (k, v)).collect();
-        entries.sort_unstable();
-        entries
-    }
-
-    /// Rebuilds a sampler from saved state
-    /// (`n`, [`Self::drawn`], [`Self::displaced_entries`]); the restored
-    /// stream continues exactly where the saved one stopped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `drawn > n` or an entry position is out of range.
-    #[must_use]
-    pub fn from_saved(n: u64, drawn: u64, entries: &[(u64, u64)]) -> Self {
-        assert!(drawn <= n, "drawn {drawn} exceeds population {n}");
-        for &(k, v) in entries {
-            assert!(k < n && v < n, "displaced entry ({k}, {v}) out of 0..{n}");
-        }
-        let displaced: HashMap<u64, u64> = entries.iter().copied().collect();
-        Self {
-            n,
-            drawn,
-            displaced,
-        }
-    }
-
     /// Draws the next distinct value, or `None` when exhausted.
     pub fn next_draw<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Option<u64> {
         if self.drawn >= self.n {

@@ -414,22 +414,6 @@ pub fn build_driver<'a>(
     }
 }
 
-/// Error restoring a driver from serialized state (snapshot corrupt or
-/// from a different design/KG).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DriverStateError(
-    /// What was wrong with the state bytes.
-    pub &'static str,
-);
-
-impl std::fmt::Display for DriverStateError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "driver state restore failed: {}", self.0)
-    }
-}
-
-impl std::error::Error for DriverStateError {}
-
 /// A sampling design reduced to its poll contract: hand out stage-1
 /// units until the stream is exhausted.
 ///
@@ -459,44 +443,11 @@ pub trait DesignDriver {
     /// Units handed out so far.
     fn units_drawn(&self) -> u64;
 
-    /// Appends the driver's dynamic state to `out` (canonical bytes:
-    /// identical logical state ⇒ identical encoding).
-    fn save_state(&self, out: &mut Vec<u8>);
-
-    /// Restores dynamic state captured by [`DesignDriver::save_state`]
-    /// on a driver constructed identically (same design, same KG).
-    ///
-    /// # Errors
-    ///
-    /// Fails on truncated/oversized input or out-of-range entries.
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError>;
-}
-
-// ---------------------------------------------------------------------
-// Minimal canonical byte codec for driver state.
-// ---------------------------------------------------------------------
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn read_u64(bytes: &[u8], cursor: &mut usize) -> Result<u64, DriverStateError> {
-    let end = cursor
-        .checked_add(8)
-        .ok_or(DriverStateError("cursor overflow"))?;
-    let chunk = bytes
-        .get(*cursor..end)
-        .ok_or(DriverStateError("truncated state"))?;
-    *cursor = end;
-    Ok(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
-}
-
-fn expect_consumed(bytes: &[u8], cursor: usize) -> Result<(), DriverStateError> {
-    if cursor == bytes.len() {
-        Ok(())
-    } else {
-        Err(DriverStateError("trailing bytes in state"))
-    }
+    /// Returns the driver to its just-built state: the same stream a
+    /// fresh driver would hand out under the same RNG state.
+    /// Construction-time configuration (e.g. [`ScsDriver::limit_draws`])
+    /// is kept.
+    fn rewind(&mut self);
 }
 
 fn max_cluster_size(kg: &dyn KnowledgeGraph) -> u64 {
@@ -513,8 +464,8 @@ fn max_cluster_size(kg: &dyn KnowledgeGraph) -> u64 {
 /// SRS driver: units are single triples, drawn without replacement;
 /// the stream exhausts once the whole KG has been drawn.
 pub struct SrsDriver<'a> {
+    kg: &'a dyn KnowledgeGraph,
     sampler: SrsSampler<'a, dyn KnowledgeGraph + 'a>,
-    num_triples: u64,
 }
 
 impl<'a> SrsDriver<'a> {
@@ -522,8 +473,8 @@ impl<'a> SrsDriver<'a> {
     #[must_use]
     pub fn new(kg: &'a dyn KnowledgeGraph) -> Self {
         Self {
+            kg,
             sampler: SrsSampler::new(kg),
-            num_triples: kg.num_triples(),
         }
     }
 }
@@ -552,45 +503,8 @@ impl DesignDriver for SrsDriver<'_> {
         self.sampler.drawn()
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) {
-        let stream = self.sampler.stream();
-        push_u64(out, stream.drawn());
-        let entries = stream.displaced_entries();
-        push_u64(out, entries.len() as u64);
-        for (k, v) in entries {
-            push_u64(out, k);
-            push_u64(out, v);
-        }
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        let mut cursor = 0;
-        let drawn = read_u64(bytes, &mut cursor)?;
-        if drawn > self.num_triples {
-            return Err(DriverStateError("drawn exceeds population"));
-        }
-        let len = read_u64(bytes, &mut cursor)?;
-        if len > 2 * drawn {
-            // Each draw displaces at most two positions.
-            return Err(DriverStateError("displaced table larger than draws allow"));
-        }
-        let mut entries = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            let k = read_u64(bytes, &mut cursor)?;
-            let v = read_u64(bytes, &mut cursor)?;
-            if k >= self.num_triples || v >= self.num_triples {
-                return Err(DriverStateError("displaced entry out of range"));
-            }
-            entries.push((k, v));
-        }
-        expect_consumed(bytes, cursor)?;
-        self.sampler
-            .restore_stream(crate::distinct::IncrementalWithoutReplacement::from_saved(
-                self.num_triples,
-                drawn,
-                &entries,
-            ));
-        Ok(())
+    fn rewind(&mut self) {
+        self.sampler = SrsSampler::new(self.kg);
     }
 }
 
@@ -656,14 +570,8 @@ impl DesignDriver for TwcsDriver<'_> {
         self.drawn
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.drawn);
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        let mut cursor = 0;
-        self.drawn = read_u64(bytes, &mut cursor)?;
-        expect_consumed(bytes, cursor)
+    fn rewind(&mut self) {
+        self.drawn = 0;
     }
 }
 
@@ -734,14 +642,8 @@ impl DesignDriver for WcsDriver<'_> {
         self.drawn
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.drawn);
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        let mut cursor = 0;
-        self.drawn = read_u64(bytes, &mut cursor)?;
-        expect_consumed(bytes, cursor)
+    fn rewind(&mut self) {
+        self.drawn = 0;
     }
 }
 
@@ -830,14 +732,8 @@ impl DesignDriver for ScsDriver<'_> {
         self.drawn
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.drawn);
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        let mut cursor = 0;
-        self.drawn = read_u64(bytes, &mut cursor)?;
-        expect_consumed(bytes, cursor)
+    fn rewind(&mut self) {
+        self.drawn = 0;
     }
 }
 
@@ -915,40 +811,8 @@ impl DesignDriver for StratumSrsDriver<'_> {
         self.stream.drawn()
     }
 
-    fn save_state(&self, out: &mut Vec<u8>) {
-        push_u64(out, self.stream.drawn());
-        let entries = self.stream.displaced_entries();
-        push_u64(out, entries.len() as u64);
-        for (k, v) in entries {
-            push_u64(out, k);
-            push_u64(out, v);
-        }
-    }
-
-    fn restore_state(&mut self, bytes: &[u8]) -> Result<(), DriverStateError> {
-        let population = self.members.len() as u64;
-        let mut cursor = 0;
-        let drawn = read_u64(bytes, &mut cursor)?;
-        if drawn > population {
-            return Err(DriverStateError("drawn exceeds stratum size"));
-        }
-        let len = read_u64(bytes, &mut cursor)?;
-        if len > 2 * drawn {
-            return Err(DriverStateError("displaced table larger than draws allow"));
-        }
-        let mut entries = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            let k = read_u64(bytes, &mut cursor)?;
-            let v = read_u64(bytes, &mut cursor)?;
-            if k >= population || v >= population {
-                return Err(DriverStateError("displaced entry out of range"));
-            }
-            entries.push((k, v));
-        }
-        expect_consumed(bytes, cursor)?;
-        self.stream =
-            crate::distinct::IncrementalWithoutReplacement::from_saved(population, drawn, &entries);
-        Ok(())
+    fn rewind(&mut self) {
+        self.stream = crate::distinct::IncrementalWithoutReplacement::new(self.stratum_size());
     }
 }
 
@@ -1070,32 +934,36 @@ mod tests {
     }
 
     #[test]
-    fn srs_driver_state_round_trip_resumes_the_exact_stream() {
+    fn rewind_replays_the_exact_stream_and_keeps_configuration() {
+        // After a rewind, re-seeding the RNG reproduces the stream from
+        // its start; a draw-limited SCS driver keeps its limit.
         let kg = kg(&[10, 10, 10]);
-        let mut rng = SmallRng::seed_from_u64(6);
-        let mut buf = Vec::new();
-        let mut original = SrsDriver::new(&kg);
-        for _ in 0..12 {
-            original.next_unit(&mut rng, &mut buf).unwrap();
-        }
-        let mut state = Vec::new();
-        original.save_state(&mut state);
-        let rng_state = rng.state();
-
-        let mut resumed = SrsDriver::new(&kg);
-        resumed.restore_state(&state).unwrap();
-        assert_eq!(resumed.units_drawn(), 12);
-        let mut rng_resumed = SmallRng::from_state(rng_state);
-        let mut buf_resumed = Vec::new();
-        // Both continuations must emit the identical remaining stream.
-        loop {
-            let a = original.next_unit(&mut rng, &mut buf);
-            let b = resumed.next_unit(&mut rng_resumed, &mut buf_resumed);
-            assert_eq!(a, b);
-            assert_eq!(buf, buf_resumed);
-            if a.is_none() {
-                break;
-            }
+        let members = Arc::new((0..30u64).filter(|t| t % 3 != 1).collect::<Vec<_>>());
+        let drivers: Vec<Box<dyn DesignDriver + '_>> = vec![
+            Box::new(SrsDriver::new(&kg)),
+            Box::new(TwcsDriver::new(&kg, 3)),
+            Box::new(WcsDriver::new(&kg)),
+            Box::new(ScsDriver::new(&kg).limit_draws(9)),
+            Box::new(StratumSrsDriver::new(&kg, members)),
+        ];
+        for mut d in drivers {
+            let mut buf = Vec::new();
+            let mut stream = |d: &mut Box<dyn DesignDriver + '_>| {
+                let mut rng = SmallRng::seed_from_u64(6);
+                let mut units = Vec::new();
+                while let Some(cluster) = d.next_unit(&mut rng, &mut buf) {
+                    units.push((cluster, buf.clone()));
+                    if units.len() == 12 {
+                        break;
+                    }
+                }
+                units
+            };
+            let first = stream(&mut d);
+            assert!(d.units_drawn() > 0);
+            d.rewind();
+            assert_eq!(d.units_drawn(), 0);
+            assert_eq!(stream(&mut d), first);
         }
     }
 
@@ -1264,57 +1132,5 @@ mod tests {
         assert!(d.next_unit(&mut rng, &mut buf).is_none(), "sticky");
         assert_eq!(d.estimator(), UnitEstimator::Triple);
         assert_eq!(d.max_unit_size(), 1);
-    }
-
-    #[test]
-    fn stratum_driver_state_round_trip_resumes_the_exact_stream() {
-        let kg = kg(&[10, 10, 10]);
-        let members = Arc::new((0..30u64).filter(|t| t % 3 != 1).collect::<Vec<_>>());
-        let mut rng = SmallRng::seed_from_u64(21);
-        let mut buf = Vec::new();
-        let mut original = StratumSrsDriver::new(&kg, members.clone());
-        for _ in 0..7 {
-            original.next_unit(&mut rng, &mut buf).unwrap();
-        }
-        let mut state = Vec::new();
-        original.save_state(&mut state);
-        let rng_state = rng.state();
-
-        let mut resumed = StratumSrsDriver::new(&kg, members);
-        resumed.restore_state(&state).unwrap();
-        let mut rng_resumed = SmallRng::from_state(rng_state);
-        let mut buf_resumed = Vec::new();
-        loop {
-            let a = original.next_unit(&mut rng, &mut buf);
-            let b = resumed.next_unit(&mut rng_resumed, &mut buf_resumed);
-            assert_eq!(a, b);
-            assert_eq!(buf, buf_resumed);
-            if a.is_none() {
-                break;
-            }
-        }
-        // Garbage states are rejected.
-        let mut fresh = StratumSrsDriver::new(&kg, Arc::new(vec![0, 1]));
-        assert!(fresh.restore_state(&[9]).is_err(), "truncated");
-        let mut bad = Vec::new();
-        push_u64(&mut bad, 7); // drawn > stratum size
-        push_u64(&mut bad, 0);
-        assert!(fresh.restore_state(&bad).is_err());
-    }
-
-    #[test]
-    fn driver_state_restore_rejects_garbage() {
-        let kg = kg(&[4, 4]);
-        let mut d = SrsDriver::new(&kg);
-        assert!(d.restore_state(&[1, 2, 3]).is_err(), "truncated");
-        let mut bad = Vec::new();
-        push_u64(&mut bad, 99); // drawn > population
-        push_u64(&mut bad, 0);
-        assert!(d.restore_state(&bad).is_err());
-        let mut trailing = Vec::new();
-        push_u64(&mut trailing, 0);
-        push_u64(&mut trailing, 0);
-        trailing.push(0xFF);
-        assert!(d.restore_state(&trailing).is_err(), "trailing bytes");
     }
 }

@@ -43,8 +43,8 @@ mod twcs;
 
 pub use alias::AliasTable;
 pub use driver::{
-    AllocationPolicy, ComparePrimary, DesignDriver, DriverStateError, ScsDriver, SrsDriver,
-    StratumSrsDriver, TwcsDriver, UnitEstimator, WcsDriver,
+    AllocationPolicy, ComparePrimary, DesignDriver, ScsDriver, SrsDriver, StratumSrsDriver,
+    TwcsDriver, UnitEstimator, WcsDriver,
 };
 pub use estimators::{
     cluster_estimate, cluster_estimate_from_moments, design_effect, effective_sample_size,

@@ -57,18 +57,6 @@ impl<'a, K: KnowledgeGraph + ?Sized> SrsSampler<'a, K> {
     pub fn remaining(&self) -> u64 {
         self.stream.remaining()
     }
-
-    /// The underlying without-replacement stream (for suspend/resume
-    /// snapshots of in-flight evaluations).
-    #[must_use]
-    pub fn stream(&self) -> &IncrementalWithoutReplacement {
-        &self.stream
-    }
-
-    /// Replaces the underlying stream with one rebuilt from a snapshot.
-    pub fn restore_stream(&mut self, stream: IncrementalWithoutReplacement) {
-        self.stream = stream;
-    }
 }
 
 #[cfg(test)]

@@ -145,22 +145,6 @@ impl OnlineMoments {
         self.m2
     }
 
-    /// The raw Welford triple `(n, mean, M2)` — `mean` is the internal
-    /// accumulator (0.0 when empty, unlike [`OnlineMoments::mean`]'s
-    /// `NaN`). For suspend/resume snapshots:
-    /// `from_raw_parts(raw_parts())` continues the exact accumulation.
-    #[must_use]
-    pub fn raw_parts(&self) -> (u64, f64, f64) {
-        (self.n, self.mean, self.m2)
-    }
-
-    /// Rebuilds an accumulator from [`OnlineMoments::raw_parts`],
-    /// preserving every bit of the running state.
-    #[must_use]
-    pub fn from_raw_parts(n: u64, mean: f64, m2: f64) -> Self {
-        Self { n, mean, m2 }
-    }
-
     /// Snapshot as a [`Summary`].
     #[must_use]
     pub fn summary(&self) -> Summary {
