@@ -1,7 +1,9 @@
 //! Construction latency of every interval method at a representative
 //! annotation outcome (27/30 correct — a skewed, unimodal posterior; HPD
 //! through its one solver, `hpd_interval_exact`),
-//! the SRS aHPD certified-lookahead search at late-campaign NELL states,
+//! the SRS aHPD certified-lookahead search at late-campaign NELL states
+//! (over stopping-boundary tables the campaign settled, and over fresh
+//! ones, as a configuration's first campaign meets them),
 //! and the TWCS(3) aHPD lookahead search at early-campaign NELL states
 //! that certify a skip.
 
@@ -13,10 +15,10 @@ use kgae_core::{
 use kgae_graph::GroundTruth;
 use kgae_intervals::{
     agresti_coull, clopper_pearson, et_interval, hpd_interval_exact, wald_srs, wilson, BetaPrior,
-    Kernel,
 };
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 
 fn bench_intervals(c: &mut Criterion) {
     let mut g = c.benchmark_group("interval_construction");
@@ -83,11 +85,11 @@ fn campaign_states(
 /// the campaign, visited at the intervals the certified skips set.
 fn lookahead_rounds(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec<SampleState> {
     let (states, _) = campaign_states(SamplingDesign::Srs, method, cfg, seed);
+    let boundary = method.srs_boundary(cfg.alpha, cfg.epsilon).unwrap();
     let mut rounds = Vec::new();
     let mut at = cfg.min_triples.saturating_sub(1) as usize;
     while at < states.len() {
-        let skip =
-            method.certified_skip_srs(&states[at], cfg.alpha, cfg.epsilon, Kernel::new(None));
+        let skip = boundary.certified_skip(states[at].tau(), states[at].n());
         rounds.push(states[at].clone());
         at += skip as usize + 1;
     }
@@ -100,17 +102,22 @@ fn bench_certified_skip_srs(c: &mut Criterion) {
     let method = IntervalMethod::ahpd_default();
     let cfg = EvalConfig::default();
     let rounds = lookahead_rounds(&method, &cfg, 7);
-    // The campaign's last four lookahead rounds.
+    let boundary = method.srs_boundary(cfg.alpha, cfg.epsilon).unwrap();
+    // Each ε one ulp past the last: a configuration no lookup has
+    // settled yet.
+    let fresh = Cell::new(cfg.epsilon);
+    // The campaign's last four lookahead rounds, on the tables the
+    // campaign settled and on fresh ones.
     for state in &rounds[rounds.len().saturating_sub(4)..] {
         let id = format!("tau{}_n{}", state.tau(), state.n());
-        g.bench_function(id, |b| {
+        g.bench_function(&id, |b| {
+            b.iter(|| boundary.certified_skip(black_box(state.tau()), black_box(state.n())))
+        });
+        g.bench_function(format!("{id}_fresh"), |b| {
             b.iter(|| {
-                method.certified_skip_srs(
-                    black_box(state),
-                    cfg.alpha,
-                    cfg.epsilon,
-                    Kernel::new(None),
-                )
+                fresh.set(f64::from_bits(fresh.get().to_bits() + 1));
+                let boundary = method.srs_boundary(cfg.alpha, fresh.get()).unwrap();
+                boundary.certified_skip(black_box(state.tau()), black_box(state.n()))
             })
         });
     }

@@ -190,13 +190,14 @@ impl<'a> ComparativeSession<'a> {
             cfg,
             SmallRng::seed_from_u64(seed),
         );
+        let kind = session.sample_state().kind();
         let rivals = roster
             .into_iter()
             .enumerate()
             .filter(|(i, _)| *i != primary_index)
             .map(|(index, method)| Rival {
                 index,
-                step: StoppingStep::new(method),
+                step: StoppingStep::new(method, cfg, kind),
                 stopped: None,
             })
             .collect();
@@ -595,12 +596,11 @@ impl<'a> ComparativeSession<'a> {
             } else {
                 None
             };
+            let mut step = StoppingStep::new(method, cfg, session.sample_state().kind());
+            step.skip_left = skip_left;
             rivals.push(Rival {
                 index,
-                step: StoppingStep {
-                    skip_left,
-                    ..StoppingStep::new(method)
-                },
+                step,
                 stopped,
             });
         }

@@ -8,6 +8,7 @@
 //! triples.
 
 use kgae_graph::{ClusterId, TripleId};
+use kgae_stats::hash::BuildIntHasher;
 use std::collections::HashSet;
 
 /// Cost constants.
@@ -45,8 +46,8 @@ impl CostModel {
 #[derive(Debug, Clone)]
 pub struct CostTracker {
     model: CostModel,
-    entities: HashSet<ClusterId>,
-    triples: HashSet<TripleId>,
+    entities: HashSet<ClusterId, BuildIntHasher>,
+    triples: HashSet<TripleId, BuildIntHasher>,
 }
 
 impl CostTracker {
@@ -55,9 +56,16 @@ impl CostTracker {
     pub fn new(model: CostModel) -> Self {
         Self {
             model,
-            entities: HashSet::new(),
-            triples: HashSet::new(),
+            entities: HashSet::default(),
+            triples: HashSet::default(),
         }
+    }
+
+    /// Makes room for `triples` more distinct triples (and as many
+    /// entities) without regrowing.
+    pub fn reserve(&mut self, triples: u64) {
+        self.entities.reserve(triples as usize);
+        self.triples.reserve(triples as usize);
     }
 
     /// Records the annotation of `triple` belonging to `cluster`.

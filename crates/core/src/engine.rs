@@ -244,8 +244,7 @@ pub trait SessionEngine: Send {
     }
 
     /// Attaches the host's shared posterior-kernel cache; subsequent
-    /// SRS interval constructions and lookahead certificates memoize
-    /// through it. Purely a cost lever — every engine's outputs
+    /// SRS interval constructions memoize through it. Purely a cost lever — every engine's outputs
     /// (stopping decisions, intervals, snapshot bytes) are bit-identical
     /// with or without a cache attached, so hosts may inject it
     /// unconditionally after `build`/`resume`. Deliberately without a

@@ -81,7 +81,7 @@ pub use framework::{
     evaluate, evaluate_prepared, EvalConfig, EvalResult, PreparedDesign, SamplingDesign,
     StoppingPolicy,
 };
-pub use method::{IntervalMethod, MethodParseError};
+pub use method::{IntervalMethod, MethodParseError, SrsBoundary};
 pub use monitor::{
     peek_monitor_header, DeltaBatch, DeltaOutcome, DriftReport, MonitorReport, MonitorSession,
     MonitorSnapshotHeader,

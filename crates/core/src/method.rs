@@ -1,11 +1,11 @@
 //! Interval-method dispatch: one enum covering every `1-α` interval the
 //! experiments compare, applied uniformly to SRS and cluster samples.
 //!
-//! Two hot-path mechanisms live here alongside the dispatch:
+//! The hot-path mechanisms that live here alongside the dispatch:
 //!
-//! * **The posterior kernel** ([`Kernel`]): under SRS every interval and
-//!   certificate is a pure function of the integer counts `(τ, n)` plus
-//!   the `(prior, α)` configuration, so all SRS solves route through
+//! * **The posterior kernel** ([`Kernel`]): under SRS every interval is a
+//!   pure function of the integer counts `(τ, n)` plus the `(prior, α)`
+//!   configuration, so all SRS interval solves route through
 //!   [`kgae_intervals::kernel`]'s canonical count-keyed functions. When the
 //!   caller's [`Kernel`] handle carries a shared
 //!   [`KernelCache`](kgae_intervals::KernelCache) the solves
@@ -13,8 +13,15 @@
 //!   directly, so cached and uncached runs are bit-identical by
 //!   construction. (Cluster designs have fractional effective counts and
 //!   call the exact HPD solver on their effective posteriors directly.)
+//! * **The SRS stopping boundary** ([`SrsBoundary`]): the stopping
+//!   certificate, "can some `1-α` window be at most `2ε` wide", is a
+//!   pure function of the counts too, and at each `n` its stoppable `τ`
+//!   are two-tailed. So every SRS check asks the process-wide
+//!   [`Boundary`] table of each certificate prior, which answers from
+//!   what earlier verdicts at that `n` settled and calls the predicate
+//!   only when nothing did; a session resolves its tables once.
 //! * **Certified multi-step lookahead**
-//!   ([`IntervalMethod::certified_skip_srs`] /
+//!   ([`SrsBoundary::certified_skip`] /
 //!   [`IntervalMethod::certified_skip_cluster`]): from Theorem 1's width
 //!   bound, made exact by the best-window predicate, compute how many
 //!   future annotation units cannot satisfy `MoE ≤ ε`, so the evaluation
@@ -23,9 +30,9 @@
 //!   Both searches run on the decisive extreme outcome first, starting at
 //!   the horizon where the normal approximation at that outcome's
 //!   posterior mode, `ν·ε² ≥ z²·m(1−m)`, first holds, and certify the
-//!   candidate with one probe of the other extreme outcome. The skip is a
-//!   pure function of the sample and `(α, ε, priors)`: no search state is
-//!   kept between calls.
+//!   candidate with one probe of the other extreme outcome. The SRS
+//!   search asks the boundary tables. The skip is a pure function of the
+//!   sample and `(α, ε, priors)`: no search state is kept between calls.
 //!
 //!   The certificates evaluate only the extreme outcomes and, for a set
 //!   of symmetric priors, only the extreme pseudo-counts. That every
@@ -34,7 +41,8 @@
 //!   not proven: stoppability is monotone in the horizon, two-tailed in
 //!   the outcome, and two-tailed in a symmetric prior's pseudo-count.
 //!   `tests/certificate_lemmas.rs` pins all three on the SRS counts (the
-//!   pseudo-count property on fractional cluster evidence too), and
+//!   pseudo-count property on fractional cluster evidence too) and the
+//!   boundary table against the predicate it replaces, and
 //!   `tests/lookahead_equivalence.rs` pins the resulting stops.
 //! * **Pruned aHPD selection**: at the stop, the prior with the smallest
 //!   certified width lower bound is solved first, and every other prior
@@ -46,9 +54,10 @@ use crate::ahpd::posteriors_for_state;
 use crate::state::{DesignKind, SampleState};
 use kgae_intervals::{
     et_interval, hpd_interval_exact, hpd_width_achievable, hpd_width_lower_bound,
-    wald_from_variance, wilson, BetaPrior, Interval, IntervalError, Kernel,
+    wald_from_variance, wilson, BetaPrior, Boundary, Interval, IntervalError, Kernel,
 };
 use kgae_stats::dist::Beta;
+use std::sync::Arc;
 
 /// Hard cap on a single certified skip, bounding the cost of one
 /// lookahead computation. Re-derived after the cap is reached, so larger
@@ -188,113 +197,48 @@ impl IntervalMethod {
         }
     }
 
-    /// Exact one-step gate: can the *current* sample's `1-α` interval
-    /// possibly satisfy `MoE ≤ ε`?
+    /// The method's SRS stopping boundary at `(α, ε)`, or `None` for
+    /// methods without a certificate (Wald, Wilson). Resolve it once per
+    /// campaign: it takes the boundary registry's lock.
+    #[must_use]
+    pub fn srs_boundary(&self, alpha: f64, epsilon: f64) -> Option<SrsBoundary> {
+        let priors = self.priors()?;
+        Some(SrsBoundary {
+            tables: certificate_priors(priors)
+                .map(|prior| Boundary::shared(prior, alpha, 2.0 * epsilon))
+                .collect(),
+            alpha,
+            epsilon,
+            start_prior: *narrowest_prior(priors),
+        })
+    }
+
+    /// Exact one-step gate on a cluster sample: can the *current*
+    /// sample's `1-α` interval possibly satisfy `MoE ≤ ε`?
     ///
-    /// For the HPD-family methods this evaluates [`hpd_width_achievable`]
-    /// on the actual posteriors — the exact indicator `HPD width ≤ 2ε` —
-    /// so full interval construction runs only at steps that actually
-    /// stop (plus measure-zero boundary ties and shapes with no
+    /// For the HPD-family methods this is the exact indicator
+    /// `HPD width ≤ 2ε` of [`hpd_width_achievable`] on the effective
+    /// posteriors, so full interval construction runs only at steps that
+    /// actually stop (plus measure-zero boundary ties and shapes with no
     /// certificate). Only the priors `certificate_priors` keeps are
     /// evaluated. Methods without a certificate (Wald, Wilson) return
     /// `true` and always construct; ET gates on the HPD predicate (ET is
-    /// at least as wide, so a negative gate is still sound).
+    /// at least as wide, so a negative gate is still sound). SRS samples
+    /// ask [`SrsBoundary::stop_possible_now`] instead.
     #[must_use]
-    pub fn stop_possible_now(
-        &self,
-        state: &SampleState,
-        alpha: f64,
-        epsilon: f64,
-        kernel: Kernel<'_>,
-    ) -> bool {
+    pub fn stop_possible_now_cluster(&self, state: &SampleState, alpha: f64, epsilon: f64) -> bool {
         let Some(priors) = self.priors() else {
             return true;
         };
-        let width = 2.0 * epsilon;
-        let mut priors = certificate_priors(priors);
-        match state.kind() {
-            DesignKind::Srs => {
-                priors.any(|prior| kernel.achievable(prior, state.tau(), state.n(), alpha, width))
-            }
-            DesignKind::Cluster => {
-                let eff = state.effective();
-                priors.any(|prior| {
-                    prior
-                        .posterior_effective(eff.mu, eff.n_eff)
-                        .map_or(true, |post| hpd_width_achievable(&post, alpha, width))
+        debug_assert_eq!(state.kind(), DesignKind::Cluster);
+        let eff = state.effective();
+        certificate_priors(priors).any(|prior| {
+            prior
+                .posterior_effective(eff.mu, eff.n_eff)
+                .map_or(true, |post| {
+                    hpd_width_achievable(&post, alpha, 2.0 * epsilon)
                 })
-            }
-        }
-    }
-
-    /// Certified SRS lookahead: the number of further annotations that
-    /// cannot satisfy `MoE ≤ ε`, from the current `(τ, n)`.
-    ///
-    /// For each horizon `k`, every achievable posterior has
-    /// `τ' ∈ [τ, τ+k]` at `n + k` observations. At fixed `n + k` the
-    /// stoppable outcomes are two-tailed, `{τ' ≤ lo} ∪ {τ' ≥ hi}` (the
-    /// Fig. 3 width curves peak centrally), so the union over `[τ, τ+k]`
-    /// is decided at its two ends. Each end is evaluated with the *exact*
-    /// best-window predicate [`hpd_width_achievable`] under the priors
-    /// `certificate_priors` keeps; everything before the first horizon
-    /// where one holds is skipped. Two-tailedness is verified, not
-    /// proven: `tests/certificate_lemmas.rs` pins it.
-    ///
-    /// The search runs on the *decisive path* first: the extreme outcome
-    /// nearer the boundary (`τ+k` when `2τ ≥ n`, else `τ`), where the
-    /// posterior narrows fastest, and `decisive_first_skip` certifies
-    /// its answer with one probe of the other end. It starts at
-    /// `normal_start` on the decisive endpoint, as the cluster lookahead
-    /// does. Any start gives the same skip, so the skip depends on the
-    /// sample and `(α, ε, priors)` alone.
-    ///
-    /// Returns 0 (check the very next annotation) for methods without a
-    /// certified bound (Wald, Wilson).
-    #[must_use]
-    pub fn certified_skip_srs(
-        &self,
-        state: &SampleState,
-        alpha: f64,
-        epsilon: f64,
-        kernel: Kernel<'_>,
-    ) -> u64 {
-        self.srs_skip_from(state, alpha, epsilon, kernel, None)
-    }
-
-    /// [`Self::certified_skip_srs`] with its decisive search started at
-    /// `start` (`None`: `normal_start`).
-    fn srs_skip_from(
-        &self,
-        state: &SampleState,
-        alpha: f64,
-        epsilon: f64,
-        kernel: Kernel<'_>,
-        start: Option<u64>,
-    ) -> u64 {
-        let Some(priors) = self.priors() else {
-            return 0;
-        };
-        debug_assert_eq!(state.kind(), DesignKind::Srs);
-        let (tau, n) = (state.tau(), state.n());
-        // The outcome `k` annotations on at the `toward_one` end of
-        // `[τ, τ+k]`, and whether it can stop.
-        let end = |k, toward_one| if toward_one { tau + k } else { tau };
-        let stoppable = |k, toward_one| {
-            certificate_priors(priors).any(|prior| {
-                kernel.achievable(prior, end(k, toward_one), n + k, alpha, 2.0 * epsilon)
-            })
-        };
-        let toward_one = 2 * tau >= n;
-        let start = start.unwrap_or_else(|| {
-            normal_start(alpha, epsilon, priors, |k| {
-                ((n + k) as f64, end(k, toward_one) as f64)
-            })
-        });
-        decisive_first_skip(
-            start,
-            |k| stoppable(k, toward_one),
-            |k, refuted| (!refuted && stoppable(k, toward_one)) || stoppable(k, !toward_one),
-        )
+        })
     }
 
     /// Certified cluster lookahead: the number of further stage-1 draws
@@ -363,12 +307,81 @@ impl IntervalMethod {
         };
         let toward_one = 2.0 * mu >= 1.0;
         decisive_first_skip(
-            normal_start(alpha, epsilon, priors, |j| {
+            normal_start(alpha, epsilon, narrowest_prior(priors), |j| {
                 let (nu, m) = bound(j, toward_one);
                 (nu, m * nu)
             }),
             |j| stoppable(j, toward_one),
             |j, refuted| (!refuted && stoppable(j, toward_one)) || stoppable(j, !toward_one),
+        )
+    }
+}
+
+/// A method's SRS stopping boundary at one `(α, ε)`: handles on the
+/// shared [`Boundary`] tables of the priors `certificate_priors` keeps,
+/// from [`IntervalMethod::srs_boundary`]. An outcome can stop when any
+/// of them says so.
+#[derive(Debug, Clone)]
+pub struct SrsBoundary {
+    tables: Vec<Arc<Boundary>>,
+    alpha: f64,
+    epsilon: f64,
+    /// The prior `normal_start` extrapolates with.
+    start_prior: BetaPrior,
+}
+
+impl SrsBoundary {
+    /// Exact one-step gate on an SRS sample: can the `1-α` interval at
+    /// `(τ, n)` satisfy `MoE ≤ ε`? The SRS counterpart of
+    /// [`IntervalMethod::stop_possible_now_cluster`], asked of the
+    /// boundary tables.
+    #[must_use]
+    pub fn stop_possible_now(&self, tau: u64, n: u64) -> bool {
+        self.tables.iter().any(|table| table.stoppable(tau, n))
+    }
+
+    /// Certified SRS lookahead: the number of further annotations that
+    /// cannot satisfy `MoE ≤ ε`, from `(τ, n)`.
+    ///
+    /// For each horizon `k`, every achievable posterior has
+    /// `τ' ∈ [τ, τ+k]` at `n + k` observations. At fixed `n + k` the
+    /// stoppable outcomes are two-tailed (the Fig. 3 width curves peak
+    /// centrally), so the union over `[τ, τ+k]` is decided at its two
+    /// ends; everything before the first horizon where an end stops is
+    /// skipped. Two-tailedness is verified, not proven:
+    /// `tests/certificate_lemmas.rs` pins it.
+    ///
+    /// The search runs on the *decisive path* first: the extreme outcome
+    /// nearer the boundary (`τ+k` when `2τ ≥ n`, else `τ`), where the
+    /// posterior narrows fastest, and `decisive_first_skip` certifies
+    /// its answer with one probe of the other end. It starts at
+    /// `normal_start` on the decisive endpoint, as the cluster lookahead
+    /// does. Any start gives the same skip, so the skip depends on the
+    /// sample and `(α, ε, priors)` alone.
+    #[must_use]
+    pub fn certified_skip(&self, tau: u64, n: u64) -> u64 {
+        let toward_one = 2 * tau >= n;
+        let start = normal_start(self.alpha, self.epsilon, &self.start_prior, |k| {
+            (
+                (n + k) as f64,
+                (if toward_one { tau + k } else { tau }) as f64,
+            )
+        });
+        self.skip_from(tau, n, start)
+    }
+
+    /// [`Self::certified_skip`] with its decisive search started at
+    /// `start`.
+    fn skip_from(&self, tau: u64, n: u64, start: u64) -> u64 {
+        // Whether the outcome `k` annotations on at the `toward_one` end
+        // of `[τ, τ+k]` can stop.
+        let stoppable =
+            |k, toward_one| self.stop_possible_now(if toward_one { tau + k } else { tau }, n + k);
+        let toward_one = 2 * tau >= n;
+        decisive_first_skip(
+            start,
+            |k| stoppable(k, toward_one),
+            |k, refuted| (!refuted && stoppable(k, toward_one)) || stoppable(k, !toward_one),
         )
     }
 }
@@ -502,34 +515,39 @@ fn pruned_ahpd(
 
 /// `z` with upper-tail normal probability `p ∈ (0, 0.5]`, by the
 /// rational approximation of Abramowitz & Stegun 26.2.23 (absolute error
-/// below 4.5e-4). Only the lookaheads' start horizon uses it, and any
-/// start gives the same skip.
-fn upper_normal_quantile(p: f64) -> f64 {
+/// below 4.5e-4). Only estimates use it: the lookaheads' start horizon
+/// (any start gives the same skip) and a session's up-front map room.
+pub(crate) fn upper_normal_quantile(p: f64) -> f64 {
     let t = (-2.0 * p.ln()).sqrt();
     t - (2.515_517 + t * (0.802_853 + t * 0.010_328))
         / (1.0 + t * (1.432_788 + t * (0.189_269 + t * 0.001_308)))
 }
 
+/// The prior with the smallest `a + b`: the one whose posterior narrows
+/// fastest.
+fn narrowest_prior(priors: &[BetaPrior]) -> &BetaPrior {
+    priors
+        .iter()
+        .min_by(|p, q| (p.a + p.b).total_cmp(&(q.a + q.b)))
+        .expect("a certified method has a prior")
+}
+
 /// Where a decisive-first search starts: the first horizon at which the
 /// Wald sample-size condition `ν·ε² ≥ z²·m(1−m)` holds on the decisive
 /// endpoint `(ν, t) = endpoint(k)`, `t` successes in `ν` observations. `m`
-/// is that endpoint's posterior mode `(t + a − 1)/(ν + a + b − 2)` under the
-/// method's prior with the smallest `a + b`, the one that narrows
-/// fastest (`t/ν` while `ν + a + b − 2 ≤ 0`). Any start gives the same
-/// skip; a near one saves predicate calls. Over NELL's SRS aHPD campaigns
-/// at `α = ε = 0.05`, `t/ν` started on average three horizons past the
-/// decisive path's first stoppable horizon, and the mode two before it.
+/// is that endpoint's posterior mode `(t + a − 1)/(ν + a + b − 2)` under
+/// `prior`, the method's `narrowest_prior` (`t/ν` while
+/// `ν + a + b − 2 ≤ 0`). Any start gives the same skip; a near one saves
+/// predicate calls. Over NELL's SRS aHPD campaigns at `α = ε = 0.05`,
+/// `t/ν` started on average three horizons past the decisive path's first
+/// stoppable horizon, and the mode two before it.
 fn normal_start(
     alpha: f64,
     epsilon: f64,
-    priors: &[BetaPrior],
+    prior: &BetaPrior,
     endpoint: impl Fn(u64) -> (f64, f64),
 ) -> u64 {
     let z = upper_normal_quantile(alpha / 2.0);
-    let prior = priors
-        .iter()
-        .min_by(|p, q| (p.a + p.b).total_cmp(&(q.a + q.b)))
-        .expect("a certified method has a prior");
     let pseudo = prior.a + prior.b - 2.0;
     1 + find_certified_skip(1, |k| {
         let (nu, t) = endpoint(k);
@@ -749,14 +767,6 @@ mod tests {
                         method.name()
                     );
                 }
-                assert_eq!(
-                    method.stop_possible_now(&state, 0.05, 0.05, plain),
-                    method.stop_possible_now(&state, 0.05, 0.05, cached),
-                );
-                assert_eq!(
-                    method.certified_skip_srs(&state, 0.05, 0.05, plain),
-                    method.certified_skip_srs(&state, 0.05, 0.05, cached),
-                );
             }
         }
         let stats = shared.stats();
@@ -773,8 +783,10 @@ mod tests {
                 IntervalMethod::Hpd(BetaPrior::KERMAN),
                 IntervalMethod::Et(BetaPrior::UNIFORM),
             ] {
-                let state = srs_state(tau, n);
-                let skip = method.certified_skip_srs(&state, 0.05, 0.05, Kernel::new(None));
+                let skip = method
+                    .srs_boundary(0.05, 0.05)
+                    .unwrap()
+                    .certified_skip(tau, n);
                 // Brute-force: for each skipped horizon k and every
                 // achievable τ', the constructed interval is wider than ε.
                 for k in 1..=skip.min(60) {
@@ -799,28 +811,22 @@ mod tests {
         // The lookahead must not be trivially zero: a central sample
         // (μ̂ = 0.5 needs ~380 annotations to stop at ε = 0.05) should
         // certify a long skip even under the loose f(mode) bound.
-        let state = srs_state(15, 30);
         let ahpd = IntervalMethod::ahpd_default();
-        let skip = ahpd.certified_skip_srs(&state, 0.05, 0.05, Kernel::new(None));
+        let skip = ahpd
+            .srs_boundary(0.05, 0.05)
+            .unwrap()
+            .certified_skip(15, 30);
         assert!(skip >= 30, "skip = {skip} is uselessly small");
         // And frequentist methods certify nothing.
-        let wald = IntervalMethod::Wald;
-        assert_eq!(
-            wald.certified_skip_srs(&state, 0.05, 0.05, Kernel::new(None)),
-            0
-        );
-        let wilson = IntervalMethod::Wilson;
-        assert_eq!(
-            wilson.certified_skip_srs(&state, 0.05, 0.05, Kernel::new(None)),
-            0
-        );
+        assert!(IntervalMethod::Wald.srs_boundary(0.05, 0.05).is_none());
+        assert!(IntervalMethod::Wilson.srs_boundary(0.05, 0.05).is_none());
     }
 
-    /// Reference for [`IntervalMethod::certified_skip_srs`]: exponential
-    /// and binary search over the union predicate from horizon 1, without
-    /// the decisive-path candidate, the normal-approximation start or the
-    /// two-tail reductions. At each horizon `k` it evaluates every prior
-    /// at the outcomes `{τ, τ+1, τ+k−1, τ+k}` within `[τ, τ+k]`.
+    /// Reference for [`SrsBoundary::certified_skip`]: exponential and
+    /// binary search over the union predicate from horizon 1, without the
+    /// boundary table, the decisive-first search, the
+    /// normal-approximation start or the two-tail reductions. At each horizon `k` it evaluates every prior at the
+    /// outcomes `{τ, τ+1, τ+k−1, τ+k}` within `[τ, τ+k]`.
     fn skip_by_union_search(
         method: &IntervalMethod,
         state: &SampleState,
@@ -831,15 +837,14 @@ mod tests {
             return 0;
         };
         let (tau, n) = (state.tau(), state.n());
-        let kernel = Kernel::new(None);
         find_certified_skip(1, |k| {
             [tau, tau + 1, tau + k - 1, tau + k]
                 .into_iter()
                 .filter(|t| (tau..=tau + k).contains(t))
                 .any(|t| {
-                    priors
-                        .iter()
-                        .any(|prior| kernel.achievable(prior, t, n + k, alpha, 2.0 * epsilon))
+                    priors.iter().any(|prior| {
+                        hpd_width_achievable(&prior.posterior(t, n + k), alpha, 2.0 * epsilon)
+                    })
                 })
         })
     }
@@ -860,20 +865,20 @@ mod tests {
         #[test]
         fn decisive_path_skip_equals_the_union_search(
             (n, tau) in (1u64..=5000).prop_flat_map(|n| (Just(n), 0..=n)),
-            // The decisive search from an arbitrary start must land on
-            // the same skip as from the normal-approximation start.
+            // The search from an arbitrary start must land on the same
+            // skip as from the normal-approximation start.
             start in prop_oneof![Just(1u64), Just(MAX_SKIP), 1..=MAX_SKIP, 1u64..=2000],
             alpha in prop_oneof![Just(0.01), Just(0.05), Just(0.1)],
             epsilon in 0.01f64..0.1,
         ) {
             let state = srs_state(tau, n);
-            let kernel = Kernel::new(None);
             for method in skip_methods() {
                 let want = skip_by_union_search(&method, &state, alpha, epsilon);
-                let got = method.certified_skip_srs(&state, alpha, epsilon, kernel);
+                let boundary = method.srs_boundary(alpha, epsilon).unwrap();
+                let got = boundary.certified_skip(tau, n);
                 prop_assert_eq!(got, want, "{:?} at (τ={}, n={}), α={}, ε={}",
                     method, tau, n, alpha, epsilon);
-                let from = method.srs_skip_from(&state, alpha, epsilon, kernel, Some(start));
+                let from = boundary.skip_from(tau, n, start);
                 prop_assert_eq!(from, want, "{:?} at (τ={}, n={}) from horizon {}, \
                     α={}, ε={}", method, tau, n, start, alpha, epsilon);
             }
@@ -888,7 +893,10 @@ mod tests {
         for (tau, n) in [(5u64, 10u64), (500, 1000), (1, 3), (0, 7)] {
             let state = srs_state(tau, n);
             for method in skip_methods() {
-                let got = method.certified_skip_srs(&state, 0.01, 1e-5, Kernel::new(None));
+                let got = method
+                    .srs_boundary(0.01, 1e-5)
+                    .unwrap()
+                    .certified_skip(tau, n);
                 assert_eq!(got, MAX_SKIP, "{method:?} at (τ={tau}, n={n})");
                 assert_eq!(got, skip_by_union_search(&method, &state, 0.01, 1e-5));
             }
@@ -899,8 +907,7 @@ mod tests {
     fn decisive_path_skip_equals_the_union_search_on_small_samples() {
         // Every (τ, n) with n ≤ 40: at small n an informative prior
         // outweighs the sample, and the end away from the sample's
-        // boundary can stop first, so the certificate's probe of that end
-        // decides the skip.
+        // boundary can stop first.
         let mut methods = skip_methods().to_vec();
         methods.extend([
             IntervalMethod::Hpd(BetaPrior::informative(80.0, 20.0).unwrap()),
@@ -908,11 +915,12 @@ mod tests {
         ]);
         for method in &methods {
             for epsilon in [0.05, 0.1] {
+                let boundary = method.srs_boundary(0.05, epsilon).unwrap();
                 for n in 1..=40u64 {
                     for tau in 0..=n {
                         let state = srs_state(tau, n);
                         assert_eq!(
-                            method.certified_skip_srs(&state, 0.05, epsilon, Kernel::new(None)),
+                            boundary.certified_skip(tau, n),
                             skip_by_union_search(method, &state, 0.05, epsilon),
                             "{method:?} at (τ={tau}, n={n}), ε={epsilon}"
                         );

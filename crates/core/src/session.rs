@@ -52,13 +52,14 @@
 
 use crate::cost::CostTracker;
 use crate::framework::{EvalConfig, EvalResult, PreparedDesign, SamplingDesign, StoppingPolicy};
-use crate::method::IntervalMethod;
+use crate::method::{upper_normal_quantile, IntervalMethod, SrsBoundary};
 use crate::snapshot::{LabelLog, Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::state::{DesignKind, SampleState};
 use kgae_graph::{KnowledgeGraph, LabelCache};
 use kgae_intervals::{Interval, IntervalError, Kernel, KernelCache};
 use kgae_sampling::driver::{build_driver, DesignDriver, UnitEstimator};
 use kgae_sampling::SampledTriple;
+use kgae_stats::hash::BuildIntHasher;
 use rand::rngs::SmallRng;
 use rand::RngCore;
 use std::collections::HashSet;
@@ -228,12 +229,17 @@ struct SessionOutcome {
     result: EvalResult,
 }
 
-/// One method's stopping rule over a sample: the method, the kernel
-/// cache its SRS solves memoize through and its certified-lookahead
-/// countdown. A session runs one for its own method; a comparative
-/// campaign runs one per rival method over the primary session's sample.
+/// One method's stopping rule over a sample: the method, its SRS
+/// stopping boundary, the kernel cache its SRS interval solves memoize
+/// through and its certified-lookahead countdown. A session runs one for
+/// its own method; a comparative campaign runs one per rival method over
+/// the primary session's sample.
 pub(crate) struct StoppingStep {
     pub(crate) method: IntervalMethod,
+    /// The method's SRS stopping boundary at the campaign's `(α, ε)`,
+    /// resolved once (`None` for methods without a certificate and under
+    /// cluster designs).
+    srs: Option<SrsBoundary>,
     /// Shared posterior-kernel cache. `None` solves every kernel
     /// directly through the same canonical functions — identical bits,
     /// no memoization. Never serialized: a resumed session re-attaches
@@ -255,8 +261,12 @@ pub(crate) enum StepOutcome {
 }
 
 impl StoppingStep {
-    pub(crate) fn new(method: IntervalMethod) -> Self {
+    pub(crate) fn new(method: IntervalMethod, cfg: &EvalConfig, kind: DesignKind) -> Self {
         Self {
+            srs: match kind {
+                DesignKind::Srs => method.srs_boundary(cfg.alpha, cfg.epsilon),
+                DesignKind::Cluster => None,
+            },
             method,
             kernel: None,
             skip_left: 0,
@@ -292,7 +302,6 @@ impl StoppingStep {
         if !ready(state, cfg) {
             return Ok(StepOutcome::NotReady);
         }
-        let srs = state.kind() == DesignKind::Srs;
         if self.skip_left > 0 {
             self.skip_left -= 1;
             return Ok(StepOutcome::Open);
@@ -300,28 +309,35 @@ impl StoppingStep {
         let lookahead = cfg.stopping == StoppingPolicy::CertifiedLookahead;
         // Exact one-step gate: construct only when the current posterior
         // could actually stop.
-        if !lookahead
-            || self
-                .method
-                .stop_possible_now(state, cfg.alpha, cfg.epsilon, self.kernel())
-        {
+        let possible = !lookahead
+            || match state.kind() {
+                DesignKind::Srs => self
+                    .srs
+                    .as_ref()
+                    .is_none_or(|boundary| boundary.stop_possible_now(state.tau(), state.n())),
+                DesignKind::Cluster => {
+                    self.method
+                        .stop_possible_now_cluster(state, cfg.alpha, cfg.epsilon)
+                }
+            };
+        if possible {
             let interval = self.interval(state, cfg.alpha)?;
             if interval.moe() <= cfg.epsilon {
                 return Ok(StepOutcome::Stop(interval));
             }
         }
         if lookahead {
-            self.skip_left = if srs {
-                self.method
-                    .certified_skip_srs(state, cfg.alpha, cfg.epsilon, self.kernel())
-            } else {
-                self.method.certified_skip_cluster(
+            self.skip_left = match state.kind() {
+                DesignKind::Srs => self.srs.as_ref().map_or(0, |boundary| {
+                    boundary.certified_skip(state.tau(), state.n())
+                }),
+                DesignKind::Cluster => self.method.certified_skip_cluster(
                     state,
                     cfg.alpha,
                     cfg.epsilon,
                     driver.max_unit_size(),
                     matches!(driver.estimator(), UnitEstimator::HansenHurwitz { .. }),
-                )
+                ),
             };
         }
         Ok(StepOutcome::Open)
@@ -365,7 +381,7 @@ pub struct EvaluationSession<'a, R: SnapshotRng> {
     batch_units: Vec<UnitMeta>,
     batch_triples: Vec<SampledTriple>,
     batch_expected: usize,
-    batch_requested: HashSet<u64>,
+    batch_requested: HashSet<u64, BuildIntHasher>,
     unit_buf: Vec<SampledTriple>,
     outcome: Option<SessionOutcome>,
 }
@@ -408,7 +424,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
     /// estimation path.
     pub fn with_driver(
         kg: &'a dyn KnowledgeGraph,
-        driver: Box<dyn DesignDriver + Send + 'a>,
+        mut driver: Box<dyn DesignDriver + Send + 'a>,
         design: SamplingDesign,
         method: &IntervalMethod,
         cfg: &EvalConfig,
@@ -423,6 +439,9 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
                 Some(LabelCache::new(kg.num_triples())),
             ),
         };
+        let stop = StoppingStep::new(method.clone(), cfg, state.kind());
+        let mut cost = CostTracker::new(cfg.cost_model);
+        cost.reserve(driver.reserve(reserved_units(cfg)));
         Self {
             kg,
             design,
@@ -432,15 +451,15 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
             log: LabelLog::default(),
             replayable: true,
             state,
-            stop: StoppingStep::new(method.clone()),
-            cost: CostTracker::new(cfg.cost_model),
+            stop,
+            cost,
             cache,
             first_check: true,
             pending: false,
             batch_units: Vec::new(),
             batch_triples: Vec::new(),
             batch_expected: 0,
-            batch_requested: HashSet::new(),
+            batch_requested: HashSet::default(),
             unit_buf: Vec::new(),
             driver,
             outcome: None,
@@ -448,7 +467,8 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
     }
 
     /// Attaches a shared posterior-kernel cache: subsequent SRS interval
-    /// constructions and lookahead certificates memoize through it.
+    /// constructions memoize through it. (The stopping certificates read
+    /// the shared stopping-boundary table, cache or not.)
     /// Purely a cost lever — outputs are bit-identical with or without
     /// one attached, and the cache is never serialized into snapshots.
     pub fn set_kernel_cache(&mut self, kernel: Arc<KernelCache>) {
@@ -1095,6 +1115,26 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
 /// A corrupt count below it still fails as soon as a drawn unit needs a
 /// label the log does not have.
 const MAX_REPLAY_DRAWS: u64 = 1 << 32;
+
+/// Cap on [`reserved_units`]: about 100 KB of map room per session, so a
+/// tiny ε cannot make a session allocate much before it annotates.
+const MAX_RESERVED_UNITS: u64 = 1 << 12;
+
+/// The units a new session makes room for in the state it keeps per
+/// annotated triple (the SRS sampler's map and the cost tracker's sets),
+/// so that a typical campaign's maps never regrow: the Wald sample size
+/// `⌈z²/(4ε²)⌉` at the worst case `p = 1/2`, the most annotations a
+/// normal-approximation interval needs at any accuracy, capped at
+/// `MAX_RESERVED_UNITS`. Room is only capacity: no draw or count depends
+/// on it, so `z` comes from the cheap approximate quantile.
+fn reserved_units(cfg: &EvalConfig) -> u64 {
+    if !(cfg.alpha > 0.0 && cfg.alpha < 1.0) {
+        return 0;
+    }
+    let z = upper_normal_quantile(cfg.alpha / 2.0);
+    let wald = (z * z / (4.0 * cfg.epsilon * cfg.epsilon)).ceil();
+    (wald as u64).min(MAX_RESERVED_UNITS)
+}
 
 // ---------------------------------------------------------------------
 // Snapshot encode/decode (manual binary, serde-free).

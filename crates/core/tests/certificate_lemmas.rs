@@ -6,6 +6,10 @@
 //! * **Two-tailed in the outcome.** At fixed `n`, the stoppable `τ` are
 //!   `{τ ≤ lo(n)} ∪ {τ ≥ hi(n)}`, per prior and over a prior set, so the
 //!   SRS certificate decides the outcome range `[τ, τ+k]` at its ends.
+//!   Per prior the tails part at the centre `c = (n + b − a)/2`: every
+//!   stoppable `τ ≤ c` lies below every refused outcome and every
+//!   stoppable `τ > c` above it, which is how the stopping-boundary
+//!   table tells which run of outcomes a verdict settles.
 //! * **Monotone in the horizon.** `lo(n+1) ≥ lo(n)` and
 //!   `hi(n+1) ≤ hi(n) + 1`: with two-tailedness, an outcome range that
 //!   can stop `k` annotations on can stop `k + 1` on, so the lookahead's
@@ -16,8 +20,17 @@
 //!   `(μ̂, n_eff)` (the cluster gate and certificate), so an interior
 //!   prior never stops alone and the certificates evaluate only the
 //!   smallest and the largest `c`.
+//!
+//! On these facts the SRS certificates ask the shared stopping-boundary
+//! tables, which settle runs of outcomes from single verdicts, so the
+//! tables are checked here too: at every `(τ, n)` of the sweep, asked in
+//! a scrambled order, each prior's table and the default set's
+//! [`SrsBoundary`](kgae_core::SrsBoundary) give the predicate's verdict,
+//! and tables settled concurrently in different orders agree.
 
-use kgae_intervals::{hpd_width_achievable, BetaPrior, Kernel};
+use kgae_core::IntervalMethod;
+use kgae_intervals::{hpd_width_achievable, BetaPrior, Boundary};
+use std::sync::{Arc, Barrier};
 
 /// The pseudo-counts `c` of the symmetric priors `Beta(c, c)` checked:
 /// the default set's 1/3, 1/2 and 1, and the ends of the range on which
@@ -80,13 +93,54 @@ fn assert_two_tailed_in_c(
     );
 }
 
+/// Panics unless `row`'s stoppable outcomes part at the centre
+/// `c = (n + b − a)/2`: every stoppable `τ ≤ c` below every refused one,
+/// every stoppable `τ > c` above it.
+fn assert_parted_at_the_centre(row: &[bool], prior: &BetaPrior, what: impl FnOnce() -> String) {
+    let n = row.len() as f64 - 1.0;
+    let (Some(first), Some(last)) = (row.iter().position(|&s| !s), row.iter().rposition(|&s| !s))
+    else {
+        return;
+    };
+    let misplaced = row.iter().enumerate().find(|&(tau, &stoppable)| {
+        let below_centre = 2.0 * tau as f64 <= n + prior.b - prior.a;
+        stoppable
+            && if below_centre {
+                tau > first
+            } else {
+                tau < last
+            }
+    });
+    assert!(
+        misplaced.is_none(),
+        "{}: stoppable τ = {:?} on the wrong side of the refused run {first}..={last}",
+        what(),
+        misplaced.map(|(tau, _)| tau)
+    );
+}
+
+/// `0..=n` in a scrambled order, so later table lookups read what
+/// earlier ones settled.
+fn scrambled(n: u64) -> impl Iterator<Item = u64> {
+    (0..=n).map(move |i| (i * 7_919 + n / 2) % (n + 1))
+}
+
 /// Evaluates every prior at every `(τ, n)` with `n ≤ max_n` once, and
-/// checks there two-tailedness in `τ` and monotonicity in the horizon,
-/// for each prior alone and for the default set as a whole, and
-/// two-tailedness in `c`. Returns the number of predicates evaluated.
+/// checks there two-tailedness in `τ` (parted at the centre, per prior)
+/// and monotonicity in the horizon, for each prior alone and for the
+/// default set as a whole, and two-tailedness in `c`. Checks at every
+/// one of those points, asked in a scrambled order, that each prior's
+/// boundary table and the default set's SRS boundary give the
+/// predicate's verdict. Returns the number of predicates evaluated.
 fn check_counts(priors: &[BetaPrior], alpha: f64, epsilon: f64, max_n: u64) -> u64 {
-    let kernel = Kernel::new(None);
     let defaults = BetaPrior::UNINFORMATIVE.len();
+    let tables: Vec<Arc<Boundary>> = priors
+        .iter()
+        .map(|prior| Boundary::shared(prior, alpha, 2.0 * epsilon))
+        .collect();
+    let default_boundary = IntervalMethod::ahpd_default()
+        .srs_boundary(alpha, epsilon)
+        .unwrap();
     let mut previous: Vec<Option<(i64, i64)>> = vec![None; priors.len() + 1];
     let mut evaluated = 0;
     for n in 1..=max_n {
@@ -94,7 +148,7 @@ fn check_counts(priors: &[BetaPrior], alpha: f64, epsilon: f64, max_n: u64) -> u
             .iter()
             .map(|prior| {
                 (0..=n)
-                    .map(|tau| kernel.achievable(prior, tau, n, alpha, 2.0 * epsilon))
+                    .map(|tau| hpd_width_achievable(&prior.posterior(tau, n), alpha, 2.0 * epsilon))
                     .collect()
             })
             .collect();
@@ -102,6 +156,31 @@ fn check_counts(priors: &[BetaPrior], alpha: f64, epsilon: f64, max_n: u64) -> u
         let default_set: Vec<bool> = (0..=n as usize)
             .map(|tau| rows[..defaults].iter().any(|row| row[tau]))
             .collect();
+        for (prior, row) in priors.iter().zip(&rows) {
+            assert_parted_at_the_centre(row, prior, || {
+                format!(
+                    "Beta({}, {}) at n = {n}, α = {alpha}, ε = {epsilon}",
+                    prior.a, prior.b
+                )
+            });
+        }
+        for tau in scrambled(n) {
+            let at = tau as usize;
+            for ((prior, table), row) in priors.iter().zip(&tables).zip(&rows) {
+                assert_eq!(
+                    table.stoppable(tau, n),
+                    row[at],
+                    "Beta({}, {})'s boundary table at (τ, n) = ({tau}, {n}), α = {alpha}, ε = {epsilon}",
+                    prior.a,
+                    prior.b
+                );
+            }
+            assert_eq!(
+                default_boundary.stop_possible_now(tau, n),
+                default_set[at],
+                "the default set's SRS boundary at (τ, n) = ({tau}, {n}), α = {alpha}, ε = {epsilon}"
+            );
+        }
         let names = priors
             .iter()
             .map(|p| format!("Beta({}, {})", p.a, p.b))
@@ -184,8 +263,72 @@ fn stoppable_pseudo_counts_are_two_tailed_on_fractional_evidence() {
     eprintln!("{evaluated} predicates");
 }
 
+#[test]
+fn boundary_tables_settled_concurrently_agree() {
+    // A configuration no other test reads, so these threads settle its
+    // table from empty: each walks the (τ, n ≤ 300) in its own order, all
+    // at once.
+    let (alpha, width) = (0.05, 2.0 * 0.0437);
+    let prior = BetaPrior::KERMAN;
+    let orders: Vec<Vec<u64>> = (0..8u64)
+        .map(|t| {
+            let mut order: Vec<u64> = (1..=300).collect();
+            match t % 4 {
+                0 => {}
+                1 => order.reverse(),
+                2 => order.sort_by_key(|&n| (n * 97 + t) % 301),
+                _ => order.rotate_left(37 * t as usize),
+            }
+            order
+        })
+        .collect();
+    let start = Barrier::new(orders.len());
+    let verdicts: Vec<Vec<Vec<bool>>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = orders
+            .iter()
+            .enumerate()
+            .map(|(t, order)| {
+                let start = &start;
+                scope.spawn(move || {
+                    let table = Boundary::shared(&prior, alpha, width);
+                    start.wait();
+                    let mut rows: Vec<Vec<bool>> = (0..=300).map(|n| vec![false; n + 1]).collect();
+                    for &n in order {
+                        let taus: Vec<u64> = if t < 4 {
+                            scrambled(n).collect()
+                        } else {
+                            (0..=n).rev().collect()
+                        };
+                        for tau in taus {
+                            rows[n as usize][tau as usize] = table.stoppable(tau, n);
+                        }
+                    }
+                    rows
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|worker| worker.join().expect("settling thread"))
+            .collect()
+    });
+    for rows in &verdicts[1..] {
+        assert_eq!(rows, &verdicts[0]);
+    }
+    for n in 1..=300u64 {
+        for tau in 0..=n {
+            assert_eq!(
+                verdicts[0][n as usize][tau as usize],
+                hpd_width_achievable(&prior.posterior(tau, n), alpha, width),
+                "(τ, n) = ({tau}, {n})"
+            );
+        }
+    }
+}
+
 /// The larger sweep: `n ≤ 1,000` and a finer fractional grid at six
-/// `(α, ε)` pairs. Run it in release:
+/// `(α, ε)` pairs, the boundary tables checked throughout. Run it in
+/// release:
 /// `cargo test --release -p kgae-core --test certificate_lemmas -- --ignored`.
 #[test]
 #[ignore = "release-mode sweep; run with --ignored"]

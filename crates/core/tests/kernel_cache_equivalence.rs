@@ -272,8 +272,22 @@ fn monitor_campaigns_match_with_shared_cache_across_reopen() {
         let cached = drive_monitor_with_drift(&kg, &method, &cfg, seed, Some(&cache));
         assert_eq!(uncached, cached, "seed {seed}");
     }
-    let stats = cache.stats();
-    assert!(stats.hits > 0, "shared cache never hit: {stats:?}");
+    // A replayed seed asks for exactly the interval solves its first
+    // cached run stored, across the reopen too: the shared cache must
+    // answer every one of them.
+    let before = cache.stats();
+    let replayed = drive_monitor_with_drift(&kg, &method, &cfg, 0, Some(&cache));
+    let after = cache.stats();
+    assert_eq!(
+        replayed,
+        drive_monitor_with_drift(&kg, &method, &cfg, 0, None),
+        "replay diverged"
+    );
+    assert!(after.hits > before.hits, "replay never hit: {after:?}");
+    assert_eq!(
+        after.misses, before.misses,
+        "replay missed the warm cache: {before:?} then {after:?}"
+    );
 }
 
 #[test]

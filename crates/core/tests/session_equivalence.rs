@@ -15,7 +15,7 @@ use kgae_core::{
     OracleAnnotator, PreparedDesign, SamplingDesign, StoppingPolicy,
 };
 use kgae_graph::{CompactKg, GroundTruth};
-use kgae_intervals::{BetaPrior, Kernel};
+use kgae_intervals::BetaPrior;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -327,6 +327,7 @@ fn late_stage_resume_without_the_search_hint_is_exact() {
     let method = IntervalMethod::ahpd_default();
     let cfg = EvalConfig::default();
     let prepared = PreparedDesign::new(&kg, SamplingDesign::Srs);
+    let boundary = method.srs_boundary(cfg.alpha, cfg.epsilon).unwrap();
     let mut request = AnnotationRequest::default();
     for seed in 0..8 {
         let mut twin = EvaluationSession::from_prepared(
@@ -347,12 +348,8 @@ fn late_stage_resume_without_the_search_hint_is_exact() {
                 break;
             }
             snapshots.push(twin.snapshot().unwrap());
-            let skip = method.certified_skip_srs(
-                twin.sample_state(),
-                cfg.alpha,
-                cfg.epsilon,
-                Kernel::new(None),
-            );
+            let state = twin.sample_state();
+            let skip = boundary.certified_skip(state.tau(), state.n());
             if late.is_none() && skip < 10 {
                 late = Some(snapshots.len() - 1);
             }

@@ -6,15 +6,9 @@
 //! `μ · 2⁶⁴` yields i.i.d. labels that are reproducible, memory-free, and
 //! identical across runs and threads.
 
-/// SplitMix64 finalizer: a full-avalanche 64-bit mixer (Steele et al.).
-#[must_use]
-#[inline]
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+pub use kgae_stats::hash::splitmix64;
+/// The unseeded integer hasher of the sampler's and cost tracker's maps.
+pub use kgae_stats::hash::BuildIntHasher;
 
 /// Combines a seed and an index into one avalanche-mixed word.
 #[must_use]
@@ -41,15 +35,6 @@ pub fn hash_bernoulli(seed: u64, index: u64, p: f64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_known_sequence() {
-        // Reference values from the canonical SplitMix64 with seed 0:
-        // the generator returns mix(seed + γ·k); our finalizer matches the
-        // published first output for state 0.
-        assert_eq!(splitmix64(0), 0xe220a8397b1dcdaf);
-        assert_eq!(splitmix64(1), 0x910a2dec89025cc1);
-    }
 
     #[test]
     fn deterministic_across_calls() {

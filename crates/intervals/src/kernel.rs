@@ -1,17 +1,17 @@
 //! Shared posterior-kernel cache: memoized solves of the Beta-posterior
 //! interval kernels, keyed by integer annotation counts.
 //!
-//! Every interval and lookahead certificate the evaluation engines
-//! compute under SRS is a **pure function of integer counts**
-//! `(τ, n)` plus a fixed `(prior, α)` configuration: the conjugate
-//! posterior is `Beta(a + τ, b + n − τ)` and the solver output depends on
-//! nothing else. A multi-tenant server answering thousands of campaigns
-//! over the same registry datasets therefore re-solves identical kernels
-//! millions of times. This module amortizes them:
+//! Every interval the evaluation engines construct under SRS is a **pure
+//! function of integer counts** `(τ, n)` plus a fixed `(prior, α)`
+//! configuration: the conjugate posterior is `Beta(a + τ, b + n − τ)`
+//! and the solver output depends on nothing else. A multi-tenant server
+//! answering thousands of campaigns over the same registry datasets
+//! therefore re-solves identical kernels millions of times. This module
+//! amortizes them:
 //!
 //! * [`KernelCache`] is a sharded, lock-striped memo table from
-//!   `(op, prior bits, α bits, width bits, τ, n)` to the solver's output,
-//!   stored as the **bit-exact** `f64`s the solver produced.
+//!   `(op, prior bits, α bits, τ, n)` to the solver's output, stored as
+//!   the **bit-exact** `f64`s the solver produced.
 //! * [`Kernel`] is the dispatch handle the hot paths call: with a cache
 //!   it memoizes, without one it calls the same canonical solve
 //!   functions directly — so cached and uncached runs are **bit-identical
@@ -19,9 +19,16 @@
 //!
 //! Keys are self-describing (the prior and α are part of the key, as raw
 //! bits), so one process-wide cache is shared safely across methods,
-//! engines, and tenants with different configurations. Only `Ok` solver
-//! outputs are cached; errors (degenerate inputs like `n = 0`) take the
-//! cold path every time and stay exact.
+//! engines, and tenants with different configurations. Tenants choose
+//! those bits, so each key is hashed once per lookup with a randomly
+//! seeded hasher, and that one hash picks both the shard and the slot in
+//! the shard's map. Only `Ok` solver outputs are cached; errors
+//! (degenerate inputs like `n = 0`) take the cold path every time and
+//! stay exact.
+//!
+//! The SRS stopping certificates do not come through here: they read the
+//! shared stopping-boundary table of [`crate::boundary`], which every
+//! engine uses with or without a cache.
 //!
 //! Bounding: each shard holds at most `cap / SHARDS` entries; an insert
 //! into a full shard clears that shard wholesale. Counts are small
@@ -39,16 +46,23 @@
 use crate::error::IntervalError;
 use crate::et::et_interval;
 use crate::frequentist::wilson;
-use crate::hpd::{hpd_interval_exact, hpd_width_achievable};
+use crate::hpd::hpd_interval_exact;
 use crate::prior::BetaPrior;
 use crate::types::Interval;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Lock stripes. Shard choice hashes the whole key, so concurrent
 /// campaigns at different counts contend only 1/SHARDS of the time.
 const SHARDS: usize = 16;
+
+/// Where the shard index sits in a key's hash: clear of the low bits a
+/// shard's map indexes its slots by and of the top seven it tags them
+/// with.
+const SHARD_SHIFT: u32 = 48;
 
 /// Default total entry cap (across all shards). An entry is ~100 bytes
 /// including `HashMap` overhead, so the default bounds the cache at a
@@ -66,54 +80,68 @@ enum Op {
     Et,
     /// [`wilson`] from the SRS effective sample `(τ/n, n)`.
     Wilson,
-    /// [`hpd_width_achievable`] certificate verdict.
-    Achievable,
 }
 
 /// A self-describing memo key: the op, the method configuration as raw
-/// `f64` bits (prior shape, α, and — for certificates — the target
-/// width), and the integer counts. Two configurations share an entry
-/// iff every bit agrees, which is exactly the condition under which the
-/// solver output is reusable.
+/// `f64` bits (prior shape and α), and the integer counts. Two
+/// configurations share an entry iff every bit agrees, which is exactly
+/// the condition under which the solver output is reusable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct Key {
     op: Op,
     prior_a: u64,
     prior_b: u64,
     alpha: u64,
-    width: u64,
     tau: u64,
     n: u64,
 }
 
 impl Key {
-    fn new(op: Op, prior: &BetaPrior, alpha: f64, width: f64, tau: u64, n: u64) -> Key {
+    fn new(op: Op, prior: &BetaPrior, alpha: f64, tau: u64, n: u64) -> Key {
         Key {
             op,
             prior_a: prior.a.to_bits(),
             prior_b: prior.b.to_bits(),
             alpha: alpha.to_bits(),
-            width: width.to_bits(),
             tau,
             n,
         }
     }
+}
 
-    fn shard(&self) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        self.hash(&mut hasher);
-        (hasher.finish() % SHARDS as u64) as usize
+/// A key stored with its seeded hash, which a shard's map reuses
+/// through [`Prehashed`] instead of hashing the key again.
+#[derive(Debug, PartialEq, Eq)]
+struct HashedKey {
+    hash: u64,
+    key: Key,
+}
+
+impl Hash for HashedKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
     }
 }
 
-/// A memoized solver output, stored as the bit-exact values the solver
-/// produced on the miss that filled the entry.
-#[derive(Debug, Clone, Copy)]
-enum Value {
-    Interval { lower: f64, upper: f64 },
-    Verdict(bool),
+/// The shard maps' hasher: it passes on the hash a [`HashedKey`] carries.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a HashedKey writes only its hash");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
 }
+
+type Shard = HashMap<HashedKey, Interval, BuildHasherDefault<Prehashed>>;
 
 /// A point-in-time snapshot of the cache counters, taken by
 /// [`KernelCache::stats`]. `lookups` is derived as `hits + misses` from
@@ -155,7 +183,9 @@ impl KernelCacheStats {
 /// server (`Arc<KernelCache>`) across every engine and tenant; see the
 /// module docs for keying, sharding, and eviction.
 pub struct KernelCache {
-    shards: [Mutex<HashMap<Key, Value>>; SHARDS],
+    shards: [Mutex<Shard>; SHARDS],
+    /// The seeded key hasher (SipHash under a per-cache random key).
+    hasher: RandomState,
     shard_cap: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -190,7 +220,8 @@ impl KernelCache {
     #[must_use]
     pub fn with_capacity(capacity: usize) -> Self {
         KernelCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            shards: std::array::from_fn(|_| Mutex::default()),
+            hasher: RandomState::new(),
             shard_cap: (capacity / SHARDS).max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -218,9 +249,11 @@ impl KernelCache {
     fn memo(
         &self,
         key: Key,
-        solve: impl FnOnce() -> Result<Value, IntervalError>,
-    ) -> Result<Value, IntervalError> {
-        let shard = &self.shards[key.shard()];
+        solve: impl FnOnce() -> Result<Interval, IntervalError>,
+    ) -> Result<Interval, IntervalError> {
+        let hash = self.hasher.hash_one(key);
+        let key = HashedKey { hash, key };
+        let shard = &self.shards[(hash >> SHARD_SHIFT) as usize % SHARDS];
         if let Some(value) = shard.lock().expect("kernel shard").get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(*value);
@@ -296,19 +329,6 @@ pub fn solve_wilson_by_counts(tau: u64, n: u64, alpha: f64) -> Result<Interval, 
     Ok(wilson(tau as f64 / n as f64, n as f64, alpha)?)
 }
 
-/// The certificate verdict: can any `1-α` credible window of the count
-/// posterior have width ≤ `width`?
-#[must_use]
-pub fn solve_achievable_by_counts(
-    prior: &BetaPrior,
-    tau: u64,
-    n: u64,
-    alpha: f64,
-    width: f64,
-) -> bool {
-    hpd_width_achievable(&prior.posterior(tau, n), alpha, width)
-}
-
 // ---------------------------------------------------------------------
 // Dispatch handle
 // ---------------------------------------------------------------------
@@ -335,18 +355,7 @@ impl<'a> Kernel<'a> {
     ) -> Result<Interval, IntervalError> {
         match self.cache {
             None => solve(),
-            Some(cache) => {
-                let value = cache.memo(key, || {
-                    solve().map(|i| Value::Interval {
-                        lower: i.lower(),
-                        upper: i.upper(),
-                    })
-                })?;
-                match value {
-                    Value::Interval { lower, upper } => Ok(Interval::new(lower, upper)),
-                    _ => unreachable!("interval op memoized a non-interval"),
-                }
-            }
+            Some(cache) => cache.memo(key, solve),
         }
     }
 
@@ -362,7 +371,7 @@ impl<'a> Kernel<'a> {
         n: u64,
         alpha: f64,
     ) -> Result<Interval, IntervalError> {
-        self.interval(Key::new(Op::Hpd, prior, alpha, 0.0, tau, n), || {
+        self.interval(Key::new(Op::Hpd, prior, alpha, tau, n), || {
             solve_hpd_by_counts(prior, tau, n, alpha)
         })
     }
@@ -379,7 +388,7 @@ impl<'a> Kernel<'a> {
         n: u64,
         alpha: f64,
     ) -> Result<Interval, IntervalError> {
-        self.interval(Key::new(Op::Et, prior, alpha, 0.0, tau, n), || {
+        self.interval(Key::new(Op::Et, prior, alpha, tau, n), || {
             solve_et_by_counts(prior, tau, n, alpha)
         })
     }
@@ -395,28 +404,9 @@ impl<'a> Kernel<'a> {
             b: 0.0,
             name: "",
         };
-        self.interval(Key::new(Op::Wilson, &NO_PRIOR, alpha, 0.0, tau, n), || {
+        self.interval(Key::new(Op::Wilson, &NO_PRIOR, alpha, tau, n), || {
             solve_wilson_by_counts(tau, n, alpha)
         })
-    }
-
-    /// Memoized [`solve_achievable_by_counts`].
-    #[must_use]
-    pub fn achievable(&self, prior: &BetaPrior, tau: u64, n: u64, alpha: f64, width: f64) -> bool {
-        let Some(cache) = self.cache else {
-            return solve_achievable_by_counts(prior, tau, n, alpha, width);
-        };
-        let key = Key::new(Op::Achievable, prior, alpha, width, tau, n);
-        let value = cache.memo(key, || {
-            Ok(Value::Verdict(solve_achievable_by_counts(
-                prior, tau, n, alpha, width,
-            )))
-        });
-        match value {
-            Ok(Value::Verdict(verdict)) => verdict,
-            Ok(_) => unreachable!("achievable op memoized a non-verdict"),
-            Err(_) => unreachable!("achievable solve is infallible"),
-        }
     }
 }
 
@@ -464,12 +454,6 @@ mod tests {
                     );
                     assert_eq!(a.lower().to_bits(), b.lower().to_bits());
                     assert_eq!(a.upper().to_bits(), b.upper().to_bits());
-                    for width in [0.02, 0.1, 0.5] {
-                        assert_eq!(
-                            cached.achievable(&prior, tau, n, alpha, width),
-                            direct.achievable(&prior, tau, n, alpha, width),
-                        );
-                    }
                 }
             }
         }
@@ -480,8 +464,8 @@ mod tests {
 
     #[test]
     fn keys_separate_configurations() {
-        // Same counts under different α / priors / widths must not
-        // collide: resolve each and re-check against the direct path.
+        // Same counts under different α / priors / ops must not collide:
+        // resolve each and re-check against the direct path.
         let cache = KernelCache::new();
         let kernel = Kernel::new(Some(&cache));
         let kerman = BetaPrior::KERMAN;
@@ -491,10 +475,8 @@ mod tests {
         let c = kernel.hpd(&kerman, 27, 30, 0.10).unwrap();
         assert_ne!(a.lower().to_bits(), b.lower().to_bits());
         assert_ne!(a.width().to_bits(), c.width().to_bits());
-        assert_ne!(
-            kernel.achievable(&kerman, 27, 30, 0.05, 0.01),
-            kernel.achievable(&kerman, 27, 30, 0.05, 0.9),
-        );
+        let et = kernel.et(&kerman, 27, 30, 0.05).unwrap();
+        assert_ne!(a.lower().to_bits(), et.lower().to_bits());
         for (interval, prior, alpha) in [(a, kerman, 0.05), (b, uniform, 0.05), (c, kerman, 0.10)] {
             let direct = solve_hpd_by_counts(&prior, 27, 30, alpha).unwrap();
             assert_eq!(interval.lower().to_bits(), direct.lower().to_bits());
@@ -557,8 +539,6 @@ mod tests {
                             let interval = kernel.hpd(&BetaPrior::KERMAN, tau, n, 0.05).unwrap();
                             bits.push(interval.lower().to_bits());
                             bits.push(interval.upper().to_bits());
-                            let verdict = kernel.achievable(&BetaPrior::KERMAN, tau, n, 0.05, 0.1);
-                            bits.push(u64::from(verdict));
                         }
                         bits
                     })
@@ -576,15 +556,13 @@ mod tests {
                 let n = 1 + (t + i) % 120;
                 let tau = n.min(i % (n + 1));
                 let interval = direct.hpd(&BetaPrior::KERMAN, tau, n, 0.05).unwrap();
-                assert_eq!(bits[3 * i as usize], interval.lower().to_bits());
-                assert_eq!(bits[3 * i as usize + 1], interval.upper().to_bits());
-                let verdict = direct.achievable(&BetaPrior::KERMAN, tau, n, 0.05, 0.1);
-                assert_eq!(bits[3 * i as usize + 2], u64::from(verdict));
+                assert_eq!(bits[2 * i as usize], interval.lower().to_bits());
+                assert_eq!(bits[2 * i as usize + 1], interval.upper().to_bits());
             }
         }
         let stats = cache.stats();
         assert_eq!(stats.lookups(), stats.hits + stats.misses);
-        assert_eq!(stats.lookups(), 8 * 200 * 2);
+        assert_eq!(stats.lookups(), 8 * 200);
         let resident: u64 = cache
             .shards
             .iter()

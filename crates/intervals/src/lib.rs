@@ -17,7 +17,10 @@
 //!   informative priors, with integer and design-effect-adjusted
 //!   fractional posterior updates;
 //! * [`expected`] — expected-width curves over the annotation
-//!   distribution (Figure 3).
+//!   distribution (Figure 3);
+//! * [`boundary`] — the SRS stopping boundary, a shared table answering
+//!   the stopping certificate [`hpd_width_achievable`] by counts, and
+//!   [`kernel`] — the shared memo table of count-keyed interval solves.
 //!
 //! ```
 //! use kgae_intervals::{BetaPrior, hpd_interval_exact, et_interval};
@@ -33,6 +36,7 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
+pub mod boundary;
 mod error;
 mod et;
 pub mod expected;
@@ -43,6 +47,7 @@ pub mod pooled;
 mod prior;
 mod types;
 
+pub use boundary::Boundary;
 pub use error::IntervalError;
 pub use et::et_interval;
 pub use frequentist::{

@@ -448,6 +448,14 @@ pub trait DesignDriver {
     /// Construction-time configuration (e.g. [`ScsDriver::limit_draws`])
     /// is kept.
     fn rewind(&mut self);
+
+    /// Makes room for up to `units` more units in the state the driver
+    /// keeps per unit drawn, and returns how many it made room for:
+    /// `units` capped by what the stream still holds, or 0 for a driver
+    /// that keeps no such state. A capacity hint; no draw changes.
+    fn reserve(&mut self, _units: u64) -> u64 {
+        0
+    }
 }
 
 fn max_cluster_size(kg: &dyn KnowledgeGraph) -> u64 {
@@ -505,6 +513,10 @@ impl DesignDriver for SrsDriver<'_> {
 
     fn rewind(&mut self) {
         self.sampler = SrsSampler::new(self.kg);
+    }
+
+    fn reserve(&mut self, units: u64) -> u64 {
+        self.sampler.reserve(units)
     }
 }
 
@@ -813,6 +825,10 @@ impl DesignDriver for StratumSrsDriver<'_> {
 
     fn rewind(&mut self) {
         self.stream = crate::distinct::IncrementalWithoutReplacement::new(self.stratum_size());
+    }
+
+    fn reserve(&mut self, units: u64) -> u64 {
+        self.stream.reserve(units)
     }
 }
 

@@ -46,6 +46,12 @@ impl<'a, K: KnowledgeGraph + ?Sized> SrsSampler<'a, K> {
         })
     }
 
+    /// Makes room for up to `draws` more draws without regrowing, and
+    /// returns how many the KG still holds of them.
+    pub fn reserve(&mut self, draws: u64) -> u64 {
+        self.stream.reserve(draws)
+    }
+
     /// Number of triples drawn so far.
     #[must_use]
     pub fn drawn(&self) -> u64 {

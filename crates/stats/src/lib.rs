@@ -18,6 +18,8 @@
 //!   `pdf` / `cdf` / `quantile` / `sample` in a uniform style.
 //! * [`descriptive`] — summary statistics (Welford online moments,
 //!   mean ± std summaries used by the experiment tables).
+//! * [`hash`] — the SplitMix64 mixer and the integer hasher of the
+//!   workspace's maps keyed by program-generated integers.
 //! * [`htest`] — two-sample t-tests (pooled and Welch) used for the
 //!   significance daggers in Tables 2–4 of the paper.
 //!
@@ -41,6 +43,7 @@
 pub mod descriptive;
 pub mod dist;
 mod error;
+pub mod hash;
 pub mod htest;
 pub mod special;
 
