@@ -4,8 +4,9 @@
 //! the SRS aHPD certified-lookahead search at late-campaign NELL states
 //! (over stopping-boundary tables the campaign settled, and over fresh
 //! ones, as a configuration's first campaign meets them),
-//! and the TWCS(3) aHPD lookahead search at early-campaign NELL states
-//! that certify a skip.
+//! the TWCS(3) aHPD lookahead search at early-campaign NELL states
+//! that certify a skip, and a window's posterior mass in one pass
+//! (`Beta::window_mass`) against two `cdf` calls on KG-like posteriors.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kgae_core::{
@@ -155,10 +156,35 @@ fn bench_certified_skip_cluster(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_window_mass(c: &mut Criterion) {
+    let mut g = c.benchmark_group("window_mass");
+    g.sample_size(60);
+    // Kerman posteriors at NELL-like accuracy, early and late in a
+    // campaign, on their 95% HPD windows: where the stopping
+    // certificate measures the mass.
+    for (tau, n) in [(27u64, 30u64), (107, 120), (530, 600)] {
+        let post = BetaPrior::KERMAN.posterior(tau, n);
+        let hpd = hpd_interval_exact(&post, 0.05).unwrap();
+        let (l, u) = (hpd.lower(), hpd.upper());
+        let id = format!("tau{tau}_n{n}");
+        g.bench_function(format!("{id}_one_pass"), |b| {
+            b.iter(|| black_box(&post).window_mass(black_box(l), black_box(u)))
+        });
+        g.bench_function(format!("{id}_two_cdf"), |b| {
+            b.iter(|| {
+                let post = black_box(&post);
+                post.cdf(black_box(u)) - post.cdf(black_box(l))
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_intervals,
     bench_certified_skip_srs,
-    bench_certified_skip_cluster
+    bench_certified_skip_cluster,
+    bench_window_mass
 );
 criterion_main!(benches);

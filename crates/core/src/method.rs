@@ -33,6 +33,9 @@
 //!   candidate with one probe of the other extreme outcome. The SRS
 //!   search asks the boundary tables. The skip is a pure function of the
 //!   sample and `(α, ε, priors)`: no search state is kept between calls.
+//!   A cluster session stops calling the search after the first one that
+//!   certifies a skip of 0, since later ones rarely certify anything; a
+//!   skip of 0 is always sound, so its stops do not change.
 //!
 //!   The certificates evaluate only the extreme outcomes and, for a set
 //!   of symmetric priors, only the extreme pseudo-counts. That every
@@ -263,6 +266,12 @@ impl IntervalMethod {
     /// decisive endpoint is the one nearer the boundary (`μ_hi` when
     /// `2μ̂ ≥ 1`, else `μ_lo`), searched first by `decisive_first_skip`
     /// from `normal_start` on that endpoint, as the SRS lookahead is.
+    ///
+    /// The engines stop calling it after the first call that returns 0
+    /// and check every later draw with
+    /// [`IntervalMethod::stop_possible_now_cluster`] alone: on the NELL
+    /// TWCS(3) aHPD cell, once a search certifies nothing, the later
+    /// searches rarely certify anything and cost more than they skip.
     #[must_use]
     pub fn certified_skip_cluster(
         &self,

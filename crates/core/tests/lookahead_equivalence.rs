@@ -135,22 +135,35 @@ proptest! {
 
 #[test]
 fn lookahead_equivalence_on_the_benchmark_cell() {
-    // The aHPD / NELL benchmark cells under SRS and TWCS(3), pinned
-    // explicitly: seeds 0..200 plus 100 seeds from the benchmark seed
-    // base 0xBE5C, with bit-identical stopping statistics and interval
-    // bits.
-    let kg = kgae_graph::datasets::nell();
+    // The aHPD / NELL benchmark cells under SRS and TWCS(3), and the
+    // FactBench and DBpedia TWCS(3) cells, where the cluster lookahead
+    // stops searching earliest (after its first search that certifies
+    // no skip), pinned explicitly: seeds 0..200 plus 100 seeds from the
+    // benchmark seed base 0xBE5C, with bit-identical stopping
+    // statistics and interval bits.
+    let (nell, factbench, dbpedia) = (
+        kgae_graph::datasets::nell(),
+        kgae_graph::datasets::factbench(),
+        kgae_graph::datasets::dbpedia(),
+    );
     let method = IntervalMethod::ahpd_default();
     let reference_cfg = EvalConfig {
         stopping: StoppingPolicy::EveryUnit,
         ..EvalConfig::default()
     };
     let lookahead_cfg = EvalConfig::default();
-    for design in [SamplingDesign::Srs, SamplingDesign::Twcs { m: 3 }] {
+    let twcs3 = SamplingDesign::Twcs { m: 3 };
+    let cells = [
+        ("NELL", &nell, SamplingDesign::Srs),
+        ("NELL", &nell, twcs3),
+        ("FactBench", &factbench, twcs3),
+        ("DBpedia", &dbpedia, twcs3),
+    ];
+    for (name, kg, design) in cells {
         for seed in (0..200).chain(0xBE5C..0xBE5C + 100) {
-            let what = format!("{} seed {seed}", design.name());
-            let a = run(&kg, design, &method, &reference_cfg, seed);
-            let b = run(&kg, design, &method, &lookahead_cfg, seed);
+            let what = format!("{name} {} seed {seed}", design.name());
+            let a = run(kg, design, &method, &reference_cfg, seed);
+            let b = run(kg, design, &method, &lookahead_cfg, seed);
             assert_eq!(a.observations, b.observations, "{what}");
             assert_eq!(a.annotated_triples, b.annotated_triples, "{what}");
             assert!(a.mu_hat == b.mu_hat, "{what}");

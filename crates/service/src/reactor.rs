@@ -691,10 +691,10 @@ impl Loop {
         }
     }
 
-    /// Settles a half-closed connection once nothing is owed: the
-    /// parser's end-of-stream verdict is the blocking decoder's —
-    /// clean [`http::HttpError::Closed`] between messages, a
-    /// best-effort 400 when the peer died mid-message.
+    /// Settles a half-closed connection once nothing is owed, on the
+    /// parser's end-of-stream verdict: a clean
+    /// [`http::HttpError::Closed`] between messages, a best-effort 400
+    /// when the peer died mid-message.
     fn check_read_closed(&mut self, token: usize) {
         let verdict = {
             let Some(conn) = &self.slab[token] else {

@@ -1,21 +1,25 @@
-//! Equivalence properties for the resumable HTTP request parser: fed
-//! any byte stream in **any split**, `RequestParser` must produce
-//! exactly the requests — and exactly the errors — of the blocking
-//! `read_request` reference decoder. Covers a generative corpus of
-//! valid requests across random chunkings, pipelined back-to-back
-//! requests on one stream, torn-header/torn-body truncations at every
-//! byte position, a malformed-input gauntlet, and random byte
-//! mutations. The parser must never panic on any input.
+//! Split-invariance properties for the resumable HTTP request parser:
+//! fed a byte stream in **any split**, `RequestParser` must produce
+//! exactly the requests — and exactly the errors — it produces when the
+//! whole stream arrives in one feed (the unit tests in `http.rs` pin
+//! what that one feed decodes and every error text). Covers a
+//! generative corpus of valid requests across random chunkings,
+//! pipelined back-to-back requests on one stream, torn-header/torn-body
+//! truncations at every byte position, a malformed-input gauntlet, and
+//! random byte mutations. The parser must never panic on any input.
 
 use kgae_service::http::{self, Parsed, Request, RequestParser};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::io::BufReader;
 
-/// The blocking reference: decode one request from the front of
-/// `bytes`, exactly as the old thread-per-connection server did.
-fn blocking_parse(bytes: &[u8]) -> Result<Request, http::HttpError> {
-    http::read_request(&mut BufReader::new(bytes))
+/// The reference: the first request of `bytes` from one feed of the
+/// whole stream, or the end-of-stream verdict.
+fn whole_parse(bytes: &[u8]) -> Result<Request, http::HttpError> {
+    let mut parser = RequestParser::new();
+    match parser.feed(bytes)? {
+        (_, Parsed::Complete(request)) => Ok(request),
+        (_, Parsed::NeedMore) => Err(parser.eof()),
+    }
 }
 
 /// Drive the resumable parser over `bytes` delivered in the given
@@ -61,13 +65,13 @@ fn incremental_parse(
 }
 
 /// Errors are compared by rendered text: variant plus the exact
-/// human-readable reason must match the blocking decoder's.
+/// human-readable reason must match the one-feed decode's.
 fn err_text(e: &http::HttpError) -> String {
     e.to_string()
 }
 
 fn assert_equivalent(bytes: &[u8], chunks: &[usize], context: &str) {
-    let reference = blocking_parse(bytes);
+    let reference = whole_parse(bytes);
     let incremental = incremental_parse(bytes, chunks);
     match (reference, incremental) {
         (Ok(want), Ok(Ok(got))) => {
@@ -83,13 +87,13 @@ fn assert_equivalent(bytes: &[u8], chunks: &[usize], context: &str) {
             assert_eq!(err_text(&got), err_text(&want), "{context}: error diverged");
         }
         (Ok(want), Ok(Err(got))) => {
-            panic!("{context}: blocking parsed {want:?}, incremental errored {got}")
+            panic!("{context}: one feed parsed {want:?}, incremental errored {got}")
         }
         (Ok(want), Err(got)) => {
-            panic!("{context}: blocking parsed {want:?}, incremental hit eof {got}")
+            panic!("{context}: one feed parsed {want:?}, incremental hit eof {got}")
         }
         (Err(want), Ok(Ok(got))) => {
-            panic!("{context}: blocking errored {want}, incremental parsed {got:?}")
+            panic!("{context}: one feed errored {want}, incremental parsed {got:?}")
         }
     }
 }
@@ -120,8 +124,8 @@ fn random_chunks(rng: &mut SmallRng, len: usize) -> Vec<usize> {
 /// A generative valid-ish request: varied methods, query strings,
 /// header shapes, line endings, bodies and keep-alive modes. A slice
 /// of the generated cases is deliberately on the edge (HTTP/1.0,
-/// multiple trailing CRs, padded spacing) — valid for one decoder iff
-/// valid for the other.
+/// multiple trailing CRs, padded spacing) — valid in one split iff
+/// valid in every other.
 fn random_request(rng: &mut SmallRng) -> Vec<u8> {
     let method = ["GET", "POST", "DELETE", "get", "Po st"][rng.gen_range(0..5u64) as usize];
     let path = [
@@ -170,12 +174,27 @@ fn pipelined_requests_decode_in_order_across_random_splits() {
         let messages: Vec<Vec<u8>> = (0..count).map(|_| random_request(&mut rng)).collect();
         let stream: Vec<u8> = messages.concat();
 
-        // Reference: decode the pipeline sequentially with the
-        // blocking parser over one reader.
-        let mut reader = BufReader::new(&stream[..]);
-        let reference: Vec<Result<Request, http::HttpError>> = (0..count)
-            .map(|_| http::read_request(&mut reader))
-            .collect();
+        // Reference: decode the pipeline sequentially, each request
+        // from one feed of the rest of the stream.
+        let mut reference: Vec<Result<Request, http::HttpError>> = Vec::new();
+        let mut parser = RequestParser::new();
+        let mut rest = &stream[..];
+        while reference.len() < count {
+            match parser.feed(rest) {
+                Ok((consumed, Parsed::Complete(request))) => {
+                    reference.push(Ok(request));
+                    rest = &rest[consumed..];
+                }
+                Ok((_, Parsed::NeedMore)) => {
+                    reference.push(Err(parser.eof()));
+                    break;
+                }
+                Err(e) => {
+                    reference.push(Err(e));
+                    break;
+                }
+            }
+        }
 
         // Incremental: one parser, random chunking, spillover re-fed
         // after each completion — the reactor's exact loop.
@@ -229,7 +248,7 @@ fn pipelined_requests_decode_in_order_across_random_splits() {
 }
 
 #[test]
-fn truncations_match_the_blocking_verdict_at_every_byte() {
+fn truncations_match_the_one_feed_verdict_at_every_byte() {
     // A deterministic corpus hitting each parser section: request
     // line, headers, header/body boundary, body.
     let corpus: &[&[u8]] = &[
@@ -269,9 +288,9 @@ fn malformed_and_oversized_inputs_error_identically() {
         message
     };
     let malformed_101st = {
-        // The 101st header is garbage: the blocking decoder applies a
-        // line before its count check, so Malformed must win over
-        // TooLarge — in both decoders.
+        // The 101st header is garbage: a line is applied before the
+        // count check, so Malformed must win over TooLarge — in every
+        // split.
         let mut message = Vec::from(&b"GET / HTTP/1.1\r\n"[..]);
         for i in 0..http::MAX_HEADERS {
             message.extend_from_slice(format!("X-{i}: v\r\n").as_bytes());
@@ -295,7 +314,7 @@ fn malformed_and_oversized_inputs_error_identically() {
         malformed_101st,
     ];
     // Byte-level mutations of a valid request: anything goes, as long
-    // as both decoders agree and neither panics.
+    // as every split agrees and none panics.
     let mut rng = SmallRng::seed_from_u64(0xF1A2);
     let seed: &[u8] = b"POST /v1/sessions/s1/labels HTTP/1.1\r\nContent-Length: 16\r\nConnection: keep-alive\r\n\r\n{\"labels\":[true]";
     for _ in 0..400 {

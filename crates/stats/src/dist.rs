@@ -3,15 +3,17 @@
 //! The central object is [`Beta`], the conjugate posterior family of the
 //! whole credible-interval machinery. Its normalization constant
 //! `ln B(α, β)` (three `ln_gamma` evaluations) is computed once at
-//! construction and threaded through every `pdf` / `cdf` / `quantile`
-//! call via the `*_pre` kernel variants, so repeated interval
-//! construction on one posterior never re-derives it.
+//! construction and threaded through every `pdf` / `cdf` /
+//! `window_mass` / `quantile` call via the `*_pre` kernel variants, so
+//! repeated interval construction on one posterior never re-derives it.
 //!
 //! [`Binomial`], [`StudentT`] and [`Normal`] cover the remaining needs:
 //! exact coverage sums, the significance tests of the experiment tables,
 //! and log-normal cluster-size generation.
 
-use crate::special::{betainc, betainc_inv_pre, betainc_pre, erfc, erfc_inv, ln_beta, ln_choose};
+use crate::special::{
+    betainc, betainc_inv_pre, betainc_pair_pre, betainc_pre, erfc, erfc_inv, ln_beta, ln_choose,
+};
 use crate::{Result, StatsError};
 use rand::Rng;
 
@@ -184,6 +186,27 @@ impl Beta {
     pub fn cdf(&self, x: f64) -> f64 {
         betainc_pre(self.alpha, self.beta, x.clamp(0.0, 1.0), self.ln_norm)
             .expect("betainc converges for validated Beta parameters")
+    }
+
+    /// Mass of the window `[l, u]`: `cdf(u) − cdf(l)`, bit for bit
+    /// (negative when `l > u`), from one pass that advances both
+    /// incomplete-beta continued fractions in lockstep, so it costs
+    /// less than the two calls.
+    ///
+    /// # Panics
+    ///
+    /// As [`Beta::cdf`].
+    #[must_use]
+    pub fn window_mass(&self, l: f64, u: f64) -> f64 {
+        let (fl, fu) = betainc_pair_pre(
+            self.alpha,
+            self.beta,
+            l.clamp(0.0, 1.0),
+            u.clamp(0.0, 1.0),
+            self.ln_norm,
+        )
+        .expect("betainc converges for validated Beta parameters");
+        fu - fl
     }
 
     /// Quantile function: solves `I_x(α, β) = p`, using the cached

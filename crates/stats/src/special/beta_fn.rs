@@ -9,6 +9,13 @@
 //! Implementation follows the classic continued-fraction scheme (modified
 //! Lentz) with a Gauss–Legendre quadrature path for very large parameters,
 //! and a Halley-refined Newton inversion with bisection fallback.
+//!
+//! The continued fraction advances one term pair at a time through one
+//! step definition (`Lane::step`). `betainc` runs one lane; the crate's
+//! `betainc_pair_pre`, behind `Beta::window_mass`, runs two in lockstep,
+//! so the division chains of a window's two CDFs overlap and each result
+//! is, bit for bit, what its own `betainc` call returns. The stopping
+//! certificate measures its best window's mass this way.
 
 use super::gamma::ln_gamma;
 use super::{EPS, FPMIN};
@@ -66,6 +73,57 @@ pub fn betainc_pre(a: f64, b: f64, x: f64, ln_beta_ab: f64) -> Result<f64> {
 
 /// Shared body of [`betainc`] / [`betainc_pre`] after shape validation.
 fn betainc_checked_pre(a: f64, b: f64, x: f64, ln_beta_ab: Option<f64>) -> Result<f64> {
+    match setup(a, b, x, ln_beta_ab)? {
+        Setup::Done(v) => Ok(v),
+        Setup::Fraction(mut lane) => lane.run(1),
+    }
+}
+
+/// `(I_{x0}(a, b), I_{x1}(a, b))`, each bit for bit what [`betainc_pre`]
+/// returns, from one pass: the two continued fractions advance in
+/// lockstep, so their division chains overlap instead of running one
+/// after the other. A window's mass `F(u) − F(l)` is the use.
+pub(crate) fn betainc_pair_pre(
+    a: f64,
+    b: f64,
+    x0: f64,
+    x1: f64,
+    ln_beta_ab: f64,
+) -> Result<(f64, f64)> {
+    check_shape("a", a)?;
+    check_shape("b", b)?;
+    let mut s0 = setup(a, b, x0, Some(ln_beta_ab))?;
+    let mut s1 = setup(a, b, x1, Some(ln_beta_ab))?;
+    let mut m = 1;
+    let mut done = [false, false];
+    if let (Setup::Fraction(l0), Setup::Fraction(l1)) = (&mut s0, &mut s1) {
+        // Both lanes step until either converges; the other goes on alone.
+        while m <= MAX_ITER && done == [false, false] {
+            done = [l0.step(m as f64), l1.step(m as f64)];
+            m += 1;
+        }
+    }
+    let value = |s: &mut Setup, done: bool| match s {
+        Setup::Done(v) => Ok(*v),
+        Setup::Fraction(lane) if done => Ok(lane.finish()),
+        Setup::Fraction(lane) => lane.run(m),
+    };
+    Ok((value(&mut s0, done[0])?, value(&mut s1, done[1])?))
+}
+
+/// `I_x(a, b)` before its continued fraction runs.
+enum Setup {
+    /// Known without the continued fraction: an endpoint of `[0, 1]`, or
+    /// the quadrature path's value.
+    Done(f64),
+    /// The continued fraction still has to run.
+    Fraction(Lane),
+}
+
+/// Validates `x` and picks the path: an endpoint, the quadrature for
+/// large parameters, or the continued fraction on the side of the
+/// transition point where it converges fast.
+fn setup(a: f64, b: f64, x: f64, ln_beta_ab: Option<f64>) -> Result<Setup> {
     if !(0.0..=1.0).contains(&x) {
         return Err(StatsError::InvalidParameter {
             name: "x",
@@ -74,73 +132,117 @@ fn betainc_checked_pre(a: f64, b: f64, x: f64, ln_beta_ab: Option<f64>) -> Resul
         });
     }
     if x == 0.0 {
-        return Ok(0.0);
+        return Ok(Setup::Done(0.0));
     }
     if x == 1.0 {
-        return Ok(1.0);
+        return Ok(Setup::Done(1.0));
     }
     if a > QUAD_THRESHOLD && b > QUAD_THRESHOLD {
         // The quadrature path normalizes through ln_gamma directly and
         // has no use for the cached constant.
-        return Ok(betai_quadrature(a, b, x));
+        return Ok(Setup::Done(betai_quadrature(a, b, x)));
     }
-    // Prefactor x^a (1-x)^b / (a B(a, b)) shared by both CF branches.
+    // Prefactor x^a (1-x)^b / B(a, b) shared by both CF branches.
     let ln_bt = a * x.ln() + b * (1.0 - x).ln() - ln_beta_ab.unwrap_or_else(|| ln_beta(a, b));
-    if x < (a + 1.0) / (a + b + 2.0) {
-        Ok((ln_bt.exp() * betacf(a, b, x)? / a).clamp(0.0, 1.0))
+    Ok(Setup::Fraction(if x < (a + 1.0) / (a + b + 2.0) {
+        Lane::new(a, b, x, ln_bt, false)
     } else {
-        Ok((1.0 - ln_bt.exp() * betacf(b, a, 1.0 - x)? / b).clamp(0.0, 1.0))
-    }
+        Lane::new(b, a, 1.0 - x, ln_bt, true)
+    }))
 }
 
-/// Continued fraction for the incomplete beta (modified Lentz algorithm).
-fn betacf(a: f64, b: f64, x: f64) -> Result<f64> {
-    let qab = a + b;
-    let qap = a + 1.0;
-    let qam = a - 1.0;
-    let mut c = 1.0;
-    let mut d = 1.0 - qab * x / qap;
-    if d.abs() < FPMIN {
-        d = FPMIN;
+/// One evaluation of the continued fraction for the incomplete beta
+/// (modified Lentz algorithm), advanced a term pair at a time by
+/// [`Lane::step`]. [`betainc`]'s single lane and the two lanes of
+/// [`betainc_pair_pre`] run this one step, so their arithmetic is the
+/// same.
+struct Lane {
+    a: f64,
+    b: f64,
+    x: f64,
+    c: f64,
+    d: f64,
+    h: f64,
+    /// The prefactor's logarithm, `ln(x^a (1-x)^b / B(a, b))` at the
+    /// caller's `(a, b, x)`.
+    ln_bt: f64,
+    /// The fraction runs on the mirrored `I_{1-x}(b, a)`, so the result
+    /// is its complement.
+    mirrored: bool,
+}
+
+impl Lane {
+    fn new(a: f64, b: f64, x: f64, ln_bt: f64, mirrored: bool) -> Lane {
+        let mut d = 1.0 - (a + b) * x / (a + 1.0);
+        if d.abs() < FPMIN {
+            d = FPMIN;
+        }
+        d = 1.0 / d;
+        Lane {
+            a,
+            b,
+            x,
+            c: 1.0,
+            d,
+            h: d,
+            ln_bt,
+            mirrored,
+        }
     }
-    d = 1.0 / d;
-    let mut h = d;
-    for m in 1..=MAX_ITER {
-        let m = m as f64;
+
+    /// Adds the even and the odd term of index `m`; `true` once the
+    /// fraction has converged (the lane must not step again).
+    #[inline(always)]
+    fn step(&mut self, m: f64) -> bool {
+        let (a, b, x) = (self.a, self.b, self.x);
         let m2 = 2.0 * m;
         // Even step.
-        let aa = m * (b - m) * x / ((qam + m2) * (a + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
+        let aa = m * (b - m) * x / ((a - 1.0 + m2) * (a + m2));
+        self.d = 1.0 + aa * self.d;
+        if self.d.abs() < FPMIN {
+            self.d = FPMIN;
         }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
+        self.c = 1.0 + aa / self.c;
+        if self.c.abs() < FPMIN {
+            self.c = FPMIN;
         }
-        d = 1.0 / d;
-        h *= d * c;
+        self.d = 1.0 / self.d;
+        self.h *= self.d * self.c;
         // Odd step.
-        let aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2));
-        d = 1.0 + aa * d;
-        if d.abs() < FPMIN {
-            d = FPMIN;
+        let aa = -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1.0 + m2));
+        self.d = 1.0 + aa * self.d;
+        if self.d.abs() < FPMIN {
+            self.d = FPMIN;
         }
-        c = 1.0 + aa / c;
-        if c.abs() < FPMIN {
-            c = FPMIN;
+        self.c = 1.0 + aa / self.c;
+        if self.c.abs() < FPMIN {
+            self.c = FPMIN;
         }
-        d = 1.0 / d;
-        let del = d * c;
-        h *= del;
-        if (del - 1.0).abs() <= EPS {
-            return Ok(h);
-        }
+        self.d = 1.0 / self.d;
+        let del = self.d * self.c;
+        self.h *= del;
+        (del - 1.0).abs() <= EPS
     }
-    Err(StatsError::NoConvergence {
-        algorithm: "betacf",
-        iterations: MAX_ITER,
-    })
+
+    /// Steps from term `from` on until the fraction converges, then
+    /// [`Lane::finish`]es.
+    fn run(&mut self, from: usize) -> Result<f64> {
+        for m in from..=MAX_ITER {
+            if self.step(m as f64) {
+                return Ok(self.finish());
+            }
+        }
+        Err(StatsError::NoConvergence {
+            algorithm: "betacf",
+            iterations: MAX_ITER,
+        })
+    }
+
+    /// `I_x(a, b)` from the converged fraction.
+    fn finish(&self) -> f64 {
+        let v = self.ln_bt.exp() * self.h / self.a;
+        (if self.mirrored { 1.0 - v } else { v }).clamp(0.0, 1.0)
+    }
 }
 
 /// 18-point Gauss–Legendre abscissas/weights on (0, 1) used by the

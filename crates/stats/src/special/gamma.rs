@@ -1,4 +1,4 @@
-//! Log-gamma, digamma and log-binomial-coefficient.
+//! Log-gamma and log-binomial-coefficient.
 
 /// Lanczos coefficients for `g = 7`, `n = 9` (Godfrey's table).
 ///
@@ -53,32 +53,6 @@ pub fn ln_gamma(x: f64) -> f64 {
     }
     let t = x + LANCZOS_G + 0.5;
     LN_SQRT_TWO_PI + (x + 0.5) * t.ln() - t + acc.ln()
-}
-
-/// Digamma function `ψ(x) = d/dx ln Γ(x)` for `x > 0`.
-///
-/// Uses the recurrence `ψ(x) = ψ(x+1) - 1/x` to push the argument above 6,
-/// then the asymptotic series. Accuracy ~1e-12.
-#[must_use]
-pub fn digamma(x: f64) -> f64 {
-    debug_assert!(x.is_finite() && x > 0.0, "digamma: invalid input {x}");
-    let mut x = x;
-    let mut result = 0.0;
-    // Shift into the asymptotic regime.
-    while x < 6.0 {
-        result -= 1.0 / x;
-        x += 1.0;
-    }
-    // Asymptotic expansion with Bernoulli-number coefficients.
-    let inv = 1.0 / x;
-    let inv2 = inv * inv;
-    result += x.ln()
-        - 0.5 * inv
-        - inv2
-            * (1.0 / 12.0
-                - inv2
-                    * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 / 132.0))));
-    result
 }
 
 /// Natural logarithm of the binomial coefficient `ln C(n, k)`.
@@ -150,27 +124,6 @@ mod tests {
         // Γ(-0.5) = -2√π, so lnΓ(-0.5) = ln(2√π).
         let want = (2.0 * std::f64::consts::PI.sqrt()).ln();
         assert!((ln_gamma(-0.5) - want).abs() < 1e-12);
-    }
-
-    #[test]
-    fn digamma_known_values() {
-        const EULER_MASCHERONI: f64 = 0.5772156649015329;
-        assert!((digamma(1.0) + EULER_MASCHERONI).abs() < 1e-11);
-        // ψ(1/2) = -γ - 2 ln 2
-        let want = -EULER_MASCHERONI - 2.0 * std::f64::consts::LN_2;
-        assert!((digamma(0.5) - want).abs() < 1e-11);
-        // ψ(2) = 1 - γ
-        assert!((digamma(2.0) - (1.0 - EULER_MASCHERONI)).abs() < 1e-11);
-    }
-
-    #[test]
-    fn digamma_recurrence_holds() {
-        for i in 1..100 {
-            let x = 0.13 * i as f64;
-            let lhs = digamma(x + 1.0);
-            let rhs = digamma(x) + 1.0 / x;
-            assert!((lhs - rhs).abs() < 1e-10, "digamma recurrence at {x}");
-        }
     }
 
     #[test]

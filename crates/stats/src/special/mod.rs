@@ -13,9 +13,10 @@ mod erf;
 mod gamma;
 mod gamma_inc;
 
+pub(crate) use beta_fn::betainc_pair_pre;
 pub use beta_fn::{betainc, betainc_inv, betainc_inv_pre, betainc_pre, ln_beta};
 pub use erf::{erf, erfc, erfc_inv};
-pub use gamma::{digamma, ln_choose, ln_gamma};
+pub use gamma::{ln_choose, ln_gamma};
 pub use gamma_inc::{gammainc_lower, gammainc_upper};
 
 /// Machine-level relative tolerance used by the iterative kernels.
