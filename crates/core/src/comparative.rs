@@ -61,9 +61,11 @@
 //! **Suspend/resume.** [`ComparativeSession::snapshot`] reuses the
 //! `KGAESNAP` container with its own record tag (5): the shared-stream
 //! design and KG fingerprints, the roster's method fingerprints, one
-//! embedded primary-session snapshot and each rival's scheduling
-//! state. Resume validates everything and the re-snapshot is
-//! byte-identical.
+//! embedded primary-session snapshot and each rival's frozen stop, if
+//! it has one. A resumed rival checks its next unit afresh, as session
+//! replay does: its lookahead only skips units where no stop is
+//! possible, so its countdown is not stored. Resume validates
+//! everything and the re-snapshot is byte-identical.
 
 use crate::framework::{EvalConfig, EvalResult, PreparedDesign, SamplingDesign};
 use crate::method::IntervalMethod;
@@ -454,7 +456,7 @@ impl<'a> ComparativeSession<'a> {
     /// `KGAESNAP` container with the comparative record tag (5), the
     /// shared-stream design and KG fingerprints, the roster's method
     /// fingerprints, the embedded primary-session snapshot and every
-    /// rival's scheduling state.
+    /// rival's frozen stop.
     ///
     /// # Errors
     ///
@@ -495,7 +497,6 @@ impl<'a> ComparativeSession<'a> {
         w.bytes(&child);
         // Rival trackers, roster order.
         for rival in &self.rivals {
-            w.u64(rival.step.skip_left);
             match &rival.stopped {
                 Some(stop) => {
                     w.bool(true);
@@ -577,7 +578,6 @@ impl<'a> ComparativeSession<'a> {
             if index == primary_index {
                 continue;
             }
-            let skip_left = r.u64().map_err(corrupt)?;
             let stopped = if r.bool().map_err(corrupt)? {
                 let observations = r.u64().map_err(corrupt)?;
                 let estimate = r.f64().map_err(corrupt)?;
@@ -596,11 +596,9 @@ impl<'a> ComparativeSession<'a> {
             } else {
                 None
             };
-            let mut step = StoppingStep::new(method, cfg, session.sample_state().kind());
-            step.skip_left = skip_left;
             rivals.push(Rival {
                 index,
-                step,
+                step: StoppingStep::new(method, cfg, session.sample_state().kind()),
                 stopped,
             });
         }
@@ -612,50 +610,6 @@ impl<'a> ComparativeSession<'a> {
             outcome: None,
         })
     }
-}
-
-/// Identity prefix of a comparative session snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ComparativeSnapshotHeader {
-    /// The shared stream's sampling design.
-    pub design: SamplingDesign,
-    /// `num_triples` of the KG under evaluation.
-    pub num_triples: u64,
-    /// `num_clusters` of the KG under evaluation.
-    pub num_clusters: u32,
-    /// Roster index of the primary method.
-    pub primary_index: u8,
-    /// Number of methods in the roster.
-    pub num_methods: u8,
-}
-
-/// Parses the identity prefix of a comparative snapshot without
-/// reconstructing the campaign.
-///
-/// # Errors
-///
-/// [`SessionError::CorruptSnapshot`] on malformed bytes;
-/// [`SessionError::SnapshotMismatch`] when the bytes carry a different
-/// record tag or an unsupported version.
-pub fn peek_comparative_header(bytes: &[u8]) -> Result<ComparativeSnapshotHeader, SessionError> {
-    let corrupt = SessionError::CorruptSnapshot;
-    let mut r = Reader::new(bytes);
-    if read_record_prefix(&mut r)? != COMPARATIVE_SNAPSHOT_TAG {
-        return Err(SessionError::SnapshotMismatch(
-            "not a comparative session snapshot",
-        ));
-    }
-    let tag = r.u8().map_err(corrupt)?;
-    let m = r.u64().map_err(corrupt)?;
-    let design =
-        design_from_tag(tag, m).ok_or(SessionError::CorruptSnapshot("unknown design tag"))?;
-    Ok(ComparativeSnapshotHeader {
-        design,
-        num_triples: r.u64().map_err(corrupt)?,
-        num_clusters: r.u32().map_err(corrupt)?,
-        primary_index: r.u8().map_err(corrupt)?,
-        num_methods: r.u8().map_err(corrupt)?,
-    })
 }
 
 #[cfg(test)]
@@ -809,12 +763,10 @@ mod tests {
         }
         let bytes = session.snapshot().unwrap();
 
-        // Header peek reports identity without a resume.
-        let header = peek_comparative_header(&bytes).unwrap();
-        assert_eq!(header.design, SamplingDesign::Srs);
-        assert_eq!(header.num_triples, kg.num_triples());
-        assert_eq!(header.primary_index, 3);
-        assert_eq!(header.num_methods, 4);
+        assert_eq!(
+            crate::engine::snapshot_engine_kind(&bytes).unwrap(),
+            crate::engine::EngineKind::Comparative
+        );
 
         // Wrong primary.
         assert!(matches!(
@@ -850,16 +802,6 @@ mod tests {
                 &bytes[..bytes.len() - 2]
             ),
             Err(SessionError::CorruptSnapshot(_))
-        ));
-        // Kind-specific peeks refuse comparative bytes; the registry
-        // identifies them.
-        assert!(matches!(
-            crate::stratified::peek_stratified_header_impl(&bytes),
-            Err(SessionError::SnapshotMismatch(_))
-        ));
-        assert!(matches!(
-            crate::engine::peek_any_header(&bytes),
-            Ok(crate::engine::AnyHeader::Comparative(_))
         ));
     }
 }

@@ -1,5 +1,5 @@
 //! The object-safe engine abstraction: one protocol surface for every
-//! session kind, and the snapshot **tag registry** that lets hosts
+//! session kind, and the snapshot **record tag** that lets hosts
 //! dispatch on stored bytes instead of caller-chosen entry points.
 //!
 //! Four engines implement the poll → submit → status → snapshot
@@ -42,38 +42,30 @@
 //! assert!(engine.status().primary.stopped.is_some());
 //! ```
 //!
-//! ## The snapshot tag registry
+//! ## Snapshot record tags
 //!
 //! Every suspended engine serializes into the shared `KGAESNAP`
 //! container, whose header carries a **record tag**: tags 0–3 are the
 //! four single-session designs, tag 4 the stratified coordinator, tag 5
-//! the comparative session, tag 6 the continuous accuracy monitor. The
-//! [`registry`] maps each tag to its
-//! engine kind and header parser, so [`peek_any_header`] identifies any
-//! snapshot without the caller guessing an entry point — and
-//! [`EngineSpec::resume`] validates the stored tag against the engine
-//! the spec denotes *before* any kind-specific parsing, turning a
-//! mismatched resume into a clean [`SessionError::SnapshotMismatch`].
+//! the comparative session, tag 6 the continuous accuracy monitor.
+//! [`snapshot_engine_kind`] names the engine kind of any record after
+//! checking its identity prefix, so a host never guesses an entry
+//! point — and [`EngineSpec::resume`] checks the stored kind against
+//! the engine the spec denotes *before* any kind-specific parsing,
+//! turning a mismatched resume into a clean
+//! [`SessionError::SnapshotMismatch`].
 
-use crate::comparative::{
-    peek_comparative_header, ComparativeSession, ComparativeSnapshotHeader, MethodReport,
-};
+use crate::comparative::{ComparativeSession, MethodReport};
 use crate::framework::{EvalConfig, EvalResult, PreparedDesign};
 use crate::method::IntervalMethod;
-use crate::monitor::{
-    peek_monitor_header, DeltaBatch, DeltaOutcome, MonitorReport, MonitorSession,
-    MonitorSnapshotHeader,
-};
+use crate::monitor::{DeltaBatch, DeltaOutcome, MonitorReport, MonitorSession};
 use crate::session::{
-    peek_plain_header, read_record_prefix, AnnotationRequest, EvaluationSession, SessionError,
-    SessionStatus, SnapshotHeader, StopReason, COMPARATIVE_SNAPSHOT_TAG, MONITOR_SNAPSHOT_TAG,
+    design_from_tag, read_record_prefix, AnnotationRequest, EvaluationSession, SessionError,
+    SessionStatus, StopReason, COMPARATIVE_SNAPSHOT_TAG, MONITOR_SNAPSHOT_TAG,
     STRATIFIED_SNAPSHOT_TAG,
 };
-use crate::snapshot::Reader;
-use crate::stratified::{
-    peek_stratified_header_impl, StratifiedConfig, StratifiedSession, StratifiedSnapshotHeader,
-    StratumReport,
-};
+use crate::snapshot::{ReadResult, Reader};
+use crate::stratified::{StratifiedConfig, StratifiedSession, StratumReport};
 use kgae_graph::stratify::Stratification;
 use kgae_graph::KnowledgeGraph;
 use kgae_intervals::KernelCache;
@@ -218,7 +210,7 @@ pub trait SessionEngine: Send {
 
     /// Serializes the engine into a canonical `KGAESNAP` snapshot from
     /// which [`EngineSpec::resume`] rebuilds its exact state (the record
-    /// tag identifies the engine kind; see [`registry`]).
+    /// tag identifies the engine kind; see [`snapshot_engine_kind`]).
     ///
     /// # Errors
     ///
@@ -441,172 +433,81 @@ impl<'a> SessionEngine for ComparativeSession<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Snapshot tag registry
+// Snapshot record kinds
 // ---------------------------------------------------------------------
 
-/// The identity prefix of any engine snapshot, by record kind.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnyHeader {
-    /// A single-session snapshot (record tags 0–3).
-    Plain(SnapshotHeader),
-    /// A stratified coordinator snapshot (record tag 4).
-    Stratified(StratifiedSnapshotHeader),
-    /// A comparative session snapshot (record tag 5).
-    Comparative(ComparativeSnapshotHeader),
-    /// A continuous-monitor snapshot (record tag 6).
-    Monitor(MonitorSnapshotHeader),
-}
-
-impl AnyHeader {
-    /// The engine kind that produced the snapshot.
-    #[must_use]
-    pub fn kind(&self) -> EngineKind {
-        match self {
-            AnyHeader::Plain(_) => EngineKind::Plain,
-            AnyHeader::Stratified(_) => EngineKind::Stratified,
-            AnyHeader::Comparative(_) => EngineKind::Comparative,
-            AnyHeader::Monitor(_) => EngineKind::Monitor,
-        }
-    }
-
-    /// `num_triples` of the KG the snapshot belongs to — every record
-    /// kind fingerprints it (the **base** KG for monitor snapshots,
-    /// whose delta overlay is part of the record body).
-    #[must_use]
-    pub fn num_triples(&self) -> u64 {
-        match self {
-            AnyHeader::Plain(h) => h.num_triples,
-            AnyHeader::Stratified(h) => h.num_triples,
-            AnyHeader::Comparative(h) => h.num_triples,
-            AnyHeader::Monitor(h) => h.num_triples,
-        }
-    }
-}
-
-/// One row of the snapshot tag registry: a `KGAESNAP` record tag, the
-/// engine kind it denotes and its header parser.
-pub struct TagEntry {
-    /// The record-tag byte.
-    pub tag: u8,
-    /// The engine kind the tag denotes.
-    pub kind: EngineKind,
-    peek: fn(&[u8]) -> Result<AnyHeader, SessionError>,
-}
-
-fn peek_plain(bytes: &[u8]) -> Result<AnyHeader, SessionError> {
-    peek_plain_header(bytes).map(AnyHeader::Plain)
-}
-
-fn peek_stratified(bytes: &[u8]) -> Result<AnyHeader, SessionError> {
-    peek_stratified_header_impl(bytes).map(AnyHeader::Stratified)
-}
-
-fn peek_comparative(bytes: &[u8]) -> Result<AnyHeader, SessionError> {
-    peek_comparative_header(bytes).map(AnyHeader::Comparative)
-}
-
-fn peek_monitor(bytes: &[u8]) -> Result<AnyHeader, SessionError> {
-    peek_monitor_header(bytes).map(AnyHeader::Monitor)
-}
-
-static REGISTRY: [TagEntry; 7] = [
-    TagEntry {
-        tag: 0,
-        kind: EngineKind::Plain,
-        peek: peek_plain,
-    },
-    TagEntry {
-        tag: 1,
-        kind: EngineKind::Plain,
-        peek: peek_plain,
-    },
-    TagEntry {
-        tag: 2,
-        kind: EngineKind::Plain,
-        peek: peek_plain,
-    },
-    TagEntry {
-        tag: 3,
-        kind: EngineKind::Plain,
-        peek: peek_plain,
-    },
-    TagEntry {
-        tag: STRATIFIED_SNAPSHOT_TAG,
-        kind: EngineKind::Stratified,
-        peek: peek_stratified,
-    },
-    TagEntry {
-        tag: COMPARATIVE_SNAPSHOT_TAG,
-        kind: EngineKind::Comparative,
-        peek: peek_comparative,
-    },
-    TagEntry {
-        tag: MONITOR_SNAPSHOT_TAG,
-        kind: EngineKind::Monitor,
-        peek: peek_monitor,
-    },
-];
-
-/// The snapshot tag registry: every known `KGAESNAP` record tag with
-/// its engine kind and header parser, in tag order.
-#[must_use]
-pub fn registry() -> &'static [TagEntry] {
-    &REGISTRY
-}
-
-/// Reads the shared `KGAESNAP` container prefix and returns the record
-/// tag byte.
+/// The engine kind a snapshot record belongs to, read from its record
+/// tag after checking its identity prefix: the container (magic,
+/// version, tag) and the fields each kind leads with — the design and
+/// KG shape of a plain record (tags 0–3); the stratum count, KG shape
+/// and partition fingerprint of a stratified one (4); the shared-stream
+/// design, KG shape, primary and roster size of a comparative one (5);
+/// the base KG shape, epoch and phase of a monitor (6). A store can
+/// thus index and sanity-check dormant records without resuming them;
+/// resume still re-validates every fingerprint.
 ///
 /// # Errors
 ///
-/// [`SessionError::CorruptSnapshot`] on bad magic or truncation;
 /// [`SessionError::SnapshotMismatch`] on an unsupported container
-/// version.
-pub fn peek_record_tag(bytes: &[u8]) -> Result<u8, SessionError> {
-    read_record_prefix(&mut Reader::new(bytes))
-}
-
-/// The engine kind a snapshot's record tag denotes, via the registry.
-///
-/// # Errors
-///
-/// As [`peek_record_tag`], plus [`SessionError::CorruptSnapshot`] on a
-/// tag no registry entry claims.
+/// version; [`SessionError::CorruptSnapshot`] on bad magic, an unknown
+/// record or design tag, or a record cut inside its identity prefix.
 pub fn snapshot_engine_kind(bytes: &[u8]) -> Result<EngineKind, SessionError> {
-    let tag = peek_record_tag(bytes)?;
-    REGISTRY
-        .iter()
-        .find(|entry| entry.tag == tag)
-        .map(|entry| entry.kind)
-        .ok_or(SessionError::CorruptSnapshot("unknown snapshot record tag"))
+    let mut r = Reader::new(bytes);
+    let tag = read_record_prefix(&mut r)?;
+    identity_prefix(&mut r, tag).map_err(SessionError::CorruptSnapshot)
 }
 
-/// Parses the identity prefix of **any** engine snapshot, dispatching
-/// on the record tag through the [`registry`] — the unified
-/// replacement for the per-kind `peek_*_header` entry points.
-///
-/// # Errors
-///
-/// As [`snapshot_engine_kind`], plus whatever the kind-specific header
-/// parser reports on malformed bytes.
-pub fn peek_any_header(bytes: &[u8]) -> Result<AnyHeader, SessionError> {
-    let tag = peek_record_tag(bytes)?;
-    let entry = REGISTRY
-        .iter()
-        .find(|entry| entry.tag == tag)
-        .ok_or(SessionError::CorruptSnapshot("unknown snapshot record tag"))?;
-    (entry.peek)(bytes)
+/// Reads the identity fields that follow record tag `tag`.
+fn identity_prefix(r: &mut Reader<'_>, tag: u8) -> ReadResult<EngineKind> {
+    let design = |r: &mut Reader<'_>, tag: u8| -> ReadResult<()> {
+        let m = r.u64()?;
+        design_from_tag(tag, m)
+            .map(drop)
+            .ok_or("unknown design tag")
+    };
+    Ok(match tag {
+        0..=3 => {
+            design(r, tag)?;
+            r.u64()?;
+            r.u32()?;
+            EngineKind::Plain
+        }
+        STRATIFIED_SNAPSHOT_TAG => {
+            r.u64()?;
+            r.u64()?;
+            r.u32()?;
+            r.u64()?;
+            EngineKind::Stratified
+        }
+        COMPARATIVE_SNAPSHOT_TAG => {
+            let design_tag = r.u8()?;
+            design(r, design_tag)?;
+            r.u64()?;
+            r.u32()?;
+            r.u8()?;
+            r.u8()?;
+            EngineKind::Comparative
+        }
+        MONITOR_SNAPSHOT_TAG => {
+            r.u64()?;
+            r.u32()?;
+            r.u64()?;
+            r.bool()?;
+            EngineKind::Monitor
+        }
+        _ => return Err("unknown snapshot record tag"),
+    })
 }
 
 // ---------------------------------------------------------------------
-// Engine construction and registry-dispatched resume
+// Engine construction and kind-checked resume
 // ---------------------------------------------------------------------
 
 /// Everything needed to construct one engine — fresh or from a
 /// snapshot. A host derives the spec from its wire-level session
 /// description once and gets a single `build`/`resume` pair instead of
-/// per-kind code paths; `resume` validates the snapshot's record tag
-/// against the spec's kind through the [`registry`] before any
+/// per-kind code paths; `resume` checks the snapshot's engine kind
+/// ([`snapshot_engine_kind`]) against the spec's before any
 /// kind-specific parsing.
 ///
 /// `'k` is the KG borrow the engine keeps; the other references only
@@ -726,8 +627,8 @@ impl<'k> EngineSpec<'k, '_> {
         }
     }
 
-    /// Reconstructs a suspended engine from a snapshot. The record tag
-    /// is resolved through the [`registry`] and checked against this
+    /// Reconstructs a suspended engine from a snapshot. The record's
+    /// engine kind ([`snapshot_engine_kind`]) is checked against this
     /// spec's kind first, so bytes from a different engine kind fail
     /// with a clean mismatch instead of a parse error deep inside the
     /// wrong decoder; the kind-specific resume then re-validates every
@@ -830,16 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn registry_covers_every_tag_once() {
-        let tags: Vec<u8> = registry().iter().map(|e| e.tag).collect();
-        assert_eq!(tags, [0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(registry()[4].kind, EngineKind::Stratified);
-        assert_eq!(registry()[5].kind, EngineKind::Comparative);
-        assert_eq!(registry()[6].kind, EngineKind::Monitor);
-    }
-
-    #[test]
-    fn every_engine_kind_round_trips_through_the_registry() {
+    fn every_engine_kind_round_trips_through_its_record_tag() {
         let kg = kgae_graph::datasets::nell();
         let (pred_kg, strat) = kgae_graph::datasets::nell_by_predicate();
         let prepared = PreparedDesign::new(&kg, SamplingDesign::Twcs { m: 3 });
@@ -909,12 +801,9 @@ mod tests {
             };
             drive_some(driver_kg, engine.as_mut(), 5);
             let snap = engine.snapshot().unwrap();
-            // The registry identifies the bytes without an entry point.
+            // The record tag identifies the bytes without an entry point.
             assert_eq!(snapshot_engine_kind(&snap).unwrap(), *kind);
-            let header = peek_any_header(&snap).unwrap();
-            assert_eq!(header.kind(), *kind);
-            assert_eq!(header.num_triples(), kg.num_triples());
-            // Registry-dispatched resume reproduces the bytes.
+            // Kind-checked resume reproduces the bytes.
             let resumed = spec.resume(&snap).unwrap();
             assert_eq!(resumed.snapshot().unwrap(), snap);
         }
@@ -941,15 +830,11 @@ mod tests {
             Err(SessionError::SnapshotMismatch(_))
         ));
 
-        // Unknown tags are rejected by the registry.
+        // Unknown tags are rejected before any resume.
         let mut bad = plain_snap;
         bad[10] = 200;
         assert!(matches!(
             snapshot_engine_kind(&bad),
-            Err(SessionError::CorruptSnapshot("unknown snapshot record tag"))
-        ));
-        assert!(matches!(
-            peek_any_header(&bad),
             Err(SessionError::CorruptSnapshot("unknown snapshot record tag"))
         ));
     }

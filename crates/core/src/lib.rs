@@ -69,32 +69,27 @@ pub mod stratified;
 pub use ahpd::{ahpd_select, AHpdSelection};
 pub use annotator::{Annotator, MajorityVoteAnnotator, NoisyAnnotator, OracleAnnotator};
 pub use comparative::{
-    compared_methods, peek_comparative_header, ComparativeResult, ComparativeSession,
-    ComparativeSnapshotHeader, ComparativeStatus, MethodReport,
+    compared_methods, ComparativeResult, ComparativeSession, ComparativeStatus, MethodReport,
 };
 pub use cost::{CostModel, CostTracker};
 pub use engine::{
-    peek_any_header, peek_record_tag, snapshot_engine_kind, AnyHeader, EngineKind, EngineOutcome,
-    EngineRequest, EngineSpec, SessionEngine, SessionStatusView,
+    snapshot_engine_kind, EngineKind, EngineOutcome, EngineRequest, EngineSpec, SessionEngine,
+    SessionStatusView,
 };
 pub use framework::{
     evaluate, evaluate_prepared, EvalConfig, EvalResult, PreparedDesign, SamplingDesign,
     StoppingPolicy,
 };
 pub use method::{IntervalMethod, MethodParseError, SrsBoundary};
-pub use monitor::{
-    peek_monitor_header, DeltaBatch, DeltaOutcome, DriftReport, MonitorReport, MonitorSession,
-    MonitorSnapshotHeader,
-};
+pub use monitor::{DeltaBatch, DeltaOutcome, DriftReport, MonitorReport, MonitorSession};
 pub use runner::{cost_t_test, repeat_evaluation, triples_t_test, RepeatedRuns};
 pub use session::{
-    AnnotationRequest, EvaluationSession, SessionError, SessionStatus, SnapshotHeader, SnapshotRng,
-    StopReason,
+    AnnotationRequest, EvaluationSession, SessionError, SessionStatus, SnapshotRng, StopReason,
 };
 pub use state::{DesignKind, EffectiveSample, SampleState};
 pub use stratified::{
-    StratifiedConfig, StratifiedRequest, StratifiedResult, StratifiedSession,
-    StratifiedSnapshotHeader, StratifiedStatus, StratumReport,
+    StratifiedConfig, StratifiedRequest, StratifiedResult, StratifiedSession, StratifiedStatus,
+    StratumReport,
 };
 
 /// Common imports for applications.

@@ -130,41 +130,6 @@ pub struct MonitorReport {
     pub drift: Vec<DriftReport>,
 }
 
-/// Identity prefix of a monitor snapshot (record tag 6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorSnapshotHeader {
-    /// `num_triples` of the **base** KG the monitor overlays.
-    pub num_triples: u64,
-    /// `num_clusters` of the base KG.
-    pub num_clusters: u32,
-    /// Campaign epoch at suspension.
-    pub epoch: u64,
-    /// Whether the monitor was watching (no embedded campaign).
-    pub watching: bool,
-}
-
-/// Parses the identity prefix of a monitor snapshot without
-/// reconstructing the monitor.
-///
-/// # Errors
-///
-/// [`SessionError::CorruptSnapshot`] on malformed bytes;
-/// [`SessionError::SnapshotMismatch`] when the bytes carry a different
-/// record tag or an unsupported version.
-pub fn peek_monitor_header(bytes: &[u8]) -> Result<MonitorSnapshotHeader, SessionError> {
-    let corrupt = SessionError::CorruptSnapshot;
-    let mut r = Reader::new(bytes);
-    if read_record_prefix(&mut r)? != MONITOR_SNAPSHOT_TAG {
-        return Err(SessionError::SnapshotMismatch("not a monitor snapshot"));
-    }
-    Ok(MonitorSnapshotHeader {
-        num_triples: r.u64().map_err(corrupt)?,
-        num_clusters: r.u32().map_err(corrupt)?,
-        epoch: r.u64().map_err(corrupt)?,
-        watching: !r.bool().map_err(corrupt)?,
-    })
-}
-
 #[derive(Debug, Clone, PartialEq)]
 struct DriftRow {
     predicate: String,
@@ -190,8 +155,8 @@ struct Appraisal {
 }
 
 /// The long-lived continuous-monitoring engine. See the module docs
-/// for the lifecycle; construct through [`MonitorSession::new`] or the
-/// engine registry ([`crate::engine::EngineSpec::Monitor`]).
+/// for the lifecycle; construct through [`MonitorSession::new`] or an
+/// engine spec ([`crate::engine::EngineSpec::Monitor`]).
 ///
 /// SRS-only: the view's additions are singleton clusters and the
 /// overlay may empty base clusters, which cluster designs cannot
@@ -205,9 +170,8 @@ pub struct MonitorSession<'a> {
     cfg: EvalConfig,
     carry_weight: f64,
     seed: u64,
+    /// Campaign epoch; every epoch past 0 is a re-opened campaign.
     epoch: u64,
-    campaigns_reopened: u64,
-    retired_total: u64,
     /// `next_serial` of the view when the last campaign completed:
     /// additions at or past this serial have never been exposed to a
     /// completed campaign and count as evidence-free population.
@@ -239,7 +203,7 @@ impl std::fmt::Debug for MonitorSession<'_> {
             .field("epoch", &self.epoch)
             .field("watching", &self.inner.is_none())
             .field("ledger", &self.ledger.len())
-            .field("retired", &self.retired_total)
+            .field("retired", &self.retired_labels())
             .finish_non_exhaustive()
     }
 }
@@ -291,8 +255,6 @@ impl<'a> MonitorSession<'a> {
             carry_weight,
             seed,
             epoch: 0,
-            campaigns_reopened: 0,
-            retired_total: 0,
             seen_serials: 0,
             done_observations: 0,
             done_triples: 0,
@@ -469,13 +431,18 @@ impl<'a> MonitorSession<'a> {
             .collect()
     }
 
+    /// Ledger labels retired by removals, over every drift row.
+    fn retired_labels(&self) -> u64 {
+        self.drift.iter().map(|r| r.retired).sum()
+    }
+
     /// The monitor rows of the status view.
     #[must_use]
     pub fn report(&self) -> MonitorReport {
         MonitorReport {
             epoch: self.epoch,
-            campaigns_reopened: self.campaigns_reopened,
-            retired_labels: self.retired_total,
+            campaigns_reopened: self.epoch,
+            retired_labels: self.retired_labels(),
             watching: self.inner.is_none(),
             drift: self.drift_reports(),
         }
@@ -545,7 +512,6 @@ impl<'a> MonitorSession<'a> {
                 retired += 1;
             }
         }
-        self.retired_total += retired;
         {
             let row = self.drift_row_mut(batch.predicate.as_deref());
             row.adds += batch.adds.len() as u64;
@@ -570,7 +536,6 @@ impl<'a> MonitorSession<'a> {
             }
             _ => {
                 self.epoch += 1;
-                self.campaigns_reopened += 1;
                 self.watched = None;
                 let method = self.campaign_method();
                 let rng = SmallRng::seed_from_u64(mix2(self.seed, self.epoch));
@@ -622,8 +587,7 @@ impl<'a> MonitorSession<'a> {
         w.bytes(SNAPSHOT_MAGIC);
         w.u16(SNAPSHOT_VERSION);
         w.u8(MONITOR_SNAPSHOT_TAG);
-        // Header: base shape + epoch + phase, peekable without parsing
-        // the record body.
+        // Identity prefix: base shape + epoch + phase.
         w.u64(self.view.base().num_triples());
         w.u32(self.view.base().num_clusters());
         w.u64(self.epoch);
@@ -633,8 +597,6 @@ impl<'a> MonitorSession<'a> {
         write_method_fingerprint(&mut w, &self.base_method);
         w.u64(self.seed);
         // Cumulative counters.
-        w.u64(self.campaigns_reopened);
-        w.u64(self.retired_total);
         w.u64(self.seen_serials);
         w.u64(self.done_observations);
         w.u64(self.done_triples);
@@ -748,8 +710,6 @@ impl<'a> MonitorSession<'a> {
         if r.u64().map_err(corrupt)? != seed {
             return Err(mismatch("seed differs"));
         }
-        let campaigns_reopened = r.u64().map_err(corrupt)?;
-        let retired_total = r.u64().map_err(corrupt)?;
         let seen_serials = r.u64().map_err(corrupt)?;
         let done_observations = r.u64().map_err(corrupt)?;
         let done_triples = r.u64().map_err(corrupt)?;
@@ -835,8 +795,6 @@ impl<'a> MonitorSession<'a> {
             carry_weight,
             seed,
             epoch,
-            campaigns_reopened,
-            retired_total,
             seen_serials,
             done_observations,
             done_triples,
@@ -1212,11 +1170,9 @@ mod tests {
             monitor.submit(&labels).unwrap();
         }
         let snap = MonitorSession::snapshot(&monitor).unwrap();
-        let header = peek_monitor_header(&snap).unwrap();
-        assert_eq!(header.num_triples, kg.num_triples());
-        assert_eq!(header.epoch, 0);
-        assert!(!header.watching);
         let resumed = MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, &snap).unwrap();
+        assert_eq!(resumed.report().epoch, 0);
+        assert!(!resumed.watching());
         assert_eq!(MonitorSession::snapshot(&resumed).unwrap(), snap);
 
         // Watching with deltas applied and a campaign re-opened, then
@@ -1224,8 +1180,8 @@ mod tests {
         // batch outstanding).
         drive_to_watching(&mut monitor, &kg, 16);
         let watch_snap = MonitorSession::snapshot(&monitor).unwrap();
-        assert!(peek_monitor_header(&watch_snap).unwrap().watching);
         let resumed = MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, &watch_snap).unwrap();
+        assert!(resumed.watching());
         assert_eq!(MonitorSession::snapshot(&resumed).unwrap(), watch_snap);
 
         monitor
@@ -1254,9 +1210,9 @@ mod tests {
             monitor.submit(&labels).unwrap();
         }
         let snap = MonitorSession::snapshot(&monitor).unwrap();
-        let header = peek_monitor_header(&snap).unwrap();
-        assert_eq!(header.epoch, 1);
         let resumed = MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, &snap).unwrap();
+        assert_eq!(resumed.report(), monitor.report());
+        assert_eq!(resumed.report().epoch, 1);
         assert_eq!(MonitorSession::snapshot(&resumed).unwrap(), snap);
 
         // Wrong spec parameters are rejected cleanly.

@@ -246,8 +246,9 @@ pub(crate) struct StoppingStep {
     /// the host's cache (or none).
     pub(crate) kernel: Option<Arc<KernelCache>>,
     /// Annotation units left before the next stopping check (certified
-    /// unreachable in between).
-    pub(crate) skip_left: u64,
+    /// unreachable in between). Never serialized: a resumed step checks
+    /// its next unit afresh, which stops where the countdown would.
+    skip_left: u64,
     /// Whether a cluster-design check still runs the lookahead search.
     /// The first search that certifies a skip of 0 clears it, and every
     /// later draw goes through the exact one-step gate alone: on NELL
@@ -1208,8 +1209,8 @@ fn stopping_tag(policy: StoppingPolicy) -> u8 {
 
 /// Consumes the shared `KGAESNAP` container prefix (magic + version)
 /// and returns the record tag, leaving the reader positioned after it
-/// — the single prefix parser behind every record type's peek/resume
-/// and the engine registry.
+/// — the single prefix parser behind every record type's resume and
+/// [`crate::engine::snapshot_engine_kind`].
 pub(crate) fn read_record_prefix(r: &mut Reader<'_>) -> Result<u8, SessionError> {
     let corrupt = SessionError::CorruptSnapshot;
     if r.bytes(8).map_err(corrupt)? != SNAPSHOT_MAGIC {
@@ -1280,45 +1281,6 @@ pub(crate) fn config_fingerprint_matches(
         && r.f64()?.to_bits() == cfg.cost_model.triple_seconds.to_bits()
         && r.u64()? == cfg.cost_model.judgments_per_label
         && r.u8()? == stopping_tag(cfg.stopping))
-}
-
-/// The identity prefix of a session snapshot: which design produced it
-/// and the shape of the KG it belongs to. Enough for a snapshot store
-/// to index and sanity-check dormant sessions without paying a full
-/// [`EvaluationSession::resume`] (which still re-validates everything,
-/// including config and method, on rehydration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotHeader {
-    /// The sampling design the suspended session was running.
-    pub design: SamplingDesign,
-    /// `num_triples` of the KG the session was evaluating.
-    pub num_triples: u64,
-    /// `num_clusters` of the KG the session was evaluating.
-    pub num_clusters: u32,
-}
-
-/// Header parser behind the plain (tags 0–3) rows of the snapshot tag
-/// registry.
-pub(crate) fn peek_plain_header(bytes: &[u8]) -> Result<SnapshotHeader, SessionError> {
-    let corrupt = SessionError::CorruptSnapshot;
-    let mut r = Reader::new(bytes);
-    let tag = read_record_prefix(&mut r)?;
-    if tag == STRATIFIED_SNAPSHOT_TAG
-        || tag == COMPARATIVE_SNAPSHOT_TAG
-        || tag == MONITOR_SNAPSHOT_TAG
-    {
-        return Err(SessionError::SnapshotMismatch(
-            "not a single-session snapshot; identify it with engine::peek_any_header",
-        ));
-    }
-    let m = r.u64().map_err(corrupt)?;
-    let design =
-        design_from_tag(tag, m).ok_or(SessionError::CorruptSnapshot("unknown design tag"))?;
-    Ok(SnapshotHeader {
-        design,
-        num_triples: r.u64().map_err(corrupt)?,
-        num_clusters: r.u32().map_err(corrupt)?,
-    })
 }
 
 // Sessions are sent across threads by multi-tenant session hosts (one
@@ -1956,7 +1918,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_header_peek_reports_identity_without_resume() {
+    fn snapshot_engine_kind_reads_the_plain_identity_prefix() {
         let kg = kgae_graph::datasets::nell();
         let method = IntervalMethod::ahpd_default();
         let cfg = EvalConfig::default();
@@ -1970,29 +1932,35 @@ mod tests {
             .collect();
         s.submit(&labels).unwrap();
         let snap = s.snapshot().unwrap();
-        let header = match crate::engine::peek_any_header(&snap).unwrap() {
-            crate::engine::AnyHeader::Plain(h) => h,
-            other => panic!("plain snapshot identified as {:?}", other.kind()),
-        };
-        assert_eq!(header.design, design);
-        assert_eq!(header.num_triples, kg.num_triples());
-        assert_eq!(header.num_clusters, kg.num_clusters());
-        // Corrupt / truncated prefixes fail loudly.
-        assert!(matches!(
-            crate::engine::peek_any_header(&snap[..9]),
-            Err(SessionError::CorruptSnapshot(_))
-        ));
+        let kind = crate::engine::snapshot_engine_kind;
+        assert_eq!(kind(&snap).unwrap(), crate::engine::EngineKind::Plain);
+        // Every cut inside the 31-byte identity prefix (container, design
+        // tag and parameter, KG shape) fails loudly; the prefix alone
+        // identifies the record.
+        for len in 0..31 {
+            assert!(
+                matches!(kind(&snap[..len]), Err(SessionError::CorruptSnapshot(_))),
+                "cut at {len}"
+            );
+        }
+        assert!(kind(&snap[..31]).is_ok());
         let mut bad_magic = snap.clone();
         bad_magic[0] ^= 0xFF;
         assert!(matches!(
-            crate::engine::peek_any_header(&bad_magic),
-            Err(SessionError::CorruptSnapshot(_))
+            kind(&bad_magic),
+            Err(SessionError::CorruptSnapshot("bad magic"))
+        ));
+        let mut bad_m = snap.clone();
+        bad_m[11..19].copy_from_slice(&0u64.to_le_bytes()); // TWCS with m = 0
+        assert!(matches!(
+            kind(&bad_m),
+            Err(SessionError::CorruptSnapshot("unknown design tag"))
         ));
         let mut bad_tag = snap;
-        bad_tag[10] = 200; // design tag byte
+        bad_tag[10] = 200; // record tag byte
         assert!(matches!(
-            crate::engine::peek_any_header(&bad_tag),
-            Err(SessionError::CorruptSnapshot(_))
+            kind(&bad_tag),
+            Err(SessionError::CorruptSnapshot("unknown snapshot record tag"))
         ));
     }
 

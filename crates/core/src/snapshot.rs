@@ -15,7 +15,7 @@
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"KGAESNAP";
 /// The shared container version; bumping it re-gates every record type
 /// at once (readers reject every other version).
-pub(crate) const SNAPSHOT_VERSION: u16 = 3;
+pub(crate) const SNAPSHOT_VERSION: u16 = 4;
 
 /// Append-only snapshot writer.
 #[derive(Debug, Default)]

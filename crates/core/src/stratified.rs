@@ -61,16 +61,17 @@
 //! estimator `μ̂ = Σ_h W_h μ̂_h`, computed with
 //! [`kgae_intervals::pooled_point`]'s left fold — **bit-identical** to
 //! combining the per-stratum estimators by hand in stratum order (a
-//! property test pins this). Fully annotated strata contribute zero
-//! variance. The pooled interval is Wald-on-pooled-variance; the
-//! per-stratum rows keep their own credible intervals.
+//! property test pins this). A fully annotated stratum is a census,
+//! read from its counts (observations equal its size): it contributes
+//! its exact value and zero variance, and is never polled again. The
+//! pooled interval is Wald-on-pooled-variance; the per-stratum rows keep
+//! their own credible intervals.
 //!
-//! **Suspend/resume.** [`StratifiedSession::snapshot`] reuses the PR-2
-//! `KGAESNAP` container with a new record type (design tag 4): the
-//! coordinator's config and stratification fingerprints followed by one
-//! embedded PR-2 session snapshot (or census record) per stratum.
-//! Resume validates every fingerprint and restores the exact
-//! allocation + sampling trajectory, bit for bit.
+//! **Suspend/resume.** [`StratifiedSession::snapshot`] writes a
+//! `KGAESNAP` record with its own record tag (4): the coordinator's
+//! config and stratification fingerprints followed by one embedded
+//! session record per stratum. Resume validates every fingerprint and
+//! restores the exact allocation + sampling trajectory, bit for bit.
 
 use crate::framework::{EvalConfig, EvalResult, SamplingDesign, StoppingPolicy};
 use crate::method::IntervalMethod;
@@ -189,13 +190,6 @@ pub struct StratifiedResult {
     pub strata: Vec<StratumReport>,
 }
 
-enum StratumSlot<'a> {
-    /// Still sampling.
-    Live(Box<EvaluationSession<'a, SmallRng>>),
-    /// Fully annotated (census): exact estimate, zero variance.
-    Census(Box<EvalResult>),
-}
-
 /// Coordinator for a stratified campaign. See the module docs for the
 /// protocol and the allocation/stopping semantics.
 pub struct StratifiedSession<'a> {
@@ -206,7 +200,8 @@ pub struct StratifiedSession<'a> {
     names: Vec<String>,
     sizes: Vec<u64>,
     weights: Vec<f64>,
-    slots: Vec<StratumSlot<'a>>,
+    /// One SRS-within-stratum engine per stratum, in stratum order.
+    sessions: Vec<EvaluationSession<'a, SmallRng>>,
     pending: Option<u32>,
     outcome: Option<(StopReason, StratifiedResult)>,
 }
@@ -234,19 +229,29 @@ impl<'a> StratifiedSession<'a> {
             "stratification covers a different KG"
         );
         let per_stratum = cfg.per_stratum_config();
-        let slots = (0..strat.num_strata())
+        let sessions = (0..strat.num_strata())
             .map(|h| {
                 let driver = Box::new(StratumSrsDriver::new(kg, strat.members(h)));
-                StratumSlot::Live(Box::new(EvaluationSession::with_driver(
+                EvaluationSession::with_driver(
                     kg,
                     driver,
                     SamplingDesign::Srs,
                     method,
                     &per_stratum,
                     SmallRng::seed_from_u64(kgae_graph::hash::mix2(seed, u64::from(h))),
-                )))
+                )
             })
             .collect();
+        Self::with_sessions(kg, strat, method, cfg, sessions)
+    }
+
+    fn with_sessions(
+        kg: &'a dyn KnowledgeGraph,
+        strat: &Stratification,
+        method: &IntervalMethod,
+        cfg: &StratifiedConfig,
+        sessions: Vec<EvaluationSession<'a, SmallRng>>,
+    ) -> Self {
         Self {
             kg,
             cfg: cfg.clone(),
@@ -257,29 +262,27 @@ impl<'a> StratifiedSession<'a> {
                 .collect(),
             sizes: (0..strat.num_strata()).map(|h| strat.size(h)).collect(),
             weights: (0..strat.num_strata()).map(|h| strat.weight(h)).collect(),
-            slots,
+            sessions,
             pending: None,
             outcome: None,
         }
     }
 
-    /// Attaches a shared posterior-kernel cache to every live stratum
-    /// session (strata are SRS by construction, the cache's sweet spot).
+    /// Attaches a shared posterior-kernel cache to every stratum session
+    /// (strata are SRS by construction, the cache's sweet spot).
     /// Purely a cost lever: outputs stay bit-identical. Per-stratum
     /// sessions are only created in [`Self::new`] and [`Self::resume`],
     /// so attaching once after construction covers the whole campaign.
     pub fn set_kernel_cache(&mut self, kernel: &std::sync::Arc<kgae_intervals::KernelCache>) {
-        for slot in &mut self.slots {
-            if let StratumSlot::Live(session) = slot {
-                session.set_kernel_cache(std::sync::Arc::clone(kernel));
-            }
+        for session in &mut self.sessions {
+            session.set_kernel_cache(std::sync::Arc::clone(kernel));
         }
     }
 
     /// Number of strata.
     #[must_use]
     pub fn num_strata(&self) -> u32 {
-        self.slots.len() as u32
+        self.sessions.len() as u32
     }
 
     /// The campaign configuration.
@@ -313,71 +316,40 @@ impl<'a> StratifiedSession<'a> {
     }
 
     fn observations(&self, h: usize) -> u64 {
-        match &self.slots[h] {
-            StratumSlot::Live(session) => session.sample_state().n(),
-            StratumSlot::Census(result) => result.observations,
-        }
+        self.sessions[h].sample_state().n()
     }
 
     fn total_observations(&self) -> u64 {
-        (0..self.slots.len()).map(|h| self.observations(h)).sum()
+        (0..self.sessions.len()).map(|h| self.observations(h)).sum()
+    }
+
+    /// Whether every triple of stratum `h` is annotated (a census).
+    fn census(&self, h: usize) -> bool {
+        self.observations(h) == self.sizes[h]
     }
 
     /// The stratum's pooled-estimator contribution, `None` before its
     /// first annotation.
     fn summary(&self, h: usize) -> Option<StratumSummary> {
-        let weight = self.weights[h];
-        match &self.slots[h] {
-            StratumSlot::Live(session) => {
-                let state = session.sample_state();
-                if state.n() == 0 {
-                    return None;
-                }
-                let est = state.estimate();
-                // A fully annotated stratum that merely hasn't reported
-                // exhaustion yet is already a census: no sampling error.
-                let variance = if state.n() == self.sizes[h] {
-                    0.0
-                } else {
-                    est.variance
-                };
-                Some(StratumSummary {
-                    weight,
-                    mu: est.mu,
-                    variance,
-                })
-            }
-            StratumSlot::Census(result) => Some(StratumSummary {
-                weight,
-                mu: result.mu_hat,
-                variance: 0.0,
-            }),
+        let state = self.sessions[h].sample_state();
+        if state.n() == 0 {
+            return None;
         }
+        let est = state.estimate();
+        Some(StratumSummary {
+            weight: self.weights[h],
+            mu: est.mu,
+            // A census has no sampling error.
+            variance: if self.census(h) { 0.0 } else { est.variance },
+        })
     }
 
     fn report(&self, h: usize) -> StratumReport {
-        let (mut status, census) = match &self.slots[h] {
-            StratumSlot::Live(session) => {
-                let status = session.status();
-                let census = status.observations == self.sizes[h];
-                (status, census)
-            }
-            StratumSlot::Census(result) => (
-                SessionStatus {
-                    estimate: Some(result.mu_hat),
-                    interval: Some(result.interval),
-                    observations: result.observations,
-                    annotated_triples: result.annotated_triples,
-                    stage1_draws: 0,
-                    cost_seconds: result.cost_seconds,
-                    stopped: Some(StopReason::PopulationExhausted),
-                },
-                true,
-            ),
-        };
+        let mut status = self.sessions[h].status();
+        let census = self.census(h);
         if census {
-            // A fully annotated stratum is a census whether or not its
-            // engine already reported exhaustion on a poll.
+            // Stratum engines never stop on their own: the coordinator
+            // reports a fully annotated stratum as exhausted.
             status.stopped = Some(StopReason::PopulationExhausted);
         }
         StratumReport {
@@ -409,7 +381,7 @@ impl<'a> StratifiedSession<'a> {
             };
         }
         let summaries: Option<Vec<StratumSummary>> =
-            (0..self.slots.len()).map(|h| self.summary(h)).collect();
+            (0..self.sessions.len()).map(|h| self.summary(h)).collect();
         let (estimate, interval) = match summaries {
             Some(summaries) => {
                 let mu = pooled_point(&summaries);
@@ -419,19 +391,10 @@ impl<'a> StratifiedSession<'a> {
             None => (None, None),
         };
         let (mut observations, mut annotated_triples, mut cost_seconds) = (0, 0, 0.0);
-        for slot in &self.slots {
-            match slot {
-                StratumSlot::Live(session) => {
-                    observations += session.sample_state().n();
-                    annotated_triples += session.annotated_triples();
-                    cost_seconds += session.cost_seconds();
-                }
-                StratumSlot::Census(result) => {
-                    observations += result.observations;
-                    annotated_triples += result.annotated_triples;
-                    cost_seconds += result.cost_seconds;
-                }
-            }
+        for session in &self.sessions {
+            observations += session.sample_state().n();
+            annotated_triples += session.annotated_triples();
+            cost_seconds += session.cost_seconds();
         }
         SessionStatus {
             estimate,
@@ -456,7 +419,7 @@ impl<'a> StratifiedSession<'a> {
                 strata: result.strata.clone(),
             };
         }
-        let strata: Vec<StratumReport> = (0..self.slots.len()).map(|h| self.report(h)).collect();
+        let strata: Vec<StratumReport> = (0..self.sessions.len()).map(|h| self.report(h)).collect();
         StratifiedStatus {
             pooled: self.headline_status(),
             strata,
@@ -469,11 +432,11 @@ impl<'a> StratifiedSession<'a> {
         self.cfg.min_per_stratum.min(self.sizes[h])
     }
 
-    /// Picks the stratum the next batch goes to, among live strata.
-    /// `None` when every stratum is a census.
+    /// Picks the stratum the next batch goes to, among the strata that
+    /// are not yet a census. `None` when every stratum is a census.
     fn allocate(&self) -> Option<usize> {
-        let live: Vec<usize> = (0..self.slots.len())
-            .filter(|&h| matches!(self.slots[h], StratumSlot::Live(_)))
+        let live: Vec<usize> = (0..self.sessions.len())
+            .filter(|&h| !self.census(h))
             .collect();
         if live.is_empty() {
             return None;
@@ -490,13 +453,10 @@ impl<'a> StratifiedSession<'a> {
                 let scored: Vec<(f64, usize)> = live
                     .into_iter()
                     .map(|h| {
-                        let width = match &self.slots[h] {
-                            StratumSlot::Live(session) => session
-                                .status()
-                                .interval
-                                .map_or(1.0, |interval: Interval| interval.width()),
-                            StratumSlot::Census(_) => 0.0,
-                        };
+                        let width = self.sessions[h]
+                            .status()
+                            .interval
+                            .map_or(1.0, |interval: Interval| interval.width());
                         let weighted = self.weights[h] * width;
                         let score = weighted * weighted / self.observations(h).max(1) as f64;
                         (score, h)
@@ -526,21 +486,21 @@ impl<'a> StratifiedSession<'a> {
     }
 
     fn finish(&mut self, reason: StopReason) -> Result<(), SessionError> {
-        let strata: Vec<StratumReport> = (0..self.slots.len()).map(|h| self.report(h)).collect();
+        let strata: Vec<StratumReport> = (0..self.sessions.len()).map(|h| self.report(h)).collect();
         // A budget can run out before every stratum saw data; the
         // pooled answer then renormalizes over the annotated strata (a
         // best-effort partial estimate — `converged` stays false on
         // that path). With all strata present the weights already sum
         // to 1 and the division is an exact no-op, preserving the
         // bit-identity of the pooled point estimate.
-        let mut summaries: Vec<StratumSummary> = (0..self.slots.len())
+        let mut summaries: Vec<StratumSummary> = (0..self.sessions.len())
             .filter_map(|h| self.summary(h))
             .collect();
         if summaries.is_empty() {
             return Err(SessionError::StreamEndedBeforeData);
         }
         let covered: f64 = summaries.iter().map(|s| s.weight).sum();
-        if summaries.len() < self.slots.len() {
+        if summaries.len() < self.sessions.len() {
             for s in &mut summaries {
                 s.weight /= covered;
             }
@@ -570,19 +530,17 @@ impl<'a> StratifiedSession<'a> {
         if self.outcome.is_some() {
             return Ok(true);
         }
-        // Census by counts, not by slot state: the last stratum's
-        // final labels land in a submit, before any poll could convert
-        // its slot — and a complete census must report
-        // PopulationExhausted, not a vacuous zero-width MoE pass.
-        if (0..self.slots.len()).all(|h| self.observations(h) == self.sizes[h]) {
+        // A complete census must report PopulationExhausted, not a
+        // vacuous zero-width MoE pass.
+        if (0..self.sessions.len()).all(|h| self.census(h)) {
             self.finish(StopReason::PopulationExhausted)?;
             return Ok(true);
         }
         // Pooled MoE, consulted only once every stratum met its floor.
-        let floors_met = (0..self.slots.len()).all(|h| self.observations(h) >= self.floor(h));
+        let floors_met = (0..self.sessions.len()).all(|h| self.observations(h) >= self.floor(h));
         if floors_met {
             let summaries: Option<Vec<StratumSummary>> =
-                (0..self.slots.len()).map(|h| self.summary(h)).collect();
+                (0..self.sessions.len()).map(|h| self.summary(h)).collect();
             if let Some(summaries) = summaries {
                 let interval =
                     pooled_interval(&summaries, self.cfg.alpha).map_err(SessionError::Interval)?;
@@ -623,38 +581,23 @@ impl<'a> StratifiedSession<'a> {
         if self.pending.is_some() {
             return Err(SessionError::RequestPending);
         }
-        loop {
-            let Some(h) = self.allocate() else {
-                // Every stratum is a census.
-                self.check_stop()?;
-                return Ok(None);
-            };
-            let StratumSlot::Live(session) = &mut self.slots[h] else {
-                unreachable!("allocate returns live strata")
-            };
-            match session.next_request(max_units)? {
-                Some(request) => {
-                    self.pending = Some(h as u32);
-                    return Ok(Some(StratifiedRequest {
-                        stratum: h as u32,
-                        name: self.names[h].clone(),
-                        request,
-                    }));
-                }
-                None => {
-                    // The stratum ran dry: with a without-replacement
-                    // stratum stream that means a census.
-                    let result = session
-                        .result()
-                        .cloned()
-                        .expect("a stopped session has a result");
-                    self.slots[h] = StratumSlot::Census(Box::new(result));
-                    if self.check_stop()? {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
+        let Some(h) = self.allocate() else {
+            // Every stratum is a census.
+            self.check_stop()?;
+            return Ok(None);
+        };
+        // A stratum with unannotated triples always serves a batch: its
+        // engine never stops on its own, and its without-replacement
+        // stream runs dry only once every triple is drawn.
+        let request = self.sessions[h]
+            .next_request(max_units)?
+            .expect("a stratum that is not a census serves a batch");
+        self.pending = Some(h as u32);
+        Ok(Some(StratifiedRequest {
+            stratum: h as u32,
+            name: self.names[h].clone(),
+            request,
+        }))
     }
 
     /// Submits labels for the outstanding batch, in request order, then
@@ -669,10 +612,7 @@ impl<'a> StratifiedSession<'a> {
         let Some(h) = self.pending else {
             return Err(SessionError::NoRequestPending);
         };
-        let StratumSlot::Live(session) = &mut self.slots[h as usize] else {
-            unreachable!("pending stratum is live")
-        };
-        session.submit(labels)?;
+        self.sessions[h as usize].submit(labels)?;
         self.pending = None;
         self.check_stop()?;
         Ok(())
@@ -680,10 +620,9 @@ impl<'a> StratifiedSession<'a> {
 
     /// Withdraws the outstanding batch by rewinding the pending
     /// stratum's engine to its pre-draw state
-    /// ([`EvaluationSession::cancel_request`]). Census conversions made
-    /// while searching for a live stratum stand — they are exact and
-    /// snapshot cleanly — so a re-poll after cancel re-runs the same
-    /// allocation and regenerates the bit-identical batch.
+    /// ([`EvaluationSession::cancel_request`]), so a re-poll after
+    /// cancel re-runs the same allocation and regenerates the
+    /// bit-identical batch.
     ///
     /// # Errors
     ///
@@ -693,10 +632,7 @@ impl<'a> StratifiedSession<'a> {
         let Some(h) = self.pending else {
             return Err(SessionError::NoRequestPending);
         };
-        let StratumSlot::Live(session) = &mut self.slots[h as usize] else {
-            unreachable!("pending stratum is live")
-        };
-        session.cancel_request()?;
+        self.sessions[h as usize].cancel_request()?;
         self.pending = None;
         Ok(())
     }
@@ -706,10 +642,8 @@ impl<'a> StratifiedSession<'a> {
     // -----------------------------------------------------------------
 
     /// Serializes the coordinator into a canonical binary snapshot: the
-    /// PR-2 `KGAESNAP` container with the stratified record type
-    /// (design-tag byte 4), campaign fingerprints, and one embedded
-    /// per-stratum record (a full session snapshot for live strata, an
-    /// exact census record otherwise).
+    /// `KGAESNAP` container with the stratified record tag (4), campaign
+    /// fingerprints, and one embedded session record per stratum.
     ///
     /// # Errors
     ///
@@ -730,7 +664,7 @@ impl<'a> StratifiedSession<'a> {
         w.bytes(SNAPSHOT_MAGIC);
         w.u16(SNAPSHOT_VERSION);
         w.u8(STRATIFIED_SNAPSHOT_TAG);
-        w.u64(self.slots.len() as u64);
+        w.u64(self.sessions.len() as u64);
         w.u64(self.kg.num_triples());
         w.u32(self.kg.num_clusters());
         w.u64(self.strat_fingerprint);
@@ -743,19 +677,10 @@ impl<'a> StratifiedSession<'a> {
         // Method fingerprint (same shape as the session snapshot's).
         write_method_fingerprint(&mut w, &self.method);
         // Per-stratum records.
-        for slot in &self.slots {
-            match slot {
-                StratumSlot::Live(session) => {
-                    w.u8(0);
-                    let child = session.snapshot()?;
-                    w.u64(child.len() as u64);
-                    w.bytes(&child);
-                }
-                StratumSlot::Census(result) => {
-                    w.u8(1);
-                    write_result(&mut w, result);
-                }
-            }
+        for session in &self.sessions {
+            let child = session.snapshot()?;
+            w.u64(child.len() as u64);
+            w.bytes(&child);
         }
         Ok(w.into_bytes())
     }
@@ -811,85 +736,24 @@ impl<'a> StratifiedSession<'a> {
             return Err(SessionError::SnapshotMismatch("interval method differs"));
         }
         let per_stratum = cfg.per_stratum_config();
-        let mut slots = Vec::with_capacity(strat.num_strata() as usize);
+        let mut sessions = Vec::with_capacity(strat.num_strata() as usize);
         for h in 0..strat.num_strata() {
-            match r.u8().map_err(corrupt)? {
-                0 => {
-                    let len = r.len_capped(bytes.len() as u64).map_err(corrupt)?;
-                    let child = r.bytes(len).map_err(corrupt)?;
-                    let driver = Box::new(StratumSrsDriver::new(kg, strat.members(h)));
-                    let session = EvaluationSession::resume_with_driver(
-                        kg,
-                        driver,
-                        SamplingDesign::Srs,
-                        method,
-                        &per_stratum,
-                        SmallRng::seed_from_u64(0),
-                        child,
-                    )?;
-                    slots.push(StratumSlot::Live(Box::new(session)));
-                }
-                1 => {
-                    let result = read_result(&mut r).map_err(corrupt)?;
-                    if result.observations != strat.size(h) {
-                        return Err(SessionError::CorruptSnapshot(
-                            "census record disagrees with the stratum size",
-                        ));
-                    }
-                    slots.push(StratumSlot::Census(Box::new(result)));
-                }
-                _ => return Err(SessionError::CorruptSnapshot("unknown stratum record tag")),
-            }
+            let len = r.len_capped(bytes.len() as u64).map_err(corrupt)?;
+            let child = r.bytes(len).map_err(corrupt)?;
+            let driver = Box::new(StratumSrsDriver::new(kg, strat.members(h)));
+            sessions.push(EvaluationSession::resume_with_driver(
+                kg,
+                driver,
+                SamplingDesign::Srs,
+                method,
+                &per_stratum,
+                SmallRng::seed_from_u64(0),
+                child,
+            )?);
         }
         r.finish().map_err(corrupt)?;
-        Ok(Self {
-            kg,
-            cfg: cfg.clone(),
-            method: method.clone(),
-            strat_fingerprint: strat.fingerprint(),
-            names: (0..strat.num_strata())
-                .map(|h| strat.name(h).to_string())
-                .collect(),
-            sizes: (0..strat.num_strata()).map(|h| strat.size(h)).collect(),
-            weights: (0..strat.num_strata()).map(|h| strat.weight(h)).collect(),
-            slots,
-            pending: None,
-            outcome: None,
-        })
+        Ok(Self::with_sessions(kg, strat, method, cfg, sessions))
     }
-}
-
-/// Identity prefix of a stratified coordinator snapshot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StratifiedSnapshotHeader {
-    /// Number of strata.
-    pub num_strata: u64,
-    /// `num_triples` of the parent KG.
-    pub num_triples: u64,
-    /// `num_clusters` of the parent KG.
-    pub num_clusters: u32,
-    /// The stratification's [`Stratification::fingerprint`].
-    pub stratification_fingerprint: u64,
-}
-
-/// Header parser behind the stratified (tag 4) row of the snapshot tag
-/// registry.
-pub(crate) fn peek_stratified_header_impl(
-    bytes: &[u8],
-) -> Result<StratifiedSnapshotHeader, SessionError> {
-    let corrupt = SessionError::CorruptSnapshot;
-    let mut r = Reader::new(bytes);
-    if read_record_prefix(&mut r)? != STRATIFIED_SNAPSHOT_TAG {
-        return Err(SessionError::SnapshotMismatch(
-            "not a stratified coordinator snapshot",
-        ));
-    }
-    Ok(StratifiedSnapshotHeader {
-        num_strata: r.u64().map_err(corrupt)?,
-        num_triples: r.u64().map_err(corrupt)?,
-        num_clusters: r.u32().map_err(corrupt)?,
-        stratification_fingerprint: r.u64().map_err(corrupt)?,
-    })
 }
 
 fn allocation_tag(policy: AllocationPolicy) -> u8 {
@@ -898,51 +762,6 @@ fn allocation_tag(policy: AllocationPolicy) -> u8 {
         AllocationPolicy::Proportional => 1,
         AllocationPolicy::Equal => 2,
     }
-}
-
-fn stop_reason_tag(reason: StopReason) -> u8 {
-    match reason {
-        StopReason::MoeSatisfied => 0,
-        StopReason::PopulationExhausted => 1,
-        StopReason::StreamExhausted => 2,
-        StopReason::BudgetExhausted => 3,
-    }
-}
-
-fn write_result(w: &mut Writer, result: &EvalResult) {
-    w.f64(result.mu_hat);
-    w.f64(result.interval.lower());
-    w.f64(result.interval.upper());
-    w.u64(result.annotated_triples);
-    w.u64(result.annotated_entities);
-    w.u64(result.observations);
-    w.u64(result.stage1_draws);
-    w.f64(result.cost_seconds);
-    w.bool(result.converged);
-    w.bool(result.halted_at_floor);
-    w.u8(stop_reason_tag(StopReason::StreamExhausted));
-}
-
-fn read_result(r: &mut Reader<'_>) -> Result<EvalResult, &'static str> {
-    let mu_hat = r.f64()?;
-    let lo = r.f64()?;
-    let hi = r.f64()?;
-    if lo.is_nan() || hi.is_nan() || lo > hi {
-        return Err("interval bounds out of order");
-    }
-    let result = EvalResult {
-        mu_hat,
-        interval: Interval::new(lo, hi),
-        annotated_triples: r.u64()?,
-        annotated_entities: r.u64()?,
-        observations: r.u64()?,
-        stage1_draws: r.u64()?,
-        cost_seconds: r.f64()?,
-        converged: r.bool()?,
-        halted_at_floor: r.bool()?,
-    };
-    let _reason = r.u8()?;
-    Ok(result)
 }
 
 #[cfg(test)]
@@ -1098,19 +917,10 @@ mod tests {
         }
         let bytes = session.snapshot().unwrap();
 
-        // Header peek works and reports identity.
-        let header = match crate::engine::peek_any_header(&bytes).unwrap() {
-            crate::engine::AnyHeader::Stratified(h) => h,
-            other => panic!("stratified snapshot identified as {:?}", other.kind()),
-        };
-        assert_eq!(header.num_strata, 8);
-        assert_eq!(header.num_triples, kg.num_triples());
-        assert_eq!(header.stratification_fingerprint, strat.fingerprint());
-        // A plain session peek refuses it with a mismatch, not garbage.
-        assert!(matches!(
-            crate::session::peek_plain_header(&bytes),
-            Err(SessionError::SnapshotMismatch(_))
-        ));
+        assert_eq!(
+            crate::engine::snapshot_engine_kind(&bytes).unwrap(),
+            crate::engine::EngineKind::Stratified
+        );
 
         // Wrong partition.
         let other = kgae_graph::stratify::Stratification::by_hash(&kg, 8, 1);

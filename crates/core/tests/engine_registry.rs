@@ -1,13 +1,11 @@
-//! Registry-dispatched suspend/resume across every engine kind: for
+//! Kind-checked suspend/resume across every engine kind: for
 //! plain × stratified × comparative engines — driven purely through the
 //! object-safe `dyn SessionEngine` interface — a snapshot resumed via
-//! the tag registry ([`EngineSpec::resume`]) re-snapshots to the
+//! its record tag ([`EngineSpec::resume`]) re-snapshots to the
 //! **identical bytes**, across seeds × datasets × batch sizes, and the
 //! resumed engine finishes bit-identically to the uninterrupted one.
 
-use kgae_core::engine::{
-    peek_any_header, snapshot_engine_kind, EngineKind, EngineSpec, SessionEngine,
-};
+use kgae_core::engine::{snapshot_engine_kind, EngineKind, EngineSpec, SessionEngine};
 use kgae_core::{
     DeltaBatch, EvalConfig, EvalResult, IntervalMethod, MonitorReport, PreparedDesign,
     SamplingDesign, SessionError, StratifiedConfig,
@@ -152,11 +150,10 @@ proptest! {
             return Ok(());
         }
 
-        // snapshot → resume-via-registry → snapshot: byte-identical,
+        // snapshot → kind-checked resume → snapshot: byte-identical,
         // entirely through the dyn interface.
         let snap = engine.snapshot().unwrap();
         prop_assert_eq!(snapshot_engine_kind(&snap).unwrap(), spec.kind());
-        prop_assert_eq!(peek_any_header(&snap).unwrap().kind(), spec.kind());
         let resumed = spec.resume(&snap).unwrap();
         prop_assert_eq!(resumed.snapshot().unwrap(), snap.clone());
 
@@ -223,8 +220,8 @@ fn monitor_fingerprint(engine: &dyn SessionEngine) -> MonitorFingerprint {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Tag-6 (monitor) suspend/resume through the registry: snapshot →
-    /// resume-via-registry → snapshot is byte-identical while the
+    /// Tag-6 (monitor) suspend/resume by record tag: snapshot →
+    /// kind-checked resume → snapshot is byte-identical while the
     /// initial campaign is open, while watching, and **mid-delta** —
     /// after a degrading batch has re-opened annotation — and the
     /// interrupted line converges to a bit-identical watching state.
@@ -256,7 +253,6 @@ proptest! {
         drive_monitor(&truth, engine.as_mut(), warmup, batch);
         let snap = engine.snapshot().unwrap();
         prop_assert_eq!(snapshot_engine_kind(&snap).unwrap(), EngineKind::Monitor);
-        prop_assert_eq!(peek_any_header(&snap).unwrap().kind(), EngineKind::Monitor);
         let mut resumed = spec.resume(&snap).unwrap();
         prop_assert_eq!(resumed.snapshot().unwrap(), snap);
 
@@ -288,7 +284,7 @@ proptest! {
             drive_monitor(&truth, resumed.as_mut(), warmup, batch);
         }
         let snap = resumed.snapshot().unwrap();
-        prop_assert_eq!(peek_any_header(&snap).unwrap().kind(), EngineKind::Monitor);
+        prop_assert_eq!(snapshot_engine_kind(&snap).unwrap(), EngineKind::Monitor);
         let mut resumed_again = spec.resume(&snap).unwrap();
         prop_assert_eq!(resumed_again.snapshot().unwrap(), snap);
 
@@ -308,7 +304,7 @@ proptest! {
     }
 }
 
-/// Everything an engine spec of each registry tag borrows: one NELL
+/// Everything an engine spec of each record tag borrows: one NELL
 /// twin, the four plain designs, a 4-way hash stratification and the
 /// default configs.
 struct EveryTag {
@@ -383,10 +379,11 @@ impl EveryTag {
 }
 
 /// Records of the retired versions are rejected as a typed version
-/// mismatch for every registry tag, before any kind-specific parsing:
-/// version 1 still carried a per-prior solver section, and version 2
-/// serialized the session's derived state instead of its label log. No
-/// reader for either exists.
+/// mismatch for every record tag, before any kind-specific parsing:
+/// version 1 still carried a per-prior solver section, version 2
+/// serialized the session's derived state instead of its label log, and
+/// version 3 stored census strata, rival countdowns and monitor
+/// counters that version 4 derives. No reader for any of them exists.
 #[test]
 fn older_version_records_are_rejected_for_every_registry_tag() {
     let every = EveryTag::new();
@@ -399,9 +396,9 @@ fn older_version_records_are_rejected_for_every_registry_tag() {
         );
         let mut snap = engine.snapshot().unwrap();
         assert_eq!(usize::from(snap[10]), tag);
-        assert_eq!(snap[8..10], 3u16.to_le_bytes(), "tag {tag}");
+        assert_eq!(snap[8..10], 4u16.to_le_bytes(), "tag {tag}");
         spec.resume(&snap).unwrap();
-        for version in [1u16, 2] {
+        for version in [1u16, 2, 3] {
             snap[8..10].copy_from_slice(&version.to_le_bytes());
             let unsupported = |e: Option<SessionError>| {
                 matches!(
@@ -414,7 +411,7 @@ fn older_version_records_are_rejected_for_every_registry_tag() {
                 "tag {tag} v{version}"
             );
             assert!(
-                unsupported(peek_any_header(&snap).err()),
+                unsupported(snapshot_engine_kind(&snap).err()),
                 "tag {tag} v{version}"
             );
         }
@@ -437,13 +434,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn mid_campaign_snapshot_bytes_are_pinned_for_every_registry_tag() {
     const GOLDEN: [(usize, u64); 7] = [
-        (196, 0xfb29_4e80_442e_15f6),
-        (197, 0x81b0_84de_a714_2643),
-        (197, 0x92df_2d35_415b_f7a7),
-        (197, 0xed74_70e2_4352_1aba),
-        (925, 0x23f6_b3b8_91f0_01fa),
-        (349, 0x1a8a_4029_a3c4_3bb3),
-        (854, 0xb66e_5af0_d640_6eeb),
+        (196, 0xd13d_5747_f29c_9f75),
+        (197, 0x7db4_dbb1_e8ac_8f82),
+        (197, 0x9d4d_4cb9_08bb_ff72),
+        (197, 0xd846_2087_dae0_d18b),
+        (921, 0xb374_8426_8331_be4d),
+        (325, 0x24bd_960b_d06d_3051),
+        (838, 0x15c3_4b27_37fb_dd2f),
     ];
     let every = EveryTag::new();
     let truth = DeltaKg::with_truth(&every.kg, &every.kg);

@@ -204,5 +204,43 @@ fn every_submit_point_resumes_to_the_uninterrupted_result() {
         let label = format!("monitor seed {seed}");
         points += sweep(&label, &truth, engine, |b| monitor.resume(b).unwrap(), 4);
     }
+
+    // A partition below the per-stratum floor of 10: 36 strata of about
+    // 8 triples on a 300-triple twin. The warm-up annotates whole
+    // strata, so most suspension points resume through census strata.
+    let small = kgae_graph::datasets::syn_scaled(300, 60, 0.85, 5);
+    let tiny = Stratification::by_hash(&small, 36, 2);
+    for batch in [1, 4] {
+        for seed in 0..20 {
+            let spec = EngineSpec::Stratified {
+                kg: &small,
+                stratification: &tiny,
+                method: &method,
+                config: &strat_cfg,
+                seed,
+            };
+            let (mut with_census, mut total) = (0, 0);
+            let mut engine = spec.build();
+            while step(&small, engine.as_mut(), batch) {
+                if engine.stop_reason().is_none() {
+                    let strata = engine.status().strata.expect("stratified rows");
+                    with_census += usize::from(strata.iter().any(|r| r.census));
+                    total += 1;
+                }
+            }
+            assert!(
+                2 * with_census > total,
+                "seed {seed}: a census stratum at {with_census} of {total} points"
+            );
+            let label = format!("census strata batch {batch} seed {seed}");
+            points += sweep(
+                &label,
+                &small,
+                spec.build(),
+                |b| spec.resume(b).unwrap(),
+                batch,
+            );
+        }
+    }
     assert!(points > 100_000, "only {points} suspension points");
 }

@@ -429,7 +429,7 @@ impl SnapshotStore {
             return meta_plausible(id, bytes);
         }
         if name.strip_suffix(".snap").is_some() {
-            return kgae_core::peek_any_header(bytes).is_ok();
+            return kgae_core::snapshot_engine_kind(bytes).is_ok();
         }
         false
     }
@@ -510,7 +510,7 @@ impl SnapshotStore {
                 }
                 (MetaState::Suspended, true) => {
                     let snap = std::fs::read(self.snap_path(id))?;
-                    if let Err(e) = kgae_core::peek_any_header(&snap) {
+                    if let Err(e) = kgae_core::snapshot_engine_kind(&snap) {
                         condemn(id, &format!("corrupt or truncated snapshot: {e}"), report)?;
                         continue 'meta;
                     }
@@ -580,7 +580,7 @@ mod tests {
     }
 
     /// A structurally valid snapshot: round-trip one through a real
-    /// engine so `peek_any_header` accepts it.
+    /// engine so `snapshot_engine_kind` accepts it.
     fn real_snapshot() -> Vec<u8> {
         use kgae_graph::GroundTruth;
         use rand::SeedableRng;

@@ -282,14 +282,14 @@ fn corrupt_records_are_quarantined_as_410_not_500() {
 
 #[test]
 fn retired_version_snapshots_are_quarantined_as_410_not_500() {
-    // A record stored before the v3 snapshot bump (here a v2 and a v1
-    // record) is a typed version mismatch: deep resume quarantines it,
-    // and so does a restart's recovery sweep.
+    // A record stored before the v4 snapshot bump (here a v3, a v2 and
+    // a v1 record) is a typed version mismatch: deep resume quarantines
+    // it, and so does a restart's recovery sweep.
     let registry = DatasetRegistry::standard();
     let kg = registry.get("nell").unwrap();
     let dir = temp_dir("v1");
     let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 2);
-    for (id, version) in [("live", 2u16), ("boot", 1)] {
+    for (id, version) in [("live", 3u16), ("boot", 2), ("old", 1)] {
         manager.create(&spec(id, None, 5)).unwrap();
         let (request, view) = manager.next_request(id, 8).unwrap();
         let labels: Vec<bool> = request
@@ -302,7 +302,7 @@ fn retired_version_snapshots_are_quarantined_as_410_not_500() {
         manager.evict(id).unwrap();
         let snap_path = dir.join(format!("{id}.snap"));
         let mut bytes = std::fs::read(&snap_path).unwrap();
-        assert_eq!(bytes[8..10], 3u16.to_le_bytes());
+        assert_eq!(bytes[8..10], 4u16.to_le_bytes());
         bytes[8..10].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&snap_path, &bytes).unwrap();
     }
@@ -321,7 +321,7 @@ fn retired_version_snapshots_are_quarantined_as_410_not_500() {
 
     drop(manager);
     let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 2);
-    for id in ["live", "boot"] {
+    for id in ["live", "boot", "old"] {
         let err = manager.next_request(id, 8).map(|_| ()).unwrap_err();
         assert_eq!(err.http_status(), 410, "{id}: {err}");
     }

@@ -254,3 +254,129 @@ fn corrupt_snapshot_answers_410_over_http() {
     });
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One mid-campaign record of every `KGAESNAP` record tag, in tag order
+/// 0–6: SRS, TWCS(3), WCS and SCS sessions, a stratified campaign, a
+/// comparative campaign (SRS, aHPD primary) and a monitor, all on the
+/// NELL twin, snapshotted at the first batch-4 poll boundary at ≥ 40
+/// observations.
+fn every_tag_record() -> Vec<Vec<u8>> {
+    use kgae_core::engine::EngineSpec;
+    use kgae_core::{EvalConfig, PreparedDesign, SamplingDesign, StratifiedConfig};
+    use kgae_graph::stratify::Stratification;
+    use kgae_sampling::ComparePrimary;
+
+    let kg = kgae_graph::datasets::nell();
+    let method = IntervalMethod::ahpd_default();
+    let cfg = EvalConfig::default();
+    let strat_cfg = StratifiedConfig::default();
+    let stratification = Stratification::by_hash(&kg, 4, 1);
+    let prepared: Vec<PreparedDesign> = [
+        SamplingDesign::Srs,
+        SamplingDesign::Twcs { m: 3 },
+        SamplingDesign::Wcs,
+        SamplingDesign::Scs,
+    ]
+    .into_iter()
+    .map(|design| PreparedDesign::new(&kg, design))
+    .collect();
+    let mut specs: Vec<EngineSpec<'_, '_>> = prepared
+        .iter()
+        .map(|prepared| EngineSpec::Plain {
+            kg: &kg,
+            prepared,
+            method: &method,
+            config: &cfg,
+            seed: 7,
+        })
+        .collect();
+    specs.push(EngineSpec::Stratified {
+        kg: &kg,
+        stratification: &stratification,
+        method: &method,
+        config: &strat_cfg,
+        seed: 7,
+    });
+    specs.push(EngineSpec::Comparative {
+        kg: &kg,
+        prepared: &prepared[0],
+        primary: ComparePrimary::AHpd,
+        config: &cfg,
+        seed: 7,
+    });
+    specs.push(EngineSpec::Monitor {
+        kg: &kg,
+        method: &method,
+        config: &cfg,
+        carry_weight: 50.0,
+        seed: 7,
+    });
+    specs
+        .iter()
+        .map(|spec| {
+            let mut engine = spec.build();
+            while engine.headline().observations < 40 {
+                let polled = engine.next_request(4).unwrap().expect("engine has work");
+                let labels: Vec<bool> = polled
+                    .request
+                    .triples
+                    .iter()
+                    .map(|st| kg.is_correct(st.triple))
+                    .collect();
+                engine.submit(&labels).unwrap();
+            }
+            engine.snapshot().unwrap()
+        })
+        .collect()
+}
+
+/// For one record of every tag, the recovery sweep quarantines each
+/// truncation that ends inside the record's identity prefix and keeps
+/// both the bare prefix and the intact record: the sweep validates
+/// exactly the identity prefix, no less and no more.
+#[test]
+fn recovery_sweep_checks_the_identity_prefix_of_every_record_tag() {
+    // The container prefix (8-byte magic, u16 version, u8 tag) plus
+    // each kind's identity fields: plain `u64` design parameter, `u64`
+    // triples, `u32` clusters; stratified `u64` strata, `u64` triples,
+    // `u32` clusters, `u64` partition fingerprint; comparative `u8`
+    // design tag, `u64` design parameter, `u64` triples, `u32`
+    // clusters, `u8` primary, `u8` roster size; monitor `u64` triples,
+    // `u32` clusters, `u64` epoch, `bool` annotating.
+    const PREFIX: [usize; 7] = [31, 31, 31, 31, 39, 34, 32];
+    let meta = |id: &str| format!(r#"{{"spec":{{"id":"{id}"}},"state":"suspended"}}"#);
+    for (tag, record) in every_tag_record().iter().enumerate() {
+        assert_eq!(usize::from(record[10]), tag);
+        assert!(record.len() > PREFIX[tag], "tag {tag} record too short");
+        let dir = temp_dir(&format!("prefix-{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |id: &str, bytes: &[u8]| {
+            std::fs::write(dir.join(format!("{id}.meta.json")), meta(id)).unwrap();
+            std::fs::write(dir.join(format!("{id}.snap")), bytes).unwrap();
+        };
+        for len in 0..=PREFIX[tag] {
+            write(&format!("cut{len}"), &record[..len]);
+        }
+        write("intact", record);
+
+        let store = SnapshotStore::open(&dir).unwrap();
+        let report = store.recovery_report();
+        let quarantined: Vec<&str> = report
+            .quarantined
+            .iter()
+            .map(|(id, _)| id.as_str())
+            .collect();
+        for len in 0..PREFIX[tag] {
+            let id = format!("cut{len}");
+            assert!(
+                quarantined.contains(&id.as_str()),
+                "tag {tag}: a record cut to {len} bytes survived the sweep"
+            );
+        }
+        assert_eq!(quarantined.len(), PREFIX[tag], "tag {tag}");
+        let mut kept = vec![format!("cut{}", PREFIX[tag]), "intact".to_string()];
+        kept.sort();
+        assert_eq!(report.recovered, kept, "tag {tag}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

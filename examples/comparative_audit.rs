@@ -10,8 +10,8 @@
 //! whole comparison table.
 //!
 //! Also demonstrates the object-safe engine surface: the same driving
-//! loop works for any `dyn SessionEngine`, and suspend/resume through
-//! the snapshot tag registry is byte-identical.
+//! loop works for any `dyn SessionEngine`, and a suspended campaign's
+//! snapshot names its engine kind and resumes byte-identically.
 //!
 //! ```text
 //! cargo run --release --example comparative_audit
@@ -46,16 +46,16 @@ fn main() {
         session.submit(&labels).expect("submit");
         units += 1;
 
-        // Suspend/resume mid-flight: the campaign (primary engine,
-        // every rival's solver and lookahead schedule) serializes into
-        // one tagged snapshot and continues bit-identically.
+        // Suspend/resume mid-flight: the campaign (primary engine and
+        // every rival's stop, if it has one) serializes into one tagged
+        // snapshot and continues bit-identically.
         if units == 40 {
             let bytes = session.snapshot().expect("snapshot");
             println!(
                 "suspended after {units} units into a {}-byte snapshot (record kind: {})",
                 bytes.len(),
                 kgae::core::snapshot_engine_kind(&bytes)
-                    .expect("registry identifies the bytes")
+                    .expect("the record tag names the engine kind")
                     .name(),
             );
             session =

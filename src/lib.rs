@@ -20,7 +20,7 @@
 //!   aHPD algorithm, stratified (per-predicate) campaign coordination,
 //!   comparative multi-method campaigns (one annotation stream racing
 //!   every interval method), the object-safe `SessionEngine` trait
-//!   with its snapshot tag registry, and the repeated-run experiment
+//!   with its snapshot record tags, and the repeated-run experiment
 //!   harness;
 //! * [`service`] — the multi-tenant session server: a sharded
 //!   `SessionManager` with snapshot-backed persistence behind a
