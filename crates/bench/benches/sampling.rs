@@ -32,9 +32,10 @@ fn bench_sampling(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = SmallRng::seed_from_u64(2);
             let mut s = TwcsSampler::with_table(&kg, 5, Arc::clone(&table));
-            let mut acc = 0usize;
+            let (mut acc, mut triples) = (0usize, Vec::new());
             for _ in 0..1_000 {
-                acc += s.next_cluster(&mut rng).triples.len();
+                s.next_cluster(&mut rng, &mut triples);
+                acc += triples.len();
             }
             black_box(acc)
         })

@@ -48,5 +48,8 @@ fn main() {
     }
     println!("Reading: Wald collapses near the boundaries (the §3.1 pathology);");
     println!("Wilson restores frequentist coverage at an efficiency price;");
-    println!("HPD/aHPD hold near-nominal coverage everywhere while being the shortest.");
+    println!("HPD/aHPD are the shortest; at a fixed n their coverage is near nominal");
+    println!("away from the boundaries and dips near them at n = 30 (μ = 0.05, 0.95).");
+    println!("These are fixed-n coverages: coverage at the sequential stopping time");
+    println!("is another question, which this ablation does not answer.");
 }

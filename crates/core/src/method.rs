@@ -59,7 +59,7 @@ use kgae_intervals::{
     et_interval, hpd_interval_exact, hpd_width_achievable, hpd_width_lower_bound,
     wald_from_variance, wilson, BetaPrior, Boundary, Interval, IntervalError, Kernel,
 };
-use kgae_stats::dist::Beta;
+use kgae_stats::dist::{upper_normal_quantile, Beta};
 use std::sync::Arc;
 
 /// Hard cap on a single certified skip, bounding the cost of one
@@ -520,16 +520,6 @@ fn pruned_ahpd(
         }
     }
     Ok(best.0)
-}
-
-/// `z` with upper-tail normal probability `p ∈ (0, 0.5]`, by the
-/// rational approximation of Abramowitz & Stegun 26.2.23 (absolute error
-/// below 4.5e-4). Only estimates use it: the lookaheads' start horizon
-/// (any start gives the same skip) and a session's up-front map room.
-pub(crate) fn upper_normal_quantile(p: f64) -> f64 {
-    let t = (-2.0 * p.ln()).sqrt();
-    t - (2.515_517 + t * (0.802_853 + t * 0.010_328))
-        / (1.0 + t * (1.432_788 + t * (0.189_269 + t * 0.001_308)))
 }
 
 /// The prior with the smallest `a + b`: the one whose posterior narrows
@@ -1065,18 +1055,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn upper_normal_quantile_is_within_its_stated_error() {
-        for (p, z) in [
-            (0.005, 2.575_829),
-            (0.025, 1.959_964),
-            (0.05, 1.644_854),
-            (0.5, 0.0),
-        ] {
-            assert!((upper_normal_quantile(p) - z).abs() < 4.5e-4, "p = {p}");
         }
     }
 

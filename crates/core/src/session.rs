@@ -52,13 +52,14 @@
 
 use crate::cost::CostTracker;
 use crate::framework::{EvalConfig, EvalResult, PreparedDesign, SamplingDesign, StoppingPolicy};
-use crate::method::{upper_normal_quantile, IntervalMethod, SrsBoundary};
+use crate::method::{IntervalMethod, SrsBoundary};
 use crate::snapshot::{LabelLog, Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::state::{DesignKind, SampleState};
 use kgae_graph::{KnowledgeGraph, LabelCache};
 use kgae_intervals::{Interval, IntervalError, Kernel, KernelCache};
 use kgae_sampling::driver::{build_driver, DesignDriver, UnitEstimator};
 use kgae_sampling::SampledTriple;
+use kgae_stats::dist::upper_normal_quantile;
 use kgae_stats::hash::BuildIntHasher;
 use rand::rngs::SmallRng;
 use rand::RngCore;

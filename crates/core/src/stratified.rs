@@ -202,6 +202,12 @@ pub struct StratifiedSession<'a> {
     weights: Vec<f64>,
     /// One SRS-within-stratum engine per stratum, in stratum order.
     sessions: Vec<EvaluationSession<'a, SmallRng>>,
+    /// Per stratum, the interval width the width-greedy allocation last
+    /// scored it with and the observation count it was computed at. A
+    /// stratum's state changes only when it absorbs labels, which raises
+    /// its count, so a width at the current count is current. Never
+    /// serialized: a resumed campaign recomputes it.
+    widths: Vec<Option<(u64, f64)>>,
     pending: Option<u32>,
     outcome: Option<(StopReason, StratifiedResult)>,
 }
@@ -262,6 +268,7 @@ impl<'a> StratifiedSession<'a> {
                 .collect(),
             sizes: (0..strat.num_strata()).map(|h| strat.size(h)).collect(),
             weights: (0..strat.num_strata()).map(|h| strat.weight(h)).collect(),
+            widths: vec![None; sessions.len()],
             sessions,
             pending: None,
             outcome: None,
@@ -434,7 +441,7 @@ impl<'a> StratifiedSession<'a> {
 
     /// Picks the stratum the next batch goes to, among the strata that
     /// are not yet a census. `None` when every stratum is a census.
-    fn allocate(&self) -> Option<usize> {
+    fn allocate(&mut self) -> Option<usize> {
         let live: Vec<usize> = (0..self.sessions.len())
             .filter(|&h| !self.census(h))
             .collect();
@@ -449,14 +456,12 @@ impl<'a> StratifiedSession<'a> {
         match self.cfg.allocation {
             AllocationPolicy::WidthGreedy => {
                 // Scoring a stratum constructs its interval (one solver
-                // run), so compute each score exactly once per batch.
+                // run), so compute each score exactly once per batch, and
+                // only for the stratum whose state changed since.
                 let scored: Vec<(f64, usize)> = live
                     .into_iter()
                     .map(|h| {
-                        let width = self.sessions[h]
-                            .status()
-                            .interval
-                            .map_or(1.0, |interval: Interval| interval.width());
+                        let width = self.stratum_width(h);
                         let weighted = self.weights[h] * width;
                         let score = weighted * weighted / self.observations(h).max(1) as f64;
                         (score, h)
@@ -482,6 +487,23 @@ impl<'a> StratifiedSession<'a> {
                     .then(a.cmp(&b))
             }),
             AllocationPolicy::Equal => live.into_iter().min_by_key(|&h| (self.observations(h), h)),
+        }
+    }
+
+    /// Stratum `h`'s interval width (1 before it has one), memoized in
+    /// `widths` at its observation count.
+    fn stratum_width(&mut self, h: usize) -> f64 {
+        let n = self.observations(h);
+        match self.widths[h] {
+            Some((at, width)) if at == n => width,
+            _ => {
+                let width = self.sessions[h]
+                    .status()
+                    .interval
+                    .map_or(1.0, |interval: Interval| interval.width());
+                self.widths[h] = Some((n, width));
+                width
+            }
         }
     }
 

@@ -26,11 +26,21 @@
 //!   designs reach it with little effective evidence under a sub-uniform
 //!   prior (Kerman at `n_eff = 1`, `μ̂ = 0.5` is `Beta(0.83, 0.83)`); the
 //!   engines map it to the uninformative `[0, 1]` interval.
+//!
+//! The stopping predicate [`hpd_width_achievable`] ("is the HPD width at
+//! most `w`?") is asked far more often than an interval is solved, and
+//! mostly answers "not yet". For a unimodal posterior it refutes most such
+//! widths without an incomplete-beta evaluation: the posterior is
+//! log-concave, so chords of its log-density bound from below the mass
+//! outside the best width-`w` window, and tails that exceed `α` by more
+//! than [`Beta::window_mass`]'s numerical error prove the measured check
+//! would refute the width too. Its verdicts are therefore those of the
+//! measured check, by construction.
 
 use crate::error::IntervalError;
 use crate::et::{check_alpha, et_interval};
 use crate::types::Interval;
-use kgae_stats::dist::{Beta, BetaShape};
+use kgae_stats::dist::{upper_normal_quantile, Beta, BetaShape};
 
 /// [`hpd_interval_exact`] under its former name, kept only because the
 /// repository benchmark's `intervals.hpd.cold` row calls it.
@@ -74,15 +84,25 @@ pub fn hpd_width_lower_bound(posterior: &Beta, alpha: f64) -> Option<f64> {
 /// width `w` hold `1-α` posterior mass? Equivalently, is the `1-α` HPD
 /// width at most `w`?
 ///
-/// For a unimodal posterior this is three steps:
+/// For a unimodal posterior this is four steps:
 ///
 /// 1. the necessary condition `w·f(mode) ≥ 1-α` (the contrapositive of
 ///    Theorem 1's width bound) rejects the common "clearly not yet" case
 ///    with one density evaluation;
-/// 2. the best-placed width-`w` window `[l, l+w]` is located by a
-///    bracketed Newton solve of `f(l) = f(l+w)` in log space, which
+/// 2. when `w` is below 98% of the HPD width of the normal posterior with
+///    the same peak density (decided from `w·f(mode)` alone), a certified
+///    tail bound tries to refute `w`: it brackets the best window's start
+///    by two sign checks and bounds the mass outside every window in the
+///    bracket from below by chords of the log-concave log-density. It
+///    refutes only when those tails exceed `α` by more than
+///    [`Beta::window_mass`]'s numerical error, so step 4 would return
+///    `false` too (a debug assertion re-checks every refutation). It
+///    needs no incomplete beta function and settles most "not yet"
+///    widths of a running campaign;
+/// 3. otherwise the best-placed width-`w` window `[l, l+w]` is located by
+///    a bracketed Newton solve of `f(l) = f(l+w)` in log space, which
 ///    needs no CDF, no normalizer and no `exp`;
-/// 3. that window's mass, [`Beta::window_mass`] (both CDF continued
+/// 4. that window's mass, [`Beta::window_mass`] (both CDF continued
 ///    fractions in one pass), is compared with `1-α`.
 ///
 /// Monotone and uniform shapes have closed-form best windows. U-shaped
@@ -104,13 +124,162 @@ pub fn hpd_width_achievable(post: &Beta, alpha: f64, w: f64) -> bool {
         BetaShape::Decreasing => post.cdf(w) >= target,
         BetaShape::Unimodal => {
             let mode = post.mode().expect("unimodal posterior has a mode");
-            if w * post.pdf(mode) < target {
+            let f_mode = post.pdf(mode);
+            let reach = w * f_mode;
+            if reach < target {
                 return false;
             }
-            let l = best_window_start(post, mode, w);
-            post.window_mass(l, l + w) >= target
+            if tails_may_refute(alpha, reach) && tails_refute(post, mode, f_mode, alpha, w) {
+                debug_assert!(
+                    !best_window_holds(post, mode, target, w),
+                    "Beta({}, {}), α={alpha}, w={w}: tail bound refuted an achievable width",
+                    post.alpha(),
+                    post.beta()
+                );
+                return false;
+            }
+            best_window_holds(post, mode, target, w)
         }
     }
+}
+
+/// Whether the best-placed width-`w` window of a unimodal posterior
+/// holds `target` posterior mass, measured with [`Beta::window_mass`].
+fn best_window_holds(post: &Beta, mode: f64, target: f64, w: f64) -> bool {
+    let l = best_window_start(post, mode, w);
+    post.window_mass(l, l + w) >= target
+}
+
+/// Fraction of a normal posterior's HPD width below which
+/// [`tails_refute`] is tried: the bound loses about 6% of a tail's mass,
+/// so closer to the threshold it rarely refutes.
+const TAIL_GATE: f64 = 0.98;
+
+/// Whether [`tails_refute`] can plausibly fire, from `reach = w·f(mode)`
+/// alone. A normal posterior with that peak density has `w` spanning
+/// `±x` standard deviations with `x = reach·√(π/2)`, and its HPD interval
+/// spans `±z_{α/2}`; the bound is tried only when `x < TAIL_GATE·z_{α/2}`.
+/// Near-threshold callers (the aHPD prune checks, the stop solve, the
+/// boundary tables' edges) skip it for one `ln` and one `sqrt`. Skewed
+/// posteriors have heavier tails than the normal one of the same peak,
+/// so for them the gate errs toward not trying.
+fn tails_may_refute(alpha: f64, reach: f64) -> bool {
+    reach * (0.5 * std::f64::consts::PI).sqrt() < TAIL_GATE * upper_normal_quantile(0.5 * alpha)
+}
+
+/// Certified refutation of a width for a unimodal posterior: `true` only
+/// if the best-placed width-`w` window holds less than `1−α` posterior
+/// mass by more than [`Beta::window_mass`]'s numerical error, so the
+/// measured check in [`hpd_width_achievable`] would return `false` too.
+/// It evaluates no incomplete beta function.
+///
+/// 1. **Bracket.** The best window's start `l*` is the root of the
+///    increasing `g` of [`best_window_start`]. From the mode-centred
+///    start `mode − w/2` with the cubic skew correction
+///    `w²·h‴/(−24·h″)` (`h = ln f`, at the mode), one Newton step lands
+///    on `l̂`; `[l̂ − δ, l̂ + δ]` with `δ` a few times Newton's error
+///    estimate `|g″/2g′|·step²` brackets `l*` once `g` is certified
+///    negative and positive at its ends (past `g`'s rounding error). An
+///    end at the support's edge (`l = 0` or `l = 1 − w`, where `g` is
+///    `∓∞`) needs no check and counts no tail on its side.
+/// 2. **Tails.** Every window `[l, l + w]` with `l` in the bracket leaves
+///    out at least the mass left of `l̂ − δ` and right of `l̂ + δ + w`.
+///    The log-density `h` is concave (`a, b > 1`), so it lies above each
+///    of its chords and `f` above the chords' exponentials: a chord per
+///    tail reaching `1.5/s` past the bracket (`s` the log-density's
+///    slope there), and only if those do not settle it a second reaching
+///    on to `4/s`, integrate in closed form to a lower bound on each
+///    tail. Densities are taken relative to the already computed
+///    `f(mode)`, so no normaliser is evaluated.
+///
+/// The width is refuted when those tails exceed `α` by
+/// [`tail_margin`]. A failed step (no certified bracket, a non-finite
+/// value) refutes nothing.
+fn tails_refute(post: &Beta, mode: f64, f_mode: f64, alpha: f64, w: f64) -> bool {
+    let (a1, b1) = (post.alpha() - 1.0, post.beta() - 1.0);
+    let c = 1.0 - w;
+    let (lo, hi) = ((mode - w).max(0.0), mode.min(c));
+    // `g` of `best_window_start` and a bound on its rounding error: each
+    // term carries a few ulps, the second also `1 − w`'s rounding relative
+    // to `c − l`.
+    let g = |l: f64| {
+        let (t1, t2) = (a1 * (w / l).ln_1p(), b1 * (w / (c - l)).ln_1p());
+        let err = 8.0 * f64::EPSILON * (t1 + t2) + 2.0 * f64::EPSILON * t2 / (c - l);
+        (t2 - t1, err)
+    };
+    let (im, jm) = (1.0 / mode, 1.0 / (1.0 - mode));
+    let curvature = a1 * im * im + b1 * jm * jm;
+    let skew = a1 * im * im * im - b1 * jm * jm * jm;
+    let mut l0 = mode - 0.5 * w + skew * w * w / (12.0 * curvature);
+    if !(l0 > lo && l0 < hi) {
+        l0 = 0.5 * (lo + hi);
+    }
+    let (x, y) = (l0 * (l0 + w), (1.0 - l0) * (c - l0));
+    let dg = w * (a1 / x + b1 / y);
+    let d2g = w * (b1 * (1.0 + c - 2.0 * l0) / (y * y) - a1 * (2.0 * l0 + w) / (x * x));
+    let step = g(l0).0 / dg;
+    let l_hat = l0 - step;
+    let delta = 4.0 * (d2g / (2.0 * dg)).abs() * step * step + w * f64::EPSILON.sqrt();
+    // A bracket end past `lo` or `hi` moves onto it. At the support's
+    // edges, 0 and `1 − w`, `g` is −∞ and +∞: such an end needs no check
+    // and leaves no tail on its side.
+    let (left, right) = ((l_hat - delta).max(lo), (l_hat + delta).min(hi));
+    let (left_tail, right_tail) = (left > 0.0, right < c);
+    let certified = |l: f64, sign: f64| {
+        let (gl, err) = g(l);
+        sign * gl > err
+    };
+    if (left_tail && !certified(left, -1.0)) || (right_tail && !certified(right, 1.0)) {
+        return false;
+    }
+    // ln f(x) − ln f(mode); a point `reach/s` past a tail's edge toward
+    // the support's end (at most 3/4 of the way there); and the integral
+    // of the exponential of the chord between two such points, in units
+    // of f(mode).
+    let ln_rel = |x: f64| a1 * ((x - mode) * im).ln_1p() + b1 * ((mode - x) * jm).ln_1p();
+    let point = |edge: f64, slope: f64, end: f64, reach: f64| {
+        let x = edge + (end - edge) * (reach / slope / (end - edge).abs()).min(0.75);
+        (x, ln_rel(x))
+    };
+    let chord = |(x0, h0): (f64, f64), (x1, h1): (f64, f64)| {
+        let drop = h0 - h1;
+        if drop > 0.0 {
+            (x1 - x0).abs() * h0.exp() * -(-drop).exp_m1() / drop
+        } else {
+            0.0
+        }
+    };
+    // Each tail's edge, log-density slope `s` there, the support's end it
+    // runs toward, and its first chord, to 1.5/s: that recovers about 83%
+    // of a normal tail and settles most widths. A second chord, on to
+    // 4/s, brings it to about 94%.
+    let tails = [(left_tail, left, 0.0), (right_tail, right + w, 1.0)].map(|(on, edge, end)| {
+        on.then(|| {
+            let slope = (a1 / edge - b1 / (1.0 - edge)).abs();
+            let near = point(edge, slope, end, 1.5);
+            (edge, slope, end, near, chord((edge, ln_rel(edge)), near))
+        })
+    });
+    let bound = alpha + tail_margin(post);
+    let near: f64 = tails.iter().flatten().map(|t| t.4).sum();
+    if f_mode * near > bound {
+        return true;
+    }
+    let far: f64 = tails
+        .iter()
+        .flatten()
+        .map(|&(edge, slope, end, mid, _)| chord(mid, point(edge, slope, end, 4.0)))
+        .sum();
+    f_mode * (near + far) > bound
+}
+
+/// Mass by which certified tails must exceed `α` for [`tails_refute`]:
+/// more than [`Beta::window_mass`]'s error plus the bound's own. Both
+/// carry the normaliser `ln B(a, b)`, whose absolute rounding error grows
+/// like `ε·(a + b)·ln(a + b)`; `2e-13·(a + b)` covers that up to
+/// `a + b ≈ 10⁹` with a factor of ten to spare.
+fn tail_margin(post: &Beta) -> f64 {
+    1e-9 + 2e-13 * (post.alpha() + post.beta())
 }
 
 /// Newton step size below which [`best_window_start`] accepts a root,
@@ -758,6 +927,188 @@ mod tests {
             let (a, b) = if mirrored == 1 { (b, a) } else { (a, b) };
             agrees_with_brent(&Beta::new(a, b).unwrap(), alpha, extra_w)?;
         }
+    }
+
+    /// The certified tail bound, tried at every width (the gate only
+    /// narrows where it runs), never refutes a width whose best window
+    /// [`Beta::window_mass`] measures at `1-α` or more.
+    fn tails_refute_only_unachievable(
+        post: &Beta,
+        alpha: f64,
+        w: f64,
+    ) -> Result<bool, TestCaseError> {
+        let Some(mode) = post.mode() else {
+            return Ok(false);
+        };
+        if !(w > 0.0 && w < 1.0) {
+            return Ok(false);
+        }
+        let refuted = tails_refute(post, mode, post.pdf(mode), alpha, w);
+        if refuted {
+            prop_assert!(
+                !best_window_holds(post, mode, 1.0 - alpha, w),
+                "Beta({}, {}), α={alpha}, w={w}: tail bound refuted an achievable width",
+                post.alpha(),
+                post.beta()
+            );
+        }
+        Ok(refuted)
+    }
+
+    /// [`tails_refute_only_unachievable`] at `extra_w` and at the HPD
+    /// width scaled by `1 ± 10⁻³ … 10⁻⁹`, where the verdict flips.
+    fn tails_refute_only_near_and_off_threshold(
+        post: &Beta,
+        alpha: f64,
+        extra_w: f64,
+    ) -> Result<(), TestCaseError> {
+        if post.mode().is_none() {
+            return Ok(());
+        }
+        let hpd = hpd_interval_exact(post, alpha).unwrap().width();
+        for e in [3, 4, 5, 6, 7, 8, 9] {
+            let d = 10f64.powi(-e);
+            tails_refute_only_unachievable(post, alpha, hpd * (1.0 - d))?;
+            tails_refute_only_unachievable(post, alpha, hpd * (1.0 + d))?;
+        }
+        tails_refute_only_unachievable(post, alpha, extra_w)?;
+        Ok(())
+    }
+
+    /// The three default priors and the informative `Beta(8, 2)`.
+    fn certificate_test_prior(i: usize) -> BetaPrior {
+        BetaPrior::UNINFORMATIVE
+            .get(i)
+            .copied()
+            .unwrap_or_else(|| BetaPrior::informative(8.0, 2.0).unwrap())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        #[test]
+        fn tail_bound_never_refutes_on_srs_posteriors(
+            (n, tau) in (1u64..=2000).prop_flat_map(|n| (Just(n), 0..=n)),
+            prior in 0usize..4,
+            alpha in alphas(),
+            extra_w in 0.0f64..1.0,
+        ) {
+            let post = certificate_test_prior(prior).posterior(tau, n);
+            tails_refute_only_near_and_off_threshold(&post, alpha, extra_w)?;
+        }
+
+        #[test]
+        fn tail_bound_never_refutes_on_cluster_posteriors(
+            mu in 0.0f64..=1.0,
+            log_n_eff in 0.0f64..5.0,
+            prior in 0usize..4,
+            alpha in alphas(),
+            extra_w in 0.0f64..1.0,
+        ) {
+            let post = certificate_test_prior(prior)
+                .posterior_effective(mu, 10f64.powf(log_n_eff))
+                .unwrap();
+            tails_refute_only_near_and_off_threshold(&post, alpha, extra_w)?;
+        }
+
+        #[test]
+        fn tail_bound_never_refutes_on_near_degenerate_shapes(
+            log_a in -2.0f64..4.0,
+            b in 1.000_001f64..1.1,
+            mirrored in 0u8..2,
+            alpha in alphas(),
+            extra_w in 0.0f64..1.0,
+        ) {
+            let a = 1.0 + 10f64.powf(log_a);
+            let (a, b) = if mirrored == 1 { (b, a) } else { (a, b) };
+            tails_refute_only_near_and_off_threshold(&Beta::new(a, b).unwrap(), alpha, extra_w)?;
+        }
+    }
+
+    #[test]
+    fn tail_bound_refutes_a_typical_cluster_state() {
+        // A NELL TWCS(3) aHPD campaign at α = ε = 0.05 a few dozen draws
+        // in: μ̂ ≈ 0.9 on n_eff ≈ 60, under the two priors the stopping
+        // check evaluates. Width 2ε = 0.1 is well short of the HPD width,
+        // past the `w·f(mode)` check, and must be refuted by the tail
+        // bound, not measured.
+        for prior in [BetaPrior::KERMAN, BetaPrior::UNIFORM] {
+            let post = prior.posterior_effective(0.9, 60.0).unwrap();
+            let mode = post.mode().unwrap();
+            let f_mode = post.pdf(mode);
+            assert!(0.1 * f_mode >= 0.95, "the w·f(mode) check decides it");
+            assert!(tails_may_refute(0.05, 0.1 * f_mode), "the gate skips it");
+            assert!(tails_refute(&post, mode, f_mode, 0.05, 0.1), "not refuted");
+            assert!(!hpd_width_achievable(&post, 0.05, 0.1));
+        }
+    }
+
+    #[test]
+    fn tail_gate_skips_achievable_widths() {
+        // At or above the HPD width the answer is `true` and the bound can
+        // only waste time; the gate must not try it there. The exception
+        // is a near-symmetric posterior of a few dozen observations, whose
+        // tails are lighter than the normal's: its HPD width is below the
+        // normal one and the gate tries it.
+        for post in posterior_grid() {
+            if post.alpha() + post.beta() < 100.0 && post.skewness().abs() < 0.1 {
+                continue;
+            }
+            let f_mode = post.pdf(post.mode().unwrap());
+            for alpha in [0.10, 0.05, 0.01] {
+                let hpd = hpd_interval_exact(&post, alpha).unwrap().width();
+                assert!(
+                    !tails_may_refute(alpha, hpd * f_mode),
+                    "Beta({}, {}), α={alpha}",
+                    post.alpha(),
+                    post.beta()
+                );
+            }
+        }
+    }
+
+    /// One million random unimodal posteriors, `a` and `b` each
+    /// `1 + 10^u` for `u` uniform on `[−3, 5]`, `α` among the usual
+    /// levels or uniform on `[0.005, 0.2]`, and a width either uniform on
+    /// `(0, 1)` or within `±10⁻²…10⁻⁹` (relative) of the HPD width: the
+    /// tail bound never refutes a width the full check accepts.
+    ///
+    /// ```sh
+    /// cargo test --release -p kgae-intervals --lib tail_bound_random_sweep -- --ignored
+    /// ```
+    #[test]
+    #[ignore = "release sweep, ~10 s; the workspace run covers the proptests"]
+    fn tail_bound_random_sweep() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(0x7a11_b0d5);
+        let (mut refuted, mut checked) = (0u64, 0u64);
+        while checked < 1_000_000 {
+            let a = 1.0 + 10f64.powf(rng.gen_range(-3.0..5.0));
+            let b = 1.0 + 10f64.powf(rng.gen_range(-3.0..5.0));
+            let post = Beta::new(a, b).unwrap();
+            let alpha = match rng.gen_range(0..4) {
+                0 => 0.10,
+                1 => 0.05,
+                2 => 0.01,
+                _ => rng.gen_range(0.005..0.2),
+            };
+            let w = if rng.gen_bool(0.5) {
+                rng.gen_range(0.0..1.0)
+            } else {
+                let Ok(hpd) = hpd_interval_exact(&post, alpha) else {
+                    continue;
+                };
+                let d = 10f64.powf(rng.gen_range(-9.0..-2.0));
+                hpd.width() * if rng.gen_bool(0.5) { 1.0 - d } else { 1.0 + d }
+            };
+            checked += 1;
+            refuted += u64::from(tails_refute_only_unachievable(&post, alpha, w).unwrap());
+        }
+        assert!(
+            refuted > checked / 20,
+            "the bound refuted only {refuted} of {checked} widths"
+        );
     }
 
     /// Reference for [`unimodal_exact`]: Brent on the density difference

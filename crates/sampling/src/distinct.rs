@@ -12,29 +12,37 @@ use kgae_graph::hash::BuildIntHasher;
 use rand::Rng;
 use std::collections::HashMap;
 
-/// Floyd's algorithm: `k` distinct values uniformly from `0..n`.
+/// Floyd's algorithm: `k` distinct values uniformly from `0..n`,
+/// appended to `out` as `item(value)`. `item` must be injective: the
+/// distinctness check compares items.
 ///
-/// The returned order is randomized (the classic algorithm returns a set;
-/// we shuffle-insert to make the order usable directly as a sample).
+/// The appended order is randomized (the classic algorithm returns a
+/// set; we shuffle-insert to make the order usable directly as a
+/// sample). Writing into the caller's buffer lets a cluster draw reuse
+/// one allocation for every unit.
 ///
 /// # Panics
 ///
 /// Panics if `k > n`.
-pub fn floyd_sample<R: Rng + ?Sized>(rng: &mut R, n: u64, k: u64) -> Vec<u64> {
+pub fn floyd_sample<R: Rng + ?Sized, T: PartialEq>(
+    rng: &mut R,
+    n: u64,
+    k: u64,
+    out: &mut Vec<T>,
+    item: impl Fn(u64) -> T,
+) {
     assert!(k <= n, "cannot draw {k} distinct values from 0..{n}");
-    let mut out: Vec<u64> = Vec::with_capacity(k as usize);
+    let base = out.len();
+    out.reserve(k as usize);
     for j in n - k..n {
-        let t = rng.gen_range(0..=j);
-        if out.contains(&t) {
-            // Insert j at a random position to keep the order uniform.
-            let pos = rng.gen_range(0..=out.len());
-            out.insert(pos, j);
-        } else {
-            let pos = rng.gen_range(0..=out.len());
-            out.insert(pos, t);
-        }
+        let t = item(rng.gen_range(0..=j));
+        let drawn = out.len() - base;
+        // Insert j at a random position when t is taken, t otherwise,
+        // to keep the order uniform.
+        let t = if out[base..].contains(&t) { item(j) } else { t };
+        let pos = rng.gen_range(0..=drawn);
+        out.insert(base + pos, t);
     }
-    out
 }
 
 /// Streaming without-replacement sampler over `0..n`: a virtual
@@ -111,7 +119,8 @@ mod tests {
     fn floyd_produces_distinct_in_range() {
         let mut rng = SmallRng::seed_from_u64(1);
         for &(n, k) in &[(10u64, 10u64), (100, 3), (5, 1), (1, 1), (1000, 999)] {
-            let s = floyd_sample(&mut rng, n, k);
+            let mut s = Vec::new();
+            floyd_sample(&mut rng, n, k, &mut s, |v| v);
             assert_eq!(s.len(), k as usize);
             let set: HashSet<u64> = s.iter().copied().collect();
             assert_eq!(set.len(), k as usize, "duplicates for n={n}, k={k}");
@@ -122,14 +131,16 @@ mod tests {
     #[test]
     fn floyd_zero_draws() {
         let mut rng = SmallRng::seed_from_u64(2);
-        assert!(floyd_sample(&mut rng, 10, 0).is_empty());
+        let mut s: Vec<u64> = Vec::new();
+        floyd_sample(&mut rng, 10, 0, &mut s, |v| v);
+        assert!(s.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "cannot draw")]
     fn floyd_rejects_oversample() {
         let mut rng = SmallRng::seed_from_u64(3);
-        let _ = floyd_sample(&mut rng, 3, 4);
+        floyd_sample(&mut rng, 3, 4, &mut Vec::new(), |v| v);
     }
 
     #[test]
@@ -139,7 +150,9 @@ mod tests {
         let mut counts = [0u64; 6];
         let reps = 60_000;
         for _ in 0..reps {
-            for v in floyd_sample(&mut rng, 6, 3) {
+            let mut s = Vec::new();
+            floyd_sample(&mut rng, 6, 3, &mut s, |v| v);
+            for v in s {
                 counts[v as usize] += 1;
             }
         }

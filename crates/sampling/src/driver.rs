@@ -563,11 +563,9 @@ impl DesignDriver for TwcsDriver<'_> {
         rng: &mut dyn RngCore,
         out: &mut Vec<SampledTriple>,
     ) -> Option<ClusterId> {
-        out.clear();
-        let draw = self.sampler.next_cluster(rng);
-        out.extend_from_slice(&draw.triples);
+        let cluster = self.sampler.next_cluster(rng, out);
         self.drawn += 1;
-        Some(draw.cluster)
+        Some(cluster)
     }
 
     fn estimator(&self) -> UnitEstimator {
@@ -635,11 +633,9 @@ impl DesignDriver for WcsDriver<'_> {
         rng: &mut dyn RngCore,
         out: &mut Vec<SampledTriple>,
     ) -> Option<ClusterId> {
-        out.clear();
-        let draw = self.sampler.next_cluster(rng);
-        out.extend_from_slice(&draw.triples);
+        let cluster = self.sampler.next_cluster(rng, out);
         self.drawn += 1;
-        Some(draw.cluster)
+        Some(cluster)
     }
 
     fn estimator(&self) -> UnitEstimator {
@@ -726,10 +722,9 @@ impl DesignDriver for ScsDriver<'_> {
         if self.draw_limit.is_some_and(|cap| self.drawn >= cap) {
             return None;
         }
-        let draw = self.sampler.next_cluster(rng);
-        out.extend_from_slice(&draw.triples);
+        let cluster = self.sampler.next_cluster(rng, out);
         self.drawn += 1;
-        Some(draw.cluster)
+        Some(cluster)
     }
 
     fn estimator(&self) -> UnitEstimator {

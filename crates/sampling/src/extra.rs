@@ -15,7 +15,7 @@
 
 use crate::alias::AliasTable;
 use crate::srs::SampledTriple;
-use crate::twcs::{pps_by_size_table, ClusterDraw};
+use crate::twcs::pps_by_size_table;
 use kgae_graph::{ClusterId, KnowledgeGraph, TripleId};
 use rand::Rng;
 use std::sync::Arc;
@@ -32,10 +32,15 @@ impl<'a, K: KnowledgeGraph + ?Sized> ScsSampler<'a, K> {
         Self { kg }
     }
 
-    /// Draws one cluster uniformly and returns all its triples.
-    pub fn next_cluster<R: Rng + ?Sized>(&mut self, rng: &mut R) -> ClusterDraw {
+    /// Draws one cluster uniformly: returns it and replaces `out`'s
+    /// contents with all its triples.
+    pub fn next_cluster<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        out: &mut Vec<SampledTriple>,
+    ) -> ClusterId {
         let cluster = ClusterId(rng.gen_range(0..self.kg.num_clusters()));
-        full_cluster(self.kg, cluster)
+        full_cluster(self.kg, cluster, out)
     }
 }
 
@@ -66,22 +71,29 @@ impl<'a, K: KnowledgeGraph + ?Sized> WcsSampler<'a, K> {
         Self { kg, alias }
     }
 
-    /// Draws one cluster PPS and returns all its triples.
-    pub fn next_cluster<R: Rng + ?Sized>(&mut self, rng: &mut R) -> ClusterDraw {
+    /// Draws one cluster PPS: returns it and replaces `out`'s contents
+    /// with all its triples.
+    pub fn next_cluster<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        out: &mut Vec<SampledTriple>,
+    ) -> ClusterId {
         let cluster = ClusterId(self.alias.sample(rng));
-        full_cluster(self.kg, cluster)
+        full_cluster(self.kg, cluster, out)
     }
 }
 
-fn full_cluster<K: KnowledgeGraph + ?Sized>(kg: &K, cluster: ClusterId) -> ClusterDraw {
-    let triples = kg
-        .cluster_triples(cluster)
-        .map(|t| SampledTriple {
-            triple: TripleId(t),
-            cluster,
-        })
-        .collect();
-    ClusterDraw { cluster, triples }
+fn full_cluster<K: KnowledgeGraph + ?Sized>(
+    kg: &K,
+    cluster: ClusterId,
+    out: &mut Vec<SampledTriple>,
+) -> ClusterId {
+    out.clear();
+    out.extend(kg.cluster_triples(cluster).map(|t| SampledTriple {
+        triple: TripleId(t),
+        cluster,
+    }));
+    cluster
 }
 
 #[cfg(test)]
@@ -97,9 +109,10 @@ mod tests {
         let kg = datasets::yago();
         let mut s = ScsSampler::new(&kg);
         let mut rng = SmallRng::seed_from_u64(1);
+        let mut triples = Vec::new();
         for _ in 0..200 {
-            let d = s.next_cluster(&mut rng);
-            assert_eq!(d.triples.len() as u64, kg.cluster_size(d.cluster));
+            let cluster = s.next_cluster(&mut rng, &mut triples);
+            assert_eq!(triples.len() as u64, kg.cluster_size(cluster));
         }
     }
 
@@ -109,11 +122,12 @@ mod tests {
         let mut s = WcsSampler::new(&kg);
         let mut rng = SmallRng::seed_from_u64(2);
         let mut total = 0.0;
+        let mut triples = Vec::new();
         let reps = 40_000;
         for _ in 0..reps {
-            let d = s.next_cluster(&mut rng);
-            let correct = d.triples.iter().filter(|t| kg.is_correct(t.triple)).count() as f64;
-            total += correct / d.triples.len() as f64;
+            s.next_cluster(&mut rng, &mut triples);
+            let correct = triples.iter().filter(|t| kg.is_correct(t.triple)).count() as f64;
+            total += correct / triples.len() as f64;
         }
         let mean = total / reps as f64;
         assert!(
@@ -130,10 +144,11 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(3);
         let scale = f64::from(kg.num_clusters()) / kg.num_triples() as f64;
         let mut total = 0.0;
+        let mut triples = Vec::new();
         let reps = 40_000;
         for _ in 0..reps {
-            let d = s.next_cluster(&mut rng);
-            let tau = d.triples.iter().filter(|t| kg.is_correct(t.triple)).count() as f64;
+            s.next_cluster(&mut rng, &mut triples);
+            let tau = triples.iter().filter(|t| kg.is_correct(t.triple)).count() as f64;
             total += scale * tau;
         }
         let mean = total / reps as f64;

@@ -52,4 +52,4 @@ pub use estimators::{
 };
 pub use extra::{ScsSampler, WcsSampler};
 pub use srs::{SampledTriple, SrsSampler};
-pub use twcs::{pps_by_size_table, ClusterDraw, TwcsSampler};
+pub use twcs::{pps_by_size_table, TwcsSampler};

@@ -28,15 +28,6 @@ pub fn pps_by_size_table<K: KnowledgeGraph + ?Sized>(kg: &K) -> AliasTable {
     AliasTable::new(&weights)
 }
 
-/// One stage-1 draw: a cluster and its second-stage triple sample.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClusterDraw {
-    /// The sampled cluster.
-    pub cluster: ClusterId,
-    /// The second-stage triples (distinct within this draw).
-    pub triples: Vec<SampledTriple>,
-}
-
 /// TWCS sampler with a precomputed PPS alias table.
 #[derive(Debug)]
 pub struct TwcsSampler<'a, K: KnowledgeGraph + ?Sized> {
@@ -82,20 +73,23 @@ impl<'a, K: KnowledgeGraph + ?Sized> TwcsSampler<'a, K> {
         self.m
     }
 
-    /// Performs one full TWCS draw (stage 1 + stage 2).
-    pub fn next_cluster<R: Rng + ?Sized>(&mut self, rng: &mut R) -> ClusterDraw {
+    /// Performs one full TWCS draw (stage 1 + stage 2): returns the
+    /// cluster and replaces `out`'s contents with its second-stage
+    /// triples (distinct within the draw).
+    pub fn next_cluster<R: Rng + ?Sized>(
+        &mut self,
+        rng: &mut R,
+        out: &mut Vec<SampledTriple>,
+    ) -> ClusterId {
+        out.clear();
         let cluster = ClusterId(self.alias.sample(rng));
         let range = self.kg.cluster_triples(cluster);
         let size = range.end - range.start;
-        let k = size.min(self.m);
-        let triples = floyd_sample(rng, size, k)
-            .into_iter()
-            .map(|off| SampledTriple {
-                triple: TripleId(range.start + off),
-                cluster,
-            })
-            .collect();
-        ClusterDraw { cluster, triples }
+        floyd_sample(rng, size, size.min(self.m), out, |off| SampledTriple {
+            triple: TripleId(range.start + off),
+            cluster,
+        });
+        cluster
     }
 }
 
@@ -117,9 +111,10 @@ mod tests {
         let mut s = TwcsSampler::new(&kg, 3);
         let mut rng = SmallRng::seed_from_u64(2);
         let mut counts = [0u64; 4];
+        let mut triples = Vec::new();
         let reps = 200_000;
         for _ in 0..reps {
-            counts[s.next_cluster(&mut rng).cluster.index() as usize] += 1;
+            counts[s.next_cluster(&mut rng, &mut triples).index() as usize] += 1;
         }
         for (c, &n) in counts.iter().enumerate() {
             let want = kg.cluster_size(kgae_graph::ClusterId(c as u32)) as f64 / 100.0;
@@ -133,15 +128,16 @@ mod tests {
         let kg = datasets::yago(); // clusters of size 1–3 mostly
         let mut s = TwcsSampler::new(&kg, 3);
         let mut rng = SmallRng::seed_from_u64(3);
+        let mut triples = Vec::new();
         for _ in 0..500 {
-            let d = s.next_cluster(&mut rng);
-            let size = kg.cluster_size(d.cluster);
-            assert_eq!(d.triples.len() as u64, size.min(3));
+            let cluster = s.next_cluster(&mut rng, &mut triples);
+            let size = kg.cluster_size(cluster);
+            assert_eq!(triples.len() as u64, size.min(3));
             // Distinct triples, all from the drawn cluster.
-            let set: HashSet<_> = d.triples.iter().map(|t| t.triple).collect();
-            assert_eq!(set.len(), d.triples.len());
-            for t in &d.triples {
-                assert_eq!(kg.cluster_of(t.triple), d.cluster);
+            let set: HashSet<_> = triples.iter().map(|t| t.triple).collect();
+            assert_eq!(set.len(), triples.len());
+            for t in &triples {
+                assert_eq!(kg.cluster_of(t.triple), cluster);
             }
         }
     }
@@ -154,11 +150,12 @@ mod tests {
         let mut s = TwcsSampler::new(&kg, 3);
         let mut rng = SmallRng::seed_from_u64(4);
         let mut total = 0.0;
+        let mut triples = Vec::new();
         let reps = 60_000;
         for _ in 0..reps {
-            let d = s.next_cluster(&mut rng);
-            let correct = d.triples.iter().filter(|t| kg.is_correct(t.triple)).count() as f64;
-            total += correct / d.triples.len() as f64;
+            s.next_cluster(&mut rng, &mut triples);
+            let correct = triples.iter().filter(|t| kg.is_correct(t.triple)).count() as f64;
+            total += correct / triples.len() as f64;
         }
         let mean = total / reps as f64;
         assert!(

@@ -18,7 +18,8 @@ proptest! {
     fn floyd_distinct_and_in_range(n in 1u64..5000, k_frac in 0.0f64..=1.0, seed in 0u64..1_000) {
         let k = ((n as f64) * k_frac).floor() as u64;
         let mut rng = SmallRng::seed_from_u64(seed);
-        let s = floyd_sample(&mut rng, n, k);
+        let mut s = Vec::new();
+        floyd_sample(&mut rng, n, k, &mut s, |v| v);
         prop_assert_eq!(s.len() as u64, k);
         let set: HashSet<_> = s.iter().collect();
         prop_assert_eq!(set.len() as u64, k);
@@ -55,14 +56,15 @@ proptest! {
         let kg = kgae_graph::datasets::syn_scaled(2_000, 400, 0.8, 11);
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut sampler = TwcsSampler::new(&kg, m);
+        let mut triples = Vec::new();
         for _ in 0..20 {
-            let d = sampler.next_cluster(&mut rng);
-            let size = kg.cluster_size(d.cluster);
-            prop_assert_eq!(d.triples.len() as u64, size.min(m));
-            let distinct: HashSet<_> = d.triples.iter().map(|t| t.triple).collect();
-            prop_assert_eq!(distinct.len(), d.triples.len());
-            for t in &d.triples {
-                prop_assert_eq!(kg.cluster_of(t.triple), d.cluster);
+            let cluster = sampler.next_cluster(&mut rng, &mut triples);
+            let size = kg.cluster_size(cluster);
+            prop_assert_eq!(triples.len() as u64, size.min(m));
+            let distinct: HashSet<_> = triples.iter().map(|t| t.triple).collect();
+            prop_assert_eq!(distinct.len(), triples.len());
+            for t in &triples {
+                prop_assert_eq!(kg.cluster_of(t.triple), cluster);
             }
         }
     }

@@ -470,6 +470,19 @@ pub fn std_normal_quantile(p: f64) -> f64 {
     x
 }
 
+/// `z` with upper-tail normal probability `p ∈ (0, 0.5]`, by the
+/// rational approximation of Abramowitz & Stegun 26.2.23 (absolute error
+/// below 4.5e-4): one `ln` and one `sqrt`. Only estimates use it: the
+/// stopping lookaheads' start horizon (any start gives the same skip), a
+/// session's up-front map room, and the gate that decides whether the
+/// HPD stopping predicate tries its certified tail bound.
+#[must_use]
+pub fn upper_normal_quantile(p: f64) -> f64 {
+    let t = (-2.0 * p.ln()).sqrt();
+    t - (2.515_517 + t * (0.802_853 + t * 0.010_328))
+        / (1.0 + t * (1.432_788 + t * (0.189_269 + t * 0.001_308)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -652,6 +665,18 @@ mod tests {
         assert_close(mean, 3.0, 0.03, "normal sample mean");
         assert!(Normal::new(0.0, 0.0).is_err());
         assert!(Normal::new(f64::NAN, 1.0).is_err());
+    }
+
+    #[test]
+    fn upper_normal_quantile_is_within_its_stated_error() {
+        for (p, z) in [
+            (0.005, 2.575_829),
+            (0.025, 1.959_964),
+            (0.05, 1.644_854),
+            (0.5, 0.0),
+        ] {
+            assert!((upper_normal_quantile(p) - z).abs() < 4.5e-4, "p = {p}");
+        }
     }
 
     #[test]
