@@ -3,9 +3,8 @@
 //! through its one solver, `hpd_interval_exact`),
 //! the SRS aHPD certified-lookahead search at late-campaign NELL states
 //! (over stopping-boundary tables the campaign settled, and over fresh
-//! ones, as a configuration's first campaign meets them),
-//! the TWCS(3) aHPD lookahead search at early-campaign NELL states
-//! that certify a skip, and a window's posterior mass in one pass
+//! ones, as a configuration's first campaign meets them), and a
+//! window's posterior mass in one pass
 //! (`Beta::window_mass`) against two `cdf` calls on KG-like posteriors.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -50,16 +49,10 @@ fn bench_intervals(c: &mut Criterion) {
     g.finish();
 }
 
-/// The sample state after every annotation unit of one aHPD campaign on
-/// NELL under `design`, and the design's largest unit.
-fn campaign_states(
-    design: SamplingDesign,
-    method: &IntervalMethod,
-    cfg: &EvalConfig,
-    seed: u64,
-) -> (Vec<SampleState>, u64) {
+/// The sample state after every annotation of one SRS campaign on NELL.
+fn campaign_states(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec<SampleState> {
     let kg = kgae_graph::datasets::nell();
-    let prepared = PreparedDesign::new(&kg, design);
+    let prepared = PreparedDesign::new(&kg, SamplingDesign::Srs);
     let mut session = EvaluationSession::from_prepared(
         &kg,
         &prepared,
@@ -78,14 +71,14 @@ fn campaign_states(
         session.submit(&labels).unwrap();
         states.push(session.sample_state().clone());
     }
-    (states, prepared.max_draw_size())
+    states
 }
 
 /// The sample state at each lookahead round of one SRS aHPD campaign on
 /// NELL, from the first round on: the state after every annotation of
 /// the campaign, visited at the intervals the certified skips set.
 fn lookahead_rounds(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec<SampleState> {
-    let (states, _) = campaign_states(SamplingDesign::Srs, method, cfg, seed);
+    let states = campaign_states(method, cfg, seed);
     let boundary = method.srs_boundary(cfg.alpha, cfg.epsilon).unwrap();
     let mut rounds = Vec::new();
     let mut at = cfg.min_triples.saturating_sub(1) as usize;
@@ -125,37 +118,6 @@ fn bench_certified_skip_srs(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_certified_skip_cluster(c: &mut Criterion) {
-    let mut g = c.benchmark_group("certified_skip_cluster");
-    g.sample_size(60);
-    let method = IntervalMethod::ahpd_default();
-    let cfg = EvalConfig::default();
-    let (states, max_draw_size) = campaign_states(SamplingDesign::Twcs { m: 3 }, &method, &cfg, 7);
-    let skip = |state: &SampleState| {
-        method.certified_skip_cluster(state, cfg.alpha, cfg.epsilon, max_draw_size, false)
-    };
-    // The campaign's first lookahead rounds that certify a skip, visited
-    // at the intervals the skips set from the first draw the stopping
-    // rule is consulted at.
-    let mut at = states
-        .iter()
-        .position(|s| s.n() >= cfg.min_triples && s.draws() >= cfg.min_draws)
-        .unwrap_or(states.len());
-    let mut rounds = Vec::new();
-    while at < states.len() && rounds.len() < 4 {
-        let s = skip(&states[at]);
-        if s > 0 {
-            rounds.push(&states[at]);
-        }
-        at += s as usize + 1;
-    }
-    for state in rounds {
-        let id = format!("draws{}_n{}", state.draws(), state.n());
-        g.bench_function(id, |b| b.iter(|| skip(black_box(state))));
-    }
-    g.finish();
-}
-
 fn bench_window_mass(c: &mut Criterion) {
     let mut g = c.benchmark_group("window_mass");
     g.sample_size(60);
@@ -184,7 +146,6 @@ criterion_group!(
     benches,
     bench_intervals,
     bench_certified_skip_srs,
-    bench_certified_skip_cluster,
     bench_window_mass
 );
 criterion_main!(benches);

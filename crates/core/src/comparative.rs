@@ -46,7 +46,7 @@
 //! bit-identical to a standalone session with the same seed, design and
 //! config (property-tested). Each rival runs the session's own per-unit
 //! stopping step — the code the primary's engine runs, with the same
-//! readiness gate, certified-lookahead schedule and solvers — against
+//! readiness gate, certified stopping checks and solvers — against
 //! the shared [`crate::SampleState`], whose trajectory is
 //! method-independent. A rival that converges before the primary
 //! therefore reports the same stopping observation count and interval
@@ -151,8 +151,8 @@ struct RivalStop {
     interval: Interval,
 }
 
-/// A rival method's tracker: its own stopping step (solver and
-/// lookahead schedule) run over the shared sample.
+/// A rival method's tracker: its own stopping step (solver and SRS
+/// lookahead countdown) run over the shared sample.
 struct Rival {
     /// Index into the roster ([`ComparePrimary::ALL`] order).
     index: usize,

@@ -27,7 +27,7 @@ use crate::annotator::Annotator;
 use crate::cost::CostModel;
 use crate::method::IntervalMethod;
 use crate::session::{AnnotationRequest, EvaluationSession, SessionError, SnapshotRng};
-use kgae_graph::{ClusterId, GroundTruth, KnowledgeGraph};
+use kgae_graph::{GroundTruth, KnowledgeGraph};
 use kgae_intervals::{Interval, IntervalError};
 use kgae_sampling::driver::DesignSpec;
 use kgae_sampling::{pps_by_size_table, AliasTable};
@@ -132,13 +132,15 @@ pub enum StoppingPolicy {
     /// designs) — the literal loop of Figure 1. This is the reference
     /// path and the baseline of the lookahead A/B benchmark.
     EveryUnit,
-    /// Certified multi-step lookahead: from Theorem 1's width bound,
-    /// compute the first future unit at which `MoE ≤ ε` is achievable
-    /// and skip interval construction entirely until then. Provably
-    /// halts at the same unit with the same sample as
-    /// [`StoppingPolicy::EveryUnit`] —
-    /// every skipped unit is one where the bound shows the constructed
-    /// interval would have been wider than `2ε`.
+    /// Certified stopping checks. Under SRS, a multi-step lookahead from
+    /// Theorem 1's width bound computes the first future annotation at
+    /// which `MoE ≤ ε` is achievable and skips interval construction
+    /// entirely until then. Under cluster designs, an exact one-step
+    /// gate constructs the interval only at draws where the current
+    /// posterior could stop. Halts at the same unit with the same
+    /// sample as [`StoppingPolicy::EveryUnit`]: every skipped or gated
+    /// unit is one where the constructed interval would have been wider
+    /// than `2ε`.
     #[default]
     CertifiedLookahead,
 }
@@ -245,16 +247,11 @@ pub struct PreparedDesign {
     /// Arc-shared so per-repetition sessions/samplers clone a pointer,
     /// never the O(#clusters) table.
     pps: Option<Arc<AliasTable>>,
-    /// Maximum number of triples a single stage-1 draw can annotate
-    /// (`m` for TWCS, the largest cluster for whole-cluster designs) —
-    /// an input to the certified cluster lookahead's growth bound.
-    max_draw_size: u64,
 }
 
 impl PreparedDesign {
     /// Prepares the design against a KG (builds the PPS table when the
-    /// design needs one, and records the worst-case draw size for the
-    /// certified lookahead).
+    /// design needs one).
     pub fn new<K: KnowledgeGraph + ?Sized>(kg: &K, design: SamplingDesign) -> Self {
         let pps = match design {
             SamplingDesign::Twcs { .. } | SamplingDesign::Wcs => {
@@ -262,34 +259,13 @@ impl PreparedDesign {
             }
             SamplingDesign::Srs | SamplingDesign::Scs => None,
         };
-        let max_cluster = || {
-            (0..kg.num_clusters())
-                .map(|c| kg.cluster_size(ClusterId(c)))
-                .max()
-                .unwrap_or(1)
-        };
-        let max_draw_size = match design {
-            SamplingDesign::Srs => 1,
-            SamplingDesign::Twcs { m } => m.max(1),
-            SamplingDesign::Wcs | SamplingDesign::Scs => max_cluster(),
-        };
-        Self {
-            design,
-            pps,
-            max_draw_size,
-        }
+        Self { design, pps }
     }
 
     /// The underlying design.
     #[must_use]
     pub fn design(&self) -> SamplingDesign {
         self.design
-    }
-
-    /// Maximum observations one stage-1 draw can add.
-    #[must_use]
-    pub fn max_draw_size(&self) -> u64 {
-        self.max_draw_size
     }
 
     /// The shared PPS alias table (an `Arc` clone — pointer copy, not

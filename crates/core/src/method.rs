@@ -20,33 +20,36 @@
 //!   [`Boundary`] table of each certificate prior, which answers from
 //!   what earlier verdicts at that `n` settled and calls the predicate
 //!   only when nothing did; a session resolves its tables once.
-//! * **Certified multi-step lookahead**
-//!   ([`SrsBoundary::certified_skip`] /
-//!   [`IntervalMethod::certified_skip_cluster`]): from Theorem 1's width
-//!   bound, made exact by the best-window predicate, compute how many
-//!   future annotation units cannot satisfy `MoE ≤ ε`, so the evaluation
-//!   loop skips interval construction (and even the one-step bound
-//!   check) entirely until the first unit where stopping is achievable.
-//!   Both searches run on the decisive extreme outcome first, starting at
-//!   the horizon where the normal approximation at that outcome's
-//!   posterior mode, `ν·ε² ≥ z²·m(1−m)`, first holds, and certify the
-//!   candidate with one probe of the other extreme outcome. The SRS
-//!   search asks the boundary tables. The skip is a pure function of the
-//!   sample and `(α, ε, priors)`: no search state is kept between calls.
-//!   A cluster session stops calling the search after the first one that
-//!   certifies a skip of 0, since later ones rarely certify anything; a
-//!   skip of 0 is always sound, so its stops do not change.
+//! * **Certified SRS lookahead** ([`SrsBoundary::certified_skip`]):
+//!   from Theorem 1's width bound, made exact by the best-window
+//!   predicate, compute how many future annotations cannot satisfy
+//!   `MoE ≤ ε`, so the evaluation loop skips interval construction (and
+//!   even the one-step bound check) entirely until the first annotation
+//!   where stopping is achievable. The search runs on the decisive
+//!   extreme outcome first, starting at the horizon where the normal
+//!   approximation at that outcome's posterior mode, `ν·ε² ≥ z²·m(1−m)`,
+//!   first holds, certifies the candidate with one probe of the other
+//!   extreme outcome, and asks the boundary tables throughout. The skip
+//!   is a pure function of the sample and `(α, ε, priors)`: no search
+//!   state is kept between calls.
+//! * **The exact cluster gate**
+//!   ([`IntervalMethod::stop_possible_now_cluster`]): cluster designs
+//!   have no lookahead. Every ready draw asks the best-window predicate
+//!   of the current effective posteriors, and only a draw that passes
+//!   constructs the interval, as the paper's loop checks every unit.
 //!
-//!   The certificates evaluate only the extreme outcomes and, for a set
-//!   of symmetric priors, only the extreme pseudo-counts. That every
-//!   skipped step is one where the reference check-every-unit loop could
-//!   not have stopped either rests on three properties that are verified,
-//!   not proven: stoppability is monotone in the horizon, two-tailed in
-//!   the outcome, and two-tailed in a symmetric prior's pseudo-count.
-//!   `tests/certificate_lemmas.rs` pins all three on the SRS counts (the
-//!   pseudo-count property on fractional cluster evidence too) and the
-//!   boundary table against the predicate it replaces, and
-//!   `tests/lookahead_equivalence.rs` pins the resulting stops.
+//!   The SRS certificates evaluate only the extreme outcomes, and both
+//!   designs evaluate only the extreme pseudo-counts of a set of
+//!   symmetric priors. That every skipped or gated step is one where the
+//!   reference check-every-unit loop could not have stopped either rests
+//!   on properties that are verified, not proven: stoppability is
+//!   monotone in the horizon and two-tailed in the outcome (the SRS skip
+//!   and the boundary tables), and two-tailed in a symmetric prior's
+//!   pseudo-count (both designs). `tests/certificate_lemmas.rs` pins
+//!   them on the SRS counts (the pseudo-count property on fractional
+//!   cluster evidence too) and the boundary table against the predicate
+//!   it replaces, and `tests/lookahead_equivalence.rs` pins the
+//!   resulting stops.
 //! * **Pruned aHPD selection**: at the stop, the prior with the smallest
 //!   certified width lower bound is solved first, and every other prior
 //!   whose HPD width is certified wider than that solution is never
@@ -243,87 +246,6 @@ impl IntervalMethod {
                 })
         })
     }
-
-    /// Certified cluster lookahead: the number of further stage-1 draws
-    /// that cannot satisfy `MoE ≤ ε`.
-    ///
-    /// The effective sample size after `j` more draws is bounded by
-    /// `n_eff' = μ̂'(1−μ̂')/V̂' ≤ (d+j)(d+j−1)/(4·SS)` because the sum of
-    /// squared deviations `SS` of the per-draw estimates is monotone
-    /// non-decreasing under Welford updates, together with the Kish
-    /// clamp bound `n_eff' ≤ 10³·n'` (each draw annotates at most
-    /// `max_draw_size` triples). The reachable estimate-mean range after
-    /// `j` draws is `[μ̂·d/(d+j), (μ̂·d+j)/(d+j)]` for sample-mean
-    /// designs; Hansen–Hurwitz per-draw estimates are unbounded, so SCS
-    /// widens the range to `[0, 1]` and admits the degenerate
-    /// `deff = 1 ⇒ n_eff' = n'` case. Zero draw spread certifies
-    /// nothing (the Kish clamp can explode `n_eff` on the next draw), so
-    /// the method returns 0 and the loop checks every draw.
-    ///
-    /// The certificate is a union over the priors `certificate_priors`
-    /// keeps and the two range endpoints; as under SRS, the stoppable
-    /// means are two-tailed, so the endpoints decide the range. Its
-    /// decisive endpoint is the one nearer the boundary (`μ_hi` when
-    /// `2μ̂ ≥ 1`, else `μ_lo`), searched first by `decisive_first_skip`
-    /// from `normal_start` on that endpoint, as the SRS lookahead is.
-    ///
-    /// The engines stop calling it after the first call that returns 0
-    /// and check every later draw with
-    /// [`IntervalMethod::stop_possible_now_cluster`] alone: on the NELL
-    /// TWCS(3) aHPD cell, once a search certifies nothing, the later
-    /// searches rarely certify anything and cost more than they skip.
-    #[must_use]
-    pub fn certified_skip_cluster(
-        &self,
-        state: &SampleState,
-        alpha: f64,
-        epsilon: f64,
-        max_draw_size: u64,
-        hansen_hurwitz: bool,
-    ) -> u64 {
-        let Some(priors) = self.priors() else {
-            return 0;
-        };
-        debug_assert_eq!(state.kind(), DesignKind::Cluster);
-        let ss = state.draw_sum_sq_dev();
-        if ss <= 0.0 {
-            return 0;
-        }
-        let d = state.draws() as u64;
-        let n = state.n();
-        let mu = state.draw_mean().clamp(0.0, 1.0);
-        // The certificate's effective-sample bound ν and the endpoint on
-        // the `toward_one` side of the reachable mean range, `j` draws on.
-        let bound = |j: u64, toward_one: bool| {
-            let d_j = (d + j) as f64;
-            let n_j = (n + j * max_draw_size.max(1)) as f64;
-            let mut nu = (d_j * (d_j - 1.0) / (4.0 * ss)).min(1e3 * n_j);
-            let (mu_lo, mu_hi) = if hansen_hurwitz {
-                nu = nu.max(n_j);
-                (0.0, 1.0)
-            } else {
-                (mu * d as f64 / d_j, (mu * d as f64 + j as f64) / d_j)
-            };
-            (nu.max(1.0), if toward_one { mu_hi } else { mu_lo })
-        };
-        let stoppable = |j, toward_one| {
-            let (nu, m) = bound(j, toward_one);
-            certificate_priors(priors).any(|prior| {
-                let post = Beta::new(prior.a + m * nu, prior.b + (1.0 - m) * nu)
-                    .expect("positive posterior parameters");
-                hpd_width_achievable(&post, alpha, 2.0 * epsilon)
-            })
-        };
-        let toward_one = 2.0 * mu >= 1.0;
-        decisive_first_skip(
-            normal_start(alpha, epsilon, narrowest_prior(priors), |j| {
-                let (nu, m) = bound(j, toward_one);
-                (nu, m * nu)
-            }),
-            |j| stoppable(j, toward_one),
-            |j, refuted| (!refuted && stoppable(j, toward_one)) || stoppable(j, !toward_one),
-        )
-    }
 }
 
 /// A method's SRS stopping boundary at one `(α, ε)`: handles on the
@@ -364,9 +286,8 @@ impl SrsBoundary {
     /// nearer the boundary (`τ+k` when `2τ ≥ n`, else `τ`), where the
     /// posterior narrows fastest, and `decisive_first_skip` certifies
     /// its answer with one probe of the other end. It starts at
-    /// `normal_start` on the decisive endpoint, as the cluster lookahead
-    /// does. Any start gives the same skip, so the skip depends on the
-    /// sample and `(α, ε, priors)` alone.
+    /// `normal_start` on the decisive endpoint. Any start gives the same
+    /// skip, so the skip depends on the sample and `(α, ε, priors)` alone.
     #[must_use]
     pub fn certified_skip(&self, tau: u64, n: u64) -> u64 {
         let toward_one = 2 * tau >= n;
@@ -566,9 +487,10 @@ fn normal_start(
 /// `union(k, true)`, which leaves out the decisive outcome the search
 /// has just refuted there and so evaluates only the other end,
 /// certifies it. Only when that probe finds the other end stoppable is
-/// the full union, `union(k, false)`, bisected below the candidate. With stoppability monotone in the
-/// horizon, which both searches assume, the skip is the union's own first
-/// stoppable horizon less one, whatever the start.
+/// the full union, `union(k, false)`, bisected below the candidate.
+/// With stoppability monotone in the horizon, which the search assumes,
+/// the skip is the union's own first stoppable horizon less one,
+/// whatever the start.
 fn decisive_first_skip(
     start: u64,
     decisive: impl Fn(u64) -> bool,
@@ -938,166 +860,6 @@ mod tests {
             s.record_cluster_draw(est, (est.min(1.0) * size as f64).round() as u64, size);
         }
         s
-    }
-
-    /// Reference for [`IntervalMethod::certified_skip_cluster`]:
-    /// exponential and binary search from horizon 1 over the whole
-    /// prior × `{μ_lo, μ_hi}` union, without the decisive-first search or
-    /// the predicted start.
-    fn cluster_skip_by_union_search(
-        method: &IntervalMethod,
-        state: &SampleState,
-        alpha: f64,
-        epsilon: f64,
-        max_draw_size: u64,
-        hansen_hurwitz: bool,
-    ) -> u64 {
-        let Some(priors) = method.priors() else {
-            return 0;
-        };
-        let ss = state.draw_sum_sq_dev();
-        if ss <= 0.0 {
-            return 0;
-        }
-        let d = state.draws() as u64;
-        let n = state.n();
-        let mu = state.draw_mean().clamp(0.0, 1.0);
-        find_certified_skip(1, |j| {
-            let d_j = (d + j) as f64;
-            let n_j = (n + j * max_draw_size.max(1)) as f64;
-            let mut nu = (d_j * (d_j - 1.0) / (4.0 * ss)).min(1e3 * n_j);
-            let (mu_lo, mu_hi) = if hansen_hurwitz {
-                nu = nu.max(n_j);
-                (0.0, 1.0)
-            } else {
-                (mu * d as f64 / d_j, (mu * d as f64 + j as f64) / d_j)
-            };
-            let nu = nu.max(1.0);
-            priors.iter().any(|prior| {
-                [mu_lo, mu_hi].into_iter().any(|mu_p| {
-                    let post = Beta::new(prior.a + mu_p * nu, prior.b + (1.0 - mu_p) * nu)
-                        .expect("positive posterior parameters");
-                    hpd_width_achievable(&post, alpha, 2.0 * epsilon)
-                })
-            })
-        })
-    }
-
-    /// Per-draw estimates: the boundaries, values within a hair of them,
-    /// and the interior.
-    fn draw_estimate() -> impl Strategy<Value = f64> {
-        prop_oneof![
-            Just(0.0),
-            Just(1.0),
-            1e-9f64..1e-3,
-            (1e-9f64..1e-3).prop_map(|x| 1.0 - x),
-            0.0f64..=1.0,
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(400))]
-
-        #[test]
-        fn cluster_skip_equals_the_union_search(
-            (d, c) in (2u64..=400).prop_flat_map(|d| {
-                (Just(d), prop_oneof![Just(0), Just(1), 0..=d])
-            }),
-            p in draw_estimate(),
-            q in prop_oneof![draw_estimate(), Just(f64::NAN)],
-            (max_draw_size, size_frac) in (prop_oneof![Just(1u64), Just(3), Just(10)], 0.0f64..=1.0),
-            (hansen_hurwitz, hh_scale) in (prop::bool::ANY, 1.0f64..3.0),
-            alpha in prop_oneof![Just(0.01), Just(0.05), Just(0.1)],
-            epsilon in 0.01f64..0.1,
-        ) {
-            // A NaN `q` stands for "every draw agrees" (SS = 0).
-            let q = if q.is_nan() { p } else { q };
-            // Hansen–Hurwitz per-draw estimates are not bounded by 1.
-            let scale = if hansen_hurwitz { hh_scale } else { 1.0 };
-            let size = 1 + (size_frac * (max_draw_size - 1) as f64) as u64;
-            let state = cluster_state(d, c, p * scale, q * scale, size);
-            for method in skip_methods() {
-                let want = cluster_skip_by_union_search(
-                    &method, &state, alpha, epsilon, max_draw_size, hansen_hurwitz);
-                let got = method.certified_skip_cluster(
-                    &state, alpha, epsilon, max_draw_size, hansen_hurwitz);
-                prop_assert_eq!(got, want, "{:?} at d={}, c={}, p={}, q={}, size={}/{}, \
-                    HH={}, α={}, ε={}", method, d, c, p * scale, q * scale, size,
-                    max_draw_size, hansen_hurwitz, alpha, epsilon);
-            }
-        }
-    }
-
-    #[test]
-    fn cluster_skip_equals_the_union_search_at_the_cap() {
-        // At ε = 1e-9 no reachable effective sample is large enough, not
-        // even Hansen–Hurwitz's widest range: both searches stop at the
-        // cap, on either side of μ̂ = 1/2.
-        for (d, c, p, q) in [(10u64, 5u64, 0.0, 1.0), (40, 3, 0.9, 0.2), (7, 6, 0.6, 0.1)] {
-            let state = cluster_state(d, c, p, q, 3);
-            for method in skip_methods() {
-                for hansen_hurwitz in [false, true] {
-                    let got = method.certified_skip_cluster(&state, 0.01, 1e-9, 3, hansen_hurwitz);
-                    assert_eq!(
-                        got, MAX_SKIP,
-                        "{method:?} at d={d}, c={c}, HH={hansen_hurwitz}"
-                    );
-                    assert_eq!(
-                        got,
-                        cluster_skip_by_union_search(
-                            &method,
-                            &state,
-                            0.01,
-                            1e-9,
-                            3,
-                            hansen_hurwitz
-                        )
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn certified_skip_cluster_requires_draw_spread() {
-        let mut s = SampleState::new_cluster();
-        for _ in 0..10 {
-            s.record_cluster_draw(0.9, 9, 10);
-        }
-        // Zero spread: the Kish clamp could explode n_eff next draw —
-        // nothing is certifiable.
-        assert_eq!(
-            IntervalMethod::ahpd_default().certified_skip_cluster(&s, 0.05, 0.05, 3, false),
-            0
-        );
-    }
-
-    #[test]
-    fn certified_skip_cluster_is_sound_against_simulation() {
-        // Whatever mixture of future draws arrives, no skipped draw may
-        // reach MoE ≤ ε. Simulate adversarially favorable futures: all
-        // draws agreeing on the majority side at several sizes.
-        let method = IntervalMethod::ahpd_default();
-        let mut s = SampleState::new_cluster();
-        for i in 0..12 {
-            let m = if i % 3 == 0 { 1.0 } else { 0.5 };
-            s.record_cluster_draw(m, (m * 2.0) as u64, 2);
-        }
-        let skip = method.certified_skip_cluster(&s, 0.05, 0.05, 3, false);
-        for j in 1..=skip.min(40) {
-            for future_mean in [0.0, 1.0] {
-                let mut fut = s.clone();
-                for _ in 0..j {
-                    fut.record_cluster_draw(future_mean, (future_mean * 3.0) as u64, 3);
-                }
-                let i = method.interval(&fut, 0.05).unwrap();
-                assert!(
-                    i.moe() > 0.05,
-                    "skipped draw {j} (future mean {future_mean}) has moe {}",
-                    i.moe()
-                );
-            }
-        }
     }
 
     #[test]

@@ -467,21 +467,9 @@ impl<'a> MonitorSession<'a> {
         }
         // Validate before touching the open campaign: an invalid batch
         // must not perturb the monitor at all.
-        {
-            let n = self.view.num_triples();
-            let mut seen = batch.removes.clone();
-            seen.sort_unstable();
-            if let Some(w) = seen.windows(2).find(|w| w[0] == w[1]) {
-                return Err(SessionError::DeltaRejected(
-                    kgae_graph::DeltaError::DuplicateRemove { id: w[0] },
-                ));
-            }
-            if let Some(&id) = seen.last().filter(|&&id| id >= n) {
-                return Err(SessionError::DeltaRejected(
-                    kgae_graph::DeltaError::RemoveOutOfRange { id, len: n },
-                ));
-            }
-        }
+        self.view
+            .check_removes(&batch.removes)
+            .map_err(SessionError::DeltaRejected)?;
         // An empty batch is a true no-op: nothing to retire, nothing to
         // re-appraise. The certificate — or the open campaign — stands
         // exactly as it was, and no drift row is charged.
@@ -984,7 +972,7 @@ fn posterior_as_prior(posterior: &Beta, equivalent_n: f64) -> Result<BetaPrior, 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kgae_graph::GroundTruth;
+    use kgae_graph::{DeltaError, GroundTruth};
 
     fn drive_to_watching(monitor: &mut MonitorSession<'_>, truth: &dyn GroundTruth, batch: u64) {
         let mut guard = 0;
@@ -1112,16 +1100,27 @@ mod tests {
             })
             .unwrap();
         drop(polled);
-        // Invalid batches change nothing.
+        // Invalid batches are refused with the overlay's own errors and
+        // change nothing (one remove and one add left the size as is).
         let n = monitor.report();
-        assert!(matches!(
-            monitor.apply_deltas(&DeltaBatch {
+        let len = kg.num_triples();
+        for (removes, want) in [
+            (
+                vec![u64::MAX],
+                DeltaError::RemoveOutOfRange { id: u64::MAX, len },
+            ),
+            (vec![3, 7, 3], DeltaError::DuplicateRemove { id: 3 }),
+        ] {
+            let got = monitor.apply_deltas(&DeltaBatch {
                 predicate: None,
-                removes: vec![u64::MAX],
-                adds: vec![],
-            }),
-            Err(SessionError::DeltaRejected(_))
-        ));
+                removes,
+                adds: vec![true],
+            });
+            assert!(
+                matches!(&got, Err(SessionError::DeltaRejected(e)) if *e == want),
+                "{got:?}"
+            );
+        }
         assert_eq!(monitor.report(), n);
     }
 

@@ -232,7 +232,7 @@ struct SessionOutcome {
 
 /// One method's stopping rule over a sample: the method, its SRS
 /// stopping boundary, the kernel cache its SRS interval solves memoize
-/// through and its certified-lookahead countdown. A session runs one for
+/// through and its SRS lookahead countdown. A session runs one for
 /// its own method; a comparative campaign runs one per rival method over
 /// the primary session's sample.
 pub(crate) struct StoppingStep {
@@ -246,18 +246,11 @@ pub(crate) struct StoppingStep {
     /// no memoization. Never serialized: a resumed session re-attaches
     /// the host's cache (or none).
     pub(crate) kernel: Option<Arc<KernelCache>>,
-    /// Annotation units left before the next stopping check (certified
-    /// unreachable in between). Never serialized: a resumed step checks
-    /// its next unit afresh, which stops where the countdown would.
+    /// SRS annotations left before the next stopping check (certified
+    /// unreachable in between; always 0 under cluster designs). Never
+    /// serialized: a resumed step checks its next unit afresh, which
+    /// stops where the countdown would.
     skip_left: u64,
-    /// Whether a cluster-design check still runs the lookahead search.
-    /// The first search that certifies a skip of 0 clears it, and every
-    /// later draw goes through the exact one-step gate alone: on NELL
-    /// TWCS(3) aHPD campaigns fewer than one in thirty later searches
-    /// certified anything, so searching on cost more than it skipped.
-    /// A skip of 0 is always sound, so the stops do not depend on it.
-    /// Never serialized: a resumed step searches again once.
-    cluster_search: bool,
 }
 
 /// What one [`StoppingStep::run`] found.
@@ -280,7 +273,6 @@ impl StoppingStep {
             method,
             kernel: None,
             skip_left: 0,
-            cluster_search: true,
         }
     }
 
@@ -300,16 +292,15 @@ impl StoppingStep {
 
     /// The stopping sequence after one labeled unit: readiness gate
     /// (≥ `min_triples`, and ≥ `min_draws` stage-1 draws under cluster
-    /// designs so the variance estimator exists), lookahead countdown,
-    /// exact one-step gate, interval construction and MoE check, then
-    /// the certified skip (under cluster designs only until a search
-    /// certifies none). The [`StoppingPolicy::EveryUnit`] reference
-    /// path constructs the interval at every check and never skips.
+    /// designs so the variance estimator exists), SRS lookahead
+    /// countdown, exact one-step gate, interval construction and MoE
+    /// check, then the certified SRS skip. A cluster draw runs the gate
+    /// every time. The [`StoppingPolicy::EveryUnit`] reference path
+    /// constructs the interval at every check and never skips.
     pub(crate) fn run(
         &mut self,
         state: &SampleState,
         cfg: &EvalConfig,
-        driver: &dyn DesignDriver,
     ) -> Result<StepOutcome, SessionError> {
         if !ready(state, cfg) {
             return Ok(StepOutcome::NotReady);
@@ -339,23 +330,10 @@ impl StoppingStep {
             }
         }
         if lookahead {
-            self.skip_left = match state.kind() {
-                DesignKind::Srs => self.srs.as_ref().map_or(0, |boundary| {
-                    boundary.certified_skip(state.tau(), state.n())
-                }),
-                DesignKind::Cluster if self.cluster_search => {
-                    let skip = self.method.certified_skip_cluster(
-                        state,
-                        cfg.alpha,
-                        cfg.epsilon,
-                        driver.max_unit_size(),
-                        matches!(driver.estimator(), UnitEstimator::HansenHurwitz { .. }),
-                    );
-                    self.cluster_search = skip > 0;
-                    skip
-                }
-                DesignKind::Cluster => 0,
-            };
+            // `srs` is `None` under cluster designs.
+            self.skip_left = self.srs.as_ref().map_or(0, |boundary| {
+                boundary.certified_skip(state.tau(), state.n())
+            });
         }
         Ok(StepOutcome::Open)
     }
@@ -426,12 +404,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         cfg: &EvalConfig,
         rng: R,
     ) -> Self {
-        let driver = build_driver(
-            kg,
-            prepared.design().spec(),
-            prepared.pps(),
-            Some(prepared.max_draw_size()),
-        );
+        let driver = build_driver(kg, prepared.design().spec(), prepared.pps());
         Self::with_driver(kg, driver, prepared.design(), method, cfg, rng)
     }
 
@@ -755,7 +728,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         &self,
         step: &mut StoppingStep,
     ) -> Result<StepOutcome, SessionError> {
-        step.run(&self.state, &self.cfg, &*self.driver)
+        step.run(&self.state, &self.cfg)
     }
 
     fn stage1_draws(&self) -> u64 {
@@ -825,7 +798,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
     ) -> Result<(), SessionError> {
         let absorbed = self.absorb(triples, labels);
         debug_assert!(absorbed, "submit checked the label count");
-        let step = self.stop.run(&self.state, &self.cfg, &*self.driver)?;
+        let step = self.stop.run(&self.state, &self.cfg)?;
         if !matches!(step, StepOutcome::NotReady) {
             let at_floor = std::mem::replace(&mut self.first_check, false);
             if let StepOutcome::Stop(interval) = step {
@@ -1373,69 +1346,6 @@ mod tests {
         let st = s.status();
         assert_eq!(st.stopped, Some(StopReason::MoeSatisfied));
         assert_eq!(st.observations, r.observations);
-    }
-
-    #[test]
-    fn cluster_lookahead_stops_searching_after_a_zero_skip() {
-        let kg = kgae_graph::datasets::nell();
-        let design = SamplingDesign::Twcs { m: 3 };
-        let prepared = PreparedDesign::new(&kg, design);
-        let method = IntervalMethod::ahpd_default();
-        let cfg = EvalConfig::default();
-        let (mut skipped, mut stopped_searching) = (0, 0);
-        for seed in 0..20 {
-            let mut s = EvaluationSession::from_prepared(
-                &kg,
-                &prepared,
-                &method,
-                &cfg,
-                SmallRng::seed_from_u64(seed),
-            );
-            let mut req = AnnotationRequest::default();
-            let mut suspended = None;
-            while s.next_request_into(1, &mut req).unwrap() {
-                let labels: Vec<bool> = req
-                    .triples
-                    .iter()
-                    .map(|st| kg.is_correct(st.triple))
-                    .collect();
-                let searching = s.stop.cluster_search;
-                s.submit(&labels).unwrap();
-                skipped += u64::from(s.stop.skip_left > 0);
-                if !searching {
-                    // After a zero: no search, so no skip, ever again.
-                    assert!(!s.stop.cluster_search, "seed {seed}");
-                    assert_eq!(s.stop.skip_left, 0, "seed {seed}");
-                } else if !s.stop.cluster_search && s.stop_reason().is_none() {
-                    suspended = Some(s.snapshot().unwrap());
-                }
-            }
-            let straight = s.result().unwrap().clone();
-            // A resumed session searches once more, and stops where the
-            // uninterrupted one did.
-            if let Some(bytes) = suspended {
-                stopped_searching += 1;
-                let mut resumed = EvaluationSession::resume(
-                    &kg,
-                    &prepared,
-                    &method,
-                    &cfg,
-                    SmallRng::seed_from_u64(0),
-                    &bytes,
-                )
-                .unwrap();
-                assert!(resumed.stop.cluster_search, "seed {seed}");
-                assert_eq!(
-                    drive_to_completion(&kg, &mut resumed, 1),
-                    straight,
-                    "seed {seed}"
-                );
-            }
-        }
-        assert!(
-            skipped > 0 && stopped_searching > 0,
-            "{skipped} skips, {stopped_searching} zeros"
-        );
     }
 
     #[test]

@@ -128,27 +128,6 @@ impl SampleState {
         self.draw_moments.count() as usize
     }
 
-    /// Sum of squared deviations of the per-draw estimates from their
-    /// mean (`Σ(μ̂_i − μ̂)²`; 0 for SRS or fewer than two draws).
-    ///
-    /// Monotone non-decreasing draw over draw — the invariant behind the
-    /// certified cluster lookahead's effective-sample-size upper bound.
-    #[must_use]
-    pub fn draw_sum_sq_dev(&self) -> f64 {
-        if self.draw_moments.count() < 2 {
-            0.0
-        } else {
-            self.draw_moments.sum_sq_dev()
-        }
-    }
-
-    /// Mean of the per-draw estimates (cluster designs; `NaN` before the
-    /// first draw).
-    #[must_use]
-    pub fn draw_mean(&self) -> f64 {
-        self.draw_moments.mean()
-    }
-
     /// Point estimate with variance under the design's estimator.
     ///
     /// # Panics
@@ -259,20 +238,20 @@ mod tests {
     }
 
     #[test]
-    fn welford_getters_track_draws() {
+    fn welford_moments_feed_the_cluster_estimate() {
         let mut s = SampleState::new_cluster();
-        assert_eq!(s.draw_sum_sq_dev(), 0.0);
         s.record_cluster_draw(1.0, 3, 3);
-        assert_eq!(s.draw_sum_sq_dev(), 0.0, "single draw has no spread");
+        assert_eq!(
+            s.estimate().variance,
+            f64::INFINITY,
+            "one draw has no spread"
+        );
         s.record_cluster_draw(0.5, 1, 2);
         s.record_cluster_draw(0.75, 3, 4);
-        // Σ(μ_i - 0.75)² = 0.0625 + 0.0625 + 0 = 0.125.
-        assert!((s.draw_sum_sq_dev() - 0.125).abs() < 1e-12);
-        assert!((s.draw_mean() - 0.75).abs() < 1e-12);
-        // Monotone growth draw over draw.
-        let before = s.draw_sum_sq_dev();
-        s.record_cluster_draw(0.9, 2, 2);
-        assert!(s.draw_sum_sq_dev() >= before);
+        // Σ(μ_i - 0.75)² = 0.0625 + 0.0625 + 0 = 0.125 over d(d−1) = 6.
+        let est = s.estimate();
+        assert!((est.mu - 0.75).abs() < 1e-12);
+        assert!((est.variance - 0.125 / 6.0).abs() < 1e-12);
     }
 
     #[test]

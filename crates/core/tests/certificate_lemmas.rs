@@ -1,7 +1,7 @@
-//! The facts the certified lookahead's stopping certificates rest on,
-//! checked exhaustively over an operating domain. They are verified here,
-//! not proven. "Stoppable" is the engine's exact predicate: the `1-α` HPD
-//! width of the posterior is at most `2ε`.
+//! The facts the stopping certificates rest on, checked exhaustively
+//! over an operating domain. They are verified here, not proven.
+//! "Stoppable" is the engine's exact predicate: the `1-α` HPD width of
+//! the posterior is at most `2ε`.
 //!
 //! * **Two-tailed in the outcome.** At fixed `n`, the stoppable `τ` are
 //!   `{τ ≤ lo(n)} ∪ {τ ≥ hi(n)}`, per prior and over a prior set, so the
@@ -12,12 +12,13 @@
 //!   table tells which run of outcomes a verdict settles.
 //! * **Monotone in the horizon.** `lo(n+1) ≥ lo(n)` and
 //!   `hi(n+1) ≤ hi(n) + 1`: with two-tailedness, an outcome range that
-//!   can stop `k` annotations on can stop `k + 1` on, so the lookahead's
-//!   searches may gallop and bisect over the horizon.
+//!   can stop `k` annotations on can stop `k + 1` on, so the SRS
+//!   lookahead's search may gallop and bisect over the horizon. Cluster
+//!   designs have no lookahead and do not rest on this fact.
 //! * **Two-tailed in a symmetric prior's pseudo-count.** For `Beta(c, c)`,
 //!   the stoppable `c` at any outcome are `{c ≤ c_lo} ∪ {c ≥ c_hi}`, on
 //!   integer `(τ, n)` (the SRS certificates) and on fractional
-//!   `(μ̂, n_eff)` (the cluster gate and certificate), so an interior
+//!   `(μ̂, n_eff)` (the cluster designs' one-step gate), so an interior
 //!   prior never stops alone and the certificates evaluate only the
 //!   smallest and the largest `c`.
 //!

@@ -311,12 +311,10 @@ impl<'a> DeltaKg<'a> {
         }
     }
 
-    /// Applies one delta batch: `removes` are **current** ids (resolved
-    /// against the pre-batch view, so a batch may freely name ids that
-    /// a same-batch remove would shift); `adds` are ground-truth
-    /// correctness flags for brand-new singleton-cluster triples.
-    /// Validates everything before mutating; an `Err` changes nothing.
-    pub fn apply(&mut self, removes: &[u64], adds: &[bool]) -> Result<AppliedDelta, DeltaError> {
+    /// Whether [`DeltaKg::apply`] would accept `removes` against the
+    /// current view: no id named twice, none out of range. Adds are
+    /// always valid, so this is the whole of `apply`'s validation.
+    pub fn check_removes(&self, removes: &[u64]) -> Result<(), DeltaError> {
         let n = self.num_triples();
         let mut seen = removes.to_vec();
         seen.sort_unstable();
@@ -326,6 +324,17 @@ impl<'a> DeltaKg<'a> {
         if let Some(&id) = seen.last().filter(|&&id| id >= n) {
             return Err(DeltaError::RemoveOutOfRange { id, len: n });
         }
+        Ok(())
+    }
+
+    /// Applies one delta batch: `removes` are **current** ids (resolved
+    /// against the pre-batch view, so a batch may freely name ids that
+    /// a same-batch remove would shift); `adds` are ground-truth
+    /// correctness flags for brand-new singleton-cluster triples.
+    /// Validates everything ([`DeltaKg::check_removes`]) before
+    /// mutating; an `Err` changes nothing.
+    pub fn apply(&mut self, removes: &[u64], adds: &[bool]) -> Result<AppliedDelta, DeltaError> {
+        self.check_removes(removes)?;
         let stable: Vec<StableId> = removes.iter().map(|&r| self.resolve(r)).collect();
         let mut ordered = stable.clone();
         ordered.sort_unstable();

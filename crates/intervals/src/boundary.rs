@@ -27,6 +27,13 @@
 //! tables no handle outside the registry holds, and if the tables still
 //! held fill half of it, their rows too; a table in use stays
 //! registered. Nothing here is serialized.
+//!
+//! Debug builds audit the two-tail inference: a verdict a settled row
+//! answers is checked against the predicate it stands in for when
+//! `(τ, n)` falls in a fixed pseudo-random quarter of the outcomes
+//! (`audited`), so every debug test that reaches a table checks the
+//! property on those it visits. Auditing every answer added about a
+//! third to the debug test run; a quarter adds a few percent.
 
 use crate::hpd::hpd_width_achievable;
 use crate::prior::BetaPrior;
@@ -89,6 +96,14 @@ pub struct Boundary {
     alpha: f64,
     width: f64,
     rows: RwLock<HashMap<u64, Row, BuildIntHasher>>,
+}
+
+/// Whether debug builds re-check a settled verdict at `(τ, n)`: a fixed
+/// quarter of the outcomes, by a multiplicative hash, so a run audits
+/// the same outcomes whatever order its tables settle in.
+#[cfg(debug_assertions)]
+fn audited(tau: u64, n: u64) -> bool {
+    (tau.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)) >> 62 == 0
 }
 
 /// The registry: tables by the bits of `(a, b, α, width)`, and their
@@ -155,9 +170,18 @@ impl Boundary {
     pub fn stoppable(&self, tau: u64, n: u64) -> bool {
         let row = self.rows.read().expect("boundary rows").get(&n).copied();
         if let Some(verdict) = row.and_then(|row| row.verdict(tau)) {
+            #[cfg(debug_assertions)]
+            assert!(
+                !audited(tau, n) || verdict == self.predicate(tau, n),
+                "boundary table of {:?} at α = {}, width = {}: a settled row \
+                 answers (τ = {tau}, n = {n}) against the predicate",
+                self.prior,
+                self.alpha,
+                self.width
+            );
             return verdict;
         }
-        let stoppable = hpd_width_achievable(&self.prior.posterior(tau, n), self.alpha, self.width);
+        let stoppable = self.predicate(tau, n);
         let below_centre = 2.0 * tau as f64 <= n as f64 + self.prior.b - self.prior.a;
         // Racing writers settle the same pure function; the merge only
         // widens what is settled, so its order does not matter.
@@ -175,6 +199,11 @@ impl Boundary {
             add_entry(&mut registry().lock().expect("boundary registry"));
         }
         stoppable
+    }
+
+    /// The verdict at `(τ, n)` straight from [`hpd_width_achievable`].
+    fn predicate(&self, tau: u64, n: u64) -> bool {
+        hpd_width_achievable(&self.prior.posterior(tau, n), self.alpha, self.width)
     }
 }
 
@@ -223,6 +252,35 @@ mod tests {
         let row = table.rows.read().unwrap()[&n];
         assert_eq!((row.lower, row.upper, row.refused), (lo, hi, (lo, hi - 1)));
         assert!((0..=n).all(|tau| row.verdict(tau) == Some(stop(tau))));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a settled row answers")]
+    fn audit_trips_on_a_row_that_settles_one_extra_outcome() {
+        // A table outside the registry whose row at `n` claims that the
+        // first refused outcome of the lower tail stops, at an `n` where
+        // that outcome is audited.
+        let table = Boundary {
+            prior: BetaPrior::KERMAN,
+            alpha: 0.05,
+            width: 0.09,
+            rows: RwLock::default(),
+        };
+        let (lo, n) = (300..)
+            .find_map(|n| {
+                let lo = (0..=n).find(|&tau| !table.predicate(tau, n))?;
+                audited(lo, n).then_some((lo, n))
+            })
+            .unwrap();
+        let hi = (lo..=n).find(|&tau| table.predicate(tau, n)).unwrap();
+        let mutant = Row {
+            lower: lo + 1,
+            upper: hi,
+            refused: (lo + 1, hi - 1),
+        };
+        table.rows.write().unwrap().insert(n, mutant);
+        let _ = table.stoppable(lo, n);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Unified stage-1 sampling drivers — the design-specific half of the
 //! poll-based evaluation engine.
 //!
-//! The evaluation loop of paper Figure 1 needs exactly three things from
-//! a sampling design: the next *unit* to annotate (one triple under SRS,
-//! one stage-1 cluster draw under the cluster designs), how a labeled
-//! unit converts into a per-unit estimate, and the worst-case unit size
-//! (an input to the certified stopping lookahead). [`DesignDriver`]
-//! captures that contract behind an object-safe trait, so the engine
+//! The evaluation loop of paper Figure 1 needs exactly two things from a
+//! sampling design: the next *unit* to annotate (one triple under SRS,
+//! one stage-1 cluster draw under the cluster designs) and how a labeled
+//! unit converts into a per-unit estimate. [`DesignDriver`] captures
+//! that contract behind an object-safe trait, so the engine
 //! (`kgae-core`'s `EvaluationSession`) runs one control flow over SRS,
 //! TWCS, WCS and SCS instead of duplicating the loop per design.
 //!
@@ -26,11 +25,11 @@
 //!
 //! let kg = kgae_graph::datasets::yago();
 //! let spec: DesignSpec = "twcs:3".parse().unwrap();
-//! let mut driver = build_driver(&kg, spec, None, None);
+//! let mut driver = build_driver(&kg, spec, None);
 //! let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
 //! let mut unit = Vec::new();
 //! let cluster = driver.next_unit(&mut rng, &mut unit).unwrap();
-//! assert!(unit.len() as u64 <= driver.max_unit_size());
+//! assert!(unit.len() as u64 <= 3);
 //! assert!(unit.iter().all(|st| st.cluster == cluster));
 //! ```
 
@@ -374,9 +373,8 @@ impl std::str::FromStr for DesignSpec {
 /// facade, the poll-based session engine and the session service.
 ///
 /// `pps` supplies a prebuilt PPS-by-size alias table for the weighted
-/// designs (an `Arc` clone, never a table copy); `max_unit_size` the
-/// precomputed largest-cluster size for the whole-cluster designs. Both
-/// are rebuilt from the KG when absent, at O(#clusters) cost.
+/// designs (an `Arc` clone, never a table copy); it is rebuilt from the
+/// KG when absent, at O(#clusters) cost.
 ///
 /// # Panics
 ///
@@ -390,16 +388,14 @@ pub fn build_driver<'a>(
     kg: &'a dyn KnowledgeGraph,
     spec: DesignSpec,
     pps: Option<Arc<AliasTable>>,
-    max_unit_size: Option<u64>,
 ) -> Box<dyn DesignDriver + Send + 'a> {
     let table =
         |pps: Option<Arc<AliasTable>>| pps.unwrap_or_else(|| Arc::new(pps_by_size_table(kg)));
-    let max = |max_unit_size: Option<u64>| max_unit_size.unwrap_or_else(|| max_cluster_size(kg));
     match spec {
         DesignSpec::Srs => Box::new(SrsDriver::new(kg)),
         DesignSpec::Twcs { m } => Box::new(TwcsDriver::with_table(kg, m, table(pps))),
-        DesignSpec::Wcs => Box::new(WcsDriver::with_table(kg, table(pps), max(max_unit_size))),
-        DesignSpec::Scs => Box::new(ScsDriver::with_max_unit_size(kg, max(max_unit_size))),
+        DesignSpec::Wcs => Box::new(WcsDriver::with_table(kg, table(pps))),
+        DesignSpec::Scs => Box::new(ScsDriver::new(kg)),
         DesignSpec::Stratified { .. } => {
             panic!("stratified designs are coordinated per stratum (StratifiedSession), not built as one driver")
         }
@@ -435,11 +431,6 @@ pub trait DesignDriver {
     /// How labeled units feed the estimator.
     fn estimator(&self) -> UnitEstimator;
 
-    /// Maximum number of triples a single unit can annotate (`1` for
-    /// SRS, `m` for TWCS, the largest cluster for whole-cluster
-    /// designs) — the growth bound of the certified stopping lookahead.
-    fn max_unit_size(&self) -> u64;
-
     /// Units handed out so far.
     fn units_drawn(&self) -> u64;
 
@@ -456,13 +447,6 @@ pub trait DesignDriver {
     fn reserve(&mut self, _units: u64) -> u64 {
         0
     }
-}
-
-fn max_cluster_size(kg: &dyn KnowledgeGraph) -> u64 {
-    (0..kg.num_clusters())
-        .map(|c| kg.cluster_size(ClusterId(c)))
-        .max()
-        .unwrap_or(1)
 }
 
 // ---------------------------------------------------------------------
@@ -501,10 +485,6 @@ impl DesignDriver for SrsDriver<'_> {
 
     fn estimator(&self) -> UnitEstimator {
         UnitEstimator::Triple
-    }
-
-    fn max_unit_size(&self) -> u64 {
-        1
     }
 
     fn units_drawn(&self) -> u64 {
@@ -572,10 +552,6 @@ impl DesignDriver for TwcsDriver<'_> {
         UnitEstimator::SampleMean
     }
 
-    fn max_unit_size(&self) -> u64 {
-        self.sampler.m().max(1)
-    }
-
     fn units_drawn(&self) -> u64 {
         self.drawn
     }
@@ -593,35 +569,26 @@ impl DesignDriver for TwcsDriver<'_> {
 /// annotation.
 pub struct WcsDriver<'a> {
     sampler: WcsSampler<'a, dyn KnowledgeGraph + 'a>,
-    max_unit_size: u64,
     drawn: u64,
 }
 
 impl<'a> WcsDriver<'a> {
-    /// Builds the driver, constructing the PPS table and scanning the
-    /// largest cluster (both O(#clusters); prefer
-    /// [`WcsDriver::with_table`] for repeated evaluations).
+    /// Builds the driver, constructing the PPS table (O(#clusters);
+    /// prefer [`WcsDriver::with_table`] for repeated evaluations).
     #[must_use]
     pub fn new(kg: &'a dyn KnowledgeGraph) -> Self {
-        let max = max_cluster_size(kg);
-        Self::with_table(kg, Arc::new(pps_by_size_table(kg)), max)
+        Self::with_table(kg, Arc::new(pps_by_size_table(kg)))
     }
 
-    /// Builds the driver around a shared table and a precomputed
-    /// largest-cluster size.
+    /// Builds the driver around a shared, prebuilt PPS table.
     ///
     /// # Panics
     ///
     /// Panics if the table size disagrees with the KG.
     #[must_use]
-    pub fn with_table(
-        kg: &'a dyn KnowledgeGraph,
-        table: Arc<AliasTable>,
-        max_unit_size: u64,
-    ) -> Self {
+    pub fn with_table(kg: &'a dyn KnowledgeGraph, table: Arc<AliasTable>) -> Self {
         Self {
             sampler: WcsSampler::with_table(kg, table),
-            max_unit_size: max_unit_size.max(1),
             drawn: 0,
         }
     }
@@ -640,10 +607,6 @@ impl DesignDriver for WcsDriver<'_> {
 
     fn estimator(&self) -> UnitEstimator {
         UnitEstimator::SampleMean
-    }
-
-    fn max_unit_size(&self) -> u64 {
-        self.max_unit_size
     }
 
     fn units_drawn(&self) -> u64 {
@@ -669,29 +632,18 @@ impl DesignDriver for WcsDriver<'_> {
 pub struct ScsDriver<'a> {
     sampler: ScsSampler<'a, dyn KnowledgeGraph + 'a>,
     scale: f64,
-    max_unit_size: u64,
     drawn: u64,
     draw_limit: Option<u64>,
 }
 
 impl<'a> ScsDriver<'a> {
-    /// Builds the driver, scanning the largest cluster (O(#clusters);
-    /// prefer [`ScsDriver::with_max_unit_size`] for repeated
-    /// evaluations).
+    /// Builds the driver (O(1): uniform stage-1 draws need no table).
     #[must_use]
     pub fn new(kg: &'a dyn KnowledgeGraph) -> Self {
-        let max = max_cluster_size(kg);
-        Self::with_max_unit_size(kg, max)
-    }
-
-    /// Builds the driver with a precomputed largest-cluster size.
-    #[must_use]
-    pub fn with_max_unit_size(kg: &'a dyn KnowledgeGraph, max_unit_size: u64) -> Self {
         let scale = f64::from(kg.num_clusters()) / kg.num_triples() as f64;
         Self {
             sampler: ScsSampler::new(kg),
             scale,
-            max_unit_size: max_unit_size.max(1),
             drawn: 0,
             draw_limit: None,
         }
@@ -729,10 +681,6 @@ impl DesignDriver for ScsDriver<'_> {
 
     fn estimator(&self) -> UnitEstimator {
         UnitEstimator::HansenHurwitz { scale: self.scale }
-    }
-
-    fn max_unit_size(&self) -> u64 {
-        self.max_unit_size
     }
 
     fn units_drawn(&self) -> u64 {
@@ -810,10 +758,6 @@ impl DesignDriver for StratumSrsDriver<'_> {
         UnitEstimator::Triple
     }
 
-    fn max_unit_size(&self) -> u64 {
-        1
-    }
-
     fn units_drawn(&self) -> u64 {
         self.stream.drawn()
     }
@@ -856,7 +800,6 @@ mod tests {
         // Exhaustion is sticky.
         assert!(d.next_unit(&mut rng, &mut buf).is_none());
         assert_eq!(d.estimator(), UnitEstimator::Triple);
-        assert_eq!(d.max_unit_size(), 1);
     }
 
     #[test]
@@ -890,7 +833,6 @@ mod tests {
             let distinct: HashSet<_> = buf.iter().map(|t| t.triple).collect();
             assert_eq!(distinct.len(), buf.len());
         }
-        assert_eq!(d.max_unit_size(), 64);
         assert_eq!(d.units_drawn(), 50);
     }
 
@@ -905,11 +847,6 @@ mod tests {
         let mut twcs = TwcsDriver::new(&kg, 3);
         let mut wcs = WcsDriver::new(&kg);
         let mut scs = ScsDriver::new(&kg);
-        // Whole-cluster designs bound units by the largest cluster (1);
-        // TWCS by its second-stage cap m.
-        assert_eq!(wcs.max_unit_size(), 1);
-        assert_eq!(scs.max_unit_size(), 1);
-        assert_eq!(twcs.max_unit_size(), 3);
         let drivers: [&mut dyn DesignDriver; 3] = [&mut twcs, &mut wcs, &mut scs];
         for d in drivers {
             for _ in 0..30 {
@@ -1024,7 +961,7 @@ mod tests {
             ("scs", false),
         ] {
             let spec: DesignSpec = name.parse().unwrap();
-            let mut d = build_driver(&kg, spec, None, None);
+            let mut d = build_driver(&kg, spec, None);
             assert!(d.next_unit(&mut rng, &mut buf).is_some(), "{name}");
             assert_eq!(
                 matches!(d.estimator(), UnitEstimator::Triple),
@@ -1035,7 +972,7 @@ mod tests {
         // A reconstructed driver produces the exact stream of a directly
         // constructed one (shared table or not).
         let table = Arc::new(pps_by_size_table(&kg));
-        let mut a = build_driver(&kg, DesignSpec::Twcs { m: 2 }, Some(table.clone()), None);
+        let mut a = build_driver(&kg, DesignSpec::Twcs { m: 2 }, Some(table.clone()));
         let mut b = TwcsDriver::with_table(&kg, 2, table);
         let mut rng_a = SmallRng::seed_from_u64(11);
         let mut rng_b = SmallRng::seed_from_u64(11);
@@ -1104,7 +1041,6 @@ mod tests {
                 primary: ComparePrimary::AHpd,
             },
             None,
-            None,
         );
     }
 
@@ -1117,7 +1053,6 @@ mod tests {
             DesignSpec::Stratified {
                 allocation: AllocationPolicy::WidthGreedy,
             },
-            None,
             None,
         );
     }
@@ -1142,6 +1077,5 @@ mod tests {
         assert_eq!(d.units_drawn(), 5);
         assert!(d.next_unit(&mut rng, &mut buf).is_none(), "sticky");
         assert_eq!(d.estimator(), UnitEstimator::Triple);
-        assert_eq!(d.max_unit_size(), 1);
     }
 }

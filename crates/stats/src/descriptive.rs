@@ -137,9 +137,7 @@ impl OnlineMoments {
     }
 
     /// Sum of squared deviations from the mean (`Σ(x_i − x̄)²`, Welford's
-    /// `M2`). Monotone non-decreasing under [`OnlineMoments::push`] —
-    /// the invariant the evaluation framework's certified cluster
-    /// lookahead builds its effective-sample-size bound on.
+    /// `M2`).
     #[must_use]
     pub fn sum_sq_dev(&self) -> f64 {
         self.m2

@@ -473,7 +473,7 @@ pub fn std_normal_quantile(p: f64) -> f64 {
 /// `z` with upper-tail normal probability `p ∈ (0, 0.5]`, by the
 /// rational approximation of Abramowitz & Stegun 26.2.23 (absolute error
 /// below 4.5e-4): one `ln` and one `sqrt`. Only estimates use it: the
-/// stopping lookaheads' start horizon (any start gives the same skip), a
+/// SRS stopping lookahead's start horizon (any start gives the same skip), a
 /// session's up-front map room, and the gate that decides whether the
 /// HPD stopping predicate tries its certified tail bound.
 #[must_use]
