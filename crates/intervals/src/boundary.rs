@@ -163,6 +163,12 @@ impl Boundary {
         table
     }
 
+    /// The prior whose count posteriors this table judges.
+    #[must_use]
+    pub fn prior(&self) -> &BetaPrior {
+        &self.prior
+    }
+
     /// Whether some `1-α` window at `(τ, n)` fits within the width:
     /// [`hpd_width_achievable`] on the count posterior, read from the
     /// table when an earlier verdict settles it.

@@ -24,9 +24,11 @@
 //!   reactor reaps a connection (default 30).
 //! * `--shards` — session-registry lock stripes (default 16).
 //! * `--store-dir` — snapshot-store directory (default `kgae-store`).
-//!   On startup the store runs its crash-recovery sweep: orphaned
-//!   temp files are finished or discarded, and corrupt records are
-//!   quarantined (logged below) instead of wedging the boot.
+//!   Each session is one `<id>.rec` file, replaced by one atomic
+//!   rename per save. On startup the store runs its crash-recovery
+//!   sweep: orphaned temp files are finished or discarded, and corrupt
+//!   records and files of the retired two-file layout are quarantined
+//!   (logged below) instead of wedging the boot.
 //! * `--port-file` — write the bound port (decimal, newline) to this
 //!   path once listening; lets scripts coordinate with port 0.
 //! * `--max-sessions` / `--max-per-tenant` — session quota ceilings
@@ -43,10 +45,10 @@
 //!   request logging entirely.
 //! * `--janitor-tick` — seconds between background maintenance passes
 //!   (default 30; `0` disables the janitor). Each pass garbage-collects
-//!   stale temp files, orphaned snapshots and compactable finished
-//!   records from the store directory, and — with `--janitor-ttl N` —
-//!   suspends sessions idle for N seconds to disk and evicts
-//!   already-suspended idle ones from memory (off by default).
+//!   stale temp files from the store directory, and — with
+//!   `--janitor-ttl N` — suspends sessions idle for N seconds to disk
+//!   and evicts already-suspended idle ones from memory (off by
+//!   default).
 //!   `--janitor-grace` is the minimum file age before GC touches a
 //!   file (default 60).
 //! * `--fault` — deterministic failpoint spec (also read from the

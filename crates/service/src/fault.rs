@@ -26,12 +26,14 @@
 //!
 //! | site              | path                                          |
 //! |-------------------|-----------------------------------------------|
-//! | `store.meta.write`| meta temp-file write in [`crate::store`]      |
-//! | `store.snap.write`| snapshot temp-file write                      |
+//! | `store.write`     | record temp-file write in [`crate::store`]    |
 //! | `store.rename`    | between a completed temp write and its rename |
 //! | `store.read`      | loading a stored record                       |
 //! | `conn.read`       | server about to act on a decoded request      |
 //! | `conn.write`      | server about to write a response              |
+//!
+//! A spec naming any other site is refused, so a rehearsal that names a
+//! retired or misspelled site fails instead of injecting nothing.
 //!
 //! Probabilistic faults (`@p` with `p < 1`) draw from a per-site
 //! xoshiro stream seeded from `seed ^ fnv(site)`, so a given spec
@@ -40,10 +42,8 @@
 
 /// Canonical failpoint site names.
 pub mod site {
-    /// Meta temp-file write in the snapshot store.
-    pub const STORE_META_WRITE: &str = "store.meta.write";
-    /// Snapshot temp-file write in the snapshot store.
-    pub const STORE_SNAP_WRITE: &str = "store.snap.write";
+    /// Record temp-file write in the snapshot store.
+    pub const STORE_WRITE: &str = "store.write";
     /// Between a completed temp write and its rename.
     pub const STORE_RENAME: &str = "store.rename";
     /// Loading a stored record.
@@ -52,6 +52,8 @@ pub mod site {
     pub const CONN_READ: &str = "conn.read";
     /// Server about to write a response.
     pub const CONN_WRITE: &str = "conn.write";
+    /// Every site above: the names a spec may arm.
+    pub const ALL: [&str; 5] = [STORE_WRITE, STORE_RENAME, STORE_READ, CONN_READ, CONN_WRITE];
 }
 
 /// What a firing failpoint does at its site.
@@ -150,6 +152,11 @@ mod imp {
                 seed = value
                     .parse()
                     .map_err(|_| format!("fault seed not a number: {value:?}"))?;
+            } else if !super::site::ALL.contains(&key) {
+                return Err(format!(
+                    "unknown fault site {key:?} (known sites: {})",
+                    super::site::ALL.join(", ")
+                ));
             } else {
                 entries.push((key.to_string(), parse_action(value)?));
             }
@@ -192,9 +199,10 @@ pub fn enabled() -> bool {
 ///
 /// # Errors
 ///
-/// A human-readable parse error; or, when the `fault-injection` feature
-/// is off, an error for any non-empty spec — a build without the
-/// machinery must refuse to pretend it injects faults.
+/// A human-readable parse error, including a site not in
+/// [`site::ALL`] (the message lists the known ones); or, when the
+/// `fault-injection` feature is off, an error for any non-empty spec — a
+/// build without the machinery must refuse to pretend it injects faults.
 pub fn configure(spec: &str) -> Result<(), String> {
     #[cfg(feature = "fault-injection")]
     {
@@ -292,5 +300,17 @@ mod tests {
             assert!(configure(bad).is_err(), "{bad:?}");
         }
         clear();
+    }
+
+    #[test]
+    fn unknown_sites_are_refused_with_the_known_ones_listed() {
+        for bad in [
+            "store.snap.write=torn:64",
+            "store.read=err; store.meta.write=err",
+        ] {
+            let err = configure(bad).unwrap_err();
+            assert!(err.contains("unknown fault site"), "{bad:?}: {err}");
+            assert!(site::ALL.iter().all(|known| err.contains(known)), "{err}");
+        }
     }
 }

@@ -1,34 +1,28 @@
 //! The janitor: a background maintenance worker that keeps a running
 //! service tidy without operator attention.
 //!
-//! On a configurable tick the janitor does four jobs, every one
+//! On a configurable tick the janitor does three jobs, every one
 //! reported through the shared [`Metrics`] registry:
 //!
-//! 1. **TTL aging** (opt-in via [`JanitorConfig::idle_ttl`]): live
-//!    sessions idle past the TTL are suspended to disk; suspended and
-//!    finished sessions idle past it are evicted from memory. "Idle"
-//!    is measured from the last create/poll/submit/resume — status
-//!    reads don't keep a session warm, and live sessions with an
-//!    outstanding annotation batch are never aged (labels are owed).
-//! 2. **Temp-file GC**: stale `*.tmp` files in the store directory —
+//! 1. **TTL suspension** (opt-in via [`JanitorConfig::idle_ttl`]): live
+//!    sessions idle past the TTL are suspended to disk. "Idle" is
+//!    measured from the last create/poll/submit/resume — status reads
+//!    don't keep a session warm, and live sessions with an outstanding
+//!    annotation batch are never aged (labels are owed).
+//! 2. **TTL eviction** (same opt-in): suspended and finished sessions
+//!    idle past the TTL are evicted from memory.
+//! 3. **Temp-file GC**: stale `*.tmp` files in the store directory —
 //!    crash leftovers the startup sweep didn't see — are removed.
-//! 3. **Orphan GC**: `<id>.snap` files with no `<id>.meta.json` are
-//!    removed.
-//! 4. **Compaction**: `<id>.snap` files whose meta records a finished
-//!    session are removed (a finished record is meta-only; the stray
-//!    snapshot is a crash leftover).
 //!
 //! # Why this can't race a request
 //!
 //! Every store write the manager performs happens **under the session
 //! id's shard lock**. The janitor takes the same lock (through
-//! `SessionManager::with_session_lock`) before touching any file
-//! that belongs to a session id, so it can never see — or delete — a
-//! half-written record of an in-flight save. Files whose id is
-//! currently in memory are left alone entirely, and every deletion
-//! additionally requires the file to be older than
-//! [`JanitorConfig::grace`], so even non-session debris is only
-//! collected once it has provably been sitting around.
+//! `SessionManager::with_session_lock`) before removing a session's
+//! temp file, so it can never delete the half-written record of an
+//! in-flight save. Every deletion additionally requires the file to be
+//! older than [`JanitorConfig::grace`], so even non-session debris is
+//! only collected once it has provably been sitting around.
 //!
 //! Aging goes through the ordinary [`SessionManager::suspend`] /
 //! [`SessionManager::evict`] entry points and tolerates every
@@ -39,7 +33,7 @@
 
 use crate::manager::{SessionManager, SessionState};
 use crate::metrics::Metrics;
-use crate::store::{self, valid_session_id};
+use crate::store::record_id;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
@@ -51,7 +45,7 @@ pub struct JanitorConfig {
     /// Pause between maintenance ticks.
     pub tick: Duration,
     /// Age an in-memory session to disk once idle this long. `None`
-    /// disables aging (file GC and compaction still run).
+    /// disables aging (temp-file GC still runs).
     pub idle_ttl: Option<Duration>,
     /// Minimum file age before GC touches it. Guards non-session
     /// debris; session files are already guarded by the shard lock.
@@ -77,10 +71,6 @@ pub struct TickReport {
     pub aged_evicted: u64,
     /// Stale `*.tmp` files removed.
     pub gc_tmp: u64,
-    /// Orphaned `.snap` files (no meta) removed.
-    pub gc_orphan_snaps: u64,
-    /// Stray snapshots of finished sessions removed.
-    pub compacted: u64,
 }
 
 impl TickReport {
@@ -171,24 +161,21 @@ impl Janitor {
         }
     }
 
-    /// One maintenance pass: TTL aging, temp GC, orphan GC,
-    /// compaction. Never fails — anything that refuses (a request
-    /// racing the janitor, an unreadable file) is simply skipped and
-    /// retried on a later tick.
+    /// One maintenance pass: TTL aging, then temp-file GC. Never fails
+    /// — anything that refuses (a request racing the janitor, an
+    /// unreadable file) is simply skipped and retried on a later tick.
     pub fn tick(&self, manager: &SessionManager<'_>) -> TickReport {
         let mut report = TickReport::default();
         if let Some(ttl) = self.config.idle_ttl {
             self.age_idle(manager, ttl, &mut report);
         }
-        self.collect_files(manager, &mut report);
+        self.collect_tmp_files(manager, &mut report);
         if let Some(metrics) = &self.metrics {
             metrics.janitor_ticks.fetch_add(1, Ordering::Relaxed);
             for (counter, value) in [
                 (&metrics.janitor_aged_suspended, report.aged_suspended),
                 (&metrics.janitor_aged_evicted, report.aged_evicted),
                 (&metrics.janitor_gc_tmp, report.gc_tmp),
-                (&metrics.janitor_gc_orphan_snaps, report.gc_orphan_snaps),
-                (&metrics.janitor_compacted, report.compacted),
             ] {
                 counter.fetch_add(value, Ordering::Relaxed);
             }
@@ -216,73 +203,25 @@ impl Janitor {
         }
     }
 
-    /// Sweeps the store directory for temp files, orphaned snapshots,
-    /// and compactable finished-session snapshots.
-    fn collect_files(&self, manager: &SessionManager<'_>, report: &mut TickReport) {
-        let store = manager.store();
-        let Ok(entries) = std::fs::read_dir(store.dir()) else {
+    /// Removes the stale temp files in the store directory.
+    fn collect_tmp_files(&self, manager: &SessionManager<'_>, report: &mut TickReport) {
+        let Ok(entries) = std::fs::read_dir(manager.store().dir()) else {
             return;
         };
-        let mut names: Vec<String> = entries
-            .filter_map(Result::ok)
-            .filter_map(|entry| entry.file_name().to_str().map(str::to_string))
-            .collect();
-        names.sort();
-        for name in &names {
-            if let Some(target) = name.strip_suffix(".tmp") {
-                let path = store.dir().join(name);
-                match session_id_of_file(target) {
-                    // A session-shaped temp: the shard lock proves no
-                    // save is in flight for this id, so it is debris.
-                    Some(id) => {
-                        if manager.with_session_lock(id, |_| self.remove_aged(&path)) {
-                            report.gc_tmp += 1;
-                        }
-                    }
-                    // Junk-named temp: grace period alone.
-                    None => {
-                        if self.remove_aged(&path) {
-                            report.gc_tmp += 1;
-                        }
-                    }
-                }
-            } else if let Some(id) = name.strip_suffix(".snap") {
-                if !valid_session_id(id) {
-                    continue;
-                }
-                let has_meta = names.iter().any(|n| n == &format!("{id}.meta.json"));
-                if !has_meta {
-                    // Orphaned snapshot. Re-check under the shard lock
-                    // (a save writes snap before meta, so the meta may
-                    // have landed since the listing) and leave any
-                    // in-memory session's files alone.
-                    let removed = manager.with_session_lock(id, |in_memory| {
-                        !in_memory
-                            && !store.meta_path(id).exists()
-                            && self.remove_aged(&store.snap_path(id))
-                    });
-                    if removed {
-                        report.gc_orphan_snaps += 1;
-                    }
-                } else {
-                    // Snapshot beside a meta record: compact it away iff
-                    // the meta marks the session finished (finished
-                    // records are meta-only).
-                    let removed = manager.with_session_lock(id, |in_memory| {
-                        if in_memory {
-                            return false;
-                        }
-                        let finished = std::fs::read(store.meta_path(id))
-                            .ok()
-                            .and_then(|bytes| store::meta_state(id, &bytes))
-                            == Some(store::MetaState::Finished);
-                        finished && self.remove_aged(&store.snap_path(id))
-                    });
-                    if removed {
-                        report.compacted += 1;
-                    }
-                }
-            }
+        for entry in entries.filter_map(Result::ok) {
+            let name = entry.file_name();
+            let Some(target) = name.to_str().and_then(|name| name.strip_suffix(".tmp")) else {
+                continue;
+            };
+            let path = entry.path();
+            let removed = match record_id(target) {
+                // A session's temp: the shard lock proves no save is in
+                // flight for this id, so it is debris.
+                Some(id) => manager.with_session_lock(id, || self.remove_aged(&path)),
+                // Any other temp: grace period alone.
+                None => self.remove_aged(&path),
+            };
+            report.gc_tmp += u64::from(removed);
         }
     }
 
@@ -291,15 +230,6 @@ impl Janitor {
     fn remove_aged(&self, path: &Path) -> bool {
         older_than(path, self.config.grace) && std::fs::remove_file(path).is_ok()
     }
-}
-
-/// The session id a store file name (sans `.tmp`) belongs to, when it
-/// is shaped like one.
-fn session_id_of_file(name: &str) -> Option<&str> {
-    let id = name
-        .strip_suffix(".meta.json")
-        .or_else(|| name.strip_suffix(".snap"))?;
-    valid_session_id(id).then_some(id)
 }
 
 /// Whether `path` exists with an mtime at least `grace` in the past.
@@ -323,11 +253,11 @@ mod tests {
 
     #[test]
     fn file_names_classify_as_session_records_or_junk() {
-        assert_eq!(session_id_of_file("abc.meta.json"), Some("abc"));
-        assert_eq!(session_id_of_file("abc.snap"), Some("abc"));
-        assert_eq!(session_id_of_file("abc"), None);
-        assert_eq!(session_id_of_file(".hidden.snap"), None, "invalid id");
-        assert_eq!(session_id_of_file(""), None);
+        assert_eq!(record_id("abc.rec"), Some("abc"));
+        assert_eq!(record_id("abc.meta.json"), None, "retired layout");
+        assert_eq!(record_id("abc"), None);
+        assert_eq!(record_id(".hidden.rec"), None, "invalid id");
+        assert_eq!(record_id(""), None);
     }
 
     #[test]

@@ -160,8 +160,14 @@ impl From<SessionError> for ServiceError {
 }
 
 impl From<std::io::Error> for ServiceError {
+    /// A record the store could not frame is corrupt (and quarantined
+    /// where rehydration meets it); every other failure is I/O.
     fn from(e: std::io::Error) -> Self {
-        ServiceError::Io(e)
+        if e.kind() == std::io::ErrorKind::InvalidData {
+            ServiceError::Corrupt(e.to_string())
+        } else {
+            ServiceError::Io(e)
+        }
     }
 }
 
@@ -428,8 +434,9 @@ struct Live<'a> {
     pending_stratum: Option<(u32, String)>,
     /// Fencing token: incremented for every freshly issued batch. A
     /// submit carrying a stale seq is rejected instead of silently
-    /// applying old labels to a newer batch. Persisted in the meta
-    /// record, so a rehydrated session never re-issues a seq.
+    /// applying old labels to a newer batch. Persisted in the same
+    /// record as the snapshot, so a rehydrated session re-issues a seq
+    /// only for the batch first issued under it.
     seq: u64,
     /// Last request activity (create/poll/submit/resume), the clock the
     /// janitor's TTL aging reads. Status reads deliberately do not
@@ -444,7 +451,10 @@ impl Live<'_> {
 
     /// Writes the session to `store` as suspended: the snapshot plus a
     /// meta record carrying the cached status and the fencing seq, in
-    /// one atomic save. Returns the snapshot and the status it cached.
+    /// one atomic save — one record file, so a restart restores the seq
+    /// and the engine state it fences as a pair, and a failed save
+    /// leaves the previous pair in place. Returns the snapshot and the
+    /// status it cached.
     fn persist(
         &self,
         store: &SnapshotStore,
@@ -472,8 +482,6 @@ struct Dormant {
     methods: Option<Vec<MethodReport>>,
     monitor: Option<MonitorReport>,
     snapshot_bytes: u64,
-    /// The fencing seq at suspension (see [`Live::seq`]).
-    seq: u64,
     /// When this stub last saw activity (see [`Live::touched`]).
     touched: Instant,
 }
@@ -770,7 +778,6 @@ fn meta_encode(
 
 struct MetaRecord {
     spec: SessionSpec,
-    state: SessionState,
     status: SessionStatus,
     strata: Option<Vec<StratumReport>>,
     methods: Option<Vec<MethodReport>>,
@@ -840,7 +847,6 @@ fn meta_decode(id: &str, meta: &str) -> ServiceResult<MetaRecord> {
     };
     Ok(MetaRecord {
         spec,
-        state,
         status,
         strata,
         methods,
@@ -906,7 +912,7 @@ fn tenant_scope(tenant: &str) -> String {
 /// sorted). A clean drain has an empty `failed`.
 #[derive(Debug, Default)]
 pub struct DrainReport {
-    /// Sessions persisted as suspended (snapshot + meta on disk),
+    /// Sessions persisted as suspended (one record with a snapshot),
     /// resumable bit-identically after restart.
     pub suspended: Vec<String>,
     /// Sessions whose outstanding annotation batch was withdrawn via
@@ -1066,14 +1072,12 @@ impl<'a> SessionManager<'a> {
         &self.shards[self.shard_index(id)]
     }
 
-    /// Runs `f` while holding `id`'s shard lock, telling it whether the
-    /// id currently occupies an in-memory slot. Every store write for
+    /// Runs `f` while holding `id`'s shard lock. Every store write for
     /// an id happens under this same lock, so the janitor uses this to
-    /// garbage-collect a session's files without racing an in-flight
-    /// save.
-    pub(crate) fn with_session_lock<T>(&self, id: &str, f: impl FnOnce(bool) -> T) -> T {
-        let shard = self.shard(id).lock().expect("shard lock");
-        f(shard.contains_key(id))
+    /// remove a session's temp file without racing an in-flight save.
+    pub(crate) fn with_session_lock<T>(&self, id: &str, f: impl FnOnce() -> T) -> T {
+        let _shard = self.shard(id).lock().expect("shard lock");
+        f()
     }
 
     /// Point-in-time census of every session, per shard and lifecycle
@@ -1272,7 +1276,7 @@ impl<'a> SessionManager<'a> {
                 };
                 match slot {
                     Slot::Suspended(_) => {
-                        // Snapshot + meta already on disk.
+                        // Already on disk.
                         shard.remove(&id);
                         report.suspended.push(id);
                     }
@@ -1440,108 +1444,81 @@ impl<'a> SessionManager<'a> {
         })
     }
 
-    /// Rebuilds a live session from its stored snapshot, resuming the
-    /// fencing seq it was persisted with.
-    fn rehydrate(&self, spec: &SessionSpec, seq: u64, snapshot: &[u8]) -> ServiceResult<Live<'a>> {
-        let blueprint = self.blueprint(spec)?;
+    /// Loads a stored record into a slot (not yet inserted anywhere): a
+    /// suspended record rehydrates with the fencing seq stored beside
+    /// its snapshot.
+    fn slot_from_store(&self, id: &str, record: &StoredSession) -> ServiceResult<Slot<'a>> {
+        let meta = meta_decode(id, &record.meta)?;
+        if let Some((reason, result)) = meta.finished {
+            return Ok(Slot::Finished(Box::new(FinishedSlot {
+                spec: meta.spec,
+                reason,
+                result,
+                strata: meta.strata,
+                methods: meta.methods,
+                touched: Instant::now(),
+            })));
+        }
+        let snapshot = record.snapshot.as_deref().ok_or_else(|| {
+            ServiceError::Corrupt(format!("session {id:?}: suspended without a snapshot"))
+        })?;
+        let blueprint = self.blueprint(&meta.spec)?;
         // Registry-dispatched: the snapshot's record tag is validated
         // against the engine kind the spec denotes before any
         // kind-specific parsing, and every fingerprint after that.
         let mut engine = blueprint
-            .engine_spec(&spec.method, spec.seed)
+            .engine_spec(&meta.spec.method, meta.spec.seed)
             .resume(snapshot)?;
         engine.set_kernel_cache(Arc::clone(&self.kernel));
-        Ok(Live {
-            spec: spec.clone(),
+        Ok(Slot::Live(Box::new(Live {
+            spec: meta.spec,
             engine,
             pending: None,
             pending_stratum: None,
-            seq,
+            seq: meta.seq,
             touched: Instant::now(),
-        })
-    }
-
-    /// Loads a stored record into a slot (not yet inserted anywhere).
-    fn slot_from_store(&self, id: &str, record: &StoredSession) -> ServiceResult<Slot<'a>> {
-        let meta = meta_decode(id, &record.meta)?;
-        match meta.state {
-            SessionState::Finished => {
-                let (reason, result) = meta
-                    .finished
-                    .ok_or_else(|| ServiceError::Corrupt(format!("session {id:?}: no result")))?;
-                Ok(Slot::Finished(Box::new(FinishedSlot {
-                    spec: meta.spec,
-                    reason,
-                    result,
-                    strata: meta.strata,
-                    methods: meta.methods,
-                    touched: Instant::now(),
-                })))
-            }
-            _ => {
-                let snapshot = record.snapshot.as_deref().ok_or_else(|| {
-                    ServiceError::Corrupt(format!("session {id:?}: suspended without a snapshot"))
-                })?;
-                let live = self.rehydrate(&meta.spec, meta.seq, snapshot)?;
-                Ok(Slot::Live(Box::new(live)))
-            }
-        }
+        })))
     }
 
     /// Brings the slot for `id` into the [`Slot::Live`] state inside an
-    /// already-held shard, rehydrating from disk if needed.
-    /// [`ServiceError::AlreadyFinished`] leaves the finished slot in
-    /// the map so the caller can still read its view. A stored record
-    /// that fails deep validation is quarantined (the slot is dropped
-    /// and the caller gets [`ServiceError::Quarantined`]) instead of
-    /// surfacing as a 500 forever.
+    /// already-held shard, rehydrating from disk if needed: a suspended
+    /// slot and an evicted session alike come back from their one
+    /// stored record. [`ServiceError::AlreadyFinished`] leaves the
+    /// finished slot in the map so the caller can still read its view.
+    /// A stored record that fails deep validation is quarantined (the
+    /// slot is dropped and the caller gets [`ServiceError::Quarantined`])
+    /// instead of surfacing as a 500 forever.
     fn ensure_live(&self, shard: &mut HashMap<String, Slot<'a>>, id: &str) -> ServiceResult<()> {
-        match shard.get(id) {
-            Some(Slot::Live(_)) => Ok(()),
+        let suspended = match shard.get(id) {
+            Some(Slot::Live(_)) => return Ok(()),
             Some(Slot::Finished(finished)) => {
-                Err(ServiceError::AlreadyFinished(finished.spec.id.clone()))
+                return Err(ServiceError::AlreadyFinished(finished.spec.id.clone()))
             }
-            Some(Slot::Suspended(dormant)) => {
-                let rehydrated = (|| -> ServiceResult<Live<'a>> {
-                    let record = self.store.load(id)?.ok_or_else(|| {
-                        ServiceError::Corrupt(format!("session {id:?}: meta vanished"))
-                    })?;
-                    let snapshot = record.snapshot.as_deref().ok_or_else(|| {
-                        ServiceError::Corrupt(format!("session {id:?}: snapshot vanished"))
-                    })?;
-                    self.rehydrate(&dormant.spec, dormant.seq, snapshot)
-                })();
-                match rehydrated {
-                    Ok(live) => {
-                        shard.insert(id.to_string(), Slot::Live(Box::new(live)));
-                        self.bump(|m| &m.sessions_resumed);
-                        Ok(())
-                    }
-                    Err(e) => {
-                        let e = self.quarantine_on_corruption(id, e);
-                        if matches!(e, ServiceError::Quarantined(_)) {
-                            shard.remove(id);
-                        }
-                        Err(e)
-                    }
-                }
+            Some(Slot::Suspended(_)) => true,
+            None => false,
+        };
+        let slot = match self.store.load(id) {
+            Ok(Some(record)) => self.slot_from_store(id, &record),
+            Ok(None) if suspended => Err(ServiceError::Corrupt(format!(
+                "session {id:?}: record vanished"
+            ))),
+            Ok(None) => return Err(ServiceError::UnknownSession(id.to_string())),
+            Err(e) => Err(e.into()),
+        };
+        let slot = slot.map_err(|e| {
+            let e = self.quarantine_on_corruption(id, e);
+            if matches!(e, ServiceError::Quarantined(_)) {
+                shard.remove(id);
             }
-            None => {
-                let Some(record) = self.store.load(id)? else {
-                    return Err(ServiceError::UnknownSession(id.to_string()));
-                };
-                let slot = self
-                    .slot_from_store(id, &record)
-                    .map_err(|e| self.quarantine_on_corruption(id, e))?;
-                let finished = matches!(slot, Slot::Finished(_));
-                shard.insert(id.to_string(), slot);
-                if finished {
-                    return Err(ServiceError::AlreadyFinished(id.to_string()));
-                }
-                self.bump(|m| &m.sessions_resumed);
-                Ok(())
-            }
+            e
+        })?;
+        let finished = matches!(slot, Slot::Finished(_));
+        shard.insert(id.to_string(), slot);
+        if finished {
+            return Err(ServiceError::AlreadyFinished(id.to_string()));
         }
+        self.bump(|m| &m.sessions_resumed);
+        Ok(())
     }
 
     /// Replaces a just-stopped live slot with its finished form.
@@ -1810,6 +1787,14 @@ impl<'a> SessionManager<'a> {
     /// report their suspension-time status straight from the cached
     /// meta record.
     ///
+    /// For a session only on disk, the shard lock is dropped before the
+    /// store is read, so a `suspend`, `resume` or `evict` of the same id
+    /// may persist concurrently. The read is still one committed record:
+    /// a save replaces the whole file by one atomic rename and the load
+    /// reads one file, so the view's cached status and `snapshot_bytes`
+    /// always come from the same persist (the latest one, or one just
+    /// superseded).
+    ///
     /// # Errors
     ///
     /// [`ServiceError::UnknownSession`] or a corrupt stored record.
@@ -1820,11 +1805,12 @@ impl<'a> SessionManager<'a> {
             return Ok(slot.view());
         }
         drop(shard);
-        let Some(record) = self.store.load(id)? else {
-            return Err(ServiceError::UnknownSession(id.to_string()));
-        };
-        let meta =
-            meta_decode(id, &record.meta).map_err(|e| self.quarantine_on_corruption(id, e))?;
+        let (meta, record) = match self.store.load(id) {
+            Ok(Some(record)) => meta_decode(id, &record.meta).map(|meta| (meta, record)),
+            Ok(None) => return Err(ServiceError::UnknownSession(id.to_string())),
+            Err(e) => Err(e.into()),
+        }
+        .map_err(|e| self.quarantine_on_corruption(id, e))?;
         Ok(SessionView {
             id: meta.spec.id.clone(),
             dataset: meta.spec.dataset.clone(),
@@ -1842,7 +1828,7 @@ impl<'a> SessionManager<'a> {
         })
     }
 
-    /// Suspends a running session: snapshot + meta to disk, live state
+    /// Suspends a running session: its record to disk, live state
     /// dropped to a cached stub. Idempotent on already-suspended
     /// sessions.
     ///
@@ -1871,7 +1857,6 @@ impl<'a> SessionManager<'a> {
                     methods: view.methods,
                     monitor: view.monitor,
                     snapshot_bytes: snapshot.len() as u64,
-                    seq: live.seq,
                     touched: Instant::now(),
                 };
                 shard.insert(id.to_string(), Slot::Suspended(Box::new(dormant)));
@@ -1913,8 +1898,9 @@ impl<'a> SessionManager<'a> {
 
     /// Drops a session's last in-memory bytes, persisting it first if
     /// needed (running sessions are suspended on the way out; finished
-    /// results are written as meta-only records). Idempotent on
-    /// already-evicted sessions.
+    /// results are written as records without a snapshot). A failed
+    /// write keeps the slot in memory and the previous record on disk.
+    /// Idempotent on already-evicted sessions.
     ///
     /// # Errors
     ///
@@ -1934,7 +1920,7 @@ impl<'a> SessionManager<'a> {
                 Ok(())
             }
             Some(Slot::Suspended(_)) => {
-                // Snapshot + meta already on disk.
+                // Already on disk.
                 shard.remove(id);
                 self.bump(|m| &m.sessions_evicted);
                 Ok(())

@@ -293,10 +293,6 @@ pub struct Metrics {
     pub(crate) janitor_aged_evicted: AtomicU64,
     /// Stale temp files the janitor removed.
     pub(crate) janitor_gc_tmp: AtomicU64,
-    /// Orphaned snapshots (no meta) the janitor removed.
-    pub(crate) janitor_gc_orphan_snaps: AtomicU64,
-    /// Stray snapshots of finished sessions the janitor compacted away.
-    pub(crate) janitor_compacted: AtomicU64,
 }
 
 impl Default for Metrics {
@@ -337,8 +333,6 @@ impl Metrics {
             janitor_aged_suspended: AtomicU64::new(0),
             janitor_aged_evicted: AtomicU64::new(0),
             janitor_gc_tmp: AtomicU64::new(0),
-            janitor_gc_orphan_snaps: AtomicU64::new(0),
-            janitor_compacted: AtomicU64::new(0),
         }
     }
 
@@ -370,7 +364,7 @@ impl Metrics {
         if let Some(stats) = kernel {
             encode_kernel_cache(&mut out, stats);
         }
-        let counters: [(&str, &str, u64); 24] = [
+        let counters: [(&str, &str, u64); 23] = [
             (
                 "kgae_reactor_connections_open",
                 "gauge Connections currently registered in the reactor slab.",
@@ -483,14 +477,8 @@ impl Metrics {
             ),
             (
                 "kgae_janitor_gc_files_total",
-                "counter Stale temp and orphaned snapshot files removed.",
-                self.janitor_gc_tmp.load(Ordering::Relaxed)
-                    + self.janitor_gc_orphan_snaps.load(Ordering::Relaxed),
-            ),
-            (
-                "kgae_janitor_compacted_total",
-                "counter Stray snapshots of finished sessions compacted away.",
-                self.janitor_compacted.load(Ordering::Relaxed),
+                "counter Stale temp files removed.",
+                self.janitor_gc_tmp.load(Ordering::Relaxed),
             ),
         ];
         for (name, kind_help, value) in counters {

@@ -1,15 +1,16 @@
 //! The snapshot store: dormant sessions as files.
 //!
-//! A suspended evaluation campaign is a few KB of PR-2 snapshot bytes
-//! plus a small JSON meta record (its spec and last observed status).
-//! Spilling idle sessions here is what lets one server host millions of
-//! dormant campaigns: RAM holds only the live ones, disk holds the
-//! rest, and rehydration is lazy — a session is re-validated (snapshot
-//! fingerprints and all) and rebuilt only when traffic returns for it.
+//! A suspended evaluation campaign is a few KB of snapshot bytes plus a
+//! small JSON meta record (its spec, last observed status and fencing
+//! seq). Spilling idle sessions here is what lets one server host
+//! millions of dormant campaigns: RAM holds only the live ones, disk
+//! holds the rest, and rehydration is lazy — a session is re-validated
+//! (snapshot fingerprints and all) and rebuilt only when traffic
+//! returns for it.
 //!
-//! Layout: one directory, two files per session —
-//! `<id>.meta.json` (spec + cached status) and `<id>.snap` (snapshot
-//! bytes; absent for sessions that finished before eviction). Session
+//! Layout: one directory, one file per session, `<id>.rec`: a
+//! little-endian `u32` meta length, the meta JSON, then the snapshot
+//! bytes (none for a session that finished before eviction). Session
 //! ids are restricted to a filename-safe alphabet at the API boundary
 //! and re-checked here, so ids can never traverse paths. `quarantine`
 //! and any id ending in `.tmp` are reserved (they would collide with
@@ -17,22 +18,25 @@
 //!
 //! # Crash safety
 //!
-//! Writes go through a temp file that is fsynced and then renamed into
-//! place, so a crashed write never corrupts an existing record — the
-//! worst a crash leaves behind is an orphaned `<name>.tmp`. [`open`]
-//! therefore runs a **recovery sweep** before serving any traffic:
+//! A save writes the whole record to `<id>.rec.tmp`, fsyncs it and
+//! renames it over `<id>.rec`: one fsync, one rename. A record's meta
+//! and snapshot therefore always come from the same save, and a crash
+//! leaves either the previous record or the new one — the worst it
+//! leaves behind is an orphaned `.tmp`. [`open`] runs a **recovery
+//! sweep** before serving any traffic:
 //!
 //! 1. Every orphaned `.tmp` is *promoted* (renamed into place) when its
 //!    rename target is missing and its content validates — the crash
 //!    hit between fsync and rename, the write is complete; otherwise it
 //!    is *discarded* — either the committed target already exists and
 //!    wins, or the temp is torn.
-//! 2. Every surviving record is validated: meta records must parse as
-//!    JSON naming the right id and a known state; snapshots must carry
-//!    a well-formed header. Records that fail — and suspended records
-//!    missing their snapshot, and snapshots missing their meta — are
-//!    moved into a `quarantine/` subdirectory (never deleted, never
-//!    panicked over) with a `.reason` note for the operator.
+//! 2. Every record is validated: its meta must parse as JSON naming the
+//!    right id and a known state, a suspended record must carry a
+//!    snapshot with a well-formed header, and a finished one none.
+//!    Records that fail are moved into a `quarantine/` subdirectory
+//!    (never deleted, never panicked over) with a `.reason` note for
+//!    the operator. So are files of the retired two-file layout
+//!    (`<id>.meta.json` + `<id>.snap`), which this store does not read.
 //!
 //! The sweep's [`RecoveryReport`] lists what was promoted, discarded,
 //! quarantined and recovered; `kgae-serve` logs it at startup. Ids
@@ -56,6 +60,12 @@ pub const MAX_ID_LEN: usize = 64;
 
 /// Name of the store subdirectory holding quarantined records.
 pub const QUARANTINE_DIR: &str = "quarantine";
+
+/// File extension of a session record.
+const RECORD_EXT: &str = ".rec";
+
+/// File extensions of the retired two-file layout, quarantined at open.
+const LEGACY_EXTS: [&str; 2] = [".meta.json", ".snap"];
 
 /// Whether `id` is a valid session id: 1–[`MAX_ID_LEN`] characters from
 /// `[A-Za-z0-9._-]`, not starting with a dot, and not one of the
@@ -106,14 +116,64 @@ pub struct StoredSession {
     /// The meta JSON document (spec + cached status), verbatim.
     pub meta: String,
     /// Snapshot bytes, when the session was suspended mid-flight
-    /// (`None` for sessions that finished before eviction).
+    /// (`None` for sessions that finished before eviction; an empty
+    /// snapshot reads back as `None`).
     pub snapshot: Option<Vec<u8>>,
+}
+
+/// A record's bytes: the meta length, the meta, the snapshot.
+fn encode_record(meta: &str, snapshot: Option<&[u8]>) -> io::Result<Vec<u8>> {
+    let len = u32::try_from(meta.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "meta record over 4 GiB"))?;
+    let snapshot = snapshot.unwrap_or_default();
+    let mut bytes = Vec::with_capacity(4 + meta.len() + snapshot.len());
+    bytes.extend_from_slice(&len.to_le_bytes());
+    bytes.extend_from_slice(meta.as_bytes());
+    bytes.extend_from_slice(snapshot);
+    Ok(bytes)
+}
+
+/// Splits a record into its meta and its snapshot (`None` when the
+/// record ends with its meta); `None` when the length prefix overruns
+/// the record or the meta is not UTF-8.
+fn decode_record(bytes: &[u8]) -> Option<(&str, Option<&[u8]>)> {
+    let (len, rest) = bytes.split_first_chunk::<4>()?;
+    let len = usize::try_from(u32::from_le_bytes(*len)).ok()?;
+    if rest.len() < len {
+        return None;
+    }
+    let (meta, snapshot) = rest.split_at(len);
+    Some((
+        std::str::from_utf8(meta).ok()?,
+        (!snapshot.is_empty()).then_some(snapshot),
+    ))
+}
+
+/// Why the record `bytes` stored under `id` cannot be served, if it
+/// cannot: structural validation at the store level. Full spec decoding
+/// stays with the manager — rehydration re-checks everything and
+/// quarantines on failure; the sweep only needs to catch torn or
+/// foreign files.
+fn record_fault(id: &str, bytes: &[u8]) -> Option<String> {
+    let Some((meta, snapshot)) = decode_record(bytes) else {
+        return Some("truncated or malformed record".into());
+    };
+    match (meta_state(id, meta), snapshot) {
+        (None, _) => Some("unreadable meta record".into()),
+        (Some(MetaState::Suspended), None) => Some("suspended session missing its snapshot".into()),
+        (Some(MetaState::Suspended), Some(snapshot)) => kgae_core::snapshot_engine_kind(snapshot)
+            .err()
+            .map(|e| format!("corrupt or truncated snapshot: {e}")),
+        (Some(MetaState::Finished), Some(_)) => Some("finished record carrying a snapshot".into()),
+        (Some(MetaState::Finished), None) => None,
+    }
 }
 
 /// What the startup recovery sweep did (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// File names of orphaned `.tmp` writes completed by promotion.
+    /// Ids of sessions whose orphaned `.tmp` write was completed by
+    /// promotion.
     pub promoted: Vec<String>,
     /// File names of orphaned `.tmp` writes discarded (target already
     /// committed, or the temp content was torn).
@@ -189,19 +249,15 @@ impl SnapshotStore {
         &self.recovery
     }
 
-    pub(crate) fn meta_path(&self, id: &str) -> PathBuf {
-        self.dir.join(format!("{id}.meta.json"))
-    }
-
-    pub(crate) fn snap_path(&self, id: &str) -> PathBuf {
-        self.dir.join(format!("{id}.snap"))
+    fn record_path(&self, id: &str) -> PathBuf {
+        self.dir.join(format!("{id}{RECORD_EXT}"))
     }
 
     fn quarantine_dir(&self) -> PathBuf {
         self.dir.join(QUARANTINE_DIR)
     }
 
-    fn write_atomic(&self, path: &Path, bytes: &[u8], site: &'static str) -> io::Result<()> {
+    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
         // Appended (not substituted) extension: distinct target files
         // always get distinct temp files.
         let mut tmp = path.as_os_str().to_os_string();
@@ -209,7 +265,7 @@ impl SnapshotStore {
         let tmp = PathBuf::from(tmp);
         let mut file = std::fs::File::create(&tmp)?;
         #[cfg(feature = "fault-injection")]
-        match fault::check(site) {
+        match fault::check(fault::site::STORE_WRITE) {
             Some(fault::FaultAction::Crash) => std::process::abort(),
             Some(fault::FaultAction::Torn(n)) => {
                 // Persist a prefix, make sure it reaches disk, then die
@@ -221,8 +277,6 @@ impl SnapshotStore {
             Some(fault::FaultAction::Err) => return Err(fault::injected_error()),
             Some(fault::FaultAction::Drop) | None => {}
         }
-        #[cfg(not(feature = "fault-injection"))]
-        let _ = site;
         file.write_all(bytes)?;
         // fsync before rename: otherwise a power cut can commit the
         // rename but not the data, turning an atomic write into a
@@ -248,13 +302,14 @@ impl SnapshotStore {
         std::fs::rename(&tmp, path)
     }
 
-    /// Persists a session record, replacing any previous one. With
-    /// `snapshot: None` a stale `.snap` file from an earlier suspension
-    /// is removed, keeping the record's two files consistent.
+    /// Persists a session record, replacing any previous one in a
+    /// single atomic write (see the module docs). `meta` is stored
+    /// verbatim; only the recovery sweep interprets it.
     ///
     /// # Errors
     ///
-    /// `InvalidInput` for an invalid id; otherwise filesystem errors.
+    /// `InvalidInput` for an invalid id or a meta over 4 GiB; otherwise
+    /// filesystem errors, which leave the previous record in place.
     pub fn save(&self, id: &str, meta: &str, snapshot: Option<&[u8]>) -> io::Result<()> {
         if !valid_session_id(id) {
             return Err(io::Error::new(
@@ -262,28 +317,17 @@ impl SnapshotStore {
                 format!("invalid session id {id:?}"),
             ));
         }
-        match snapshot {
-            Some(bytes) => {
-                self.write_atomic(&self.snap_path(id), bytes, fault::site::STORE_SNAP_WRITE)?;
-            }
-            None => match std::fs::remove_file(self.snap_path(id)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            },
-        }
-        self.write_atomic(
-            &self.meta_path(id),
-            meta.as_bytes(),
-            fault::site::STORE_META_WRITE,
-        )
+        self.write_atomic(&self.record_path(id), &encode_record(meta, snapshot)?)
     }
 
-    /// Loads a session record; `Ok(None)` when the id is unknown.
+    /// Loads a session record; `Ok(None)` when the id is unknown. One
+    /// read of one file, so the meta and snapshot always come from the
+    /// same save, whatever saves race it.
     ///
     /// # Errors
     ///
-    /// Filesystem errors other than a missing record.
+    /// `InvalidData` for a record whose framing is broken; filesystem
+    /// errors other than a missing record.
     pub fn load(&self, id: &str) -> io::Result<Option<StoredSession>> {
         if !valid_session_id(id) {
             return Ok(None);
@@ -294,23 +338,27 @@ impl SnapshotStore {
             Some(fault::FaultAction::Err) => return Err(fault::injected_error()),
             _ => {}
         }
-        let meta = match std::fs::read_to_string(self.meta_path(id)) {
-            Ok(meta) => meta,
+        let bytes = match std::fs::read(self.record_path(id)) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
-        let snapshot = match std::fs::read(self.snap_path(id)) {
-            Ok(bytes) => Some(bytes),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => None,
-            Err(e) => return Err(e),
-        };
-        Ok(Some(StoredSession { meta, snapshot }))
+        let (meta, snapshot) = decode_record(&bytes).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("session {id:?}: truncated or malformed record"),
+            )
+        })?;
+        Ok(Some(StoredSession {
+            meta: meta.to_string(),
+            snapshot: snapshot.map(<[u8]>::to_vec),
+        }))
     }
 
     /// Whether a record exists for `id`.
     #[must_use]
     pub fn contains(&self, id: &str) -> bool {
-        valid_session_id(id) && self.meta_path(id).exists()
+        valid_session_id(id) && self.record_path(id).exists()
     }
 
     /// Removes a session record (idempotent).
@@ -322,14 +370,10 @@ impl SnapshotStore {
         if !valid_session_id(id) {
             return Ok(());
         }
-        for path in [self.meta_path(id), self.snap_path(id)] {
-            match std::fs::remove_file(path) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
+        match std::fs::remove_file(self.record_path(id)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Ids of every stored session, sorted.
@@ -338,25 +382,19 @@ impl SnapshotStore {
     ///
     /// Directory-read failures.
     pub fn list(&self) -> io::Result<Vec<String>> {
-        let mut ids = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(id) = name.strip_suffix(".meta.json") {
-                if valid_session_id(id) {
-                    ids.push(id.to_string());
-                }
-            }
-        }
+        let mut ids: Vec<String> = self
+            .file_names()?
+            .into_iter()
+            .filter_map(|name| record_id(&name).map(str::to_string))
+            .collect();
         ids.sort();
         Ok(ids)
     }
 
-    /// Moves a session's record files into `quarantine/`, replacing any
-    /// older quarantined copy, and writes a `<id>.reason` note. Used by
-    /// the recovery sweep and by the manager when a record turns out to
-    /// be corrupt at rehydration time. Idempotent; a partial record
-    /// (meta or snap missing) quarantines whatever exists.
+    /// Moves a session's record into `quarantine/`, replacing any older
+    /// quarantined copy, and writes a `<id>.reason` note. Used by the
+    /// recovery sweep and by the manager when a record turns out to be
+    /// corrupt at rehydration time. Idempotent.
     ///
     /// # Errors
     ///
@@ -368,16 +406,17 @@ impl SnapshotStore {
                 format!("invalid session id {id:?}"),
             ));
         }
+        self.quarantine_file(&format!("{id}{RECORD_EXT}"), id, reason)
+    }
+
+    /// Moves the store file `name`, which belongs to `id`, into
+    /// `quarantine/` and writes `id`'s reason note.
+    fn quarantine_file(&self, name: &str, id: &str, reason: &str) -> io::Result<()> {
         let qdir = self.quarantine_dir();
         std::fs::create_dir_all(&qdir)?;
-        for (path, name) in [
-            (self.meta_path(id), format!("{id}.meta.json")),
-            (self.snap_path(id), format!("{id}.snap")),
-        ] {
-            match std::fs::rename(&path, qdir.join(name)) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
+        if let Err(e) = std::fs::rename(self.dir.join(name), qdir.join(name)) {
+            if e.kind() != io::ErrorKind::NotFound {
+                return Err(e);
             }
         }
         std::fs::write(qdir.join(format!("{id}.reason")), format!("{reason}\n"))?;
@@ -387,80 +426,67 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Ids with records in `quarantine/`, sorted — persists across
-    /// restarts, so a restarted server keeps answering `410 Gone` for
-    /// them.
+    /// Ids with a `.reason` note in `quarantine/`, sorted — persists
+    /// across restarts, so a restarted server keeps answering `410
+    /// Gone` for them.
     ///
     /// # Errors
     ///
     /// Directory-read failures.
     pub fn quarantined_ids(&self) -> io::Result<Vec<String>> {
-        let mut ids = BTreeSet::new();
         let entries = match std::fs::read_dir(self.quarantine_dir()) {
             Ok(entries) => entries,
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e),
         };
+        let mut ids = Vec::new();
         for entry in entries {
             let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let id = name
-                .strip_suffix(".meta.json")
-                .or_else(|| name.strip_suffix(".snap"))
-                .or_else(|| name.strip_suffix(".reason"));
-            if let Some(id) = id {
-                if valid_session_id(id) {
-                    ids.insert(id.to_string());
-                }
+            let Some(id) = name.to_str().and_then(|name| name.strip_suffix(".reason")) else {
+                continue;
+            };
+            if valid_session_id(id) {
+                ids.push(id.to_string());
             }
         }
-        Ok(ids.into_iter().collect())
+        ids.sort();
+        Ok(ids)
+    }
+
+    /// The UTF-8 names in the store directory, sorted.
+    fn file_names(&self) -> io::Result<Vec<String>> {
+        let mut names = Vec::new();
+        for entry in std::fs::read_dir(&self.dir)? {
+            if let Some(name) = entry?.file_name().to_str() {
+                names.push(name.to_string());
+            }
+        }
+        names.sort();
+        Ok(names)
     }
 
     // -----------------------------------------------------------------
     // Recovery sweep
     // -----------------------------------------------------------------
 
-    /// Whether `bytes` is a plausible committed file named `name`:
-    /// meta records must be JSON naming the right id and a known state,
-    /// snapshots must carry a well-formed fingerprinted header.
-    fn content_valid(name: &str, bytes: &[u8]) -> bool {
-        if let Some(id) = name.strip_suffix(".meta.json") {
-            return meta_plausible(id, bytes);
-        }
-        if name.strip_suffix(".snap").is_some() {
-            return kgae_core::snapshot_engine_kind(bytes).is_ok();
-        }
-        false
-    }
-
     /// Pass 1: finish or discard orphaned `.tmp` files.
     fn sweep_tmp_files(&self, report: &mut RecoveryReport) -> io::Result<()> {
-        let mut tmp_files = Vec::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            if let Some(name) = entry.file_name().to_str() {
-                if name.ends_with(".tmp") {
-                    tmp_files.push(name.to_string());
-                }
-            }
-        }
-        tmp_files.sort();
-        for name in tmp_files {
+        for name in self.file_names()? {
+            let Some(target_name) = name.strip_suffix(".tmp") else {
+                continue;
+            };
             let tmp = self.dir.join(&name);
-            let target_name = name.strip_suffix(".tmp").expect("filtered above");
             let target = self.dir.join(target_name);
             // When the rename target exists the committed state wins;
             // otherwise promote iff the temp content is a complete,
             // valid record (the crash hit between fsync and rename).
-            let promote = !target_name.is_empty()
-                && !target.exists()
-                && std::fs::read(&tmp)
-                    .map(|bytes| Self::content_valid(target_name, &bytes))
-                    .unwrap_or(false);
-            if promote {
+            let promoted = record_id(target_name).filter(|id| {
+                !target.exists()
+                    && std::fs::read(&tmp).is_ok_and(|bytes| record_fault(id, &bytes).is_none())
+            });
+            if let Some(id) = promoted {
                 std::fs::rename(&tmp, &target)?;
-                report.promoted.push(target_name.to_string());
+                report.promoted.push(id.to_string());
             } else {
                 std::fs::remove_file(&tmp)?;
                 report.discarded.push(name);
@@ -469,58 +495,35 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Pass 2: validate every surviving record, quarantining the broken
-    /// ones.
+    /// Pass 2: validate every record, quarantining the broken ones and
+    /// the files of the retired two-file layout.
     fn sweep_records(&self, report: &mut RecoveryReport) -> io::Result<()> {
-        let mut metas = BTreeSet::new();
-        let mut snaps = BTreeSet::new();
-        for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if let Some(id) = name.strip_suffix(".meta.json") {
-                if valid_session_id(id) {
-                    metas.insert(id.to_string());
-                }
-            } else if let Some(id) = name.strip_suffix(".snap") {
-                if valid_session_id(id) {
-                    snaps.insert(id.to_string());
-                }
-            }
-        }
-        let condemn = |id: &str, reason: &str, report: &mut RecoveryReport| -> io::Result<()> {
-            self.quarantine(id, reason)?;
-            report
-                .quarantined
-                .push((id.to_string(), reason.to_string()));
-            Ok(())
-        };
-        for id in snaps.difference(&metas) {
-            condemn(id, "snapshot without a meta record", report)?;
-        }
-        'meta: for id in &metas {
-            let meta = std::fs::read(self.meta_path(id))?;
-            let Some(state) = meta_state(id, &meta) else {
-                condemn(id, "unreadable meta record", report)?;
-                continue;
-            };
-            match (state, snaps.contains(id)) {
-                (MetaState::Suspended, false) => {
-                    condemn(id, "suspended session missing its snapshot", report)?;
-                    continue;
-                }
-                (MetaState::Suspended, true) => {
-                    let snap = std::fs::read(self.snap_path(id))?;
-                    if let Err(e) = kgae_core::snapshot_engine_kind(&snap) {
-                        condemn(id, &format!("corrupt or truncated snapshot: {e}"), report)?;
-                        continue 'meta;
+        let mut legacy = BTreeSet::new();
+        for name in self.file_names()? {
+            if let Some(id) = record_id(&name) {
+                let bytes = std::fs::read(self.dir.join(&name))?;
+                match record_fault(id, &bytes) {
+                    None => report.recovered.push(id.to_string()),
+                    Some(reason) => {
+                        self.quarantine_file(&name, id, &reason)?;
+                        report.quarantined.push((id.to_string(), reason));
                     }
                 }
-                // A finished record needs no snapshot; a stray one
-                // (crash between snap removal and meta write) is
-                // harmless and ignored at load time.
-                (MetaState::Finished, _) => {}
+            } else if let Some(id) = LEGACY_EXTS
+                .iter()
+                .find_map(|ext| name.strip_suffix(ext))
+                .filter(|id| valid_session_id(id))
+            {
+                const REASON: &str = "stored in the retired two-file layout \
+                    (<id>.meta.json + <id>.snap); this release reads one <id>.rec \
+                    record per session";
+                self.quarantine_file(&name, id, REASON)?;
+                if legacy.insert(id.to_string()) {
+                    report
+                        .quarantined
+                        .push((id.to_string(), REASON.to_string()));
+                }
             }
-            report.recovered.push(id.clone());
         }
         Ok(())
     }
@@ -534,21 +537,24 @@ impl SnapshotStore {
     }
 }
 
+/// The session id a store file name belongs to, when it names a record.
+pub(crate) fn record_id(name: &str) -> Option<&str> {
+    name.strip_suffix(RECORD_EXT)
+        .filter(|id| valid_session_id(id))
+}
+
 /// The two states a persisted meta record can be in. (The manager never
 /// persists a running session.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum MetaState {
+enum MetaState {
     Suspended,
     Finished,
 }
 
-/// Structural validation of a meta record at the store level: JSON,
-/// names `id`, carries a known state. Full spec decoding stays with
-/// the manager — rehydration re-checks everything and quarantines on
-/// failure; the sweep only needs to catch torn or foreign files.
-pub(crate) fn meta_state(id: &str, bytes: &[u8]) -> Option<MetaState> {
-    let text = std::str::from_utf8(bytes).ok()?;
-    let doc = crate::json::parse(text).ok()?;
+/// Structural validation of a meta record: JSON, names `id`, carries a
+/// known state.
+fn meta_state(id: &str, meta: &str) -> Option<MetaState> {
+    let doc = crate::json::parse(meta).ok()?;
     let spec_id = doc.get("spec")?.get("id")?.as_str()?;
     if spec_id != id {
         return None;
@@ -558,10 +564,6 @@ pub(crate) fn meta_state(id: &str, bytes: &[u8]) -> Option<MetaState> {
         "finished" => Some(MetaState::Finished),
         _ => None,
     }
-}
-
-fn meta_plausible(id: &str, bytes: &[u8]) -> bool {
-    meta_state(id, bytes).is_some()
 }
 
 #[cfg(test)]
@@ -577,6 +579,11 @@ mod tests {
 
     fn meta_for(id: &str, state: &str) -> String {
         format!(r#"{{"spec":{{"id":"{id}"}},"state":"{state}"}}"#)
+    }
+
+    /// Writes the record `(meta, snapshot)` under the file name `name`.
+    fn plant(dir: &Path, name: &str, meta: &str, snapshot: Option<&[u8]>) {
+        std::fs::write(dir.join(name), encode_record(meta, snapshot).unwrap()).unwrap();
     }
 
     /// A structurally valid snapshot: round-trip one through a real
@@ -613,7 +620,7 @@ mod tests {
         for bad in ["", ".", "..", ".hidden", "a/b", "a\\b", "a b", "caf\u{e9}"] {
             assert!(!valid_session_id(bad), "{bad:?}");
         }
-        for reserved in ["quarantine", "x.tmp", "a.meta.json.tmp", ".tmp"] {
+        for reserved in ["quarantine", "x.tmp", "a.rec.tmp", ".tmp"] {
             assert!(!valid_session_id(reserved), "{reserved:?}");
         }
         assert!(!valid_session_id(&"x".repeat(MAX_ID_LEN + 1)));
@@ -639,10 +646,15 @@ mod tests {
         let rec = store.load("s1").unwrap().unwrap();
         assert_eq!(rec.meta, r#"{"state":"suspended"}"#);
         assert_eq!(rec.snapshot.as_deref(), Some(&[1u8, 2, 3][..]));
-        // Re-saving without a snapshot clears the stale .snap file.
+        // Re-saving without a snapshot replaces the whole record.
         store.save("s1", r#"{"state":"finished"}"#, None).unwrap();
         let rec = store.load("s1").unwrap().unwrap();
         assert_eq!(rec.snapshot, None);
+        assert_eq!(
+            std::fs::read_dir(store.dir()).unwrap().count(),
+            2,
+            "one record file beside quarantine/"
+        );
         store.save("s2", "{}", None).unwrap();
         assert_eq!(store.list().unwrap(), vec!["s1".to_string(), "s2".into()]);
         assert!(store.contains("s1"));
@@ -650,6 +662,22 @@ mod tests {
         store.remove("s1").unwrap(); // idempotent
         assert!(!store.contains("s1"));
         assert_eq!(store.list().unwrap(), vec!["s2".to_string()]);
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[test]
+    fn a_save_costs_exactly_one_fsync() {
+        let mut store = SnapshotStore::open(temp_dir("fsync")).unwrap();
+        let metrics = Arc::new(Metrics::new());
+        store.set_metrics(Arc::clone(&metrics));
+        let snap = real_snapshot();
+        for (k, snapshot) in [Some(&snap[..]), Some(&snap[..]), None]
+            .into_iter()
+            .enumerate()
+        {
+            store.save("s1", "{}", snapshot).unwrap();
+            assert_eq!(metrics.store_fsyncs.load(Ordering::Relaxed), k as u64 + 1);
+        }
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -670,16 +698,17 @@ mod tests {
         let dir = temp_dir("promote");
         std::fs::create_dir_all(&dir).unwrap();
         let snap = real_snapshot();
-        // Crash between fsync and rename: full, valid temp files with
+        // Crash between fsync and rename: a full, valid temp file with
         // no committed target.
-        std::fs::write(dir.join("s1.meta.json.tmp"), meta_for("s1", "suspended")).unwrap();
-        std::fs::write(dir.join("s1.snap.tmp"), &snap).unwrap();
+        plant(
+            &dir,
+            "s1.rec.tmp",
+            &meta_for("s1", "suspended"),
+            Some(&snap),
+        );
         let store = SnapshotStore::open(&dir).unwrap();
         let report = store.recovery_report();
-        assert_eq!(
-            report.promoted,
-            vec!["s1.meta.json".to_string(), "s1.snap".into()]
-        );
+        assert_eq!(report.promoted, vec!["s1".to_string()]);
         assert_eq!(report.recovered, vec!["s1".to_string()]);
         assert!(report.quarantined.is_empty());
         let rec = store.load("s1").unwrap().unwrap();
@@ -691,11 +720,22 @@ mod tests {
     fn recovery_discards_tmp_when_target_committed_or_torn() {
         let dir = temp_dir("discard");
         std::fs::create_dir_all(&dir).unwrap();
-        // Committed meta wins over a lingering temp.
-        std::fs::write(dir.join("s1.meta.json"), meta_for("s1", "finished")).unwrap();
-        std::fs::write(dir.join("s1.meta.json.tmp"), meta_for("s1", "suspended")).unwrap();
-        // Torn snapshot temp with no target: discarded, not promoted.
-        std::fs::write(dir.join("s2.snap.tmp"), &real_snapshot()[..5]).unwrap();
+        // The committed record wins over a lingering complete temp.
+        plant(&dir, "s1.rec", &meta_for("s1", "finished"), None);
+        plant(
+            &dir,
+            "s1.rec.tmp",
+            &meta_for("s1", "suspended"),
+            Some(&real_snapshot()),
+        );
+        // Temp torn inside the snapshot header with no target:
+        // discarded, not promoted.
+        plant(
+            &dir,
+            "s2.rec.tmp",
+            &meta_for("s2", "suspended"),
+            Some(&real_snapshot()[..5]),
+        );
         // A stray tmp with no recognizable target shape.
         std::fs::write(dir.join("junk.tmp"), b"?").unwrap();
         let store = SnapshotStore::open(&dir).unwrap();
@@ -705,8 +745,8 @@ mod tests {
             report.discarded,
             vec![
                 "junk.tmp".to_string(),
-                "s1.meta.json.tmp".into(),
-                "s2.snap.tmp".into()
+                "s1.rec.tmp".into(),
+                "s2.rec.tmp".into()
             ]
         );
         assert_eq!(report.recovered, vec!["s1".to_string()]);
@@ -720,64 +760,85 @@ mod tests {
         let dir = temp_dir("quarantine");
         std::fs::create_dir_all(&dir).unwrap();
         let snap = real_snapshot();
-        // Intact suspended record survives.
-        std::fs::write(dir.join("ok.meta.json"), meta_for("ok", "suspended")).unwrap();
-        std::fs::write(dir.join("ok.snap"), &snap).unwrap();
+        let suspended = |id: &str| meta_for(id, "suspended");
+        // Intact suspended and finished records survive.
+        plant(&dir, "ok.rec", &suspended("ok"), Some(&snap));
+        plant(&dir, "done.rec", &meta_for("done", "finished"), None);
         // Truncated snapshot.
-        std::fs::write(dir.join("torn.meta.json"), meta_for("torn", "suspended")).unwrap();
-        std::fs::write(dir.join("torn.snap"), &snap[..3]).unwrap();
+        plant(&dir, "torn.rec", &suspended("torn"), Some(&snap[..3]));
         // Suspended meta without any snapshot.
-        std::fs::write(dir.join("lost.meta.json"), meta_for("lost", "suspended")).unwrap();
-        // Snapshot without a meta record.
-        std::fs::write(dir.join("orphan.snap"), &snap).unwrap();
+        plant(&dir, "lost.rec", &suspended("lost"), None);
+        // A finished record carrying snapshot bytes.
+        plant(
+            &dir,
+            "extra.rec",
+            &meta_for("extra", "finished"),
+            Some(&snap),
+        );
+        // A length prefix that overruns the file.
+        let record = encode_record(&suspended("cut"), None).unwrap();
+        std::fs::write(dir.join("cut.rec"), &record[..record.len() - 1]).unwrap();
         // Meta that is not even JSON.
-        std::fs::write(dir.join("garbled.meta.json"), b"\xff\xfe{{{").unwrap();
+        plant(&dir, "garbled.rec", "{{{", Some(&snap));
         let store = SnapshotStore::open(&dir).unwrap();
         let report = store.recovery_report().clone();
-        assert_eq!(report.recovered, vec!["ok".to_string()]);
-        let ids: Vec<&str> = report
+        assert_eq!(report.recovered, vec!["done".to_string(), "ok".into()]);
+        let reasons: Vec<(&str, &str)> = report
             .quarantined
             .iter()
-            .map(|(id, _)| id.as_str())
+            .map(|(id, reason)| (id.as_str(), reason.as_str()))
             .collect();
-        assert_eq!(ids, vec!["orphan", "garbled", "lost", "torn"]);
+        assert_eq!(reasons.len(), 5, "{reasons:?}");
+        for (id, want) in [
+            ("cut", "truncated or malformed record"),
+            ("extra", "finished record carrying a snapshot"),
+            ("garbled", "unreadable meta record"),
+            ("lost", "suspended session missing its snapshot"),
+            ("torn", "corrupt or truncated snapshot"),
+        ] {
+            assert!(
+                reasons.iter().any(|&(q, r)| q == id && r.starts_with(want)),
+                "{id}: {reasons:?}"
+            );
+        }
         assert_eq!(
             store.quarantined_ids().unwrap(),
             vec![
-                "garbled".to_string(),
+                "cut".to_string(),
+                "extra".into(),
+                "garbled".into(),
                 "lost".into(),
-                "orphan".into(),
                 "torn".into()
             ]
         );
         // Quarantined records are out of the index but preserved on
         // disk, with a reason note.
-        assert_eq!(store.list().unwrap(), vec!["ok".to_string()]);
-        assert!(dir.join(QUARANTINE_DIR).join("torn.snap").exists());
+        assert_eq!(store.list().unwrap(), vec!["done".to_string(), "ok".into()]);
+        assert!(dir.join(QUARANTINE_DIR).join("torn.rec").exists());
         let reason = std::fs::read_to_string(dir.join(QUARANTINE_DIR).join("torn.reason")).unwrap();
         assert!(reason.contains("snapshot"), "{reason:?}");
         // Re-opening is stable: nothing more to repair, quarantine
         // ids persist.
         let store = SnapshotStore::open(&dir).unwrap();
         assert!(store.recovery_report().is_clean());
-        assert_eq!(store.recovery_report().recovered, vec!["ok".to_string()]);
-        assert_eq!(store.quarantined_ids().unwrap().len(), 4);
+        assert_eq!(store.recovery_report().recovered, report.recovered);
+        assert_eq!(store.quarantined_ids().unwrap().len(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn meta_state_rejects_foreign_and_mismatched_documents() {
         assert_eq!(
-            meta_state("a", meta_for("a", "suspended").as_bytes()),
+            meta_state("a", &meta_for("a", "suspended")),
             Some(MetaState::Suspended)
         );
         assert_eq!(
-            meta_state("a", meta_for("a", "finished").as_bytes()),
+            meta_state("a", &meta_for("a", "finished")),
             Some(MetaState::Finished)
         );
-        assert_eq!(meta_state("a", meta_for("b", "finished").as_bytes()), None);
-        assert_eq!(meta_state("a", meta_for("a", "running").as_bytes()), None);
-        assert_eq!(meta_state("a", b"not json"), None);
-        assert_eq!(meta_state("a", b"{}"), None);
+        assert_eq!(meta_state("a", &meta_for("b", "finished")), None);
+        assert_eq!(meta_state("a", &meta_for("a", "running")), None);
+        assert_eq!(meta_state("a", "not json"), None);
+        assert_eq!(meta_state("a", "{}"), None);
     }
 }

@@ -1,9 +1,12 @@
 //! Crash-recovery suite against the **real** `kgae-serve` binary: the
-//! process is SIGKILLed mid-campaign (including mid-snapshot-write via
-//! a failpoint), restarted over the same `--store-dir`, and every
+//! process is SIGKILLed mid-campaign (including mid-record-write via a
+//! failpoint), restarted over the same `--store-dir`, and every
 //! campaign must resume from its last durable checkpoint and finish
 //! bit-identically to an uninterrupted twin. The SIGTERM leg checks the
-//! graceful path end to end: drain, exit 0, resume after restart.
+//! graceful path end to end: drain, exit 0, resume after restart. Two
+//! in-process legs fail a record write and reopen the store: the
+//! fencing seq and the engine state it fences must come back as the
+//! pair the last successful save wrote.
 //!
 //! HTTP is spoken directly through [`kgae_service::http`] (the client
 //! crate depends on this one, so it cannot be a dev-dependency here);
@@ -299,8 +302,8 @@ fn sigterm_drains_and_restart_resumes_the_outstanding_batch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The hardest crash point: SIGKILL (via the `store.snap.write` torn
-/// failpoint) in the middle of writing a checkpoint snapshot. The torn
+/// The hardest crash point: SIGKILL (via the `store.write` torn
+/// failpoint) in the middle of writing a checkpoint record. The torn
 /// `.tmp` must be discarded by the recovery sweep — never promoted,
 /// never quarantining the good committed record underneath — and the
 /// campaign resumes from the previous checkpoint bit-identically.
@@ -324,18 +327,18 @@ fn sigkill_mid_snapshot_write_discards_the_torn_tmp_and_resumes() {
     lifecycle(gen1.addr, "twin", "suspend");
     drop(gen1);
 
-    // Generation 2: the first snapshot write of this process dies after
+    // Generation 2: the first record write of this process dies after
     // 64 torn bytes. Batch 2 lands in memory, then the checkpoint
     // attempt kills the server mid-write.
-    let mut gen2 = spawn_serve(&dir, "torn-2", &["--fault", "store.snap.write=torn:64"]);
+    let mut gen2 = spawn_serve(&dir, "torn-2", &["--fault", "store.write=torn:64"]);
     let r2 = next(gen2.addr, "victim");
     submit(gen2.addr, "victim", &r2, &labels_for(kg, &r2));
     let err = try_call(gen2.addr, "POST", "/v1/sessions/victim/suspend", "");
-    assert!(err.is_err(), "suspend survived a torn snapshot write");
+    assert!(err.is_err(), "suspend survived a torn record write");
     let status = gen2.child.wait().unwrap();
     assert!(!status.success(), "torn write should abort the process");
     assert!(
-        dir.join("victim.snap.tmp").exists(),
+        dir.join("victim.rec.tmp").exists(),
         "expected a torn temp file on disk"
     );
 
@@ -343,7 +346,7 @@ fn sigkill_mid_snapshot_write_discards_the_torn_tmp_and_resumes() {
     // campaign resumes from the batch-1 checkpoint.
     let gen3 = spawn_serve(&dir, "torn-3", &[]);
     assert!(
-        !dir.join("victim.snap.tmp").exists(),
+        !dir.join("victim.rec.tmp").exists(),
         "recovery left the torn temp file behind"
     );
     assert!(
@@ -365,5 +368,207 @@ fn sigkill_mid_snapshot_write_discards_the_torn_tmp_and_resumes() {
     submit(gen3.addr, "twin", &twin_replay, &labels);
     finish_lockstep(gen3.addr, kg, "victim", "twin");
     drop(gen3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// SIGKILL at a checkpoint write (the `store.write=crash` failpoint
+/// aborts the server as the record write begins): the restarted server
+/// re-issues each fencing seq only for the batch first issued under it,
+/// at the same batch size, so the client's fenced retry of its last
+/// submit lands on its own triples and never on a newer batch.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn sigkill_at_a_record_write_re_issues_each_seq_for_its_own_batch() {
+    let registry = DatasetRegistry::standard();
+    let kg = registry.get("nell").unwrap();
+    let dir = temp_dir("crash-write");
+
+    // Generation 1 (no faults): checkpoint after batch 1.
+    let gen1 = spawn_serve(&dir, "crash-write-1", &[]);
+    create(gen1.addr, "victim", 77);
+    let r1 = next(gen1.addr, "victim");
+    submit(gen1.addr, "victim", &r1, &labels_for(kg, &r1));
+    lifecycle(gen1.addr, "victim", "suspend");
+    drop(gen1);
+
+    // Generation 2: resume (a read), take batch 2 under seq 2, then the
+    // checkpoint's record write kills the server.
+    let mut gen2 = spawn_serve(&dir, "crash-write-2", &["--fault", "store.write=crash"]);
+    lifecycle(gen2.addr, "victim", "resume");
+    let r2 = next(gen2.addr, "victim");
+    assert_eq!(r2.get("seq").and_then(Json::as_u64), Some(2));
+    let labels2 = labels_for(kg, &r2);
+    submit(gen2.addr, "victim", &r2, &labels2);
+    let err = try_call(gen2.addr, "POST", "/v1/sessions/victim/suspend", "");
+    assert!(err.is_err(), "suspend survived a crash at the record write");
+    assert!(!gen2.child.wait().unwrap().success());
+
+    // Generation 3: seq 2 is re-issued for batch 2's triples, and the
+    // client's fenced retry of its batch-2 submit lands on them.
+    let gen3 = spawn_serve(&dir, "crash-write-3", &[]);
+    let replay = next(gen3.addr, "victim");
+    assert_eq!(replay.get("seq").and_then(Json::as_u64), Some(2));
+    assert_eq!(
+        triple_ids(&replay),
+        triple_ids(&r2),
+        "seq 2 re-issued for other triples"
+    );
+    let body = Json::obj(vec![
+        (
+            "labels",
+            Json::Arr(labels2.iter().map(|&l| Json::Bool(l)).collect()),
+        ),
+        ("seq", Json::int(2)),
+    ])
+    .encode();
+    let (status, view) = call(gen3.addr, "POST", "/v1/sessions/victim/labels", &body);
+    assert_eq!(status, 200, "fenced retry: {}", view.encode());
+    assert_eq!(
+        view.get("status")
+            .and_then(|s| s.get("observations"))
+            .and_then(Json::as_u64),
+        Some(16),
+        "the retry must apply to batch 2 alone"
+    );
+    // A second replay of the same fenced submit is stale.
+    let (status, _) = call(gen3.addr, "POST", "/v1/sessions/victim/labels", &body);
+    assert_eq!(status, 409);
+    assert_eq!(
+        next(gen3.addr, "victim").get("seq").and_then(Json::as_u64),
+        Some(3)
+    );
+    drop(gen3);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// In-process legs: the failpoint registry is process-wide, so they
+/// take turns.
+#[cfg(feature = "fault-injection")]
+static IN_PROCESS_FAULTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+#[cfg(feature = "fault-injection")]
+fn in_process_spec(id: &str, epsilon: f64) -> kgae_service::SessionSpec {
+    kgae_service::SessionSpec {
+        id: id.into(),
+        dataset: "nell".into(),
+        design: "srs".parse().unwrap(),
+        method: kgae_core::IntervalMethod::ahpd_default(),
+        seed: 1,
+        alpha: 0.05,
+        epsilon,
+        max_observations: None,
+        stratify: None,
+        tenant: None,
+    }
+}
+
+#[cfg(feature = "fault-injection")]
+fn true_labels(kg: &kgae_graph::CompactKg, request: &kgae_core::AnnotationRequest) -> Vec<bool> {
+    request
+        .triples
+        .iter()
+        .map(|st| kg.is_correct(st.triple))
+        .collect()
+}
+
+/// A re-suspend whose record write fails leaves the previous record
+/// whole, so a reopened manager re-issues seq 2 for batch 2's own
+/// triples and a stale fenced retry of batch 2 lands on them alone.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn failed_resuspend_write_keeps_the_seq_with_the_batch_it_fences() {
+    use kgae_service::{fault, SessionManager, SnapshotStore};
+    let _turn = IN_PROCESS_FAULTS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let registry = DatasetRegistry::standard();
+    let kg = registry.get("nell").unwrap();
+    let dir = temp_dir("resuspend");
+    let (batch2, labels2) = {
+        let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 2);
+        manager.create(&in_process_spec("victim", 0.01)).unwrap();
+        let (r1, view) = manager.next_request("victim", 4).unwrap();
+        assert_eq!(view.pending_seq, Some(1));
+        manager
+            .submit("victim", &true_labels(kg, &r1.unwrap()), Some(1))
+            .unwrap();
+        manager.suspend("victim").unwrap();
+        manager.resume("victim").unwrap();
+        let (r2, view) = manager.next_request("victim", 4).unwrap();
+        assert_eq!(view.pending_seq, Some(2));
+        let r2 = r2.unwrap();
+        let labels2 = true_labels(kg, &r2);
+        manager.submit("victim", &labels2, Some(2)).unwrap();
+        fault::configure("store.write=err").unwrap();
+        let failed = manager.suspend("victim");
+        fault::clear();
+        assert!(failed.is_err(), "the injected write failure was not seen");
+        (r2.triples, labels2)
+    };
+
+    let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 2);
+    let (replay, view) = manager.next_request("victim", 4).unwrap();
+    assert_eq!(view.pending_seq, Some(2));
+    assert_eq!(
+        replay.unwrap().triples,
+        batch2,
+        "seq 2 re-issued for other triples"
+    );
+    let view = manager.submit("victim", &labels2, Some(2)).unwrap();
+    assert_eq!(view.status.observations, 8, "the retry landed past batch 2");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Evicting a finished, previously suspended session whose record
+/// write fails keeps the suspended record, so a reopened manager can
+/// still resume the campaign and finish it to the same result.
+#[cfg(feature = "fault-injection")]
+#[test]
+fn failed_evict_write_of_a_finished_session_keeps_it_resumable() {
+    use kgae_service::{fault, SessionManager, SnapshotStore};
+    let _turn = IN_PROCESS_FAULTS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let registry = DatasetRegistry::standard();
+    let kg = registry.get("nell").unwrap();
+    let dir = temp_dir("evict-finished");
+    let drive = |manager: &SessionManager<'_>| loop {
+        let (request, view) = manager.next_request("victim", 4).unwrap();
+        let Some(request) = request else { break };
+        manager
+            .submit("victim", &true_labels(kg, &request), view.pending_seq)
+            .unwrap();
+    };
+    let finished = {
+        let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 2);
+        manager.create(&in_process_spec("victim", 0.05)).unwrap();
+        let (r1, view) = manager.next_request("victim", 4).unwrap();
+        manager
+            .submit("victim", &true_labels(kg, &r1.unwrap()), view.pending_seq)
+            .unwrap();
+        manager.suspend("victim").unwrap();
+        drive(&manager);
+        let finished = manager.final_result("victim").unwrap();
+        fault::configure("store.write=err").unwrap();
+        let failed = manager.evict("victim");
+        fault::clear();
+        assert!(failed.is_err(), "the injected write failure was not seen");
+        finished
+    };
+
+    let store = SnapshotStore::open(&dir).unwrap();
+    assert!(
+        store.recovery_report().quarantined.is_empty(),
+        "{:?}",
+        store.recovery_report()
+    );
+    let manager = SessionManager::new(&registry, store, 2);
+    assert!(manager.quarantined_sessions().is_empty());
+    let view = manager.resume("victim").unwrap();
+    assert_eq!(view.state.name(), "running");
+    drive(&manager);
+    let (reason, result) = manager.final_result("victim").unwrap();
+    assert_eq!(reason, finished.0);
+    assert_eq!(format!("{result:?}"), format!("{:?}", finished.1));
     let _ = std::fs::remove_dir_all(&dir);
 }

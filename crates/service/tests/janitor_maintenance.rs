@@ -1,4 +1,4 @@
-//! Deterministic janitor maintenance: orphaned files are planted in a
+//! Deterministic janitor maintenance: stale temp files are planted in a
 //! real store directory, idle sessions are parked in a real manager,
 //! ticks run synchronously through [`Janitor::tick`], and the effects
 //! are observed both **on disk** and **in the metrics registry** the
@@ -46,9 +46,9 @@ fn finish(manager: &SessionManager<'_>, id: &str) {
     }
 }
 
-/// Temp files, orphaned snapshots, and stray finished-session
-/// snapshots are garbage-collected from disk, and the janitor counters
-/// in the `/metrics` exposition report exactly what was removed.
+/// Stale temp files are garbage-collected from disk, records are left
+/// alone, and the janitor counters in the `/metrics` exposition report
+/// exactly what was removed.
 #[test]
 fn tick_collects_planted_garbage_from_disk_and_reports_it() {
     let registry = DatasetRegistry::standard();
@@ -57,20 +57,16 @@ fn tick_collects_planted_garbage_from_disk_and_reports_it() {
     let mut manager = SessionManager::new(&registry, SnapshotStore::open(&dir).expect("store"), 4);
     manager.set_metrics(Arc::clone(&metrics));
 
-    // A finished session evicted to disk: its record is meta-only, so
-    // a stray snapshot beside it is compactable garbage.
+    // A finished session evicted to disk: one record file.
     manager.create(&spec("fin", Some(4))).expect("create fin");
     finish(&manager, "fin");
     manager.evict("fin").expect("evict fin");
-    assert!(dir.join("fin.meta.json").exists());
+    assert!(dir.join("fin.rec").exists());
 
-    // Planted garbage: a junk-named temp, a session-shaped temp for an
-    // id that is nowhere in memory, an orphaned snapshot with no meta,
-    // and the stray snapshot of the finished session.
+    // Planted garbage: a junk-named temp and a session-shaped temp for
+    // an id that is nowhere in memory.
     std::fs::write(dir.join("junk.tmp"), b"leftover").unwrap();
-    std::fs::write(dir.join("alpha.meta.json.tmp"), b"torn").unwrap();
-    std::fs::write(dir.join("ghost.snap"), b"orphan").unwrap();
-    std::fs::write(dir.join("fin.snap"), b"stray").unwrap();
+    std::fs::write(dir.join("alpha.rec.tmp"), b"torn").unwrap();
     // Zero grace still compares mtimes; give the files a beat so the
     // clock comparison cannot land in the future on a coarse clock.
     std::thread::sleep(Duration::from_millis(50));
@@ -83,28 +79,22 @@ fn tick_collects_planted_garbage_from_disk_and_reports_it() {
     .with_metrics(Arc::clone(&metrics));
 
     let report = janitor.tick(&manager);
-    assert_eq!(report.gc_tmp, 2, "junk.tmp + alpha.meta.json.tmp");
-    assert_eq!(report.gc_orphan_snaps, 1, "ghost.snap");
-    assert_eq!(report.compacted, 1, "fin.snap");
+    assert_eq!(report.gc_tmp, 2, "junk.tmp + alpha.rec.tmp");
     assert_eq!(report.aged_suspended, 0, "aging is off");
     assert_eq!(report.aged_evicted, 0, "aging is off");
 
     // On disk: every planted file is gone, the real record survives.
-    for gone in ["junk.tmp", "alpha.meta.json.tmp", "ghost.snap", "fin.snap"] {
+    for gone in ["junk.tmp", "alpha.rec.tmp"] {
         assert!(!dir.join(gone).exists(), "{gone} survived GC");
     }
-    assert!(
-        dir.join("fin.meta.json").exists(),
-        "compaction must never touch the meta record"
-    );
+    assert!(dir.join("fin.rec").exists(), "GC must never touch a record");
 
     // In /metrics: the same counts, through the same registry the
     // server exposes.
     let exposition = metrics.encode(&manager.census(), Some(&manager.kernel_stats()));
     for line in [
         "kgae_janitor_ticks_total 1",
-        "kgae_janitor_gc_files_total 3",
-        "kgae_janitor_compacted_total 1",
+        "kgae_janitor_gc_files_total 2",
         "kgae_janitor_aged_suspended_total 0",
     ] {
         assert!(
@@ -112,6 +102,7 @@ fn tick_collects_planted_garbage_from_disk_and_reports_it() {
             "missing {line:?} in exposition"
         );
     }
+    assert!(!exposition.contains("kgae_janitor_compacted_total"));
 
     // A second tick finds a clean directory.
     assert!(janitor.tick(&manager).is_idle(), "second tick not idle");
@@ -150,8 +141,7 @@ fn ttl_aging_spills_idle_sessions_and_spares_outstanding_work() {
     let report = janitor.tick(&manager);
     assert_eq!(report.aged_suspended, 1, "idle → suspended");
     assert_eq!(report.aged_evicted, 1, "dormant → evicted");
-    assert!(dir.join("idle.meta.json").exists(), "idle not persisted");
-    assert!(dir.join("idle.snap").exists(), "idle snapshot missing");
+    assert!(dir.join("idle.rec").exists(), "idle not persisted");
 
     // Tick 2: the session suspended by tick 1 is now the idle dormant
     // one and ages out of memory entirely.

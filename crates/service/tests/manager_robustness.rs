@@ -11,13 +11,24 @@ use kgae_graph::GroundTruth;
 use kgae_service::api::SessionSpec;
 use kgae_service::manager::{DatasetRegistry, ManagerLimits, ServiceError, SessionState};
 use kgae_service::{SessionManager, SnapshotStore};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir: PathBuf =
         std::env::temp_dir().join(format!("kgae-robust-test-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// `id`'s record file, and the offset of its snapshot bytes in it.
+fn record_and_snapshot_offset(
+    manager: &SessionManager<'_>,
+    dir: &Path,
+    id: &str,
+) -> (PathBuf, usize) {
+    let path = dir.join(format!("{id}.rec"));
+    let record_len = std::fs::metadata(&path).unwrap().len() as usize;
+    (path, record_len - manager.snapshot_bytes(id).unwrap().len())
 }
 
 fn spec(id: &str, tenant: Option<&str>, seed: u64) -> SessionSpec {
@@ -233,13 +244,13 @@ fn corrupt_records_are_quarantined_as_410_not_500() {
 
     // Flip bytes deep inside the snapshot payload, past the header the
     // startup sweep validates — only deep resume validation sees this.
-    let snap_path = dir.join("victim.snap");
-    let mut bytes = std::fs::read(&snap_path).unwrap();
-    let mid = bytes.len() / 2;
+    let (record_path, snapshot_at) = record_and_snapshot_offset(&manager, &dir, "victim");
+    let mut bytes = std::fs::read(&record_path).unwrap();
+    let mid = snapshot_at + (bytes.len() - snapshot_at) / 2;
     for b in &mut bytes[mid..mid + 8] {
         *b ^= 0xA5;
     }
-    std::fs::write(&snap_path, &bytes).unwrap();
+    std::fs::write(&record_path, &bytes).unwrap();
 
     let err = manager.resume("victim").unwrap_err();
     assert!(
@@ -268,8 +279,8 @@ fn corrupt_records_are_quarantined_as_410_not_500() {
     assert_eq!(manager.quarantined_sessions(), vec!["victim".to_string()]);
     // The bytes moved into quarantine/ for inspection; the main store
     // no longer lists the session.
-    assert!(dir.join("quarantine").join("victim.snap").exists());
-    assert!(!snap_path.exists());
+    assert!(dir.join("quarantine").join("victim.rec").exists());
+    assert!(!record_path.exists());
     assert!(manager.list().unwrap().is_empty());
 
     // A restart re-learns the quarantine from the store.
@@ -300,11 +311,11 @@ fn retired_version_snapshots_are_quarantined_as_410_not_500() {
             .collect();
         manager.submit(id, &labels, view.pending_seq).unwrap();
         manager.evict(id).unwrap();
-        let snap_path = dir.join(format!("{id}.snap"));
-        let mut bytes = std::fs::read(&snap_path).unwrap();
-        assert_eq!(bytes[8..10], 4u16.to_le_bytes());
-        bytes[8..10].copy_from_slice(&version.to_le_bytes());
-        std::fs::write(&snap_path, &bytes).unwrap();
+        let (record_path, at) = record_and_snapshot_offset(&manager, &dir, id);
+        let mut bytes = std::fs::read(&record_path).unwrap();
+        assert_eq!(bytes[at + 8..at + 10], 4u16.to_le_bytes());
+        bytes[at + 8..at + 10].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&record_path, &bytes).unwrap();
     }
 
     let err = manager.resume("live").unwrap_err();

@@ -538,3 +538,74 @@ fn janitor_interleaving_preserves_every_trajectory() {
     }
     let _ = std::fs::remove_dir_all(manager.store().dir());
 }
+
+/// `status` of a session only on disk reads the store after dropping
+/// the shard lock, so `suspend`, `resume` and `evict` of the same id
+/// run against it on other threads. Every `Evicted` view must still
+/// pair a cached status with the `snapshot_bytes` of the same persist:
+/// the set of pairs the persisting thread's own reads saw after each
+/// persist.
+#[test]
+fn status_of_a_dormant_session_reads_one_persist() {
+    const ROUNDS: usize = 120;
+    let registry = DatasetRegistry::standard();
+    let kg = registry.get("nell").unwrap();
+    let manager = SessionManager::new(&registry, temp_store("status-persist"), 1);
+    let spec = SessionSpec {
+        epsilon: 0.01,
+        ..specs()[0].clone()
+    };
+    let id = spec.id.as_str();
+    manager.create(&spec).unwrap();
+    let persisted = Mutex::new(Vec::new());
+    let observed = Mutex::new(Vec::new());
+    let finished = AtomicBool::new(false);
+    let pair = |view: &SessionView| (format!("{:?}", view.status), view.snapshot_bytes);
+
+    crossbeam::scope(|scope| {
+        for _ in 0..2 {
+            scope.spawn(|_| {
+                while !finished.load(Ordering::Relaxed) {
+                    let view = manager.status(id).expect("status");
+                    if view.state == SessionState::Evicted {
+                        observed.lock().unwrap().push(pair(&view));
+                    }
+                }
+            });
+        }
+        for round in 0..ROUNDS {
+            manager.resume(id).unwrap();
+            let (request, view) = manager.next_request(id, 4).unwrap();
+            let labels: Vec<bool> = request
+                .expect("campaign still running")
+                .triples
+                .iter()
+                .map(|st| kg.is_correct(st.triple))
+                .collect();
+            manager.submit(id, &labels, view.pending_seq).unwrap();
+            // Persist by suspend (then a write-free evict), or by an
+            // evict straight from memory.
+            if round % 2 == 0 {
+                manager.suspend(id).unwrap();
+            }
+            manager.evict(id).unwrap();
+            let view = manager.status(id).unwrap();
+            assert_eq!(view.state, SessionState::Evicted);
+            persisted.lock().unwrap().push(pair(&view));
+        }
+        finished.store(true, Ordering::Relaxed);
+    })
+    .expect("status scope");
+
+    let persisted = persisted.into_inner().unwrap();
+    let observed = observed.into_inner().unwrap();
+    assert_eq!(persisted.len(), ROUNDS);
+    assert!(!observed.is_empty(), "no status read met a dormant session");
+    for seen in &observed {
+        assert!(
+            persisted.contains(seen),
+            "status paired a cached status with another persist's snapshot: {seen:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(manager.store().dir());
+}

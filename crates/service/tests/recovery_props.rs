@@ -1,7 +1,7 @@
 //! Property-style torn-write recovery: a genuine on-disk session
 //! record is mangled hundreds of ways — every interesting truncation
-//! prefix plus seeded random byte flips, on both the meta record and
-//! the snapshot — and the invariant is checked after each: reopening
+//! prefix plus seeded random byte flips, in both its meta part and its
+//! snapshot part — and the invariant is checked after each: reopening
 //! the store never panics, and every operation on the damaged session
 //! answers a clean client-visible error (404/410), never a 500 and
 //! never a wedge. Quarantine must trigger for at least a healthy share
@@ -62,36 +62,44 @@ fn every_truncation_and_byte_flip_recovers_without_panic_or_500() {
         manager.suspend("victim").unwrap();
         manager.evict("victim").unwrap();
     }
-    let meta_path = dir.join("victim.meta.json");
-    let snap_path = dir.join("victim.snap");
-    let pristine_meta = std::fs::read(&meta_path).unwrap();
-    let pristine_snap = std::fs::read(&snap_path).unwrap();
-    assert!(pristine_snap.len() > 64, "snapshot too small to mangle");
+    // The record is a u32 meta length, the meta, then the snapshot.
+    let record_path = dir.join("victim.rec");
+    let pristine = std::fs::read(&record_path).unwrap();
+    let snapshot_len = SnapshotStore::open(&dir)
+        .unwrap()
+        .load("victim")
+        .unwrap()
+        .and_then(|record| record.snapshot)
+        .expect("suspended record")
+        .len();
+    assert!(snapshot_len > 64, "snapshot too small to mangle");
+    let snapshot_at = pristine.len() - snapshot_len;
 
     let restore = || {
         let _ = std::fs::remove_dir_all(dir.join("quarantine"));
-        std::fs::write(&meta_path, &pristine_meta).unwrap();
-        std::fs::write(&snap_path, &pristine_snap).unwrap();
+        std::fs::write(&record_path, &pristine).unwrap();
     };
 
-    // The corruption schedule: every header-region truncation of both
-    // files, a seeded spread of deeper truncations, and seeded byte
-    // flips (single bytes and 4-byte bursts) at arbitrary offsets.
+    // The corruption schedule: every header-region truncation of the
+    // snapshot part, a seeded spread of deeper truncations, a spread of
+    // cuts through the length prefix and meta part, and seeded byte
+    // flips (single bytes and 4-byte bursts) at arbitrary offsets of
+    // both parts.
     let mut rng = SmallRng::seed_from_u64(20_250_808);
     let mut cases: Vec<(&'static str, usize, Vec<u8>)> = Vec::new();
     for len in 0..=64usize {
-        cases.push(("snap-truncate", 0, pristine_snap[..len].to_vec()));
+        cases.push(("snap-truncate", len, pristine[..snapshot_at + len].to_vec()));
     }
     for _ in 0..24 {
-        let len = rng.gen_range(0..pristine_snap.len());
-        cases.push(("snap-truncate", 0, pristine_snap[..len].to_vec()));
+        let len = rng.gen_range(0..snapshot_len);
+        cases.push(("snap-truncate", len, pristine[..snapshot_at + len].to_vec()));
     }
-    for len in (0..pristine_meta.len()).step_by(1.max(pristine_meta.len() / 40)) {
-        cases.push(("meta-truncate", 0, pristine_meta[..len].to_vec()));
+    for len in (0..snapshot_at).step_by(1.max(snapshot_at / 40)) {
+        cases.push(("meta-truncate", len, pristine[..len].to_vec()));
     }
     for _ in 0..64 {
-        let mut bytes = pristine_snap.clone();
-        let pos = rng.gen_range(0..bytes.len());
+        let mut bytes = pristine.clone();
+        let pos = rng.gen_range(snapshot_at..bytes.len());
         let burst = if rng.gen_bool(0.5) { 1 } else { 4 };
         for b in bytes.iter_mut().skip(pos).take(burst) {
             *b ^= rng.gen_range(1..=255u8);
@@ -99,8 +107,8 @@ fn every_truncation_and_byte_flip_recovers_without_panic_or_500() {
         cases.push(("snap-flip", pos, bytes));
     }
     for _ in 0..64 {
-        let mut bytes = pristine_meta.clone();
-        let pos = rng.gen_range(0..bytes.len());
+        let mut bytes = pristine.clone();
+        let pos = rng.gen_range(0..snapshot_at);
         bytes[pos] ^= rng.gen_range(1..=255u8);
         cases.push(("meta-flip", pos, bytes));
     }
@@ -109,12 +117,7 @@ fn every_truncation_and_byte_flip_recovers_without_panic_or_500() {
     let mut survived = 0usize;
     for (kind, pos, bytes) in &cases {
         restore();
-        let target = if kind.starts_with("meta") {
-            &meta_path
-        } else {
-            &snap_path
-        };
-        std::fs::write(target, bytes).unwrap();
+        std::fs::write(&record_path, bytes).unwrap();
 
         // Reopening runs the recovery sweep: it must never panic and
         // never refuse to open the store.
@@ -214,14 +217,16 @@ fn corrupt_snapshot_answers_410_over_http() {
     manager.suspend("victim").unwrap();
     manager.evict("victim").unwrap();
 
-    // Flip payload bytes past the header: only deep validation sees it.
-    let snap_path = dir.join("victim.snap");
-    let mut bytes = std::fs::read(&snap_path).unwrap();
-    let mid = bytes.len() / 2;
+    // Flip snapshot payload bytes past its header: only deep
+    // validation sees it.
+    let record_path = dir.join("victim.rec");
+    let snapshot_len = manager.snapshot_bytes("victim").unwrap().len();
+    let mut bytes = std::fs::read(&record_path).unwrap();
+    let mid = bytes.len() - snapshot_len / 2;
     for b in &mut bytes[mid..mid + 4] {
         *b ^= 0x5A;
     }
-    std::fs::write(&snap_path, &bytes).unwrap();
+    std::fs::write(&record_path, &bytes).unwrap();
 
     let server = kgae_service::Server::bind("127.0.0.1:0", 2).unwrap();
     let addr = server.local_addr().unwrap();
@@ -349,15 +354,13 @@ fn recovery_sweep_checks_the_identity_prefix_of_every_record_tag() {
         assert_eq!(usize::from(record[10]), tag);
         assert!(record.len() > PREFIX[tag], "tag {tag} record too short");
         let dir = temp_dir(&format!("prefix-{tag}"));
-        std::fs::create_dir_all(&dir).unwrap();
-        let write = |id: &str, bytes: &[u8]| {
-            std::fs::write(dir.join(format!("{id}.meta.json")), meta(id)).unwrap();
-            std::fs::write(dir.join(format!("{id}.snap")), bytes).unwrap();
-        };
+        let store = SnapshotStore::open(&dir).unwrap();
+        let write = |id: &str, bytes: &[u8]| store.save(id, &meta(id), Some(bytes)).unwrap();
         for len in 0..=PREFIX[tag] {
             write(&format!("cut{len}"), &record[..len]);
         }
         write("intact", record);
+        drop(store);
 
         let store = SnapshotStore::open(&dir).unwrap();
         let report = store.recovery_report();
@@ -379,4 +382,43 @@ fn recovery_sweep_checks_the_identity_prefix_of_every_record_tag() {
         assert_eq!(report.recovered, kept, "tag {tag}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Files of the retired two-file layout (`<id>.meta.json` beside
+/// `<id>.snap`) are quarantined when the store opens, one entry per
+/// session and never migrated, while one-file records beside them are
+/// kept.
+#[test]
+fn retired_two_file_records_are_quarantined_at_open() {
+    let dir = temp_dir("legacy");
+    let meta = |id: &str, state: &str| format!(r#"{{"spec":{{"id":"{id}"}},"state":"{state}"}}"#);
+    SnapshotStore::open(&dir)
+        .unwrap()
+        .save("new", &meta("new", "finished"), None)
+        .unwrap();
+    std::fs::write(dir.join("old.meta.json"), meta("old", "suspended")).unwrap();
+    std::fs::write(dir.join("old.snap"), b"KGAESNAP").unwrap();
+    std::fs::write(dir.join("fin.meta.json"), meta("fin", "finished")).unwrap();
+    std::fs::write(dir.join("old.snap.tmp"), b"KGAESNAP").unwrap();
+
+    let store = SnapshotStore::open(&dir).unwrap();
+    let report = store.recovery_report();
+    assert_eq!(report.discarded, vec!["old.snap.tmp".to_string()]);
+    assert_eq!(report.recovered, vec!["new".to_string()]);
+    let ids: Vec<&str> = report
+        .quarantined
+        .iter()
+        .map(|(id, _)| id.as_str())
+        .collect();
+    assert_eq!(ids, vec!["fin", "old"], "one entry per session");
+    assert!(report.quarantined[0].1.contains("two-file layout"));
+    for name in ["old.meta.json", "old.snap", "fin.meta.json"] {
+        assert!(!dir.join(name).exists(), "{name} left in the store");
+        assert!(dir.join("quarantine").join(name).exists(), "{name}");
+    }
+    let registry = DatasetRegistry::standard();
+    let manager = SessionManager::new(&registry, store, 2);
+    assert_eq!(manager.quarantined_sessions(), vec!["fin", "old"]);
+    assert_eq!(manager.status("old").unwrap_err().http_status(), 410);
+    let _ = std::fs::remove_dir_all(&dir);
 }
