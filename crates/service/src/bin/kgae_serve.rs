@@ -21,12 +21,12 @@
 //!   is bounded by the fd limit instead; raise `ulimit -n` for large
 //!   fleets.
 //! * `--idle-timeout` — seconds without transport progress before the
-//!   reactor reaps a connection (default 30).
+//!   reactor reaps a connection (default 30, at least 1).
 //! * `--shards` — session-registry lock stripes (default 16).
 //! * `--store-dir` — snapshot-store directory (default `kgae-store`).
 //!   Each session is one `<id>.rec` file, replaced by one atomic
 //!   rename per save. On startup the store runs its crash-recovery
-//!   sweep: orphaned temp files are finished or discarded, and corrupt
+//!   sweep: orphaned temp files are discarded, and corrupt
 //!   records and files of the retired two-file layout are quarantined
 //!   (logged below) instead of wedging the boot.
 //! * `--port-file` — write the bound port (decimal, newline) to this
@@ -119,7 +119,12 @@ fn run() -> Result<(), String> {
             .map_or(4, std::num::NonZeroUsize::get)
             .max(4),
     };
-    let idle_timeout = parse_flag::<u64>("--idle-timeout")?.map(std::time::Duration::from_secs);
+    let idle_timeout = match parse_flag::<u64>("--idle-timeout")? {
+        // A zero deadline would reap each connection on the loop
+        // iteration that accepts it, before its first request.
+        Some(0) => return Err("--idle-timeout: must be at least 1 second".into()),
+        secs => secs.map(std::time::Duration::from_secs),
+    };
     let shards = parse_flag::<usize>("--shards")?.unwrap_or(16);
     let store_dir = arg_value("--store-dir").unwrap_or_else(|| "kgae-store".into());
     let limits = ManagerLimits {
@@ -164,9 +169,6 @@ fn run() -> Result<(), String> {
         SnapshotStore::open(&store_dir).map_err(|e| format!("opening store {store_dir:?}: {e}"))?;
     let recovery = store.recovery_report();
     if !recovery.is_clean() {
-        for id in &recovery.promoted {
-            eprintln!("kgae-serve: recovery: promoted orphaned temp file for {id:?}");
-        }
         for name in &recovery.discarded {
             eprintln!("kgae-serve: recovery: discarded incomplete temp file {name:?}");
         }

@@ -237,6 +237,20 @@ pub fn clear() {
     imp::clear();
 }
 
+/// Serializes the unit tests that configure, clear or consult the
+/// process-wide failpoint registry, which the test harness would
+/// otherwise share between parallel threads; each holder starts from an
+/// empty registry.
+#[cfg(test)]
+pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let guard = LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    clear();
+    guard
+}
+
 /// Running count of failpoints that actually fired, surfaced as
 /// `kgae_faults_injected_total` on `/metrics`. Always zero on builds
 /// without the `fault-injection` feature.
@@ -275,6 +289,7 @@ mod tests {
 
     #[test]
     fn spec_round_trip_and_determinism() {
+        let _registry = test_lock();
         configure("seed=7; conn.write=drop@0.5; store.read=err").unwrap();
         assert_eq!(check("store.read"), Some(FaultAction::Err));
         assert_eq!(check("store.rename"), None, "unconfigured site");
@@ -290,6 +305,7 @@ mod tests {
 
     #[test]
     fn malformed_specs_are_rejected() {
+        let _registry = test_lock();
         for bad in [
             "store.read",
             "store.read=explode",
@@ -304,6 +320,7 @@ mod tests {
 
     #[test]
     fn unknown_sites_are_refused_with_the_known_ones_listed() {
+        let _registry = test_lock();
         for bad in [
             "store.snap.write=torn:64",
             "store.read=err; store.meta.write=err",

@@ -10,16 +10,15 @@
 //! | module | role |
 //! |--------|------|
 //! | [`manager`] | sharded, lock-striped [`SessionManager`] + dataset registry |
-//! | [`store`] | [`SnapshotStore`]: dormant sessions as meta + snapshot files |
+//! | [`store`] | [`SnapshotStore`]: one record file per dormant session |
 //! | [`server`] | server front door, route table, shutdown handle |
-//! | [`reactor`] | `poll(2)` readiness event loop, timer wheel, worker dispatch |
+//! | [`reactor`] | `poll(2)` readiness event loop, keep-alive deadlines, workers |
 //! | [`http`] | minimal HTTP/1.1: blocking reader/writer + resumable parser |
 //! | [`json`] | hand-rolled JSON value, encoder and strict parser |
 //! | [`api`] | typed DTOs ↔ JSON for every endpoint and meta record |
-//! | [`pool`] | fixed-size scoped worker pool (vendored crossbeam pattern) |
 //! | [`fault`] | deterministic failpoints (no-ops without `fault-injection`) |
 //! | [`metrics`] | atomic metrics registry, Prometheus encoder, request logs |
-//! | [`janitor`] | background maintenance: TTL aging, orphan GC, compaction |
+//! | [`janitor`] | background maintenance: TTL aging, temp-file GC |
 //!
 //! The `kgae-serve` binary boots the standard dataset registry behind
 //! this stack; the `kgae-client` crate speaks the same wire format
@@ -60,7 +59,6 @@ pub mod janitor;
 pub mod json;
 pub mod manager;
 pub mod metrics;
-pub mod pool;
 pub mod reactor;
 pub mod server;
 pub mod store;

@@ -33,9 +33,10 @@ use kgae_intervals::KernelCacheStats;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::SystemTime;
 
-/// The route classes the server answers, mirroring
-/// `kgae_service::server`'s dispatch. `Other` collects everything that
-/// falls through to 404 (and any unroutable method/path pair).
+/// The route classes the server answers: each request is classified
+/// once, and `kgae_service::server` dispatches on the class. `Other`
+/// collects everything that falls through to 404 (and any unroutable
+/// method/path pair).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Route {
     /// `GET /healthz`.
@@ -112,13 +113,14 @@ impl Route {
         }
     }
 
-    /// Classifies a request line into a route class. Mirrors the
-    /// server's dispatch exactly: a pair this returns `Other` for is a
-    /// pair the server answers 404.
+    /// Classifies a request line into its route class and the session
+    /// id its path names (`/v1/sessions/{id}[/...]`, whatever the
+    /// route). The server dispatches on this: a pair classified `Other`
+    /// is answered 404.
     #[must_use]
-    pub fn classify(method: &str, path: &str) -> Route {
+    pub fn classify<'p>(method: &str, path: &'p str) -> (Route, Option<&'p str>) {
         let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-        match (method, segments.as_slice()) {
+        let route = match (method, segments.as_slice()) {
             ("GET", ["healthz"]) => Route::Healthz,
             ("GET", ["metrics"]) => Route::Metrics,
             ("GET", ["v1", "datasets"]) => Route::Datasets,
@@ -134,7 +136,12 @@ impl Route {
             ("GET", ["v1", "sessions", _, "snapshot"]) => Route::Snapshot,
             ("POST", ["v1", "sessions", _, "deltas"]) => Route::Deltas,
             _ => Route::Other,
-        }
+        };
+        let id = match segments.as_slice() {
+            ["v1", "sessions", id, ..] => Some(*id),
+            _ => None,
+        };
+        (route, id)
     }
 
     fn index(self) -> usize {
@@ -142,17 +149,6 @@ impl Route {
             .iter()
             .position(|&r| r == self)
             .expect("route listed")
-    }
-}
-
-/// The session id segment of a `/v1/sessions/{id}[/...]` path, for log
-/// lines. `None` for every other path shape.
-#[must_use]
-pub fn session_id_of(path: &str) -> Option<&str> {
-    let mut segments = path.split('/').filter(|s| !s.is_empty());
-    match (segments.next(), segments.next(), segments.next()) {
-        (Some("v1"), Some("sessions"), Some(id)) => Some(id),
-        _ => None,
     }
 }
 
@@ -251,7 +247,7 @@ pub struct Metrics {
     pub(crate) connections_open: AtomicU64,
     /// High-water mark of the reactor slab length.
     pub(crate) slab_high_water: AtomicU64,
-    /// Connections reaped by the timer wheel for idleness.
+    /// Connections reaped at their keep-alive deadline for idleness.
     pub(crate) timer_reaps: AtomicU64,
     /// Times the reactor's self-pipe waker fired.
     pub(crate) waker_wakeups: AtomicU64,
@@ -377,7 +373,7 @@ impl Metrics {
             ),
             (
                 "kgae_reactor_timer_reaps_total",
-                "counter Idle connections reaped by the timer wheel.",
+                "counter Idle connections reaped at their keep-alive deadline.",
                 self.timer_reaps.load(Ordering::Relaxed),
             ),
             (
@@ -891,7 +887,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classify_mirrors_the_server_dispatch() {
+    fn classify_names_the_route_and_the_session() {
         for (method, path, expect) in [
             ("GET", "/healthz", Route::Healthz),
             ("GET", "/metrics", Route::Metrics),
@@ -912,11 +908,13 @@ mod tests {
             ("GET", "/v1/sessions/abc/nope", Route::Other),
             ("PUT", "/v1/sessions", Route::Other),
         ] {
-            assert_eq!(Route::classify(method, path), expect, "{method} {path}");
+            let id = path.strip_prefix("/v1/sessions/").map(|rest| &rest[..3]);
+            assert_eq!(
+                Route::classify(method, path),
+                (expect, id),
+                "{method} {path}"
+            );
         }
-        assert_eq!(session_id_of("/v1/sessions/abc/next"), Some("abc"));
-        assert_eq!(session_id_of("/v1/sessions"), None);
-        assert_eq!(session_id_of("/healthz"), None);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The std-only readiness reactor: one event-loop thread multiplexes
 //! every connection over POSIX `poll(2)` (via the vendored [`polling`]
-//! shim), and the worker pool executes only **ready, fully-parsed**
+//! shim), and `--workers` threads execute only **ready, fully-parsed**
 //! requests. This replaces the thread-per-connection front where one
 //! pool worker owned one keep-alive connection for its lifetime —
 //! connection capacity is now bounded by file descriptors, and
@@ -9,9 +9,9 @@
 //! ```text
 //!                        ┌───────────────────────────────┐
 //!   accept ──────────────►          reactor thread       │
-//!   readable ────────────► poll(2) → read → RequestParser│──ready Job──► worker pool
+//!   readable ────────────► poll(2) → read → RequestParser│──ready Job──► workers
 //!   writable ────────────► resume partial response writes│◄──Done+wake── (route → format)
-//!   timer wheel ─────────► reap idle keep-alive conns    │
+//!   deadline heap ───────► reap idle keep-alive conns    │
 //!   waker (UnixStream) ──► instant shutdown / completions│
 //!                        └───────────────────────────────┘
 //! ```
@@ -28,8 +28,8 @@
 //! closed, never reused with a fresh response on top of a half-written
 //! one.
 //!
-//! Idle keep-alive expiry lives in a hashed `TimerWheel` owned by
-//! the loop: every byte of transport progress (read or write)
+//! Idle keep-alive expiry lives in a heap of deadlines owned by the
+//! loop: every byte of transport progress (read or write)
 //! refreshes the connection's activity clock, so an *active* mid-body
 //! upload is never reaped, while a connection sitting between requests
 //! (or stalled mid-message) past the deadline is closed server-side.
@@ -40,28 +40,29 @@
 //! immediately and lets in-flight requests finish their response
 //! writes, so a no-session drain completes without any polling tick.
 
+use crate::api::{self, SessionSpec};
 use crate::http::{self, Parsed, RequestParser};
 use crate::metrics::{self, Metrics, RequestLog, Route};
-use crate::{api, pool};
 use polling::{PollFd, POLLIN, POLLOUT};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Reactor tuning: how many request executors, how long a connection
-/// may sit without transport progress before the timer wheel reaps it,
-/// and where (if anywhere) to report what happened.
-#[derive(Clone)]
+/// may sit without transport progress before it is reaped, and where
+/// (if anywhere) to report what happened.
 pub(crate) struct Config {
     /// Worker threads executing ready requests — bounds in-flight
     /// requests, **not** connections.
     pub workers: usize,
-    /// Keep-alive/stall deadline enforced by the timer wheel.
+    /// Keep-alive/stall deadline.
     pub idle_timeout: Duration,
     /// Shared metrics registry; request latency is measured around the
     /// worker's handler call and counted only once the response bytes
@@ -71,7 +72,7 @@ pub(crate) struct Config {
     pub log: Option<Arc<RequestLog>>,
 }
 
-/// A ready, fully-parsed request handed to the worker pool.
+/// A ready, fully-parsed request handed to the workers.
 struct Job {
     token: usize,
     generation: u64,
@@ -90,11 +91,6 @@ struct Done {
 
 /// Read size per readiness event.
 const READ_CHUNK: usize = 16 * 1024;
-/// Timer-wheel granularity; idle reaping is accurate to ±one tick.
-const WHEEL_TICK: Duration = Duration::from_millis(50);
-/// Timer-wheel slots; deadlines beyond `WHEEL_TICK × WHEEL_SLOTS`
-/// (51.2 s) cascade on wrap-around.
-const WHEEL_SLOTS: usize = 1024;
 
 /// One multiplexed connection and everything resumable about it.
 struct Conn {
@@ -107,7 +103,7 @@ struct Conn {
     /// The response being written, and how much of it already was.
     out: Vec<u8>,
     written: usize,
-    /// A request is executing on the worker pool; reads pause.
+    /// A request is executing on a worker; reads pause.
     busy: bool,
     /// Close once `out` flushes (parse errors, `Connection: close`,
     /// drain, injected torn writes).
@@ -119,7 +115,7 @@ struct Conn {
     /// Stale-event fence: slab tokens are reused, generations are not.
     generation: u64,
     /// Last transport progress (accepted / bytes read / bytes
-    /// written); the timer wheel reaps against this.
+    /// written); the deadline is measured from here.
     last_activity: Instant,
 }
 
@@ -136,82 +132,56 @@ impl Conn {
     }
 }
 
-/// A hashed timer wheel: O(1) arm, expiry amortized over ticks.
-/// Entries are lazily cancelled — a fired `(token, generation)` that
-/// no longer matches a live connection is simply ignored.
-struct TimerWheel {
-    slots: Vec<Vec<(usize, u64, Instant)>>,
-    cursor: usize,
-    /// Wall time of the current cursor slot's start.
-    cursor_time: Instant,
-    armed: usize,
-}
+/// Keep-alive deadlines: a min-heap of `(deadline, token, generation)`.
+/// Entries are cancelled lazily — a popped `(token, generation)` that no
+/// longer matches a live connection is ignored — and a live connection
+/// holds one entry at a time, which [`Loop::on_timer`] re-arms.
+#[derive(Default)]
+struct Deadlines(BinaryHeap<Reverse<(Instant, usize, u64)>>);
 
-impl TimerWheel {
-    fn new(now: Instant) -> Self {
-        Self {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            cursor: 0,
-            cursor_time: now,
-            armed: 0,
-        }
-    }
-
-    /// Arms `(token, generation)` to fire at `deadline` (never in the
-    /// current slot: the minimum delay is one tick).
+impl Deadlines {
     fn arm(&mut self, deadline: Instant, token: usize, generation: u64) {
-        let ahead = deadline.saturating_duration_since(self.cursor_time);
-        let ticks = (ahead.as_nanos() / WHEEL_TICK.as_nanos()).max(1) as usize;
-        let slot = (self.cursor + ticks.min(WHEEL_SLOTS - 1)) % WHEEL_SLOTS;
-        self.slots[slot].push((token, generation, deadline));
-        self.armed += 1;
+        self.0.push(Reverse((deadline, token, generation)));
     }
 
-    /// Advances the cursor up to `now`, returning every due entry.
-    /// Entries whose deadline is still ahead (cascaded long timers)
-    /// are re-armed instead of fired.
-    fn expired(&mut self, now: Instant) -> Vec<(usize, u64)> {
-        let mut fired = Vec::new();
-        while now.saturating_duration_since(self.cursor_time) >= WHEEL_TICK {
-            self.cursor_time += WHEEL_TICK;
-            self.cursor = (self.cursor + 1) % WHEEL_SLOTS;
-            let due = std::mem::take(&mut self.slots[self.cursor]);
-            self.armed -= due.len();
-            for (token, generation, deadline) in due {
-                if deadline <= now {
-                    fired.push((token, generation));
-                } else {
-                    self.arm(deadline, token, generation);
-                }
-            }
-        }
-        fired
-    }
-
-    /// How long `poll` may sleep before the next slot with entries is
-    /// due. `None` when nothing is armed (sleep until a waker byte).
-    fn next_timeout(&self, now: Instant) -> Option<Duration> {
-        if self.armed == 0 {
+    /// Pops the earliest entry whose deadline passed before `now`. An
+    /// entry re-armed at `now` itself waits for the next iteration.
+    fn pop_due(&mut self, now: Instant) -> Option<(usize, u64)> {
+        let Reverse((deadline, _, _)) = self.0.peek()?;
+        if *deadline >= now {
             return None;
         }
-        for ahead in 1..=WHEEL_SLOTS {
-            if !self.slots[(self.cursor + ahead) % WHEEL_SLOTS].is_empty() {
-                let due = self.cursor_time + WHEEL_TICK * ahead as u32;
-                return Some(due.saturating_duration_since(now).max(WHEEL_TICK / 5));
-            }
-        }
-        None
+        self.0
+            .pop()
+            .map(|Reverse((_, token, generation))| (token, generation))
+    }
+
+    /// How long `poll` may sleep before the earliest deadline, rounded
+    /// up to a whole millisecond (at least one, so a deadline under a
+    /// millisecond away does not spin the loop). `None` when nothing is
+    /// armed: sleep until a waker byte.
+    fn next_timeout(&self, now: Instant) -> Option<Duration> {
+        let Reverse((deadline, _, _)) = self.0.peek()?;
+        let nanos = deadline.saturating_duration_since(now).as_nanos();
+        Some(Duration::from_millis(
+            nanos.div_ceil(1_000_000).max(1) as u64
+        ))
     }
 }
 
+/// A routed answer: status, JSON body, and the optional `Retry-After`
+/// seconds (quota/drain refusals carry one).
+pub(crate) type Reply = (u16, String, Option<u64>);
+
 /// The reactor front door. Owns the listener and every connection;
-/// `handler` routes one decoded request to `(status, body,
-/// retry_after)` on a worker thread; `begin_drain` runs exactly once,
-/// on the loop iteration that observes the shutdown flag, *before* any
-/// connection is torn down (so refused requests see drain 503s, not
-/// resets). Returns once every connection is closed and all workers
-/// have exited — the caller then runs the manager's persistence drain
-/// with no request racing it.
+/// `handler` answers one request, classified once as its [`Route`] and
+/// session id, on a worker thread, and hands back the spec a create
+/// parsed (it names the log line's session and tenant). `begin_drain`
+/// runs exactly once, on the loop iteration that observes the shutdown
+/// flag, *before* any connection is torn down (so refused requests see
+/// drain 503s, not resets). Returns once every connection is closed and
+/// all workers have exited — the caller then runs the manager's
+/// persistence drain with no request racing it.
 ///
 /// `wake_rx`/`wake_tx` are the two ends of a `UnixStream::pair`: the
 /// loop polls `wake_rx`; [`crate::server::ServerHandle::shutdown`] and
@@ -221,30 +191,34 @@ pub(crate) fn serve<F>(
     wake_rx: &UnixStream,
     wake_tx: &UnixStream,
     shutdown: &AtomicBool,
-    config: Config,
+    config: &Config,
     begin_drain: impl FnOnce(),
     handler: F,
 ) where
-    F: Fn(&http::Request) -> (u16, String, Option<u64>) + Sync,
+    F: Fn(&http::Request, Route, Option<&str>) -> (Reply, Option<SessionSpec>) + Sync,
 {
     let (job_tx, job_rx) = channel::<Job>();
     let (done_tx, done_rx) = channel::<Done>();
     let _ = wake_tx.set_nonblocking(true);
-    let worker_count = config.workers;
-    let worker_metrics = config.metrics.clone();
-    let worker_log = config.log.clone();
-    crossbeam::scope(|scope| {
-        let workers = scope.spawn(|_| {
-            run_workers(
-                worker_count,
-                job_rx,
-                &handler,
-                &done_tx,
-                wake_tx,
-                worker_metrics.as_deref(),
-                worker_log.as_deref(),
-            );
-        });
+    let jobs = Mutex::new(job_rx);
+    std::thread::scope(|scope| {
+        for _ in 0..config.workers.max(1) {
+            scope.spawn(|| loop {
+                // The receiver lock is held to pull a job, never while
+                // executing one.
+                let job = jobs.lock().expect("job receiver lock").recv();
+                let Ok(job) = job else {
+                    return; // the loop dropped the sender: drained
+                };
+                let done = execute(job, &handler, config);
+                if done_tx.send(done).is_ok() {
+                    // A full waker pipe already guarantees a wake-up;
+                    // ignore WouldBlock (and a torn-down reactor) here.
+                    let mut waker = wake_tx;
+                    let _ = waker.write(&[1]);
+                }
+            });
+        }
         event_loop(
             listener,
             wake_rx,
@@ -254,132 +228,82 @@ pub(crate) fn serve<F>(
             job_tx,
             &done_rx,
         );
-        workers.join().expect("reactor worker pool");
-    })
-    .expect("reactor scope");
-}
-
-/// The worker side: drain ready requests, route them, serialize the
-/// response, record metrics and the structured log line, hand the
-/// bytes back, nudge the reactor awake.
-fn run_workers<F>(
-    workers: usize,
-    jobs: Receiver<Job>,
-    handler: &F,
-    done_tx: &Sender<Done>,
-    waker: &UnixStream,
-    metrics_reg: Option<&Metrics>,
-    log: Option<&RequestLog>,
-) where
-    F: Fn(&http::Request) -> (u16, String, Option<u64>) + Sync,
-{
-    pool::run_pool(workers, jobs, |job: Job| {
-        let keep_alive = job.request.keep_alive;
-        let route = Route::classify(&job.request.method, &job.request.path);
-        let started = Instant::now();
-        let (status, body, retry_after) = handler(&job.request);
-        let mut extra: Vec<(&str, String)> = Vec::new();
-        if let Some(secs) = retry_after {
-            extra.push(("Retry-After", secs.to_string()));
-        }
-        // Everything the service answers is JSON except a successful
-        // metrics scrape, which speaks the Prometheus text format.
-        let content_type = if route == Route::Metrics && status == 200 {
-            "text/plain; version=0.0.4"
-        } else {
-            "application/json"
-        };
-        // Failpoint `conn.write`: the response dies *after* the
-        // manager already applied the operation — torn sends a prefix,
-        // drop sends nothing, and either way the connection closes, so
-        // the client's lost-response retry path is exercised. Same
-        // site and semantics as the blocking front.
-        #[cfg(feature = "fault-injection")]
-        let injected = crate::fault::check(crate::fault::site::CONN_WRITE);
-        #[cfg(not(feature = "fault-injection"))]
-        let injected: Option<crate::fault::FaultAction> = None;
-        let done = match injected {
-            Some(crate::fault::FaultAction::Crash) => std::process::abort(),
-            Some(crate::fault::FaultAction::Torn(n)) => {
-                let mut bytes =
-                    http::format_response_with(status, &body, keep_alive, content_type, &extra);
-                bytes.truncate(n);
-                Done {
-                    token: job.token,
-                    generation: job.generation,
-                    bytes,
-                    close: true,
-                }
-            }
-            Some(_) => Done {
-                token: job.token,
-                generation: job.generation,
-                bytes: Vec::new(),
-                close: true,
-            },
-            None => Done {
-                token: job.token,
-                generation: job.generation,
-                bytes: http::format_response_with(status, &body, keep_alive, content_type, &extra),
-                close: !keep_alive,
-            },
-        };
-        // Counted only now, with the response bytes already built: a
-        // /metrics scrape observes every request but its own, so the
-        // scraped totals reconcile exactly with client-side truth.
-        let elapsed = started.elapsed();
-        if let Some(reg) = metrics_reg {
-            reg.record_request(route, status, elapsed.as_nanos() as u64, body.len() as u64);
-        }
-        if let Some(log) = log {
-            if log.would_log(status) {
-                let identity = request_identity(route, &job.request);
-                log.record(&metrics::LogEntry {
-                    unix_millis: metrics::unix_millis_now(),
-                    route: route.name(),
-                    tenant: identity.tenant.as_deref(),
-                    session: identity.session.as_deref(),
-                    status,
-                    bytes: body.len() as u64,
-                    micros: elapsed.as_micros() as u64,
-                    worker: metrics::worker_id(),
-                });
-            }
-        }
-        if done_tx.send(done).is_ok() {
-            // A full waker pipe already guarantees a wake-up; ignore
-            // WouldBlock (and a torn-down reactor) here.
-            let mut waker = waker;
-            let _ = waker.write(&[1]);
-        }
     });
 }
 
-/// Who a request was about, for log lines. Session ids normally sit in
-/// the path; a create carries both its id and tenant in the body.
-#[derive(Default)]
-struct RequestIdentity {
-    session: Option<String>,
-    tenant: Option<String>,
-}
-
-fn request_identity(route: Route, request: &http::Request) -> RequestIdentity {
-    if route == Route::SessionCreate {
-        let Some(spec) = std::str::from_utf8(&request.body)
-            .ok()
-            .and_then(|text| crate::json::parse(text).ok())
-        else {
-            return RequestIdentity::default();
-        };
-        let field = |key: &str| spec.get(key).and_then(|v| v.as_str()).map(str::to_string);
-        return RequestIdentity {
-            session: field("id"),
-            tenant: field("tenant"),
-        };
+/// Executes one ready request on a worker: route it, serialize the
+/// response, and record its metrics and structured log line.
+fn execute<F>(job: Job, handler: &F, config: &Config) -> Done
+where
+    F: Fn(&http::Request, Route, Option<&str>) -> (Reply, Option<SessionSpec>),
+{
+    let keep_alive = job.request.keep_alive;
+    let (route, session) = Route::classify(&job.request.method, &job.request.path);
+    let started = Instant::now();
+    let ((status, body, retry_after), spec) = handler(&job.request, route, session);
+    let mut extra: Vec<(&str, String)> = Vec::new();
+    if let Some(secs) = retry_after {
+        extra.push(("Retry-After", secs.to_string()));
     }
-    RequestIdentity {
-        session: metrics::session_id_of(&request.path).map(str::to_string),
-        tenant: None,
+    // Everything the service answers is JSON except a successful
+    // metrics scrape, which speaks the Prometheus text format.
+    let content_type = if route == Route::Metrics && status == 200 {
+        "text/plain; version=0.0.4"
+    } else {
+        "application/json"
+    };
+    // Failpoint `conn.write`: the response dies *after* the manager
+    // already applied the operation — torn sends a prefix, drop sends
+    // nothing, and either way the connection closes, so the client's
+    // lost-response retry path is exercised.
+    #[cfg(feature = "fault-injection")]
+    let injected = crate::fault::check(crate::fault::site::CONN_WRITE);
+    #[cfg(not(feature = "fault-injection"))]
+    let injected: Option<crate::fault::FaultAction> = None;
+    let (bytes, close) = match injected {
+        Some(crate::fault::FaultAction::Crash) => std::process::abort(),
+        Some(crate::fault::FaultAction::Torn(n)) => {
+            let mut bytes =
+                http::format_response_with(status, &body, keep_alive, content_type, &extra);
+            bytes.truncate(n);
+            (bytes, true)
+        }
+        Some(_) => (Vec::new(), true),
+        None => (
+            http::format_response_with(status, &body, keep_alive, content_type, &extra),
+            !keep_alive,
+        ),
+    };
+    // Counted only now, with the response bytes already built: a
+    // /metrics scrape observes every request but its own, so the
+    // scraped totals reconcile exactly with client-side truth.
+    let elapsed = started.elapsed();
+    if let Some(reg) = &config.metrics {
+        reg.record_request(route, status, elapsed.as_nanos() as u64, body.len() as u64);
+    }
+    if let Some(log) = config.log.as_deref().filter(|log| log.would_log(status)) {
+        // A create names its session and tenant in the spec; every
+        // other session route names its session in the path.
+        let (session, tenant) = match &spec {
+            Some(spec) => (Some(spec.id.as_str()), spec.tenant.as_deref()),
+            None => (session, None),
+        };
+        log.record(&metrics::LogEntry {
+            unix_millis: metrics::unix_millis_now(),
+            route: route.name(),
+            tenant,
+            session,
+            status,
+            bytes: body.len() as u64,
+            micros: elapsed.as_micros() as u64,
+            worker: metrics::worker_id(),
+        });
+    }
+    Done {
+        token: job.token,
+        generation: job.generation,
+        bytes,
+        close,
     }
 }
 
@@ -389,7 +313,7 @@ struct Loop {
     free: Vec<usize>,
     live: usize,
     next_generation: u64,
-    wheel: TimerWheel,
+    deadlines: Deadlines,
     idle_timeout: Duration,
     draining: bool,
     job_tx: Option<Sender<Job>>,
@@ -401,7 +325,7 @@ fn event_loop(
     listener: TcpListener,
     wake_rx: &UnixStream,
     shutdown: &AtomicBool,
-    config: Config,
+    config: &Config,
     begin_drain: impl FnOnce(),
     job_tx: Sender<Job>,
     done_rx: &Receiver<Done>,
@@ -412,17 +336,7 @@ fn event_loop(
     let _ = wake_rx.set_nonblocking(true);
     let mut listener = Some(listener);
     let mut begin_drain = Some(begin_drain);
-    let mut state = Loop {
-        slab: Vec::new(),
-        free: Vec::new(),
-        live: 0,
-        next_generation: 0,
-        wheel: TimerWheel::new(Instant::now()),
-        idle_timeout: config.idle_timeout,
-        draining: false,
-        job_tx: Some(job_tx),
-        metrics: config.metrics.clone(),
-    };
+    let mut state = Loop::new(config, job_tx);
     let mut fds: Vec<PollFd> = Vec::new();
     let mut tokens: Vec<usize> = Vec::new();
     loop {
@@ -479,7 +393,7 @@ fn event_loop(
             }
         }
 
-        let timeout = state.wheel.next_timeout(Instant::now());
+        let timeout = state.deadlines.next_timeout(Instant::now());
         if polling::wait(&mut fds, timeout).is_err() {
             // poll(2) failing is unrecoverable for the loop: fall into
             // the drain path with what we hold rather than spin.
@@ -511,7 +425,7 @@ fn event_loop(
             }
         }
         let now = Instant::now();
-        for (token, generation) in state.wheel.expired(now) {
+        while let Some((token, generation)) = state.deadlines.pop_due(now) {
             state.on_timer(token, generation, now);
         }
     }
@@ -531,6 +445,20 @@ enum ParseStep {
 }
 
 impl Loop {
+    fn new(config: &Config, job_tx: Sender<Job>) -> Self {
+        Self {
+            slab: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            next_generation: 0,
+            deadlines: Deadlines::default(),
+            idle_timeout: config.idle_timeout,
+            draining: false,
+            job_tx: Some(job_tx),
+            metrics: config.metrics.clone(),
+        }
+    }
+
     fn accept_all(&mut self, listener: &TcpListener) {
         loop {
             match listener.accept() {
@@ -580,7 +508,7 @@ impl Loop {
             reg.slab_high_water
                 .fetch_max(self.slab.len() as u64, Ordering::Relaxed);
         }
-        self.wheel
+        self.deadlines
             .arm(now + self.idle_timeout, token, self.next_generation);
     }
 
@@ -794,29 +722,24 @@ impl Loop {
             Outcome::Pending => {}
             Outcome::Dead => self.close(token),
             Outcome::Flushed => {
-                let (close_now, deadline, generation) = {
-                    let Some(conn) = &self.slab[token] else {
-                        return;
-                    };
-                    (
-                        conn.close_after_flush,
-                        conn.last_activity + self.idle_timeout,
-                        conn.generation,
-                    )
-                };
+                let close_now = self.slab[token]
+                    .as_ref()
+                    .is_some_and(|conn| conn.close_after_flush);
                 if close_now || self.draining {
                     self.close(token);
                     return;
                 }
-                self.wheel.arm(deadline, token, generation);
+                // The connection's one deadline entry, still armed,
+                // re-arms from the refreshed activity clock when due.
                 self.drive_parser(token);
                 self.check_read_closed(token);
             }
         }
     }
 
-    /// A timer fired for `(token, generation)`: reap if the connection
-    /// has genuinely stalled, otherwise re-arm for the remainder.
+    /// A deadline passed for `(token, generation)`: reap if the
+    /// connection has genuinely stalled, otherwise re-arm its one entry
+    /// for the remainder.
     fn on_timer(&mut self, token: usize, generation: u64, now: Instant) {
         let rearm_at = {
             let Some(conn) = &self.slab[token] else {
@@ -842,7 +765,7 @@ impl Loop {
             }
         };
         match rearm_at {
-            Some(deadline) => self.wheel.arm(deadline, token, generation),
+            Some(deadline) => self.deadlines.arm(deadline, token, generation),
             None => {
                 if let Some(reg) = &self.metrics {
                     reg.timer_reaps.fetch_add(1, Ordering::Relaxed);
@@ -858,49 +781,58 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wheel_fires_once_due_and_not_before() {
+    fn deadlines_pop_in_order_once_passed_and_bound_the_sleep() {
         let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(t0);
-        wheel.arm(t0 + Duration::from_millis(120), 3, 7);
-        assert!(wheel.expired(t0 + Duration::from_millis(60)).is_empty());
+        let ms = Duration::from_millis;
+        let mut deadlines = Deadlines::default();
+        assert_eq!(deadlines.next_timeout(t0), None, "nothing armed");
+        deadlines.arm(t0 + ms(500), 0, 1);
+        deadlines.arm(t0 + ms(150), 1, 2);
+        assert_eq!(deadlines.next_timeout(t0), Some(ms(150)));
+        // Sub-millisecond and already-passed deadlines sleep one whole
+        // millisecond rather than spinning at a zero timeout.
+        let sub_ms = Duration::from_micros(300);
+        assert_eq!(deadlines.next_timeout(t0 + ms(150) - sub_ms), Some(ms(1)));
+        assert_eq!(deadlines.next_timeout(t0 + ms(400)), Some(ms(1)));
         assert_eq!(
-            wheel.expired(t0 + Duration::from_millis(200)),
-            vec![(3, 7)],
-            "due entries fire exactly once"
-        );
-        assert!(wheel.expired(t0 + Duration::from_millis(400)).is_empty());
-        assert_eq!(wheel.armed, 0);
-    }
-
-    #[test]
-    fn wheel_cascades_deadlines_beyond_the_span() {
-        let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(t0);
-        let far = WHEEL_TICK * (WHEEL_SLOTS as u32 * 2);
-        wheel.arm(t0 + far, 1, 1);
-        // Sweeping half the horizon must re-arm (cascade), not fire.
-        assert!(wheel.expired(t0 + far / 2).is_empty());
-        assert_eq!(wheel.armed, 1);
-        assert_eq!(wheel.expired(t0 + far + WHEEL_TICK), vec![(1, 1)]);
-    }
-
-    #[test]
-    fn wheel_sleeps_toward_the_nearest_entry() {
-        let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(t0);
-        assert_eq!(
-            wheel.next_timeout(t0),
+            deadlines.pop_due(t0 + ms(150)),
             None,
-            "nothing armed: sleep on waker"
+            "due only once passed"
         );
-        wheel.arm(t0 + Duration::from_millis(500), 0, 1);
-        wheel.arm(t0 + Duration::from_millis(150), 1, 2);
-        let sleep = wheel
-            .next_timeout(t0)
-            .expect("armed entries bound the sleep");
-        assert!(
-            sleep <= Duration::from_millis(200),
-            "must wake near the 150 ms entry, got {sleep:?}"
-        );
+        assert_eq!(deadlines.pop_due(t0 + ms(600)), Some((1, 2)));
+        assert_eq!(deadlines.pop_due(t0 + ms(600)), Some((0, 1)));
+        assert_eq!(deadlines.pop_due(t0 + ms(600)), None);
+    }
+
+    #[test]
+    fn timer_skips_stale_generations_and_rearms_busy_or_active_connections() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let config = Config {
+            workers: 1,
+            idle_timeout: Duration::from_secs(30),
+            metrics: None,
+            log: None,
+        };
+        let mut state = Loop::new(&config, channel().0);
+        state.register(listener.accept().unwrap().0); // token 0, generation 1
+        let t0 = state.slab[0].as_ref().unwrap().last_activity;
+        let at = |secs| t0 + Duration::from_secs(secs);
+        // An entry whose token was reused since: ignored, not re-armed.
+        state.on_timer(0, 0, at(31));
+        // Busy: the server owes a response, so re-arm a timeout from now.
+        state.slab[0].as_mut().unwrap().busy = true;
+        state.on_timer(0, 1, at(31));
+        // Progress 40 s in: re-arm a timeout after that progress.
+        let conn = state.slab[0].as_mut().unwrap();
+        (conn.busy, conn.last_activity) = (false, at(40));
+        state.on_timer(0, 1, at(61));
+        assert!(state.slab[0].is_some());
+        // Idle past its deadline: reaped, and nothing re-arms.
+        state.on_timer(0, 1, at(70));
+        assert!(state.slab[0].is_none() && state.live == 0);
+        let mut armed: Vec<Instant> = state.deadlines.0.iter().map(|e| e.0 .0).collect();
+        armed.sort();
+        assert_eq!(armed, vec![at(30), at(61), at(70)]);
     }
 }

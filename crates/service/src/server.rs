@@ -1,7 +1,9 @@
 //! The network front: a readiness reactor ([`crate::reactor`])
-//! multiplexing every connection on one event-loop thread, a worker
-//! pool executing ready requests, and the route table mapping the
-//! HTTP/JSON API onto [`SessionManager`] operations.
+//! multiplexing every connection on one event-loop thread, worker
+//! threads executing ready requests, and the dispatch mapping each
+//! request's [`Route`] onto [`SessionManager`] operations.
+//!
+//! The route table (one [`Route`] class each, see [`Route::classify`]):
 //!
 //! ```text
 //! GET    /healthz                      liveness probe
@@ -25,17 +27,19 @@
 //! *in-flight requests*, not connections — size it at the concurrency
 //! the session manager should see (CPU count is a good default), even
 //! with thousands of connections held open. Idle connections are
-//! reclaimed by the reactor's timer wheel after the server's idle
-//! timeout ([`IDLE_TIMEOUT`] by default, tunable per server with
+//! reclaimed by the reactor at the server's idle timeout
+//! ([`IDLE_TIMEOUT`] by default, tunable per server with
 //! [`Server::with_idle_timeout`]). Shutdown is event-driven —
 //! [`ServerHandle::shutdown`] flips a flag and writes one waker byte;
 //! the reactor reacts on the same iteration, no polling tick involved.
 
+use crate::api::SessionSpec;
 use crate::json::Json;
 use crate::manager::{ServiceError, SessionManager, SessionView};
-use crate::metrics::{Metrics, RequestLog};
+use crate::metrics::{Metrics, RequestLog, Route};
+use crate::reactor::{self, Reply};
 use crate::store::to_hex;
-use crate::{api, http, json, reactor};
+use crate::{api, http, json};
 use kgae_graph::KnowledgeGraph;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener};
@@ -161,8 +165,8 @@ impl Server {
     /// Returns the drain report.
     ///
     /// Blocks the calling thread driving the reactor; request
-    /// execution runs on the worker pool (scoped threads, so `manager`
-    /// may borrow from the caller's stack).
+    /// execution runs on the workers (scoped threads, so `manager` may
+    /// borrow from the caller's stack).
     pub fn run(self, manager: &SessionManager<'_>) -> crate::manager::DrainReport {
         let Server {
             listener,
@@ -174,20 +178,32 @@ impl Server {
             metrics,
             log,
         } = self;
-        let route_metrics = metrics.clone();
+        let config = reactor::Config {
+            workers,
+            idle_timeout,
+            metrics,
+            log,
+        };
         reactor::serve(
             listener,
             &wake_rx,
             &wake_tx,
             &shutdown,
-            reactor::Config {
-                workers,
-                idle_timeout,
-                metrics,
-                log,
-            },
+            &config,
             || manager.begin_drain(),
-            |request| route(request, manager, route_metrics.as_deref()),
+            |request, route, id| match route {
+                Route::SessionCreate => create(&request.body, manager),
+                // Every other session route has its id in the path.
+                _ => {
+                    let id = id.unwrap_or_default();
+                    let metrics = config.metrics.as_deref();
+                    let answer = dispatch(request, route, id, manager, metrics);
+                    (
+                        answer.map_or_else(|refusal| refusal, |body| (200, body, None)),
+                        None,
+                    )
+                }
+            },
         );
         manager.drain()
     }
@@ -210,11 +226,8 @@ pub fn health_body() -> String {
     .encode()
 }
 
-/// One routed answer: status, JSON body, and the optional
-/// `Retry-After` seconds (quota/drain refusals carry one).
-type Reply = (u16, String, Option<u64>);
-
-fn error_response(e: &ServiceError) -> Reply {
+/// A refused request: the error's status, coded body and `Retry-After`.
+fn refuse(e: ServiceError) -> Reply {
     (
         e.http_status(),
         api::error_body_coded(&e.to_string(), e.wire_code()),
@@ -222,8 +235,13 @@ fn error_response(e: &ServiceError) -> Reply {
     )
 }
 
-fn view_body(view: &SessionView) -> String {
-    view_to_json(view).encode()
+/// A 400 naming what is wrong with the request.
+fn bad_request(why: impl std::fmt::Display) -> Reply {
+    (400, api::error_body(&why.to_string()), None)
+}
+
+fn view_body(view: SessionView) -> String {
+    view_to_json(&view).encode()
 }
 
 /// Encodes a [`SessionView`] for the wire.
@@ -268,36 +286,46 @@ pub fn view_to_json(view: &SessionView) -> Json {
 }
 
 fn parse_body(body: &[u8]) -> Result<Json, Reply> {
-    let text =
-        std::str::from_utf8(body).map_err(|_| (400, api::error_body("body is not UTF-8"), None))?;
+    let text = std::str::from_utf8(body).map_err(|_| bad_request("body is not UTF-8"))?;
     if text.trim().is_empty() {
         return Ok(Json::Obj(Vec::new()));
     }
-    json::parse(text).map_err(|e| (400, api::error_body(&e.to_string()), None))
+    json::parse(text).map_err(bad_request)
 }
 
-/// Dispatches one request; returns `(status, body, retry_after)`.
-fn route(
+/// `POST /v1/sessions`. Hands back the spec it parsed, which names the
+/// session and tenant for the request log.
+fn create(body: &[u8], manager: &SessionManager<'_>) -> (Reply, Option<SessionSpec>) {
+    let spec = parse_body(body).and_then(|doc| SessionSpec::from_json(&doc).map_err(bad_request));
+    let spec = match spec {
+        Ok(spec) => spec,
+        Err(refusal) => return (refusal, None),
+    };
+    let reply = match manager.create(&spec) {
+        Ok(view) => (201, view_body(view), None),
+        Err(e) => refuse(e),
+    };
+    (reply, Some(spec))
+}
+
+/// Answers one request of any route but a create (`id` is the session
+/// its path names): a 200 body, or a refusal.
+fn dispatch(
     request: &http::Request,
+    route: Route,
+    id: &str,
     manager: &SessionManager<'_>,
     metrics: Option<&Metrics>,
-) -> Reply {
-    let segments: Vec<&str> = request.path.split('/').filter(|s| !s.is_empty()).collect();
-    let method = request.method.as_str();
-    match (method, segments.as_slice()) {
-        ("GET", ["healthz"]) => (200, health_body(), None),
-        ("GET", ["metrics"]) => match metrics {
-            // The session gauges are a point-in-time census taken at
-            // scrape time under the shard locks — they can never drift
-            // from the manager's actual occupancy.
-            Some(reg) => (
-                200,
-                reg.encode(&manager.census(), Some(&manager.kernel_stats())),
-                None,
-            ),
-            None => (404, api::error_body("metrics not enabled"), None),
-        },
-        ("GET", ["v1", "datasets"]) => {
+) -> Result<String, Reply> {
+    match route {
+        Route::Healthz => Ok(health_body()),
+        // The session gauges are a point-in-time census taken at scrape
+        // time under the shard locks — they can never drift from the
+        // manager's actual occupancy.
+        Route::Metrics => metrics
+            .map(|reg| reg.encode(&manager.census(), Some(&manager.kernel_stats())))
+            .ok_or_else(|| (404, api::error_body("metrics not enabled"), None)),
+        Route::Datasets => {
             let datasets: Vec<Json> = manager
                 .registry()
                 .entries()
@@ -317,145 +345,68 @@ fn route(
                     ])
                 })
                 .collect();
-            (
-                200,
-                Json::obj(vec![("datasets", Json::Arr(datasets))]).encode(),
-                None,
-            )
+            Ok(Json::obj(vec![("datasets", Json::Arr(datasets))]).encode())
         }
-        ("GET", ["v1", "sessions"]) => match manager.list() {
-            Ok(views) => (
-                200,
-                Json::obj(vec![(
-                    "sessions",
-                    Json::Arr(views.iter().map(view_to_json).collect()),
-                )])
-                .encode(),
-                None,
-            ),
-            Err(e) => error_response(&e),
-        },
-        ("POST", ["v1", "sessions"]) => {
-            let body = match parse_body(&request.body) {
-                Ok(body) => body,
-                Err(err) => return err,
-            };
-            let spec = match api::SessionSpec::from_json(&body) {
-                Ok(spec) => spec,
-                Err(e) => return (400, api::error_body(&e.to_string()), None),
-            };
-            match manager.create(&spec) {
-                Ok(view) => (201, view_body(&view), None),
-                Err(e) => error_response(&e),
-            }
+        Route::SessionsList => {
+            let views = manager.list().map_err(refuse)?;
+            let views = Json::Arr(views.iter().map(view_to_json).collect());
+            Ok(Json::obj(vec![("sessions", views)]).encode())
         }
-        ("GET", ["v1", "sessions", id]) => match manager.status(id) {
-            Ok(view) => (200, view_body(&view), None),
-            Err(e) => error_response(&e),
-        },
-        ("DELETE", ["v1", "sessions", id]) => match manager.delete(id) {
-            Ok(()) => (
-                200,
-                Json::obj(vec![("deleted", Json::str(id))]).encode(),
-                None,
-            ),
-            Err(e) => error_response(&e),
-        },
-        ("POST", ["v1", "sessions", id, "next"]) => {
-            let body = match parse_body(&request.body) {
-                Ok(body) => body,
-                Err(err) => return err,
-            };
-            let batch = match body.get("batch") {
+        Route::SessionStatus => manager.status(id).map(view_body).map_err(refuse),
+        Route::SessionDelete => {
+            manager.delete(id).map_err(refuse)?;
+            Ok(Json::obj(vec![("deleted", Json::str(id))]).encode())
+        }
+        Route::Next => {
+            let batch = match parse_body(&request.body)?.get("batch") {
                 None | Some(Json::Null) => 1,
-                Some(field) => match field.as_u64() {
-                    Some(batch) => batch,
-                    None => {
-                        return (
-                            400,
-                            api::error_body("\"batch\" must be a non-negative integer"),
-                            None,
-                        )
-                    }
-                },
+                Some(field) => field
+                    .as_u64()
+                    .ok_or_else(|| bad_request("\"batch\" must be a non-negative integer"))?,
             };
-            match manager.next_request(id, batch) {
-                Ok((request, view)) => {
-                    let stratum =
-                        view.pending_stratum
-                            .as_ref()
-                            .map(|(index, name)| api::WireStratum {
-                                index: *index,
-                                name: name.clone(),
-                            });
-                    let mut doc =
-                        api::request_to_json(request.as_ref(), view.pending_seq, stratum.as_ref());
-                    doc.set("session", view_to_json(&view));
-                    (200, doc.encode(), None)
-                }
-                Err(e) => error_response(&e),
-            }
+            let (request, view) = manager.next_request(id, batch).map_err(refuse)?;
+            let stratum = view
+                .pending_stratum
+                .as_ref()
+                .map(|(index, name)| api::WireStratum {
+                    index: *index,
+                    name: name.clone(),
+                });
+            let mut doc =
+                api::request_to_json(request.as_ref(), view.pending_seq, stratum.as_ref());
+            doc.set("session", view_to_json(&view));
+            Ok(doc.encode())
         }
-        ("POST", ["v1", "sessions", id, "labels"]) => {
-            let body = match parse_body(&request.body) {
-                Ok(body) => body,
-                Err(err) => return err,
-            };
-            let (labels, seq) = match api::labels_from_json(&body) {
-                Ok(decoded) => decoded,
-                Err(e) => return (400, api::error_body(&e.to_string()), None),
-            };
-            match manager.submit(id, &labels, seq) {
-                Ok(view) => (200, view_body(&view), None),
-                Err(e) => error_response(&e),
-            }
+        Route::Labels => {
+            let body = parse_body(&request.body)?;
+            let (labels, seq) = api::labels_from_json(&body).map_err(bad_request)?;
+            manager
+                .submit(id, &labels, seq)
+                .map(view_body)
+                .map_err(refuse)
         }
-        ("POST", ["v1", "sessions", id, "suspend"]) => match manager.suspend(id) {
-            Ok(view) => (200, view_body(&view), None),
-            Err(e) => error_response(&e),
-        },
-        ("POST", ["v1", "sessions", id, "resume"]) => match manager.resume(id) {
-            Ok(view) => (200, view_body(&view), None),
-            Err(e) => error_response(&e),
-        },
-        ("POST", ["v1", "sessions", id, "evict"]) => match manager.evict(id) {
-            Ok(()) => (
-                200,
-                Json::obj(vec![("evicted", Json::str(id))]).encode(),
-                None,
-            ),
-            Err(e) => error_response(&e),
-        },
-        ("POST", ["v1", "sessions", id, "deltas"]) => {
-            let body = match parse_body(&request.body) {
-                Ok(body) => body,
-                Err(err) => return err,
-            };
-            let batch = match api::delta_batch_from_json(&body) {
-                Ok(batch) => batch,
-                Err(e) => return (400, api::error_body(&e.to_string()), None),
-            };
-            match manager.apply_deltas(id, &batch) {
-                Ok((outcome, view)) => {
-                    let mut doc = api::delta_outcome_to_json(&outcome);
-                    doc.set("session", view_to_json(&view));
-                    (200, doc.encode(), None)
-                }
-                Err(e) => error_response(&e),
-            }
+        Route::Suspend => manager.suspend(id).map(view_body).map_err(refuse),
+        Route::Resume => manager.resume(id).map(view_body).map_err(refuse),
+        Route::Evict => {
+            manager.evict(id).map_err(refuse)?;
+            Ok(Json::obj(vec![("evicted", Json::str(id))]).encode())
         }
-        ("GET", ["v1", "sessions", id, "snapshot"]) => match manager.snapshot_bytes(id) {
-            Ok(bytes) => (
-                200,
-                Json::obj(vec![
-                    ("bytes", Json::int(bytes.len() as u64)),
-                    ("hex", Json::Str(to_hex(&bytes))),
-                ])
-                .encode(),
-                None,
-            ),
-            Err(e) => error_response(&e),
-        },
-        _ => (404, api::error_body("no such route"), None),
+        Route::Deltas => {
+            let body = parse_body(&request.body)?;
+            let batch = api::delta_batch_from_json(&body).map_err(bad_request)?;
+            let (outcome, view) = manager.apply_deltas(id, &batch).map_err(refuse)?;
+            let mut doc = api::delta_outcome_to_json(&outcome);
+            doc.set("session", view_to_json(&view));
+            Ok(doc.encode())
+        }
+        Route::Snapshot => {
+            let bytes = manager.snapshot_bytes(id).map_err(refuse)?;
+            Ok(Json::obj(vec![
+                ("bytes", Json::int(bytes.len() as u64)),
+                ("hex", Json::Str(to_hex(&bytes))),
+            ])
+            .encode())
+        }
+        _ => Err((404, api::error_body("no such route"), None)),
     }
 }

@@ -18,18 +18,16 @@
 //!
 //! # Crash safety
 //!
-//! A save writes the whole record to `<id>.rec.tmp`, fsyncs it and
-//! renames it over `<id>.rec`: one fsync, one rename. A record's meta
-//! and snapshot therefore always come from the same save, and a crash
+//! A save writes the whole record to `<id>.rec.tmp`, fsyncs it, renames
+//! it over `<id>.rec` and fsyncs the directory, so the rename itself
+//! survives a power cut before `save` returns. A record's meta and
+//! snapshot therefore always come from the same save, and a crash
 //! leaves either the previous record or the new one — the worst it
 //! leaves behind is an orphaned `.tmp`. [`open`] runs a **recovery
 //! sweep** before serving any traffic:
 //!
-//! 1. Every orphaned `.tmp` is *promoted* (renamed into place) when its
-//!    rename target is missing and its content validates — the crash
-//!    hit between fsync and rename, the write is complete; otherwise it
-//!    is *discarded* — either the committed target already exists and
-//!    wins, or the temp is torn.
+//! 1. Every orphaned `.tmp` is *discarded*: it is a save that never
+//!    returned, so nobody was told it succeeded.
 //! 2. Every record is validated: its meta must parse as JSON naming the
 //!    right id and a known state, a suspended record must carry a
 //!    snapshot with a well-formed header, and a finished one none.
@@ -38,8 +36,8 @@
 //!    the operator. So are files of the retired two-file layout
 //!    (`<id>.meta.json` + `<id>.snap`), which this store does not read.
 //!
-//! The sweep's [`RecoveryReport`] lists what was promoted, discarded,
-//! quarantined and recovered; `kgae-serve` logs it at startup. Ids
+//! The sweep's [`RecoveryReport`] lists what was discarded, quarantined
+//! and recovered; `kgae-serve` logs it at startup. Ids
 //! found in `quarantine/` persist across restarts via
 //! [`SnapshotStore::quarantined_ids`], so the manager can answer `410
 //! Gone` for them instead of `404`.
@@ -172,11 +170,7 @@ fn record_fault(id: &str, bytes: &[u8]) -> Option<String> {
 /// What the startup recovery sweep did (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
-    /// Ids of sessions whose orphaned `.tmp` write was completed by
-    /// promotion.
-    pub promoted: Vec<String>,
-    /// File names of orphaned `.tmp` writes discarded (target already
-    /// committed, or the temp content was torn).
+    /// File names of the orphaned `.tmp` writes discarded.
     pub discarded: Vec<String>,
     /// `(session id, reason)` for every record moved to `quarantine/`
     /// by this sweep.
@@ -189,7 +183,7 @@ impl RecoveryReport {
     /// Whether the sweep found nothing to repair.
     #[must_use]
     pub fn is_clean(&self) -> bool {
-        self.promoted.is_empty() && self.discarded.is_empty() && self.quarantined.is_empty()
+        self.discarded.is_empty() && self.quarantined.is_empty()
     }
 }
 
@@ -299,7 +293,14 @@ impl SnapshotStore {
             }
             _ => {}
         }
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        // fsync the directory: until its entry is durable, a power cut
+        // can undo the rename of a save already acknowledged.
+        std::fs::File::open(&self.dir)?.sync_all()?;
+        if let Some(metrics) = &self.metrics {
+            metrics.store_fsyncs.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
     /// Persists a session record, replacing any previous one in a
@@ -309,7 +310,9 @@ impl SnapshotStore {
     /// # Errors
     ///
     /// `InvalidInput` for an invalid id or a meta over 4 GiB; otherwise
-    /// filesystem errors, which leave the previous record in place.
+    /// filesystem errors, which leave the previous record in place (or,
+    /// when only the directory fsync fails, the previous or the new one:
+    /// whole records either way).
     pub fn save(&self, id: &str, meta: &str, snapshot: Option<&[u8]>) -> io::Result<()> {
         if !valid_session_id(id) {
             return Err(io::Error::new(
@@ -469,26 +472,13 @@ impl SnapshotStore {
     // Recovery sweep
     // -----------------------------------------------------------------
 
-    /// Pass 1: finish or discard orphaned `.tmp` files.
+    /// Pass 1: discard orphaned `.tmp` files. A save returns only after
+    /// its rename is durable, so a temp is a save nobody was told
+    /// succeeded.
     fn sweep_tmp_files(&self, report: &mut RecoveryReport) -> io::Result<()> {
         for name in self.file_names()? {
-            let Some(target_name) = name.strip_suffix(".tmp") else {
-                continue;
-            };
-            let tmp = self.dir.join(&name);
-            let target = self.dir.join(target_name);
-            // When the rename target exists the committed state wins;
-            // otherwise promote iff the temp content is a complete,
-            // valid record (the crash hit between fsync and rename).
-            let promoted = record_id(target_name).filter(|id| {
-                !target.exists()
-                    && std::fs::read(&tmp).is_ok_and(|bytes| record_fault(id, &bytes).is_none())
-            });
-            if let Some(id) = promoted {
-                std::fs::rename(&tmp, &target)?;
-                report.promoted.push(id.to_string());
-            } else {
-                std::fs::remove_file(&tmp)?;
+            if name.ends_with(".tmp") {
+                std::fs::remove_file(self.dir.join(&name))?;
                 report.discarded.push(name);
             }
         }
@@ -638,6 +628,7 @@ mod tests {
 
     #[test]
     fn save_load_remove_round_trip() {
+        let _faults = fault::test_lock();
         let store = SnapshotStore::open(temp_dir("roundtrip")).unwrap();
         assert_eq!(store.load("s1").unwrap(), None);
         store
@@ -666,7 +657,8 @@ mod tests {
     }
 
     #[test]
-    fn a_save_costs_exactly_one_fsync() {
+    fn a_save_fsyncs_the_record_then_the_directory() {
+        let _faults = fault::test_lock();
         let mut store = SnapshotStore::open(temp_dir("fsync")).unwrap();
         let metrics = Arc::new(Metrics::new());
         store.set_metrics(Arc::clone(&metrics));
@@ -676,7 +668,10 @@ mod tests {
             .enumerate()
         {
             store.save("s1", "{}", snapshot).unwrap();
-            assert_eq!(metrics.store_fsyncs.load(Ordering::Relaxed), k as u64 + 1);
+            assert_eq!(
+                metrics.store_fsyncs.load(Ordering::Relaxed),
+                2 * (k as u64 + 1)
+            );
         }
         let _ = std::fs::remove_dir_all(store.dir());
     }
@@ -693,31 +688,57 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
-    #[test]
-    fn recovery_promotes_complete_orphan_tmp_writes() {
-        let dir = temp_dir("promote");
-        std::fs::create_dir_all(&dir).unwrap();
-        let snap = real_snapshot();
-        // Crash between fsync and rename: a full, valid temp file with
-        // no committed target.
-        plant(
-            &dir,
-            "s1.rec.tmp",
-            &meta_for("s1", "suspended"),
-            Some(&snap),
-        );
-        let store = SnapshotStore::open(&dir).unwrap();
+    /// Opens a store over `dir` holding only `s1.rec.tmp`, a first save
+    /// that never returned, and checks the sweep discards it: no record,
+    /// nothing quarantined, nothing left on disk but `quarantine/`.
+    fn assert_orphan_first_save_is_discarded(dir: &Path) {
+        let _faults = fault::test_lock();
+        let store = SnapshotStore::open(dir).unwrap();
         let report = store.recovery_report();
-        assert_eq!(report.promoted, vec!["s1".to_string()]);
-        assert_eq!(report.recovered, vec!["s1".to_string()]);
-        assert!(report.quarantined.is_empty());
-        let rec = store.load("s1").unwrap().unwrap();
-        assert_eq!(rec.snapshot.as_deref(), Some(&snap[..]));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(report.discarded, vec!["s1.rec.tmp".to_string()]);
+        assert!(report.quarantined.is_empty() && report.recovered.is_empty());
+        assert_eq!(store.load("s1").unwrap(), None);
+        assert!(store.quarantined_ids().unwrap().is_empty());
+        assert_eq!(std::fs::read_dir(dir).unwrap().count(), 1);
+        assert_eq!(
+            std::fs::read_dir(dir.join(QUARANTINE_DIR)).unwrap().count(),
+            0
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn recovery_discards_complete_orphan_tmp_writes() {
+        // Crash between fsync and rename: a full, valid temp file with
+        // no committed target. The save never returned, so the store
+        // keeps what it had: nothing.
+        let dir = temp_dir("complete-orphan");
+        std::fs::create_dir_all(&dir).unwrap();
+        let meta = meta_for("s1", "suspended");
+        plant(&dir, "s1.rec.tmp", &meta, Some(&real_snapshot()));
+        assert_orphan_first_save_is_discarded(&dir);
+    }
+
+    #[test]
+    fn recovery_discards_a_first_save_torn_inside_its_snapshot() {
+        // The temp passes the sweep's structural check (it reads only
+        // the snapshot's identity prefix), yet would fail a resume.
+        let dir = temp_dir("torn-orphan");
+        std::fs::create_dir_all(&dir).unwrap();
+        let record = encode_record(&meta_for("s1", "suspended"), Some(&real_snapshot())).unwrap();
+        let torn = &record[..record.len() - 5];
+        assert_eq!(
+            record_fault("s1", torn),
+            None,
+            "torn past the identity prefix"
+        );
+        std::fs::write(dir.join("s1.rec.tmp"), torn).unwrap();
+        assert_orphan_first_save_is_discarded(&dir);
     }
 
     #[test]
     fn recovery_discards_tmp_when_target_committed_or_torn() {
+        let _faults = fault::test_lock();
         let dir = temp_dir("discard");
         std::fs::create_dir_all(&dir).unwrap();
         // The committed record wins over a lingering complete temp.
@@ -728,8 +749,7 @@ mod tests {
             &meta_for("s1", "suspended"),
             Some(&real_snapshot()),
         );
-        // Temp torn inside the snapshot header with no target:
-        // discarded, not promoted.
+        // Temp torn inside the snapshot header with no target.
         plant(
             &dir,
             "s2.rec.tmp",
@@ -740,7 +760,6 @@ mod tests {
         std::fs::write(dir.join("junk.tmp"), b"?").unwrap();
         let store = SnapshotStore::open(&dir).unwrap();
         let report = store.recovery_report();
-        assert!(report.promoted.is_empty());
         assert_eq!(
             report.discarded,
             vec![

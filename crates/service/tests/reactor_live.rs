@@ -1,6 +1,6 @@
 //! Live-socket behavior of the readiness reactor: event-driven
-//! shutdown latency (no polling tick), timer-wheel keep-alive reaping
-//! that spares active mid-body uploads, and pipelined requests over
+//! shutdown latency (no polling tick), keep-alive reaping at the
+//! deadline that spares active mid-body uploads, and pipelined requests over
 //! one connection.
 
 use kgae_service::manager::DatasetRegistry;
@@ -174,19 +174,25 @@ fn held_open_connections_do_not_delay_shutdown() {
 fn idle_connection_is_reaped_but_active_upload_is_not() {
     let idle_timeout = Duration::from_millis(300);
     with_server("reaper", Some(idle_timeout), |addr| {
-        // An idle keep-alive connection: the timer wheel must close it
-        // server-side once it sits past the deadline.
+        // An idle keep-alive connection: the server must close it at its
+        // deadline, one idle timeout after the response went out. That
+        // moment lies between sending the request and reading the answer,
+        // so the close comes no earlier than a timeout after the first
+        // and at most 20 ms later than a timeout after the second.
+        let sent = Instant::now();
         let mut idle = health_check(addr);
-        let begin = Instant::now();
+        let answered = Instant::now();
         idle.expect_close();
-        let reaped_after = begin.elapsed();
+        let closed = Instant::now();
         assert!(
-            reaped_after >= idle_timeout - Duration::from_millis(60),
-            "reaped too early: {reaped_after:?} (timeout {idle_timeout:?})"
+            closed >= sent + idle_timeout,
+            "reaped too early: {:?} after the request (timeout {idle_timeout:?})",
+            closed - sent
         );
         assert!(
-            reaped_after < Duration::from_secs(3),
-            "reaping took {reaped_after:?}; the timer wheel is not firing"
+            closed <= answered + idle_timeout + Duration::from_millis(20),
+            "reaped late: {:?} after the response (timeout {idle_timeout:?})",
+            closed - answered
         );
 
         // An *active* mid-body upload trickling bytes slower than the
