@@ -105,23 +105,6 @@ pub fn significance_markers(vs_wald: bool, vs_wilson: bool) -> &'static str {
     }
 }
 
-/// Serializes repeated-run metrics to CSV (one row per repetition) for
-/// external analysis. Columns: `rep, triples, cost_hours, mu_hat`.
-#[must_use]
-pub fn runs_to_csv(runs: &crate::runner::RepeatedRuns) -> String {
-    let mut out = String::from("rep,method,design,triples,cost_hours,mu_hat\n");
-    for (i, ((t, c), m)) in runs
-        .triples
-        .iter()
-        .zip(&runs.cost_hours)
-        .zip(&runs.mu_hats)
-        .enumerate()
-    {
-        let _ = writeln!(out, "{i},{},{},{t},{c},{m}", runs.method, runs.design);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,25 +141,5 @@ mod tests {
         assert_eq!(significance_markers(true, false), "†");
         assert_eq!(significance_markers(false, true), "‡");
         assert_eq!(significance_markers(false, false), "");
-    }
-
-    #[test]
-    fn csv_export_has_one_row_per_repetition() {
-        let runs = crate::runner::RepeatedRuns {
-            method: "aHPD".into(),
-            design: "SRS".into(),
-            triples: vec![30.0, 45.0],
-            cost_hours: vec![0.5, 0.7],
-            mu_hats: vec![0.9, 0.92],
-            coverage_hits: 2,
-            zero_width_halts: 0,
-            non_converged: 0,
-        };
-        let csv = runs_to_csv(&runs);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[0].starts_with("rep,"));
-        assert!(lines[1].contains("aHPD") && lines[1].contains("30"));
-        assert!(lines[2].contains("0.92"));
     }
 }

@@ -327,24 +327,35 @@ fn boundary_tables_settled_concurrently_agree() {
     }
 }
 
-/// The larger sweep: `n ≤ 1,000` and a finer fractional grid at six
-/// `(α, ε)` pairs, the boundary tables checked throughout. Run it in
-/// release:
+/// The larger sweep: a finer fractional grid and the counts up to
+/// `n = 1,000` at ten `(α, ε)` pairs, the boundary tables checked
+/// throughout. The last four pairs run the counts to
+/// `max(1,000, ⌈z²/(4ε²)⌉ + 50)`, 50 past the worst-case SRS sample
+/// size of the normal approximation, so each is covered to its whole
+/// SRS horizon (`n ≤ 1,742` at `(0.1, 0.02)`). Run it in release:
 /// `cargo test --release -p kgae-core --test certificate_lemmas -- --ignored`.
 #[test]
 #[ignore = "release-mode sweep; run with --ignored"]
 fn certificate_lemmas_hold_on_the_larger_sweep() {
     let priors = priors();
+    let horizon = |alpha: f64, epsilon: f64| {
+        let z = kgae_intervals::z_critical(alpha);
+        ((z * z / (4.0 * epsilon * epsilon)).ceil() as u64 + 50).max(1_000)
+    };
     let mut evaluated = 0;
-    for (alpha, epsilon) in [
-        (0.05, 0.05),
-        (0.01, 0.05),
-        (0.10, 0.05),
-        (0.05, 0.02),
-        (0.01, 0.02),
-        (0.10, 0.03),
+    for (alpha, epsilon, max_n) in [
+        (0.05, 0.05, 1_000),
+        (0.01, 0.05, 1_000),
+        (0.10, 0.05, 1_000),
+        (0.05, 0.02, 1_000),
+        (0.01, 0.02, 1_000),
+        (0.10, 0.03, 1_000),
+        (0.01, 0.10, horizon(0.01, 0.10)),
+        (0.05, 0.10, horizon(0.05, 0.10)),
+        (0.10, 0.10, horizon(0.10, 0.10)),
+        (0.10, 0.02, horizon(0.10, 0.02)),
     ] {
-        evaluated += check_counts(&priors, alpha, epsilon, 1_000);
+        evaluated += check_counts(&priors, alpha, epsilon, max_n);
         evaluated += check_fractional(alpha, epsilon, 1_000, 1e5);
     }
     eprintln!("{evaluated} predicates");

@@ -6,8 +6,7 @@
 //!            [--max-sessions N] [--max-per-tenant N] [--retry-after S]
 //!            [--metrics on|off] [--log-format json|text]
 //!            [--log-level off|error|warn|info]
-//!            [--janitor-tick SECS] [--janitor-ttl SECS]
-//!            [--janitor-grace SECS] [--fault SPEC]
+//!            [--janitor-tick SECS] [--janitor-ttl SECS] [--fault SPEC]
 //! kgae-serve --version
 //! ```
 //!
@@ -43,14 +42,11 @@
 //!   floor derives from the response status (5xx=error, 4xx=warn,
 //!   else info); default `json` at `warn`, `--log-level off` disables
 //!   request logging entirely.
-//! * `--janitor-tick` — seconds between background maintenance passes
-//!   (default 30; `0` disables the janitor). Each pass garbage-collects
-//!   stale temp files from the store directory, and — with
-//!   `--janitor-ttl N` — suspends sessions idle for N seconds to disk
-//!   and evicts already-suspended idle ones from memory (off by
-//!   default).
-//!   `--janitor-grace` is the minimum file age before GC touches a
-//!   file (default 60).
+//! * `--janitor-ttl` — start the background janitor, which suspends
+//!   sessions idle for this many seconds to disk and evicts
+//!   already-suspended idle ones from memory (at least 1; no janitor
+//!   runs without it). `--janitor-tick` is the pause between its passes
+//!   (default 30, at least 1).
 //! * `--fault` — deterministic failpoint spec (also read from the
 //!   `KGAE_FAULT` env var); only honored by builds with the
 //!   `fault-injection` feature, rejected loudly otherwise.
@@ -62,30 +58,81 @@
 //! is suspended to the store, and the process exits 0 — restarting
 //! over the same `--store-dir` resumes every campaign bit-identically.
 //!
-//! Exits non-zero on any startup failure.
+//! Exits non-zero on any startup failure, and on any argument it does
+//! not understand: an unknown flag, a flag without its value or given
+//! twice, or a zero where at least 1 second is required.
 
 use kgae_service::{
     DatasetRegistry, Janitor, JanitorConfig, LogFormat, LogLevel, ManagerLimits, Metrics,
     RequestLog, Server, SessionManager, SnapshotStore,
 };
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn arg_value(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+/// Every flag `kgae-serve` takes, each with one value; the command line
+/// may hold nothing else (besides `--version`).
+const FLAGS: [&str; 15] = [
+    "--addr",
+    "--workers",
+    "--shards",
+    "--idle-timeout",
+    "--store-dir",
+    "--port-file",
+    "--max-sessions",
+    "--max-per-tenant",
+    "--retry-after",
+    "--metrics",
+    "--log-format",
+    "--log-level",
+    "--janitor-tick",
+    "--janitor-ttl",
+    "--fault",
+];
 
-fn parse_flag<T: std::str::FromStr>(flag: &str) -> Result<Option<T>, String> {
-    match arg_value(flag) {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| format!("{flag}: not a number: {v:?}")),
+/// The command line, parsed once against [`FLAGS`].
+struct Args(HashMap<&'static str, String>);
+
+impl Args {
+    /// Refuses an unknown argument, a flag without a value and a flag
+    /// given twice, naming the offending argument.
+    fn parse(mut argv: impl Iterator<Item = String>) -> Result<Self, String> {
+        let mut values = HashMap::new();
+        while let Some(arg) = argv.next() {
+            let Some(&flag) = FLAGS.iter().find(|&&flag| flag == arg) else {
+                return Err(format!("unknown argument {arg:?}"));
+            };
+            let value = argv
+                .next()
+                .filter(|value| !value.starts_with("--"))
+                .ok_or_else(|| format!("{flag}: missing value"))?;
+            if values.insert(flag, value).is_some() {
+                return Err(format!("{flag}: given more than once"));
+            }
+        }
+        Ok(Self(values))
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        debug_assert!(FLAGS.contains(&flag), "{flag} is not in FLAGS");
+        self.0.get(flag).map(String::as_str)
+    }
+
+    fn number<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        self.value(flag)
+            .map(|v| {
+                v.parse()
+                    .map_err(|_| format!("{flag}: not a number: {v:?}"))
+            })
+            .transpose()
+    }
+
+    /// A whole number of seconds, at least 1.
+    fn seconds(&self, flag: &str) -> Result<Option<Duration>, String> {
+        match self.number::<u64>(flag)? {
+            Some(0) => Err(format!("{flag}: must be at least 1 second")),
+            secs => Ok(secs.map(Duration::from_secs)),
+        }
     }
 }
 
@@ -110,8 +157,9 @@ fn run() -> Result<(), String> {
         println!("kgae-serve {}", kgae_service::server::VERSION);
         return Ok(());
     }
-    let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:7707".into());
-    let workers = match parse_flag::<usize>("--workers")? {
+    let args = Args::parse(std::env::args().skip(1))?;
+    let addr = args.value("--addr").unwrap_or("127.0.0.1:7707");
+    let workers = match args.number::<usize>("--workers")? {
         Some(v) => v,
         // Workers execute ready requests; connections idle inside the
         // reactor for free — the core count is the right default.
@@ -119,42 +167,42 @@ fn run() -> Result<(), String> {
             .map_or(4, std::num::NonZeroUsize::get)
             .max(4),
     };
-    let idle_timeout = match parse_flag::<u64>("--idle-timeout")? {
-        // A zero deadline would reap each connection on the loop
-        // iteration that accepts it, before its first request.
-        Some(0) => return Err("--idle-timeout: must be at least 1 second".into()),
-        secs => secs.map(std::time::Duration::from_secs),
-    };
-    let shards = parse_flag::<usize>("--shards")?.unwrap_or(16);
-    let store_dir = arg_value("--store-dir").unwrap_or_else(|| "kgae-store".into());
+    // A zero deadline would reap each connection on the loop iteration
+    // that accepts it, before its first request.
+    let idle_timeout = args.seconds("--idle-timeout")?;
+    let shards = args.number::<usize>("--shards")?.unwrap_or(16);
+    let store_dir = args.value("--store-dir").unwrap_or("kgae-store");
     let limits = ManagerLimits {
-        max_sessions_per_tenant: parse_flag("--max-per-tenant")?,
-        max_total_sessions: parse_flag("--max-sessions")?,
-        retry_after_secs: parse_flag("--retry-after")?.unwrap_or(1),
+        max_sessions_per_tenant: args.number("--max-per-tenant")?,
+        max_total_sessions: args.number("--max-sessions")?,
+        retry_after_secs: args.number("--retry-after")?.unwrap_or(1),
     };
-    let metrics_on = match arg_value("--metrics").as_deref() {
+    let metrics_on = match args.value("--metrics") {
         None | Some("on") => true,
         Some("off") => false,
         Some(other) => return Err(format!("--metrics: expected on|off, got {other:?}")),
     };
-    let log_format = match arg_value("--log-format") {
+    let log_format = match args.value("--log-format") {
         None => LogFormat::Json,
-        Some(name) => LogFormat::from_name(&name)
+        Some(name) => LogFormat::from_name(name)
             .ok_or_else(|| format!("--log-format: expected json|text, got {name:?}"))?,
     };
-    let log_level = match arg_value("--log-level") {
+    let log_level = match args.value("--log-level") {
         None => LogLevel::Warn,
-        Some(name) => LogLevel::from_name(&name)
+        Some(name) => LogLevel::from_name(name)
             .ok_or_else(|| format!("--log-level: expected off|error|warn|info, got {name:?}"))?,
     };
-    let janitor_tick = parse_flag::<u64>("--janitor-tick")?.unwrap_or(30);
-    let janitor_ttl = parse_flag::<u64>("--janitor-ttl")?;
-    let janitor_grace = parse_flag::<u64>("--janitor-grace")?.unwrap_or(60);
+    // A zero tick would spin the janitor; a zero TTL would suspend
+    // every session on every tick.
+    let janitor_tick = args
+        .seconds("--janitor-tick")?
+        .unwrap_or(Duration::from_secs(30));
+    let janitor_ttl = args.seconds("--janitor-ttl")?;
 
     // Failpoints: --fault wins over KGAE_FAULT; both error out loudly
     // on builds compiled without the fault-injection feature.
-    match arg_value("--fault") {
-        Some(spec) => kgae_service::fault::configure(&spec).map_err(|e| format!("--fault: {e}"))?,
+    match args.value("--fault") {
+        Some(spec) => kgae_service::fault::configure(spec).map_err(|e| format!("--fault: {e}"))?,
         None => {
             kgae_service::fault::configure_from_env().map_err(|e| format!("KGAE_FAULT: {e}"))?
         }
@@ -166,7 +214,7 @@ fn run() -> Result<(), String> {
     eprintln!("kgae-serve: generating the standard datasets...");
     let registry = DatasetRegistry::standard();
     let store =
-        SnapshotStore::open(&store_dir).map_err(|e| format!("opening store {store_dir:?}: {e}"))?;
+        SnapshotStore::open(store_dir).map_err(|e| format!("opening store {store_dir:?}: {e}"))?;
     let recovery = store.recovery_report();
     if !recovery.is_clean() {
         for name in &recovery.discarded {
@@ -189,7 +237,7 @@ fn run() -> Result<(), String> {
     }
     let manager = manager;
 
-    let mut server = Server::bind(&addr, workers).map_err(|e| format!("binding {addr:?}: {e}"))?;
+    let mut server = Server::bind(addr, workers).map_err(|e| format!("binding {addr:?}: {e}"))?;
     if let Some(timeout) = idle_timeout {
         server = server.with_idle_timeout(timeout);
     }
@@ -220,37 +268,35 @@ fn run() -> Result<(), String> {
             install_shutdown_signals(on_shutdown_signal);
         }
     }
-    if let Some(port_file) = arg_value("--port-file") {
-        std::fs::write(&port_file, format!("{}\n", local.port()))
+    if let Some(port_file) = args.value("--port-file") {
+        std::fs::write(port_file, format!("{}\n", local.port()))
             .map_err(|e| format!("writing {port_file:?}: {e}"))?;
     }
     eprintln!(
         "kgae-serve: listening on http://{local} ({workers} workers, {shards} shards, \
          store {store_dir:?})"
     );
-    let janitor = (janitor_tick > 0).then(|| {
-        let config = JanitorConfig {
-            tick: Duration::from_secs(janitor_tick),
-            idle_ttl: janitor_ttl.map(Duration::from_secs),
-            grace: Duration::from_secs(janitor_grace),
-        };
+    let janitor = janitor_ttl.map(|idle_ttl| {
+        let janitor = Janitor::new(JanitorConfig {
+            tick: janitor_tick,
+            idle_ttl,
+        });
         match &metrics {
-            Some(registry) => Janitor::new(config).with_metrics(Arc::clone(registry)),
-            None => Janitor::new(config),
+            Some(registry) => janitor.with_metrics(Arc::clone(registry)),
+            None => janitor,
         }
     });
-    let report = match &janitor {
-        Some(janitor) => crossbeam::scope(|scope| {
-            let stopper = janitor.handle();
-            let ticking = scope.spawn(|_| janitor.run(&manager));
-            let report = server.run(&manager);
+    let report = std::thread::scope(|scope| {
+        let ticking = janitor
+            .as_ref()
+            .map(|janitor| (janitor.handle(), scope.spawn(|| janitor.run(&manager))));
+        let report = server.run(&manager);
+        if let Some((stopper, thread)) = ticking {
             stopper.stop();
-            ticking.join().expect("janitor thread");
-            report
-        })
-        .expect("janitor scope"),
-        None => server.run(&manager),
-    };
+            thread.join().expect("janitor thread");
+        }
+        report
+    });
     eprintln!(
         "kgae-serve: drained — {} suspended ({} mid-batch), {} finished persisted",
         report.suspended.len(),

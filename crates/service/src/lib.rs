@@ -18,7 +18,7 @@
 //! | [`api`] | typed DTOs ↔ JSON for every endpoint and meta record |
 //! | [`fault`] | deterministic failpoints (no-ops without `fault-injection`) |
 //! | [`metrics`] | atomic metrics registry, Prometheus encoder, request logs |
-//! | [`janitor`] | background maintenance: TTL aging, temp-file GC |
+//! | [`janitor`] | background maintenance: ages idle sessions to disk |
 //!
 //! The `kgae-serve` binary boots the standard dataset registry behind
 //! this stack; the `kgae-client` crate speaks the same wire format

@@ -1072,14 +1072,6 @@ impl<'a> SessionManager<'a> {
         &self.shards[self.shard_index(id)]
     }
 
-    /// Runs `f` while holding `id`'s shard lock. Every store write for
-    /// an id happens under this same lock, so the janitor uses this to
-    /// remove a session's temp file without racing an in-flight save.
-    pub(crate) fn with_session_lock<T>(&self, id: &str, f: impl FnOnce() -> T) -> T {
-        let _shard = self.shard(id).lock().expect("shard lock");
-        f()
-    }
-
     /// Point-in-time census of every session, per shard and lifecycle
     /// state — the source of the `kgae_sessions` gauges. Exact by
     /// construction (each shard is counted under its lock; store-only

@@ -287,8 +287,6 @@ pub struct Metrics {
     pub(crate) janitor_aged_suspended: AtomicU64,
     /// Idle dormant/finished sessions the janitor dropped from memory.
     pub(crate) janitor_aged_evicted: AtomicU64,
-    /// Stale temp files the janitor removed.
-    pub(crate) janitor_gc_tmp: AtomicU64,
 }
 
 impl Default for Metrics {
@@ -328,7 +326,6 @@ impl Metrics {
             janitor_ticks: AtomicU64::new(0),
             janitor_aged_suspended: AtomicU64::new(0),
             janitor_aged_evicted: AtomicU64::new(0),
-            janitor_gc_tmp: AtomicU64::new(0),
         }
     }
 
@@ -360,7 +357,7 @@ impl Metrics {
         if let Some(stats) = kernel {
             encode_kernel_cache(&mut out, stats);
         }
-        let counters: [(&str, &str, u64); 23] = [
+        let counters: [(&str, &str, u64); 22] = [
             (
                 "kgae_reactor_connections_open",
                 "gauge Connections currently registered in the reactor slab.",
@@ -470,11 +467,6 @@ impl Metrics {
                 "kgae_janitor_aged_evicted_total",
                 "counter Idle in-memory sessions the janitor evicted.",
                 self.janitor_aged_evicted.load(Ordering::Relaxed),
-            ),
-            (
-                "kgae_janitor_gc_files_total",
-                "counter Stale temp files removed.",
-                self.janitor_gc_tmp.load(Ordering::Relaxed),
             ),
         ];
         for (name, kind_help, value) in counters {

@@ -22,9 +22,11 @@
 //! it over `<id>.rec` and fsyncs the directory, so the rename itself
 //! survives a power cut before `save` returns. A record's meta and
 //! snapshot therefore always come from the same save, and a crash
-//! leaves either the previous record or the new one — the worst it
-//! leaves behind is an orphaned `.tmp`. [`open`] runs a **recovery
-//! sweep** before serving any traffic:
+//! leaves either the previous record or the new one. A save that fails
+//! without a crash removes its own temp, so at runtime a `.tmp` exists
+//! only while its save is in flight under the session's shard lock;
+//! only a crash leaves one behind. [`open`] runs a **recovery sweep**
+//! before serving any traffic:
 //!
 //! 1. Every orphaned `.tmp` is *discarded*: it is a save that never
 //!    returned, so nobody was told it succeeded.
@@ -257,7 +259,27 @@ impl SnapshotStore {
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
-        let mut file = std::fs::File::create(&tmp)?;
+        let file = std::fs::File::create(&tmp)?;
+        let written = self.write_and_rename(file, &tmp, path, bytes);
+        if written.is_err() {
+            // A failed save takes its temp with it, so a `.tmp` outlives
+            // its save only through a crash, and the open sweep owns
+            // those. (A failed directory fsync comes after the rename
+            // has consumed the temp: nothing is left to remove.)
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
+    }
+
+    /// The body of [`Self::write_atomic`] once `tmp` exists: write and
+    /// fsync it, rename it over `path`, fsync the directory.
+    fn write_and_rename(
+        &self,
+        mut file: std::fs::File,
+        tmp: &Path,
+        path: &Path,
+        bytes: &[u8],
+    ) -> io::Result<()> {
         #[cfg(feature = "fault-injection")]
         match fault::check(fault::site::STORE_WRITE) {
             Some(fault::FaultAction::Crash) => std::process::abort(),
@@ -293,7 +315,7 @@ impl SnapshotStore {
             }
             _ => {}
         }
-        std::fs::rename(&tmp, path)?;
+        std::fs::rename(tmp, path)?;
         // fsync the directory: until its entry is durable, a power cut
         // can undo the rename of a save already acknowledged.
         std::fs::File::open(&self.dir)?.sync_all()?;
@@ -312,7 +334,7 @@ impl SnapshotStore {
     /// `InvalidInput` for an invalid id or a meta over 4 GiB; otherwise
     /// filesystem errors, which leave the previous record in place (or,
     /// when only the directory fsync fails, the previous or the new one:
-    /// whole records either way).
+    /// whole records either way) and no temp file behind.
     pub fn save(&self, id: &str, meta: &str, snapshot: Option<&[u8]>) -> io::Result<()> {
         if !valid_session_id(id) {
             return Err(io::Error::new(
@@ -528,7 +550,7 @@ impl SnapshotStore {
 }
 
 /// The session id a store file name belongs to, when it names a record.
-pub(crate) fn record_id(name: &str) -> Option<&str> {
+fn record_id(name: &str) -> Option<&str> {
     name.strip_suffix(RECORD_EXT)
         .filter(|id| valid_session_id(id))
 }
@@ -617,6 +639,15 @@ mod tests {
     }
 
     #[test]
+    fn file_names_classify_as_session_records_or_junk() {
+        assert_eq!(record_id("abc.rec"), Some("abc"));
+        assert_eq!(record_id("abc.meta.json"), None, "retired layout");
+        assert_eq!(record_id("abc"), None);
+        assert_eq!(record_id(".hidden.rec"), None, "invalid id");
+        assert_eq!(record_id(""), None);
+    }
+
+    #[test]
     fn hex_round_trips() {
         let bytes: Vec<u8> = (0..=255).collect();
         let hex = to_hex(&bytes);
@@ -672,6 +703,35 @@ mod tests {
                 metrics.store_fsyncs.load(Ordering::Relaxed),
                 2 * (k as u64 + 1)
             );
+        }
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_failed_save_keeps_the_previous_record_and_leaves_no_temp() {
+        let _faults = fault::test_lock();
+        let store = SnapshotStore::open(temp_dir("failed-save")).unwrap();
+        let snap = real_snapshot();
+        store.save("s1", "{}", Some(&snap)).unwrap();
+        let before = std::fs::read(store.record_path("s1")).unwrap();
+        for spec in ["store.write=err", "store.rename=err"] {
+            fault::configure(spec).unwrap();
+            assert!(store.save("s1", r#"{"v":2}"#, None).is_err(), "{spec}");
+            fault::clear();
+            let rec = store.load("s1").unwrap().unwrap();
+            assert_eq!(
+                encode_record(&rec.meta, rec.snapshot.as_deref()).unwrap(),
+                before,
+                "{spec}"
+            );
+            let temps: Vec<String> = store
+                .file_names()
+                .unwrap()
+                .into_iter()
+                .filter(|name| name.ends_with(".tmp"))
+                .collect();
+            assert!(temps.is_empty(), "{spec} left {temps:?}");
         }
         let _ = std::fs::remove_dir_all(store.dir());
     }

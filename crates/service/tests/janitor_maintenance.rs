@@ -1,8 +1,8 @@
-//! Deterministic janitor maintenance: stale temp files are planted in a
-//! real store directory, idle sessions are parked in a real manager,
-//! ticks run synchronously through [`Janitor::tick`], and the effects
-//! are observed both **on disk** and **in the metrics registry** the
-//! `/metrics` exposition is built from.
+//! Deterministic janitor maintenance: idle sessions are parked in a
+//! real manager over a real store directory, ticks run synchronously
+//! through [`Janitor::tick`], and the effects are observed both **on
+//! disk** and **in the metrics registry** the `/metrics` exposition is
+//! built from.
 
 use kgae_service::json::Json;
 use kgae_service::manager::DatasetRegistry;
@@ -32,84 +32,6 @@ fn spec(id: &str, max_observations: Option<u64>) -> SessionSpec {
     SessionSpec::from_json(&Json::obj(pairs)).expect("valid spec")
 }
 
-/// Drives `id` to its terminal state by exhausting its budget.
-fn finish(manager: &SessionManager<'_>, id: &str) {
-    loop {
-        let (request, view) = manager.next_request(id, 4).expect("next");
-        let Some(request) = request else {
-            return; // finished
-        };
-        let labels = vec![true; request.triples.len()];
-        manager
-            .submit(id, &labels, view.pending_seq)
-            .expect("submit");
-    }
-}
-
-/// Stale temp files are garbage-collected from disk, records are left
-/// alone, and the janitor counters in the `/metrics` exposition report
-/// exactly what was removed.
-#[test]
-fn tick_collects_planted_garbage_from_disk_and_reports_it() {
-    let registry = DatasetRegistry::standard();
-    let dir = temp_store("gc");
-    let metrics = Arc::new(Metrics::new());
-    let mut manager = SessionManager::new(&registry, SnapshotStore::open(&dir).expect("store"), 4);
-    manager.set_metrics(Arc::clone(&metrics));
-
-    // A finished session evicted to disk: one record file.
-    manager.create(&spec("fin", Some(4))).expect("create fin");
-    finish(&manager, "fin");
-    manager.evict("fin").expect("evict fin");
-    assert!(dir.join("fin.rec").exists());
-
-    // Planted garbage: a junk-named temp and a session-shaped temp for
-    // an id that is nowhere in memory.
-    std::fs::write(dir.join("junk.tmp"), b"leftover").unwrap();
-    std::fs::write(dir.join("alpha.rec.tmp"), b"torn").unwrap();
-    // Zero grace still compares mtimes; give the files a beat so the
-    // clock comparison cannot land in the future on a coarse clock.
-    std::thread::sleep(Duration::from_millis(50));
-
-    let janitor = Janitor::new(JanitorConfig {
-        tick: Duration::from_millis(1),
-        idle_ttl: None,
-        grace: Duration::ZERO,
-    })
-    .with_metrics(Arc::clone(&metrics));
-
-    let report = janitor.tick(&manager);
-    assert_eq!(report.gc_tmp, 2, "junk.tmp + alpha.rec.tmp");
-    assert_eq!(report.aged_suspended, 0, "aging is off");
-    assert_eq!(report.aged_evicted, 0, "aging is off");
-
-    // On disk: every planted file is gone, the real record survives.
-    for gone in ["junk.tmp", "alpha.rec.tmp"] {
-        assert!(!dir.join(gone).exists(), "{gone} survived GC");
-    }
-    assert!(dir.join("fin.rec").exists(), "GC must never touch a record");
-
-    // In /metrics: the same counts, through the same registry the
-    // server exposes.
-    let exposition = metrics.encode(&manager.census(), Some(&manager.kernel_stats()));
-    for line in [
-        "kgae_janitor_ticks_total 1",
-        "kgae_janitor_gc_files_total 2",
-        "kgae_janitor_aged_suspended_total 0",
-    ] {
-        assert!(
-            exposition.contains(&format!("\n{line}\n")),
-            "missing {line:?} in exposition"
-        );
-    }
-    assert!(!exposition.contains("kgae_janitor_compacted_total"));
-
-    // A second tick finds a clean directory.
-    assert!(janitor.tick(&manager).is_idle(), "second tick not idle");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// TTL aging: idle live sessions spill to disk, idle dormant ones are
 /// evicted from memory, and a session with an outstanding annotation
 /// batch is never touched — all visible in the census gauges.
@@ -130,9 +52,7 @@ fn ttl_aging_spills_idle_sessions_and_spares_outstanding_work() {
 
     let janitor = Janitor::new(JanitorConfig {
         tick: Duration::from_millis(1),
-        idle_ttl: Some(Duration::ZERO),
-        // Files stay untouched: this test is about memory aging.
-        grace: Duration::from_secs(3600),
+        idle_ttl: Duration::ZERO,
     })
     .with_metrics(Arc::clone(&metrics));
 

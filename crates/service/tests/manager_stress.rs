@@ -436,8 +436,7 @@ fn monitor_churn_interleavings_preserve_every_trajectory() {
     let done: Vec<AtomicBool> = (0..cases.len()).map(|_| AtomicBool::new(false)).collect();
     let janitor = Janitor::new(JanitorConfig {
         tick: std::time::Duration::from_millis(1),
-        idle_ttl: Some(std::time::Duration::ZERO),
-        grace: std::time::Duration::ZERO,
+        idle_ttl: std::time::Duration::ZERO,
     });
     let stopper = janitor.handle();
 
@@ -494,8 +493,7 @@ fn janitor_interleaving_preserves_every_trajectory() {
     let done: Vec<AtomicBool> = (0..specs.len()).map(|_| AtomicBool::new(false)).collect();
     let janitor = Janitor::new(JanitorConfig {
         tick: std::time::Duration::from_millis(1),
-        idle_ttl: Some(std::time::Duration::ZERO),
-        grace: std::time::Duration::ZERO,
+        idle_ttl: std::time::Duration::ZERO,
     });
     let stopper = janitor.handle();
 

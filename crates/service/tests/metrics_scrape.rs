@@ -48,9 +48,10 @@ fn spawn_serve(store_dir: &Path, tag: &str, extra_args: &[&str]) -> Serve {
     let _ = std::fs::remove_file(&port_file);
     let child = Command::new(env!("CARGO_BIN_EXE_kgae-serve"))
         .args(["--addr", "127.0.0.1:0", "--workers", "4", "--shards", "4"])
-        // The janitor is off and logging quiet: this test wants every
-        // counter movement to come from its own requests.
-        .args(["--janitor-tick", "0", "--log-level", "off"])
+        // No janitor (it runs only with --janitor-ttl) and logging
+        // quiet: this test wants every counter movement to come from
+        // its own requests.
+        .args(["--log-level", "off"])
         .arg("--store-dir")
         .arg(store_dir)
         .arg("--port-file")

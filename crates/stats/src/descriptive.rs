@@ -175,18 +175,6 @@ impl Summary {
             n: xs.len() as u64,
         }
     }
-
-    /// Formats as the paper prints integer-valued cells, e.g. `96 ± 44`.
-    #[must_use]
-    pub fn display_int(&self) -> String {
-        format!("{:.0} ± {:.0}", self.mean, self.std)
-    }
-
-    /// Formats with two decimals, e.g. `1.76 ± 0.79` (cost columns).
-    #[must_use]
-    pub fn display_2dp(&self) -> String {
-        format!("{:.2} ± {:.2}", self.mean, self.std)
-    }
 }
 
 impl fmt::Display for Summary {
@@ -270,21 +258,5 @@ mod tests {
         let mut empty = OnlineMoments::new();
         empty.merge(&before);
         assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn summary_formatting_matches_paper_style() {
-        let s = Summary {
-            mean: 96.4,
-            std: 43.8,
-            n: 1000,
-        };
-        assert_eq!(s.display_int(), "96 ± 44");
-        let c = Summary {
-            mean: 1.758,
-            std: 0.789,
-            n: 1000,
-        };
-        assert_eq!(c.display_2dp(), "1.76 ± 0.79");
     }
 }

@@ -347,7 +347,7 @@ pub struct StudentT {
 
 impl StudentT {
     /// Creates a t distribution with `df > 0` degrees of freedom
-    /// (fractional allowed, for Welch's test).
+    /// (fractional allowed).
     pub fn new(df: f64) -> Result<StudentT> {
         check_positive("df", df)?;
         Ok(StudentT { df })

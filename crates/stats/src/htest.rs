@@ -2,71 +2,19 @@
 //!
 //! The paper marks table cells with † / ‡ when "standard independent
 //! t-tests" find the aHPD vs. Wald / Wilson difference significant at
-//! `p < 0.01` (§6.3). Both the classic pooled-variance test and Welch's
-//! unequal-variance variant are provided; the experiment harness uses the
-//! pooled one to match the paper's wording.
+//! `p < 0.01` (§6.3); the experiment harness runs the classic
+//! pooled-variance test to match the paper's wording.
 
 use crate::descriptive::{mean, sample_variance};
 use crate::dist::StudentT;
-use crate::special::gammainc_upper;
 use crate::{Result, StatsError};
-
-/// Outcome of a chi-square goodness-of-fit test.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChiSquareResult {
-    /// The χ² statistic.
-    pub statistic: f64,
-    /// Degrees of freedom (`k - 1`).
-    pub df: f64,
-    /// Upper-tail p-value.
-    pub p_value: f64,
-}
-
-/// Pearson chi-square goodness-of-fit test of observed counts against
-/// expected probabilities. Used to validate the synthetic dataset
-/// generators (cluster-size models, alias sampling) against their target
-/// distributions.
-pub fn chi_square_gof(observed: &[u64], expected_probs: &[f64]) -> Result<ChiSquareResult> {
-    if observed.len() != expected_probs.len() {
-        return Err(StatsError::InsufficientData {
-            needed: observed.len(),
-            got: expected_probs.len(),
-        });
-    }
-    if observed.len() < 2 {
-        return Err(StatsError::InsufficientData {
-            needed: 2,
-            got: observed.len(),
-        });
-    }
-    let total: u64 = observed.iter().sum();
-    if total == 0 {
-        return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-    }
-    let mut stat = 0.0;
-    for (&o, &p) in observed.iter().zip(expected_probs) {
-        if !(p.is_finite() && p > 0.0) {
-            return Err(StatsError::InvalidProbability(p));
-        }
-        let e = total as f64 * p;
-        stat += (o as f64 - e) * (o as f64 - e) / e;
-    }
-    let df = (observed.len() - 1) as f64;
-    // P(χ²_df >= stat) = Q(df/2, stat/2).
-    let p_value = gammainc_upper(df / 2.0, stat / 2.0)?;
-    Ok(ChiSquareResult {
-        statistic: stat,
-        df,
-        p_value,
-    })
-}
 
 /// Outcome of a two-sample t-test.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TTestResult {
     /// The t statistic.
     pub t: f64,
-    /// Degrees of freedom (fractional for Welch).
+    /// Degrees of freedom.
     pub df: f64,
     /// Two-sided p-value.
     pub p_value: f64,
@@ -112,16 +60,6 @@ pub fn pooled_t_test_from_summary(
     let pooled = ((n1 - 1.0) * v1 + (n2 - 1.0) * v2) / df;
     let se = (pooled * (1.0 / n1 + 1.0 / n2)).sqrt();
     finish(m1 - m2, se, df)
-}
-
-/// Welch's unequal-variance t-test with Satterthwaite degrees of freedom.
-pub fn welch_t_test(xs: &[f64], ys: &[f64]) -> Result<TTestResult> {
-    check_sizes(xs, ys)?;
-    let (m1, v1, n1) = (mean(xs), sample_variance(xs), xs.len() as f64);
-    let (m2, v2, n2) = (mean(ys), sample_variance(ys), ys.len() as f64);
-    let se2 = v1 / n1 + v2 / n2;
-    let df = se2 * se2 / ((v1 / n1) * (v1 / n1) / (n1 - 1.0) + (v2 / n2) * (v2 / n2) / (n2 - 1.0));
-    finish(m1 - m2, se2.sqrt(), df)
 }
 
 fn check_sizes(xs: &[f64], ys: &[f64]) -> Result<()> {
@@ -179,24 +117,6 @@ mod tests {
     }
 
     #[test]
-    fn welch_textbook_example() {
-        let a = [
-            27.5, 21.0, 19.0, 23.6, 17.0, 17.9, 16.9, 20.1, 21.9, 22.6, 23.1, 19.6, 19.0, 21.7,
-            21.4,
-        ];
-        let b = [
-            27.1, 22.0, 20.8, 23.4, 23.4, 23.5, 25.8, 22.0, 24.8, 20.2, 21.9, 22.1, 22.9, 30.5,
-            24.3,
-        ];
-        let r = welch_t_test(&a, &b).unwrap();
-        // Reference values computed independently from the Welch formulas:
-        // t = -2.84720..., df = 27.8847... .
-        assert!((r.t + 2.8472044565771).abs() < 1e-10, "t = {}", r.t);
-        assert!((r.df - 27.884749467103).abs() < 1e-9, "df = {}", r.df);
-        assert!(r.p_value < 0.01, "p = {}", r.p_value);
-    }
-
-    #[test]
     fn large_shift_is_significant_at_one_percent() {
         let xs: Vec<f64> = (0..100).map(|i| 10.0 + (i % 7) as f64 * 0.1).collect();
         let ys: Vec<f64> = (0..100).map(|i| 11.0 + (i % 7) as f64 * 0.1).collect();
@@ -236,38 +156,6 @@ mod tests {
     #[test]
     fn insufficient_data_is_an_error() {
         assert!(pooled_t_test(&[1.0], &[1.0, 2.0]).is_err());
-        assert!(welch_t_test(&[], &[1.0, 2.0]).is_err());
-    }
-
-    #[test]
-    fn chi_square_detects_fair_and_loaded_dice() {
-        // Near-uniform counts: should not reject.
-        let fair = [166u64, 170, 168, 165, 167, 164];
-        let probs = [1.0 / 6.0; 6];
-        let r = chi_square_gof(&fair, &probs).unwrap();
-        assert_eq!(r.df, 5.0);
-        assert!(r.p_value > 0.5, "fair die p = {}", r.p_value);
-
-        // Heavily loaded: must reject.
-        let loaded = [400u64, 100, 100, 100, 100, 200];
-        let r = chi_square_gof(&loaded, &probs).unwrap();
-        assert!(r.p_value < 1e-6, "loaded die p = {}", r.p_value);
-    }
-
-    #[test]
-    fn chi_square_textbook_value() {
-        // Classic 2-cell example: observed [60, 40] vs p = [0.5, 0.5]
-        // gives χ² = (10² + 10²)/50 = 4, df = 1, p ≈ 0.0455.
-        let r = chi_square_gof(&[60, 40], &[0.5, 0.5]).unwrap();
-        assert!((r.statistic - 4.0).abs() < 1e-12);
-        assert!((r.p_value - 0.04550026).abs() < 1e-6);
-    }
-
-    #[test]
-    fn chi_square_input_validation() {
-        assert!(chi_square_gof(&[1, 2], &[0.5]).is_err());
-        assert!(chi_square_gof(&[5], &[1.0]).is_err());
-        assert!(chi_square_gof(&[0, 0], &[0.5, 0.5]).is_err());
-        assert!(chi_square_gof(&[1, 2], &[0.0, 1.0]).is_err());
+        assert!(pooled_t_test(&[1.0, 2.0], &[]).is_err());
     }
 }

@@ -20,7 +20,7 @@
 //!   mean ± std summaries used by the experiment tables).
 //! * [`hash`] — the SplitMix64 mixer and the integer hasher of the
 //!   workspace's maps keyed by program-generated integers.
-//! * [`htest`] — two-sample t-tests (pooled and Welch) used for the
+//! * [`htest`] — the pooled two-sample t-test used for the
 //!   significance daggers in Tables 2–4 of the paper.
 //!
 //! ## Example
