@@ -31,15 +31,6 @@ impl CostModel {
         triple_seconds: 25.0,
         judgments_per_label: 1,
     };
-
-    /// Same constants with a `k`-annotator panel per fact.
-    #[must_use]
-    pub fn with_panel(panel: u64) -> CostModel {
-        CostModel {
-            judgments_per_label: panel.max(1),
-            ..CostModel::PAPER
-        }
-    }
 }
 
 /// Incremental tracker of distinct entities/triples and their cost.
@@ -160,7 +151,10 @@ mod tests {
 
     #[test]
     fn panel_multiplies_verification_only() {
-        let mut t = CostTracker::new(CostModel::with_panel(3));
+        let mut t = CostTracker::new(CostModel {
+            judgments_per_label: 3,
+            ..CostModel::PAPER
+        });
         t.record(TripleId(0), ClusterId(0));
         t.record(TripleId(1), ClusterId(0));
         // 1 entity · 45 + 2 triples · 25 · 3 = 195.

@@ -442,7 +442,7 @@ impl<'a> SessionEngine for ComparativeSession<'a> {
 /// KG shape of a plain record (tags 0–3); the stratum count, KG shape
 /// and partition fingerprint of a stratified one (4); the shared-stream
 /// design, KG shape, primary and roster size of a comparative one (5);
-/// the base KG shape, epoch and phase of a monitor (6). A store can
+/// the base KG shape of a monitor (6). A store can
 /// thus index and sanity-check dormant records without resuming them;
 /// resume still re-validates every fingerprint.
 ///
@@ -491,8 +491,6 @@ fn identity_prefix(r: &mut Reader<'_>, tag: u8) -> ReadResult<EngineKind> {
         MONITOR_SNAPSHOT_TAG => {
             r.u64()?;
             r.u32()?;
-            r.u64()?;
-            r.bool()?;
             EngineKind::Monitor
         }
         _ => return Err("unknown snapshot record tag"),

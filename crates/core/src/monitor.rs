@@ -1,6 +1,6 @@
 //! Continuous accuracy monitoring over an evolving KG — the fourth
 //! [`SessionEngine`], turning one-shot audits into a long-lived
-//! monitor (paper §8, ROADMAP item 2).
+//! monitor (paper §8).
 //!
 //! A [`MonitorSession`] wraps a [`kgae_graph::DeltaKg`] view of a
 //! frozen base KG and runs ordinary SRS annotation campaigns over it.
@@ -46,8 +46,11 @@
 //! `SmallRng::seed_from_u64(seed)` stream over a transparent view.
 //! Re-opened campaign `k` derives its stream as
 //! `mix2(seed, k)`, so replaying the same delta/label sequence
-//! reproduces the same trajectory everywhere — the basis of the
-//! service-level determinism and snapshot byte-identity tests.
+//! reproduces the same trajectory everywhere. The monitor keeps that
+//! sequence as its event log — every accepted poll with its labels and
+//! every non-empty delta batch — and a snapshot is the spec's identity
+//! plus the log: resume replays it through the live calls, so the
+//! overlay, ledger, counters and open campaign are all derived.
 
 use std::collections::BTreeMap;
 
@@ -59,7 +62,7 @@ use crate::session::{
     write_config_fingerprint, write_method_fingerprint, EvaluationSession, SessionError,
     SessionStatus, MONITOR_SNAPSHOT_TAG,
 };
-use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+use crate::snapshot::{LabelLog, ReadResult, Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::hash::mix2;
 use kgae_graph::{DeltaKg, KnowledgeGraph, StableId};
 use kgae_intervals::{hpd_interval_exact, BetaPrior, Interval, IntervalError};
@@ -183,8 +186,6 @@ pub struct MonitorSession<'a> {
     /// Carried prior `(a, b)` for the next re-opened campaign.
     carry: Option<(f64, f64)>,
     /// Labels of surviving triples, keyed by delta-proof stable id.
-    /// `BTreeMap` iteration order doubles as the canonical snapshot
-    /// order.
     ledger: BTreeMap<StableId, bool>,
     drift: Vec<DriftRow>,
     watched: Option<Watched>,
@@ -195,6 +196,11 @@ pub struct MonitorSession<'a> {
     /// monitor opens (the inner session is recreated on re-open after
     /// deltas, so the handle must outlive individual campaigns).
     kernel: Option<std::sync::Arc<kgae_intervals::KernelCache>>,
+    /// The event log: every call that changed the monitor, encoded in
+    /// call order (see [`MonitorSession::snapshot`]), with the labels
+    /// of its polls kept apart, one bit each.
+    events: Writer,
+    labels: LabelLog,
 }
 
 impl std::fmt::Debug for MonitorSession<'_> {
@@ -265,6 +271,8 @@ impl<'a> MonitorSession<'a> {
             watched: None,
             pending_triples: Vec::new(),
             kernel: None,
+            events: Writer::new(),
+            labels: LabelLog::default(),
         }
     }
 
@@ -494,6 +502,8 @@ impl<'a> MonitorSession<'a> {
             .view
             .apply(&batch.removes, &batch.adds)
             .expect("batch validated above");
+        self.events.u8(DELTA_EVENT);
+        write_batch(&mut self.events, batch);
         let mut retired = 0u64;
         for id in &applied.removed {
             if self.ledger.remove(id).is_some() {
@@ -554,13 +564,12 @@ impl<'a> MonitorSession<'a> {
         self.ledger.len()
     }
 
-    /// Serializes the monitor into a canonical `KGAESNAP` snapshot
-    /// (record tag 6): base-KG shape, config/method fingerprints, the
-    /// seed, cumulative counters, drift rows, the delta overlay, the
-    /// label ledger (in `StableId` order), the carried prior, the
-    /// watched estimate, and — while annotating — the embedded
-    /// campaign snapshot, length-prefixed. Byte-identical across
-    /// suspend → resume → suspend.
+    /// Serializes the monitor into a `KGAESNAP` snapshot (record tag
+    /// 6): the identity prefix (base-KG shape, config and carry-weight
+    /// fingerprints, method fingerprint, seed), then the event log —
+    /// the labels of every logged poll, one bit each, and the events in
+    /// call order. Everything else is derived by replaying the log, so
+    /// suspend → resume → suspend reproduces the bytes.
     ///
     /// # Errors
     ///
@@ -575,96 +584,31 @@ impl<'a> MonitorSession<'a> {
         w.bytes(SNAPSHOT_MAGIC);
         w.u16(SNAPSHOT_VERSION);
         w.u8(MONITOR_SNAPSHOT_TAG);
-        // Identity prefix: base shape + epoch + phase.
         w.u64(self.view.base().num_triples());
         w.u32(self.view.base().num_clusters());
-        w.u64(self.epoch);
-        w.bool(self.inner.is_some());
         write_config_fingerprint(&mut w, &self.cfg);
         w.f64(self.carry_weight);
         write_method_fingerprint(&mut w, &self.base_method);
         w.u64(self.seed);
-        // Cumulative counters.
-        w.u64(self.seen_serials);
-        w.u64(self.done_observations);
-        w.u64(self.done_triples);
-        w.f64(self.done_cost);
-        // Drift rows, first-appearance order.
-        w.u64(self.drift.len() as u64);
-        for row in &self.drift {
-            w.u64(row.predicate.len() as u64);
-            w.bytes(row.predicate.as_bytes());
-            w.u64(row.adds);
-            w.u64(row.removes);
-            w.u64(row.retired);
-        }
-        // Overlay.
-        let removed = self.view.removed_ids();
-        w.u64(removed.len() as u64);
-        for &b in removed {
-            w.u64(b);
-        }
-        let added: Vec<(u64, bool)> = self.view.added_entries().collect();
-        w.u64(added.len() as u64);
-        for (serial, correct) in added {
-            w.u64(serial);
-            w.bool(correct);
-        }
-        w.u64(self.view.next_serial());
-        // Ledger (BTreeMap order = canonical).
-        w.u64(self.ledger.len() as u64);
-        for (&id, &label) in &self.ledger {
-            match id {
-                StableId::Base(b) => {
-                    w.u8(0);
-                    w.u64(b);
-                }
-                StableId::Added(s) => {
-                    w.u8(1);
-                    w.u64(s);
-                }
-            }
-            w.bool(label);
-        }
-        // Carry + watched.
-        match self.carry {
-            Some((a, b)) => {
-                w.bool(true);
-                w.f64(a);
-                w.f64(b);
-            }
-            None => w.bool(false),
-        }
-        match &self.watched {
-            Some(watched) => {
-                w.bool(true);
-                w.f64(watched.estimate);
-                w.f64(watched.interval.lower());
-                w.f64(watched.interval.upper());
-            }
-            None => w.bool(false),
-        }
-        // Embedded campaign snapshot while annotating.
-        if let Some(inner) = &self.inner {
-            let child = inner.snapshot()?;
-            w.u64(child.len() as u64);
-            w.bytes(&child);
-        }
+        self.labels.write(&mut w);
+        w.bytes(self.events.as_bytes());
         Ok(w.into_bytes())
     }
 
-    /// Reconstructs a suspended monitor from a snapshot, validating the
-    /// base-KG shape, config, carry weight, method fingerprint and seed
-    /// against the supplied spec before restoring the overlay, ledger
-    /// and — while annotating — the embedded campaign (which
-    /// re-validates its own fingerprints against the rebuilt view).
+    /// Reconstructs a suspended monitor: validates the identity prefix
+    /// against the supplied spec, then builds [`MonitorSession::new`]
+    /// and replays the logged calls through the live
+    /// `next_request`/`submit`/`apply_deltas`, whose own checks validate
+    /// the log.
     ///
     /// # Errors
     ///
-    /// [`SessionError::CorruptSnapshot`] on malformed bytes;
-    /// [`SessionError::SnapshotMismatch`] when the snapshot belongs to
-    /// a different base KG, config, carry weight, method or seed.
-    #[allow(clippy::too_many_lines)]
+    /// [`SessionError::CorruptSnapshot`] on malformed bytes or a log the
+    /// monitor could not have written (a poll that draws a different
+    /// request, labels that do not match their polls, a batch the view
+    /// rejects); [`SessionError::SnapshotMismatch`] when the snapshot
+    /// belongs to a different base KG, config, carry weight, method or
+    /// seed.
     pub fn resume(
         base: &'a dyn KnowledgeGraph,
         method: &IntervalMethod,
@@ -684,8 +628,6 @@ impl<'a> MonitorSession<'a> {
         {
             return Err(mismatch("base KG shape differs"));
         }
-        let epoch = r.u64().map_err(corrupt)?;
-        let annotating = r.bool().map_err(corrupt)?;
         if !config_fingerprint_matches(&mut r, cfg).map_err(corrupt)? {
             return Err(mismatch("config differs"));
         }
@@ -698,120 +640,111 @@ impl<'a> MonitorSession<'a> {
         if r.u64().map_err(corrupt)? != seed {
             return Err(mismatch("seed differs"));
         }
-        let seen_serials = r.u64().map_err(corrupt)?;
-        let done_observations = r.u64().map_err(corrupt)?;
-        let done_triples = r.u64().map_err(corrupt)?;
-        let done_cost = r.f64().map_err(corrupt)?;
+        // Every label and flag in the log is a bit of the record, and
+        // every other length counts at least one byte.
         let cap = bytes.len() as u64;
-        let drift_len = r.len_capped(cap).map_err(corrupt)?;
-        let mut drift = Vec::with_capacity(drift_len);
-        for _ in 0..drift_len {
-            let name_len = r.len_capped(cap).map_err(corrupt)?;
-            let name = r.bytes(name_len).map_err(corrupt)?;
-            let predicate = String::from_utf8(name.to_vec())
-                .map_err(|_| SessionError::CorruptSnapshot("drift predicate not UTF-8"))?;
-            drift.push(DriftRow {
-                predicate,
-                adds: r.u64().map_err(corrupt)?,
-                removes: r.u64().map_err(corrupt)?,
-                retired: r.u64().map_err(corrupt)?,
-            });
-        }
-        let removed_len = r.len_capped(cap).map_err(corrupt)?;
-        let mut removed = Vec::with_capacity(removed_len);
-        for _ in 0..removed_len {
-            removed.push(r.u64().map_err(corrupt)?);
-        }
-        let added_len = r.len_capped(cap).map_err(corrupt)?;
-        let mut added = Vec::with_capacity(added_len);
-        for _ in 0..added_len {
-            let serial = r.u64().map_err(corrupt)?;
-            let correct = r.bool().map_err(corrupt)?;
-            added.push((serial, correct));
-        }
-        let next_serial = r.u64().map_err(corrupt)?;
-        let view = Box::new(
-            DeltaKg::from_parts(base, None, removed, added, next_serial)
-                .map_err(|_| SessionError::CorruptSnapshot("invalid delta overlay"))?,
-        );
-        let ledger_len = r.len_capped(cap).map_err(corrupt)?;
-        let mut ledger = BTreeMap::new();
-        let mut prev: Option<StableId> = None;
-        for _ in 0..ledger_len {
-            let id = match r.u8().map_err(corrupt)? {
-                0 => StableId::Base(r.u64().map_err(corrupt)?),
-                1 => StableId::Added(r.u64().map_err(corrupt)?),
-                _ => return Err(SessionError::CorruptSnapshot("unknown stable-id tag")),
-            };
-            if prev.is_some_and(|p| p >= id) {
-                return Err(SessionError::CorruptSnapshot("ledger ids out of order"));
+        let labels = LabelLog::read(&mut r, 8 * cap).map_err(corrupt)?;
+        let events = r.rest();
+        let mut monitor = Self::new(base, method, cfg, carry_weight, seed);
+        let mut r = Reader::new(events);
+        let mut next_label = 0;
+        while !r.is_empty() {
+            match r.u8().map_err(corrupt)? {
+                POLL_EVENT => {
+                    let units = r.u64().map_err(corrupt)?;
+                    monitor.replay_poll(units, &labels, &mut next_label)?;
+                }
+                DELTA_EVENT => {
+                    let batch = read_batch(&mut r, cap).map_err(corrupt)?;
+                    monitor
+                        .apply_deltas(&batch)
+                        .map_err(|_| corrupt("the view rejects a logged delta batch"))?;
+                }
+                _ => return Err(corrupt("unknown monitor event")),
             }
-            prev = Some(id);
-            ledger.insert(id, r.bool().map_err(corrupt)?);
         }
-        let carry = if r.bool().map_err(corrupt)? {
-            let a = r.f64().map_err(corrupt)?;
-            let b = r.f64().map_err(corrupt)?;
-            if !(a.is_finite() && a > 0.0 && b.is_finite() && b > 0.0) {
-                return Err(SessionError::CorruptSnapshot("invalid carried prior"));
-            }
-            Some((a, b))
-        } else {
-            None
-        };
-        let watched = if r.bool().map_err(corrupt)? {
-            let estimate = r.f64().map_err(corrupt)?;
-            let lo = r.f64().map_err(corrupt)?;
-            let hi = r.f64().map_err(corrupt)?;
-            if lo.is_nan() || hi.is_nan() || lo > hi {
-                return Err(SessionError::CorruptSnapshot(
-                    "interval bounds out of order",
-                ));
-            }
-            Some(Watched {
-                estimate,
-                interval: Interval::new(lo, hi),
-            })
-        } else {
-            None
-        };
-        let mut monitor = Self {
-            inner: None,
-            view,
-            base_method: method.clone(),
-            cfg: cfg.clone(),
-            carry_weight,
-            seed,
-            epoch,
-            seen_serials,
-            done_observations,
-            done_triples,
-            done_cost,
-            carry,
-            ledger,
-            drift,
-            watched,
-            pending_triples: Vec::new(),
-            kernel: None,
-        };
-        if annotating {
-            let child_len = r.len_capped(cap).map_err(corrupt)?;
-            let child = r.bytes(child_len).map_err(corrupt)?;
-            let campaign_method = monitor.campaign_method();
-            let kg = forged_view(&monitor.view);
-            let prepared = PreparedDesign::new(kg, SamplingDesign::Srs);
-            monitor.inner = Some(EvaluationSession::resume(
-                kg,
-                &prepared,
-                &campaign_method,
-                &monitor.cfg,
-                SmallRng::seed_from_u64(0),
-                child,
-            )?);
+        // The live calls logged themselves again; anything they did not
+        // log (an empty batch, a poll of a watching monitor, labels past
+        // the last poll) is a log this monitor could not have written.
+        if monitor.events.as_bytes() != events || monitor.labels != labels {
+            return Err(corrupt("the log holds calls the monitor does not log"));
         }
-        r.finish().map_err(corrupt)?;
         Ok(monitor)
     }
+
+    /// Replays one logged poll of `units` units: a poll must draw
+    /// exactly `units` triples and take their labels from `labels` at
+    /// `next`; a poll of 0 units drew nothing and ended the campaign.
+    fn replay_poll(
+        &mut self,
+        units: u64,
+        labels: &LabelLog,
+        next: &mut u64,
+    ) -> Result<(), SessionError> {
+        let corrupt = SessionError::CorruptSnapshot;
+        let polled = SessionEngine::next_request(self, units)
+            .map_err(|_| corrupt("a logged poll fails on replay"))?;
+        let drawn = polled.map_or(0, |p| p.request.triples.len() as u64);
+        if drawn != units {
+            return Err(corrupt("a logged poll draws a different request"));
+        }
+        if units == 0 {
+            return Ok(());
+        }
+        let end = *next + units;
+        if end > labels.len() {
+            return Err(corrupt("the label log runs out inside a poll"));
+        }
+        let batch: Vec<bool> = (*next..end).map(|i| labels.get(i)).collect();
+        *next = end;
+        SessionEngine::submit(self, &batch).map_err(|_| corrupt("a logged submit fails on replay"))
+    }
+}
+
+/// Event tags of the monitor's log. A poll is its `u64` unit count; its
+/// labels sit in the label log. A delta is its batch (`write_batch`).
+const POLL_EVENT: u8 = 0;
+const DELTA_EVENT: u8 = 1;
+
+/// Encodes a delta batch: the predicate (`bool` present, then `u64`
+/// length and UTF-8 bytes), the `u64` remove count and the removed
+/// current ids, then the adds' correctness flags as a [`LabelLog`].
+fn write_batch(w: &mut Writer, batch: &DeltaBatch) {
+    w.bool(batch.predicate.is_some());
+    if let Some(predicate) = &batch.predicate {
+        w.u64(predicate.len() as u64);
+        w.bytes(predicate.as_bytes());
+    }
+    w.u64(batch.removes.len() as u64);
+    for &id in &batch.removes {
+        w.u64(id);
+    }
+    let mut adds = LabelLog::default();
+    for &correct in &batch.adds {
+        adds.push(correct);
+    }
+    adds.write(w);
+}
+
+/// Inverse of [`write_batch`]; lengths are checked against the record
+/// length `cap` before any allocation.
+fn read_batch(r: &mut Reader<'_>, cap: u64) -> ReadResult<DeltaBatch> {
+    let predicate = if r.bool()? {
+        let len = r.len_capped(cap)?;
+        let name = r.bytes(len)?.to_vec();
+        Some(String::from_utf8(name).map_err(|_| "delta predicate not UTF-8")?)
+    } else {
+        None
+    };
+    let removes = (0..r.len_capped(cap / 8)?)
+        .map(|_| r.u64())
+        .collect::<ReadResult<_>>()?;
+    let adds = LabelLog::read(r, 8 * cap)?;
+    Ok(DeltaBatch {
+        predicate,
+        removes,
+        adds: (0..adds.len()).map(|i| adds.get(i)).collect(),
+    })
 }
 
 impl SessionEngine for MonitorSession<'_> {
@@ -848,6 +781,8 @@ impl SessionEngine for MonitorSession<'_> {
                     .is_some_and(|i| i.stop_reason().is_some())
                 {
                     self.harvest();
+                    self.events.u8(POLL_EVENT);
+                    self.events.u64(0);
                 }
                 Ok(None)
             }
@@ -869,6 +804,11 @@ impl SessionEngine for MonitorSession<'_> {
             self.ledger.insert(self.view.resolve(t), label);
         }
         self.pending_triples.clear();
+        self.events.u8(POLL_EVENT);
+        self.events.u64(labels.len() as u64);
+        for &label in labels {
+            self.labels.push(label);
+        }
         if self
             .inner
             .as_ref()
@@ -1227,6 +1167,87 @@ mod tests {
             MonitorSession::resume(&kg, &IntervalMethod::Wilson, &cfg, 50.0, 5, &snap),
             Err(SessionError::SnapshotMismatch("interval method differs"))
         ));
+    }
+
+    /// A record whose log the monitor could not have written resumes as
+    /// a typed `CorruptSnapshot`, never a panic: a batch the view
+    /// rejects, label bits that do not match their polls, calls the live
+    /// path does not log, and a malformed event.
+    #[test]
+    fn impossible_logs_are_corrupt_snapshots_not_panics() {
+        let kg = kgae_graph::datasets::nell();
+        let method = IntervalMethod::ahpd_default();
+        let cfg = EvalConfig::default();
+        let mut monitor = MonitorSession::new(&kg, &method, &cfg, 50.0, 3);
+        drive_to_watching(&mut monitor, &kg, 8);
+        let snap = MonitorSession::snapshot(&monitor).unwrap();
+        let (labels, events) = (&monitor.labels, monitor.events.as_bytes());
+        let log_len = 8 + labels.len().div_ceil(8) as usize + events.len();
+        let prefix = &snap[..snap.len() - log_len];
+        let record = |labels: &LabelLog, events: &[u8]| {
+            let mut w = Writer::new();
+            w.bytes(prefix);
+            labels.write(&mut w);
+            w.bytes(events);
+            w.into_bytes()
+        };
+        assert_eq!(record(labels, events), snap);
+        let appended = |tail: &dyn Fn(&mut Writer)| {
+            let mut w = Writer::new();
+            w.bytes(events);
+            tail(&mut w);
+            record(labels, w.as_bytes())
+        };
+        let delta = |removes: Vec<u64>, adds: Vec<bool>| {
+            appended(&|w: &mut Writer| {
+                w.u8(DELTA_EVENT);
+                let batch = DeltaBatch {
+                    predicate: None,
+                    removes: removes.clone(),
+                    adds: adds.clone(),
+                };
+                write_batch(w, &batch);
+            })
+        };
+        let poll = |units: u64| {
+            appended(&|w: &mut Writer| {
+                w.u8(POLL_EVENT);
+                w.u64(units);
+            })
+        };
+        let relabeled = |len: u64| {
+            let mut log = LabelLog::default();
+            for i in 0..len {
+                log.push(i < labels.len() && labels.get(i));
+            }
+            record(&log, events)
+        };
+        let rejected = "the view rejects a logged delta batch";
+        let unlogged = "the log holds calls the monitor does not log";
+        for (bytes, want) in [
+            (delta(vec![u64::MAX], vec![]), rejected),
+            (delta(vec![kg.num_triples()], vec![true]), rejected),
+            (delta(vec![3, 7, 3], vec![]), rejected),
+            (
+                relabeled(labels.len() - 1),
+                "the label log runs out inside a poll",
+            ),
+            (relabeled(labels.len() + 1), unlogged),
+            (poll(4), "a logged poll draws a different request"),
+            (poll(0), unlogged),
+            (delta(vec![], vec![]), unlogged),
+            (appended(&|w: &mut Writer| w.u8(9)), "unknown monitor event"),
+            (
+                appended(&|w: &mut Writer| w.u8(DELTA_EVENT)),
+                "snapshot truncated",
+            ),
+        ] {
+            let got = MonitorSession::resume(&kg, &method, &cfg, 50.0, 3, &bytes);
+            assert!(
+                matches!(&got, Err(SessionError::CorruptSnapshot(m)) if *m == want),
+                "want {want}: {got:?}"
+            );
+        }
     }
 
     /// Oracle labels for a monitor's current view without borrowing the

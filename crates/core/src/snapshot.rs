@@ -7,7 +7,8 @@
 //! Floats are encoded via `f64::to_bits`, so fingerprints compare bit
 //! for bit. A session's dynamic state is not encoded at all: the record
 //! carries its starting RNG state and its [`LabelLog`], and resume
-//! replays them.
+//! replays them; a monitor record carries its event log, which resume
+//! replays through the live calls.
 
 /// The shared container magic of every snapshot record — plain session
 /// records (design tags 0–3) and the stratified coordinator record
@@ -15,7 +16,7 @@
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"KGAESNAP";
 /// The shared container version; bumping it re-gates every record type
 /// at once (readers reject every other version).
-pub(crate) const SNAPSHOT_VERSION: u16 = 4;
+pub(crate) const SNAPSHOT_VERSION: u16 = 5;
 
 /// Append-only snapshot writer.
 #[derive(Debug, Default)]
@@ -30,6 +31,10 @@ impl Writer {
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.buf
     }
 
     pub(crate) fn bytes(&mut self, v: &[u8]) {
@@ -167,6 +172,17 @@ impl<'a> Reader<'a> {
         usize::try_from(len).map_err(|_| "snapshot length exceeds usize")
     }
 
+    pub(crate) fn is_empty(&self) -> bool {
+        self.cursor == self.bytes.len()
+    }
+
+    /// The unread bytes; the reader is then at its end.
+    pub(crate) fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.bytes[self.cursor..];
+        self.cursor = self.bytes.len();
+        rest
+    }
+
     pub(crate) fn finish(self) -> ReadResult<()> {
         if self.cursor == self.bytes.len() {
             Ok(())
@@ -176,8 +192,9 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// The fresh labels a session consumed, in draw order, one bit each —
-/// the only per-annotation state a session record stores.
+/// Labels in order, one bit each: the fresh labels a session consumed
+/// (the only per-annotation state a session record stores), and a
+/// monitor's poll labels and added triples' flags.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct LabelLog {
     /// Bits LSB-first; the bits past `len` in the last byte are zero.

@@ -383,7 +383,9 @@ impl EveryTag {
 /// version 1 still carried a per-prior solver section, version 2
 /// serialized the session's derived state instead of its label log, and
 /// version 3 stored census strata, rival countdowns and monitor
-/// counters that version 4 derives. No reader for any of them exists.
+/// counters that version 4 derives, and version 4 stored the monitor's
+/// overlay, ledger and open campaign where version 5 keeps its event
+/// log. No reader for any of them exists.
 #[test]
 fn older_version_records_are_rejected_for_every_registry_tag() {
     let every = EveryTag::new();
@@ -396,9 +398,9 @@ fn older_version_records_are_rejected_for_every_registry_tag() {
         );
         let mut snap = engine.snapshot().unwrap();
         assert_eq!(usize::from(snap[10]), tag);
-        assert_eq!(snap[8..10], 4u16.to_le_bytes(), "tag {tag}");
+        assert_eq!(snap[8..10], 5u16.to_le_bytes(), "tag {tag}");
         spec.resume(&snap).unwrap();
-        for version in [1u16, 2, 3] {
+        for version in [1u16, 2, 3, 4] {
             snap[8..10].copy_from_slice(&version.to_le_bytes());
             let unsupported = |e: Option<SessionError>| {
                 matches!(
@@ -434,13 +436,13 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[test]
 fn mid_campaign_snapshot_bytes_are_pinned_for_every_registry_tag() {
     const GOLDEN: [(usize, u64); 7] = [
-        (196, 0xd13d_5747_f29c_9f75),
-        (197, 0x7db4_dbb1_e8ac_8f82),
-        (197, 0x9d4d_4cb9_08bb_ff72),
-        (197, 0xd846_2087_dae0_d18b),
-        (921, 0xb374_8426_8331_be4d),
-        (325, 0x24bd_960b_d06d_3051),
-        (838, 0x15c3_4b27_37fb_dd2f),
+        (196, 0x6485_5477_3c3a_a184),
+        (197, 0x3ac7_0113_4c34_1e15),
+        (197, 0x0472_08a7_c721_cc89),
+        (197, 0x35c9_85b6_fedb_6c20),
+        (921, 0x3526_705e_287a_64be),
+        (325, 0x7bf2_c319_3dd9_aef9),
+        (254, 0x1e51_7c10_02fe_937f),
     ];
     let every = EveryTag::new();
     let truth = DeltaKg::with_truth(&every.kg, &every.kg);

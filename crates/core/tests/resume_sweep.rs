@@ -2,7 +2,9 @@
 //! must end bit-identical to the uninterrupted one. A session record is
 //! its starting RNG state and its label log, and resume replays the log
 //! without running the stopping rule; this sweep checks that the
-//! replayed session stops exactly where the uninterrupted one does.
+//! replayed session stops exactly where the uninterrupted one does. A
+//! monitor record is its event log, replayed through the live calls;
+//! the monitor leg suspends across epochs and between delta batches.
 //!
 //! Ignored in the default run (it resumes ~200,000 times); run it in
 //! release:
@@ -17,7 +19,7 @@ use kgae_core::{
     StratifiedConfig,
 };
 use kgae_graph::stratify::Stratification;
-use kgae_graph::{DeltaKg, GroundTruth, KnowledgeGraph};
+use kgae_graph::{CompactKg, DeltaKg, GroundTruth, KnowledgeGraph};
 use kgae_sampling::{ComparePrimary, ScsDriver};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -75,6 +77,133 @@ fn sweep<'a>(
         );
     }
     snapshots.len()
+}
+
+/// One step of a monitor script: annotate until the monitor watches,
+/// or hand it a delta batch.
+enum Step {
+    Drive,
+    Delta(DeltaBatch),
+}
+
+/// Epoch 0; a batch that keeps watching and one that re-opens; the
+/// carry-over campaign; a batch that leaves 12 triples, below the
+/// campaign floor, so the re-opened campaign ends in a poll that
+/// harvests the exhausted view.
+fn monitor_script(n: u64) -> Vec<Step> {
+    let tiny = DeltaBatch {
+        predicate: Some("tiny".into()),
+        removes: vec![0, 1],
+        adds: vec![],
+    };
+    let n = n - 2;
+    let drift = DeltaBatch {
+        predicate: Some("drift".into()),
+        removes: (0..n / 4).collect(),
+        adds: vec![false; usize::try_from(n / 3).unwrap()],
+    };
+    let n = n - n / 4 + n / 3;
+    let shrink = DeltaBatch {
+        predicate: None,
+        removes: (0..n - 12).collect(),
+        adds: vec![],
+    };
+    vec![
+        Step::Drive,
+        Step::Delta(tiny),
+        Step::Delta(drift),
+        Step::Drive,
+        Step::Delta(shrink),
+        Step::Drive,
+    ]
+}
+
+/// Runs `script[from..]` on a monitor, applying each batch to `truth`
+/// too, and calls `point(next, engine)` after every poll and every
+/// batch, `next` being the step a run resumed there continues from.
+/// Returns whether the monitor watched after each batch.
+fn run_script(
+    truth: &mut DeltaKg<'_>,
+    engine: &mut dyn SessionEngine,
+    script: &[Step],
+    from: usize,
+    point: &mut dyn FnMut(usize, &dyn SessionEngine),
+) -> Vec<bool> {
+    let mut watching = Vec::new();
+    for (i, s) in script.iter().enumerate().skip(from) {
+        match s {
+            Step::Drive => loop {
+                let more = step(truth, engine, 4);
+                point(i, engine);
+                if !more {
+                    break;
+                }
+            },
+            Step::Delta(delta) => {
+                watching.push(engine.apply_deltas(delta).unwrap().watching);
+                truth.apply(&delta.removes, &delta.adds).unwrap();
+                point(i + 1, engine);
+            }
+        }
+    }
+    watching
+}
+
+/// Runs a monitor through `script`, snapshotting after every poll of
+/// every epoch and after every batch; then resumes each snapshot on a
+/// truth twin brought to the same view, runs the rest of the script,
+/// and compares the final status with the uninterrupted run's. Returns
+/// the number of suspension points checked and whether the monitor kept
+/// watching through the first batch.
+fn sweep_monitor(
+    label: &str,
+    kg: &CompactKg,
+    spec: &EngineSpec<'_, '_>,
+    script: &[Step],
+) -> (usize, bool) {
+    let mut snapshots = Vec::new();
+    let mut engine = spec.build();
+    let mut truth = DeltaKg::with_truth(kg, kg);
+    let watching = run_script(
+        &mut truth,
+        engine.as_mut(),
+        script,
+        0,
+        &mut |next, engine| {
+            snapshots.push((next, engine.snapshot().unwrap()));
+        },
+    );
+    assert_eq!(
+        watching[1..],
+        [false, false],
+        "{label}: the last batches re-open"
+    );
+    let status = engine.status();
+    let epoch = 2 + u64::from(!watching[0]);
+    assert_eq!(status.monitor.as_ref().unwrap().epoch, epoch, "{label}");
+    let census = status.primary.interval.unwrap();
+    assert_eq!(
+        census.width(),
+        0.0,
+        "{label}: the last campaign harvests a census"
+    );
+    let want = fingerprint(engine);
+    for (point, (next, bytes)) in snapshots.iter().enumerate() {
+        let mut truth = DeltaKg::with_truth(kg, kg);
+        for s in &script[..*next] {
+            if let Step::Delta(delta) = s {
+                truth.apply(&delta.removes, &delta.adds).unwrap();
+            }
+        }
+        let mut resumed = spec.resume(bytes).unwrap();
+        run_script(&mut truth, resumed.as_mut(), script, *next, &mut |_, _| {});
+        assert_eq!(
+            fingerprint(resumed),
+            want,
+            "{label}: resumed at point {point} (step {next})"
+        );
+    }
+    (snapshots.len(), watching[0])
 }
 
 #[test]
@@ -158,11 +287,12 @@ fn every_submit_point_resumes_to_the_uninterrupted_result() {
         points += sweep(&format!("limited SCS seed {seed}"), &kg, engine, resume, 4);
     }
 
-    // One stratified, one comparative and one monitor spec; the monitor
-    // is swept through a carryover campaign re-opened by a delta.
+    // One stratified, one comparative and one monitor spec.
     let stratification = Stratification::by_hash(&kg, 4, 1);
     let strat_cfg = StratifiedConfig::default();
     let srs = PreparedDesign::new(&kg, SamplingDesign::Srs);
+    let script = monitor_script(kg.num_triples());
+    let mut kept_watching = 0;
     for seed in 0..20 {
         let stratified = EngineSpec::Stratified {
             kg: &kg,
@@ -190,20 +320,15 @@ fn every_submit_point_resumes_to_the_uninterrupted_result() {
             carry_weight: 50.0,
             seed,
         };
-        let mut truth = DeltaKg::with_truth(&kg, &kg);
-        let mut engine = monitor.build();
-        while step(&truth, engine.as_mut(), 4) {}
-        let n = truth.num_triples();
-        let delta = DeltaBatch {
-            predicate: Some("drift".into()),
-            removes: (0..n / 4).collect(),
-            adds: vec![false; usize::try_from(n / 3).unwrap()],
-        };
-        assert!(!engine.apply_deltas(&delta).unwrap().watching, "re-opened");
-        truth.apply(&delta.removes, &delta.adds).unwrap();
         let label = format!("monitor seed {seed}");
-        points += sweep(&label, &truth, engine, |b| monitor.resume(b).unwrap(), 4);
+        let (checked, kept) = sweep_monitor(&label, &kg, &monitor, &script);
+        points += checked;
+        kept_watching += usize::from(kept);
     }
+    assert!(
+        kept_watching > 10,
+        "the first batch kept {kept_watching} of 20 monitors watching"
+    );
 
     // A partition below the per-stratum floor of 10: 36 strata of about
     // 8 triples on a 300-triple twin. The warm-up annotates whole

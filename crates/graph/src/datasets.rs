@@ -219,14 +219,6 @@ pub fn nell_by_predicate_seeded(seed: u64) -> (CompactKg, Stratification) {
     (kg, strat)
 }
 
-/// SYN 100M (Marchesin & Silvello 2024): 101,415,011 triples in 5M
-/// clusters, i.i.d. `Bernoulli(mu)` labels. `mu ∈ {0.9, 0.5, 0.1}` in the
-/// paper's Table 4. Memory: ~40 MB of cluster offsets, zero label storage.
-#[must_use]
-pub fn syn100m(mu: f64) -> CompactKg {
-    syn_scaled(101_415_011, 5_000_000, mu, DEFAULT_SEED)
-}
-
 /// A SYN-style dataset at arbitrary scale (for tests and CI-speed runs).
 #[must_use]
 pub fn syn_scaled(num_triples: u64, num_clusters: u32, mu: f64, seed: u64) -> CompactKg {
@@ -338,16 +330,5 @@ mod tests {
             "overall accuracy {} vs expected {expected:.3}",
             kg.true_accuracy()
         );
-    }
-
-    #[test]
-    #[ignore = "allocates the full 101M-triple dataset (~40 MB, a few seconds); run with --ignored"]
-    fn syn100m_full_scale() {
-        let kg = syn100m(0.5);
-        assert_eq!(kg.num_triples(), 101_415_011);
-        assert_eq!(kg.num_clusters(), 5_000_000);
-        assert!((kg.avg_cluster_size() - 20.283).abs() < 0.001);
-        // ~48 MB total: offsets only, no label storage.
-        assert!(kg.heap_bytes() < 64 << 20);
     }
 }

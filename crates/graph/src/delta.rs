@@ -1,6 +1,6 @@
 //! A mutable delta overlay over a frozen base KG.
 //!
-//! Continuous monitoring (ROADMAP item 2, paper §8) needs a KG that
+//! Continuous monitoring (paper §8) needs a KG that
 //! *changes* between annotation campaigns: production graphs gain and
 //! lose triples while an accuracy monitor watches. The base backends
 //! ([`crate::InMemoryKg`], [`crate::CompactKg`]) are deliberately
@@ -70,8 +70,6 @@ pub enum DeltaError {
         /// The repeated current id.
         id: u64,
     },
-    /// A restore handed ids that are unsorted or duplicated.
-    CorruptOverlay(&'static str),
 }
 
 impl fmt::Display for DeltaError {
@@ -83,7 +81,6 @@ impl fmt::Display for DeltaError {
             DeltaError::DuplicateRemove { id } => {
                 write!(f, "current id {id} removed twice in one batch")
             }
-            DeltaError::CorruptOverlay(what) => write!(f, "corrupt overlay: {what}"),
         }
     }
 }
@@ -172,53 +169,6 @@ impl<'a> DeltaKg<'a> {
         }
     }
 
-    /// Rebuilds an overlay from snapshot parts. `removed` must be
-    /// strictly ascending base ids below `base.num_triples()`; `added`
-    /// must be strictly ascending `(serial, correct)` pairs with every
-    /// serial below `next_serial`.
-    pub fn from_parts(
-        base: &'a dyn KnowledgeGraph,
-        truth: Option<&'a dyn GroundTruth>,
-        removed: Vec<u64>,
-        added: Vec<(u64, bool)>,
-        next_serial: u64,
-    ) -> Result<Self, DeltaError> {
-        if !removed.windows(2).all(|w| w[0] < w[1]) {
-            return Err(DeltaError::CorruptOverlay(
-                "removed ids not strictly ascending",
-            ));
-        }
-        if removed.last().is_some_and(|&b| b >= base.num_triples()) {
-            return Err(DeltaError::CorruptOverlay("removed id past the base KG"));
-        }
-        if !added.windows(2).all(|w| w[0].0 < w[1].0) {
-            return Err(DeltaError::CorruptOverlay(
-                "added serials not strictly ascending",
-            ));
-        }
-        if added.last().is_some_and(|&(s, _)| s >= next_serial) {
-            return Err(DeltaError::CorruptOverlay("added serial past next_serial"));
-        }
-        let mut kg = match truth {
-            Some(t) => Self::with_truth(base, t),
-            None => Self::new(base),
-        };
-        if let Some(t) = truth {
-            kg.removed_true = removed
-                .iter()
-                .filter(|&&b| t.is_correct(TripleId(b)))
-                .count() as u64;
-        }
-        kg.added_true = added.iter().filter(|&&(_, c)| c).count() as u64;
-        kg.removed = removed;
-        kg.added = added
-            .into_iter()
-            .map(|(serial, correct)| AddedTriple { serial, correct })
-            .collect();
-        kg.next_serial = next_serial;
-        Ok(kg)
-    }
-
     /// The frozen base KG this view overlays.
     #[must_use]
     pub fn base(&self) -> &'a dyn KnowledgeGraph {
@@ -232,19 +182,13 @@ impl<'a> DeltaKg<'a> {
         self.base.num_triples() - self.removed.len() as u64
     }
 
-    /// The removal set, strictly ascending base ids (for snapshots).
-    #[must_use]
-    pub fn removed_ids(&self) -> &[u64] {
-        &self.removed
-    }
-
     /// The additions as `(serial, correct)` pairs, strictly ascending
-    /// by serial (for snapshots).
+    /// by serial.
     pub fn added_entries(&self) -> impl Iterator<Item = (u64, bool)> + '_ {
         self.added.iter().map(|a| (a.serial, a.correct))
     }
 
-    /// The serial the next addition will receive (for snapshots).
+    /// The serial the next addition will receive.
     #[must_use]
     pub fn next_serial(&self) -> u64 {
         self.next_serial
@@ -548,38 +492,6 @@ mod tests {
         );
         assert_eq!(kg.num_triples(), 6);
         assert_eq!(kg.next_serial(), 0);
-    }
-
-    #[test]
-    fn from_parts_round_trips_and_validates() {
-        let base = tiny();
-        let mut kg = DeltaKg::with_truth(&base, &base);
-        kg.apply(&[1, 4], &[true, false]).unwrap();
-        kg.apply(&[4], &[false]).unwrap(); // removes Added(0)
-
-        let removed: Vec<u64> = kg.removed_ids().to_vec();
-        let added: Vec<(u64, bool)> = kg.added_entries().collect();
-        let restored =
-            DeltaKg::from_parts(&base, Some(&base), removed, added, kg.next_serial()).unwrap();
-        assert_eq!(restored.num_triples(), kg.num_triples());
-        assert!((restored.true_accuracy() - kg.true_accuracy()).abs() < 1e-12);
-        for t in 0..kg.num_triples() {
-            assert_eq!(restored.resolve(t), kg.resolve(t));
-            assert_eq!(restored.is_correct(TripleId(t)), kg.is_correct(TripleId(t)));
-        }
-
-        assert!(matches!(
-            DeltaKg::from_parts(&base, None, vec![3, 3], vec![], 0),
-            Err(DeltaError::CorruptOverlay(_))
-        ));
-        assert!(matches!(
-            DeltaKg::from_parts(&base, None, vec![], vec![(5, true)], 3),
-            Err(DeltaError::CorruptOverlay(_))
-        ));
-        assert!(matches!(
-            DeltaKg::from_parts(&base, None, vec![99], vec![], 0),
-            Err(DeltaError::CorruptOverlay(_))
-        ));
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub mod memory;
 pub mod stats;
 pub mod stratify;
 pub mod synthetic;
-pub mod tsv;
 
 pub use bitvec::LabelCache;
 pub use compact::{CompactKg, LabelStore};

@@ -46,31 +46,19 @@ pub fn expected_width(
     Ok(acc)
 }
 
-/// Which of the given priors has the smallest expected HPD width at `mu`
-/// (index into `priors`).
-pub fn best_prior_index(
-    priors: &[BetaPrior],
-    n: u64,
-    alpha: f64,
-    mu: f64,
-) -> Result<usize, IntervalError> {
-    let mut best = 0;
-    let mut best_w = f64::INFINITY;
-    for (i, p) in priors.iter().enumerate() {
-        let w = expected_width(p, n, alpha, mu, crate::hpd::hpd_interval_exact)?;
-        if w < best_w {
-            best_w = w;
-            best = i;
-        }
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::et::et_interval;
     use crate::hpd::hpd_interval_exact;
+
+    /// The prior with the smallest expected HPD width at `mu`.
+    fn best_prior_index(priors: &[BetaPrior], n: u64, alpha: f64, mu: f64) -> usize {
+        let width = |p| expected_width(p, n, alpha, mu, hpd_interval_exact).unwrap();
+        (0..priors.len())
+            .min_by(|&i, &j| width(&priors[i]).total_cmp(&width(&priors[j])))
+            .unwrap()
+    }
 
     #[test]
     fn expected_hpd_width_never_exceeds_expected_et_width() {
@@ -92,11 +80,11 @@ mod tests {
         // Kerman is optimal in the extreme regions, Uniform in the
         // center, and Jeffreys nowhere (paper §4.4 / Fig. 3).
         let priors = BetaPrior::UNINFORMATIVE; // [Kerman, Jeffreys, Uniform]
-        let extreme = best_prior_index(&priors, 30, 0.05, 0.99).unwrap();
+        let extreme = best_prior_index(&priors, 30, 0.05, 0.99);
         assert_eq!(priors[extreme].name, "Kerman");
-        let extreme_low = best_prior_index(&priors, 30, 0.05, 0.01).unwrap();
+        let extreme_low = best_prior_index(&priors, 30, 0.05, 0.01);
         assert_eq!(priors[extreme_low].name, "Kerman");
-        let central = best_prior_index(&priors, 30, 0.05, 0.5).unwrap();
+        let central = best_prior_index(&priors, 30, 0.05, 0.5);
         assert_eq!(priors[central].name, "Uniform");
     }
 
@@ -105,7 +93,7 @@ mod tests {
         let priors = BetaPrior::UNINFORMATIVE;
         for i in 0..=20 {
             let mu = i as f64 / 20.0;
-            let best = best_prior_index(&priors, 30, 0.05, mu).unwrap();
+            let best = best_prior_index(&priors, 30, 0.05, mu);
             assert_ne!(priors[best].name, "Jeffreys", "Jeffreys won at μ = {mu}");
         }
     }

@@ -71,14 +71,6 @@ impl BetaPrior {
         })
     }
 
-    /// Whether this is an uninformative prior in the paper's sense
-    /// (`a = b <= 1`), the condition under which the limiting-case HPD
-    /// formulas (Eq. 10/11) are stated.
-    #[must_use]
-    pub fn is_uninformative(&self) -> bool {
-        self.a == self.b && self.a <= 1.0
-    }
-
     /// Conjugate update with integer annotation counts:
     /// `Beta(a + τ, b + n - τ)`.
     ///
@@ -113,23 +105,6 @@ impl BetaPrior {
 mod tests {
     use super::*;
     use kgae_stats::dist::BetaShape;
-
-    #[test]
-    fn standard_priors_are_uninformative() {
-        for p in BetaPrior::UNINFORMATIVE {
-            assert!(p.is_uninformative(), "{}", p.name);
-        }
-        assert!(!BetaPrior::informative(80.0, 20.0)
-            .unwrap()
-            .is_uninformative());
-        // a = b but > 1 is not uninformative in the paper's sense.
-        assert!(!BetaPrior {
-            a: 2.0,
-            b: 2.0,
-            name: "x"
-        }
-        .is_uninformative());
-    }
 
     #[test]
     fn conjugate_update_adds_counts() {

@@ -347,8 +347,8 @@ fn recovery_sweep_checks_the_identity_prefix_of_every_record_tag() {
     // `u32` clusters, `u64` partition fingerprint; comparative `u8`
     // design tag, `u64` design parameter, `u64` triples, `u32`
     // clusters, `u8` primary, `u8` roster size; monitor `u64` triples,
-    // `u32` clusters, `u64` epoch, `bool` annotating.
-    const PREFIX: [usize; 7] = [31, 31, 31, 31, 39, 34, 32];
+    // `u32` clusters.
+    const PREFIX: [usize; 7] = [31, 31, 31, 31, 39, 34, 23];
     let meta = |id: &str| format!(r#"{{"spec":{{"id":"{id}"}},"state":"suspended"}}"#);
     for (tag, record) in every_tag_record().iter().enumerate() {
         assert_eq!(usize::from(record[10]), tag);
