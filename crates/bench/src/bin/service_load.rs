@@ -9,8 +9,9 @@
 //! frontend. After the load phase, one session is driven through the
 //! suspend → evict → resume path and must restore **bit-identically**:
 //! the stored snapshot bytes before and after the disk round trip are
-//! compared, and the interrupted campaign's final status must equal an
-//! uninterrupted same-seed run.
+//! compared, the evicted session's view must equal its view before
+//! `evict` apart from its state and snapshot size, and the interrupted
+//! campaign's final status must equal an uninterrupted same-seed run.
 //!
 //! A second, fault-injected leg then reruns campaigns through a seeded
 //! chaos proxy that tears and drops HTTP responses mid-flight; the
@@ -54,7 +55,7 @@
 //! CI run.
 
 use kgae_bench::arg_value;
-use kgae_client::{Client, ClientError, RetryPolicy};
+use kgae_client::{Client, ClientError, RetryPolicy, SessionInfo};
 use kgae_core::{DeltaBatch, StopReason};
 use kgae_graph::{CompactKg, DeltaKg, GroundTruth, TripleId};
 use kgae_service::api::SessionSpec;
@@ -288,9 +289,27 @@ fn verify_suspend_evict_resume(addr: SocketAddr, kg: &CompactKg, batch: u64) -> 
     let before = client
         .snapshot("parity-probe")
         .map_err(|e| format!("snapshot before: {e}"))?;
+    let view = client
+        .status("parity-probe")
+        .map_err(|e| format!("status before evict: {e}"))?;
     client
         .evict("parity-probe")
         .map_err(|e| format!("evict: {e}"))?;
+    // The evicted view is derived from the stored snapshot: it must
+    // match the view before `evict` apart from where the session lives.
+    let evicted = client
+        .status("parity-probe")
+        .map_err(|e| format!("status after evict: {e}"))?;
+    let derived = SessionInfo {
+        state: view.state,
+        snapshot_bytes: view.snapshot_bytes,
+        ..evicted.clone()
+    };
+    if evicted.state != SessionState::Evicted || derived != view {
+        return Err(format!(
+            "the evicted view differs from the view before evict:\n  before {view:?}\n  evicted {evicted:?}"
+        ));
+    }
     client
         .resume("parity-probe")
         .map_err(|e| format!("resume: {e}"))?;
@@ -350,6 +369,7 @@ fn verify_suspend_evict_resume(addr: SocketAddr, kg: &CompactKg, batch: u64) -> 
     }
     eprintln!(
         "parity: suspend→evict→resume byte-identical ({} B snapshot), \
+         evicted view equals the view before evict, \
          final status equals the uninterrupted twin",
         before.len()
     );

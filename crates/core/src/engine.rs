@@ -638,13 +638,29 @@ impl<'k> EngineSpec<'k, '_> {
     /// [`SessionError::SnapshotMismatch`] on a kind or fingerprint
     /// mismatch; [`SessionError::CorruptSnapshot`] on malformed bytes.
     pub fn resume(&self, bytes: &[u8]) -> Result<Box<dyn SessionEngine + 'k>, SessionError> {
+        self.resume_with_kernel(bytes, None)
+    }
+
+    /// [`EngineSpec::resume`] with a host's shared posterior-kernel
+    /// cache attached before the engine replays its log, so a monitor's
+    /// replayed stopping checks memoize through it (plain, stratified
+    /// and comparative replays run no stopping check).
+    ///
+    /// # Errors
+    ///
+    /// As [`EngineSpec::resume`].
+    pub fn resume_with_kernel(
+        &self,
+        bytes: &[u8],
+        kernel: Option<Arc<KernelCache>>,
+    ) -> Result<Box<dyn SessionEngine + 'k>, SessionError> {
         let stored = snapshot_engine_kind(bytes)?;
         if stored != self.kind() {
             return Err(SessionError::SnapshotMismatch(
                 "snapshot record tag denotes a different engine kind",
             ));
         }
-        Ok(match *self {
+        let mut engine: Box<dyn SessionEngine + 'k> = match *self {
             EngineSpec::Plain {
                 kg,
                 prepared,
@@ -693,9 +709,14 @@ impl<'k> EngineSpec<'k, '_> {
                 config,
                 carry_weight,
                 seed,
+                kernel.clone(),
                 bytes,
             )?),
-        })
+        };
+        if let Some(kernel) = kernel {
+            engine.set_kernel_cache(kernel);
+        }
+        Ok(engine)
     }
 }
 

@@ -599,7 +599,8 @@ impl<'a> MonitorSession<'a> {
     /// against the supplied spec, then builds [`MonitorSession::new`]
     /// and replays the logged calls through the live
     /// `next_request`/`submit`/`apply_deltas`, whose own checks validate
-    /// the log.
+    /// the log. A `kernel` cache is attached before the replay, so the
+    /// replayed stopping checks memoize through it.
     ///
     /// # Errors
     ///
@@ -615,6 +616,7 @@ impl<'a> MonitorSession<'a> {
         cfg: &EvalConfig,
         carry_weight: f64,
         seed: u64,
+        kernel: Option<std::sync::Arc<kgae_intervals::KernelCache>>,
         bytes: &[u8],
     ) -> Result<Self, SessionError> {
         let corrupt = SessionError::CorruptSnapshot;
@@ -646,6 +648,9 @@ impl<'a> MonitorSession<'a> {
         let labels = LabelLog::read(&mut r, 8 * cap).map_err(corrupt)?;
         let events = r.rest();
         let mut monitor = Self::new(base, method, cfg, carry_weight, seed);
+        if let Some(kernel) = kernel {
+            monitor.set_kernel_cache(kernel);
+        }
         let mut r = Reader::new(events);
         let mut next_label = 0;
         while !r.is_empty() {
@@ -1109,7 +1114,7 @@ mod tests {
             monitor.submit(&labels).unwrap();
         }
         let snap = MonitorSession::snapshot(&monitor).unwrap();
-        let resumed = MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, &snap).unwrap();
+        let resumed = MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, None, &snap).unwrap();
         assert_eq!(resumed.report().epoch, 0);
         assert!(!resumed.watching());
         assert_eq!(MonitorSession::snapshot(&resumed).unwrap(), snap);
@@ -1119,7 +1124,8 @@ mod tests {
         // batch outstanding).
         drive_to_watching(&mut monitor, &kg, 16);
         let watch_snap = MonitorSession::snapshot(&monitor).unwrap();
-        let resumed = MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, &watch_snap).unwrap();
+        let resumed =
+            MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, None, &watch_snap).unwrap();
         assert!(resumed.watching());
         assert_eq!(MonitorSession::snapshot(&resumed).unwrap(), watch_snap);
 
@@ -1149,22 +1155,22 @@ mod tests {
             monitor.submit(&labels).unwrap();
         }
         let snap = MonitorSession::snapshot(&monitor).unwrap();
-        let resumed = MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, &snap).unwrap();
+        let resumed = MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, None, &snap).unwrap();
         assert_eq!(resumed.report(), monitor.report());
         assert_eq!(resumed.report().epoch, 1);
         assert_eq!(MonitorSession::snapshot(&resumed).unwrap(), snap);
 
         // Wrong spec parameters are rejected cleanly.
         assert!(matches!(
-            MonitorSession::resume(&kg, &method, &cfg, 60.0, 5, &snap),
+            MonitorSession::resume(&kg, &method, &cfg, 60.0, 5, None, &snap),
             Err(SessionError::SnapshotMismatch("carry weight differs"))
         ));
         assert!(matches!(
-            MonitorSession::resume(&kg, &method, &cfg, 50.0, 6, &snap),
+            MonitorSession::resume(&kg, &method, &cfg, 50.0, 6, None, &snap),
             Err(SessionError::SnapshotMismatch("seed differs"))
         ));
         assert!(matches!(
-            MonitorSession::resume(&kg, &IntervalMethod::Wilson, &cfg, 50.0, 5, &snap),
+            MonitorSession::resume(&kg, &IntervalMethod::Wilson, &cfg, 50.0, 5, None, &snap),
             Err(SessionError::SnapshotMismatch("interval method differs"))
         ));
     }
@@ -1242,7 +1248,7 @@ mod tests {
                 "snapshot truncated",
             ),
         ] {
-            let got = MonitorSession::resume(&kg, &method, &cfg, 50.0, 3, &bytes);
+            let got = MonitorSession::resume(&kg, &method, &cfg, 50.0, 3, None, &bytes);
             assert!(
                 matches!(&got, Err(SessionError::CorruptSnapshot(m)) if *m == want),
                 "want {want}: {got:?}"

@@ -4,8 +4,9 @@
 //!
 //! Every encoder here has a matching decoder and the pair round-trips
 //! bit for bit (floats use shortest-round-trip formatting), which is
-//! what lets a suspended session's cached status survive
-//! meta-file → JSON → meta-file cycles unchanged.
+//! what lets a finished session's stored result and rows survive
+//! meta-file → JSON → meta-file cycles unchanged, and a client decode
+//! exactly the view the server encoded.
 
 use crate::json::Json;
 use kgae_core::{

@@ -34,9 +34,10 @@ use crate::metrics::{Metrics, ShardSessions};
 use crate::store::{valid_session_id, SnapshotStore, StoredSession};
 use crate::{api, json};
 use kgae_core::{
-    compared_methods, AnnotationRequest, DeltaBatch, DeltaOutcome, EngineSpec, EvalConfig,
-    EvalResult, IntervalMethod, MethodReport, MonitorReport, PreparedDesign, SamplingDesign,
-    SessionEngine, SessionError, SessionStatus, StopReason, StratifiedConfig, StratumReport,
+    compared_methods, AnnotationRequest, DeltaBatch, DeltaOutcome, EngineOutcome, EngineSpec,
+    EvalConfig, EvalResult, IntervalMethod, MethodReport, MonitorReport, PreparedDesign,
+    SamplingDesign, SessionEngine, SessionError, SessionStatus, SessionStatusView, StopReason,
+    StratifiedConfig, StratumReport,
 };
 use kgae_graph::stratify::Stratification;
 use kgae_graph::{CompactKg, KnowledgeGraph};
@@ -349,7 +350,7 @@ impl DatasetRegistry {
 pub enum SessionState {
     /// In memory, accepting polls and labels.
     Running,
-    /// Snapshot on disk, meta cached in memory.
+    /// Snapshot on disk, its suspension-time view held in memory.
     Suspended,
     /// On disk only — zero in-memory footprint.
     Evicted,
@@ -406,8 +407,8 @@ pub struct SessionView {
     pub pending_stratum: Option<(u32, String)>,
     /// The engine status — the headline view for every engine kind
     /// (pooled for stratified sessions, the primary method's for
-    /// comparative ones; cached at suspension time for dormant
-    /// sessions).
+    /// comparative ones). An evicted session reports the status of its
+    /// stored snapshot, resumed by the running binary.
     pub status: SessionStatus,
     /// Per-stratum rows (stratified sessions only).
     pub strata: Option<Vec<StratumReport>>,
@@ -450,37 +451,23 @@ impl Live<'_> {
     }
 
     /// Writes the session to `store` as suspended: the snapshot plus a
-    /// meta record carrying the cached status and the fencing seq, in
-    /// one atomic save — one record file, so a restart restores the seq
-    /// and the engine state it fences as a pair, and a failed save
-    /// leaves the previous pair in place. Returns the snapshot and the
-    /// status it cached.
-    fn persist(
-        &self,
-        store: &SnapshotStore,
-        id: &str,
-    ) -> ServiceResult<(Vec<u8>, kgae_core::SessionStatusView)> {
+    /// meta record of the spec and the fencing seq, in one atomic save
+    /// — one record file, so a restart restores the seq and the engine
+    /// state it fences as a pair, and a failed save leaves the previous
+    /// pair in place. Returns the snapshot.
+    fn persist(&self, store: &SnapshotStore, id: &str) -> ServiceResult<Vec<u8>> {
         let snapshot = self.engine.snapshot()?;
-        let view = self.engine.status();
-        let meta = meta_encode(
-            &self.spec,
-            &view.primary,
-            view.strata.as_deref(),
-            view.methods.as_deref(),
-            view.monitor.as_ref(),
-            MetaTail::Suspended { seq: self.seq },
-        );
-        store.save(id, &meta, Some(&snapshot))?;
-        Ok((snapshot, view))
+        let mut meta = meta_head(&self.spec, SessionState::Suspended);
+        meta.set("seq", Json::int(self.seq));
+        store.save(id, &meta.encode(), Some(&snapshot))?;
+        Ok(snapshot)
     }
 }
 
 struct Dormant {
     spec: SessionSpec,
-    status: SessionStatus,
-    strata: Option<Vec<StratumReport>>,
-    methods: Option<Vec<MethodReport>>,
-    monitor: Option<MonitorReport>,
+    /// The engine's view at suspension.
+    view: SessionStatusView,
     snapshot_bytes: u64,
     /// When this stub last saw activity (see [`Live::touched`]).
     touched: Instant,
@@ -488,10 +475,7 @@ struct Dormant {
 
 struct FinishedSlot {
     spec: SessionSpec,
-    reason: StopReason,
-    result: EvalResult,
-    strata: Option<Vec<StratumReport>>,
-    methods: Option<Vec<MethodReport>>,
+    outcome: EngineOutcome,
     /// When this result last saw activity (see [`Live::touched`]).
     touched: Instant,
 }
@@ -499,14 +483,17 @@ struct FinishedSlot {
 impl FinishedSlot {
     /// The meta-only record that persists this result.
     fn meta(&self) -> String {
-        meta_encode(
-            &self.spec,
-            &finished_status(self.reason, &self.result),
-            self.strata.as_deref(),
-            self.methods.as_deref(),
-            None,
-            MetaTail::Finished(self.reason, &self.result),
-        )
+        let outcome = &self.outcome;
+        let mut doc = meta_head(&self.spec, SessionState::Finished);
+        doc.set("reason", Json::str(api::stop_reason_name(outcome.reason)));
+        doc.set("result", api::result_to_json(&outcome.result));
+        if let Some(strata) = &outcome.strata {
+            doc.set("strata", api::strata_to_json(strata));
+        }
+        if let Some(methods) = &outcome.methods {
+            doc.set("methods", api::methods_to_json(methods));
+        }
+        doc.encode()
     }
 }
 
@@ -595,15 +582,22 @@ impl<'a> Blueprint<'a> {
     }
 }
 
-fn finished_status(reason: StopReason, result: &EvalResult) -> SessionStatus {
-    SessionStatus {
-        estimate: Some(result.mu_hat),
-        interval: Some(result.interval),
-        observations: result.observations,
-        annotated_triples: result.annotated_triples,
-        stage1_draws: result.stage1_draws,
-        cost_seconds: result.cost_seconds,
-        stopped: Some(reason),
+/// A finished session's view: its outcome as a stopped status.
+fn finished_view(outcome: &EngineOutcome) -> SessionStatusView {
+    let result = &outcome.result;
+    SessionStatusView {
+        primary: SessionStatus {
+            estimate: Some(result.mu_hat),
+            interval: Some(result.interval),
+            observations: result.observations,
+            annotated_triples: result.annotated_triples,
+            stage1_draws: result.stage1_draws,
+            cost_seconds: result.cost_seconds,
+            stopped: Some(outcome.reason),
+        },
+        strata: outcome.strata.clone(),
+        methods: outcome.methods.clone(),
+        monitor: None,
     }
 }
 
@@ -647,26 +641,14 @@ impl Slot<'_> {
         self.view_impl(true)
     }
 
-    #[allow(clippy::type_complexity)]
     fn view_impl(&self, brief: bool) -> SessionView {
-        let spec = self.spec();
-        let (
-            state,
-            pending,
-            pending_seq,
-            pending_stratum,
-            status,
-            strata,
-            methods,
-            monitor,
-            snapshot_bytes,
-        ) = match self {
+        let (state, view, snapshot_bytes) = match self {
             Slot::Live(live) => {
                 // One status call: a stratified/comparative status
                 // computes every row's interval, so the view must
                 // not pay twice — and the brief view not at all.
                 let view = if brief {
-                    kgae_core::SessionStatusView {
+                    SessionStatusView {
                         primary: live.engine.headline(),
                         strata: None,
                         methods: None,
@@ -675,54 +657,37 @@ impl Slot<'_> {
                 } else {
                     live.engine.status()
                 };
-                (
-                    SessionState::Running,
-                    live.pending_labels(),
-                    live.pending.as_ref().map(|_| live.seq),
-                    live.pending_stratum.clone(),
-                    view.primary,
-                    view.strata,
-                    view.methods,
-                    view.monitor,
-                    None,
-                )
+                (SessionState::Running, view, None)
             }
             Slot::Suspended(dormant) => (
                 SessionState::Suspended,
-                0,
-                None,
-                None,
-                dormant.status.clone(),
-                dormant.strata.clone(),
-                dormant.methods.clone(),
-                dormant.monitor.clone(),
+                dormant.view.clone(),
                 Some(dormant.snapshot_bytes),
             ),
             Slot::Finished(finished) => (
                 SessionState::Finished,
-                0,
-                None,
-                None,
-                finished_status(finished.reason, &finished.result),
-                finished.strata.clone(),
-                finished.methods.clone(),
-                None,
+                finished_view(&finished.outcome),
                 None,
             ),
         };
+        let live = match self {
+            Slot::Live(live) => Some(live),
+            _ => None,
+        };
+        let spec = self.spec();
         SessionView {
             id: spec.id.clone(),
             dataset: spec.dataset.clone(),
             design: spec.design.canonical_name(),
             method: spec.method.canonical_name(),
             state,
-            pending_labels: pending,
-            pending_seq,
-            pending_stratum,
-            status,
-            strata,
-            methods,
-            monitor,
+            pending_labels: live.map_or(0, |live| live.pending_labels()),
+            pending_seq: live.and_then(|live| live.pending.as_ref().map(|_| live.seq)),
+            pending_stratum: live.and_then(|live| live.pending_stratum.clone()),
+            status: view.primary,
+            strata: view.strata,
+            methods: view.methods,
+            monitor: view.monitor,
             snapshot_bytes,
         }
     }
@@ -732,59 +697,35 @@ impl Slot<'_> {
 // Meta records
 // ---------------------------------------------------------------------
 
-/// The state-specific end of a meta record, which also names the state.
-enum MetaTail<'r> {
-    /// A suspended session's fencing seq.
-    Suspended { seq: u64 },
-    /// A finished session's stop reason and result.
-    Finished(StopReason, &'r EvalResult),
-}
+// A record's meta holds only what resume cannot derive: the spec, the
+// state, and a suspended session's fencing seq or a finished session's
+// outcome. Fields an older layout also stored (a cached status and row
+// views) are ignored on read.
 
-fn meta_encode(
-    spec: &SessionSpec,
-    status: &SessionStatus,
-    strata: Option<&[StratumReport]>,
-    methods: Option<&[MethodReport]>,
-    monitor: Option<&MonitorReport>,
-    tail: MetaTail<'_>,
-) -> String {
-    let state = match tail {
-        MetaTail::Suspended { .. } => SessionState::Suspended,
-        MetaTail::Finished(..) => SessionState::Finished,
-    };
-    let mut doc = Json::obj(vec![
+/// The spec and state every meta record leads with.
+fn meta_head(spec: &SessionSpec, state: SessionState) -> Json {
+    Json::obj(vec![
         ("spec", spec.to_json()),
         ("state", Json::str(state.name())),
-        ("status", api::status_to_json(status)),
-    ]);
-    if let Some(strata) = strata {
-        doc.set("strata", api::strata_to_json(strata));
-    }
-    if let Some(methods) = methods {
-        doc.set("methods", api::methods_to_json(methods));
-    }
-    if let Some(monitor) = monitor {
-        doc.set("monitor", api::monitor_report_to_json(monitor));
-    }
-    match tail {
-        MetaTail::Suspended { seq } => doc.set("seq", Json::int(seq)),
-        MetaTail::Finished(reason, result) => {
-            doc.set("reason", Json::str(api::stop_reason_name(reason)));
-            doc.set("result", api::result_to_json(result));
-        }
-    }
-    doc.encode()
+    ])
 }
 
-struct MetaRecord {
-    spec: SessionSpec,
-    status: SessionStatus,
-    strata: Option<Vec<StratumReport>>,
-    methods: Option<Vec<MethodReport>>,
-    monitor: Option<MonitorReport>,
-    /// The fencing seq of a suspended record (0 when absent).
-    seq: u64,
-    finished: Option<(StopReason, EvalResult)>,
+enum MetaRecord {
+    /// A suspended session, with its fencing seq (0 when absent).
+    Suspended {
+        spec: SessionSpec,
+        seq: u64,
+    },
+    Finished(FinishedSlot),
+}
+
+impl MetaRecord {
+    fn spec(&self) -> &SessionSpec {
+        match self {
+            MetaRecord::Suspended { spec, .. } => spec,
+            MetaRecord::Finished(finished) => &finished.spec,
+        }
+    }
 }
 
 fn meta_decode(id: &str, meta: &str) -> ServiceResult<MetaRecord> {
@@ -803,9 +744,23 @@ fn meta_decode(id: &str, meta: &str) -> ServiceResult<MetaRecord> {
         .and_then(Json::as_str)
         .and_then(SessionState::from_name)
         .ok_or_else(|| corrupt("missing or unknown state".into()))?;
-    let status = api::status_from_json(
-        doc.get("status")
-            .ok_or_else(|| corrupt("missing status".into()))?,
+    if state != SessionState::Finished {
+        let seq = match doc.get("seq") {
+            None => 0,
+            Some(field) => field
+                .as_u64()
+                .ok_or_else(|| corrupt("seq is not an integer".into()))?,
+        };
+        return Ok(MetaRecord::Suspended { spec, seq });
+    }
+    let reason = doc
+        .get("reason")
+        .and_then(Json::as_str)
+        .ok_or_else(|| corrupt("finished record without a reason".into()))
+        .and_then(|name| api::stop_reason_from_name(name).map_err(|e| corrupt(e.to_string())))?;
+    let result = api::result_from_json(
+        doc.get("result")
+            .ok_or_else(|| corrupt("finished record without a result".into()))?,
     )
     .map_err(|e| corrupt(e.to_string()))?;
     let strata = match doc.get("strata") {
@@ -816,44 +771,16 @@ fn meta_decode(id: &str, meta: &str) -> ServiceResult<MetaRecord> {
         None | Some(Json::Null) => None,
         Some(field) => Some(api::methods_from_json(field).map_err(|e| corrupt(e.to_string()))?),
     };
-    let monitor = match doc.get("monitor") {
-        None | Some(Json::Null) => None,
-        Some(field) => {
-            Some(api::monitor_report_from_json(field).map_err(|e| corrupt(e.to_string()))?)
-        }
-    };
-    let seq = match doc.get("seq") {
-        None => 0,
-        Some(field) => field
-            .as_u64()
-            .ok_or_else(|| corrupt("seq is not an integer".into()))?,
-    };
-    let finished = if state == SessionState::Finished {
-        let reason = doc
-            .get("reason")
-            .and_then(Json::as_str)
-            .ok_or_else(|| corrupt("finished record without a reason".into()))
-            .and_then(|name| {
-                api::stop_reason_from_name(name).map_err(|e| corrupt(e.to_string()))
-            })?;
-        let result = api::result_from_json(
-            doc.get("result")
-                .ok_or_else(|| corrupt("finished record without a result".into()))?,
-        )
-        .map_err(|e| corrupt(e.to_string()))?;
-        Some((reason, result))
-    } else {
-        None
-    };
-    Ok(MetaRecord {
+    Ok(MetaRecord::Finished(FinishedSlot {
         spec,
-        status,
-        strata,
-        methods,
-        monitor,
-        seq,
-        finished,
-    })
+        outcome: EngineOutcome {
+            reason,
+            result,
+            strata,
+            methods,
+        },
+        touched: Instant::now(),
+    }))
 }
 
 // ---------------------------------------------------------------------
@@ -898,6 +825,18 @@ struct Occupancy {
 /// default bucket when the spec names none).
 fn tenant_key(spec: &SessionSpec) -> &str {
     spec.tenant.as_deref().unwrap_or("")
+}
+
+/// The tenant bucket a stored session counts against: an unreadable
+/// meta falls back to the default bucket (the session still occupies
+/// disk, and a later access quarantines it).
+fn stored_tenant(store: &SnapshotStore, id: &str) -> String {
+    store
+        .load(id)
+        .ok()
+        .flatten()
+        .and_then(|record| meta_decode(id, &record.meta).ok())
+        .map_or(String::new(), |meta| tenant_key(meta.spec()).to_string())
 }
 
 fn tenant_scope(tenant: &str) -> String {
@@ -977,18 +916,10 @@ impl<'a> SessionManager<'a> {
     ) -> Self {
         let shards = shards.max(1);
         let mut occupancy = Occupancy::default();
-        // Best-effort census: every stored id takes a quota slot; ids
-        // whose meta won't decode count against the default tenant
-        // (they still occupy disk, and a later access quarantines
-        // them).
+        // Best-effort census: every stored id takes a quota slot.
         if let Ok(ids) = store.list() {
             for id in ids {
-                let tenant = store
-                    .load(&id)
-                    .ok()
-                    .flatten()
-                    .and_then(|record| meta_decode(&id, &record.meta).ok())
-                    .map_or(String::new(), |meta| tenant_key(&meta.spec).to_string());
+                let tenant = stored_tenant(&store, &id);
                 occupancy.total += 1;
                 *occupancy.per_tenant.entry(tenant).or_insert(0) += 1;
             }
@@ -1440,34 +1371,32 @@ impl<'a> SessionManager<'a> {
     /// suspended record rehydrates with the fencing seq stored beside
     /// its snapshot.
     fn slot_from_store(&self, id: &str, record: &StoredSession) -> ServiceResult<Slot<'a>> {
-        let meta = meta_decode(id, &record.meta)?;
-        if let Some((reason, result)) = meta.finished {
-            return Ok(Slot::Finished(Box::new(FinishedSlot {
-                spec: meta.spec,
-                reason,
-                result,
-                strata: meta.strata,
-                methods: meta.methods,
-                touched: Instant::now(),
-            })));
-        }
+        let (spec, seq) = match meta_decode(id, &record.meta)? {
+            MetaRecord::Finished(finished) => return Ok(Slot::Finished(Box::new(finished))),
+            MetaRecord::Suspended { spec, seq } => (spec, seq),
+        };
         let snapshot = record.snapshot.as_deref().ok_or_else(|| {
             ServiceError::Corrupt(format!("session {id:?}: suspended without a snapshot"))
         })?;
-        let blueprint = self.blueprint(&meta.spec)?;
+        // `create` refused every spec the registry cannot build, so a
+        // stored one that fails is damaged or was written against
+        // another registry: this manager cannot serve it either way.
+        let blueprint = self.blueprint(&spec).map_err(|e| {
+            ServiceError::Corrupt(format!("session {id:?}: stored spec cannot be served: {e}"))
+        })?;
         // Registry-dispatched: the snapshot's record tag is validated
         // against the engine kind the spec denotes before any
-        // kind-specific parsing, and every fingerprint after that.
-        let mut engine = blueprint
-            .engine_spec(&meta.spec.method, meta.spec.seed)
-            .resume(snapshot)?;
-        engine.set_kernel_cache(Arc::clone(&self.kernel));
+        // kind-specific parsing, and every fingerprint after that. The
+        // shared kernel cache goes in before the replay.
+        let engine = blueprint
+            .engine_spec(&spec.method, spec.seed)
+            .resume_with_kernel(snapshot, Some(Arc::clone(&self.kernel)))?;
         Ok(Slot::Live(Box::new(Live {
-            spec: meta.spec,
+            spec,
             engine,
             pending: None,
             pending_stratum: None,
-            seq: meta.seq,
+            seq,
             touched: Instant::now(),
         })))
     }
@@ -1518,7 +1447,6 @@ impl<'a> SessionManager<'a> {
         let Some(Slot::Live(live)) = shard.remove(id) else {
             unreachable!("finalize requires a live slot")
         };
-        let spec = live.spec;
         let outcome = live
             .engine
             .into_outcome()
@@ -1526,11 +1454,8 @@ impl<'a> SessionManager<'a> {
         shard.insert(
             id.to_string(),
             Slot::Finished(Box::new(FinishedSlot {
-                spec,
-                reason: outcome.reason,
-                result: outcome.result,
-                strata: outcome.strata,
-                methods: outcome.methods,
+                spec: live.spec,
+                outcome,
                 touched: Instant::now(),
             })),
         );
@@ -1775,21 +1700,26 @@ impl<'a> SessionManager<'a> {
         Ok((outcome, shard.get(id).expect("slot exists").view()))
     }
 
-    /// The session's current view. Never rehydrates: dormant sessions
-    /// report their suspension-time status straight from the cached
-    /// meta record.
+    /// The session's current view. A session only on disk is not
+    /// rehydrated: its stored record is loaded into a scratch slot — a
+    /// suspended snapshot resumed into an engine by the same path
+    /// rehydration takes — whose view is reported as evicted. The
+    /// scratch engine never enters the shard, does not count as a
+    /// resume and leaves the TTL clock alone.
     ///
     /// For a session only on disk, the shard lock is dropped before the
     /// store is read, so a `suspend`, `resume` or `evict` of the same id
     /// may persist concurrently. The read is still one committed record:
     /// a save replaces the whole file by one atomic rename and the load
-    /// reads one file, so the view's cached status and `snapshot_bytes`
-    /// always come from the same persist (the latest one, or one just
+    /// reads one file, so the view's status and `snapshot_bytes` always
+    /// come from the same persist (the latest one, or one just
     /// superseded).
     ///
     /// # Errors
     ///
-    /// [`ServiceError::UnknownSession`] or a corrupt stored record.
+    /// [`ServiceError::UnknownSession`], or
+    /// [`ServiceError::Quarantined`] for a stored record that cannot
+    /// resume, as rehydration would answer.
     pub fn status(&self, id: &str) -> ServiceResult<SessionView> {
         self.check_quarantined(id)?;
         let shard = self.shard(id).lock().expect("shard lock");
@@ -1797,27 +1727,16 @@ impl<'a> SessionManager<'a> {
             return Ok(slot.view());
         }
         drop(shard);
-        let (meta, record) = match self.store.load(id) {
-            Ok(Some(record)) => meta_decode(id, &record.meta).map(|meta| (meta, record)),
+        match self.store.load(id) {
+            Ok(Some(record)) => self.slot_from_store(id, &record).map(|slot| SessionView {
+                state: SessionState::Evicted,
+                snapshot_bytes: record.snapshot.as_ref().map(|s| s.len() as u64),
+                ..slot.view()
+            }),
             Ok(None) => return Err(ServiceError::UnknownSession(id.to_string())),
             Err(e) => Err(e.into()),
         }
-        .map_err(|e| self.quarantine_on_corruption(id, e))?;
-        Ok(SessionView {
-            id: meta.spec.id.clone(),
-            dataset: meta.spec.dataset.clone(),
-            design: meta.spec.design.canonical_name(),
-            method: meta.spec.method.canonical_name(),
-            state: SessionState::Evicted,
-            pending_labels: 0,
-            pending_seq: None,
-            pending_stratum: None,
-            status: meta.status,
-            strata: meta.strata,
-            methods: meta.methods,
-            monitor: meta.monitor,
-            snapshot_bytes: record.snapshot.as_ref().map(|s| s.len() as u64),
-        })
+        .map_err(|e| self.quarantine_on_corruption(id, e))
     }
 
     /// Suspends a running session: its record to disk, live state
@@ -1841,13 +1760,10 @@ impl<'a> SessionManager<'a> {
                 if live.engine.has_pending_request() {
                     return Err(ServiceError::RequestOutstanding(id.to_string()));
                 }
-                let (snapshot, view) = live.persist(&self.store, id)?;
+                let snapshot = live.persist(&self.store, id)?;
                 let dormant = Dormant {
                     spec: live.spec.clone(),
-                    status: view.primary,
-                    strata: view.strata,
-                    methods: view.methods,
-                    monitor: view.monitor,
+                    view: live.engine.status(),
                     snapshot_bytes: snapshot.len() as u64,
                     touched: Instant::now(),
                 };
@@ -1937,25 +1853,12 @@ impl<'a> SessionManager<'a> {
     /// store I/O failures.
     pub fn delete(&self, id: &str) -> ServiceResult<()> {
         let mut shard = self.shard(id).lock().expect("shard lock");
-        let removed = shard.remove(id);
-        let mut tenant = removed
-            .as_ref()
+        let mut tenant = shard
+            .remove(id)
             .map(|slot| tenant_key(slot.spec()).to_string());
-        let on_disk = self.store.contains(id);
-        if on_disk {
-            if tenant.is_none() {
-                // Disk-only session: its quota owner is in the meta
-                // record (unreadable meta falls back to the default
-                // tenant, matching the startup census).
-                tenant = Some(
-                    self.store
-                        .load(id)
-                        .ok()
-                        .flatten()
-                        .and_then(|record| meta_decode(id, &record.meta).ok())
-                        .map_or(String::new(), |meta| tenant_key(&meta.spec).to_string()),
-                );
-            }
+        if self.store.contains(id) {
+            // A disk-only session's quota owner is in its meta record.
+            tenant = tenant.or_else(|| Some(stored_tenant(&self.store, id)));
             self.store.remove(id)?;
         }
         match tenant {
@@ -2005,7 +1908,7 @@ impl<'a> SessionManager<'a> {
             let shard = self.shard(id).lock().expect("shard lock");
             match shard.get(id) {
                 Some(Slot::Finished(finished)) => {
-                    return Ok((finished.reason, finished.result.clone()))
+                    return Ok((finished.outcome.reason, finished.outcome.result.clone()))
                 }
                 Some(_) => {
                     return Err(ServiceError::BadRequest(format!(
@@ -2018,13 +1921,20 @@ impl<'a> SessionManager<'a> {
         let Some(record) = self.store.load(id)? else {
             return Err(ServiceError::UnknownSession(id.to_string()));
         };
-        let meta = meta_decode(id, &record.meta)?;
-        meta.finished
-            .ok_or_else(|| ServiceError::BadRequest(format!("session {id:?} has not finished")))
+        match meta_decode(id, &record.meta)? {
+            MetaRecord::Finished(finished) => {
+                Ok((finished.outcome.reason, finished.outcome.result))
+            }
+            MetaRecord::Suspended { .. } => Err(ServiceError::BadRequest(format!(
+                "session {id:?} has not finished"
+            ))),
+        }
     }
 
     /// Views of every known session — in-memory ones live, on-disk-only
-    /// ones as [`SessionState::Evicted`] — sorted by id.
+    /// ones as [`SessionState::Evicted`] — sorted by id. A stored record
+    /// that is quarantined while it is read, or removed meanwhile, is
+    /// left out rather than failing the whole listing.
     ///
     /// # Errors
     ///
@@ -2040,8 +1950,13 @@ impl<'a> SessionManager<'a> {
             }
         }
         for id in self.store.list()? {
-            if !seen.contains(&id) {
-                views.push(self.status(&id)?);
+            if seen.contains(&id) {
+                continue;
+            }
+            match self.status(&id) {
+                Ok(view) => views.push(view),
+                Err(ServiceError::Quarantined(_) | ServiceError::UnknownSession(_)) => {}
+                Err(e) => return Err(e),
             }
         }
         views.sort_by(|a, b| a.id.cmp(&b.id));

@@ -1,12 +1,12 @@
 //! The snapshot store: dormant sessions as files.
 //!
 //! A suspended evaluation campaign is a few KB of snapshot bytes plus a
-//! small JSON meta record (its spec, last observed status and fencing
-//! seq). Spilling idle sessions here is what lets one server host
-//! millions of dormant campaigns: RAM holds only the live ones, disk
-//! holds the rest, and rehydration is lazy — a session is re-validated
-//! (snapshot fingerprints and all) and rebuilt only when traffic
-//! returns for it.
+//! small JSON meta record (its spec, state and fencing seq; its status
+//! is derived from the snapshot, never stored). Spilling idle sessions
+//! here is what lets one server host millions of dormant campaigns: RAM
+//! holds only the live ones, disk holds the rest, and rehydration is
+//! lazy — a session is re-validated (snapshot fingerprints and all) and
+//! rebuilt only when traffic returns for it.
 //!
 //! Layout: one directory, one file per session, `<id>.rec`: a
 //! little-endian `u32` meta length, the meta JSON, then the snapshot
@@ -113,7 +113,8 @@ pub fn from_hex(s: &str) -> Option<Vec<u8>> {
 /// A dormant session's on-disk record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredSession {
-    /// The meta JSON document (spec + cached status), verbatim.
+    /// The meta JSON document (spec, state and the state's tail
+    /// fields), verbatim.
     pub meta: String,
     /// Snapshot bytes, when the session was suspended mid-flight
     /// (`None` for sessions that finished before eviction; an empty

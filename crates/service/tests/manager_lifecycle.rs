@@ -304,7 +304,8 @@ fn stratified_campaigns_run_report_rows_and_round_trip_snapshots() {
     manager.evict("probe").unwrap();
     let evicted = manager.status("probe").unwrap();
     assert_eq!(evicted.state, SessionState::Evicted);
-    // Dormant stratified sessions keep their rows in the meta record.
+    // An evicted stratified session reports the rows of its resumed
+    // snapshot.
     assert_eq!(evicted.strata.as_ref().unwrap().len(), 8);
     manager.resume("probe").unwrap();
     manager.suspend("probe").unwrap();

@@ -540,9 +540,9 @@ fn janitor_interleaving_preserves_every_trajectory() {
 /// `status` of a session only on disk reads the store after dropping
 /// the shard lock, so `suspend`, `resume` and `evict` of the same id
 /// run against it on other threads. Every `Evicted` view must still
-/// pair a cached status with the `snapshot_bytes` of the same persist:
-/// the set of pairs the persisting thread's own reads saw after each
-/// persist.
+/// pair the status derived from one persist's snapshot with that
+/// persist's `snapshot_bytes`: the set of pairs the persisting thread's
+/// own reads saw after each persist.
 #[test]
 fn status_of_a_dormant_session_reads_one_persist() {
     const ROUNDS: usize = 120;
@@ -602,7 +602,7 @@ fn status_of_a_dormant_session_reads_one_persist() {
     for seen in &observed {
         assert!(
             persisted.contains(seen),
-            "status paired a cached status with another persist's snapshot: {seen:?}"
+            "status paired one persist's status with another persist's snapshot: {seen:?}"
         );
     }
     let _ = std::fs::remove_dir_all(manager.store().dir());
