@@ -42,29 +42,6 @@ pub fn exact_srs_coverage(
     Ok(coverage)
 }
 
-/// Mean interval width at fixed `n` — the companion efficiency metric.
-pub fn exact_srs_expected_width(
-    method: &IntervalMethod,
-    n: u64,
-    mu: f64,
-    alpha: f64,
-) -> Result<f64, IntervalError> {
-    let bin = Binomial::new(n, mu).map_err(IntervalError::Stats)?;
-    let mut acc = 0.0;
-    for tau in 0..=n {
-        let p = bin.pmf(tau);
-        if p < 1e-16 {
-            continue;
-        }
-        let mut state = SampleState::new_srs();
-        for i in 0..n {
-            state.record_triple(i < tau);
-        }
-        acc += p * method.interval(&state, alpha)?.width();
-    }
-    Ok(acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,29 +82,6 @@ mod tests {
         ] {
             let c = exact_srs_coverage(&m, 40, 0.8, 0.05).unwrap();
             assert!((0.0..=1.0).contains(&c), "{}: {c}", m.name());
-        }
-    }
-
-    #[test]
-    fn expected_width_decreases_with_n() {
-        let m = IntervalMethod::ahpd_default();
-        let w30 = exact_srs_expected_width(&m, 30, 0.85, 0.05).unwrap();
-        let w120 = exact_srs_expected_width(&m, 120, 0.85, 0.05).unwrap();
-        assert!(w120 < w30);
-        // Quadrupling n roughly halves the width.
-        assert!((w30 / w120 - 2.0).abs() < 0.4, "ratio = {}", w30 / w120);
-    }
-
-    #[test]
-    fn ahpd_width_never_exceeds_single_prior_width() {
-        let ahpd = IntervalMethod::ahpd_default();
-        for prior in BetaPrior::UNINFORMATIVE {
-            let single = IntervalMethod::Hpd(prior);
-            for &mu in &[0.3, 0.9] {
-                let wa = exact_srs_expected_width(&ahpd, 30, mu, 0.05).unwrap();
-                let ws = exact_srs_expected_width(&single, 30, mu, 0.05).unwrap();
-                assert!(wa <= ws + 1e-9, "μ={mu}, prior={}", prior.name);
-            }
         }
     }
 }

@@ -130,7 +130,7 @@ impl Json {
     }
 
     /// [`Json::encode`] with two-space indentation — for artifacts a
-    /// human diffs, like `BENCH_eval.json`.
+    /// human diffs.
     #[must_use]
     pub fn encode_pretty(&self) -> String {
         let mut out = String::new();

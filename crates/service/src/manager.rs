@@ -1901,7 +1901,9 @@ impl<'a> SessionManager<'a> {
     /// # Errors
     ///
     /// [`ServiceError::BadRequest`] if the session is still running,
-    /// [`ServiceError::UnknownSession`] if nothing exists under `id`.
+    /// [`ServiceError::UnknownSession`] if nothing exists under `id`,
+    /// [`ServiceError::Quarantined`] for a stored record that does not
+    /// decode, as [`SessionManager::status`] would answer.
     pub fn final_result(&self, id: &str) -> ServiceResult<(StopReason, EvalResult)> {
         self.check_quarantined(id)?;
         {
@@ -1918,10 +1920,12 @@ impl<'a> SessionManager<'a> {
                 None => {}
             }
         }
-        let Some(record) = self.store.load(id)? else {
-            return Err(ServiceError::UnknownSession(id.to_string()));
+        let record = match self.store.load(id) {
+            Ok(Some(record)) => meta_decode(id, &record.meta),
+            Ok(None) => return Err(ServiceError::UnknownSession(id.to_string())),
+            Err(e) => Err(e.into()),
         };
-        match meta_decode(id, &record.meta)? {
+        match record.map_err(|e| self.quarantine_on_corruption(id, e))? {
             MetaRecord::Finished(finished) => {
                 Ok((finished.outcome.reason, finished.outcome.result))
             }

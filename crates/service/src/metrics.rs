@@ -11,8 +11,9 @@
 //! (`text/plain; version=0.0.4`).
 //!
 //! Two design choices matter for exact reconciliation (the
-//! `service_load` metrics leg asserts scraped counters against
-//! client-side ground truth):
+//! `metrics_scrape` tests, CI's reactor smoke and the benchmark's
+//! service workloads assert scraped counters against client-side
+//! ground truth):
 //!
 //! * A request's own counter is bumped **after** its response body is
 //!   built, so a `/metrics` scrape reports exactly the requests that

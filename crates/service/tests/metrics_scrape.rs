@@ -327,7 +327,8 @@ fn drive_to_convergence(addr: SocketAddr, id: &str) {
 /// identical twin replays the same trajectory so every solve the first
 /// campaign inserted is answered from memo. `lookups` is derived as
 /// `hits + misses` by construction, and `entries` must equal
-/// `insertions - evictions` — no slack on either identity.
+/// `insertions - evictions` — no slack on either identity. The session
+/// counters close too: two created, two finished, one evicted.
 #[test]
 fn kernel_cache_counters_appear_and_reconcile_after_a_campaign() {
     let dir = temp_dir("kernel");
@@ -340,8 +341,19 @@ fn kernel_cache_counters_appear_and_reconcile_after_a_campaign() {
     let (status, doc) = call(addr, "POST", "/v1/sessions", &ahpd_create_body("kernel-b"));
     assert_eq!(status, 201, "{}", doc.encode());
     drive_to_convergence(addr, "kernel-b");
+    let (status, doc) = call(addr, "POST", "/v1/sessions/kernel-a/evict", "");
+    assert_eq!(status, 200, "evict: {}", doc.encode());
 
     let after = scrape(addr);
+    // The session counters of a fresh server reconcile exactly with
+    // the two campaigns driven to their stop and the one eviction.
+    for (family, want) in [
+        ("kgae_sessions_created_total", 2.0),
+        ("kgae_sessions_finished_total", 2.0),
+        ("kgae_sessions_evicted_total", 1.0),
+    ] {
+        assert_eq!(at(&after, family), want, "{family}");
+    }
     let lookups = at(&after, "kgae_kernel_cache_lookups_total");
     let hits = at(&after, "kgae_kernel_cache_hits_total");
     let misses = at(&after, "kgae_kernel_cache_misses_total");

@@ -317,6 +317,34 @@ fn a_damaged_record_is_left_out_of_the_listing() {
 }
 
 #[test]
+fn a_final_result_read_quarantines_a_meta_that_does_not_decode() {
+    let registry = DatasetRegistry::standard();
+    let dir = temp_dir("final-result");
+    let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 2);
+    // One finished campaign and one mid-flight, both evicted; then
+    // their metas stop parsing.
+    for (id, batches) in [("done", usize::MAX), ("mid", 2)] {
+        let spec = spec(id, "nell", "srs", 9);
+        manager.create(&spec).unwrap();
+        drive(&manager, &registry, &spec, batches);
+        manager.evict(id).unwrap();
+        let snapshot = manager.store().load(id).unwrap().unwrap().snapshot;
+        manager
+            .store()
+            .save(id, "{\"spec\":", snapshot.as_deref())
+            .unwrap();
+    }
+    for id in ["done", "mid", "done", "mid"] {
+        let err = manager.final_result(id).unwrap_err();
+        assert!(matches!(err, ServiceError::Quarantined(_)), "{id}: {err}");
+        assert_eq!(err.http_status(), 410, "{id}");
+    }
+    assert_eq!(manager.quarantined_sessions(), ["done", "mid"]);
+    assert!(manager.list().unwrap().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn a_rehydrated_monitor_replays_through_the_shared_kernel_cache() {
     let registry = DatasetRegistry::standard();
     let dir = temp_dir("kernel");
