@@ -1,8 +1,9 @@
-//! Sampling-substrate throughput: SRS draws, TWCS cluster draws, and the
-//! PPS alias-table build, on a 1M-triple SYN replica (50k clusters).
+//! Sampling-substrate throughput: SRS and TWCS units drawn through the
+//! drivers sessions poll, and the PPS alias-table build, on a 1M-triple
+//! SYN replica (50k clusters).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use kgae_sampling::{pps_by_size_table, SrsSampler, TwcsSampler};
+use kgae_sampling::{pps_by_size_table, DesignDriver, SrsDriver, TwcsDriver};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::Arc;
@@ -18,10 +19,11 @@ fn bench_sampling(c: &mut Criterion) {
     g.bench_function("srs_1000_draws", |b| {
         b.iter(|| {
             let mut rng = SmallRng::seed_from_u64(1);
-            let mut s = SrsSampler::new(&kg);
-            let mut acc = 0u64;
+            let mut d = SrsDriver::new(&kg);
+            let (mut acc, mut unit) = (0u64, Vec::new());
             for _ in 0..1_000 {
-                acc += s.next_triple(&mut rng).unwrap().triple.index();
+                d.next_unit(&mut rng, &mut unit).unwrap();
+                acc += unit[0].triple.index();
             }
             black_box(acc)
         })
@@ -31,11 +33,11 @@ fn bench_sampling(c: &mut Criterion) {
     g.bench_function("twcs_1000_cluster_draws_m5", |b| {
         b.iter(|| {
             let mut rng = SmallRng::seed_from_u64(2);
-            let mut s = TwcsSampler::with_table(&kg, 5, Arc::clone(&table));
-            let (mut acc, mut triples) = (0usize, Vec::new());
+            let mut d = TwcsDriver::with_table(&kg, 5, Arc::clone(&table));
+            let (mut acc, mut unit) = (0usize, Vec::new());
             for _ in 0..1_000 {
-                s.next_cluster(&mut rng, &mut triples);
-                acc += triples.len();
+                d.next_unit(&mut rng, &mut unit).unwrap();
+                acc += unit.len();
             }
             black_box(acc)
         })

@@ -3,8 +3,8 @@
 //! The paper's framework obtains correctness labels from human annotators
 //! (phase 2 of Figure 1). The reproduction simulates them as transforms of
 //! the gold label: a perfect oracle (what the paper's experiments assume,
-//! since their datasets *are* the gold labels), a noisy single annotator,
-//! and the majority-vote panel of 3–5 annotators discussed in §6.5.
+//! since their datasets *are* the gold labels) and a noisy single
+//! annotator.
 
 use rand::Rng;
 
@@ -14,12 +14,6 @@ pub trait Annotator: Send + Sync {
     /// Produces the label recorded for a triple whose gold label is
     /// `truth`.
     fn annotate<R: Rng + ?Sized>(&self, truth: bool, rng: &mut R) -> bool;
-
-    /// How many human judgments one recorded label costs (1 for a single
-    /// annotator, `k` for a majority-vote panel). Scales the cost model.
-    fn judgments_per_label(&self) -> u64 {
-        1
-    }
 }
 
 /// Reads the gold label verbatim — the paper's experimental setting.
@@ -67,63 +61,6 @@ impl Annotator for NoisyAnnotator {
     }
 }
 
-/// A panel of `k` independent noisy annotators aggregated by majority
-/// vote (the real-world setting of §6.5: "3-5 annotators per fact, whose
-/// annotations are aggregated to determine the final correctness label").
-#[derive(Debug, Clone, Copy)]
-pub struct MajorityVoteAnnotator {
-    /// Panel size (odd, so ties cannot happen).
-    pub panel: u64,
-    /// Per-annotator error probability.
-    pub error_rate: f64,
-}
-
-impl MajorityVoteAnnotator {
-    /// Creates a majority-vote panel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `panel` is even or zero, or `error_rate` is outside
-    /// `[0, 1]`.
-    #[must_use]
-    pub fn new(panel: u64, error_rate: f64) -> Self {
-        assert!(
-            panel % 2 == 1 && panel > 0,
-            "panel must be odd, got {panel}"
-        );
-        assert!(
-            (0.0..=1.0).contains(&error_rate),
-            "error_rate {error_rate} outside [0, 1]"
-        );
-        Self { panel, error_rate }
-    }
-}
-
-impl Annotator for MajorityVoteAnnotator {
-    fn annotate<R: Rng + ?Sized>(&self, truth: bool, rng: &mut R) -> bool {
-        let mut votes_for_truth = 0u64;
-        for _ in 0..self.panel {
-            let vote = if rng.gen_bool(self.error_rate) {
-                !truth
-            } else {
-                truth
-            };
-            if vote == truth {
-                votes_for_truth += 1;
-            }
-        }
-        if votes_for_truth * 2 > self.panel {
-            truth
-        } else {
-            !truth
-        }
-    }
-
-    fn judgments_per_label(&self) -> u64 {
-        self.panel
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +74,6 @@ mod tests {
             assert!(OracleAnnotator.annotate(true, &mut rng));
             assert!(!OracleAnnotator.annotate(false, &mut rng));
         }
-        assert_eq!(OracleAnnotator.judgments_per_label(), 1);
     }
 
     #[test]
@@ -148,25 +84,6 @@ mod tests {
         let errors = (0..n).filter(|_| !a.annotate(true, &mut rng)).count();
         let rate = errors as f64 / n as f64;
         assert!((rate - 0.2).abs() < 0.01, "rate = {rate}");
-    }
-
-    #[test]
-    fn majority_vote_reduces_error() {
-        // With per-annotator error 0.2, a 5-panel majority errs with
-        // probability Σ_{k≥3} C(5,k) 0.2^k 0.8^{5-k} ≈ 0.0579.
-        let a = MajorityVoteAnnotator::new(5, 0.2);
-        let mut rng = SmallRng::seed_from_u64(3);
-        let n = 100_000;
-        let errors = (0..n).filter(|_| !a.annotate(true, &mut rng)).count();
-        let rate = errors as f64 / n as f64;
-        assert!((rate - 0.0579).abs() < 0.01, "rate = {rate}");
-        assert_eq!(a.judgments_per_label(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "odd")]
-    fn even_panel_rejected() {
-        let _ = MajorityVoteAnnotator::new(4, 0.1);
     }
 
     #[test]

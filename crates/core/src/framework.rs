@@ -30,7 +30,9 @@ use crate::session::{AnnotationRequest, EvaluationSession, SessionError, Snapsho
 use kgae_graph::{GroundTruth, KnowledgeGraph};
 use kgae_intervals::{Interval, IntervalError};
 use kgae_sampling::driver::DesignSpec;
-use kgae_sampling::{pps_by_size_table, AliasTable};
+use kgae_sampling::{
+    pps_by_size_table, AliasTable, DesignDriver, ScsDriver, SrsDriver, TwcsDriver, WcsDriver,
+};
 use std::sync::Arc;
 
 /// The sampling strategy S of the minimization problem.
@@ -64,8 +66,7 @@ impl SamplingDesign {
     }
 
     /// The design as a wire-level [`DesignSpec`] — the form the session
-    /// service exchanges over HTTP and the input to
-    /// [`kgae_sampling::driver::build_driver`].
+    /// service exchanges over HTTP.
     #[must_use]
     pub fn spec(&self) -> DesignSpec {
         match *self {
@@ -244,7 +245,7 @@ impl EvalResult {
 #[derive(Debug, Clone)]
 pub struct PreparedDesign {
     design: SamplingDesign,
-    /// Arc-shared so per-repetition sessions/samplers clone a pointer,
+    /// Arc-shared so per-repetition sessions/drivers clone a pointer,
     /// never the O(#clusters) table.
     pps: Option<Arc<AliasTable>>,
 }
@@ -268,10 +269,26 @@ impl PreparedDesign {
         self.design
     }
 
-    /// The shared PPS alias table (an `Arc` clone — pointer copy, not
-    /// table copy), for the designs that have one.
-    pub(crate) fn pps(&self) -> Option<Arc<AliasTable>> {
-        self.pps.clone()
+    /// A fresh driver for the design over `kg`; the PPS designs share
+    /// the prepared alias table (an `Arc` clone — pointer copy, not table
+    /// copy).
+    pub(crate) fn driver<'a>(
+        &self,
+        kg: &'a dyn KnowledgeGraph,
+    ) -> Box<dyn DesignDriver + Send + 'a> {
+        let pps = || {
+            Arc::clone(
+                self.pps
+                    .as_ref()
+                    .expect("PPS designs are prepared with a table"),
+            )
+        };
+        match self.design {
+            SamplingDesign::Srs => Box::new(SrsDriver::new(kg)),
+            SamplingDesign::Twcs { m } => Box::new(TwcsDriver::with_table(kg, m, pps())),
+            SamplingDesign::Wcs => Box::new(WcsDriver::with_table(kg, pps())),
+            SamplingDesign::Scs => Box::new(ScsDriver::new(kg)),
+        }
     }
 }
 
@@ -540,6 +557,44 @@ mod tests {
         // Hashed labels: compare against the realized accuracy of the 40
         // labels, not the nominal generation rate.
         assert!((r.mu_hat - kg.measure_accuracy()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn prepared_driver_reconstructs_every_design() {
+        let kg = kgae_graph::compact::CompactKg::new(
+            &[3, 1, 4, 2],
+            kgae_graph::compact::LabelStore::Hashed { seed: 9, rate: 0.8 },
+        );
+        let mut rng = SmallRng::seed_from_u64(8);
+        let mut buf = Vec::new();
+        for (design, est_is_triple) in [
+            (SamplingDesign::Srs, true),
+            (SamplingDesign::Twcs { m: 3 }, false),
+            (SamplingDesign::Wcs, false),
+            (SamplingDesign::Scs, false),
+        ] {
+            let mut d = PreparedDesign::new(&kg, design).driver(&kg);
+            assert!(d.next_unit(&mut rng, &mut buf).is_some(), "{design:?}");
+            assert_eq!(
+                matches!(d.estimator(), kgae_sampling::UnitEstimator::Triple),
+                est_is_triple,
+                "{design:?}"
+            );
+        }
+        // A prepared driver produces the exact stream of a directly
+        // constructed one.
+        let mut a = PreparedDesign::new(&kg, SamplingDesign::Twcs { m: 2 }).driver(&kg);
+        let mut b = TwcsDriver::new(&kg, 2);
+        let mut rng_a = SmallRng::seed_from_u64(11);
+        let mut rng_b = SmallRng::seed_from_u64(11);
+        let mut buf_b = Vec::new();
+        for _ in 0..20 {
+            assert_eq!(
+                a.next_unit(&mut rng_a, &mut buf),
+                b.next_unit(&mut rng_b, &mut buf_b)
+            );
+            assert_eq!(buf, buf_b);
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@
 //! | [`method`] | Wald / Wilson / ET / HPD / aHPD dispatch |
 //! | [`state`] | sufficient statistics + design-effect adjustment |
 //! | [`cost`] | Eq. 12 cost model (c1 = 45 s, c2 = 25 s) |
-//! | [`annotator`] | oracle / noisy / majority-vote panels (§6.5) |
+//! | [`annotator`] | oracle / noisy annotators |
 //! | [`runner`] | 1000-repetition parallel harness + t-tests |
 //! | [`coverage`] | exact fixed-n coverage probabilities (§3.3 ablation) |
 //! | [`monitor`] | continuous monitoring over KG delta batches, with carryover priors (§8) |
@@ -67,7 +67,7 @@ pub mod state;
 pub mod stratified;
 
 pub use ahpd::{ahpd_select, AHpdSelection};
-pub use annotator::{Annotator, MajorityVoteAnnotator, NoisyAnnotator, OracleAnnotator};
+pub use annotator::{Annotator, NoisyAnnotator, OracleAnnotator};
 pub use comparative::{
     compared_methods, ComparativeResult, ComparativeSession, ComparativeStatus, MethodReport,
 };

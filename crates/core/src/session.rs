@@ -57,7 +57,7 @@ use crate::snapshot::{LabelLog, Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION
 use crate::state::{DesignKind, SampleState};
 use kgae_graph::{KnowledgeGraph, LabelCache};
 use kgae_intervals::{Interval, IntervalError, Kernel, KernelCache};
-use kgae_sampling::driver::{build_driver, DesignDriver, UnitEstimator};
+use kgae_sampling::driver::{DesignDriver, UnitEstimator};
 use kgae_sampling::SampledTriple;
 use kgae_stats::dist::upper_normal_quantile;
 use kgae_stats::hash::BuildIntHasher;
@@ -404,8 +404,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         cfg: &EvalConfig,
         rng: R,
     ) -> Self {
-        let driver = build_driver(kg, prepared.design().spec(), prepared.pps());
-        Self::with_driver(kg, driver, prepared.design(), method, cfg, rng)
+        Self::with_driver(kg, prepared.driver(kg), prepared.design(), method, cfg, rng)
     }
 
     /// Creates a session over a caller-supplied driver (custom designs,
@@ -1111,7 +1110,7 @@ const MAX_REPLAY_DRAWS: u64 = 1 << 32;
 const MAX_RESERVED_UNITS: u64 = 1 << 12;
 
 /// The units a new session makes room for in the state it keeps per
-/// annotated triple (the SRS sampler's map and the cost tracker's sets),
+/// annotated triple (the SRS driver's map and the cost tracker's sets),
 /// so that a typical campaign's maps never regrow: the Wald sample size
 /// `⌈z²/(4ε²)⌉` at the worst case `p = 1/2`, the most annotations a
 /// normal-approximation interval needs at any accuracy, capped at

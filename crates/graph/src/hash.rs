@@ -7,7 +7,7 @@
 //! identical across runs and threads.
 
 pub use kgae_stats::hash::splitmix64;
-/// The unseeded integer hasher of the sampler's and cost tracker's maps.
+/// The unseeded integer hasher of the SRS driver's and cost tracker's maps.
 pub use kgae_stats::hash::BuildIntHasher;
 
 /// Combines a seed and an index into one avalanche-mixed word.

@@ -50,7 +50,7 @@ pub trait KnowledgeGraph: Send + Sync {
 ///
 /// In the paper this is the human annotation; here it reads the simulated
 /// gold labels. Kept separate from [`KnowledgeGraph`] so annotator models
-/// (noisy, majority-vote) can wrap it without touching the structure.
+/// (oracle, noisy) can wrap it without touching the structure.
 pub trait GroundTruth: Send + Sync {
     /// Gold label of triple `t` (`true` = correct fact).
     fn is_correct(&self, t: TripleId) -> bool;

@@ -1,5 +1,5 @@
-//! Unified stage-1 sampling drivers — the design-specific half of the
-//! poll-based evaluation engine.
+//! The sampling designs of paper §2.4, each as a stage-1 driver — the
+//! design-specific half of the poll-based evaluation engine.
 //!
 //! The evaluation loop of paper Figure 1 needs exactly two things from a
 //! sampling design: the next *unit* to annotate (one triple under SRS,
@@ -9,23 +9,30 @@
 //! (`kgae-core`'s `EvaluationSession`) runs one control flow over SRS,
 //! TWCS, WCS and SCS instead of duplicating the loop per design.
 //!
-//! Drivers borrow the KG as `&dyn KnowledgeGraph` — any backend
-//! implementing the trait plugs in — and the PPS designs share one
-//! prebuilt alias table via `Arc`, so constructing a driver per
-//! evaluation repetition never re-pays the O(#clusters) table build.
+//! * [`SrsDriver`] — incremental Simple Random Sampling without
+//!   replacement over triples, O(1) per draw at any KG scale;
+//! * [`TwcsDriver`] — Two-stage Weighted Cluster Sampling: PPS clusters
+//!   (Walker alias table) + capped within-cluster SRS;
+//! * [`WcsDriver`] / [`ScsDriver`] — whole-cluster strategies from the
+//!   broader cluster-sampling family (online-appendix baselines): PPS
+//!   and uniform stage-1 clusters, every triple of the cluster annotated;
+//! * [`StratumSrsDriver`] — SRS within one stratum of a stratified
+//!   campaign.
 //!
+//! Each driver draws its own units. Drivers borrow the KG as
+//! `&dyn KnowledgeGraph` — any backend implementing the trait plugs in —
+//! and the PPS designs share one prebuilt alias table
+//! ([`pps_by_size_table`]) via `Arc`, so constructing a driver per
+//! evaluation repetition never re-pays the O(#clusters) table build.
 //! Randomness crosses the trait boundary as `&mut dyn RngCore` (the
-//! object-safe core of the vendored `rand`); the generic sampling code
-//! underneath monomorphizes against it and produces the exact same
-//! stream as when driven with a concrete generator.
+//! object-safe core of the vendored `rand`).
 //!
 //! ```
-//! use kgae_sampling::driver::{build_driver, DesignSpec};
+//! use kgae_sampling::{DesignDriver, TwcsDriver};
 //! use rand::SeedableRng;
 //!
 //! let kg = kgae_graph::datasets::yago();
-//! let spec: DesignSpec = "twcs:3".parse().unwrap();
-//! let mut driver = build_driver(&kg, spec, None);
+//! let mut driver = TwcsDriver::new(&kg, 3);
 //! let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
 //! let mut unit = Vec::new();
 //! let cluster = driver.next_unit(&mut rng, &mut unit).unwrap();
@@ -34,12 +41,35 @@
 //! ```
 
 use crate::alias::AliasTable;
-use crate::extra::{ScsSampler, WcsSampler};
-use crate::srs::{SampledTriple, SrsSampler};
-use crate::twcs::{pps_by_size_table, TwcsSampler};
-use kgae_graph::{ClusterId, KnowledgeGraph};
-use rand::RngCore;
+use crate::distinct::{floyd_sample, IncrementalWithoutReplacement};
+use kgae_graph::{ClusterId, KnowledgeGraph, TripleId};
+use rand::{Rng, RngCore};
 use std::sync::Arc;
+
+/// One sampled triple together with its owning cluster (needed by the
+/// annotation cost model, which charges entity identification once per
+/// distinct cluster).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SampledTriple {
+    /// The sampled triple.
+    pub triple: TripleId,
+    /// The entity cluster the triple belongs to.
+    pub cluster: ClusterId,
+}
+
+/// Builds the PPS-by-size alias table of a KG (`π_i = M_i / M`).
+///
+/// O(#clusters); build it once per dataset and share it across repeated
+/// evaluation runs via [`TwcsDriver::with_table`] and
+/// [`WcsDriver::with_table`] — rebuilding it per run would dominate the
+/// cost on 5M-cluster graphs.
+#[must_use]
+pub fn pps_by_size_table<K: KnowledgeGraph + ?Sized>(kg: &K) -> AliasTable {
+    let weights: Vec<f64> = (0..kg.num_clusters())
+        .map(|c| kg.cluster_size(ClusterId(c)) as f64)
+        .collect();
+    AliasTable::new(&weights)
+}
 
 /// How one labeled sampling unit feeds the design's estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -207,14 +237,13 @@ impl std::str::FromStr for ComparePrimary {
     }
 }
 
-/// A sampling design identified by name — the wire half of driver
-/// reconstruction. The session service receives designs as strings
-/// (`"srs"`, `"twcs:3"`, `"wcs"`, `"scs"`, `"stratified:<allocation>"`,
-/// `"compare:<primary>"`),
-/// parses them into a spec and
-/// rebuilds the matching [`DesignDriver`] with [`build_driver`];
-/// `kgae-core` layers its own `SamplingDesign` conversions on top so
-/// both sides agree on one grammar.
+/// A sampling design identified by name — the wire form of a design.
+/// The session service receives designs as strings (`"srs"`,
+/// `"twcs:3"`, `"wcs"`, `"scs"`, `"stratified:<allocation>"`,
+/// `"compare:<primary>"`, `"monitor:<carry>"`) and parses them into a
+/// spec; `kgae-core` converts the four single-driver designs into its
+/// `SamplingDesign`, which builds the matching [`DesignDriver`], so both
+/// sides agree on one grammar.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DesignSpec {
     /// Simple random sampling of triples.
@@ -232,8 +261,7 @@ pub enum DesignSpec {
     /// coordinator (`kgae-core`'s `StratifiedSession`) runs one
     /// SRS-within-stratum engine per stratum under the given batch
     /// [`AllocationPolicy`]. This is a *session-level* design: it has no
-    /// single [`DesignDriver`] (each stratum gets a [`StratumSrsDriver`]),
-    /// so [`build_driver`] rejects it.
+    /// single [`DesignDriver`] (each stratum gets a [`StratumSrsDriver`]).
     Stratified {
         /// How annotation batches are allocated across strata.
         allocation: AllocationPolicy,
@@ -243,7 +271,7 @@ pub enum DesignSpec {
     /// designated primary converges. Like [`DesignSpec::Stratified`]
     /// this is a *session-level* design (`kgae-core`'s
     /// `ComparativeSession` owns one SRS [`DesignDriver`] and a tracker
-    /// per rival method), so [`build_driver`] rejects it.
+    /// per rival method).
     Compare {
         /// The method whose convergence stops the shared stream.
         primary: ComparePrimary,
@@ -252,7 +280,7 @@ pub enum DesignSpec {
     /// (`kgae-core`'s `MonitorSession`) over a delta-applying view of
     /// the KG, re-opening annotation only when updates degrade the
     /// credible interval. A *session-level* design like
-    /// [`DesignSpec::Stratified`], so [`build_driver`] rejects it.
+    /// [`DesignSpec::Stratified`].
     Monitor {
         /// Cap on the pseudo-observations carried between campaigns.
         carry: u64,
@@ -368,48 +396,6 @@ impl std::str::FromStr for DesignSpec {
     }
 }
 
-/// Reconstructs the [`DesignDriver`] for a named design over any KG
-/// backend — the single construction path shared by the closed-loop
-/// facade, the poll-based session engine and the session service.
-///
-/// `pps` supplies a prebuilt PPS-by-size alias table for the weighted
-/// designs (an `Arc` clone, never a table copy); it is rebuilt from the
-/// KG when absent, at O(#clusters) cost.
-///
-/// # Panics
-///
-/// Panics on the session-level designs: [`DesignSpec::Stratified`]
-/// (one [`StratumSrsDriver`] per stratum, coordinated by `kgae-core`'s
-/// `StratifiedSession`) and [`DesignSpec::Compare`] (one SRS driver
-/// plus per-method trackers, coordinated by `ComparativeSession`) —
-/// neither reduces to a single driver.
-#[must_use]
-pub fn build_driver<'a>(
-    kg: &'a dyn KnowledgeGraph,
-    spec: DesignSpec,
-    pps: Option<Arc<AliasTable>>,
-) -> Box<dyn DesignDriver + Send + 'a> {
-    let table =
-        |pps: Option<Arc<AliasTable>>| pps.unwrap_or_else(|| Arc::new(pps_by_size_table(kg)));
-    match spec {
-        DesignSpec::Srs => Box::new(SrsDriver::new(kg)),
-        DesignSpec::Twcs { m } => Box::new(TwcsDriver::with_table(kg, m, table(pps))),
-        DesignSpec::Wcs => Box::new(WcsDriver::with_table(kg, table(pps))),
-        DesignSpec::Scs => Box::new(ScsDriver::new(kg)),
-        DesignSpec::Stratified { .. } => {
-            panic!("stratified designs are coordinated per stratum (StratifiedSession), not built as one driver")
-        }
-        DesignSpec::Compare { .. } => {
-            panic!("comparative designs are coordinated per method (ComparativeSession), not built as one driver")
-        }
-        DesignSpec::Monitor { .. } => {
-            panic!(
-                "monitor designs are long-lived sessions (MonitorSession), not built as one driver"
-            )
-        }
-    }
-}
-
 /// A sampling design reduced to its poll contract: hand out stage-1
 /// units until the stream is exhausted.
 ///
@@ -453,11 +439,13 @@ pub trait DesignDriver {
 // SRS
 // ---------------------------------------------------------------------
 
-/// SRS driver: units are single triples, drawn without replacement;
-/// the stream exhausts once the whole KG has been drawn.
+/// SRS driver: units are single triples, drawn without replacement
+/// through a lazy Fisher–Yates stream; the stream exhausts once the
+/// whole KG has been drawn (the estimate then equals the true accuracy
+/// and the MoE is zero).
 pub struct SrsDriver<'a> {
     kg: &'a dyn KnowledgeGraph,
-    sampler: SrsSampler<'a, dyn KnowledgeGraph + 'a>,
+    stream: IncrementalWithoutReplacement,
 }
 
 impl<'a> SrsDriver<'a> {
@@ -466,7 +454,7 @@ impl<'a> SrsDriver<'a> {
     pub fn new(kg: &'a dyn KnowledgeGraph) -> Self {
         Self {
             kg,
-            sampler: SrsSampler::new(kg),
+            stream: IncrementalWithoutReplacement::new(kg.num_triples()),
         }
     }
 }
@@ -478,9 +466,10 @@ impl DesignDriver for SrsDriver<'_> {
         out: &mut Vec<SampledTriple>,
     ) -> Option<ClusterId> {
         out.clear();
-        let st = self.sampler.next_triple(rng)?;
-        out.push(st);
-        Some(st.cluster)
+        let triple = TripleId(self.stream.next_draw(rng)?);
+        let cluster = self.kg.cluster_of(triple);
+        out.push(SampledTriple { triple, cluster });
+        Some(cluster)
     }
 
     fn estimator(&self) -> UnitEstimator {
@@ -488,15 +477,15 @@ impl DesignDriver for SrsDriver<'_> {
     }
 
     fn units_drawn(&self) -> u64 {
-        self.sampler.drawn()
+        self.stream.drawn()
     }
 
     fn rewind(&mut self) {
-        self.sampler = SrsSampler::new(self.kg);
+        self.stream = IncrementalWithoutReplacement::new(self.kg.num_triples());
     }
 
     fn reserve(&mut self, units: u64) -> u64 {
-        self.sampler.reserve(units)
+        self.stream.reserve(units)
     }
 }
 
@@ -504,10 +493,20 @@ impl DesignDriver for SrsDriver<'_> {
 // TWCS
 // ---------------------------------------------------------------------
 
-/// TWCS driver: PPS stage-1 clusters (with replacement), capped SRS
-/// second stage. Stateless across draws, so the stream never exhausts.
+/// TWCS driver (paper §2.4). Stage 1 draws an entity cluster with
+/// probability proportional to its size (`π_i = M_i / M`), with
+/// replacement across draws. Stage 2 draws `min(M_i, m)` triples from
+/// the chosen cluster by SRS without replacement. The per-draw estimate
+/// is the cluster sample mean `μ̂_i`, and the TWCS estimator is the mean
+/// of those (Eq. 3) — unbiased under PPS because the size-biased
+/// inclusion cancels against the within-cluster mean. Stateless across
+/// draws, so the stream never exhausts.
 pub struct TwcsDriver<'a> {
-    sampler: TwcsSampler<'a, dyn KnowledgeGraph + 'a>,
+    kg: &'a dyn KnowledgeGraph,
+    alias: Arc<AliasTable>,
+    /// Second-stage sample size `m` (the paper uses 3 for the small KGs
+    /// and 5 for SYN 100M, per Gao et al.'s recommendation of 3–5).
+    m: u64,
     drawn: u64,
 }
 
@@ -529,9 +528,13 @@ impl<'a> TwcsDriver<'a> {
     ///
     /// Panics if `m == 0` or the table size disagrees with the KG.
     #[must_use]
-    pub fn with_table(kg: &'a dyn KnowledgeGraph, m: u64, table: Arc<AliasTable>) -> Self {
+    pub fn with_table(kg: &'a dyn KnowledgeGraph, m: u64, alias: Arc<AliasTable>) -> Self {
+        assert!(m > 0, "second-stage size m must be positive");
+        assert_table_matches(kg, &alias);
         Self {
-            sampler: TwcsSampler::with_table(kg, m, table),
+            kg,
+            alias,
+            m,
             drawn: 0,
         }
     }
@@ -543,7 +546,14 @@ impl DesignDriver for TwcsDriver<'_> {
         rng: &mut dyn RngCore,
         out: &mut Vec<SampledTriple>,
     ) -> Option<ClusterId> {
-        let cluster = self.sampler.next_cluster(rng, out);
+        out.clear();
+        let cluster = ClusterId(self.alias.sample(rng));
+        let range = self.kg.cluster_triples(cluster);
+        let size = range.end - range.start;
+        floyd_sample(rng, size, size.min(self.m), out, |off| SampledTriple {
+            triple: TripleId(range.start + off),
+            cluster,
+        });
         self.drawn += 1;
         Some(cluster)
     }
@@ -562,13 +572,17 @@ impl DesignDriver for TwcsDriver<'_> {
 }
 
 // ---------------------------------------------------------------------
-// WCS
+// Whole-cluster designs: WCS and SCS
 // ---------------------------------------------------------------------
 
-/// WCS driver: PPS stage-1 clusters (with replacement), whole-cluster
-/// annotation.
+/// WCS driver: PPS stage-1 clusters (with replacement, like TWCS), but
+/// every triple of the chosen cluster is annotated; the estimator is the
+/// plain mean of full-cluster accuracies. Cheap per entity, but it can
+/// burn many annotations on large clusters — the inefficiency TWCS's
+/// capped second stage fixes (Gao et al. 2019).
 pub struct WcsDriver<'a> {
-    sampler: WcsSampler<'a, dyn KnowledgeGraph + 'a>,
+    kg: &'a dyn KnowledgeGraph,
+    alias: Arc<AliasTable>,
     drawn: u64,
 }
 
@@ -586,9 +600,11 @@ impl<'a> WcsDriver<'a> {
     ///
     /// Panics if the table size disagrees with the KG.
     #[must_use]
-    pub fn with_table(kg: &'a dyn KnowledgeGraph, table: Arc<AliasTable>) -> Self {
+    pub fn with_table(kg: &'a dyn KnowledgeGraph, alias: Arc<AliasTable>) -> Self {
+        assert_table_matches(kg, &alias);
         Self {
-            sampler: WcsSampler::with_table(kg, table),
+            kg,
+            alias,
             drawn: 0,
         }
     }
@@ -600,7 +616,8 @@ impl DesignDriver for WcsDriver<'_> {
         rng: &mut dyn RngCore,
         out: &mut Vec<SampledTriple>,
     ) -> Option<ClusterId> {
-        let cluster = self.sampler.next_cluster(rng, out);
+        let cluster = ClusterId(self.alias.sample(rng));
+        whole_cluster(self.kg, cluster, out);
         self.drawn += 1;
         Some(cluster)
     }
@@ -618,19 +635,15 @@ impl DesignDriver for WcsDriver<'_> {
     }
 }
 
-// ---------------------------------------------------------------------
-// SCS
-// ---------------------------------------------------------------------
-
 /// SCS driver: uniform stage-1 clusters (with replacement),
-/// whole-cluster annotation, Hansen–Hurwitz estimation.
+/// whole-cluster annotation, Hansen–Hurwitz estimation scaled by `N/M`.
 ///
 /// Supports an optional stage-1 draw limit
 /// ([`ScsDriver::limit_draws`]) modeling a bounded external annotation
 /// stream (e.g. a crowdsourcing batch that ends): once the limit is
 /// reached the stream reports exhaustion instead of drawing further.
 pub struct ScsDriver<'a> {
-    sampler: ScsSampler<'a, dyn KnowledgeGraph + 'a>,
+    kg: &'a dyn KnowledgeGraph,
     scale: f64,
     drawn: u64,
     draw_limit: Option<u64>,
@@ -642,7 +655,7 @@ impl<'a> ScsDriver<'a> {
     pub fn new(kg: &'a dyn KnowledgeGraph) -> Self {
         let scale = f64::from(kg.num_clusters()) / kg.num_triples() as f64;
         Self {
-            sampler: ScsSampler::new(kg),
+            kg,
             scale,
             drawn: 0,
             draw_limit: None,
@@ -674,7 +687,8 @@ impl DesignDriver for ScsDriver<'_> {
         if self.draw_limit.is_some_and(|cap| self.drawn >= cap) {
             return None;
         }
-        let cluster = self.sampler.next_cluster(rng, out);
+        let cluster = ClusterId(rng.gen_range(0..self.kg.num_clusters()));
+        whole_cluster(self.kg, cluster, out);
         self.drawn += 1;
         Some(cluster)
     }
@@ -692,6 +706,23 @@ impl DesignDriver for ScsDriver<'_> {
     }
 }
 
+/// Replaces `out`'s contents with every triple of `cluster`.
+fn whole_cluster(kg: &dyn KnowledgeGraph, cluster: ClusterId, out: &mut Vec<SampledTriple>) {
+    out.clear();
+    out.extend(kg.cluster_triples(cluster).map(|t| SampledTriple {
+        triple: TripleId(t),
+        cluster,
+    }));
+}
+
+fn assert_table_matches(kg: &dyn KnowledgeGraph, alias: &AliasTable) {
+    assert_eq!(
+        alias.len(),
+        kg.num_clusters() as usize,
+        "alias table does not match the KG"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Stratum SRS
 // ---------------------------------------------------------------------
@@ -707,7 +738,7 @@ impl DesignDriver for ScsDriver<'_> {
 pub struct StratumSrsDriver<'a> {
     kg: &'a dyn KnowledgeGraph,
     members: Arc<Vec<u64>>,
-    stream: crate::distinct::IncrementalWithoutReplacement,
+    stream: IncrementalWithoutReplacement,
 }
 
 impl<'a> StratumSrsDriver<'a> {
@@ -725,7 +756,7 @@ impl<'a> StratumSrsDriver<'a> {
             members.iter().all(|&t| t < kg.num_triples()),
             "stratum member out of range for the KG"
         );
-        let stream = crate::distinct::IncrementalWithoutReplacement::new(members.len() as u64);
+        let stream = IncrementalWithoutReplacement::new(members.len() as u64);
         Self {
             kg,
             members,
@@ -748,7 +779,7 @@ impl DesignDriver for StratumSrsDriver<'_> {
     ) -> Option<ClusterId> {
         out.clear();
         let local = self.stream.next_draw(rng)?;
-        let triple = kgae_graph::TripleId(self.members[local as usize]);
+        let triple = TripleId(self.members[local as usize]);
         let cluster = self.kg.cluster_of(triple);
         out.push(SampledTriple { triple, cluster });
         Some(cluster)
@@ -763,7 +794,7 @@ impl DesignDriver for StratumSrsDriver<'_> {
     }
 
     fn rewind(&mut self) {
-        self.stream = crate::distinct::IncrementalWithoutReplacement::new(self.stratum_size());
+        self.stream = IncrementalWithoutReplacement::new(self.stratum_size());
     }
 
     fn reserve(&mut self, units: u64) -> u64 {
@@ -775,6 +806,7 @@ impl DesignDriver for StratumSrsDriver<'_> {
 mod tests {
     use super::*;
     use kgae_graph::compact::{CompactKg, LabelStore};
+    use kgae_graph::GroundTruth;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
     use std::collections::HashSet;
@@ -793,6 +825,7 @@ mod tests {
         while let Some(cluster) = d.next_unit(&mut rng, &mut buf) {
             assert_eq!(buf.len(), 1);
             assert_eq!(buf[0].cluster, cluster);
+            assert_eq!(kg.cluster_of(buf[0].triple), cluster);
             assert!(seen.insert(buf[0].triple));
         }
         assert_eq!(seen.len(), 10);
@@ -803,20 +836,170 @@ mod tests {
     }
 
     #[test]
-    fn srs_driver_matches_plain_sampler_stream() {
-        // The driver must not perturb the RNG consumption of the
-        // underlying sampler — same seed, same triple sequence.
-        let kg = kg(&[5, 7, 2]);
-        let mut d = SrsDriver::new(&kg);
-        let mut s = SrsSampler::new(&kg);
-        let mut rng_d = SmallRng::seed_from_u64(3);
-        let mut rng_s = SmallRng::seed_from_u64(3);
+    fn srs_driver_sample_mean_is_unbiased() {
+        // Average the 5-triple sample proportion over many repetitions;
+        // it must match the true accuracy (estimator unbiasedness, Eq. 2).
+        let kg = kgae_graph::datasets::nell();
+        let mut total = 0.0;
+        let reps = 3_000;
         let mut buf = Vec::new();
-        for _ in 0..14 {
-            d.next_unit(&mut rng_d, &mut buf).unwrap();
-            let st = s.next_triple(&mut rng_s).unwrap();
-            assert_eq!(buf[0], st);
+        for seed in 0..reps {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut d = SrsDriver::new(&kg);
+            let mut correct = 0u32;
+            for _ in 0..5 {
+                d.next_unit(&mut rng, &mut buf).unwrap();
+                if kg.is_correct(buf[0].triple) {
+                    correct += 1;
+                }
+            }
+            total += f64::from(correct) / 5.0;
         }
+        let mean = total / reps as f64;
+        let se = (0.91 * 0.09 / (5.0 * reps as f64)).sqrt();
+        assert!(
+            (mean - kg.true_accuracy()).abs() < 5.0 * se,
+            "mean = {mean}, true = {}",
+            kg.true_accuracy()
+        );
+    }
+
+    #[test]
+    fn srs_driver_per_triple_inclusion_is_uniform() {
+        let kg = kg(&[3, 1, 4, 2]);
+        let mut counts = vec![0u64; kg.num_triples() as usize];
+        let reps = 40_000u64;
+        let mut buf = Vec::new();
+        for seed in 0..reps {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut d = SrsDriver::new(&kg);
+            for _ in 0..3 {
+                d.next_unit(&mut rng, &mut buf).unwrap();
+                counts[buf[0].triple.index() as usize] += 1;
+            }
+        }
+        for (t, &c) in counts.iter().enumerate() {
+            let f = c as f64 / reps as f64;
+            assert!((f - 0.3).abs() < 0.015, "triple {t}: inclusion {f}");
+        }
+    }
+
+    #[test]
+    fn twcs_driver_stage1_is_size_proportional() {
+        let kg = kg(&[1, 9, 10, 80]);
+        let mut d = TwcsDriver::new(&kg, 3);
+        let mut rng = SmallRng::seed_from_u64(2);
+        let mut counts = [0u64; 4];
+        let mut buf = Vec::new();
+        let reps = 200_000;
+        for _ in 0..reps {
+            counts[d.next_unit(&mut rng, &mut buf).unwrap().index() as usize] += 1;
+        }
+        for (c, &n) in counts.iter().enumerate() {
+            let want = kg.cluster_size(ClusterId(c as u32)) as f64 / 100.0;
+            let got = n as f64 / reps as f64;
+            assert!((got - want).abs() < 0.005, "cluster {c}: {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn twcs_driver_stage2_draws_min_of_size_and_m() {
+        let kg = kgae_graph::datasets::yago(); // clusters of size 1–3 mostly
+        let mut d = TwcsDriver::new(&kg, 3);
+        let mut rng = SmallRng::seed_from_u64(3);
+        let mut buf = Vec::new();
+        for _ in 0..500 {
+            let cluster = d.next_unit(&mut rng, &mut buf).unwrap();
+            let size = kg.cluster_size(cluster);
+            assert_eq!(buf.len() as u64, size.min(3));
+            // Distinct triples, all from the drawn cluster.
+            let set: HashSet<_> = buf.iter().map(|t| t.triple).collect();
+            assert_eq!(set.len(), buf.len());
+            for t in &buf {
+                assert_eq!(kg.cluster_of(t.triple), cluster);
+            }
+        }
+    }
+
+    /// Mean over `reps` units of each unit's estimate (`estimate` maps
+    /// the unit's correct-triple count and size to it).
+    fn mean_unit_estimate(
+        kg: &CompactKg,
+        d: &mut dyn DesignDriver,
+        seed: u64,
+        reps: u32,
+        estimate: impl Fn(f64, f64) -> f64,
+    ) -> f64 {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut buf = Vec::new();
+        let mut total = 0.0;
+        for _ in 0..reps {
+            d.next_unit(&mut rng, &mut buf).unwrap();
+            let correct = buf.iter().filter(|t| kg.is_correct(t.triple)).count() as f64;
+            total += estimate(correct, buf.len() as f64);
+        }
+        total / f64::from(reps)
+    }
+
+    #[test]
+    fn twcs_driver_estimator_is_unbiased_under_pps() {
+        // Mean of cluster sample means over many draws must equal μ even
+        // with heavily correlated labels (NELL's beta-binomial model).
+        let kg = kgae_graph::datasets::nell();
+        let mut d = TwcsDriver::new(&kg, 3);
+        let mean = mean_unit_estimate(&kg, &mut d, 4, 60_000, |c, n| c / n);
+        assert!(
+            (mean - kg.true_accuracy()).abs() < 0.005,
+            "TWCS mean = {mean}, μ = {}",
+            kg.true_accuracy()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn twcs_driver_rejects_zero_m() {
+        let kg = kgae_graph::datasets::yago();
+        let _ = TwcsDriver::new(&kg, 0);
+    }
+
+    #[test]
+    fn scs_driver_annotates_whole_clusters() {
+        let kg = kgae_graph::datasets::yago();
+        let mut d = ScsDriver::new(&kg);
+        let mut rng = SmallRng::seed_from_u64(1);
+        let mut buf = Vec::new();
+        for _ in 0..200 {
+            let cluster = d.next_unit(&mut rng, &mut buf).unwrap();
+            assert_eq!(buf.len() as u64, kg.cluster_size(cluster));
+        }
+    }
+
+    #[test]
+    fn wcs_driver_mean_of_cluster_accuracies_is_unbiased() {
+        let kg = kgae_graph::datasets::dbpedia();
+        let mut d = WcsDriver::new(&kg);
+        let mean = mean_unit_estimate(&kg, &mut d, 2, 40_000, |c, n| c / n);
+        assert!(
+            (mean - kg.true_accuracy()).abs() < 0.005,
+            "WCS mean = {mean}"
+        );
+    }
+
+    #[test]
+    fn scs_driver_hansen_hurwitz_is_unbiased() {
+        // SCS estimator: μ̂ = (N / (n M)) Σ τ_i with uniform clusters,
+        // at the scale the driver reports.
+        let kg = kgae_graph::datasets::factbench();
+        let mut d = ScsDriver::new(&kg);
+        let UnitEstimator::HansenHurwitz { scale } = d.estimator() else {
+            panic!("SCS estimator is {:?}", d.estimator());
+        };
+        let mean = mean_unit_estimate(&kg, &mut d, 3, 40_000, |c, _| scale * c);
+        assert!(
+            (mean - kg.true_accuracy()).abs() < 0.01,
+            "SCS HH mean = {mean}, μ = {}",
+            kg.true_accuracy()
+        );
     }
 
     #[test]
@@ -948,45 +1131,6 @@ mod tests {
     }
 
     #[test]
-    fn build_driver_reconstructs_every_design_and_is_send() {
-        fn assert_send<T: Send + ?Sized>() {}
-        assert_send::<dyn DesignDriver + Send>();
-        let kg = kg(&[3, 1, 4, 2]);
-        let mut rng = SmallRng::seed_from_u64(8);
-        let mut buf = Vec::new();
-        for (name, est_is_triple) in [
-            ("srs", true),
-            ("twcs:3", false),
-            ("wcs", false),
-            ("scs", false),
-        ] {
-            let spec: DesignSpec = name.parse().unwrap();
-            let mut d = build_driver(&kg, spec, None);
-            assert!(d.next_unit(&mut rng, &mut buf).is_some(), "{name}");
-            assert_eq!(
-                matches!(d.estimator(), UnitEstimator::Triple),
-                est_is_triple,
-                "{name}"
-            );
-        }
-        // A reconstructed driver produces the exact stream of a directly
-        // constructed one (shared table or not).
-        let table = Arc::new(pps_by_size_table(&kg));
-        let mut a = build_driver(&kg, DesignSpec::Twcs { m: 2 }, Some(table.clone()));
-        let mut b = TwcsDriver::with_table(&kg, 2, table);
-        let mut rng_a = SmallRng::seed_from_u64(11);
-        let mut rng_b = SmallRng::seed_from_u64(11);
-        let mut buf_b = Vec::new();
-        for _ in 0..20 {
-            assert_eq!(
-                a.next_unit(&mut rng_a, &mut buf),
-                b.next_unit(&mut rng_b, &mut buf_b)
-            );
-            assert_eq!(buf, buf_b);
-        }
-    }
-
-    #[test]
     fn stratified_design_names_round_trip() {
         for (name, allocation) in [
             ("stratified", AllocationPolicy::WidthGreedy),
@@ -1029,32 +1173,6 @@ mod tests {
         for bad in ["compare", "compare:", "compare:hpd", "compare:bayes"] {
             assert!(bad.parse::<DesignSpec>().is_err(), "{bad:?} must not parse");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "coordinated per method")]
-    fn build_driver_rejects_the_compare_design() {
-        let kg = kg(&[2, 2]);
-        let _ = build_driver(
-            &kg,
-            DesignSpec::Compare {
-                primary: ComparePrimary::AHpd,
-            },
-            None,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "coordinated per stratum")]
-    fn build_driver_rejects_the_stratified_design() {
-        let kg = kg(&[2, 2]);
-        let _ = build_driver(
-            &kg,
-            DesignSpec::Stratified {
-                allocation: AllocationPolicy::WidthGreedy,
-            },
-            None,
-        );
     }
 
     #[test]

@@ -73,26 +73,6 @@ pub fn cluster_estimate_from_moments(mu: f64, sum_sq_dev: f64, draws: u64) -> Es
     }
 }
 
-/// Hansen–Hurwitz estimator for SCS (uniform cluster draws, whole-cluster
-/// annotation): `μ̂ = (N / (n M)) Σ τ_i`, variance from the per-draw
-/// estimates `N·τ_i/M`.
-///
-/// # Panics
-///
-/// Panics if `cluster_totals` is empty or `total_triples == 0`.
-#[must_use]
-pub fn hansen_hurwitz_estimate(
-    cluster_totals: &[f64],
-    num_clusters: u32,
-    total_triples: u64,
-) -> Estimate {
-    assert!(!cluster_totals.is_empty(), "needs at least one cluster");
-    assert!(total_triples > 0, "empty population");
-    let scale = f64::from(num_clusters) / total_triples as f64;
-    let per_draw: Vec<f64> = cluster_totals.iter().map(|t| t * scale).collect();
-    cluster_estimate(&per_draw)
-}
-
 /// Kish design effect: the variance of the cluster estimator relative to
 /// an SRS of the same number of triples,
 /// `deff = V̂(μ̂_cluster) / (μ̂(1-μ̂)/n)`.
@@ -155,14 +135,6 @@ mod tests {
         let e = cluster_estimate(&[0.8]);
         assert_eq!(e.mu, 0.8);
         assert!(e.variance.is_infinite());
-    }
-
-    #[test]
-    fn hansen_hurwitz_scaling() {
-        // 4 clusters, 8 triples total; uniform draws saw totals 2 and 1.
-        let e = hansen_hurwitz_estimate(&[2.0, 1.0], 4, 8);
-        // Per-draw estimates: 2·4/8 = 1.0 and 1·4/8 = 0.5 → mean 0.75.
-        assert!((e.mu - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use kgae_graph::{GroundTruth, KnowledgeGraph, TripleId};
 use kgae_sampling::distinct::floyd_sample;
 use kgae_sampling::{
-    cluster_estimate, design_effect, srs_estimate, AliasTable, SrsSampler, TwcsSampler,
+    cluster_estimate, design_effect, srs_estimate, AliasTable, DesignDriver, SrsDriver, TwcsDriver,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -37,11 +37,14 @@ proptest! {
         let triples = ((f64::from(clusters) * mean_size) as u64).max(u64::from(clusters));
         let kg = kgae_graph::datasets::syn_scaled(triples, clusters, 0.5, seed);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut sampler = SrsSampler::new(&kg);
+        let mut driver = SrsDriver::new(&kg);
+        let mut unit = Vec::new();
         let mut seen = HashSet::new();
-        while let Some(t) = sampler.next_triple(&mut rng) {
+        while let Some(cluster) = driver.next_unit(&mut rng, &mut unit) {
+            let t = unit[0];
             prop_assert!(seen.insert(t.triple), "duplicate draw {:?}", t.triple);
-            prop_assert_eq!(kg.cluster_of(t.triple), t.cluster);
+            prop_assert_eq!(kg.cluster_of(t.triple), cluster);
+            prop_assert_eq!(t.cluster, cluster);
         }
         prop_assert_eq!(seen.len() as u64, kg.num_triples());
     }
@@ -55,10 +58,10 @@ proptest! {
     ) {
         let kg = kgae_graph::datasets::syn_scaled(2_000, 400, 0.8, 11);
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut sampler = TwcsSampler::new(&kg, m);
+        let mut driver = TwcsDriver::new(&kg, m);
         let mut triples = Vec::new();
         for _ in 0..20 {
-            let cluster = sampler.next_cluster(&mut rng, &mut triples);
+            let cluster = driver.next_unit(&mut rng, &mut triples).unwrap();
             let size = kg.cluster_size(cluster);
             prop_assert_eq!(triples.len() as u64, size.min(m));
             let distinct: HashSet<_> = triples.iter().map(|t| t.triple).collect();

@@ -129,57 +129,6 @@ impl Json {
         out
     }
 
-    /// [`Json::encode`] with two-space indentation — for artifacts a
-    /// human diffs.
-    #[must_use]
-    pub fn encode_pretty(&self) -> String {
-        let mut out = String::new();
-        self.encode_pretty_into(&mut out, 0);
-        out
-    }
-
-    fn encode_pretty_into(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    for _ in 0..indent + 2 {
-                        out.push(' ');
-                    }
-                    item.encode_pretty_into(out, indent + 2);
-                }
-                out.push('\n');
-                for _ in 0..indent {
-                    out.push(' ');
-                }
-                out.push(']');
-            }
-            Json::Obj(pairs) if !pairs.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    for _ in 0..indent + 2 {
-                        out.push(' ');
-                    }
-                    encode_string(k, out);
-                    out.push_str(": ");
-                    v.encode_pretty_into(out, indent + 2);
-                }
-                out.push('\n');
-                for _ in 0..indent {
-                    out.push(' ');
-                }
-                out.push('}');
-            }
-            other => other.encode_into(out),
-        }
-    }
-
     fn encode_into(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
@@ -547,14 +496,6 @@ mod tests {
         let v = parse(r#""🤔 🤔""#).unwrap();
         assert_eq!(v, Json::str("🤔 🤔"));
         assert_eq!(parse(&v.encode()).unwrap(), v);
-    }
-
-    #[test]
-    fn pretty_encoding_parses_back_identically() {
-        let v = parse(r#"{"a":[1,2,{"b":null}],"c":"","d":{},"e":[]}"#).unwrap();
-        let pretty = v.encode_pretty();
-        assert!(pretty.contains("\n  \"a\": [\n"));
-        assert_eq!(parse(&pretty).unwrap(), v);
     }
 
     #[test]
