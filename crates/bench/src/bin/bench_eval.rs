@@ -33,7 +33,7 @@ use kgae_bench::reps_from_args;
 use kgae_core::comparative::ComparativeSession;
 use kgae_core::{
     AnnotationRequest, EvalConfig, EvaluationSession, IntervalMethod, PreparedDesign,
-    SamplingDesign, StratifiedConfig, StratifiedSession,
+    SamplingDesign, SessionEngine, StratifiedConfig, StratifiedSession,
 };
 use kgae_graph::GroundTruth;
 use kgae_intervals::KernelCache;
@@ -153,15 +153,23 @@ fn main() {
             let mut session =
                 ComparativeSession::new(&kg, &prepared_srs, ComparePrimary::AHpd, &cfg, seed);
             if let Some(kernel) = kernel {
-                session.set_kernel_cache(kernel);
+                session.set_kernel_cache(Arc::clone(kernel));
             }
             let mut labels = Vec::new();
-            while let Some(request) = session.next_request(1).expect("comparative poll") {
+            while let Some(polled) = session.next_request(1).expect("comparative poll") {
                 labels.clear();
-                labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
+                labels.extend(
+                    polled
+                        .request
+                        .triples
+                        .iter()
+                        .map(|st| kg.is_correct(st.triple)),
+                );
                 session.submit(&labels).expect("comparative submit");
             }
-            session.into_result().expect("comparative result")
+            Box::new(session)
+                .into_outcome()
+                .expect("comparative result")
         },
     ));
     failures.extend(ab_cell(
@@ -173,7 +181,7 @@ fn main() {
             let mut session =
                 StratifiedSession::new(&pred_kg, &pred_strat, &ahpd, &strat_cfg, seed);
             if let Some(kernel) = kernel {
-                session.set_kernel_cache(kernel);
+                session.set_kernel_cache(Arc::clone(kernel));
             }
             let mut labels = Vec::new();
             while let Some(req) = session.next_request(8).expect("stratified poll") {
@@ -186,7 +194,7 @@ fn main() {
                 );
                 session.submit(&labels).expect("stratified submit");
             }
-            session.into_result().expect("stratified result")
+            Box::new(session).into_outcome().expect("stratified result")
         },
     ));
 

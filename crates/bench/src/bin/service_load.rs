@@ -41,11 +41,11 @@
 //! CI run.
 
 use kgae_bench::arg_value;
-use kgae_client::{Client, ClientError, RetryPolicy, SessionInfo};
+use kgae_client::{Client, ClientError, RetryPolicy};
 use kgae_core::{DeltaBatch, StopReason};
 use kgae_graph::{CompactKg, DeltaKg, GroundTruth, TripleId};
 use kgae_service::api::SessionSpec;
-use kgae_service::manager::{DatasetRegistry, SessionState};
+use kgae_service::manager::{DatasetRegistry, SessionState, SessionView};
 use kgae_service::{Metrics, Server, SessionManager, SnapshotStore};
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
@@ -287,7 +287,7 @@ fn verify_suspend_evict_resume(addr: SocketAddr, kg: &CompactKg, batch: u64) -> 
     let evicted = client
         .status("parity-probe")
         .map_err(|e| format!("status after evict: {e}"))?;
-    let derived = SessionInfo {
+    let derived = SessionView {
         state: view.state,
         snapshot_bytes: view.snapshot_bytes,
         ..evicted.clone()

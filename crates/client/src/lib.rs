@@ -66,13 +66,12 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-use kgae_core::{
-    DeltaBatch, DeltaOutcome, MethodReport, MonitorReport, SessionStatus, StratumReport,
-};
+use kgae_core::{DeltaBatch, DeltaOutcome};
 use kgae_service::api::{self, SessionSpec, WireRequest};
 use kgae_service::http;
 use kgae_service::json::{self, Json};
-use kgae_service::manager::SessionState;
+use kgae_service::manager::SessionView;
+use kgae_service::server;
 use kgae_service::store::from_hex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -208,95 +207,10 @@ impl RetryPolicy {
     }
 }
 
-/// A session's wire-level view, decoded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionInfo {
-    /// Session id.
-    pub id: String,
-    /// Dataset name.
-    pub dataset: String,
-    /// Canonical design name.
-    pub design: String,
-    /// Canonical method name.
-    pub method: String,
-    /// Lifecycle state.
-    pub state: SessionState,
-    /// Labels currently owed on an outstanding request.
-    pub pending_labels: u64,
-    /// Fencing seq of the outstanding request, echoed on submit.
-    pub pending_seq: Option<u64>,
-    /// The engine status (the pooled view for stratified sessions, the
-    /// primary method's for comparative ones).
-    pub status: SessionStatus,
-    /// Per-stratum rows (stratified sessions only).
-    pub strata: Option<Vec<StratumReport>>,
-    /// Per-method rows (comparative sessions only).
-    pub methods: Option<Vec<MethodReport>>,
-    /// Monitoring report — epoch, drift rows, alarms (monitor sessions
-    /// only; the poll/submit hot-path views omit it).
-    pub monitor: Option<MonitorReport>,
-    /// Snapshot size on disk, for suspended/evicted sessions.
-    pub snapshot_bytes: Option<u64>,
-}
-
-fn info_from_json(v: &Json) -> ClientResult<SessionInfo> {
-    let field = |key: &str| -> ClientResult<String> {
-        v.get(key)
-            .and_then(Json::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| ClientError::Protocol(format!("missing field {key:?}")))
-    };
-    let state = SessionState::from_name(&field("state")?)
-        .ok_or_else(|| ClientError::Protocol("unknown session state".into()))?;
-    let status = api::status_from_json(
-        v.get("status")
-            .ok_or_else(|| ClientError::Protocol("missing field \"status\"".into()))?,
-    )
-    .map_err(|e| ClientError::Protocol(e.to_string()))?;
-    let snapshot_bytes = match v.get("snapshot_bytes") {
-        None | Some(Json::Null) => None,
-        Some(field) => Some(
-            field
-                .as_u64()
-                .ok_or_else(|| ClientError::Protocol("non-integer snapshot_bytes".into()))?,
-        ),
-    };
-    let strata = match v.get("strata") {
-        None | Some(Json::Null) => None,
-        Some(field) => {
-            Some(api::strata_from_json(field).map_err(|e| ClientError::Protocol(e.to_string()))?)
-        }
-    };
-    let methods = match v.get("methods") {
-        None | Some(Json::Null) => None,
-        Some(field) => {
-            Some(api::methods_from_json(field).map_err(|e| ClientError::Protocol(e.to_string()))?)
-        }
-    };
-    let monitor = match v.get("monitor") {
-        None | Some(Json::Null) => None,
-        Some(field) => Some(
-            api::monitor_report_from_json(field)
-                .map_err(|e| ClientError::Protocol(e.to_string()))?,
-        ),
-    };
-    Ok(SessionInfo {
-        id: field("id")?,
-        dataset: field("dataset")?,
-        design: field("design")?,
-        method: field("method")?,
-        state,
-        pending_labels: v.get("pending_labels").and_then(Json::as_u64).unwrap_or(0),
-        pending_seq: match v.get("pending_seq") {
-            None | Some(Json::Null) => None,
-            Some(field) => field.as_u64(),
-        },
-        status,
-        strata,
-        methods,
-        monitor,
-        snapshot_bytes,
-    })
+/// Decodes a session view, mapping a malformed one to
+/// [`ClientError::Protocol`].
+fn view_from_json(v: &Json) -> ClientResult<SessionView> {
+    server::view_from_json(v).map_err(|e| ClientError::Protocol(e.to_string()))
 }
 
 /// Build info the server reports on `GET /healthz`.
@@ -678,10 +592,10 @@ impl Client {
     /// # Errors
     ///
     /// Transport/API/decoding failures.
-    pub fn create(&mut self, spec: &SessionSpec) -> ClientResult<SessionInfo> {
+    pub fn create(&mut self, spec: &SessionSpec) -> ClientResult<SessionView> {
         let body = spec.to_json().encode();
         let doc = self.call("POST", "/v1/sessions", &body, true)?;
-        info_from_json(&doc)
+        view_from_json(&doc)
     }
 
     /// `GET /v1/sessions/{id}` — the session's current view.
@@ -689,9 +603,9 @@ impl Client {
     /// # Errors
     ///
     /// Transport/API/decoding failures.
-    pub fn status(&mut self, id: &str) -> ClientResult<SessionInfo> {
+    pub fn status(&mut self, id: &str) -> ClientResult<SessionView> {
         let doc = self.call("GET", &format!("/v1/sessions/{id}"), "", true)?;
-        info_from_json(&doc)
+        view_from_json(&doc)
     }
 
     /// `GET /v1/sessions` — every session the server knows.
@@ -699,13 +613,13 @@ impl Client {
     /// # Errors
     ///
     /// Transport/API/decoding failures.
-    pub fn sessions(&mut self) -> ClientResult<Vec<SessionInfo>> {
+    pub fn sessions(&mut self) -> ClientResult<Vec<SessionView>> {
         let doc = self.call("GET", "/v1/sessions", "", true)?;
         doc.get("sessions")
             .and_then(Json::as_arr)
             .ok_or_else(|| ClientError::Protocol("missing sessions array".into()))?
             .iter()
-            .map(info_from_json)
+            .map(view_from_json)
             .collect()
     }
 
@@ -749,7 +663,7 @@ impl Client {
     /// # Errors
     ///
     /// Transport/API/decoding failures.
-    pub fn submit(&mut self, id: &str, labels: &[bool]) -> ClientResult<SessionInfo> {
+    pub fn submit(&mut self, id: &str, labels: &[bool]) -> ClientResult<SessionView> {
         let mut pairs = vec![(
             "labels",
             Json::Arr(labels.iter().map(|&l| Json::Bool(l)).collect()),
@@ -766,7 +680,7 @@ impl Client {
             let doc = self
                 .call_once("POST", &path, &body, false)
                 .map_err(|(e, _)| e)?;
-            return info_from_json(&doc);
+            return view_from_json(&doc);
         };
         let started = std::time::Instant::now();
         let mut retry = 0u32;
@@ -776,7 +690,7 @@ impl Client {
         let mut replayed_after_loss = false;
         loop {
             let (err, ambiguous) = match self.call_once("POST", &path, &body, false) {
-                Ok(doc) => return info_from_json(&doc),
+                Ok(doc) => return view_from_json(&doc),
                 Err(pair) => pair,
             };
             if replayed_after_loss {
@@ -839,12 +753,12 @@ impl Client {
         &mut self,
         id: &str,
         batch: &DeltaBatch,
-    ) -> ClientResult<(DeltaOutcome, SessionInfo)> {
+    ) -> ClientResult<(DeltaOutcome, SessionView)> {
         let body = api::delta_batch_to_json(batch).encode();
         let doc = self.call("POST", &format!("/v1/sessions/{id}/deltas"), &body, false)?;
         let outcome =
             api::delta_outcome_from_json(&doc).map_err(|e| ClientError::Protocol(e.to_string()))?;
-        let info = info_from_json(
+        let info = view_from_json(
             doc.get("session")
                 .ok_or_else(|| ClientError::Protocol("missing session view".into()))?,
         )?;
@@ -856,9 +770,9 @@ impl Client {
     /// # Errors
     ///
     /// Transport/API/decoding failures.
-    pub fn suspend(&mut self, id: &str) -> ClientResult<SessionInfo> {
+    pub fn suspend(&mut self, id: &str) -> ClientResult<SessionView> {
         let doc = self.call("POST", &format!("/v1/sessions/{id}/suspend"), "", true)?;
-        info_from_json(&doc)
+        view_from_json(&doc)
     }
 
     /// `POST /v1/sessions/{id}/resume` — rehydrates the session.
@@ -866,9 +780,9 @@ impl Client {
     /// # Errors
     ///
     /// Transport/API/decoding failures.
-    pub fn resume(&mut self, id: &str) -> ClientResult<SessionInfo> {
+    pub fn resume(&mut self, id: &str) -> ClientResult<SessionView> {
         let doc = self.call("POST", &format!("/v1/sessions/{id}/resume"), "", true)?;
-        info_from_json(&doc)
+        view_from_json(&doc)
     }
 
     /// `POST /v1/sessions/{id}/evict` — drops the session's in-memory

@@ -15,7 +15,7 @@
 //!
 //! ```
 //! use kgae_core::comparative::ComparativeSession;
-//! use kgae_core::{EvalConfig, PreparedDesign, SamplingDesign};
+//! use kgae_core::{EvalConfig, PreparedDesign, SamplingDesign, SessionEngine};
 //! use kgae_graph::GroundTruth;
 //! use kgae_sampling::ComparePrimary;
 //!
@@ -28,17 +28,18 @@
 //!     &EvalConfig::default(),
 //!     7,
 //! );
-//! while let Some(request) = session.next_request(16).unwrap() {
-//!     let labels: Vec<bool> = request
+//! while let Some(polled) = session.next_request(16).unwrap() {
+//!     let labels: Vec<bool> = polled
+//!         .request
 //!         .triples
 //!         .iter()
 //!         .map(|st| kg.is_correct(st.triple))
 //!         .collect();
 //!     session.submit(&labels).unwrap();
 //! }
-//! let result = session.result().unwrap();
-//! assert!(result.primary.converged);
-//! assert_eq!(result.methods.len(), 4); // wald, wilson, et, ahpd
+//! let outcome = Box::new(session).into_outcome().unwrap();
+//! assert!(outcome.result.converged); // the primary method's result
+//! assert_eq!(outcome.methods.unwrap().len(), 4); // wald, wilson, et, ahpd
 //! ```
 //!
 //! **Bit-identity.** The primary method runs inside an unmodified
@@ -58,7 +59,7 @@
 //! requested batch size (the request's `units` field says so). The
 //! final results are batch-independent by construction.
 //!
-//! **Suspend/resume.** [`ComparativeSession::snapshot`] reuses the
+//! **Suspend/resume.** [`SessionEngine::snapshot`] reuses the
 //! `KGAESNAP` container with its own record tag (5): the shared-stream
 //! design and KG fingerprints, the roster's method fingerprints, one
 //! embedded primary-session snapshot and each rival's frozen stop, if
@@ -67,19 +68,21 @@
 //! possible, so its countdown is not stored. Resume validates
 //! everything and the re-snapshot is byte-identical.
 
-use crate::framework::{EvalConfig, EvalResult, PreparedDesign, SamplingDesign};
+use crate::engine::{EngineKind, EngineOutcome, EngineRequest, SessionEngine, SessionStatusView};
+use crate::framework::{EvalConfig, PreparedDesign, SamplingDesign};
 use crate::method::IntervalMethod;
 use crate::session::{
     design_from_tag, design_tag, method_fingerprint_matches, read_record_prefix,
-    write_method_fingerprint, AnnotationRequest, EvaluationSession, SessionError, SessionStatus,
-    StepOutcome, StopReason, StoppingStep, COMPARATIVE_SNAPSHOT_TAG,
+    write_method_fingerprint, EvaluationSession, SessionError, SessionStatus, StepOutcome,
+    StopReason, StoppingStep, COMPARATIVE_SNAPSHOT_TAG,
 };
 use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::KnowledgeGraph;
-use kgae_intervals::{BetaPrior, Interval};
+use kgae_intervals::{BetaPrior, Interval, KernelCache};
 use kgae_sampling::ComparePrimary;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// The fixed interval-method roster a comparative session races, in
 /// [`ComparePrimary::ALL`] order: Wald, Wilson, ET (Jeffreys prior) and
@@ -120,29 +123,6 @@ pub struct MethodReport {
     pub interval: Option<Interval>,
 }
 
-/// A point-in-time view of a comparative campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComparativeStatus {
-    /// The primary engine's status — the campaign's stopping authority.
-    pub primary: SessionStatus,
-    /// One row per roster method, in roster order (the primary's row is
-    /// flagged).
-    pub methods: Vec<MethodReport>,
-}
-
-/// Final outcome of a comparative campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ComparativeResult {
-    /// The primary method's result — bit-identical to a standalone
-    /// session of that method with the same seed/design/config.
-    pub primary: EvalResult,
-    /// Final per-method rows, in roster order. Rivals that converged
-    /// carry their counterfactual stopping point and frozen interval;
-    /// the rest carry their final (non-converged) interval over the
-    /// full shared sample.
-    pub methods: Vec<MethodReport>,
-}
-
 /// A rival method's frozen stopping record.
 #[derive(Debug, Clone, Copy)]
 struct RivalStop {
@@ -166,7 +146,7 @@ pub struct ComparativeSession<'a> {
     primary: EvaluationSession<'a, SmallRng>,
     primary_index: usize,
     rivals: Vec<Rival>,
-    outcome: Option<ComparativeResult>,
+    outcome: Option<EngineOutcome>,
 }
 
 impl<'a> ComparativeSession<'a> {
@@ -211,18 +191,6 @@ impl<'a> ComparativeSession<'a> {
         }
     }
 
-    /// Attaches a shared posterior-kernel cache to the primary session
-    /// and every rival solver. The four-method roster re-solves the same
-    /// `(τ, n)` kernels against each other, so the comparative engine is
-    /// the cache's biggest single-campaign winner. Purely a cost lever:
-    /// outputs stay bit-identical.
-    pub fn set_kernel_cache(&mut self, kernel: &std::sync::Arc<kgae_intervals::KernelCache>) {
-        self.primary.set_kernel_cache(std::sync::Arc::clone(kernel));
-        for rival in &mut self.rivals {
-            rival.step.kernel = Some(std::sync::Arc::clone(kernel));
-        }
-    }
-
     /// The primary's roster index.
     #[must_use]
     pub fn primary_index(&self) -> usize {
@@ -239,93 +207,6 @@ impl<'a> ComparativeSession<'a> {
     #[must_use]
     pub fn config(&self) -> &EvalConfig {
         self.primary.config()
-    }
-
-    /// Whether labels are owed on an outstanding request.
-    #[must_use]
-    pub fn has_pending_request(&self) -> bool {
-        self.primary.has_pending_request()
-    }
-
-    /// Why the campaign stopped (the primary's stop reason), or `None`
-    /// while it runs.
-    #[must_use]
-    pub fn stop_reason(&self) -> Option<StopReason> {
-        self.primary.stop_reason()
-    }
-
-    /// The final result once the campaign has stopped.
-    #[must_use]
-    pub fn result(&self) -> Option<&ComparativeResult> {
-        self.outcome.as_ref()
-    }
-
-    /// Consumes the campaign, yielding the final result if it stopped.
-    #[must_use]
-    pub fn into_result(self) -> Option<ComparativeResult> {
-        self.outcome
-    }
-
-    /// Polls for the next shared-stream annotation batch. The stream is
-    /// unit-granular (rival stopping rules are consulted after every
-    /// unit, like a standalone engine), so each poll serves exactly one
-    /// stage-1 unit; `max_units` is accepted for protocol uniformity.
-    /// `Ok(None)` once the primary has stopped.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::RequestPending`] while labels are owed;
-    /// stream-exhaustion/solver failures from the primary engine.
-    pub fn next_request(
-        &mut self,
-        max_units: u64,
-    ) -> Result<Option<AnnotationRequest>, SessionError> {
-        let _ = max_units; // unit-granular by design; see the doc comment
-        if self.outcome.is_some() {
-            return Ok(None);
-        }
-        match self.primary.next_request(1)? {
-            Some(request) => Ok(Some(request)),
-            None => {
-                // The stream exhausted inside the poll: the primary
-                // finished without a new unit, so the rival trackers
-                // are already current.
-                self.finalize();
-                Ok(None)
-            }
-        }
-    }
-
-    /// Submits labels for the outstanding unit, advances the primary
-    /// engine, then runs every live rival's stopping step on the
-    /// updated shared sample.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::NoRequestPending`],
-    /// [`SessionError::LabelCountMismatch`], or solver failures from
-    /// any method's interval construction.
-    pub fn submit(&mut self, labels: &[bool]) -> Result<(), SessionError> {
-        self.primary.submit(labels)?;
-        self.observe_unit()?;
-        if self.primary.stop_reason().is_some() {
-            self.finalize();
-        }
-        Ok(())
-    }
-
-    /// Withdraws the outstanding unit by rewinding the primary engine
-    /// to its pre-draw state
-    /// ([`EvaluationSession::cancel_request`]); the rival trackers only
-    /// advance on submit, so they need no rollback. A re-poll after
-    /// cancel regenerates the bit-identical unit.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::NoRequestPending`] without an outstanding
-    /// request.
-    pub fn cancel_request(&mut self) -> Result<(), SessionError> {
-        self.primary.cancel_request()
     }
 
     /// Runs the session's stopping step for every live rival against
@@ -408,107 +289,22 @@ impl<'a> ComparativeSession<'a> {
         rows
     }
 
-    /// The primary's status alone — **without** materializing the
-    /// per-method rows (each non-converged rival row constructs an
-    /// interval on a scratch solver). Identical to
-    /// [`ComparativeSession::status`]'s `primary` field; session hosts
-    /// use it on poll and submit hot paths.
-    #[must_use]
-    pub fn primary_status(&self) -> SessionStatus {
-        self.primary.status()
-    }
-
-    /// Point-in-time view: the primary's status plus one row per roster
-    /// method.
-    #[must_use]
-    pub fn status(&self) -> ComparativeStatus {
-        if let Some(outcome) = &self.outcome {
-            return ComparativeStatus {
-                primary: self.primary.status(),
-                methods: outcome.methods.clone(),
-            };
-        }
-        ComparativeStatus {
-            primary: self.primary.status(),
-            methods: self.method_rows(),
-        }
-    }
-
     /// Freezes the final per-method rows once the primary has stopped.
     fn finalize(&mut self) {
         if self.outcome.is_some() {
             return;
         }
         let methods = self.method_rows();
-        let primary = self
+        let result = self
             .primary
             .result()
-            .expect("finalize requires a stopped primary")
-            .clone();
-        self.outcome = Some(ComparativeResult { primary, methods });
-    }
-
-    // -----------------------------------------------------------------
-    // Suspend / resume
-    // -----------------------------------------------------------------
-
-    /// Serializes the campaign into a canonical binary snapshot: the
-    /// `KGAESNAP` container with the comparative record tag (5), the
-    /// shared-stream design and KG fingerprints, the roster's method
-    /// fingerprints, the embedded primary-session snapshot and every
-    /// rival's frozen stop.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::SnapshotUnavailable`] while labels are owed or
-    /// after the campaign stopped.
-    pub fn snapshot(&self) -> Result<Vec<u8>, SessionError> {
-        if self.has_pending_request() {
-            return Err(SessionError::SnapshotUnavailable(
-                "a request is outstanding; submit its labels first",
-            ));
-        }
-        if self.outcome.is_some() {
-            return Err(SessionError::SnapshotUnavailable(
-                "campaign already stopped; read its result instead",
-            ));
-        }
-        let mut w = Writer::new();
-        w.bytes(SNAPSHOT_MAGIC);
-        w.u16(SNAPSHOT_VERSION);
-        w.u8(COMPARATIVE_SNAPSHOT_TAG);
-        let (tag, m) = design_tag(self.primary.design());
-        w.u8(tag);
-        w.u64(m);
-        let kg = self.primary.kg();
-        w.u64(kg.num_triples());
-        w.u32(kg.num_clusters());
-        w.u8(self.primary_index as u8);
-        // Roster fingerprints (primary's config/method fingerprints are
-        // re-validated by the embedded session snapshot).
-        let roster = compared_methods();
-        w.u8(roster.len() as u8);
-        for method in &roster {
-            write_method_fingerprint(&mut w, method);
-        }
-        // Embedded primary-session snapshot (length-prefixed).
-        let child = self.primary.snapshot()?;
-        w.u64(child.len() as u64);
-        w.bytes(&child);
-        // Rival trackers, roster order.
-        for rival in &self.rivals {
-            match &rival.stopped {
-                Some(stop) => {
-                    w.bool(true);
-                    w.u64(stop.observations);
-                    w.f64(stop.estimate);
-                    w.f64(stop.interval.lower());
-                    w.f64(stop.interval.upper());
-                }
-                None => w.bool(false),
-            }
-        }
-        Ok(w.into_bytes())
+            .expect("finalize requires a stopped primary");
+        self.outcome = Some(EngineOutcome {
+            reason: self.primary.stop_reason().expect("a result has a reason"),
+            result: result.clone(),
+            strata: None,
+            methods: Some(methods),
+        });
     }
 
     /// Reconstructs a suspended campaign from a snapshot, validating
@@ -612,22 +408,207 @@ impl<'a> ComparativeSession<'a> {
     }
 }
 
+impl SessionEngine for ComparativeSession<'_> {
+    fn kind(&self) -> EngineKind {
+        EngineKind::Comparative
+    }
+
+    fn has_pending_request(&self) -> bool {
+        self.primary.has_pending_request()
+    }
+
+    /// Polls for the next shared-stream annotation batch. The stream is
+    /// unit-granular (rival stopping rules are consulted after every
+    /// unit, like a standalone engine), so each poll serves exactly one
+    /// stage-1 unit; `max_units` is accepted for protocol uniformity.
+    /// `Ok(None)` once the primary has stopped.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::RequestPending`] while labels are owed;
+    /// stream-exhaustion/solver failures from the primary engine.
+    fn next_request(&mut self, max_units: u64) -> Result<Option<EngineRequest>, SessionError> {
+        let _ = max_units; // unit-granular by design; see the doc comment
+        if self.outcome.is_some() {
+            return Ok(None);
+        }
+        match self.primary.next_request(1)? {
+            Some(request) => Ok(Some(EngineRequest {
+                request,
+                stratum: None,
+            })),
+            None => {
+                // The stream exhausted inside the poll: the primary
+                // finished without a new unit, so the rival trackers
+                // are already current.
+                self.finalize();
+                Ok(None)
+            }
+        }
+    }
+
+    /// Submits labels for the outstanding unit, advances the primary
+    /// engine, then runs every live rival's stopping step on the
+    /// updated shared sample.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::NoRequestPending`],
+    /// [`SessionError::LabelCountMismatch`], or solver failures from
+    /// any method's interval construction.
+    fn submit(&mut self, labels: &[bool]) -> Result<(), SessionError> {
+        self.primary.submit(labels)?;
+        self.observe_unit()?;
+        if self.primary.stop_reason().is_some() {
+            self.finalize();
+        }
+        Ok(())
+    }
+
+    /// Point-in-time view: the primary's status plus one row per roster
+    /// method.
+    fn status(&self) -> SessionStatusView {
+        let methods = match &self.outcome {
+            Some(outcome) => outcome.methods.clone(),
+            None => Some(self.method_rows()),
+        };
+        SessionStatusView {
+            primary: self.primary.status(),
+            strata: None,
+            methods,
+            monitor: None,
+        }
+    }
+
+    /// Withdraws the outstanding unit by rewinding the primary engine
+    /// to its pre-draw state
+    /// ([`EvaluationSession::cancel_request`]); the rival trackers only
+    /// advance on submit, so they need no rollback. A re-poll after
+    /// cancel regenerates the bit-identical unit.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::NoRequestPending`] without an outstanding
+    /// request.
+    fn cancel_request(&mut self) -> Result<(), SessionError> {
+        self.primary.cancel_request()
+    }
+
+    /// The primary's status alone, without materializing the per-method
+    /// rows (each non-converged rival row constructs an interval on a
+    /// scratch solver).
+    fn headline(&self) -> SessionStatus {
+        self.primary.status()
+    }
+
+    /// The primary's stop reason.
+    fn stop_reason(&self) -> Option<StopReason> {
+        self.primary.stop_reason()
+    }
+
+    /// Serializes the campaign into a canonical binary snapshot: the
+    /// `KGAESNAP` container with the comparative record tag (5), the
+    /// shared-stream design and KG fingerprints, the roster's method
+    /// fingerprints, the embedded primary-session snapshot and every
+    /// rival's frozen stop.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::SnapshotUnavailable`] while labels are owed or
+    /// after the campaign stopped.
+    fn snapshot(&self) -> Result<Vec<u8>, SessionError> {
+        if self.primary.has_pending_request() {
+            return Err(SessionError::SnapshotUnavailable(
+                "a request is outstanding; submit its labels first",
+            ));
+        }
+        if self.outcome.is_some() {
+            return Err(SessionError::SnapshotUnavailable(
+                "campaign already stopped; read its result instead",
+            ));
+        }
+        let mut w = Writer::new();
+        w.bytes(SNAPSHOT_MAGIC);
+        w.u16(SNAPSHOT_VERSION);
+        w.u8(COMPARATIVE_SNAPSHOT_TAG);
+        let (tag, m) = design_tag(self.primary.design());
+        w.u8(tag);
+        w.u64(m);
+        let kg = self.primary.kg();
+        w.u64(kg.num_triples());
+        w.u32(kg.num_clusters());
+        w.u8(self.primary_index as u8);
+        // Roster fingerprints (primary's config/method fingerprints are
+        // re-validated by the embedded session snapshot).
+        let roster = compared_methods();
+        w.u8(roster.len() as u8);
+        for method in &roster {
+            write_method_fingerprint(&mut w, method);
+        }
+        // Embedded primary-session snapshot (length-prefixed).
+        let child = self.primary.snapshot()?;
+        w.u64(child.len() as u64);
+        w.bytes(&child);
+        // Rival trackers, roster order.
+        for rival in &self.rivals {
+            match &rival.stopped {
+                Some(stop) => {
+                    w.bool(true);
+                    w.u64(stop.observations);
+                    w.f64(stop.estimate);
+                    w.f64(stop.interval.lower());
+                    w.f64(stop.interval.upper());
+                }
+                None => w.bool(false),
+            }
+        }
+        Ok(w.into_bytes())
+    }
+
+    /// The primary method's result — bit-identical to a standalone
+    /// session of that method with the same seed/design/config — and
+    /// the final per-method rows in roster order. Rivals that converged
+    /// carry their counterfactual stopping point and frozen interval;
+    /// the rest carry their final (non-converged) interval over the
+    /// full shared sample.
+    fn into_outcome(self: Box<Self>) -> Option<EngineOutcome> {
+        self.outcome
+    }
+
+    /// Attaches the cache to the primary session and every rival
+    /// solver. The four-method roster re-solves the same `(τ, n)`
+    /// kernels against each other, so the comparative engine is the
+    /// cache's biggest single-campaign winner.
+    fn set_kernel_cache(&mut self, kernel: Arc<KernelCache>) {
+        self.primary.set_kernel_cache(Arc::clone(&kernel));
+        for rival in &mut self.rivals {
+            rival.step.kernel = Some(Arc::clone(&kernel));
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use kgae_graph::GroundTruth;
 
-    fn drive(
-        kg: &(impl KnowledgeGraph + GroundTruth),
-        session: &mut ComparativeSession<'_>,
-    ) -> ComparativeResult {
+    fn drive(kg: &(impl KnowledgeGraph + GroundTruth), session: &mut ComparativeSession<'_>) {
         let mut labels = Vec::new();
-        while let Some(request) = session.next_request(8).unwrap() {
+        while let Some(polled) = session.next_request(8).unwrap() {
             labels.clear();
-            labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
+            labels.extend(
+                polled
+                    .request
+                    .triples
+                    .iter()
+                    .map(|st| kg.is_correct(st.triple)),
+            );
             session.submit(&labels).unwrap();
         }
-        session.result().unwrap().clone()
+    }
+
+    fn outcome(session: ComparativeSession<'_>) -> EngineOutcome {
+        Box::new(session).into_outcome().unwrap()
     }
 
     #[test]
@@ -641,23 +622,22 @@ mod tests {
             &EvalConfig::default(),
             3,
         );
-        let result = drive(&kg, &mut session);
+        drive(&kg, &mut session);
         assert_eq!(session.stop_reason(), Some(StopReason::MoeSatisfied));
-        assert!(result.primary.converged);
-        assert_eq!(result.methods.len(), 4);
+        let outcome = outcome(session);
+        let methods = outcome.methods.as_deref().expect("per-method rows");
+        assert!(outcome.result.converged);
+        assert_eq!(methods.len(), 4);
         // Roster order and the primary flag.
-        let names: Vec<&str> = result.methods.iter().map(|m| m.method.as_str()).collect();
+        let names: Vec<&str> = methods.iter().map(|m| m.method.as_str()).collect();
         assert_eq!(names, ["wald", "wilson", "et[jeffreys]", "ahpd"]);
-        assert!(result.methods[3].primary);
-        assert!(result.methods[..3].iter().all(|m| !m.primary));
+        assert!(methods[3].primary);
+        assert!(methods[..3].iter().all(|m| !m.primary));
         // The primary row mirrors the primary result.
-        assert_eq!(
-            result.methods[3].stopped_at,
-            Some(result.primary.observations)
-        );
-        assert!(result.methods[3].converged);
+        assert_eq!(methods[3].stopped_at, Some(outcome.result.observations));
+        assert!(methods[3].converged);
         // Every row carries an interval over the shared sample.
-        for row in &result.methods {
+        for row in methods {
             assert!(
                 row.interval.is_some(),
                 "{} row lost its interval",
@@ -682,7 +662,7 @@ mod tests {
             session.submit(&[true]),
             Err(SessionError::NoRequestPending)
         ));
-        let request = session.next_request(4).unwrap().unwrap();
+        let request = session.next_request(4).unwrap().unwrap().request;
         assert_eq!(request.units, 1, "comparative streams are unit-granular");
         assert!(matches!(
             session.next_request(1),
@@ -713,9 +693,15 @@ mod tests {
                 ComparativeSession::new(&kg, &prepared, ComparePrimary::AHpd, &cfg, 5);
             let mut units = 0u64;
             let mut labels = Vec::new();
-            while let Some(request) = session.next_request(1).unwrap() {
+            while let Some(polled) = session.next_request(1).unwrap() {
                 labels.clear();
-                labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
+                labels.extend(
+                    polled
+                        .request
+                        .triples
+                        .iter()
+                        .map(|st| kg.is_correct(st.triple)),
+                );
                 session.submit(&labels).unwrap();
                 units += 1;
                 if session.stop_reason().is_none() {
@@ -737,7 +723,7 @@ mod tests {
                     }
                 }
             }
-            session.into_result().unwrap()
+            outcome(session)
         };
 
         let straight = run(None);
@@ -756,7 +742,7 @@ mod tests {
         let mut session = ComparativeSession::new(&kg, &prepared, ComparePrimary::AHpd, &cfg, 11);
         let mut labels = Vec::new();
         for _ in 0..12 {
-            let request = session.next_request(1).unwrap().unwrap();
+            let request = session.next_request(1).unwrap().unwrap().request;
             labels.clear();
             labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
             session.submit(&labels).unwrap();

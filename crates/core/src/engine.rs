@@ -304,134 +304,6 @@ impl<'a> SessionEngine for EvaluationSession<'a, SmallRng> {
     }
 }
 
-impl<'a> SessionEngine for StratifiedSession<'a> {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Stratified
-    }
-
-    fn has_pending_request(&self) -> bool {
-        StratifiedSession::has_pending_request(self)
-    }
-
-    fn next_request(&mut self, max_units: u64) -> Result<Option<EngineRequest>, SessionError> {
-        Ok(
-            StratifiedSession::next_request(self, max_units)?.map(|polled| EngineRequest {
-                request: polled.request,
-                stratum: Some((polled.stratum, polled.name)),
-            }),
-        )
-    }
-
-    fn submit(&mut self, labels: &[bool]) -> Result<(), SessionError> {
-        StratifiedSession::submit(self, labels)
-    }
-
-    fn cancel_request(&mut self) -> Result<(), SessionError> {
-        StratifiedSession::cancel_request(self)
-    }
-
-    fn status(&self) -> SessionStatusView {
-        let status = StratifiedSession::status(self);
-        SessionStatusView {
-            primary: status.pooled,
-            strata: Some(status.strata),
-            methods: None,
-            monitor: None,
-        }
-    }
-
-    fn headline(&self) -> SessionStatus {
-        StratifiedSession::headline_status(self)
-    }
-
-    fn stop_reason(&self) -> Option<StopReason> {
-        StratifiedSession::stop_reason(self)
-    }
-
-    fn snapshot(&self) -> Result<Vec<u8>, SessionError> {
-        StratifiedSession::snapshot(self)
-    }
-
-    fn into_outcome(self: Box<Self>) -> Option<EngineOutcome> {
-        let reason = StratifiedSession::stop_reason(&self)?;
-        let result = self.into_result()?;
-        Some(EngineOutcome {
-            reason,
-            result: result.pooled,
-            strata: Some(result.strata),
-            methods: None,
-        })
-    }
-
-    fn set_kernel_cache(&mut self, kernel: Arc<KernelCache>) {
-        StratifiedSession::set_kernel_cache(self, &kernel);
-    }
-}
-
-impl<'a> SessionEngine for ComparativeSession<'a> {
-    fn kind(&self) -> EngineKind {
-        EngineKind::Comparative
-    }
-
-    fn has_pending_request(&self) -> bool {
-        ComparativeSession::has_pending_request(self)
-    }
-
-    fn next_request(&mut self, max_units: u64) -> Result<Option<EngineRequest>, SessionError> {
-        Ok(
-            ComparativeSession::next_request(self, max_units)?.map(|request| EngineRequest {
-                request,
-                stratum: None,
-            }),
-        )
-    }
-
-    fn submit(&mut self, labels: &[bool]) -> Result<(), SessionError> {
-        ComparativeSession::submit(self, labels)
-    }
-
-    fn cancel_request(&mut self) -> Result<(), SessionError> {
-        ComparativeSession::cancel_request(self)
-    }
-
-    fn status(&self) -> SessionStatusView {
-        let status = ComparativeSession::status(self);
-        SessionStatusView {
-            primary: status.primary,
-            strata: None,
-            methods: Some(status.methods),
-            monitor: None,
-        }
-    }
-
-    fn headline(&self) -> SessionStatus {
-        ComparativeSession::primary_status(self)
-    }
-
-    fn stop_reason(&self) -> Option<StopReason> {
-        ComparativeSession::stop_reason(self)
-    }
-
-    fn snapshot(&self) -> Result<Vec<u8>, SessionError> {
-        ComparativeSession::snapshot(self)
-    }
-
-    fn into_outcome(self: Box<Self>) -> Option<EngineOutcome> {
-        let reason = ComparativeSession::stop_reason(&self)?;
-        let result = self.into_result()?;
-        Some(EngineOutcome {
-            reason,
-            result: result.primary,
-            strata: None,
-            methods: Some(result.methods),
-        })
-    }
-
-    fn set_kernel_cache(&mut self, kernel: Arc<KernelCache>) {
-        ComparativeSession::set_kernel_cache(self, &kernel);
-    }
-}
-
 // ---------------------------------------------------------------------
 // Snapshot record kinds
 // ---------------------------------------------------------------------

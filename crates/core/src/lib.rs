@@ -68,9 +68,7 @@ pub mod stratified;
 
 pub use ahpd::{ahpd_select, AHpdSelection};
 pub use annotator::{Annotator, NoisyAnnotator, OracleAnnotator};
-pub use comparative::{
-    compared_methods, ComparativeResult, ComparativeSession, ComparativeStatus, MethodReport,
-};
+pub use comparative::{compared_methods, ComparativeSession, MethodReport};
 pub use cost::{CostModel, CostTracker};
 pub use engine::{
     snapshot_engine_kind, EngineKind, EngineOutcome, EngineRequest, EngineSpec, SessionEngine,
@@ -82,15 +80,12 @@ pub use framework::{
 };
 pub use method::{IntervalMethod, MethodParseError, SrsBoundary};
 pub use monitor::{DeltaBatch, DeltaOutcome, DriftReport, MonitorReport, MonitorSession};
-pub use runner::{cost_t_test, repeat_evaluation, triples_t_test, RepeatedRuns};
+pub use runner::{cost_t_test, repeat_evaluation, RepeatedRuns};
 pub use session::{
     AnnotationRequest, EvaluationSession, SessionError, SessionStatus, SnapshotRng, StopReason,
 };
 pub use state::{DesignKind, EffectiveSample, SampleState};
-pub use stratified::{
-    StratifiedConfig, StratifiedRequest, StratifiedResult, StratifiedSession, StratifiedStatus,
-    StratumReport,
-};
+pub use stratified::{StratifiedConfig, StratifiedSession, StratumReport};
 
 /// Common imports for applications.
 pub mod prelude {

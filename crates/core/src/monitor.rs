@@ -16,7 +16,7 @@
 //!   the last certified estimate and credible interval at zero new
 //!   annotation cost.
 //!
-//! [`MonitorSession::apply_deltas`] accepts a batch of triple
+//! [`SessionEngine::apply_deltas`] accepts a batch of triple
 //! adds/removes (optionally tagged with a predicate for drift
 //! accounting), retires removed triples' ledger labels, and re-derives
 //! the surviving posterior:
@@ -197,7 +197,7 @@ pub struct MonitorSession<'a> {
     /// deltas, so the handle must outlive individual campaigns).
     kernel: Option<std::sync::Arc<kgae_intervals::KernelCache>>,
     /// The event log: every call that changed the monitor, encoded in
-    /// call order (see [`MonitorSession::snapshot`]), with the labels
+    /// call order (see [`SessionEngine::snapshot`]), with the labels
     /// of its polls kept apart, one bit each.
     events: Writer,
     labels: LabelLog,
@@ -274,16 +274,6 @@ impl<'a> MonitorSession<'a> {
             events: Writer::new(),
             labels: LabelLog::default(),
         }
-    }
-
-    /// Attaches a shared posterior-kernel cache: the current campaign
-    /// and every future re-opened campaign memoize their SRS solves
-    /// through it. Purely a cost lever — outputs are bit-identical.
-    pub fn set_kernel_cache(&mut self, kernel: std::sync::Arc<kgae_intervals::KernelCache>) {
-        if let Some(inner) = self.inner.as_mut() {
-            inner.set_kernel_cache(std::sync::Arc::clone(&kernel));
-        }
-        self.kernel = Some(kernel);
     }
 
     #[allow(clippy::borrowed_box)] // see forged_view
@@ -456,102 +446,6 @@ impl<'a> MonitorSession<'a> {
         }
     }
 
-    /// Applies one KG delta batch. Refused while labels are owed
-    /// ([`SessionError::RequestPending`]) — the host must cancel or
-    /// collect the outstanding request first — and on an invalid batch
-    /// ([`SessionError::DeltaRejected`]), in which case nothing changes.
-    ///
-    /// An open campaign is absorbed (its partial work counted, its
-    /// labels already in the ledger); removed triples' labels are
-    /// retired; and annotation re-opens only if the surviving
-    /// posterior's HPD interval no longer meets the MoE target.
-    ///
-    /// # Errors
-    ///
-    /// As above; never fails after it starts mutating.
-    pub fn apply_deltas(&mut self, batch: &DeltaBatch) -> Result<DeltaOutcome, SessionError> {
-        if self.has_pending_request() {
-            return Err(SessionError::RequestPending);
-        }
-        // Validate before touching the open campaign: an invalid batch
-        // must not perturb the monitor at all.
-        self.view
-            .check_removes(&batch.removes)
-            .map_err(SessionError::DeltaRejected)?;
-        // An empty batch is a true no-op: nothing to retire, nothing to
-        // re-appraise. The certificate — or the open campaign — stands
-        // exactly as it was, and no drift row is charged.
-        if batch.removes.is_empty() && batch.adds.is_empty() {
-            return Ok(DeltaOutcome {
-                retired_labels: 0,
-                reopened: false,
-                epoch: self.epoch,
-                watching: self.inner.is_none(),
-            });
-        }
-        // Absorb an open campaign: its labels are already ledgered per
-        // submit; fold its partial effort into the cumulatives and drop
-        // it (required before `&mut view` — see `forged_view`).
-        if let Some(inner) = self.inner.take() {
-            let partial = inner.status();
-            self.done_observations += partial.observations;
-            self.done_triples += partial.annotated_triples;
-            self.done_cost += partial.cost_seconds;
-        }
-        let applied = self
-            .view
-            .apply(&batch.removes, &batch.adds)
-            .expect("batch validated above");
-        self.events.u8(DELTA_EVENT);
-        write_batch(&mut self.events, batch);
-        let mut retired = 0u64;
-        for id in &applied.removed {
-            if self.ledger.remove(id).is_some() {
-                retired += 1;
-            }
-        }
-        {
-            let row = self.drift_row_mut(batch.predicate.as_deref());
-            row.adds += batch.adds.len() as u64;
-            row.removes += batch.removes.len() as u64;
-            row.retired += retired;
-        }
-        let appraisal = self.appraise();
-        self.carry = appraisal.as_ref().map(|a| (a.prior_a, a.prior_b));
-        match appraisal {
-            Some(a) if a.interval.moe() <= self.cfg.epsilon => {
-                // Still certified: keep (or fall back to) watching.
-                self.watched = Some(Watched {
-                    estimate: a.estimate,
-                    interval: a.interval,
-                });
-                Ok(DeltaOutcome {
-                    retired_labels: retired,
-                    reopened: false,
-                    epoch: self.epoch,
-                    watching: true,
-                })
-            }
-            _ => {
-                self.epoch += 1;
-                self.watched = None;
-                let method = self.campaign_method();
-                let rng = SmallRng::seed_from_u64(mix2(self.seed, self.epoch));
-                let mut inner = Self::open_campaign(&self.view, &method, &self.cfg, rng);
-                if let Some(kernel) = &self.kernel {
-                    inner.set_kernel_cache(std::sync::Arc::clone(kernel));
-                }
-                self.inner = Some(inner);
-                Ok(DeltaOutcome {
-                    retired_labels: retired,
-                    reopened: true,
-                    epoch: self.epoch,
-                    watching: false,
-                })
-            }
-        }
-    }
-
     /// Whether the monitor is watching (no annotation owed).
     #[must_use]
     pub fn watching(&self) -> bool {
@@ -562,37 +456,6 @@ impl<'a> MonitorSession<'a> {
     #[must_use]
     pub fn ledger_len(&self) -> usize {
         self.ledger.len()
-    }
-
-    /// Serializes the monitor into a `KGAESNAP` snapshot (record tag
-    /// 6): the identity prefix (base-KG shape, config and carry-weight
-    /// fingerprints, method fingerprint, seed), then the event log —
-    /// the labels of every logged poll, one bit each, and the events in
-    /// call order. Everything else is derived by replaying the log, so
-    /// suspend → resume → suspend reproduces the bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::SnapshotUnavailable`] while labels are owed.
-    pub fn snapshot(&self) -> Result<Vec<u8>, SessionError> {
-        if self.has_pending_request() {
-            return Err(SessionError::SnapshotUnavailable(
-                "a request is outstanding; submit its labels first",
-            ));
-        }
-        let mut w = Writer::new();
-        w.bytes(SNAPSHOT_MAGIC);
-        w.u16(SNAPSHOT_VERSION);
-        w.u8(MONITOR_SNAPSHOT_TAG);
-        w.u64(self.view.base().num_triples());
-        w.u32(self.view.base().num_clusters());
-        write_config_fingerprint(&mut w, &self.cfg);
-        w.f64(self.carry_weight);
-        write_method_fingerprint(&mut w, &self.base_method);
-        w.u64(self.seed);
-        self.labels.write(&mut w);
-        w.bytes(self.events.as_bytes());
-        Ok(w.into_bytes())
     }
 
     /// Reconstructs a suspended monitor: validates the identity prefix
@@ -873,20 +736,145 @@ impl SessionEngine for MonitorSession<'_> {
         None
     }
 
+    /// Serializes the monitor into a `KGAESNAP` snapshot (record tag
+    /// 6): the identity prefix (base-KG shape, config and carry-weight
+    /// fingerprints, method fingerprint, seed), then the event log —
+    /// the labels of every logged poll, one bit each, and the events in
+    /// call order. Everything else is derived by replaying the log, so
+    /// suspend → resume → suspend reproduces the bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::SnapshotUnavailable`] while labels are owed.
     fn snapshot(&self) -> Result<Vec<u8>, SessionError> {
-        MonitorSession::snapshot(self)
+        if self.has_pending_request() {
+            return Err(SessionError::SnapshotUnavailable(
+                "a request is outstanding; submit its labels first",
+            ));
+        }
+        let mut w = Writer::new();
+        w.bytes(SNAPSHOT_MAGIC);
+        w.u16(SNAPSHOT_VERSION);
+        w.u8(MONITOR_SNAPSHOT_TAG);
+        w.u64(self.view.base().num_triples());
+        w.u32(self.view.base().num_clusters());
+        write_config_fingerprint(&mut w, &self.cfg);
+        w.f64(self.carry_weight);
+        write_method_fingerprint(&mut w, &self.base_method);
+        w.u64(self.seed);
+        self.labels.write(&mut w);
+        w.bytes(self.events.as_bytes());
+        Ok(w.into_bytes())
     }
 
     fn into_outcome(self: Box<Self>) -> Option<EngineOutcome> {
         None
     }
 
+    /// Applies one KG delta batch. Refused while labels are owed
+    /// ([`SessionError::RequestPending`]) — the host must cancel or
+    /// collect the outstanding request first — and on an invalid batch
+    /// ([`SessionError::DeltaRejected`]), in which case nothing changes.
+    ///
+    /// An open campaign is absorbed (its partial work counted, its
+    /// labels already in the ledger); removed triples' labels are
+    /// retired; and annotation re-opens only if the surviving
+    /// posterior's HPD interval no longer meets the MoE target.
+    ///
+    /// # Errors
+    ///
+    /// As above; never fails after it starts mutating.
     fn apply_deltas(&mut self, batch: &DeltaBatch) -> Result<DeltaOutcome, SessionError> {
-        MonitorSession::apply_deltas(self, batch)
+        if self.has_pending_request() {
+            return Err(SessionError::RequestPending);
+        }
+        // Validate before touching the open campaign: an invalid batch
+        // must not perturb the monitor at all.
+        self.view
+            .check_removes(&batch.removes)
+            .map_err(SessionError::DeltaRejected)?;
+        // An empty batch is a true no-op: nothing to retire, nothing to
+        // re-appraise. The certificate — or the open campaign — stands
+        // exactly as it was, and no drift row is charged.
+        if batch.removes.is_empty() && batch.adds.is_empty() {
+            return Ok(DeltaOutcome {
+                retired_labels: 0,
+                reopened: false,
+                epoch: self.epoch,
+                watching: self.inner.is_none(),
+            });
+        }
+        // Absorb an open campaign: its labels are already ledgered per
+        // submit; fold its partial effort into the cumulatives and drop
+        // it (required before `&mut view` — see `forged_view`).
+        if let Some(inner) = self.inner.take() {
+            let partial = inner.status();
+            self.done_observations += partial.observations;
+            self.done_triples += partial.annotated_triples;
+            self.done_cost += partial.cost_seconds;
+        }
+        let applied = self
+            .view
+            .apply(&batch.removes, &batch.adds)
+            .expect("batch validated above");
+        self.events.u8(DELTA_EVENT);
+        write_batch(&mut self.events, batch);
+        let mut retired = 0u64;
+        for id in &applied.removed {
+            if self.ledger.remove(id).is_some() {
+                retired += 1;
+            }
+        }
+        {
+            let row = self.drift_row_mut(batch.predicate.as_deref());
+            row.adds += batch.adds.len() as u64;
+            row.removes += batch.removes.len() as u64;
+            row.retired += retired;
+        }
+        let appraisal = self.appraise();
+        self.carry = appraisal.as_ref().map(|a| (a.prior_a, a.prior_b));
+        match appraisal {
+            Some(a) if a.interval.moe() <= self.cfg.epsilon => {
+                // Still certified: keep (or fall back to) watching.
+                self.watched = Some(Watched {
+                    estimate: a.estimate,
+                    interval: a.interval,
+                });
+                Ok(DeltaOutcome {
+                    retired_labels: retired,
+                    reopened: false,
+                    epoch: self.epoch,
+                    watching: true,
+                })
+            }
+            _ => {
+                self.epoch += 1;
+                self.watched = None;
+                let method = self.campaign_method();
+                let rng = SmallRng::seed_from_u64(mix2(self.seed, self.epoch));
+                let mut inner = Self::open_campaign(&self.view, &method, &self.cfg, rng);
+                if let Some(kernel) = &self.kernel {
+                    inner.set_kernel_cache(std::sync::Arc::clone(kernel));
+                }
+                self.inner = Some(inner);
+                Ok(DeltaOutcome {
+                    retired_labels: retired,
+                    reopened: true,
+                    epoch: self.epoch,
+                    watching: false,
+                })
+            }
+        }
     }
 
+    /// Attaches a shared posterior-kernel cache: the current campaign
+    /// and every future re-opened campaign memoize their SRS solves
+    /// through it. Purely a cost lever — outputs are bit-identical.
     fn set_kernel_cache(&mut self, kernel: std::sync::Arc<kgae_intervals::KernelCache>) {
-        MonitorSession::set_kernel_cache(self, kernel);
+        if let Some(inner) = self.inner.as_mut() {
+            inner.set_kernel_cache(std::sync::Arc::clone(&kernel));
+        }
+        self.kernel = Some(kernel);
     }
 }
 
@@ -1113,21 +1101,21 @@ mod tests {
                 .collect();
             monitor.submit(&labels).unwrap();
         }
-        let snap = MonitorSession::snapshot(&monitor).unwrap();
+        let snap = monitor.snapshot().unwrap();
         let resumed = MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, None, &snap).unwrap();
         assert_eq!(resumed.report().epoch, 0);
         assert!(!resumed.watching());
-        assert_eq!(MonitorSession::snapshot(&resumed).unwrap(), snap);
+        assert_eq!(resumed.snapshot().unwrap(), snap);
 
         // Watching with deltas applied and a campaign re-opened, then
         // suspended mid-delta (deltas in, annotation re-opened, no
         // batch outstanding).
         drive_to_watching(&mut monitor, &kg, 16);
-        let watch_snap = MonitorSession::snapshot(&monitor).unwrap();
+        let watch_snap = monitor.snapshot().unwrap();
         let resumed =
             MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, None, &watch_snap).unwrap();
         assert!(resumed.watching());
-        assert_eq!(MonitorSession::snapshot(&resumed).unwrap(), watch_snap);
+        assert_eq!(resumed.snapshot().unwrap(), watch_snap);
 
         monitor
             .apply_deltas(&DeltaBatch {
@@ -1154,11 +1142,11 @@ mod tests {
                 .collect();
             monitor.submit(&labels).unwrap();
         }
-        let snap = MonitorSession::snapshot(&monitor).unwrap();
+        let snap = monitor.snapshot().unwrap();
         let resumed = MonitorSession::resume(&kg, &method, &cfg, 50.0, 5, None, &snap).unwrap();
         assert_eq!(resumed.report(), monitor.report());
         assert_eq!(resumed.report().epoch, 1);
-        assert_eq!(MonitorSession::snapshot(&resumed).unwrap(), snap);
+        assert_eq!(resumed.snapshot().unwrap(), snap);
 
         // Wrong spec parameters are rejected cleanly.
         assert!(matches!(
@@ -1186,7 +1174,7 @@ mod tests {
         let cfg = EvalConfig::default();
         let mut monitor = MonitorSession::new(&kg, &method, &cfg, 50.0, 3);
         drive_to_watching(&mut monitor, &kg, 8);
-        let snap = MonitorSession::snapshot(&monitor).unwrap();
+        let snap = monitor.snapshot().unwrap();
         let (labels, events) = (&monitor.labels, monitor.events.as_bytes());
         let log_len = 8 + labels.len().div_ceil(8) as usize + events.len();
         let prefix = &snap[..snap.len() - log_len];

@@ -79,11 +79,6 @@ pub fn cost_t_test(a: &RepeatedRuns, b: &RepeatedRuns) -> kgae_stats::Result<TTe
     pooled_t_test(&a.cost_hours, &b.cost_hours)
 }
 
-/// Independent two-sample t-test between two methods' triple counts.
-pub fn triples_t_test(a: &RepeatedRuns, b: &RepeatedRuns) -> kgae_stats::Result<TTestResult> {
-    pooled_t_test(&a.triples, &b.triples)
-}
-
 /// Runs `reps` evaluations with the oracle annotator, in parallel, with
 /// per-repetition deterministic seeds (`base_seed + rep`).
 ///
@@ -256,7 +251,7 @@ mod tests {
         );
         let t = cost_t_test(&wald, &same).unwrap();
         assert!(!t.significant_at(0.01), "identical runs must not differ");
-        let t2 = triples_t_test(&wald, &same).unwrap();
+        let t2 = pooled_t_test(&wald.triples, &same.triples).unwrap();
         assert!((t2.t).abs() < 1e-9);
     }
 

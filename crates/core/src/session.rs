@@ -186,6 +186,22 @@ pub struct SessionStatus {
     pub stopped: Option<StopReason>,
 }
 
+impl SessionStatus {
+    /// The status of an engine that stopped for `reason` with `result`.
+    #[must_use]
+    pub fn stopped(result: &EvalResult, reason: StopReason) -> Self {
+        Self {
+            estimate: Some(result.mu_hat),
+            interval: Some(result.interval),
+            observations: result.observations,
+            annotated_triples: result.annotated_triples,
+            stage1_draws: result.stage1_draws,
+            cost_seconds: result.cost_seconds,
+            stopped: Some(reason),
+        }
+    }
+}
+
 /// An RNG whose full state can be captured and restored: a session
 /// records the state it started from, and resume and cancel replay
 /// its draws from there.
@@ -675,15 +691,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
     #[must_use]
     pub fn status(&self) -> SessionStatus {
         if let Some(o) = &self.outcome {
-            return SessionStatus {
-                estimate: Some(o.result.mu_hat),
-                interval: Some(o.result.interval),
-                observations: o.result.observations,
-                annotated_triples: o.result.annotated_triples,
-                stage1_draws: o.result.stage1_draws,
-                cost_seconds: o.result.cost_seconds,
-                stopped: Some(o.reason),
-            };
+            return SessionStatus::stopped(&o.result, o.reason);
         }
         let has_data = self.state.n() > 0;
         let estimate = has_data.then(|| self.state.effective().mu);

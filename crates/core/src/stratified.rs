@@ -9,7 +9,7 @@
 //!
 //! ```
 //! use kgae_core::stratified::{StratifiedConfig, StratifiedSession};
-//! use kgae_core::IntervalMethod;
+//! use kgae_core::{IntervalMethod, SessionEngine};
 //! use kgae_graph::GroundTruth;
 //!
 //! let (kg, strat) = kgae_graph::datasets::nell_by_predicate();
@@ -20,9 +20,9 @@
 //!     &StratifiedConfig::default(),
 //!     42,
 //! );
-//! while let Some(req) = session.next_request(8).unwrap() {
-//!     // req.stratum / req.name say which predicate this batch audits.
-//!     let labels: Vec<bool> = req
+//! while let Some(polled) = session.next_request(8).unwrap() {
+//!     // polled.stratum says which predicate this batch audits.
+//!     let labels: Vec<bool> = polled
 //!         .request
 //!         .triples
 //!         .iter()
@@ -30,9 +30,9 @@
 //!         .collect();
 //!     session.submit(&labels).unwrap();
 //! }
-//! let result = session.into_result().unwrap();
-//! assert!(result.pooled.converged);
-//! assert_eq!(result.strata.len(), 8); // one row per predicate
+//! let outcome = Box::new(session).into_outcome().unwrap();
+//! assert!(outcome.result.converged); // the pooled result
+//! assert_eq!(outcome.strata.unwrap().len(), 8); // one row per predicate
 //! ```
 //!
 //! **Allocation.** Each polled batch goes entirely to one stratum,
@@ -67,26 +67,28 @@
 //! pooled interval is Wald-on-pooled-variance; the per-stratum rows keep
 //! their own credible intervals.
 //!
-//! **Suspend/resume.** [`StratifiedSession::snapshot`] writes a
+//! **Suspend/resume.** [`SessionEngine::snapshot`] writes a
 //! `KGAESNAP` record with its own record tag (4): the coordinator's
 //! config and stratification fingerprints followed by one embedded
 //! session record per stratum. Resume validates every fingerprint and
 //! restores the exact allocation + sampling trajectory, bit for bit.
 
+use crate::engine::{EngineKind, EngineOutcome, EngineRequest, SessionEngine, SessionStatusView};
 use crate::framework::{EvalConfig, EvalResult, SamplingDesign, StoppingPolicy};
 use crate::method::IntervalMethod;
 use crate::session::{
-    method_fingerprint_matches, read_record_prefix, write_method_fingerprint, AnnotationRequest,
-    EvaluationSession, SessionError, SessionStatus, StopReason, STRATIFIED_SNAPSHOT_TAG,
+    method_fingerprint_matches, read_record_prefix, write_method_fingerprint, EvaluationSession,
+    SessionError, SessionStatus, StopReason, STRATIFIED_SNAPSHOT_TAG,
 };
 use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::stratify::Stratification;
 use kgae_graph::KnowledgeGraph;
-use kgae_intervals::{pooled_interval, pooled_point, Interval, StratumSummary};
+use kgae_intervals::{pooled_interval, pooled_point, Interval, KernelCache, StratumSummary};
 use kgae_sampling::driver::StratumSrsDriver;
 use kgae_sampling::AllocationPolicy;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Campaign-level configuration of a stratified evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -139,17 +141,6 @@ impl StratifiedConfig {
     }
 }
 
-/// A poll outcome: the next batch, addressed to one stratum.
-#[derive(Debug, Clone)]
-pub struct StratifiedRequest {
-    /// Index of the stratum the batch belongs to.
-    pub stratum: u32,
-    /// Its name (predicate, bucket label, ...).
-    pub name: String,
-    /// The batch itself; labels are owed in this order.
-    pub request: AnnotationRequest,
-}
-
 /// One stratum's row in a status report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StratumReport {
@@ -168,26 +159,6 @@ pub struct StratumReport {
     /// `None` otherwise — stratum engines never stop for any other
     /// reason.
     pub status: SessionStatus,
-}
-
-/// A point-in-time view of the whole campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StratifiedStatus {
-    /// Pooled KG-wide view: stratified point estimate, pooled Wald
-    /// interval, summed counts and cost.
-    pub pooled: SessionStatus,
-    /// Per-stratum rows, in stratum order.
-    pub strata: Vec<StratumReport>,
-}
-
-/// Final outcome of a stratified campaign.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StratifiedResult {
-    /// Pooled result in the shape of a single-session [`EvalResult`]
-    /// (`stage1_draws` is 0: strata sample triples, not clusters).
-    pub pooled: EvalResult,
-    /// Per-stratum rows at the stop.
-    pub strata: Vec<StratumReport>,
 }
 
 /// Coordinator for a stratified campaign. See the module docs for the
@@ -209,7 +180,7 @@ pub struct StratifiedSession<'a> {
     /// serialized: a resumed campaign recomputes it.
     widths: Vec<Option<(u64, f64)>>,
     pending: Option<u32>,
-    outcome: Option<(StopReason, StratifiedResult)>,
+    outcome: Option<EngineOutcome>,
 }
 
 impl<'a> StratifiedSession<'a> {
@@ -275,17 +246,6 @@ impl<'a> StratifiedSession<'a> {
         }
     }
 
-    /// Attaches a shared posterior-kernel cache to every stratum session
-    /// (strata are SRS by construction, the cache's sweet spot).
-    /// Purely a cost lever: outputs stay bit-identical. Per-stratum
-    /// sessions are only created in [`Self::new`] and [`Self::resume`],
-    /// so attaching once after construction covers the whole campaign.
-    pub fn set_kernel_cache(&mut self, kernel: &std::sync::Arc<kgae_intervals::KernelCache>) {
-        for session in &mut self.sessions {
-            session.set_kernel_cache(std::sync::Arc::clone(kernel));
-        }
-    }
-
     /// Number of strata.
     #[must_use]
     pub fn num_strata(&self) -> u32 {
@@ -296,30 +256,6 @@ impl<'a> StratifiedSession<'a> {
     #[must_use]
     pub fn config(&self) -> &StratifiedConfig {
         &self.cfg
-    }
-
-    /// Whether labels are owed on an outstanding request.
-    #[must_use]
-    pub fn has_pending_request(&self) -> bool {
-        self.pending.is_some()
-    }
-
-    /// Why the campaign stopped, or `None` while it runs.
-    #[must_use]
-    pub fn stop_reason(&self) -> Option<StopReason> {
-        self.outcome.as_ref().map(|(reason, _)| *reason)
-    }
-
-    /// The final result once the campaign has stopped.
-    #[must_use]
-    pub fn result(&self) -> Option<&StratifiedResult> {
-        self.outcome.as_ref().map(|(_, result)| result)
-    }
-
-    /// Consumes the campaign, yielding the final result if it stopped.
-    #[must_use]
-    pub fn into_result(self) -> Option<StratifiedResult> {
-        self.outcome.map(|(_, result)| result)
     }
 
     fn observations(&self, h: usize) -> u64 {
@@ -365,71 +301,6 @@ impl<'a> StratifiedSession<'a> {
             size: self.sizes[h],
             census,
             status,
-        }
-    }
-
-    /// The pooled headline alone — stratified point estimate, pooled
-    /// interval, summed counts and cost — **without** materializing
-    /// per-stratum rows (each row's status constructs that stratum's
-    /// own interval). Field-for-field identical to the `pooled` half of
-    /// [`StratifiedSession::status`]; session hosts use it on poll and
-    /// submit hot paths.
-    #[must_use]
-    pub fn headline_status(&self) -> SessionStatus {
-        if let Some((_, result)) = &self.outcome {
-            return SessionStatus {
-                estimate: Some(result.pooled.mu_hat),
-                interval: Some(result.pooled.interval),
-                observations: result.pooled.observations,
-                annotated_triples: result.pooled.annotated_triples,
-                stage1_draws: 0,
-                cost_seconds: result.pooled.cost_seconds,
-                stopped: self.stop_reason(),
-            };
-        }
-        let summaries: Option<Vec<StratumSummary>> =
-            (0..self.sessions.len()).map(|h| self.summary(h)).collect();
-        let (estimate, interval) = match summaries {
-            Some(summaries) => {
-                let mu = pooled_point(&summaries);
-                let interval = pooled_interval(&summaries, self.cfg.alpha).ok();
-                (Some(mu), interval)
-            }
-            None => (None, None),
-        };
-        let (mut observations, mut annotated_triples, mut cost_seconds) = (0, 0, 0.0);
-        for session in &self.sessions {
-            observations += session.sample_state().n();
-            annotated_triples += session.annotated_triples();
-            cost_seconds += session.cost_seconds();
-        }
-        SessionStatus {
-            estimate,
-            interval,
-            observations,
-            annotated_triples,
-            stage1_draws: 0,
-            cost_seconds,
-            stopped: self.stop_reason(),
-        }
-    }
-
-    /// Point-in-time view: per-stratum rows plus the pooled estimate
-    /// and interval. The pooled point estimate is
-    /// [`pooled_point`] over the per-stratum estimators in stratum
-    /// order — bit-identical to folding them by hand.
-    #[must_use]
-    pub fn status(&self) -> StratifiedStatus {
-        if let Some((_, result)) = &self.outcome {
-            return StratifiedStatus {
-                pooled: self.headline_status(),
-                strata: result.strata.clone(),
-            };
-        }
-        let strata: Vec<StratumReport> = (0..self.sessions.len()).map(|h| self.report(h)).collect();
-        StratifiedStatus {
-            pooled: self.headline_status(),
-            strata,
         }
     }
 
@@ -542,7 +413,12 @@ impl<'a> StratifiedSession<'a> {
                 || reason == StopReason::PopulationExhausted,
             halted_at_floor: false,
         };
-        self.outcome = Some((reason, StratifiedResult { pooled, strata }));
+        self.outcome = Some(EngineOutcome {
+            reason,
+            result: pooled,
+            strata: Some(strata),
+            methods: None,
+        });
         Ok(())
     }
 
@@ -581,130 +457,6 @@ impl<'a> StratifiedSession<'a> {
             return Ok(true);
         }
         Ok(false)
-    }
-
-    /// Polls the campaign for the next annotation batch (up to
-    /// `max_units` triples, all from one stratum). `Ok(None)` once the
-    /// campaign stopped — [`StratifiedSession::status`] carries the
-    /// reason.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::RequestPending`] while labels are owed;
-    /// [`SessionError::Interval`] if a pooled-interval construction
-    /// fails.
-    pub fn next_request(
-        &mut self,
-        max_units: u64,
-    ) -> Result<Option<StratifiedRequest>, SessionError> {
-        if self.outcome.is_some() {
-            return Ok(None);
-        }
-        if self.pending.is_some() {
-            return Err(SessionError::RequestPending);
-        }
-        let Some(h) = self.allocate() else {
-            // Every stratum is a census.
-            self.check_stop()?;
-            return Ok(None);
-        };
-        // A stratum with unannotated triples always serves a batch: its
-        // engine never stops on its own, and its without-replacement
-        // stream runs dry only once every triple is drawn.
-        let request = self.sessions[h]
-            .next_request(max_units)?
-            .expect("a stratum that is not a census serves a batch");
-        self.pending = Some(h as u32);
-        Ok(Some(StratifiedRequest {
-            stratum: h as u32,
-            name: self.names[h].clone(),
-            request,
-        }))
-    }
-
-    /// Submits labels for the outstanding batch, in request order, then
-    /// runs the campaign stopping rule (pooled MoE, census, budget).
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::NoRequestPending`],
-    /// [`SessionError::LabelCountMismatch`], or a pooled-interval
-    /// construction failure.
-    pub fn submit(&mut self, labels: &[bool]) -> Result<(), SessionError> {
-        let Some(h) = self.pending else {
-            return Err(SessionError::NoRequestPending);
-        };
-        self.sessions[h as usize].submit(labels)?;
-        self.pending = None;
-        self.check_stop()?;
-        Ok(())
-    }
-
-    /// Withdraws the outstanding batch by rewinding the pending
-    /// stratum's engine to its pre-draw state
-    /// ([`EvaluationSession::cancel_request`]), so a re-poll after
-    /// cancel re-runs the same allocation and regenerates the
-    /// bit-identical batch.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::NoRequestPending`] without an outstanding
-    /// request.
-    pub fn cancel_request(&mut self) -> Result<(), SessionError> {
-        let Some(h) = self.pending else {
-            return Err(SessionError::NoRequestPending);
-        };
-        self.sessions[h as usize].cancel_request()?;
-        self.pending = None;
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------
-    // Suspend / resume
-    // -----------------------------------------------------------------
-
-    /// Serializes the coordinator into a canonical binary snapshot: the
-    /// `KGAESNAP` container with the stratified record tag (4), campaign
-    /// fingerprints, and one embedded session record per stratum.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::SnapshotUnavailable`] while labels are owed or
-    /// after the campaign stopped.
-    pub fn snapshot(&self) -> Result<Vec<u8>, SessionError> {
-        if self.pending.is_some() {
-            return Err(SessionError::SnapshotUnavailable(
-                "a request is outstanding; submit its labels first",
-            ));
-        }
-        if self.outcome.is_some() {
-            return Err(SessionError::SnapshotUnavailable(
-                "campaign already stopped; read its result instead",
-            ));
-        }
-        let mut w = Writer::new();
-        w.bytes(SNAPSHOT_MAGIC);
-        w.u16(SNAPSHOT_VERSION);
-        w.u8(STRATIFIED_SNAPSHOT_TAG);
-        w.u64(self.sessions.len() as u64);
-        w.u64(self.kg.num_triples());
-        w.u32(self.kg.num_clusters());
-        w.u64(self.strat_fingerprint);
-        // Campaign config fingerprint.
-        w.f64(self.cfg.alpha);
-        w.f64(self.cfg.epsilon);
-        w.u8(allocation_tag(self.cfg.allocation));
-        w.opt_u64(self.cfg.max_observations);
-        w.u64(self.cfg.min_per_stratum);
-        // Method fingerprint (same shape as the session snapshot's).
-        write_method_fingerprint(&mut w, &self.method);
-        // Per-stratum records.
-        for session in &self.sessions {
-            let child = session.snapshot()?;
-            w.u64(child.len() as u64);
-            w.bytes(&child);
-        }
-        Ok(w.into_bytes())
     }
 
     /// Reconstructs a suspended campaign from a snapshot, validating
@@ -778,6 +530,202 @@ impl<'a> StratifiedSession<'a> {
     }
 }
 
+impl SessionEngine for StratifiedSession<'_> {
+    fn kind(&self) -> EngineKind {
+        EngineKind::Stratified
+    }
+
+    fn has_pending_request(&self) -> bool {
+        self.pending.is_some()
+    }
+
+    /// Polls the campaign for the next annotation batch (up to
+    /// `max_units` triples, all from one stratum, which the request
+    /// names). `Ok(None)` once the campaign stopped.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::RequestPending`] while labels are owed;
+    /// [`SessionError::Interval`] if a pooled-interval construction
+    /// fails.
+    fn next_request(&mut self, max_units: u64) -> Result<Option<EngineRequest>, SessionError> {
+        if self.outcome.is_some() {
+            return Ok(None);
+        }
+        if self.pending.is_some() {
+            return Err(SessionError::RequestPending);
+        }
+        let Some(h) = self.allocate() else {
+            // Every stratum is a census.
+            self.check_stop()?;
+            return Ok(None);
+        };
+        // A stratum with unannotated triples always serves a batch: its
+        // engine never stops on its own, and its without-replacement
+        // stream runs dry only once every triple is drawn.
+        let request = self.sessions[h]
+            .next_request(max_units)?
+            .expect("a stratum that is not a census serves a batch");
+        self.pending = Some(h as u32);
+        Ok(Some(EngineRequest {
+            request,
+            stratum: Some((h as u32, self.names[h].clone())),
+        }))
+    }
+
+    /// Submits labels for the outstanding batch, in request order, then
+    /// runs the campaign stopping rule (pooled MoE, census, budget).
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::NoRequestPending`],
+    /// [`SessionError::LabelCountMismatch`], or a pooled-interval
+    /// construction failure.
+    fn submit(&mut self, labels: &[bool]) -> Result<(), SessionError> {
+        let Some(h) = self.pending else {
+            return Err(SessionError::NoRequestPending);
+        };
+        self.sessions[h as usize].submit(labels)?;
+        self.pending = None;
+        self.check_stop()?;
+        Ok(())
+    }
+
+    /// Point-in-time view: the pooled headline plus per-stratum rows.
+    fn status(&self) -> SessionStatusView {
+        let strata = match &self.outcome {
+            Some(outcome) => outcome.strata.clone(),
+            None => Some((0..self.sessions.len()).map(|h| self.report(h)).collect()),
+        };
+        SessionStatusView {
+            primary: self.headline(),
+            strata,
+            methods: None,
+            monitor: None,
+        }
+    }
+
+    /// Withdraws the outstanding batch by rewinding the pending
+    /// stratum's engine to its pre-draw state
+    /// ([`EvaluationSession::cancel_request`]), so a re-poll after
+    /// cancel re-runs the same allocation and regenerates the
+    /// bit-identical batch.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::NoRequestPending`] without an outstanding
+    /// request.
+    fn cancel_request(&mut self) -> Result<(), SessionError> {
+        let Some(h) = self.pending else {
+            return Err(SessionError::NoRequestPending);
+        };
+        self.sessions[h as usize].cancel_request()?;
+        self.pending = None;
+        Ok(())
+    }
+
+    /// The pooled headline — stratified point estimate ([`pooled_point`]
+    /// over the per-stratum estimators in stratum order, bit-identical
+    /// to folding them by hand), pooled interval, summed counts and
+    /// cost — without materializing per-stratum rows (each row's status
+    /// constructs that stratum's own interval).
+    fn headline(&self) -> SessionStatus {
+        if let Some(outcome) = &self.outcome {
+            return SessionStatus::stopped(&outcome.result, outcome.reason);
+        }
+        let summaries: Option<Vec<StratumSummary>> =
+            (0..self.sessions.len()).map(|h| self.summary(h)).collect();
+        let (estimate, interval) = match summaries {
+            Some(summaries) => {
+                let mu = pooled_point(&summaries);
+                let interval = pooled_interval(&summaries, self.cfg.alpha).ok();
+                (Some(mu), interval)
+            }
+            None => (None, None),
+        };
+        let (mut observations, mut annotated_triples, mut cost_seconds) = (0, 0, 0.0);
+        for session in &self.sessions {
+            observations += session.sample_state().n();
+            annotated_triples += session.annotated_triples();
+            cost_seconds += session.cost_seconds();
+        }
+        SessionStatus {
+            estimate,
+            interval,
+            observations,
+            annotated_triples,
+            stage1_draws: 0,
+            cost_seconds,
+            stopped: None,
+        }
+    }
+
+    fn stop_reason(&self) -> Option<StopReason> {
+        self.outcome.as_ref().map(|outcome| outcome.reason)
+    }
+
+    /// Serializes the coordinator into a canonical binary snapshot: the
+    /// `KGAESNAP` container with the stratified record tag (4), campaign
+    /// fingerprints, and one embedded session record per stratum.
+    ///
+    /// # Errors
+    ///
+    /// [`SessionError::SnapshotUnavailable`] while labels are owed or
+    /// after the campaign stopped.
+    fn snapshot(&self) -> Result<Vec<u8>, SessionError> {
+        if self.pending.is_some() {
+            return Err(SessionError::SnapshotUnavailable(
+                "a request is outstanding; submit its labels first",
+            ));
+        }
+        if self.outcome.is_some() {
+            return Err(SessionError::SnapshotUnavailable(
+                "campaign already stopped; read its result instead",
+            ));
+        }
+        let mut w = Writer::new();
+        w.bytes(SNAPSHOT_MAGIC);
+        w.u16(SNAPSHOT_VERSION);
+        w.u8(STRATIFIED_SNAPSHOT_TAG);
+        w.u64(self.sessions.len() as u64);
+        w.u64(self.kg.num_triples());
+        w.u32(self.kg.num_clusters());
+        w.u64(self.strat_fingerprint);
+        // Campaign config fingerprint.
+        w.f64(self.cfg.alpha);
+        w.f64(self.cfg.epsilon);
+        w.u8(allocation_tag(self.cfg.allocation));
+        w.opt_u64(self.cfg.max_observations);
+        w.u64(self.cfg.min_per_stratum);
+        // Method fingerprint (same shape as the session snapshot's).
+        write_method_fingerprint(&mut w, &self.method);
+        // Per-stratum records.
+        for session in &self.sessions {
+            let child = session.snapshot()?;
+            w.u64(child.len() as u64);
+            w.bytes(&child);
+        }
+        Ok(w.into_bytes())
+    }
+
+    /// The pooled result (`stage1_draws` is 0: strata sample triples,
+    /// not clusters) and the per-stratum rows at the stop.
+    fn into_outcome(self: Box<Self>) -> Option<EngineOutcome> {
+        self.outcome
+    }
+
+    /// Attaches the cache to every stratum session (strata are SRS by
+    /// construction, the cache's sweet spot). Per-stratum sessions are
+    /// only created in [`StratifiedSession::new`] and
+    /// [`StratifiedSession::resume`], so attaching once after
+    /// construction covers the whole campaign.
+    fn set_kernel_cache(&mut self, kernel: Arc<KernelCache>) {
+        for session in &mut self.sessions {
+            session.set_kernel_cache(Arc::clone(&kernel));
+        }
+    }
+}
+
 fn allocation_tag(policy: AllocationPolicy) -> u8 {
     match policy {
         AllocationPolicy::WidthGreedy => 0,
@@ -789,6 +737,7 @@ fn allocation_tag(policy: AllocationPolicy) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::AnnotationRequest;
     use kgae_graph::GroundTruth;
 
     fn oracle_labels(kg: &(impl GroundTruth + ?Sized), request: &AnnotationRequest) -> Vec<bool> {
@@ -803,12 +752,19 @@ mod tests {
         kg: &(impl KnowledgeGraph + GroundTruth),
         session: &mut StratifiedSession<'_>,
         batch: u64,
-    ) -> StratifiedResult {
+    ) {
         while let Some(req) = session.next_request(batch).unwrap() {
             let labels = oracle_labels(kg, &req.request);
             session.submit(&labels).unwrap();
         }
-        session.result().unwrap().clone()
+    }
+
+    fn outcome(session: StratifiedSession<'_>) -> EngineOutcome {
+        Box::new(session).into_outcome().unwrap()
+    }
+
+    fn strata(outcome: &EngineOutcome) -> &[StratumReport] {
+        outcome.strata.as_deref().expect("stratified rows")
     }
 
     #[test]
@@ -821,28 +777,29 @@ mod tests {
             &StratifiedConfig::default(),
             42,
         );
-        let result = drive(&kg, &mut session, 8);
+        drive(&kg, &mut session, 8);
         assert_eq!(session.stop_reason(), Some(StopReason::MoeSatisfied));
-        assert!(result.pooled.converged);
-        assert!(result.pooled.interval.moe() <= 0.05 + 1e-12);
-        assert_eq!(result.strata.len(), 8);
+        // Stopped campaigns politely decline further requests.
+        assert!(session.next_request(4).unwrap().is_none());
+        let result = outcome(session);
+        assert!(result.result.converged);
+        assert!(result.result.interval.moe() <= 0.05 + 1e-12);
+        assert_eq!(strata(&result).len(), 8);
         // The pooled estimate lands near the dataset's true accuracy.
         assert!(
-            (result.pooled.mu_hat - kg.true_accuracy()).abs() < 0.08,
+            (result.result.mu_hat - kg.true_accuracy()).abs() < 0.08,
             "pooled {} vs true {}",
-            result.pooled.mu_hat,
+            result.result.mu_hat,
             kg.true_accuracy()
         );
         // Every stratum met its floor.
-        for report in &result.strata {
+        for report in strata(&result) {
             assert!(
                 report.status.observations >= 10.min(report.size),
                 "{} under floor",
                 report.name
             );
         }
-        // Stopped campaigns politely decline further requests.
-        assert!(session.next_request(4).unwrap().is_none());
     }
 
     #[test]
@@ -866,7 +823,7 @@ mod tests {
             let mut steps = 0;
             while let Some(req) = session.next_request(8).unwrap() {
                 let labels = oracle_labels(&kg, &req.request);
-                let h = req.stratum as usize;
+                let h = req.stratum.expect("stratified batches name a stratum").0 as usize;
                 n[h] += labels.len() as u64;
                 tau[h] += labels.iter().filter(|&&l| l).count() as u64;
                 session.submit(&labels).unwrap();
@@ -876,7 +833,7 @@ mod tests {
                     let manual = (0..k).fold(0.0_f64, |acc, h| {
                         acc + strat.weight(h as u32) * (tau[h] as f64 / n[h] as f64)
                     });
-                    let pooled = status.pooled.estimate.expect("all strata have data");
+                    let pooled = status.primary.estimate.expect("all strata have data");
                     assert_eq!(
                         pooled.to_bits(),
                         manual.to_bits(),
@@ -915,7 +872,7 @@ mod tests {
                     }
                 }
             }
-            session.into_result().unwrap()
+            outcome(session)
         };
 
         let straight = run(None);
@@ -986,14 +943,15 @@ mod tests {
         };
         let mut session =
             StratifiedSession::new(&kg, &strat, &IntervalMethod::ahpd_default(), &cfg, 3);
-        let result = drive(&kg, &mut session, 8);
+        drive(&kg, &mut session, 8);
         assert_eq!(session.stop_reason(), Some(StopReason::BudgetExhausted));
-        assert!(!result.pooled.converged);
-        assert!(result.pooled.observations >= 90);
+        let result = outcome(session);
+        assert!(!result.result.converged);
+        assert!(result.result.observations >= 90);
         // The tail strata never saw data — the pooled answer is the
         // renormalized partial estimate over the covered strata.
-        assert!(result.strata.iter().any(|r| r.status.observations == 0));
-        assert!(result.pooled.mu_hat > 0.0 && result.pooled.mu_hat <= 1.0);
+        assert!(strata(&result).iter().any(|r| r.status.observations == 0));
+        assert!(result.result.mu_hat > 0.0 && result.result.mu_hat <= 1.0);
     }
 
     #[test]
@@ -1007,12 +965,13 @@ mod tests {
             ..StratifiedConfig::default()
         };
         let mut session = StratifiedSession::new(&kg, &strat, &IntervalMethod::Wilson, &cfg, 1);
-        let result = drive(&kg, &mut session, 16);
+        drive(&kg, &mut session, 16);
         assert_eq!(session.stop_reason(), Some(StopReason::PopulationExhausted));
-        assert_eq!(result.pooled.observations, 60);
-        assert_eq!(result.pooled.interval.width(), 0.0);
-        assert!((result.pooled.mu_hat - kg.measure_accuracy()).abs() < 1e-12);
-        for report in &result.strata {
+        let result = outcome(session);
+        assert_eq!(result.result.observations, 60);
+        assert_eq!(result.result.interval.width(), 0.0);
+        assert!((result.result.mu_hat - kg.measure_accuracy()).abs() < 1e-12);
+        for report in strata(&result) {
             assert!(report.census);
             assert_eq!(report.status.stopped, Some(StopReason::PopulationExhausted));
         }
@@ -1061,20 +1020,21 @@ mod tests {
             };
             let mut session =
                 StratifiedSession::new(&kg, &strat, &IntervalMethod::ahpd_default(), &cfg, 17);
-            let result = drive(&kg, &mut session, 8);
-            assert!(result.pooled.converged);
+            drive(&kg, &mut session, 8);
+            let result = outcome(session);
+            assert!(result.result.converged);
             result
         };
         let greedy = spend(AllocationPolicy::WidthGreedy);
         let proportional = spend(AllocationPolicy::Proportional);
         // Share of annotations on the three rotten tail predicates
         // (accuracy ≤ 0.70 → the highest-variance strata).
-        let tail_share = |result: &StratifiedResult| {
-            let tail: u64 = result.strata[5..]
+        let tail_share = |result: &EngineOutcome| {
+            let tail: u64 = strata(result)[5..]
                 .iter()
                 .map(|r| r.status.observations)
                 .sum();
-            tail as f64 / result.pooled.observations as f64
+            tail as f64 / result.result.observations as f64
         };
         assert!(
             tail_share(&greedy) > tail_share(&proportional),
@@ -1084,10 +1044,10 @@ mod tests {
         );
         // And it reaches the pooled target with fewer annotations.
         assert!(
-            greedy.pooled.observations < proportional.pooled.observations,
+            greedy.result.observations < proportional.result.observations,
             "greedy {} vs proportional {}",
-            greedy.pooled.observations,
-            proportional.pooled.observations
+            greedy.result.observations,
+            proportional.result.observations
         );
     }
 }

@@ -9,8 +9,8 @@
 
 use kgae_core::comparative::ComparativeSession;
 use kgae_core::{
-    compared_methods, AnnotationRequest, ComparativeResult, EvalConfig, EvalResult,
-    EvaluationSession, IntervalMethod, PreparedDesign, SamplingDesign,
+    compared_methods, AnnotationRequest, EngineOutcome, EvalConfig, EvalResult, EvaluationSession,
+    IntervalMethod, MethodReport, PreparedDesign, SamplingDesign, SessionEngine,
 };
 use kgae_graph::{CompactKg, GroundTruth};
 use kgae_sampling::ComparePrimary;
@@ -61,17 +61,27 @@ fn drive_comparative(
     cfg: &EvalConfig,
     seed: u64,
     batch: u64,
-) -> ComparativeResult {
+) -> EngineOutcome {
     let mut session = ComparativeSession::new(kg, prepared, primary, cfg, seed);
     let mut labels = Vec::new();
-    while let Some(request) = session.next_request(batch).unwrap() {
+    while let Some(polled) = session.next_request(batch).unwrap() {
         labels.clear();
-        labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
+        labels.extend(
+            polled
+                .request
+                .triples
+                .iter()
+                .map(|st| kg.is_correct(st.triple)),
+        );
         session.submit(&labels).unwrap();
     }
-    session
-        .into_result()
+    Box::new(session)
+        .into_outcome()
         .expect("stopped campaign has a result")
+}
+
+fn method_rows(outcome: &EngineOutcome) -> &[MethodReport] {
+    outcome.methods.as_deref().expect("per-method rows")
 }
 
 fn drive_standalone(
@@ -108,14 +118,14 @@ fn check_against_standalones(
     let standalone_primary =
         drive_standalone(kg, prepared, &roster[primary.roster_index()], cfg, seed);
     assert_eq!(
-        comparative.primary, standalone_primary,
+        comparative.result, standalone_primary,
         "{what}: primary diverged from the standalone run"
     );
-    let shared_total = comparative.primary.observations;
+    let shared_total = comparative.result.observations;
 
     // 2. Every rival row is the standalone counterfactual.
     for (index, method) in roster.iter().enumerate() {
-        let row = &comparative.methods[index];
+        let row = &method_rows(&comparative)[index];
         assert_eq!(row.method, method.canonical_name(), "{what}: roster order");
         assert_eq!(row.primary, index == primary.roster_index());
         if row.primary {
@@ -247,16 +257,16 @@ fn shared_stream_costs_a_fraction_of_independent_campaigns() {
             .map(|method| drive_standalone(&kg, &prepared, method, &cfg, seed))
             .collect();
         assert_eq!(
-            comparative.primary,
+            comparative.result,
             standalone[ComparePrimary::AHpd.roster_index()],
             "seed {seed}: primary diverged from the standalone aHPD run"
         );
         let independent: u64 = standalone.iter().map(|r| r.observations).sum();
         assert!(
-            comparative.primary.observations < independent,
+            comparative.result.observations < independent,
             "seed {seed}: shared stream used {} annotations vs {} across \
              four independent campaigns",
-            comparative.primary.observations,
+            comparative.result.observations,
             independent
         );
     }
@@ -274,9 +284,9 @@ fn budget_exhaustion_freezes_non_converged_rows() {
     };
     let prepared = PreparedDesign::new(&kg, SamplingDesign::Srs);
     let result = drive_comparative(&kg, &prepared, ComparePrimary::AHpd, &cfg, 9, 16);
-    assert!(!result.primary.converged);
-    assert!(result.primary.observations >= 60);
-    for row in &result.methods {
+    assert!(!result.result.converged);
+    assert!(result.result.observations >= 60);
+    for row in method_rows(&result) {
         assert!(
             !row.converged,
             "{} converged under a 60-label budget",
@@ -286,7 +296,7 @@ fn budget_exhaustion_freezes_non_converged_rows() {
         assert_eq!(
             row.stopped_at,
             if row.primary {
-                Some(result.primary.observations)
+                Some(result.result.observations)
             } else {
                 None
             }

@@ -15,10 +15,9 @@
 
 use kgae_core::comparative::ComparativeSession;
 use kgae_core::{
-    AnnotationRequest, ComparativeResult, ComparativeStatus, DeltaBatch, EvalConfig, EvalResult,
-    EvaluationSession, IntervalMethod, MonitorReport, MonitorSession, PreparedDesign,
-    SamplingDesign, SessionEngine, SessionStatus, StratifiedConfig, StratifiedResult,
-    StratifiedSession, StratifiedStatus,
+    AnnotationRequest, DeltaBatch, EngineOutcome, EvalConfig, EvalResult, EvaluationSession,
+    IntervalMethod, MonitorReport, MonitorSession, PreparedDesign, SamplingDesign, SessionEngine,
+    SessionStatus, SessionStatusView, StratifiedConfig, StratifiedSession,
 };
 use kgae_graph::{CompactKg, DeltaKg, GroundTruth};
 use kgae_intervals::{BetaPrior, KernelCache};
@@ -112,10 +111,10 @@ fn drive_stratified(
     cfg: &StratifiedConfig,
     seed: u64,
     kernel: Option<&Arc<KernelCache>>,
-) -> (Vec<StratifiedStatus>, Vec<Vec<u8>>, StratifiedResult) {
+) -> (Vec<SessionStatusView>, Vec<Vec<u8>>, EngineOutcome) {
     let mut session = StratifiedSession::new(kg, strat, method, cfg, seed);
     if let Some(kernel) = kernel {
-        session.set_kernel_cache(kernel);
+        session.set_kernel_cache(Arc::clone(kernel));
     }
     let mut labels = Vec::new();
     let mut statuses = Vec::new();
@@ -143,7 +142,7 @@ fn drive_stratified(
     (
         statuses,
         snapshots,
-        session.into_result().expect("stratified result"),
+        Box::new(session).into_outcome().expect("stratified result"),
     )
 }
 
@@ -170,18 +169,24 @@ fn drive_comparative(
     cfg: &EvalConfig,
     seed: u64,
     kernel: Option<&Arc<KernelCache>>,
-) -> (Vec<ComparativeStatus>, Vec<Vec<u8>>, ComparativeResult) {
+) -> (Vec<SessionStatusView>, Vec<Vec<u8>>, EngineOutcome) {
     let mut session = ComparativeSession::new(kg, prepared, ComparePrimary::AHpd, cfg, seed);
     if let Some(kernel) = kernel {
-        session.set_kernel_cache(kernel);
+        session.set_kernel_cache(Arc::clone(kernel));
     }
     let mut labels = Vec::new();
     let mut statuses = Vec::new();
     let mut snapshots = Vec::new();
     let mut batches = 0u64;
-    while let Some(request) = session.next_request(4).unwrap() {
+    while let Some(polled) = session.next_request(4).unwrap() {
         labels.clear();
-        labels.extend(request.triples.iter().map(|st| kg.is_correct(st.triple)));
+        labels.extend(
+            polled
+                .request
+                .triples
+                .iter()
+                .map(|st| kg.is_correct(st.triple)),
+        );
         session.submit(&labels).unwrap();
         statuses.push(session.status());
         batches += 1;
@@ -196,7 +201,9 @@ fn drive_comparative(
     (
         statuses,
         snapshots,
-        session.into_result().expect("comparative result"),
+        Box::new(session)
+            .into_outcome()
+            .expect("comparative result"),
     )
 }
 

@@ -4,7 +4,7 @@
 //! the pooled MoE target with fewer annotations than proportional
 //! allocation, and every campaign under either policy converges.
 
-use kgae_core::{IntervalMethod, StratifiedConfig, StratifiedSession};
+use kgae_core::{IntervalMethod, SessionEngine, StratifiedConfig, StratifiedSession};
 use kgae_graph::GroundTruth;
 use kgae_sampling::AllocationPolicy;
 
@@ -36,13 +36,13 @@ fn width_greedy_beats_proportional_on_nell_predicates() {
                     );
                     session.submit(&labels).unwrap();
                 }
-                let result = session.into_result().expect("stratified result");
+                let outcome = Box::new(session).into_outcome().expect("stratified result");
                 assert!(
-                    result.pooled.converged,
+                    outcome.result.converged,
                     "{} campaign, seed {seed}: did not converge",
                     allocation.canonical_name()
                 );
-                result.pooled.observations
+                outcome.result.observations
             })
             .sum();
         total as f64 / seeds.clone().count() as f64

@@ -1,11 +1,11 @@
-//! Frequentist confidence intervals: Wald, Wilson, Agresti–Coull and
-//! Clopper–Pearson.
+//! Frequentist confidence intervals: Wald, Wilson and Clopper–Pearson.
 //!
 //! Wald (paper §3.1, Eq. 5) and Wilson (§3.2, Eq. 7) are the baselines the
-//! paper compares against; Agresti–Coull and Clopper–Pearson are included
-//! as additional reference points for the coverage ablation. All accept a
-//! fractional sample size so the Kish effective-sample-size correction for
-//! complex designs plugs in directly.
+//! paper compares against; Clopper–Pearson is included as an additional
+//! reference point for the coverage ablation. Wald takes any variance
+//! estimate and Wilson a fractional sample size, so the cluster variance
+//! and the Kish effective-sample-size correction for complex designs plug
+//! in directly.
 
 use crate::types::Interval;
 use kgae_stats::dist::std_normal_quantile;
@@ -42,16 +42,6 @@ pub fn wald_from_variance(mu: f64, variance: f64, alpha: f64) -> Result<Interval
     Ok(Interval::new(mu - half, mu + half))
 }
 
-/// Wald interval for SRS: plugs the binomial variance into
-/// [`wald_from_variance`].
-pub fn wald_srs(tau: u64, n: u64, alpha: f64) -> Result<Interval> {
-    if n == 0 {
-        return Err(StatsError::InsufficientData { needed: 1, got: 0 });
-    }
-    let mu = tau as f64 / n as f64;
-    wald_from_variance(mu, mu * (1.0 - mu) / n as f64, alpha)
-}
-
 /// Wilson score interval (Eq. 7) with a possibly fractional sample size.
 ///
 /// `n` may be the Kish effective sample size `n_eff` under a complex
@@ -79,24 +69,6 @@ pub fn wilson(mu_hat: f64, n: f64, alpha: f64) -> Result<Interval> {
         (center - half).clamp(0.0, 1.0),
         (center + half).clamp(0.0, 1.0),
     ))
-}
-
-/// Agresti–Coull interval: Wald recentered at the Wilson midpoint with
-/// `ñ = n + z²` pseudo-observations.
-pub fn agresti_coull(tau: f64, n: f64, alpha: f64) -> Result<Interval> {
-    if !(n.is_finite() && n > 0.0) || tau < 0.0 || tau > n {
-        return Err(StatsError::InvalidParameter {
-            name: "tau/n",
-            value: tau,
-            constraint: "need 0 <= tau <= n, n > 0",
-        });
-    }
-    let z = z_critical(alpha);
-    let z2 = z * z;
-    let n_tilde = n + z2;
-    let p_tilde = (tau + z2 / 2.0) / n_tilde;
-    let half = z * (p_tilde * (1.0 - p_tilde) / n_tilde).sqrt();
-    Ok(Interval::new(p_tilde - half, p_tilde + half))
 }
 
 /// Clopper–Pearson "exact" interval from the beta quantile identity.
@@ -131,6 +103,13 @@ pub fn clopper_pearson(tau: u64, n: u64, alpha: f64) -> Result<Interval> {
 mod tests {
     use super::*;
 
+    /// The SRS Wald interval: the binomial variance `μ̂(1-μ̂)/n` plugged
+    /// into [`wald_from_variance`] at 95%.
+    fn srs_wald(tau: u64, n: u64) -> Interval {
+        let mu = tau as f64 / n as f64;
+        wald_from_variance(mu, mu * (1.0 - mu) / n as f64, 0.05).unwrap()
+    }
+
     #[test]
     fn z_critical_textbook_values() {
         assert!((z_critical(0.05) - 1.959963984540054).abs() < 1e-10);
@@ -141,7 +120,7 @@ mod tests {
     #[test]
     fn wald_textbook_example() {
         // 27/30 correct at 95%: μ̂ = 0.9, half-width = 1.96·√(0.09/30).
-        let i = wald_srs(27, 30, 0.05).unwrap();
+        let i = srs_wald(27, 30);
         let half = 1.959963984540054 * (0.9f64 * 0.1 / 30.0).sqrt();
         assert!((i.lower() - (0.9 - half)).abs() < 1e-12);
         assert!((i.upper() - (0.9 + half)).abs() < 1e-12);
@@ -150,7 +129,7 @@ mod tests {
     #[test]
     fn wald_zero_width_pathology_of_example_1() {
         // Example 1: all 30 annotations correct ⇒ CI = [1.00, 1.00].
-        let i = wald_srs(30, 30, 0.05).unwrap();
+        let i = srs_wald(30, 30);
         assert_eq!(i.lower(), 1.0);
         assert_eq!(i.upper(), 1.0);
         assert_eq!(i.moe(), 0.0);
@@ -160,7 +139,7 @@ mod tests {
     fn wald_overshoot_pathology() {
         // 29/30: the upper bound exceeds 1 — the overshoot the paper
         // criticizes (§3.1).
-        let i = wald_srs(29, 30, 0.05).unwrap();
+        let i = srs_wald(29, 30);
         assert!(i.upper() > 1.0, "upper = {}", i.upper());
     }
 
@@ -186,7 +165,7 @@ mod tests {
     fn wilson_is_narrower_than_wald_near_half_but_wider_at_extremes() {
         // At μ̂ = 1 Wald collapses to zero width while Wilson stays open:
         // the efficiency/reliability trade-off of §3.2.
-        let wald = wald_srs(30, 30, 0.05).unwrap();
+        let wald = srs_wald(30, 30);
         let wil = wilson(1.0, 30.0, 0.05).unwrap();
         assert!(wil.width() > wald.width());
     }
@@ -196,14 +175,6 @@ mod tests {
         let a = wilson(0.9, 100.0, 0.05).unwrap();
         let b = wilson(0.9, 120.7, 0.05).unwrap();
         assert!(b.width() < a.width(), "more effective n ⇒ narrower");
-    }
-
-    #[test]
-    fn agresti_coull_contains_wilson_center() {
-        let w = wilson(0.85, 60.0, 0.05).unwrap();
-        let ac = agresti_coull(51.0, 60.0, 0.05).unwrap();
-        assert!((ac.midpoint() - w.midpoint()).abs() < 1e-10);
-        assert!(ac.width() >= w.width() - 1e-12, "AC at least as wide");
     }
 
     #[test]
@@ -217,26 +188,20 @@ mod tests {
     }
 
     #[test]
-    fn clopper_pearson_is_widest_of_the_four() {
+    fn clopper_pearson_is_widest_of_the_three() {
         let (tau, n) = (27u64, 30u64);
         let mu = tau as f64 / n as f64;
-        let wd = wald_srs(tau, n, 0.05).unwrap().width();
+        let wd = srs_wald(tau, n).width();
         let wi = wilson(mu, n as f64, 0.05).unwrap().width();
-        let ac = agresti_coull(tau as f64, n as f64, 0.05).unwrap().width();
         let cp = clopper_pearson(tau, n, 0.05).unwrap().width();
-        assert!(
-            cp >= wi && cp >= wd && cp >= ac,
-            "cp={cp} wi={wi} wd={wd} ac={ac}"
-        );
+        assert!(cp >= wi && cp >= wd, "cp={cp} wi={wi} wd={wd}");
     }
 
     #[test]
     fn invalid_inputs_are_rejected() {
-        assert!(wald_srs(5, 0, 0.05).is_err());
         assert!(wald_from_variance(1.5, 0.01, 0.05).is_err());
         assert!(wald_from_variance(0.5, -0.01, 0.05).is_err());
         assert!(wilson(0.5, 0.0, 0.05).is_err());
-        assert!(agresti_coull(10.0, 5.0, 0.05).is_err());
         assert!(clopper_pearson(6, 5, 0.05).is_err());
     }
 

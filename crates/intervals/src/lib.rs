@@ -2,9 +2,9 @@
 //!
 //! Every `1-α` interval method the paper evaluates, under one roof:
 //!
-//! * frequentist confidence intervals — [`wald_srs`] / [`wald_from_variance`]
-//!   (§3.1), [`wilson`] (§3.2), plus [`agresti_coull`] and
-//!   [`clopper_pearson`] as extra baselines for the coverage ablation;
+//! * frequentist confidence intervals — [`wald_from_variance`] (§3.1),
+//!   [`wilson`] (§3.2), plus [`clopper_pearson`] as an extra baseline
+//!   for the coverage ablation;
 //! * Bayesian credible intervals on the conjugate Beta–Binomial model —
 //!   [`et_interval`] (§4.2) and [`hpd_interval_exact`] (§4.3): the
 //!   paper's unique shortest `1-α` interval (Theorems 1–2), solved
@@ -50,9 +50,7 @@ mod types;
 pub use boundary::Boundary;
 pub use error::IntervalError;
 pub use et::et_interval;
-pub use frequentist::{
-    agresti_coull, clopper_pearson, wald_from_variance, wald_srs, wilson, z_critical,
-};
+pub use frequentist::{clopper_pearson, wald_from_variance, wilson, z_critical};
 pub use hpd::{
     hpd_interval, hpd_interval_exact, hpd_interval_warm, hpd_width_achievable,
     hpd_width_lower_bound,

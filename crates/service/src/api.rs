@@ -32,18 +32,18 @@ impl std::fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn wire_err(msg: impl Into<String>) -> WireError {
+pub(crate) fn wire_err(msg: impl Into<String>) -> WireError {
     WireError(msg.into())
 }
 
-fn req_str(v: &Json, key: &str) -> Result<String, WireError> {
+pub(crate) fn req_str(v: &Json, key: &str) -> Result<String, WireError> {
     v.get(key)
         .and_then(Json::as_str)
         .map(str::to_string)
         .ok_or_else(|| wire_err(format!("missing or non-string field {key:?}")))
 }
 
-fn req_u64(v: &Json, key: &str) -> Result<u64, WireError> {
+pub(crate) fn req_u64(v: &Json, key: &str) -> Result<u64, WireError> {
     v.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| wire_err(format!("missing or non-integer field {key:?}")))
@@ -61,7 +61,7 @@ fn req_bool(v: &Json, key: &str) -> Result<bool, WireError> {
         .ok_or_else(|| wire_err(format!("missing or non-boolean field {key:?}")))
 }
 
-fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, WireError> {
+pub(crate) fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, WireError> {
     match v.get(key) {
         None | Some(Json::Null) => Ok(None),
         Some(field) => field

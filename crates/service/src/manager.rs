@@ -35,15 +35,13 @@ use crate::store::{valid_session_id, SnapshotStore, StoredSession};
 use crate::{api, json};
 use kgae_core::{
     compared_methods, AnnotationRequest, DeltaBatch, DeltaOutcome, EngineOutcome, EngineSpec,
-    EvalConfig, EvalResult, IntervalMethod, MethodReport, MonitorReport, PreparedDesign,
-    SamplingDesign, SessionEngine, SessionError, SessionStatus, SessionStatusView, StopReason,
-    StratifiedConfig, StratumReport,
+    EvalResult, MethodReport, MonitorReport, PreparedDesign, SamplingDesign, SessionEngine,
+    SessionError, SessionStatus, SessionStatusView, StopReason, StratumReport,
 };
 use kgae_graph::stratify::Stratification;
 use kgae_graph::{CompactKg, KnowledgeGraph};
 use kgae_intervals::{KernelCache, KernelCacheStats};
 use kgae_sampling::driver::DesignSpec;
-use kgae_sampling::ComparePrimary;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -503,98 +501,10 @@ enum Slot<'a> {
     Finished(Box<FinishedSlot>),
 }
 
-/// Owned engine-construction resources derived from a [`SessionSpec`]
-/// once — the values an [`EngineSpec`] borrows for both fresh builds
-/// and registry-dispatched snapshot resumes.
-enum Blueprint<'a> {
-    Plain {
-        kg: &'a CompactKg,
-        prepared: Arc<PreparedDesign>,
-        config: EvalConfig,
-    },
-    Stratified {
-        kg: &'a CompactKg,
-        stratification: Stratification,
-        config: StratifiedConfig,
-    },
-    Comparative {
-        kg: &'a CompactKg,
-        prepared: Arc<PreparedDesign>,
-        primary: ComparePrimary,
-        config: EvalConfig,
-    },
-    Monitor {
-        kg: &'a CompactKg,
-        config: EvalConfig,
-        carry_weight: f64,
-    },
-}
-
-impl<'a> Blueprint<'a> {
-    fn engine_spec<'r>(&'r self, method: &'r IntervalMethod, seed: u64) -> EngineSpec<'a, 'r> {
-        match self {
-            Blueprint::Plain {
-                kg,
-                prepared,
-                config,
-            } => EngineSpec::Plain {
-                kg: *kg,
-                prepared,
-                method,
-                config,
-                seed,
-            },
-            Blueprint::Stratified {
-                kg,
-                stratification,
-                config,
-            } => EngineSpec::Stratified {
-                kg: *kg,
-                stratification,
-                method,
-                config,
-                seed,
-            },
-            Blueprint::Comparative {
-                kg,
-                prepared,
-                primary,
-                config,
-            } => EngineSpec::Comparative {
-                kg: *kg,
-                prepared,
-                primary: *primary,
-                config,
-                seed,
-            },
-            Blueprint::Monitor {
-                kg,
-                config,
-                carry_weight,
-            } => EngineSpec::Monitor {
-                kg: *kg,
-                method,
-                config,
-                carry_weight: *carry_weight,
-                seed,
-            },
-        }
-    }
-}
-
 /// A finished session's view: its outcome as a stopped status.
 fn finished_view(outcome: &EngineOutcome) -> SessionStatusView {
-    let result = &outcome.result;
     SessionStatusView {
-        primary: SessionStatus {
-            estimate: Some(result.mu_hat),
-            interval: Some(result.interval),
-            observations: result.observations,
-            annotated_triples: result.annotated_triples,
-            stage1_draws: result.stage1_draws,
-            cost_seconds: result.cost_seconds,
-            stopped: Some(outcome.reason),
-        },
+        primary: SessionStatus::stopped(&outcome.result, outcome.reason),
         strata: outcome.strata.clone(),
         methods: outcome.methods.clone(),
         monitor: None,
@@ -1295,21 +1205,30 @@ impl<'a> SessionManager<'a> {
         }
     }
 
-    /// Derives the owned engine-construction resources a spec denotes —
-    /// the single spec → engine path shared by `create` (fresh build)
-    /// and rehydration (registry-dispatched resume).
-    fn blueprint(&self, spec: &SessionSpec) -> ServiceResult<Blueprint<'a>> {
+    /// Resolves the resources a spec denotes and hands the engine spec
+    /// they make to `engine` — the single spec → engine path shared by
+    /// `create` (fresh build) and rehydration (registry-dispatched
+    /// resume). Fails before calling `engine` if the spec cannot be
+    /// served.
+    fn with_engine_spec<R>(
+        &self,
+        spec: &SessionSpec,
+        engine: impl FnOnce(&EngineSpec<'a, '_>) -> R,
+    ) -> ServiceResult<R> {
         let kg = self
             .registry
             .get(&spec.dataset)
             .ok_or_else(|| ServiceError::UnknownDataset(spec.dataset.clone()))?;
-        match spec.design {
-            DesignSpec::Stratified { .. } => Ok(Blueprint::Stratified {
+        let (method, seed) = (&spec.method, spec.seed);
+        Ok(match spec.design {
+            DesignSpec::Stratified { .. } => engine(&EngineSpec::Stratified {
                 kg,
-                stratification: self.resolve_stratification(spec)?,
-                config: spec
+                stratification: &self.resolve_stratification(spec)?,
+                method,
+                config: &spec
                     .stratified_config()
                     .expect("stratified design has a campaign config"),
+                seed,
             }),
             DesignSpec::Compare { primary } => {
                 // The primary is named by the design; the spec's method
@@ -1324,38 +1243,42 @@ impl<'a> SessionManager<'a> {
                         spec.method.canonical_name()
                     )));
                 }
-                Ok(Blueprint::Comparative {
+                engine(&EngineSpec::Comparative {
                     kg,
                     // The comparative wire design fixes the shared
                     // stream to SRS (the core engine also supports
                     // cluster streams).
-                    prepared: self.prepared_for(&spec.dataset, SamplingDesign::Srs)?,
+                    prepared: &*self.prepared_for(&spec.dataset, SamplingDesign::Srs)?,
                     primary,
-                    config: spec.eval_config(),
+                    config: &spec.eval_config(),
+                    seed,
                 })
             }
-            DesignSpec::Monitor { carry } => Ok(Blueprint::Monitor {
+            DesignSpec::Monitor { carry } => engine(&EngineSpec::Monitor {
                 kg,
-                config: spec.eval_config(),
+                method,
+                config: &spec.eval_config(),
                 // The wire carry is a whole pseudo-observation count;
                 // the engine works in f64 evidence mass.
                 carry_weight: carry as f64,
+                seed,
             }),
             _ => {
                 let design = SamplingDesign::try_from(spec.design)
                     .map_err(|e| ServiceError::BadRequest(e.to_string()))?;
-                Ok(Blueprint::Plain {
+                engine(&EngineSpec::Plain {
                     kg,
-                    prepared: self.prepared_for(&spec.dataset, design)?,
-                    config: spec.eval_config(),
+                    prepared: &*self.prepared_for(&spec.dataset, design)?,
+                    method,
+                    config: &spec.eval_config(),
+                    seed,
                 })
             }
-        }
+        })
     }
 
     fn build_live(&self, spec: &SessionSpec) -> ServiceResult<Live<'a>> {
-        let blueprint = self.blueprint(spec)?;
-        let mut engine = blueprint.engine_spec(&spec.method, spec.seed).build();
+        let mut engine = self.with_engine_spec(spec, |engine| engine.build())?;
         engine.set_kernel_cache(Arc::clone(&self.kernel));
         Ok(Live {
             spec: spec.clone(),
@@ -1381,16 +1304,17 @@ impl<'a> SessionManager<'a> {
         // `create` refused every spec the registry cannot build, so a
         // stored one that fails is damaged or was written against
         // another registry: this manager cannot serve it either way.
-        let blueprint = self.blueprint(&spec).map_err(|e| {
-            ServiceError::Corrupt(format!("session {id:?}: stored spec cannot be served: {e}"))
-        })?;
         // Registry-dispatched: the snapshot's record tag is validated
         // against the engine kind the spec denotes before any
         // kind-specific parsing, and every fingerprint after that. The
         // shared kernel cache goes in before the replay.
-        let engine = blueprint
-            .engine_spec(&spec.method, spec.seed)
-            .resume_with_kernel(snapshot, Some(Arc::clone(&self.kernel)))?;
+        let engine = self
+            .with_engine_spec(&spec, |engine| {
+                engine.resume_with_kernel(snapshot, Some(Arc::clone(&self.kernel)))
+            })
+            .map_err(|e| {
+                ServiceError::Corrupt(format!("session {id:?}: stored spec cannot be served: {e}"))
+            })??;
         Ok(Slot::Live(Box::new(Live {
             spec,
             engine,

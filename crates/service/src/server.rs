@@ -33,9 +33,9 @@
 //! [`ServerHandle::shutdown`] flips a flag and writes one waker byte;
 //! the reactor reacts on the same iteration, no polling tick involved.
 
-use crate::api::SessionSpec;
+use crate::api::{SessionSpec, WireError};
 use crate::json::Json;
-use crate::manager::{ServiceError, SessionManager, SessionView};
+use crate::manager::{ServiceError, SessionManager, SessionState, SessionView};
 use crate::metrics::{Metrics, RequestLog, Route};
 use crate::reactor::{self, Reply};
 use crate::store::to_hex;
@@ -285,6 +285,45 @@ pub fn view_to_json(view: &SessionView) -> Json {
     doc
 }
 
+/// Decodes a [`SessionView`] from its wire form ([`view_to_json`]).
+///
+/// # Errors
+///
+/// [`WireError`] on a missing or mistyped field or an unknown state.
+pub fn view_from_json(v: &Json) -> Result<SessionView, WireError> {
+    let state = SessionState::from_name(&api::req_str(v, "state")?)
+        .ok_or_else(|| api::wire_err("unknown session state"))?;
+    let pending_stratum = match v.get("pending_stratum") {
+        None | Some(Json::Null) => None,
+        Some(field) => {
+            let index = u32::try_from(api::req_u64(field, "index")?)
+                .map_err(|_| api::wire_err("stratum index out of range"))?;
+            Some((index, api::req_str(field, "name")?))
+        }
+    };
+    let present = |key: &str| v.get(key).filter(|field| !matches!(field, Json::Null));
+    Ok(SessionView {
+        id: api::req_str(v, "id")?,
+        dataset: api::req_str(v, "dataset")?,
+        design: api::req_str(v, "design")?,
+        method: api::req_str(v, "method")?,
+        state,
+        pending_labels: api::req_u64(v, "pending_labels")?,
+        pending_seq: api::opt_u64(v, "pending_seq")?,
+        pending_stratum,
+        status: api::status_from_json(
+            v.get("status")
+                .ok_or_else(|| api::wire_err("missing field \"status\""))?,
+        )?,
+        strata: present("strata").map(api::strata_from_json).transpose()?,
+        methods: present("methods").map(api::methods_from_json).transpose()?,
+        monitor: present("monitor")
+            .map(api::monitor_report_from_json)
+            .transpose()?,
+        snapshot_bytes: api::opt_u64(v, "snapshot_bytes")?,
+    })
+}
+
 fn parse_body(body: &[u8]) -> Result<Json, Reply> {
     let text = std::str::from_utf8(body).map_err(|_| bad_request("body is not UTF-8"))?;
     if text.trim().is_empty() {
@@ -408,5 +447,119 @@ fn dispatch(
             .encode())
         }
         _ => Err((404, api::error_body("no such route"), None)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kgae_core::{
+        DriftReport, MethodReport, MonitorReport, SessionStatus, StopReason, StratumReport,
+    };
+    use kgae_intervals::Interval;
+
+    fn status(stopped: Option<StopReason>) -> SessionStatus {
+        SessionStatus {
+            estimate: Some(0.875),
+            interval: Some(Interval::new(0.8, 0.95)),
+            observations: 120,
+            annotated_triples: 118,
+            stage1_draws: 40,
+            cost_seconds: 3_456.5,
+            stopped,
+        }
+    }
+
+    fn round_trip(view: &SessionView) -> SessionView {
+        let text = view_to_json(view).encode();
+        view_from_json(&json::parse(&text).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn view_round_trips_every_field() {
+        let full = SessionView {
+            id: "audit-1".into(),
+            dataset: "nell".into(),
+            design: "stratified:width-greedy".into(),
+            method: "ahpd".into(),
+            state: SessionState::Running,
+            pending_labels: 8,
+            pending_seq: Some(17),
+            pending_stratum: Some((3, "worksFor".into())),
+            status: status(None),
+            strata: Some(vec![StratumReport {
+                name: "worksFor".into(),
+                weight: 0.125,
+                size: 256,
+                census: true,
+                status: status(Some(StopReason::PopulationExhausted)),
+            }]),
+            methods: Some(vec![MethodReport {
+                method: "wilson".into(),
+                primary: false,
+                converged: true,
+                stopped_at: Some(96),
+                estimate: Some(0.9),
+                interval: Some(Interval::new(0.85, 0.95)),
+            }]),
+            monitor: Some(MonitorReport {
+                epoch: 2,
+                campaigns_reopened: 2,
+                retired_labels: 5,
+                watching: false,
+                drift: vec![DriftReport {
+                    predicate: "drift".into(),
+                    adds: 20,
+                    removes: 1_100,
+                    retired_labels: 5,
+                    alarm: true,
+                }],
+            }),
+            snapshot_bytes: Some(4_096),
+        };
+        assert_eq!(round_trip(&full), full);
+
+        let bare = SessionView {
+            state: SessionState::Evicted,
+            pending_labels: 0,
+            pending_seq: None,
+            pending_stratum: None,
+            status: SessionStatus {
+                estimate: None,
+                interval: None,
+                ..status(Some(StopReason::MoeSatisfied))
+            },
+            strata: None,
+            methods: None,
+            monitor: None,
+            snapshot_bytes: None,
+            ..full
+        };
+        assert_eq!(round_trip(&bare), bare);
+    }
+
+    #[test]
+    fn view_decoding_refuses_a_malformed_document() {
+        let mut doc = view_to_json(&SessionView {
+            id: "s".into(),
+            dataset: "nell".into(),
+            design: "srs".into(),
+            method: "wilson".into(),
+            state: SessionState::Running,
+            pending_labels: 0,
+            pending_seq: None,
+            pending_stratum: None,
+            status: status(None),
+            strata: None,
+            methods: None,
+            monitor: None,
+            snapshot_bytes: None,
+        });
+        doc.set("state", Json::str("asleep"));
+        assert!(view_from_json(&doc).is_err());
+        doc.set("state", Json::str("running"));
+        assert!(view_from_json(&doc).is_ok());
+        doc.set("pending_stratum", Json::obj(vec![("index", Json::int(1))]));
+        assert!(view_from_json(&doc).is_err());
     }
 }

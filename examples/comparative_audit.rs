@@ -9,16 +9,17 @@
 //! exact point at which *it* would have stopped. One campaign, the
 //! whole comparison table.
 //!
-//! Also demonstrates the object-safe engine surface: the same driving
-//! loop works for any `dyn SessionEngine`, and a suspended campaign's
-//! snapshot names its engine kind and resumes byte-identically.
+//! The campaign is driven through `SessionEngine`, the protocol every
+//! engine speaks, so the same loop would drive any engine kind. A
+//! suspended campaign's snapshot names its engine kind and resumes
+//! byte-identically.
 //!
 //! ```text
 //! cargo run --release --example comparative_audit
 //! ```
 
 use kgae::core::comparative::ComparativeSession;
-use kgae::core::{EvalConfig, PreparedDesign, SamplingDesign};
+use kgae::core::{EvalConfig, PreparedDesign, SamplingDesign, SessionEngine};
 use kgae::graph::GroundTruth;
 use kgae::sampling::ComparePrimary;
 
@@ -36,9 +37,10 @@ fn main() {
     // --- 2. Race the full method roster on one stream -------------------
     let mut session = ComparativeSession::new(&kg, &prepared, ComparePrimary::AHpd, &cfg, 42);
     let mut units = 0u64;
-    while let Some(request) = session.next_request(1).expect("poll") {
+    while let Some(polled) = session.next_request(1).expect("poll") {
         // Annotate externally — here, the oracle labels.
-        let labels: Vec<bool> = request
+        let labels: Vec<bool> = polled
+            .request
             .triples
             .iter()
             .map(|st| kg.is_correct(st.triple))
@@ -65,16 +67,18 @@ fn main() {
     }
 
     // --- 3. The live comparison table -----------------------------------
-    let result = session.into_result().expect("campaign finished");
+    // The outcome's `result` is the primary method's and its `methods`
+    // the per-method rows, in roster order.
+    let outcome = Box::new(session).into_outcome().expect("campaign finished");
     println!(
         "\nshared stream stopped after {} annotations (primary aHPD, MoE ≤ {}):\n",
-        result.primary.observations, cfg.epsilon
+        outcome.result.observations, cfg.epsilon
     );
     println!(
         "{:<14} {:>8} {:>11} {:>10} {:>22}",
         "method", "primary", "converged", "stopped@", "final interval"
     );
-    for row in &result.methods {
+    for row in outcome.methods.as_deref().expect("per-method rows") {
         println!(
             "{:<14} {:>8} {:>11} {:>10} {:>22}",
             row.method,

@@ -7,6 +7,9 @@
 //! weighted interval promises the largest pooled-width reduction per
 //! annotation), and a pooled KG-wide estimate whose point value is
 //! exactly the weighted combination of the per-stratum estimators.
+//! The campaign speaks the same `SessionEngine` protocol as every other
+//! engine: each polled batch names its stratum, and the final outcome
+//! carries the pooled result plus one row per stratum.
 //!
 //! Also demonstrates suspend/resume: the campaign is snapshotted to
 //! bytes mid-flight and resumed, continuing bit-identically.
@@ -16,7 +19,7 @@
 //! ```
 
 use kgae::core::stratified::{StratifiedConfig, StratifiedSession};
-use kgae::core::IntervalMethod;
+use kgae::core::{IntervalMethod, SessionEngine};
 use kgae::graph::GroundTruth;
 use kgae::sampling::AllocationPolicy;
 
@@ -45,7 +48,8 @@ fn main() {
 
     let mut batches = 0u64;
     while let Some(req) = session.next_request(8).expect("poll") {
-        // Annotate externally — here, the oracle labels.
+        // `req.stratum` names the predicate the batch audits. Annotate
+        // externally — here, the oracle labels.
         let labels: Vec<bool> = req
             .request
             .triples
@@ -75,9 +79,12 @@ fn main() {
     }
 
     // --- 3. Read the per-predicate report -------------------------------
-    let result = session.into_result().expect("campaign finished");
+    // The outcome's `result` is the pooled KG-wide answer and its
+    // `strata` the per-predicate rows.
+    let outcome = Box::new(session).into_outcome().expect("campaign finished");
+    let pooled = &outcome.result;
     println!("predicate                 weight     n   estimate   95% interval");
-    for row in &result.strata {
+    for row in outcome.strata.as_deref().expect("per-stratum rows") {
         let status = &row.status;
         println!(
             "{:<24} {:>6.1}% {:>5}      {:.3}   {}{}",
@@ -93,14 +100,14 @@ fn main() {
     }
     println!(
         "\npooled KG-wide accuracy: {:.3} ∈ {} ({} annotations, {:.1} h)",
-        result.pooled.mu_hat,
-        result.pooled.interval,
-        result.pooled.observations,
-        result.pooled.cost_seconds / 3600.0
+        pooled.mu_hat,
+        pooled.interval,
+        pooled.observations,
+        pooled.cost_seconds / 3600.0
     );
     println!(
         "The tail predicates are the rotten ones — exactly what the flat \
          KG-wide number (μ̂ ≈ {:.2}) cannot tell you.",
-        result.pooled.mu_hat
+        pooled.mu_hat
     );
 }
