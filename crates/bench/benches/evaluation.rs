@@ -5,8 +5,6 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use kgae_core::{
     evaluate_prepared, EvalConfig, IntervalMethod, OracleAnnotator, PreparedDesign, SamplingDesign,
 };
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn bench_evaluation(c: &mut Criterion) {
     let kg = kgae_graph::datasets::nell();
@@ -26,10 +24,8 @@ fn bench_evaluation(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                let mut rng = SmallRng::seed_from_u64(seed);
                 black_box(
-                    evaluate_prepared(&kg, &OracleAnnotator, &srs, &method, &cfg, &mut rng)
-                        .unwrap(),
+                    evaluate_prepared(&kg, &OracleAnnotator, &srs, &method, &cfg, seed).unwrap(),
                 )
             })
         });
@@ -37,10 +33,8 @@ fn bench_evaluation(c: &mut Criterion) {
             let mut seed = 0u64;
             b.iter(|| {
                 seed += 1;
-                let mut rng = SmallRng::seed_from_u64(seed);
                 black_box(
-                    evaluate_prepared(&kg, &OracleAnnotator, &twcs, &method, &cfg, &mut rng)
-                        .unwrap(),
+                    evaluate_prepared(&kg, &OracleAnnotator, &twcs, &method, &cfg, seed).unwrap(),
                 )
             })
         });

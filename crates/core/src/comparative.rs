@@ -143,7 +143,7 @@ struct Rival {
 /// One shared annotation stream raced by the full interval-method
 /// roster. See the module docs for the protocol and guarantees.
 pub struct ComparativeSession<'a> {
-    primary: EvaluationSession<'a, SmallRng>,
+    primary: EvaluationSession<'a>,
     primary_index: usize,
     rivals: Vec<Rival>,
     outcome: Option<EngineOutcome>,
@@ -361,14 +361,7 @@ impl<'a> ComparativeSession<'a> {
         }
         let child_len = r.len_capped(bytes.len() as u64).map_err(corrupt)?;
         let child = r.bytes(child_len).map_err(corrupt)?;
-        let session = EvaluationSession::resume(
-            kg,
-            prepared,
-            &roster[primary_index],
-            cfg,
-            SmallRng::seed_from_u64(0),
-            child,
-        )?;
+        let session = EvaluationSession::resume(kg, prepared, &roster[primary_index], cfg, child)?;
         let mut rivals = Vec::with_capacity(roster.len() - 1);
         for (index, method) in roster.into_iter().enumerate() {
             if index == primary_index {

@@ -245,7 +245,7 @@ pub trait SessionEngine: Send {
     fn set_kernel_cache(&mut self, kernel: Arc<KernelCache>);
 }
 
-impl<'a> SessionEngine for EvaluationSession<'a, SmallRng> {
+impl<'a> SessionEngine for EvaluationSession<'a> {
     fn kind(&self) -> EngineKind {
         EngineKind::Plain
     }
@@ -540,12 +540,7 @@ impl<'k> EngineSpec<'k, '_> {
                 config,
                 ..
             } => Box::new(EvaluationSession::resume(
-                kg,
-                prepared,
-                method,
-                config,
-                SmallRng::seed_from_u64(0),
-                bytes,
+                kg, prepared, method, config, bytes,
             )?),
             EngineSpec::Stratified {
                 kg,

@@ -1,5 +1,5 @@
-//! The iterative evaluation framework (paper Figure 1), as the legacy
-//! closed-loop facade over the poll-based engine.
+//! The iterative evaluation framework (paper Figure 1), as a seeded
+//! closed-loop client of the poll-based engine.
 //!
 //! ```text
 //! loop:
@@ -16,23 +16,26 @@
 //! `n = 30` with `μ̂ = 1.0` in ~7% of runs (Example 1), and Wald/SRS on
 //! SYN-0.5 needing `z²·0.25/ε² ≈ 384` triples (Table 4).
 //!
-//! Since the session refactor, [`evaluate`] / [`evaluate_prepared`] are
-//! thin drivers over [`crate::session::EvaluationSession`]: they poll
-//! one unit at a time, annotate it with the in-process [`Annotator`] on
-//! the session's own RNG, and submit the labels — reproducing the
-//! historical seed-for-seed behavior exactly while the engine itself
-//! stays external-annotation-ready.
+//! [`evaluate`] / [`evaluate_prepared`] are seeded clients of
+//! [`crate::session::EvaluationSession`]: they poll a session seeded
+//! `SmallRng::seed_from_u64(seed)` one unit at a time, label its triples
+//! with the in-process [`Annotator`] and submit the labels. The
+//! annotator draws from a stream of its own (see [`evaluate_prepared`]),
+//! so an imperfect annotator sees the same units as the oracle
+//! campaign of the same seed.
 
 use crate::annotator::Annotator;
 use crate::cost::CostModel;
 use crate::method::IntervalMethod;
-use crate::session::{AnnotationRequest, EvaluationSession, SessionError, SnapshotRng};
+use crate::session::{AnnotationRequest, EvaluationSession, SessionError};
 use kgae_graph::{GroundTruth, KnowledgeGraph};
 use kgae_intervals::{Interval, IntervalError};
 use kgae_sampling::driver::DesignSpec;
 use kgae_sampling::{
     pps_by_size_table, AliasTable, DesignDriver, ScsDriver, SrsDriver, TwcsDriver, WcsDriver,
 };
+use rand::rngs::SmallRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 
 /// The sampling strategy S of the minimization problem.
@@ -292,23 +295,22 @@ impl PreparedDesign {
     }
 }
 
-/// Runs the full iterative evaluation of Figure 1.
+/// Runs the full iterative evaluation of Figure 1 from `seed`.
 ///
 /// Annotation labels are cached per triple, so a triple re-drawn by a
 /// with-replacement cluster design reuses its recorded label (and costs
 /// nothing extra, matching the set semantics of Eq. 12).
-pub fn evaluate<K, A, R>(
+pub fn evaluate<K, A>(
     kg: &K,
     annotator: &A,
     design: SamplingDesign,
     method: &IntervalMethod,
     cfg: &EvalConfig,
-    rng: &mut R,
+    seed: u64,
 ) -> Result<EvalResult, IntervalError>
 where
     K: KnowledgeGraph + GroundTruth,
     A: Annotator,
-    R: SnapshotRng,
 {
     evaluate_prepared(
         kg,
@@ -316,33 +318,43 @@ where
         &PreparedDesign::new(kg, design),
         method,
         cfg,
-        rng,
+        seed,
     )
 }
+
+/// The tag that derives the annotator's stream from a campaign seed:
+/// the ASCII bytes of `"annotate"`.
+const ANNOTATOR_STREAM_TAG: u64 = u64::from_be_bytes(*b"annotate");
 
 /// [`evaluate`] against a [`PreparedDesign`] (shares the PPS table
 /// across repetitions via `Arc` — per-repetition setup copies a
 /// pointer, never the O(#clusters) table).
 ///
-/// Implemented as a thin driver over the poll-based
-/// [`EvaluationSession`]: poll one unit, annotate its triples with the
-/// in-process annotator on the session's own RNG stream (preserving the
-/// historical sample-then-annotate interleaving seed for seed), submit,
-/// repeat until the session stops.
-pub fn evaluate_prepared<K, A, R>(
+/// A client of the poll-based [`EvaluationSession`] seeded
+/// `SmallRng::seed_from_u64(seed)`: poll one unit, label its triples
+/// with the in-process annotator, submit, repeat until the session
+/// stops. The annotator draws from its own stream,
+/// `SmallRng::seed_from_u64(kgae_graph::hash::mix2(seed, tag))` with the
+/// fixed tag `u64::from_be_bytes(*b"annotate")`, so its draws never
+/// move the sampling stream: a [`crate::NoisyAnnotator`] campaign
+/// samples the same units as the oracle campaign of the same seed, up
+/// to where either stops.
+pub fn evaluate_prepared<K, A>(
     kg: &K,
     annotator: &A,
     prepared: &PreparedDesign,
     method: &IntervalMethod,
     cfg: &EvalConfig,
-    rng: &mut R,
+    seed: u64,
 ) -> Result<EvalResult, IntervalError>
 where
     K: KnowledgeGraph + GroundTruth,
     A: Annotator,
-    R: SnapshotRng,
 {
-    let mut session = EvaluationSession::from_prepared(kg, prepared, method, cfg, rng);
+    let mut session =
+        EvaluationSession::from_prepared(kg, prepared, method, cfg, SmallRng::seed_from_u64(seed));
+    let mut annotator_rng =
+        SmallRng::seed_from_u64(kgae_graph::hash::mix2(seed, ANNOTATOR_STREAM_TAG));
     let mut request = AnnotationRequest::default();
     let mut labels: Vec<bool> = Vec::new();
     loop {
@@ -354,7 +366,7 @@ where
         labels.clear();
         for st in &request.triples {
             let truth = kg.is_correct(st.triple);
-            labels.push(annotator.annotate(truth, session.rng_mut()));
+            labels.push(annotator.annotate(truth, &mut annotator_rng));
         }
         if let Err(e) = session.submit(&labels) {
             return Err(unwrap_interval_error(e));
@@ -378,8 +390,6 @@ fn unwrap_interval_error(e: SessionError) -> IntervalError {
 mod tests {
     use super::*;
     use crate::annotator::OracleAnnotator;
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
 
     fn run(
         kg: &kgae_graph::CompactKg,
@@ -387,14 +397,13 @@ mod tests {
         method: IntervalMethod,
         seed: u64,
     ) -> EvalResult {
-        let mut rng = SmallRng::seed_from_u64(seed);
         evaluate(
             kg,
             &OracleAnnotator,
             design,
             &method,
             &EvalConfig::default(),
-            &mut rng,
+            seed,
         )
         .unwrap()
     }
@@ -496,14 +505,13 @@ mod tests {
             max_observations: Some(50),
             ..Default::default()
         };
-        let mut rng = SmallRng::seed_from_u64(9);
         let r = evaluate(
             &kg,
             &OracleAnnotator,
             SamplingDesign::Srs,
             &IntervalMethod::Wilson,
             &cfg,
-            &mut rng,
+            9,
         )
         .unwrap();
         // FACTBENCH at μ=0.54 needs ~378 triples; 50 cannot converge.
@@ -520,14 +528,13 @@ mod tests {
             max_cost_seconds: Some(3_600.0), // one annotator-hour
             ..Default::default()
         };
-        let mut rng = SmallRng::seed_from_u64(4);
         let r = evaluate(
             &kg,
             &OracleAnnotator,
             SamplingDesign::Srs,
             &IntervalMethod::ahpd_default(),
             &cfg,
-            &mut rng,
+            4,
         )
         .unwrap();
         assert!(!r.converged);
@@ -541,14 +548,13 @@ mod tests {
         // 40-triple KG at μ = 0.5 can never reach MoE ≤ 0.05 by sampling;
         // the framework annotates everything and returns μ exactly.
         let kg = kgae_graph::datasets::syn_scaled(40, 10, 0.5, 123);
-        let mut rng = SmallRng::seed_from_u64(1);
         let r = evaluate(
             &kg,
             &OracleAnnotator,
             SamplingDesign::Srs,
             &IntervalMethod::Wilson,
             &EvalConfig::default(),
-            &mut rng,
+            1,
         )
         .unwrap();
         assert!(r.converged);

@@ -11,19 +11,17 @@
 //!
 //! ```
 //! use kgae_core::prelude::*;
-//! use rand::SeedableRng;
 //!
 //! // Audit a synthetic twin of the NELL sample with aHPD + TWCS —
-//! // the paper's recommended configuration.
+//! // the paper's recommended configuration — from seed 42.
 //! let kg = kgae_graph::datasets::nell();
-//! let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
 //! let result = evaluate(
 //!     &kg,
 //!     &OracleAnnotator,
 //!     SamplingDesign::Twcs { m: 3 },
 //!     &IntervalMethod::ahpd_default(),
 //!     &EvalConfig::default(),
-//!     &mut rng,
+//!     42,
 //! )
 //! .unwrap();
 //! assert!(result.converged);
@@ -36,7 +34,7 @@
 //! | module | paper element |
 //! |--------|---------------|
 //! | [`session`] | the Figure 1 loop inverted into a poll-based engine |
-//! | [`framework`] | the legacy closed-loop facade + stopping rule |
+//! | [`framework`] | the seeded closed-loop `evaluate` + stopping rule |
 //! | [`ahpd`] | Algorithm 1 (lines 10–24) |
 //! | [`method`] | Wald / Wilson / ET / HPD / aHPD dispatch |
 //! | [`state`] | sufficient statistics + design-effect adjustment |
@@ -81,9 +79,7 @@ pub use framework::{
 pub use method::{IntervalMethod, MethodParseError, SrsBoundary};
 pub use monitor::{DeltaBatch, DeltaOutcome, DriftReport, MonitorReport, MonitorSession};
 pub use runner::{cost_t_test, repeat_evaluation, RepeatedRuns};
-pub use session::{
-    AnnotationRequest, EvaluationSession, SessionError, SessionStatus, SnapshotRng, StopReason,
-};
+pub use session::{AnnotationRequest, EvaluationSession, SessionError, SessionStatus, StopReason};
 pub use state::{DesignKind, EffectiveSample, SampleState};
 pub use stratified::{StratifiedConfig, StratifiedSession, StratumReport};
 

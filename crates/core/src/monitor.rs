@@ -167,7 +167,7 @@ struct Appraisal {
 pub struct MonitorSession<'a> {
     // Field order is load-bearing: `inner` borrows the heap payload of
     // `view` (see `forged_view`), so it must drop first.
-    inner: Option<EvaluationSession<'a, SmallRng>>,
+    inner: Option<EvaluationSession<'a>>,
     view: Box<DeltaKg<'a>>,
     base_method: IntervalMethod,
     cfg: EvalConfig,
@@ -282,7 +282,7 @@ impl<'a> MonitorSession<'a> {
         method: &IntervalMethod,
         cfg: &EvalConfig,
         rng: SmallRng,
-    ) -> EvaluationSession<'a, SmallRng> {
+    ) -> EvaluationSession<'a> {
         let kg = forged_view(view);
         // SRS preparation is O(1) (no PPS table), so rebuilding it per
         // campaign is free.

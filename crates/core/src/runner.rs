@@ -21,8 +21,6 @@ use crate::method::IntervalMethod;
 use kgae_graph::{GroundTruth, KnowledgeGraph};
 use kgae_stats::descriptive::Summary;
 use kgae_stats::htest::{pooled_t_test, TTestResult};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Aggregated outcome of `reps` independent evaluation runs.
@@ -123,10 +121,9 @@ where
                     if rep >= reps {
                         break;
                     }
-                    let mut rng = SmallRng::seed_from_u64(base_seed.wrapping_add(rep));
-                    let r =
-                        evaluate_prepared(kg, &OracleAnnotator, prepared, &method, &cfg, &mut rng)
-                            .expect("evaluation must not fail under valid configuration");
+                    let seed = base_seed.wrapping_add(rep);
+                    let r = evaluate_prepared(kg, &OracleAnnotator, prepared, &method, &cfg, seed)
+                        .expect("evaluation must not fail under valid configuration");
                     out.push((rep, r));
                 }
                 out
@@ -285,14 +282,13 @@ mod tests {
         let prepared = crate::framework::PreparedDesign::new(&kg, SamplingDesign::Twcs { m: 3 });
         let mut overshooting_floor_halts = 0u64;
         for rep in 0..reps {
-            let mut rng = SmallRng::seed_from_u64(11u64.wrapping_add(rep));
             let r = evaluate_prepared(
                 &kg,
                 &OracleAnnotator,
                 &prepared,
                 &IntervalMethod::Wald,
                 &cfg,
-                &mut rng,
+                11u64.wrapping_add(rep),
             )
             .unwrap();
             if r.converged

@@ -1,9 +1,9 @@
 //! The poll-based evaluation engine: paper Figure 1 inverted into a
 //! state machine.
 //!
-//! The legacy [`crate::framework::evaluate`] loop is *closed*: it owns
-//! the control flow, calls a synchronous in-process [`crate::Annotator`]
-//! and only returns once the stopping rule fires. Real annotation —
+//! The closed-loop [`crate::framework::evaluate`] owns the control flow:
+//! it calls a synchronous in-process [`crate::Annotator`] and only
+//! returns once the stopping rule fires. Real annotation —
 //! crowdsourcing batches, expert review queues — is asynchronous and
 //! external. [`EvaluationSession`] turns the loop inside out:
 //!
@@ -35,11 +35,11 @@
 //! The session is generic over any [`KnowledgeGraph`] backend (held as
 //! `&dyn KnowledgeGraph`) and any sampling design through the
 //! [`DesignDriver`] trait, which unifies the previously duplicated
-//! SRS/cluster control paths. Stopping decisions are **bit-identical**
-//! to the legacy loop: units are processed one at a time in submission
-//! order with the same state updates, the same certified-lookahead
-//! schedule and the same interval constructions — the legacy API is
-//! itself rebuilt as a thin driver over a session (batch size 1).
+//! SRS/cluster control paths. A session owns its [`SmallRng`], so its
+//! draws follow from the seed alone: units are processed one at a time
+//! in submission order, and the batch size never moves a stopping
+//! decision. [`crate::framework::evaluate`] is itself a client that
+//! polls a session of its seed one unit at a time.
 //!
 //! Sessions also suspend and resume. A session's state is a pure
 //! function of the units it drew and the labels they got, so
@@ -62,7 +62,7 @@ use kgae_sampling::SampledTriple;
 use kgae_stats::dist::upper_normal_quantile;
 use kgae_stats::hash::BuildIntHasher;
 use rand::rngs::SmallRng;
-use rand::RngCore;
+use rand::SeedableRng;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -202,36 +202,6 @@ impl SessionStatus {
     }
 }
 
-/// An RNG whose full state can be captured and restored: a session
-/// records the state it started from, and resume and cancel replay
-/// its draws from there.
-pub trait SnapshotRng: RngCore {
-    /// Captures the generator's complete state.
-    fn save_state(&self) -> [u64; 4];
-    /// Overwrites the generator with a previously captured state.
-    fn load_state(&mut self, state: [u64; 4]);
-}
-
-impl SnapshotRng for SmallRng {
-    fn save_state(&self) -> [u64; 4] {
-        self.state()
-    }
-
-    fn load_state(&mut self, state: [u64; 4]) {
-        *self = SmallRng::from_state(state);
-    }
-}
-
-impl<R: SnapshotRng> SnapshotRng for &mut R {
-    fn save_state(&self) -> [u64; 4] {
-        (**self).save_state()
-    }
-
-    fn load_state(&mut self, state: [u64; 4]) {
-        (**self).load_state(state);
-    }
-}
-
 /// One stage-1 unit inside the pending batch: a range into the batch
 /// triple buffer.
 #[derive(Debug, Clone, Copy)]
@@ -366,20 +336,17 @@ fn ready(state: &SampleState, cfg: &EvalConfig) -> bool {
 
 /// Poll-based evaluation engine over any KG backend, sampling design
 /// and interval method. See the module docs for the protocol.
-pub struct EvaluationSession<'a, R: SnapshotRng> {
+pub struct EvaluationSession<'a> {
     kg: &'a dyn KnowledgeGraph,
     driver: Box<dyn DesignDriver + Send + 'a>,
     design: SamplingDesign,
     cfg: EvalConfig,
-    rng: R,
+    rng: SmallRng,
     /// The RNG state at construction: with `log`, the whole record a
     /// snapshot needs.
     origin: [u64; 4],
     /// Fresh labels absorbed so far, in draw order.
     log: LabelLog,
-    /// `false` once [`EvaluationSession::rng_mut`] lent the stream out:
-    /// the draws no longer follow from `origin`.
-    replayable: bool,
     state: SampleState,
     stop: StoppingStep,
     cost: CostTracker,
@@ -397,7 +364,7 @@ pub struct EvaluationSession<'a, R: SnapshotRng> {
     outcome: Option<SessionOutcome>,
 }
 
-impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
+impl<'a> EvaluationSession<'a> {
     /// Creates a session, preparing the design against the KG (builds
     /// the PPS table for PPS designs — O(#clusters); for repeated
     /// sessions over one KG prefer [`EvaluationSession::from_prepared`]).
@@ -406,7 +373,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         design: SamplingDesign,
         method: &IntervalMethod,
         cfg: &EvalConfig,
-        rng: R,
+        rng: SmallRng,
     ) -> Self {
         Self::from_prepared(kg, &PreparedDesign::new(kg, design), method, cfg, rng)
     }
@@ -418,7 +385,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         prepared: &PreparedDesign,
         method: &IntervalMethod,
         cfg: &EvalConfig,
-        rng: R,
+        rng: SmallRng,
     ) -> Self {
         Self::with_driver(kg, prepared.driver(kg), prepared.design(), method, cfg, rng)
     }
@@ -433,7 +400,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         design: SamplingDesign,
         method: &IntervalMethod,
         cfg: &EvalConfig,
-        rng: R,
+        rng: SmallRng,
     ) -> Self {
         let (state, cache) = match driver.estimator() {
             UnitEstimator::Triple => (SampleState::new_srs(), None),
@@ -451,10 +418,9 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
             kg,
             design,
             cfg: cfg.clone(),
-            origin: rng.save_state(),
+            origin: rng.state(),
             rng,
             log: LabelLog::default(),
-            replayable: true,
             state,
             stop,
             cost,
@@ -544,21 +510,6 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         }
     }
 
-    /// Mutable access to the session's RNG, for callers that interleave
-    /// their own randomized work (e.g. simulated annotators) with the
-    /// session's sampling on one deterministic stream — exactly what
-    /// the legacy `evaluate` driver does to preserve its historical
-    /// seed-for-seed behavior.
-    ///
-    /// The session's draws then no longer follow from its starting RNG
-    /// state, so it can no longer be replayed:
-    /// [`EvaluationSession::snapshot`] and
-    /// [`EvaluationSession::cancel_request`] refuse from here on.
-    pub fn rng_mut(&mut self) -> &mut R {
-        self.replayable = false;
-        &mut self.rng
-    }
-
     /// Polls the session for the next annotation request, sampling up
     /// to `max_units` stage-1 units (at least one). Returns `Ok(None)`
     /// once the session has stopped — check [`EvaluationSession::status`]
@@ -608,7 +559,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         // before its label arrives must not be requested twice; the
         // second occurrence reads the cache at processing time. A
         // single-unit batch has distinct triples, so the set is skipped
-        // on the legacy hot path.
+        // on the batch-1 hot path.
         let track_dupes = max_units > 1 && self.cache.is_some();
         while out.units < max_units {
             let Some(_cluster) = self.driver.next_unit(&mut self.rng, &mut self.unit_buf) else {
@@ -795,9 +746,8 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         Ok(())
     }
 
-    /// Advances the engine by one labeled unit — the exact state-update
-    /// and stopping sequence of the legacy loop, shared by every
-    /// design.
+    /// Advances the engine by one labeled unit — the state-update and
+    /// stopping sequence of Figure 1, shared by every design.
     fn process_unit(
         &mut self,
         triples: &[SampledTriple],
@@ -900,14 +850,12 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
     /// # Errors
     ///
     /// [`SessionError::NoRequestPending`] without an outstanding
-    /// request; [`SessionError::SnapshotUnavailable`] after
-    /// [`EvaluationSession::rng_mut`] lent the stream out.
+    /// request.
     pub fn cancel_request(&mut self) -> Result<(), SessionError> {
         if !self.pending {
             return Err(SessionError::NoRequestPending);
         }
-        self.check_replayable()?;
-        self.rng.load_state(self.origin);
+        self.rng = SmallRng::from_state(self.origin);
         self.driver.rewind();
         for _ in 0..self.units_absorbed() {
             self.driver
@@ -919,16 +867,6 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         self.batch_triples.clear();
         self.batch_expected = 0;
         Ok(())
-    }
-
-    fn check_replayable(&self) -> Result<(), SessionError> {
-        if self.replayable {
-            Ok(())
-        } else {
-            Err(SessionError::SnapshotUnavailable(
-                "the RNG stream was lent out through rng_mut; the session cannot be replayed",
-            ))
-        }
     }
 
     /// Serializes the session into a compact binary snapshot: the
@@ -944,9 +882,8 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
     /// # Errors
     ///
     /// [`SessionError::SnapshotUnavailable`] while a request is
-    /// outstanding (submit its labels first), after the session has
-    /// stopped (read [`EvaluationSession::result`] instead), or after
-    /// [`EvaluationSession::rng_mut`] lent the stream out.
+    /// outstanding (submit its labels first) or after the session has
+    /// stopped (read [`EvaluationSession::result`] instead).
     pub fn snapshot(&self) -> Result<Vec<u8>, SessionError> {
         if self.pending {
             return Err(SessionError::SnapshotUnavailable(
@@ -958,7 +895,6 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
                 "session already stopped; read its result instead",
             ));
         }
-        self.check_replayable()?;
         let mut w = Writer::new();
         w.bytes(SNAPSHOT_MAGIC);
         w.u16(SNAPSHOT_VERSION);
@@ -981,10 +917,9 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
 
     /// Reconstructs a suspended session from a snapshot, validating it
     /// against the supplied KG, prepared design, method and config,
-    /// then replaying its log. The passed `rng`'s state is overwritten
-    /// with the snapshot's starting state; the resumed session
-    /// continues the exact stream — and hence the exact evaluation
-    /// trajectory — of the suspended one.
+    /// then replaying its log. The record's starting RNG state decides
+    /// the stream, so the resumed session continues the exact
+    /// evaluation trajectory of the suspended one.
     ///
     /// Standard drivers are rebuilt from `prepared`. Custom driver
     /// configuration (e.g. [`kgae_sampling::driver::ScsDriver::limit_draws`])
@@ -1003,10 +938,9 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         prepared: &PreparedDesign,
         method: &IntervalMethod,
         cfg: &EvalConfig,
-        rng: R,
         bytes: &[u8],
     ) -> Result<Self, SessionError> {
-        Self::from_prepared(kg, prepared, method, cfg, rng).apply_snapshot(bytes)
+        Self::from_prepared(kg, prepared, method, cfg, replay_placeholder()).apply_snapshot(bytes)
     }
 
     /// [`EvaluationSession::resume`] for sessions created through
@@ -1025,10 +959,10 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         design: SamplingDesign,
         method: &IntervalMethod,
         cfg: &EvalConfig,
-        rng: R,
         bytes: &[u8],
     ) -> Result<Self, SessionError> {
-        Self::with_driver(kg, driver, design, method, cfg, rng).apply_snapshot(bytes)
+        Self::with_driver(kg, driver, design, method, cfg, replay_placeholder())
+            .apply_snapshot(bytes)
     }
 
     /// Parses and validates `bytes` against this freshly constructed
@@ -1085,7 +1019,7 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
     fn replay(&mut self, origin: [u64; 4], units: u64, log: &LabelLog) -> Result<(), SessionError> {
         let corrupt = SessionError::CorruptSnapshot;
         self.origin = origin;
-        self.rng.load_state(origin);
+        self.rng = SmallRng::from_state(origin);
         let mut labels = (0..log.len()).map(|i| log.get(i));
         let mut unit = Vec::new();
         for _ in 0..units {
@@ -1105,6 +1039,12 @@ impl<'a, R: SnapshotRng> EvaluationSession<'a, R> {
         self.first_check = !ready(&self.state, &self.cfg);
         Ok(())
     }
+}
+
+/// The stream a resumed session is built with; its replay restarts the
+/// stream from the record's origin.
+fn replay_placeholder() -> SmallRng {
+    SmallRng::seed_from_u64(0)
 }
 
 /// Sanity cap on the stage-1 draws a cluster-design record may replay
@@ -1266,23 +1206,22 @@ pub(crate) fn config_fingerprint_matches(
 
 // Sessions are sent across threads by multi-tenant session hosts (one
 // thread creates, another submits); the driver box carries `Send` so
-// the whole engine is `Send` whenever its RNG is.
+// the whole engine is `Send`.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
-    assert_send::<EvaluationSession<'_, SmallRng>>();
+    assert_send::<EvaluationSession<'_>>();
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::annotator::{Annotator, OracleAnnotator};
+    use crate::annotator::OracleAnnotator;
     use kgae_graph::GroundTruth;
     use kgae_sampling::driver::ScsDriver;
-    use rand::SeedableRng;
 
     fn drive_to_completion(
         kg: &(impl KnowledgeGraph + GroundTruth),
-        session: &mut EvaluationSession<'_, SmallRng>,
+        session: &mut EvaluationSession<'_>,
         batch: u64,
     ) -> EvalResult {
         let mut req = AnnotationRequest::default();
@@ -1453,30 +1392,6 @@ mod tests {
     }
 
     #[test]
-    fn rng_mut_supports_simulated_annotators() {
-        let kg = kgae_graph::datasets::yago();
-        let annotator = crate::annotator::NoisyAnnotator::new(0.1);
-        let mut s = EvaluationSession::new(
-            &kg,
-            SamplingDesign::Srs,
-            &IntervalMethod::Wilson,
-            &EvalConfig::default(),
-            SmallRng::seed_from_u64(11),
-        );
-        let mut labels = Vec::new();
-        let mut req = AnnotationRequest::default();
-        while s.next_request_into(1, &mut req).unwrap() {
-            labels.clear();
-            for st in &req.triples {
-                let truth = kg.is_correct(st.triple);
-                labels.push(annotator.annotate(truth, s.rng_mut()));
-            }
-            s.submit(&labels).unwrap();
-        }
-        assert!(s.result().unwrap().converged);
-    }
-
-    #[test]
     fn snapshot_rejects_wrong_setup_on_resume() {
         let kg = kgae_graph::datasets::nell();
         let method = IntervalMethod::ahpd_default();
@@ -1501,77 +1416,34 @@ mod tests {
         // Wrong design.
         let wrong_design = PreparedDesign::new(&kg, SamplingDesign::Wcs);
         assert!(matches!(
-            EvaluationSession::resume(
-                &kg,
-                &wrong_design,
-                &method,
-                &cfg,
-                SmallRng::seed_from_u64(0),
-                &snap
-            ),
+            EvaluationSession::resume(&kg, &wrong_design, &method, &cfg, &snap),
             Err(SessionError::SnapshotMismatch(_))
         ));
         // Wrong config.
         let wrong_cfg = cfg.clone().with_alpha(0.10);
         assert!(matches!(
-            EvaluationSession::resume(
-                &kg,
-                &prepared,
-                &method,
-                &wrong_cfg,
-                SmallRng::seed_from_u64(0),
-                &snap
-            ),
+            EvaluationSession::resume(&kg, &prepared, &method, &wrong_cfg, &snap),
             Err(SessionError::SnapshotMismatch(_))
         ));
         // Wrong method.
         assert!(matches!(
-            EvaluationSession::resume(
-                &kg,
-                &prepared,
-                &IntervalMethod::Wilson,
-                &cfg,
-                SmallRng::seed_from_u64(0),
-                &snap
-            ),
+            EvaluationSession::resume(&kg, &prepared, &IntervalMethod::Wilson, &cfg, &snap),
             Err(SessionError::SnapshotMismatch(_))
         ));
         // Wrong KG shape.
         let other = kgae_graph::datasets::yago();
         let other_prepared = PreparedDesign::new(&other, SamplingDesign::Twcs { m: 3 });
         assert!(matches!(
-            EvaluationSession::resume(
-                &other,
-                &other_prepared,
-                &method,
-                &cfg,
-                SmallRng::seed_from_u64(0),
-                &snap
-            ),
+            EvaluationSession::resume(&other, &other_prepared, &method, &cfg, &snap),
             Err(SessionError::SnapshotMismatch(_))
         ));
         // Truncated bytes.
         assert!(matches!(
-            EvaluationSession::resume(
-                &kg,
-                &prepared,
-                &method,
-                &cfg,
-                SmallRng::seed_from_u64(0),
-                &snap[..snap.len() - 3]
-            ),
+            EvaluationSession::resume(&kg, &prepared, &method, &cfg, &snap[..snap.len() - 3]),
             Err(SessionError::CorruptSnapshot(_))
         ));
         // The original session is unperturbed and still resumable.
-        let resumed = EvaluationSession::resume(
-            &kg,
-            &prepared,
-            &method,
-            &cfg,
-            SmallRng::seed_from_u64(0),
-            &snap,
-        )
-        .unwrap();
+        let resumed = EvaluationSession::resume(&kg, &prepared, &method, &cfg, &snap).unwrap();
         assert_eq!(resumed.status().observations, s.status().observations);
     }
 
@@ -1613,7 +1485,6 @@ mod tests {
                         SamplingDesign::Scs,
                         &method,
                         &cfg,
-                        SmallRng::seed_from_u64(0),
                         &bytes,
                     )
                     .unwrap();
@@ -1632,9 +1503,7 @@ mod tests {
 
     /// A session record split into its fingerprint prefix and its log:
     /// `(prefix, origin, units, labels)`.
-    fn split_record(
-        session: &EvaluationSession<'_, SmallRng>,
-    ) -> (Vec<u8>, [u64; 4], u64, Vec<bool>) {
+    fn split_record(session: &EvaluationSession<'_>) -> (Vec<u8>, [u64; 4], u64, Vec<bool>) {
         let bytes = session.snapshot().unwrap();
         let log = &session.log;
         let tail = 48 + log.len().div_ceil(8) as usize;
@@ -1691,15 +1560,7 @@ mod tests {
         let bytes = s.snapshot().unwrap();
         assert_eq!(forge(&prefix, origin, units, &logged), bytes);
         // Resume replays the log and re-snapshots the same bytes.
-        let resumed = EvaluationSession::resume(
-            &kg,
-            &prepared,
-            &method,
-            &cfg,
-            SmallRng::seed_from_u64(0),
-            &bytes,
-        )
-        .unwrap();
+        let resumed = EvaluationSession::resume(&kg, &prepared, &method, &cfg, &bytes).unwrap();
         assert_eq!(resumed.snapshot().unwrap(), bytes);
         assert_eq!(resumed.status(), s.status());
     }
@@ -1731,7 +1592,6 @@ mod tests {
                 SamplingDesign::Scs,
                 &method,
                 &cfg,
-                SmallRng::seed_from_u64(0),
                 bytes,
             )
         };
@@ -1806,36 +1666,6 @@ mod tests {
     }
 
     #[test]
-    fn lending_the_rng_out_refuses_snapshot_and_cancel() {
-        let kg = kgae_graph::datasets::nell();
-        let mut s = EvaluationSession::new(
-            &kg,
-            SamplingDesign::Srs,
-            &IntervalMethod::Wilson,
-            &EvalConfig::default(),
-            SmallRng::seed_from_u64(4),
-        );
-        assert!(s.snapshot().is_ok());
-        let _ = s.rng_mut();
-        assert!(matches!(
-            s.snapshot(),
-            Err(SessionError::SnapshotUnavailable(_))
-        ));
-        let req = s.next_request(2).unwrap().unwrap();
-        assert!(matches!(
-            s.cancel_request(),
-            Err(SessionError::SnapshotUnavailable(_))
-        ));
-        // The batch stays outstanding and submits normally.
-        let labels: Vec<bool> = req
-            .triples
-            .iter()
-            .map(|st| kg.is_correct(st.triple))
-            .collect();
-        s.submit(&labels).unwrap();
-    }
-
-    #[test]
     fn snapshot_engine_kind_reads_the_plain_identity_prefix() {
         let kg = kgae_graph::datasets::nell();
         let method = IntervalMethod::ahpd_default();
@@ -1883,22 +1713,21 @@ mod tests {
     }
 
     #[test]
-    fn legacy_driver_loop_matches_framework_evaluate() {
-        // The rebuilt evaluate() is a session in disguise; driving a
-        // session by hand with batch 1 and the oracle must agree with
-        // it bit for bit.
+    fn closed_loop_evaluate_equals_a_polled_session_of_its_seed() {
+        // evaluate() is a session client; driving a session of the same
+        // seed by hand with batch 1 and the oracle must agree with it
+        // bit for bit.
         let kg = kgae_graph::datasets::dbpedia();
         let method = IntervalMethod::ahpd_default();
         let cfg = EvalConfig::default();
         for seed in [0u64, 3, 17] {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let legacy = crate::framework::evaluate(
+            let closed = crate::framework::evaluate(
                 &kg,
                 &OracleAnnotator,
                 SamplingDesign::Twcs { m: 3 },
                 &method,
                 &cfg,
-                &mut rng,
+                seed,
             )
             .unwrap();
             let mut s = EvaluationSession::new(
@@ -1909,7 +1738,7 @@ mod tests {
                 SmallRng::seed_from_u64(seed),
             );
             let manual = drive_to_completion(&kg, &mut s, 1);
-            assert_eq!(legacy, manual, "seed {seed}");
+            assert_eq!(closed, manual, "seed {seed}");
         }
     }
 }

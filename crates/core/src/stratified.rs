@@ -83,7 +83,9 @@ use crate::session::{
 use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::stratify::Stratification;
 use kgae_graph::KnowledgeGraph;
-use kgae_intervals::{pooled_interval, pooled_point, Interval, KernelCache, StratumSummary};
+use kgae_intervals::{
+    pooled_interval, pooled_point, Interval, IntervalError, KernelCache, StratumSummary,
+};
 use kgae_sampling::driver::StratumSrsDriver;
 use kgae_sampling::AllocationPolicy;
 use rand::rngs::SmallRng;
@@ -172,7 +174,7 @@ pub struct StratifiedSession<'a> {
     sizes: Vec<u64>,
     weights: Vec<f64>,
     /// One SRS-within-stratum engine per stratum, in stratum order.
-    sessions: Vec<EvaluationSession<'a, SmallRng>>,
+    sessions: Vec<EvaluationSession<'a>>,
     /// Per stratum, the interval width the width-greedy allocation last
     /// scored it with and the observation count it was computed at. A
     /// stratum's state changes only when it absorbs labels, which raises
@@ -227,7 +229,7 @@ impl<'a> StratifiedSession<'a> {
         strat: &Stratification,
         method: &IntervalMethod,
         cfg: &StratifiedConfig,
-        sessions: Vec<EvaluationSession<'a, SmallRng>>,
+        sessions: Vec<EvaluationSession<'a>>,
     ) -> Self {
         Self {
             kg,
@@ -285,6 +287,34 @@ impl<'a> StratifiedSession<'a> {
             // A census has no sampling error.
             variance: if self.census(h) { 0.0 } else { est.variance },
         })
+    }
+
+    /// The pooled point estimate ([`pooled_point`] over the per-stratum
+    /// estimators in stratum order, bit-identical to folding them by
+    /// hand) and the pooled interval; `None` while a stratum has no
+    /// data. With `partial` — a budget can run out before every stratum
+    /// saw data — the weights renormalize over the annotated strata (a
+    /// best-effort partial estimate, `None` only before any data). With
+    /// every stratum present the weights already sum to 1 and are used
+    /// as they are.
+    fn pooled(&self, partial: bool) -> Option<(f64, Result<Interval, IntervalError>)> {
+        let mut summaries: Vec<StratumSummary> = (0..self.sessions.len())
+            .filter_map(|h| self.summary(h))
+            .collect();
+        let missing = summaries.len() < self.sessions.len();
+        if summaries.is_empty() || (missing && !partial) {
+            return None;
+        }
+        if missing {
+            let covered: f64 = summaries.iter().map(|s| s.weight).sum();
+            for s in &mut summaries {
+                s.weight /= covered;
+            }
+        }
+        Some((
+            pooled_point(&summaries),
+            pooled_interval(&summaries, self.cfg.alpha),
+        ))
     }
 
     fn report(&self, h: usize) -> StratumReport {
@@ -380,27 +410,11 @@ impl<'a> StratifiedSession<'a> {
 
     fn finish(&mut self, reason: StopReason) -> Result<(), SessionError> {
         let strata: Vec<StratumReport> = (0..self.sessions.len()).map(|h| self.report(h)).collect();
-        // A budget can run out before every stratum saw data; the
-        // pooled answer then renormalizes over the annotated strata (a
-        // best-effort partial estimate — `converged` stays false on
-        // that path). With all strata present the weights already sum
-        // to 1 and the division is an exact no-op, preserving the
-        // bit-identity of the pooled point estimate.
-        let mut summaries: Vec<StratumSummary> = (0..self.sessions.len())
-            .filter_map(|h| self.summary(h))
-            .collect();
-        if summaries.is_empty() {
+        // `converged` stays false on the partial (budget) path.
+        let Some((mu, interval)) = self.pooled(true) else {
             return Err(SessionError::StreamEndedBeforeData);
-        }
-        let covered: f64 = summaries.iter().map(|s| s.weight).sum();
-        if summaries.len() < self.sessions.len() {
-            for s in &mut summaries {
-                s.weight /= covered;
-            }
-        }
-        let mu = pooled_point(&summaries);
-        let interval =
-            pooled_interval(&summaries, self.cfg.alpha).map_err(SessionError::Interval)?;
+        };
+        let interval = interval?;
         let pooled = EvalResult {
             mu_hat: mu,
             interval,
@@ -437,12 +451,8 @@ impl<'a> StratifiedSession<'a> {
         // Pooled MoE, consulted only once every stratum met its floor.
         let floors_met = (0..self.sessions.len()).all(|h| self.observations(h) >= self.floor(h));
         if floors_met {
-            let summaries: Option<Vec<StratumSummary>> =
-                (0..self.sessions.len()).map(|h| self.summary(h)).collect();
-            if let Some(summaries) = summaries {
-                let interval =
-                    pooled_interval(&summaries, self.cfg.alpha).map_err(SessionError::Interval)?;
-                if interval.moe() <= self.cfg.epsilon {
+            if let Some((_, interval)) = self.pooled(false) {
+                if interval?.moe() <= self.cfg.epsilon {
                     self.finish(StopReason::MoeSatisfied)?;
                     return Ok(true);
                 }
@@ -521,7 +531,6 @@ impl<'a> StratifiedSession<'a> {
                 SamplingDesign::Srs,
                 method,
                 &per_stratum,
-                SmallRng::seed_from_u64(0),
                 child,
             )?);
         }
@@ -624,23 +633,15 @@ impl SessionEngine for StratifiedSession<'_> {
         Ok(())
     }
 
-    /// The pooled headline — stratified point estimate ([`pooled_point`]
-    /// over the per-stratum estimators in stratum order, bit-identical
-    /// to folding them by hand), pooled interval, summed counts and
-    /// cost — without materializing per-stratum rows (each row's status
-    /// constructs that stratum's own interval).
+    /// The pooled headline — the pooled point estimate and interval,
+    /// summed counts and cost — without materializing per-stratum rows
+    /// (each row's status constructs that stratum's own interval).
     fn headline(&self) -> SessionStatus {
         if let Some(outcome) = &self.outcome {
             return SessionStatus::stopped(&outcome.result, outcome.reason);
         }
-        let summaries: Option<Vec<StratumSummary>> =
-            (0..self.sessions.len()).map(|h| self.summary(h)).collect();
-        let (estimate, interval) = match summaries {
-            Some(summaries) => {
-                let mu = pooled_point(&summaries);
-                let interval = pooled_interval(&summaries, self.cfg.alpha).ok();
-                (Some(mu), interval)
-            }
+        let (estimate, interval) = match self.pooled(false) {
+            Some((mu, interval)) => (Some(mu), interval.ok()),
             None => (None, None),
         };
         let (mut observations, mut annotated_triples, mut cost_seconds) = (0, 0, 0.0);

@@ -14,8 +14,6 @@ use kgae_core::{
 use kgae_graph::CompactKg;
 use kgae_intervals::BetaPrior;
 use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 
 fn datasets() -> impl Strategy<Value = &'static str> {
     prop_oneof![
@@ -77,8 +75,7 @@ fn run(
     cfg: &EvalConfig,
     seed: u64,
 ) -> EvalResult {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    evaluate(kg, &OracleAnnotator, design, method, cfg, &mut rng).unwrap()
+    evaluate(kg, &OracleAnnotator, design, method, cfg, seed).unwrap()
 }
 
 /// Every field of a result, each float as its bits.

@@ -87,7 +87,7 @@ fn drive_monitor<'a>(
     cfg: &EvalConfig,
     seed: u64,
     batch: u64,
-    mut expect: Option<&mut EvaluationSession<'a, SmallRng>>,
+    mut expect: Option<&mut EvaluationSession<'a>>,
 ) -> MonitorSession<'a> {
     let mut monitor = MonitorSession::new(kg, method, cfg, 50.0, seed);
     let mut mirror = AnnotationRequest::default();
@@ -290,14 +290,13 @@ fn carryover_recertifies_drifted_nell_cheaper_than_scratch() {
         reopened += u64::from(monitor.apply_deltas(&drift).unwrap().reopened);
         truth.apply(&drift.removes, &drift.adds).unwrap();
         carry += drive(&mut monitor, &truth);
-        let mut rng = SmallRng::seed_from_u64(seed);
         let cold = evaluate(
             &truth,
             &OracleAnnotator,
             SamplingDesign::Srs,
             &method,
             &cfg,
-            &mut rng,
+            seed,
         )
         .unwrap();
         scratch += cold.observations;

@@ -276,7 +276,6 @@ fn every_submit_point_resumes_to_the_uninterrupted_result() {
                 SamplingDesign::Scs,
                 &method,
                 &tight,
-                SmallRng::seed_from_u64(0),
                 bytes,
             )
             .unwrap(),

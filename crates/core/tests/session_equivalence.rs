@@ -1,6 +1,6 @@
 //! The defining contract of the poll-based engine: an
 //! `EvaluationSession` driven step by step — at any batch size — halts
-//! identically to the legacy closed-loop `evaluate` path. Same stopping
+//! identically to the closed-loop `evaluate` of its seed. Same stopping
 //! unit, same sample, same estimate, and the same interval *bits*: with
 //! an oracle annotator the per-unit state updates, solver calls and RNG
 //! consumption are the same sequence regardless of batching, so the
@@ -109,17 +109,7 @@ fn drive_session_with_suspensions(
         batches += 1;
         if batches.is_multiple_of(suspend_every) && session.stop_reason().is_none() {
             let bytes = session.snapshot().unwrap();
-            // A fresh RNG proves the resumed stream comes from the
-            // snapshot, not from the seed.
-            session = EvaluationSession::resume(
-                kg,
-                prepared,
-                method,
-                cfg,
-                SmallRng::seed_from_u64(0xDEAD_BEEF),
-                &bytes,
-            )
-            .unwrap();
+            session = EvaluationSession::resume(kg, prepared, method, cfg, &bytes).unwrap();
             suspensions += 1;
         }
     }
@@ -183,12 +173,11 @@ proptest! {
         let kg = dataset(ds, seed);
         let cfg = EvalConfig { stopping: policy, ..EvalConfig::default() };
         let prepared = PreparedDesign::new(&kg, design);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let legacy = evaluate(&kg, &OracleAnnotator, design, &method, &cfg, &mut rng).unwrap();
+        let closed = evaluate(&kg, &OracleAnnotator, design, &method, &cfg, seed).unwrap();
         for batch in [1u64, 7, 64] {
             let sessioned = drive_session(&kg, &prepared, &method, &cfg, seed, batch);
             assert_bit_identical(
-                &legacy,
+                &closed,
                 &sessioned,
                 &format!("{}/{}/{ds} seed {seed} batch {batch}", method.name(), design.name()),
             );
@@ -226,9 +215,8 @@ proptest! {
 #[test]
 fn batched_sessions_pin_the_benchmark_cell() {
     // aHPD on NELL and YAGO under SRS and TWCS(3), 100 seeds: batches
-    // 1, 16 and 256 are bit-identical to the legacy loop, and so is a
-    // batch-16 run suspended to bytes and resumed with a fresh RNG after
-    // every request.
+    // 1, 16 and 256 are bit-identical to the closed loop, and so is a
+    // batch-16 run suspended to bytes and resumed after every request.
     let method = IntervalMethod::ahpd_default();
     let cfg = EvalConfig::default();
     for (name, kg) in [
@@ -239,16 +227,14 @@ fn batched_sessions_pin_the_benchmark_cell() {
             let prepared = PreparedDesign::new(&kg, design);
             for seed in 0..100 {
                 let what = format!("{name}/{} seed {seed}", design.name());
-                let mut rng = SmallRng::seed_from_u64(seed);
-                let legacy =
-                    evaluate(&kg, &OracleAnnotator, design, &method, &cfg, &mut rng).unwrap();
+                let closed = evaluate(&kg, &OracleAnnotator, design, &method, &cfg, seed).unwrap();
                 for batch in [1u64, 16, 256] {
                     let sessioned = drive_session(&kg, &prepared, &method, &cfg, seed, batch);
-                    assert_bit_identical(&legacy, &sessioned, &format!("{what} batch {batch}"));
+                    assert_bit_identical(&closed, &sessioned, &format!("{what} batch {batch}"));
                 }
                 let (resumed, _) =
                     drive_session_with_suspensions(&kg, &prepared, &method, &cfg, seed, 16, 1);
-                assert_bit_identical(&legacy, &resumed, &format!("{what} suspended"));
+                assert_bit_identical(&closed, &resumed, &format!("{what} suspended"));
             }
         }
     }
@@ -299,15 +285,7 @@ fn snapshots_are_canonical_bytes() {
     let a = session.snapshot().unwrap();
     let b = session.snapshot().unwrap();
     assert_eq!(a, b, "snapshot is not deterministic");
-    let resumed = EvaluationSession::resume(
-        &kg,
-        &prepared,
-        &method,
-        &cfg,
-        SmallRng::seed_from_u64(0),
-        &a,
-    )
-    .unwrap();
+    let resumed = EvaluationSession::resume(&kg, &prepared, &method, &cfg, &a).unwrap();
     assert_eq!(
         resumed.snapshot().unwrap(),
         a,
@@ -357,15 +335,8 @@ fn late_stage_resume_without_the_search_hint_is_exact() {
         let want = twin.into_result().expect("stopped session has a result");
         let late = late.unwrap_or_else(|| panic!("seed {seed}: no late stage"));
         for at in late..snapshots.len() {
-            let mut resumed = EvaluationSession::resume(
-                &kg,
-                &prepared,
-                &method,
-                &cfg,
-                SmallRng::seed_from_u64(0xDEAD_BEEF),
-                &snapshots[at],
-            )
-            .unwrap();
+            let mut resumed =
+                EvaluationSession::resume(&kg, &prepared, &method, &cfg, &snapshots[at]).unwrap();
             let mut step = at;
             while resumed.next_request_into(1, &mut request).unwrap() {
                 resumed

@@ -11,7 +11,6 @@
 //! ```
 
 use kgae::prelude::*;
-use rand::SeedableRng;
 
 fn main() {
     let kg = kgae::graph::datasets::dbpedia(); // μ = 0.85
@@ -36,9 +35,8 @@ fn main() {
         let audits = 20;
         let mut last = None;
         for seed in 0..audits {
-            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-            let r = evaluate(&kg, &OracleAnnotator, design, method, &cfg, &mut rng)
-                .expect("evaluation");
+            let r =
+                evaluate(&kg, &OracleAnnotator, design, method, &cfg, seed).expect("evaluation");
             triples += r.annotated_triples;
             cost += r.cost_hours();
             last = Some(r);

@@ -11,7 +11,6 @@
 //! ```
 
 use kgae::prelude::*;
-use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
@@ -32,14 +31,13 @@ fn main() {
     );
 
     let t0 = Instant::now();
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(2);
     let report = evaluate(
         &kg,
         &OracleAnnotator,
         SamplingDesign::Twcs { m: 5 },
         &IntervalMethod::ahpd_default(),
         &EvalConfig::default(),
-        &mut rng,
+        2, // seed: same seed, same audit
     )
     .expect("evaluation");
 

@@ -11,7 +11,6 @@
 
 use kgae::core::{DeltaBatch, MonitorSession, SessionEngine};
 use kgae::prelude::*;
-use rand::SeedableRng;
 
 /// Answers a monitor's annotation requests from the ground-truth twin
 /// until the monitor is watching again; returns the labels spent.
@@ -112,14 +111,13 @@ fn main() {
     // --- the counterfactual: restart from scratch ------------------------
     // An auditor without the monitor's ledger re-certifies the drifted
     // view with a cold aHPD campaign.
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
     let scratch = evaluate(
         &truth,
         &OracleAnnotator,
         SamplingDesign::Srs,
         &method,
         &cfg,
-        &mut rng,
+        42, // seed: same seed, same audit
     )
     .expect("restart audit");
     println!(

@@ -9,7 +9,6 @@
 //! ```
 
 use kgae::prelude::*;
-use rand::SeedableRng;
 
 fn main() {
     // --- 1. Build (or load) an annotated KG -----------------------------
@@ -43,14 +42,13 @@ fn main() {
     );
 
     // --- 2. Audit with the paper's recommended setup --------------------
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
     let report = evaluate(
         &kg,
         &OracleAnnotator, // plug your human-annotation interface here
         SamplingDesign::Twcs { m: 3 },
         &IntervalMethod::ahpd_default(),
         &EvalConfig::default(), // α = 0.05, ε = 0.05, min sample 30
-        &mut rng,
+        42,                     // seed: same seed, same audit
     )
     .expect("evaluation");
 
@@ -64,14 +62,13 @@ fn main() {
     println!("  annotation cost    : {:.2} h", report.cost_hours());
 
     // --- 3. Compare with the naive baseline -----------------------------
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(42);
     let naive = evaluate(
         &kg,
         &OracleAnnotator,
         SamplingDesign::Srs,
         &IntervalMethod::Wald,
         &EvalConfig::default(),
-        &mut rng,
+        42, // seed: same seed, same audit
     )
     .expect("evaluation");
     println!("\nWald + SRS (baseline):");

@@ -34,17 +34,15 @@
 //!
 //! ```
 //! use kgae::prelude::*;
-//! use rand::SeedableRng;
 //!
 //! let kg = kgae::graph::datasets::dbpedia(); // or your own KG
-//! let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
 //! let report = evaluate(
 //!     &kg,
 //!     &OracleAnnotator,                     // your annotation interface
 //!     SamplingDesign::Twcs { m: 3 },        // paper-recommended design
 //!     &IntervalMethod::ahpd_default(),      // aHPD over {K, J, U} priors
 //!     &EvalConfig::default(),               // α = 0.05, ε = 0.05
-//!     &mut rng,
+//!     7,                                    // seed: same seed, same audit
 //! )
 //! .unwrap();
 //! assert!(report.converged && report.interval.moe() <= 0.05);

@@ -5,7 +5,6 @@
 
 use kgae::prelude::*;
 use kgae_core::repeat_evaluation;
-use rand::SeedableRng;
 
 #[test]
 fn recommended_configuration_converges_on_every_real_dataset() {
@@ -16,14 +15,13 @@ fn recommended_configuration_converges_on_every_real_dataset() {
         (kgae::graph::datasets::dbpedia(), 0.85),
         (kgae::graph::datasets::factbench(), 0.54),
     ] {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
         let r = evaluate(
             &kg,
             &OracleAnnotator,
             SamplingDesign::Twcs { m: 3 },
             &IntervalMethod::ahpd_default(),
             &EvalConfig::default(),
-            &mut rng,
+            7,
         )
         .unwrap();
         assert!(r.converged);
@@ -160,14 +158,13 @@ fn noisy_annotators_shift_the_estimate_toward_one_half() {
     let noisy = kgae_core::NoisyAnnotator::new(0.2);
     let mut estimates = Vec::new();
     for seed in 0..20 {
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let r = evaluate(
             &kg,
             &noisy,
             SamplingDesign::Srs,
             &IntervalMethod::Wilson,
             &EvalConfig::default(),
-            &mut rng,
+            seed,
         )
         .unwrap();
         estimates.push(r.mu_hat);
@@ -180,6 +177,55 @@ fn noisy_annotators_shift_the_estimate_toward_one_half() {
     );
 }
 
+/// An annotator that logs the gold label of every triple it is asked
+/// about, in request order, and answers as `inner` does.
+struct Recording<A> {
+    inner: A,
+    truths: std::sync::Mutex<Vec<bool>>,
+}
+
+impl<A: Annotator> Annotator for Recording<A> {
+    fn annotate<R: rand::Rng + ?Sized>(&self, truth: bool, rng: &mut R) -> bool {
+        self.truths.lock().unwrap().push(truth);
+        self.inner.annotate(truth, rng)
+    }
+}
+
+/// The gold labels `annotator` was asked about in the SRS/Wilson audit
+/// of `kg` from `seed`.
+fn gold_sequence<A: Annotator>(kg: &kgae::graph::CompactKg, annotator: A, seed: u64) -> Vec<bool> {
+    let recording = Recording {
+        inner: annotator,
+        truths: std::sync::Mutex::new(Vec::new()),
+    };
+    evaluate(
+        kg,
+        &recording,
+        SamplingDesign::Srs,
+        &IntervalMethod::Wilson,
+        &EvalConfig::default(),
+        seed,
+    )
+    .unwrap();
+    recording.truths.into_inner().unwrap()
+}
+
+#[test]
+fn noisy_and_oracle_audits_of_one_seed_sample_the_same_triples() {
+    // The annotator draws from its own stream, so label noise never moves
+    // the sampling stream: up to where the shorter audit stops, a noisy
+    // audit is asked about exactly the triples the oracle audit of the
+    // same seed is. At μ ≈ 0.5 any shifted draw shows in the gold labels.
+    let kg = kgae::graph::datasets::factbench(); // μ = 0.54
+    for seed in 0..5 {
+        let oracle = gold_sequence(&kg, OracleAnnotator, seed);
+        let noisy = gold_sequence(&kg, kgae_core::NoisyAnnotator::new(0.2), seed);
+        let common = oracle.len().min(noisy.len());
+        assert!(common >= 30, "seed {seed}: common prefix of {common}");
+        assert_eq!(oracle[..common], noisy[..common], "seed {seed}");
+    }
+}
+
 #[test]
 fn in_memory_and_compact_kgs_share_the_pipeline() {
     // The same audit code runs against both storage backends.
@@ -188,14 +234,13 @@ fn in_memory_and_compact_kgs_share_the_pipeline() {
         b.add_fact(format!("e{}", i / 2), "p", format!("o{i}"), i % 8 != 0);
     }
     let kg = b.build();
-    let mut rng = rand::rngs::SmallRng::seed_from_u64(11);
     let r = evaluate(
         &kg,
         &OracleAnnotator,
         SamplingDesign::Srs,
         &IntervalMethod::ahpd_default(),
         &EvalConfig::default(),
-        &mut rng,
+        11,
     )
     .unwrap();
     assert!(r.converged);

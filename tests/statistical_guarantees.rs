@@ -9,7 +9,6 @@ use kgae::prelude::*;
 use kgae::stats::dist::Beta;
 use kgae_core::repeat_evaluation;
 use proptest::prelude::*;
-use rand::SeedableRng;
 
 /// An HPD solve independent of [`hpd_interval_exact`]: Brent on the
 /// density difference `h(l) = f(l) − f(u(l))` with
@@ -169,14 +168,13 @@ proptest! {
         let triples = ((f64::from(clusters) * mean_size) as u64).max(u64::from(clusters));
         let kg = kgae::graph::datasets::syn_scaled(triples, clusters, mu, seed);
         let design = if twcs { SamplingDesign::Twcs { m: 3 } } else { SamplingDesign::Srs };
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
         let r = evaluate(
             &kg,
             &OracleAnnotator,
             design,
             &IntervalMethod::ahpd_default(),
             &EvalConfig::default(),
-            &mut rng,
+            seed,
         ).unwrap();
         prop_assert!(r.annotated_triples <= kg.num_triples());
         prop_assert!(r.annotated_entities <= u64::from(kg.num_clusters()));
