@@ -81,7 +81,7 @@ fn campaign_states(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec<
 /// the campaign, visited at the intervals the certified skips set.
 fn lookahead_rounds(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec<SampleState> {
     let states = campaign_states(method, cfg, seed);
-    let boundary = method.srs_boundary(cfg.alpha, cfg.epsilon).unwrap();
+    let boundary = method.stopping_boundary(cfg.alpha, cfg.epsilon).unwrap();
     let mut rounds = Vec::new();
     let mut at = cfg.min_triples.saturating_sub(1) as usize;
     while at < states.len() {
@@ -98,7 +98,7 @@ fn bench_certified_skip_srs(c: &mut Criterion) {
     let method = IntervalMethod::ahpd_default();
     let cfg = EvalConfig::default();
     let rounds = lookahead_rounds(&method, &cfg, 7);
-    let boundary = method.srs_boundary(cfg.alpha, cfg.epsilon).unwrap();
+    let boundary = method.stopping_boundary(cfg.alpha, cfg.epsilon).unwrap();
     // Each ε one ulp past the last: a configuration no lookup has
     // settled yet.
     let fresh = Cell::new(cfg.epsilon);
@@ -112,7 +112,7 @@ fn bench_certified_skip_srs(c: &mut Criterion) {
         g.bench_function(format!("{id}_fresh"), |b| {
             b.iter(|| {
                 fresh.set(f64::from_bits(fresh.get().to_bits() + 1));
-                let boundary = method.srs_boundary(cfg.alpha, fresh.get()).unwrap();
+                let boundary = method.stopping_boundary(cfg.alpha, fresh.get()).unwrap();
                 boundary.certified_skip(black_box(state.tau()), black_box(state.n()))
             })
         });

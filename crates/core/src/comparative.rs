@@ -172,14 +172,13 @@ impl<'a> ComparativeSession<'a> {
             cfg,
             SmallRng::seed_from_u64(seed),
         );
-        let kind = session.sample_state().kind();
         let rivals = roster
             .into_iter()
             .enumerate()
             .filter(|(i, _)| *i != primary_index)
             .map(|(index, method)| Rival {
                 index,
-                step: StoppingStep::new(method, cfg, kind),
+                step: StoppingStep::new(method, cfg),
                 stopped: None,
             })
             .collect();
@@ -387,7 +386,7 @@ impl<'a> ComparativeSession<'a> {
             };
             rivals.push(Rival {
                 index,
-                step: StoppingStep::new(method, cfg, session.sample_state().kind()),
+                step: StoppingStep::new(method, cfg),
                 stopped,
             });
         }

@@ -76,7 +76,7 @@ pub use framework::{
     evaluate, evaluate_prepared, EvalConfig, EvalResult, PreparedDesign, SamplingDesign,
     StoppingPolicy,
 };
-pub use method::{IntervalMethod, MethodParseError, SrsBoundary};
+pub use method::{IntervalMethod, MethodParseError, StoppingBoundary};
 pub use monitor::{DeltaBatch, DeltaOutcome, DriftReport, MonitorReport, MonitorSession};
 pub use runner::{cost_t_test, repeat_evaluation, RepeatedRuns};
 pub use session::{AnnotationRequest, EvaluationSession, SessionError, SessionStatus, StopReason};

@@ -13,14 +13,16 @@
 //!   directly, so cached and uncached runs are bit-identical by
 //!   construction. (Cluster designs have fractional effective counts and
 //!   call the exact HPD solver on their effective posteriors directly.)
-//! * **The SRS stopping boundary** ([`SrsBoundary`]): the stopping
+//! * **The stopping boundary** ([`StoppingBoundary`]): the stopping
 //!   certificate, "can some `1-α` window be at most `2ε` wide", is a
-//!   pure function of the counts too, and at each `n` its stoppable `τ`
-//!   are two-tailed. So every SRS check asks the process-wide
-//!   [`Boundary`] table of each certificate prior, which answers from
-//!   what earlier verdicts at that `n` settled and calls the predicate
-//!   only when nothing did; a session resolves its tables once.
-//! * **Certified SRS lookahead** ([`SrsBoundary::certified_skip`]):
+//!   pure function of the evidence too. At each `n` its stoppable `τ`
+//!   are two-tailed, at each `n_eff` its stoppable `μ̂` are, and for a
+//!   symmetric prior it is monotone in `n_eff` at each `μ̂`. So every
+//!   check, SRS or cluster, asks the process-wide [`Boundary`] table of
+//!   each certificate prior, which answers from what earlier verdicts
+//!   settled and calls the predicate only when nothing did; a session
+//!   resolves its tables once, whatever its design.
+//! * **Certified SRS lookahead** ([`StoppingBoundary::certified_skip`]):
 //!   from Theorem 1's width bound, made exact by the best-window
 //!   predicate, compute how many future annotations cannot satisfy
 //!   `MoE ≤ ε`, so the evaluation loop skips interval construction (and
@@ -32,24 +34,33 @@
 //!   extreme outcome, and asks the boundary tables throughout. The skip
 //!   is a pure function of the sample and `(α, ε, priors)`: no search
 //!   state is kept between calls.
-//! * **The exact cluster gate**
-//!   ([`IntervalMethod::stop_possible_now_cluster`]): cluster designs
-//!   have no lookahead. Every ready draw asks the best-window predicate
-//!   of the current effective posteriors, and only a draw that passes
-//!   constructs the interval, as the paper's loop checks every unit.
+//! * **The cluster gate**
+//!   ([`StoppingBoundary::stop_possible_effective`]): cluster designs
+//!   have no lookahead. Every ready draw asks the shared tables whether
+//!   the current effective evidence `(μ̂, n_eff)` can stop, and only a
+//!   draw that passes constructs the interval, as the paper's loop
+//!   checks every unit. A symmetric prior's table answers from its row
+//!   of the grid point `k ≥ n_eff` (`⌈n_eff⌉`, or within 1/64 of `n_eff`
+//!   past 64; an asymmetric prior's asks the predicate directly): a
+//!   refusal settled there answers the draw, and only a `(μ̂, k)` that
+//!   stops is followed by the predicate at `n_eff` itself, so once a
+//!   configuration's rows are settled most draws evaluate no predicate
+//!   at all.
 //!
 //!   The SRS certificates evaluate only the extreme outcomes, and both
 //!   designs evaluate only the extreme pseudo-counts of a set of
 //!   symmetric priors. That every skipped or gated step is one where the
 //!   reference check-every-unit loop could not have stopped either rests
-//!   on properties that are verified, not proven: stoppability is
+//!   on five properties that are verified, not proven: stoppability is
 //!   monotone in the horizon and two-tailed in the outcome (the SRS skip
-//!   and the boundary tables), and two-tailed in a symmetric prior's
-//!   pseudo-count (both designs). `tests/certificate_lemmas.rs` pins
-//!   them on the SRS counts (the pseudo-count property on fractional
-//!   cluster evidence too) and the boundary table against the predicate
-//!   it replaces, and `tests/lookahead_equivalence.rs` pins the
-//!   resulting stops.
+//!   and the count rows), two-tailed in `μ̂` at fixed `n_eff` and, for
+//!   a symmetric prior, monotone in `n_eff` at fixed `μ̂` (the effective
+//!   rows, which asymmetric priors do without), and
+//!   two-tailed in a symmetric prior's pseudo-count (both designs).
+//!   `tests/certificate_lemmas.rs` pins them, on the SRS counts and on a
+//!   fractional `(μ̂, n_eff)` grid, and both kinds of rows against the
+//!   predicate they replace, and `tests/lookahead_equivalence.rs` pins
+//!   the resulting stops.
 //! * **Pruned aHPD selection**: at the stop, the prior with the smallest
 //!   certified width lower bound is solved first, and every other prior
 //!   whose HPD width is certified wider than that solution is never
@@ -203,13 +214,13 @@ impl IntervalMethod {
         }
     }
 
-    /// The method's SRS stopping boundary at `(α, ε)`, or `None` for
-    /// methods without a certificate (Wald, Wilson). Resolve it once per
+    /// The method's stopping boundary at `(α, ε)`, or `None` for methods
+    /// without a certificate (Wald, Wilson). Resolve it once per
     /// campaign: it takes the boundary registry's lock.
     #[must_use]
-    pub fn srs_boundary(&self, alpha: f64, epsilon: f64) -> Option<SrsBoundary> {
+    pub fn stopping_boundary(&self, alpha: f64, epsilon: f64) -> Option<StoppingBoundary> {
         let priors = self.priors()?;
-        Some(SrsBoundary {
+        Some(StoppingBoundary {
             tables: certificate_priors(priors)
                 .map(|prior| Boundary::shared(prior, alpha, 2.0 * epsilon))
                 .collect(),
@@ -218,42 +229,15 @@ impl IntervalMethod {
             start_prior: *narrowest_prior(priors),
         })
     }
-
-    /// Exact one-step gate on a cluster sample: can the *current*
-    /// sample's `1-α` interval possibly satisfy `MoE ≤ ε`?
-    ///
-    /// For the HPD-family methods this is the exact indicator
-    /// `HPD width ≤ 2ε` of [`hpd_width_achievable`] on the effective
-    /// posteriors, so full interval construction runs only at steps that
-    /// actually stop (plus measure-zero boundary ties and shapes with no
-    /// certificate). Only the priors `certificate_priors` keeps are
-    /// evaluated. Methods without a certificate (Wald, Wilson) return
-    /// `true` and always construct; ET gates on the HPD predicate (ET is
-    /// at least as wide, so a negative gate is still sound). SRS samples
-    /// ask [`SrsBoundary::stop_possible_now`] instead.
-    #[must_use]
-    pub fn stop_possible_now_cluster(&self, state: &SampleState, alpha: f64, epsilon: f64) -> bool {
-        let Some(priors) = self.priors() else {
-            return true;
-        };
-        debug_assert_eq!(state.kind(), DesignKind::Cluster);
-        let eff = state.effective();
-        certificate_priors(priors).any(|prior| {
-            prior
-                .posterior_effective(eff.mu, eff.n_eff)
-                .map_or(true, |post| {
-                    hpd_width_achievable(&post, alpha, 2.0 * epsilon)
-                })
-        })
-    }
 }
 
-/// A method's SRS stopping boundary at one `(α, ε)`: handles on the
-/// shared [`Boundary`] tables of the priors `certificate_priors` keeps,
-/// from [`IntervalMethod::srs_boundary`]. An outcome can stop when any
-/// of them says so.
+/// A method's stopping boundary at one `(α, ε)`: handles on the shared
+/// [`Boundary`] tables of the priors `certificate_priors` keeps, from
+/// [`IntervalMethod::stopping_boundary`]. A sample can stop when any of
+/// them says so. SRS and cluster samples of the configuration read the
+/// same tables.
 #[derive(Debug, Clone)]
-pub struct SrsBoundary {
+pub struct StoppingBoundary {
     tables: Vec<Arc<Boundary>>,
     alpha: f64,
     epsilon: f64,
@@ -261,14 +245,27 @@ pub struct SrsBoundary {
     start_prior: BetaPrior,
 }
 
-impl SrsBoundary {
+impl StoppingBoundary {
     /// Exact one-step gate on an SRS sample: can the `1-α` interval at
-    /// `(τ, n)` satisfy `MoE ≤ ε`? The SRS counterpart of
-    /// [`IntervalMethod::stop_possible_now_cluster`], asked of the
-    /// boundary tables.
+    /// `(τ, n)` satisfy `MoE ≤ ε`? Asked of the boundary tables'
+    /// count rows.
     #[must_use]
     pub fn stop_possible_now(&self, tau: u64, n: u64) -> bool {
         self.tables.iter().any(|table| table.stoppable(tau, n))
+    }
+
+    /// Exact one-step gate on a cluster sample with effective evidence
+    /// `(μ̂, n_eff)` ([`SampleState::effective`]): can its `1-α` interval
+    /// satisfy `MoE ≤ ε`? Asked of the boundary tables' effective rows,
+    /// so full interval construction runs only at steps that actually
+    /// stop (plus measure-zero boundary ties and shapes with no
+    /// certificate). ET gates on the HPD predicate: ET is at least as
+    /// wide, so a negative gate is still sound.
+    #[must_use]
+    pub fn stop_possible_effective(&self, mu: f64, n_eff: f64) -> bool {
+        self.tables
+            .iter()
+            .any(|table| table.stoppable_effective(mu, n_eff))
     }
 
     /// Certified SRS lookahead: the number of further annotations that
@@ -761,7 +758,7 @@ mod tests {
                 IntervalMethod::Et(BetaPrior::UNIFORM),
             ] {
                 let skip = method
-                    .srs_boundary(0.05, 0.05)
+                    .stopping_boundary(0.05, 0.05)
                     .unwrap()
                     .certified_skip(tau, n);
                 // Brute-force: for each skipped horizon k and every
@@ -790,7 +787,7 @@ mod tests {
         // The scan accepts the certified skip and refuses one horizon
         // more: by the skip's definition, some outcome stops there.
         let boundary = IntervalMethod::ahpd_default()
-            .srs_boundary(0.05, 0.05)
+            .stopping_boundary(0.05, 0.05)
             .unwrap();
         let (tau, n) = (27, 30);
         let skip = boundary.certified_skip(tau, n);
@@ -806,16 +803,18 @@ mod tests {
         // certify a long skip even under the loose f(mode) bound.
         let ahpd = IntervalMethod::ahpd_default();
         let skip = ahpd
-            .srs_boundary(0.05, 0.05)
+            .stopping_boundary(0.05, 0.05)
             .unwrap()
             .certified_skip(15, 30);
         assert!(skip >= 30, "skip = {skip} is uselessly small");
         // And frequentist methods certify nothing.
-        assert!(IntervalMethod::Wald.srs_boundary(0.05, 0.05).is_none());
-        assert!(IntervalMethod::Wilson.srs_boundary(0.05, 0.05).is_none());
+        assert!(IntervalMethod::Wald.stopping_boundary(0.05, 0.05).is_none());
+        assert!(IntervalMethod::Wilson
+            .stopping_boundary(0.05, 0.05)
+            .is_none());
     }
 
-    /// Reference for [`SrsBoundary::certified_skip`]: exponential and
+    /// Reference for [`StoppingBoundary::certified_skip`]: exponential and
     /// binary search over the union predicate from horizon 1, without the
     /// boundary table, the decisive-first search, the
     /// normal-approximation start or the two-tail reductions. At each horizon `k` it evaluates every prior at the
@@ -867,7 +866,7 @@ mod tests {
             let state = srs_state(tau, n);
             for method in skip_methods() {
                 let want = skip_by_union_search(&method, &state, alpha, epsilon);
-                let boundary = method.srs_boundary(alpha, epsilon).unwrap();
+                let boundary = method.stopping_boundary(alpha, epsilon).unwrap();
                 let got = boundary.certified_skip(tau, n);
                 prop_assert_eq!(got, want, "{:?} at (τ={}, n={}), α={}, ε={}",
                     method, tau, n, alpha, epsilon);
@@ -887,7 +886,7 @@ mod tests {
             let state = srs_state(tau, n);
             for method in skip_methods() {
                 let got = method
-                    .srs_boundary(0.01, 1e-5)
+                    .stopping_boundary(0.01, 1e-5)
                     .unwrap()
                     .certified_skip(tau, n);
                 assert_eq!(got, MAX_SKIP, "{method:?} at (τ={tau}, n={n})");
@@ -908,7 +907,7 @@ mod tests {
         ]);
         for method in &methods {
             for epsilon in [0.05, 0.1] {
-                let boundary = method.srs_boundary(0.05, epsilon).unwrap();
+                let boundary = method.stopping_boundary(0.05, epsilon).unwrap();
                 for n in 1..=40u64 {
                     for tau in 0..=n {
                         let state = srs_state(tau, n);

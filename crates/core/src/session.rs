@@ -52,7 +52,7 @@
 
 use crate::cost::CostTracker;
 use crate::framework::{EvalConfig, EvalResult, PreparedDesign, SamplingDesign, StoppingPolicy};
-use crate::method::{IntervalMethod, SrsBoundary};
+use crate::method::{IntervalMethod, StoppingBoundary};
 use crate::snapshot::{LabelLog, Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use crate::state::{DesignKind, SampleState};
 use kgae_graph::{KnowledgeGraph, LabelCache};
@@ -216,17 +216,16 @@ struct SessionOutcome {
     result: EvalResult,
 }
 
-/// One method's stopping rule over a sample: the method, its SRS
-/// stopping boundary, the kernel cache its SRS interval solves memoize
-/// through and its SRS lookahead countdown. A session runs one for
+/// One method's stopping rule over a sample: the method, its stopping
+/// boundary, the kernel cache its SRS interval solves memoize through
+/// and its SRS lookahead countdown. A session runs one for
 /// its own method; a comparative campaign runs one per rival method over
 /// the primary session's sample.
 pub(crate) struct StoppingStep {
     pub(crate) method: IntervalMethod,
-    /// The method's SRS stopping boundary at the campaign's `(α, ε)`,
-    /// resolved once (`None` for methods without a certificate and under
-    /// cluster designs).
-    srs: Option<SrsBoundary>,
+    /// The method's stopping boundary at the campaign's `(α, ε)`,
+    /// resolved once (`None` for methods without a certificate).
+    boundary: Option<StoppingBoundary>,
     /// Shared posterior-kernel cache. `None` solves every kernel
     /// directly through the same canonical functions — identical bits,
     /// no memoization. Never serialized: a resumed session re-attaches
@@ -250,12 +249,9 @@ pub(crate) enum StepOutcome {
 }
 
 impl StoppingStep {
-    pub(crate) fn new(method: IntervalMethod, cfg: &EvalConfig, kind: DesignKind) -> Self {
+    pub(crate) fn new(method: IntervalMethod, cfg: &EvalConfig) -> Self {
         Self {
-            srs: match kind {
-                DesignKind::Srs => method.srs_boundary(cfg.alpha, cfg.epsilon),
-                DesignKind::Cluster => None,
-            },
+            boundary: method.stopping_boundary(cfg.alpha, cfg.epsilon),
             method,
             kernel: None,
             skip_left: 0,
@@ -299,25 +295,24 @@ impl StoppingStep {
         // Exact one-step gate: construct only when the current posterior
         // could actually stop.
         let possible = !lookahead
-            || match state.kind() {
-                DesignKind::Srs => self
-                    .srs
-                    .as_ref()
-                    .is_none_or(|boundary| boundary.stop_possible_now(state.tau(), state.n())),
-                DesignKind::Cluster => {
-                    self.method
-                        .stop_possible_now_cluster(state, cfg.alpha, cfg.epsilon)
-                }
-            };
+            || self
+                .boundary
+                .as_ref()
+                .is_none_or(|boundary| match state.kind() {
+                    DesignKind::Srs => boundary.stop_possible_now(state.tau(), state.n()),
+                    DesignKind::Cluster => {
+                        let eff = state.effective();
+                        boundary.stop_possible_effective(eff.mu, eff.n_eff)
+                    }
+                });
         if possible {
             let interval = self.interval(state, cfg.alpha)?;
             if interval.moe() <= cfg.epsilon {
                 return Ok(StepOutcome::Stop(interval));
             }
         }
-        if lookahead {
-            // `srs` is `None` under cluster designs.
-            self.skip_left = self.srs.as_ref().map_or(0, |boundary| {
+        if lookahead && state.kind() == DesignKind::Srs {
+            self.skip_left = self.boundary.as_ref().map_or(0, |boundary| {
                 boundary.certified_skip(state.tau(), state.n())
             });
         }
@@ -411,7 +406,7 @@ impl<'a> EvaluationSession<'a> {
                 Some(LabelCache::new(kg.num_triples())),
             ),
         };
-        let stop = StoppingStep::new(method.clone(), cfg, state.kind());
+        let stop = StoppingStep::new(method.clone(), cfg);
         let mut cost = CostTracker::new(cfg.cost_model);
         cost.reserve(driver.reserve(reserved_units(cfg)));
         Self {

@@ -180,6 +180,43 @@ fn lookahead_equivalence_on_the_benchmark_cell() {
     }
 }
 
+#[test]
+fn gates_halt_identically_under_prior_data_conflict() {
+    // The informative priors of paper Example 2, Beta(80, 20) and
+    // Beta(90, 10), on a KG of accuracy 0.3: evidence that conflicts
+    // with them first widens their posteriors, so whether a sample can
+    // stop is not monotone in its size (in `n_eff` for the cluster gate,
+    // in the horizon for the SRS skip). At these ε the campaigns stop
+    // near the 30-triple floor, where that matters.
+    let kg = kgae_graph::datasets::syn_scaled(4_000, 900, 0.3, 7);
+    let method = IntervalMethod::AHpd(vec![
+        BetaPrior::informative(80.0, 20.0).unwrap(),
+        BetaPrior::informative(90.0, 10.0).unwrap(),
+    ]);
+    for epsilon in [0.065, 0.0725] {
+        let default_cfg = EvalConfig {
+            epsilon,
+            ..EvalConfig::default()
+        };
+        let reference_cfg = EvalConfig {
+            stopping: StoppingPolicy::EveryUnit,
+            ..default_cfg.clone()
+        };
+        for design in [
+            SamplingDesign::Srs,
+            SamplingDesign::Twcs { m: 3 },
+            SamplingDesign::Wcs,
+        ] {
+            for seed in 0..100 {
+                let what = format!("ε = {epsilon} {} seed {seed}", design.name());
+                let reference = run(&kg, design, &method, &reference_cfg, seed);
+                let gated = run(&kg, design, &method, &default_cfg, seed);
+                assert_eq!(bits(&gated), bits(&reference), "{what}");
+            }
+        }
+    }
+}
+
 /// Cluster campaigns at ε = 0.02, where they run longest and their
 /// one-step gate refutes the most draws: TWCS(3), WCS and SCS under aHPD
 /// and HPD[Kerman] on the NELL and DBpedia twins, 100 seeds a cell, each

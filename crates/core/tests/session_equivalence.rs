@@ -305,7 +305,7 @@ fn late_stage_resume_without_the_search_hint_is_exact() {
     let method = IntervalMethod::ahpd_default();
     let cfg = EvalConfig::default();
     let prepared = PreparedDesign::new(&kg, SamplingDesign::Srs);
-    let boundary = method.srs_boundary(cfg.alpha, cfg.epsilon).unwrap();
+    let boundary = method.stopping_boundary(cfg.alpha, cfg.epsilon).unwrap();
     let mut request = AnnotationRequest::default();
     for seed in 0..8 {
         let mut twin = EvaluationSession::from_prepared(

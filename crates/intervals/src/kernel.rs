@@ -26,7 +26,7 @@
 //! (degenerate inputs like `n = 0`) take the cold path every time and
 //! stay exact.
 //!
-//! The SRS stopping certificates do not come through here: they read the
+//! The stopping certificates do not come through here: they read the
 //! shared stopping-boundary table of [`crate::boundary`], which every
 //! engine uses with or without a cache.
 //!

@@ -18,8 +18,9 @@
 //!   fractional posterior updates;
 //! * [`expected`] — expected-width curves over the annotation
 //!   distribution (Figure 3);
-//! * [`boundary`] — the SRS stopping boundary, a shared table answering
-//!   the stopping certificate [`hpd_width_achievable`] by counts, and
+//! * [`boundary`] — the stopping boundary, a shared table answering
+//!   the stopping certificate [`hpd_width_achievable`] by counts (SRS)
+//!   and by effective evidence (cluster designs), and
 //!   [`kernel`] — the shared memo table of count-keyed interval solves.
 //!
 //! ```
