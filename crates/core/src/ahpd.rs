@@ -11,8 +11,12 @@
 //!
 //! This module implements the per-iteration interval selection (Algorithm
 //! 1 lines 10–24); the enclosing sampling loop (lines 5–25) lives in
-//! [`crate::framework`].
+//! [`crate::framework`]. The same race also runs on pooled posteriors
+//! known only by their moments (a stratified campaign's KG-wide
+//! accuracy, a monitor's surviving evidence mixed with unseen
+//! additions): see `pooled_ahpd`.
 
+use crate::method::pruned_ahpd;
 use crate::state::{DesignKind, SampleState};
 use kgae_intervals::{hpd_interval_exact, BetaPrior, Interval, IntervalError};
 use kgae_stats::dist::Beta;
@@ -126,6 +130,65 @@ pub(crate) fn ahpd_select_posteriors(
     })
 }
 
+/// The winner of [`pooled_ahpd`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct PooledSelection {
+    /// The pooled mean `m` under the winning prior.
+    pub mean: f64,
+    /// The moment-matched evidence `ν = m(1−m)/v − 1`.
+    pub nu: f64,
+    /// The moment-matched posterior `Beta(m·ν, (1−m)·ν)`.
+    pub posterior: Beta,
+    /// Its `1-α` HPD interval, the narrowest over the priors.
+    pub interval: Interval,
+}
+
+/// The aHPD race on a pooled posterior known only by its moments.
+/// `moments(prior)` gives the pooled mean `m` and variance `v` under
+/// each prior; each pair is moment-matched to `Beta(m·ν, (1−m)·ν)` with
+/// `ν = m(1−m)/v − 1`, and the narrowest HPD interval wins, the first on
+/// ties, as in [`ahpd_select`]. A prior whose `ν` is not finite and
+/// positive, whose `m` is outside `(0, 1)` or whose posterior has no HPD
+/// interval sits the race out; `None` when every prior does.
+pub(crate) fn pooled_ahpd(
+    priors: &[BetaPrior],
+    alpha: f64,
+    moments: impl Fn(&BetaPrior) -> (f64, f64),
+) -> Option<PooledSelection> {
+    let matched: Vec<(f64, f64, Beta)> = priors
+        .iter()
+        .filter_map(|prior| {
+            let (m, v) = moments(prior);
+            let nu = m * (1.0 - m) / v - 1.0;
+            if !(nu.is_finite() && nu > 0.0 && m > 0.0 && m < 1.0) {
+                return None;
+            }
+            let posterior = Beta::new(m * nu, (1.0 - m) * nu).ok()?;
+            Some((m, nu, posterior))
+        })
+        .collect();
+    if matched.is_empty() {
+        return None;
+    }
+    let posteriors: Vec<Beta> = matched.iter().map(|&(_, _, posterior)| posterior).collect();
+    // A failed solve gets the full-range sentinel, which no HPD interval
+    // at α > 0 is as wide as: it wins only when every solve failed.
+    let (interval, winner) = pruned_ahpd(&posteriors, alpha, |i| {
+        Ok(hpd_interval_exact(&posteriors[i], alpha).unwrap_or(Interval::new(0.0, 1.0)))
+    })
+    .ok()?;
+    if interval.width() >= 1.0 {
+        return None;
+    }
+    let (mean, nu, posterior) = matched[winner];
+    Some(PooledSelection {
+        mean,
+        nu,
+        posterior,
+        interval,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,6 +261,82 @@ mod tests {
         let sel = ahpd_select(&s, 0.05, &BetaPrior::UNINFORMATIVE).unwrap();
         assert!(sel.interval.lower() > 0.5);
         assert!(sel.interval.upper() <= 1.0);
+    }
+
+    /// The moments of `Beta(p.a + τ, p.b + n − τ)`.
+    fn posterior_moments(prior: &BetaPrior, tau: f64, n: f64) -> (f64, f64) {
+        let (a, b) = (prior.a + tau, prior.b + n - tau);
+        (a / (a + b), a * b / ((a + b) * (a + b) * (a + b + 1.0)))
+    }
+
+    #[test]
+    fn pooled_race_on_exact_moments_selects_like_ahpd() {
+        // Moments of a conjugate posterior match back to (nearly) that
+        // posterior, so the pooled race picks aHPD's winner and interval.
+        for (tau, n) in [(29, 30), (30, 30), (15, 30), (80, 100)] {
+            let sel = ahpd_select(&srs_state(tau, n), 0.05, &BetaPrior::UNINFORMATIVE).unwrap();
+            let pooled = pooled_ahpd(&BetaPrior::UNINFORMATIVE, 0.05, |p| {
+                posterior_moments(p, tau as f64, n as f64)
+            })
+            .unwrap();
+            let prior = BetaPrior::UNINFORMATIVE[sel.winner];
+            assert!((pooled.nu - (prior.a + prior.b + n as f64)).abs() < 1e-9);
+            assert!((pooled.interval.lower() - sel.interval.lower()).abs() < 1e-9);
+            assert!((pooled.interval.upper() - sel.interval.upper()).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn pooled_race_keeps_the_first_narrowest_valid_prior() {
+        // Solving every valid moment-matched prior and keeping the first
+        // minimal width gives the pruned race's answer, bit for bit.
+        let priors = [
+            BetaPrior::informative(90.0, 10.0).unwrap(),
+            BetaPrior::KERMAN,
+            BetaPrior::JEFFREYS,
+            BetaPrior::UNIFORM,
+        ];
+        for tau in 0..=40u32 {
+            let moments = |p: &BetaPrior| {
+                let (m, v) = posterior_moments(p, f64::from(tau), 40.0);
+                (0.7 * m + 0.15, 0.49 * v + 0.09 / 12.0)
+            };
+            let want = priors
+                .iter()
+                .filter_map(|p| {
+                    let (m, v) = moments(p);
+                    let nu = m * (1.0 - m) / v - 1.0;
+                    let post = Beta::new(m * nu, (1.0 - m) * nu).ok()?;
+                    hpd_interval_exact(&post, 0.05).ok()
+                })
+                .reduce(|best, i| if i.width() < best.width() { i } else { best })
+                .unwrap();
+            let got = pooled_ahpd(&priors, 0.05, moments).unwrap().interval;
+            assert_eq!(
+                (got.lower().to_bits(), got.upper().to_bits()),
+                (want.lower().to_bits(), want.upper().to_bits()),
+                "τ = {tau}"
+            );
+        }
+    }
+
+    #[test]
+    fn pooled_race_skips_priors_without_a_valid_beta() {
+        let at = |moments: [(f64, f64); 3]| {
+            pooled_ahpd(&BetaPrior::UNINFORMATIVE, 0.05, |p| {
+                let i = BetaPrior::UNINFORMATIVE
+                    .iter()
+                    .position(|q| q == p)
+                    .unwrap();
+                moments[i]
+            })
+        };
+        // Zero variance, a mean on the boundary and a variance past the
+        // Bernoulli maximum match no Beta.
+        assert_eq!(at([(0.9, 0.0), (1.0, 1e-3), (0.5, 0.3)]), None);
+        let one = at([(0.9, 0.0), (0.9, 1e-3), (0.5, 0.3)]).unwrap();
+        assert!((one.mean - 0.9).abs() < 1e-15);
+        assert!((one.nu - 89.0).abs() < 1e-9);
     }
 
     #[test]

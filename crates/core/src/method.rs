@@ -206,10 +206,11 @@ impl IntervalMethod {
                 // and hide the caller's bug.
                 assert!(state.n() > 0, "aHPD needs at least one annotation");
                 let posteriors = posteriors_for_state(state, priors)?;
-                pruned_ahpd(&posteriors, alpha, |i| match state.kind() {
+                let (interval, _) = pruned_ahpd(&posteriors, alpha, |i| match state.kind() {
                     DesignKind::Srs => kernel.hpd(&priors[i], state.tau(), state.n(), alpha),
                     DesignKind::Cluster => hpd_interval_exact(&posteriors[i], alpha),
-                })
+                })?;
+                Ok(interval)
             }
         }
     }
@@ -467,12 +468,13 @@ fn ushaped_as_sentinel(solved: Result<Interval, IntervalError>) -> Result<Interv
 /// into a window just wider than the best solution is certified to lose
 /// and never solved (U-shaped posteriors certify nothing and are solved).
 /// Ties go to the lower prior index, so the result is
-/// [`crate::ahpd_select`]'s first minimal interval, bit for bit.
-fn pruned_ahpd(
+/// [`crate::ahpd_select`]'s first minimal interval and its index, bit
+/// for bit.
+pub(crate) fn pruned_ahpd(
     posteriors: &[Beta],
     alpha: f64,
     solve: impl Fn(usize) -> Result<Interval, IntervalError>,
-) -> Result<Interval, IntervalError> {
+) -> Result<(Interval, usize), IntervalError> {
     let (_, first) = posteriors
         .iter()
         .enumerate()
@@ -493,7 +495,7 @@ fn pruned_ahpd(
             best = (interval, i);
         }
     }
-    Ok(best.0)
+    Ok(best)
 }
 
 /// The prior with the smallest `a + b`: the one whose posterior narrows
@@ -1033,7 +1035,7 @@ mod tests {
                             .collect();
                         let want = crate::ahpd::ahpd_select_posteriors(&posteriors, alpha).unwrap();
                         let solves = std::cell::Cell::new(0u32);
-                        let got = pruned_ahpd(&posteriors, alpha, |i| {
+                        let (got, _) = pruned_ahpd(&posteriors, alpha, |i| {
                             solves.set(solves.get() + 1);
                             hpd_interval_exact(&posteriors[i], alpha)
                         })

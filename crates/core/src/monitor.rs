@@ -54,6 +54,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::ahpd::pooled_ahpd;
 use crate::engine::{EngineKind, EngineOutcome, EngineRequest, SessionEngine, SessionStatusView};
 use crate::framework::{EvalConfig, PreparedDesign, SamplingDesign};
 use crate::method::IntervalMethod;
@@ -65,7 +66,7 @@ use crate::session::{
 use crate::snapshot::{LabelLog, ReadResult, Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::hash::mix2;
 use kgae_graph::{DeltaKg, KnowledgeGraph, StableId};
-use kgae_intervals::{hpd_interval_exact, BetaPrior, Interval, IntervalError};
+use kgae_intervals::{BetaPrior, Interval, IntervalError};
 use kgae_stats::dist::Beta;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -356,43 +357,25 @@ impl<'a> MonitorSession<'a> {
         #[allow(clippy::cast_precision_loss)]
         let unseen = self.unseen_additions() as f64;
         let share = (total - unseen) / total;
-        let mut best: Option<(Appraisal, f64)> = None;
-        for prior in &BetaPrior::UNINFORMATIVE {
+        let selection = pooled_ahpd(&BetaPrior::UNINFORMATIVE, self.cfg.alpha, |prior| {
             let (a1, b1) = (prior.a + tau, prior.b + (n - tau));
             let m1 = a1 / (a1 + b1);
             let v1 = a1 * b1 / ((a1 + b1) * (a1 + b1) * (a1 + b1 + 1.0));
-            let m = share * m1 + (1.0 - share) * 0.5;
-            let v = share * share * v1 + (1.0 - share) * (1.0 - share) / 12.0;
-            // Moment match: ν = m(1−m)/v − 1. For a pure survivor
-            // posterior (share = 1) this is exactly a1 + b1.
-            let nu = m * (1.0 - m) / v - 1.0;
-            if !(nu.is_finite() && nu > 0.0 && m > 0.0 && m < 1.0) {
-                continue;
-            }
-            let Ok(posterior) = Beta::new(m * nu, (1.0 - m) * nu) else {
-                continue;
-            };
-            let Ok(interval) = hpd_interval_exact(&posterior, self.cfg.alpha) else {
-                continue;
-            };
-            let cap = self.carry_weight.min(nu);
-            let Ok(carry) = posterior_as_prior(&posterior, cap) else {
-                continue;
-            };
-            let width = interval.width();
-            if best.as_ref().is_none_or(|(_, w)| width < *w) {
-                best = Some((
-                    Appraisal {
-                        estimate: m,
-                        interval,
-                        prior_a: carry.a,
-                        prior_b: carry.b,
-                    },
-                    width,
-                ));
-            }
-        }
-        best.map(|(appraisal, _)| appraisal)
+            // For a pure survivor posterior (share = 1) the moment match
+            // gives back ν = a1 + b1.
+            (
+                share * m1 + (1.0 - share) * 0.5,
+                share * share * v1 + (1.0 - share) * (1.0 - share) / 12.0,
+            )
+        })?;
+        let carry =
+            posterior_as_prior(&selection.posterior, self.carry_weight.min(selection.nu)).ok()?;
+        Some(Appraisal {
+            estimate: selection.mean,
+            interval: selection.interval,
+            prior_a: carry.a,
+            prior_b: carry.b,
+        })
     }
 
     fn drift_row_mut(&mut self, predicate: Option<&str>) -> &mut DriftRow {
@@ -1082,6 +1065,46 @@ mod tests {
         // Carried mean near the NELL accuracy the first campaign saw.
         let mean = carried.a / (carried.a + carried.b);
         assert!((mean - 0.91).abs() < 0.15, "carried mean {mean}");
+    }
+
+    /// The post-delta appraisal of one seeded NELL scenario, pinned bit
+    /// for bit: the estimate and interval the appraisal reports, whether
+    /// the batch re-opened annotation and the prior it carries.
+    #[test]
+    fn post_delta_appraisal_is_pinned() {
+        let kg = kgae_graph::datasets::nell();
+        let method = IntervalMethod::ahpd_default();
+        let cfg = EvalConfig::default();
+        let mut monitor = MonitorSession::new(&kg, &method, &cfg, 50.0, 13);
+        drive_to_watching(&mut monitor, &kg, 16);
+        let outcome = monitor
+            .apply_deltas(&DeltaBatch {
+                predicate: Some("churn".into()),
+                removes: (0..30).collect(),
+                adds: vec![true; 150],
+            })
+            .unwrap();
+        let appraisal = monitor.appraise().expect("survivors form a posterior");
+        let (a, b) = monitor.carry.expect("the appraisal carries a prior");
+        let bits = [
+            appraisal.estimate,
+            appraisal.interval.lower(),
+            appraisal.interval.upper(),
+            a,
+            b,
+        ]
+        .map(f64::to_bits);
+        assert!(outcome.reopened);
+        assert_eq!(
+            bits,
+            [
+                0x3fec_0f16_ecac_7c32,
+                0x3fea_0935_f14b_8b74,
+                0x3fed_f38d_73d3_feee,
+                0x4045_ebc9_e8e6_c107,
+                0x4018_a1b0_b8c9_f7c8,
+            ]
+        );
     }
 
     #[test]

@@ -52,20 +52,33 @@
 //! first) under every policy, so tiny strata cannot be starved and the
 //! policies share an identical warm-up phase.
 //!
-//! **Stopping.** The campaign stops when the *pooled* interval's MoE
-//! reaches `ε` (`MoeSatisfied`), when every stratum is fully annotated
+//! **Stopping.** Once every stratum met its floor, the campaign stops
+//! when the *pooled* interval's MoE reaches `ε` (`MoeSatisfied`). It
+//! also stops when every stratum is fully annotated
 //! (`PopulationExhausted` — the pooled estimate is then exact), or when
 //! the shared observation budget runs out (`BudgetExhausted`).
 //!
 //! **Pooling.** The pooled point estimate is the classical stratified
-//! estimator `μ̂ = Σ_h W_h μ̂_h`, computed with
-//! [`kgae_intervals::pooled_point`]'s left fold — **bit-identical** to
-//! combining the per-stratum estimators by hand in stratum order (a
+//! estimator `μ̂ = Σ_h W_h μ̂_h`, a left fold in stratum order —
+//! **bit-identical** to combining the per-stratum estimators by hand (a
 //! property test pins this). A fully annotated stratum is a census,
 //! read from its counts (observations equal its size): it contributes
-//! its exact value and zero variance, and is never polled again. The
-//! pooled interval is Wald-on-pooled-variance; the per-stratum rows keep
-//! their own credible intervals.
+//! its exact value and zero variance, and is never polled again.
+//!
+//! The pooled interval is the aHPD race on the pooled posterior, the
+//! one the monitor runs on its surviving evidence. Under each of the
+//! method's priors `Beta(a, b)` (the uninformative set for Wald and
+//! Wilson), a sampled stratum holds `Beta(W_h·a + τ_h, W_h·b + n_h − τ_h)`:
+//! the prior split across the strata by weight, so under proportional
+//! allocation the pooled mean is the SRS posterior mean
+//! `(τ + a)/(n + a + b)`. The pooled mean `Σ W_h m_h` and variance
+//! `Σ W_h² v_h` are moment-matched to a Beta, and the narrowest HPD
+//! interval over the priors wins. An all-correct stratum keeps a positive
+//! variance, so unanimous strata cannot stop the campaign on a
+//! zero-width interval (the paper's §3.1 pathology of Wald). Once every
+//! annotated stratum is a census the interval is the point `[μ̂, μ̂]`;
+//! if no prior matches a Beta it is the `[0, 1]` sentinel, which cannot
+//! stop. The per-stratum rows keep their own credible intervals.
 //!
 //! **Suspend/resume.** [`SessionEngine::snapshot`] writes a
 //! `KGAESNAP` record with its own record tag (4): the coordinator's
@@ -73,6 +86,7 @@
 //! session record per stratum. Resume validates every fingerprint and
 //! restores the exact allocation + sampling trajectory, bit for bit.
 
+use crate::ahpd::pooled_ahpd;
 use crate::engine::{EngineKind, EngineOutcome, EngineRequest, SessionEngine, SessionStatusView};
 use crate::framework::{EvalConfig, EvalResult, SamplingDesign, StoppingPolicy};
 use crate::method::IntervalMethod;
@@ -83,9 +97,7 @@ use crate::session::{
 use crate::snapshot::{Reader, Writer, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
 use kgae_graph::stratify::Stratification;
 use kgae_graph::KnowledgeGraph;
-use kgae_intervals::{
-    pooled_interval, pooled_point, Interval, IntervalError, KernelCache, StratumSummary,
-};
+use kgae_intervals::{BetaPrior, Interval, KernelCache};
 use kgae_sampling::driver::StratumSrsDriver;
 use kgae_sampling::AllocationPolicy;
 use rand::rngs::SmallRng;
@@ -273,47 +285,60 @@ impl<'a> StratifiedSession<'a> {
         self.observations(h) == self.sizes[h]
     }
 
-    /// The stratum's pooled-estimator contribution, `None` before its
-    /// first annotation.
-    fn summary(&self, h: usize) -> Option<StratumSummary> {
-        let state = self.sessions[h].sample_state();
-        if state.n() == 0 {
-            return None;
-        }
-        let est = state.estimate();
-        Some(StratumSummary {
-            weight: self.weights[h],
-            mu: est.mu,
-            // A census has no sampling error.
-            variance: if self.census(h) { 0.0 } else { est.variance },
-        })
-    }
-
-    /// The pooled point estimate ([`pooled_point`] over the per-stratum
-    /// estimators in stratum order, bit-identical to folding them by
-    /// hand) and the pooled interval; `None` while a stratum has no
-    /// data. With `partial` — a budget can run out before every stratum
-    /// saw data — the weights renormalize over the annotated strata (a
-    /// best-effort partial estimate, `None` only before any data). With
-    /// every stratum present the weights already sum to 1 and are used
-    /// as they are.
-    fn pooled(&self, partial: bool) -> Option<(f64, Result<Interval, IntervalError>)> {
-        let mut summaries: Vec<StratumSummary> = (0..self.sessions.len())
-            .filter_map(|h| self.summary(h))
+    /// The pooled point estimate and interval; `None` while a stratum
+    /// has no data. With `partial` (a budget can run out before every
+    /// stratum saw data) the weights renormalize over the annotated
+    /// strata, a best-effort partial estimate that is `None` only before
+    /// any data. With every stratum present the weights already sum to 1
+    /// and are used as they are.
+    ///
+    /// The point estimate is the classical `Σ W_h μ̂_h`, a left fold in
+    /// stratum order, bit-identical to folding the per-stratum
+    /// estimators by hand. The interval is the aHPD race on the pooled
+    /// posterior (module docs): [`pooled_ahpd`] under the method's
+    /// priors, the point interval once every annotated stratum is a
+    /// census, and the full-range sentinel if no prior matches a Beta.
+    fn pooled(&self, partial: bool) -> Option<(f64, Interval)> {
+        let present: Vec<usize> = (0..self.sessions.len())
+            .filter(|&h| self.observations(h) > 0)
             .collect();
-        let missing = summaries.len() < self.sessions.len();
-        if summaries.is_empty() || (missing && !partial) {
+        let missing = present.len() < self.sessions.len();
+        if present.is_empty() || (missing && !partial) {
             return None;
         }
-        if missing {
-            let covered: f64 = summaries.iter().map(|s| s.weight).sum();
-            for s in &mut summaries {
-                s.weight /= covered;
+        let covered: f64 = present.iter().map(|&h| self.weights[h]).sum();
+        let weight = |h: usize| {
+            if missing {
+                self.weights[h] / covered
+            } else {
+                self.weights[h]
             }
+        };
+        let mu = |h: usize| self.sessions[h].sample_state().estimate().mu;
+        let point = present.iter().fold(0.0, |acc, &h| acc + weight(h) * mu(h));
+        if present.iter().all(|&h| self.census(h)) {
+            return Some((point, Interval::new(point, point)));
         }
+        let priors = self.method.priors().unwrap_or(&BetaPrior::UNINFORMATIVE);
+        let selection = pooled_ahpd(priors, self.cfg.alpha, |prior| {
+            present.iter().fold((0.0, 0.0), |(m, v), &h| {
+                let w = weight(h);
+                if self.census(h) {
+                    return (m + w * mu(h), v);
+                }
+                // The prior, split across strata by weight, updated by
+                // the stratum's own labels.
+                let state = self.sessions[h].sample_state();
+                let tau = state.tau() as f64;
+                let a = w * prior.a + tau;
+                let b = w * prior.b + (state.n() as f64 - tau);
+                let s = a + b;
+                (m + w * a / s, v + w * w * a * b / (s * s * (s + 1.0)))
+            })
+        });
         Some((
-            pooled_point(&summaries),
-            pooled_interval(&summaries, self.cfg.alpha),
+            point,
+            selection.map_or(Interval::new(0.0, 1.0), |s| s.interval),
         ))
     }
 
@@ -414,7 +439,6 @@ impl<'a> StratifiedSession<'a> {
         let Some((mu, interval)) = self.pooled(true) else {
             return Err(SessionError::StreamEndedBeforeData);
         };
-        let interval = interval?;
         let pooled = EvalResult {
             mu_hat: mu,
             interval,
@@ -452,7 +476,7 @@ impl<'a> StratifiedSession<'a> {
         let floors_met = (0..self.sessions.len()).all(|h| self.observations(h) >= self.floor(h));
         if floors_met {
             if let Some((_, interval)) = self.pooled(false) {
-                if interval?.moe() <= self.cfg.epsilon {
+                if interval.moe() <= self.cfg.epsilon {
                     self.finish(StopReason::MoeSatisfied)?;
                     return Ok(true);
                 }
@@ -554,9 +578,7 @@ impl SessionEngine for StratifiedSession<'_> {
     ///
     /// # Errors
     ///
-    /// [`SessionError::RequestPending`] while labels are owed;
-    /// [`SessionError::Interval`] if a pooled-interval construction
-    /// fails.
+    /// [`SessionError::RequestPending`] while labels are owed.
     fn next_request(&mut self, max_units: u64) -> Result<Option<EngineRequest>, SessionError> {
         if self.outcome.is_some() {
             return Ok(None);
@@ -587,9 +609,8 @@ impl SessionEngine for StratifiedSession<'_> {
     ///
     /// # Errors
     ///
-    /// [`SessionError::NoRequestPending`],
-    /// [`SessionError::LabelCountMismatch`], or a pooled-interval
-    /// construction failure.
+    /// [`SessionError::NoRequestPending`] or
+    /// [`SessionError::LabelCountMismatch`].
     fn submit(&mut self, labels: &[bool]) -> Result<(), SessionError> {
         let Some(h) = self.pending else {
             return Err(SessionError::NoRequestPending);
@@ -640,10 +661,7 @@ impl SessionEngine for StratifiedSession<'_> {
         if let Some(outcome) = &self.outcome {
             return SessionStatus::stopped(&outcome.result, outcome.reason);
         }
-        let (estimate, interval) = match self.pooled(false) {
-            Some((mu, interval)) => (Some(mu), interval.ok()),
-            None => (None, None),
-        };
+        let (estimate, interval) = self.pooled(false).unzip();
         let (mut observations, mut annotated_triples, mut cost_seconds) = (0, 0, 0.0);
         for session in &self.sessions {
             observations += session.sample_state().n();
@@ -975,6 +993,33 @@ mod tests {
         for report in strata(&result) {
             assert!(report.census);
             assert_eq!(report.status.stopped, Some(StopReason::PopulationExhausted));
+        }
+    }
+
+    #[test]
+    fn unanimous_strata_keep_a_positive_pooled_width() {
+        // Every label is correct, so every stratum is unanimous at its
+        // floor. A plug-in variance is zero there and would stop the
+        // campaign on a zero-width interval; the pooled posterior keeps
+        // each stratum's share of the prior and stays wide until data
+        // narrow it.
+        let kg = kgae_graph::datasets::syn_scaled(2_000, 200, 1.0, 3);
+        let strat = kgae_graph::stratify::Stratification::by_hash(&kg, 8, 1);
+        for method in [IntervalMethod::ahpd_default(), IntervalMethod::Wilson] {
+            let mut session =
+                StratifiedSession::new(&kg, &strat, &method, &StratifiedConfig::default(), 4);
+            let mut reads = 0;
+            while let Some(req) = session.next_request(8).unwrap() {
+                session.submit(&oracle_labels(&kg, &req.request)).unwrap();
+                if let Some(interval) = session.status().primary.interval {
+                    assert!(interval.width() > 0.0, "{method:?}: {interval}");
+                    reads += 1;
+                }
+            }
+            assert!(reads > 0);
+            assert_eq!(session.stop_reason(), Some(StopReason::MoeSatisfied));
+            let result = outcome(session).result;
+            assert!(result.interval.width() > 0.0 && result.interval.contains(1.0));
         }
     }
 

@@ -11,8 +11,10 @@
 //!   exactly by Newton on the width of the best-placed window, started
 //!   from the certified bound [`hpd_width_lower_bound`], with closed
 //!   forms Eq. 10/11 in the limiting cases. It is the solver behind
-//!   every engine path (SRS campaigns, cluster designs and the monitor's
-//!   appraisal) and the figure binaries;
+//!   every engine path (SRS campaigns, cluster designs, and the
+//!   moment-matched pooled posteriors of stratified campaigns and the
+//!   monitor's appraisal, which `kgae-core` pools) and the figure
+//!   binaries;
 //! * [`BetaPrior`] — Kerman / Jeffreys / Uniform uninformative priors and
 //!   informative priors, with integer and design-effect-adjusted
 //!   fractional posterior updates;
@@ -44,7 +46,6 @@ pub mod expected;
 mod frequentist;
 mod hpd;
 pub mod kernel;
-pub mod pooled;
 mod prior;
 mod types;
 
@@ -57,6 +58,5 @@ pub use hpd::{
     hpd_width_lower_bound,
 };
 pub use kernel::{Kernel, KernelCache, KernelCacheStats};
-pub use pooled::{pooled_interval, pooled_point, pooled_variance, StratumSummary};
 pub use prior::BetaPrior;
 pub use types::Interval;
