@@ -102,7 +102,11 @@ use kgae_sampling::driver::StratumSrsDriver;
 use kgae_sampling::AllocationPolicy;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
+use std::cell::Cell;
 use std::sync::Arc;
+
+/// A pooled point estimate and interval, `None` without the data for one.
+type PooledAnswer = Option<(f64, Interval)>;
 
 /// Campaign-level configuration of a stratified evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,6 +197,9 @@ pub struct StratifiedSession<'a> {
     /// its count, so a width at the current count is current. Never
     /// serialized: a resumed campaign recomputes it.
     widths: Vec<Option<(u64, f64)>>,
+    /// `pooled(false)` at a total observation count, current by the
+    /// argument for `widths`. Never serialized.
+    answer: Cell<Option<(u64, PooledAnswer)>>,
     pending: Option<u32>,
     outcome: Option<EngineOutcome>,
 }
@@ -254,6 +261,7 @@ impl<'a> StratifiedSession<'a> {
             sizes: (0..strat.num_strata()).map(|h| strat.size(h)).collect(),
             weights: (0..strat.num_strata()).map(|h| strat.weight(h)).collect(),
             widths: vec![None; sessions.len()],
+            answer: Cell::new(None),
             sessions,
             pending: None,
             outcome: None,
@@ -298,15 +306,13 @@ impl<'a> StratifiedSession<'a> {
     /// posterior (module docs): [`pooled_ahpd`] under the method's
     /// priors, the point interval once every annotated stratum is a
     /// census, and the full-range sentinel if no prior matches a Beta.
-    fn pooled(&self, partial: bool) -> Option<(f64, Interval)> {
-        let present: Vec<usize> = (0..self.sessions.len())
-            .filter(|&h| self.observations(h) > 0)
-            .collect();
-        let missing = present.len() < self.sessions.len();
-        if present.is_empty() || (missing && !partial) {
+    fn pooled(&self, partial: bool) -> PooledAnswer {
+        let present = || (0..self.sessions.len()).filter(|&h| self.observations(h) > 0);
+        let missing = present().count() < self.sessions.len();
+        if present().next().is_none() || (missing && !partial) {
             return None;
         }
-        let covered: f64 = present.iter().map(|&h| self.weights[h]).sum();
+        let covered: f64 = present().map(|h| self.weights[h]).sum();
         let weight = |h: usize| {
             if missing {
                 self.weights[h] / covered
@@ -315,13 +321,13 @@ impl<'a> StratifiedSession<'a> {
             }
         };
         let mu = |h: usize| self.sessions[h].sample_state().estimate().mu;
-        let point = present.iter().fold(0.0, |acc, &h| acc + weight(h) * mu(h));
-        if present.iter().all(|&h| self.census(h)) {
+        let point = present().fold(0.0, |acc, h| acc + weight(h) * mu(h));
+        if present().all(|h| self.census(h)) {
             return Some((point, Interval::new(point, point)));
         }
         let priors = self.method.priors().unwrap_or(&BetaPrior::UNINFORMATIVE);
         let selection = pooled_ahpd(priors, self.cfg.alpha, |prior| {
-            present.iter().fold((0.0, 0.0), |(m, v), &h| {
+            present().fold((0.0, 0.0), |(m, v), h| {
                 let w = weight(h);
                 if self.census(h) {
                     return (m + w * mu(h), v);
@@ -340,6 +346,20 @@ impl<'a> StratifiedSession<'a> {
             point,
             selection.map_or(Interval::new(0.0, 1.0), |s| s.interval),
         ))
+    }
+
+    /// `pooled(false)`, computed once per total observation count: a
+    /// stopping check and the status reads after it share one solve.
+    fn current_answer(&self) -> PooledAnswer {
+        let n = self.total_observations();
+        match self.answer.get() {
+            Some((at, answer)) if at == n => answer,
+            _ => {
+                let answer = self.pooled(false);
+                self.answer.set(Some((n, answer)));
+                answer
+            }
+        }
     }
 
     fn report(&self, h: usize) -> StratumReport {
@@ -435,8 +455,9 @@ impl<'a> StratifiedSession<'a> {
 
     fn finish(&mut self, reason: StopReason) -> Result<(), SessionError> {
         let strata: Vec<StratumReport> = (0..self.sessions.len()).map(|h| self.report(h)).collect();
+        // `pooled(false)` is `pooled(true)` whenever it answers.
         // `converged` stays false on the partial (budget) path.
-        let Some((mu, interval)) = self.pooled(true) else {
+        let Some((mu, interval)) = self.current_answer().or_else(|| self.pooled(true)) else {
             return Err(SessionError::StreamEndedBeforeData);
         };
         let pooled = EvalResult {
@@ -475,7 +496,7 @@ impl<'a> StratifiedSession<'a> {
         // Pooled MoE, consulted only once every stratum met its floor.
         let floors_met = (0..self.sessions.len()).all(|h| self.observations(h) >= self.floor(h));
         if floors_met {
-            if let Some((_, interval)) = self.pooled(false) {
+            if let Some((_, interval)) = self.current_answer() {
                 if interval.moe() <= self.cfg.epsilon {
                     self.finish(StopReason::MoeSatisfied)?;
                     return Ok(true);
@@ -661,7 +682,7 @@ impl SessionEngine for StratifiedSession<'_> {
         if let Some(outcome) = &self.outcome {
             return SessionStatus::stopped(&outcome.result, outcome.reason);
         }
-        let (estimate, interval) = self.pooled(false).unzip();
+        let (estimate, interval) = self.current_answer().unzip();
         let (mut observations, mut annotated_triples, mut cost_seconds) = (0, 0, 0.0);
         for session in &self.sessions {
             observations += session.sample_state().n();
@@ -994,6 +1015,67 @@ mod tests {
             assert!(report.census);
             assert_eq!(report.status.stopped, Some(StopReason::PopulationExhausted));
         }
+    }
+
+    #[test]
+    fn a_census_stratum_pools_its_exact_value_beside_sampled_ones() {
+        // Stratum 0 holds 4 triples and is a census after its floor
+        // batch; strata 1 and 2 stay sampled. At every status read in
+        // between, the pooled interval is the race on moments tallied
+        // here: the census adds its exact value and no variance, each
+        // sampled stratum its split-prior posterior.
+        let kg = kgae_graph::datasets::syn_scaled(600, 60, 0.9, 5);
+        let assignment = (0..600u32)
+            .map(|t| if t < 4 { 0 } else { 1 + t % 2 })
+            .collect();
+        let names = ["tiny", "even", "odd"].map(String::from).to_vec();
+        let strat = Stratification::from_assignment(names, assignment).unwrap();
+        let method = IntervalMethod::ahpd_default();
+        let cfg = StratifiedConfig::default();
+        let mut session = StratifiedSession::new(&kg, &strat, &method, &cfg, 8);
+        let (mut tau, mut n) = ([0u64; 3], [0u64; 3]);
+        let mut reads = 0;
+        while let Some(req) = session.next_request(8).unwrap() {
+            let labels = oracle_labels(&kg, &req.request);
+            let h = req.stratum.unwrap().0 as usize;
+            n[h] += labels.len() as u64;
+            tau[h] += labels.iter().filter(|&&l| l).count() as u64;
+            session.submit(&labels).unwrap();
+            if n[1] == 0 || n[2] == 0 {
+                continue;
+            }
+            let moments = |prior: &BetaPrior| {
+                let w = strat.weight(0);
+                let (mut m, mut v) = (w * (tau[0] as f64 / n[0] as f64), 0.0);
+                for h in 1..3 {
+                    let w = strat.weight(h as u32);
+                    let a = w * prior.a + tau[h] as f64;
+                    let b = w * prior.b + (n[h] - tau[h]) as f64;
+                    let s = a + b;
+                    m += w * a / s;
+                    v += w * w * a * b / (s * s * (s + 1.0));
+                }
+                (m, v)
+            };
+            let want = pooled_ahpd(method.priors().unwrap(), cfg.alpha, moments)
+                .unwrap()
+                .interval;
+            let got = session.status().primary.interval.unwrap();
+            assert_eq!(n[0], 4, "the tiny stratum is a census first");
+            assert!(got.width() > 0.0, "{got}");
+            assert_eq!(
+                (got.lower().to_bits(), got.upper().to_bits()),
+                (want.lower().to_bits(), want.upper().to_bits()),
+                "n = {n:?}: {got} vs {want}"
+            );
+            reads += 1;
+        }
+        assert!(reads > 0);
+        assert_eq!(session.stop_reason(), Some(StopReason::MoeSatisfied));
+        assert!(
+            n[1] < 298 && n[2] < 298,
+            "sampled strata stay sampled: {n:?}"
+        );
     }
 
     #[test]
