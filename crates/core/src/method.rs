@@ -287,6 +287,16 @@ impl StoppingBoundary {
     /// `normal_start` on the decisive endpoint. Any start gives the same
     /// skip, so the skip depends on the sample and `(α, ε, priors)` alone.
     ///
+    /// Monotonicity in the horizon is swept (`certificate_lemmas`) for
+    /// the default priors, `Beta(c, c)` with `c ∈ {0.2, 1/3, 1/2, 1, 2, 5}`,
+    /// and `Beta(8, 2)`, `Beta(80, 20)` and `Beta(0.5, 2)`, none of which
+    /// stops on its own evidence at the swept `(α, ε)`. It fails for a
+    /// prior that does: `Beta(90, 10)` at `(α, ε) = (0.05, 0.065)` stops
+    /// at every `τ ≤ 4` at `n = 4` and refuses `τ = 0` at `n = 5`. The
+    /// skip's stops under that prior still match the every-unit loop's
+    /// (`tests/lookahead_equivalence.rs`,
+    /// `gates_halt_identically_under_prior_data_conflict`).
+    ///
     /// Debug builds audit a fixed pseudo-random sample of the skips
     /// against a brute-force scan that rests on neither lemma nor the
     /// boundary tables (`audit_skip`).

@@ -76,9 +76,15 @@
 //! interval over the priors wins. An all-correct stratum keeps a positive
 //! variance, so unanimous strata cannot stop the campaign on a
 //! zero-width interval (the paper's §3.1 pathology of Wald). Once every
-//! annotated stratum is a census the interval is the point `[μ̂, μ̂]`;
-//! if no prior matches a Beta it is the `[0, 1]` sentinel, which cannot
-//! stop. The per-stratum rows keep their own credible intervals.
+//! stratum is a census the interval is the point `[μ̂, μ̂]`; if no prior
+//! matches a Beta it is the `[0, 1]` sentinel, which cannot stop. The
+//! per-stratum rows keep their own credible intervals.
+//!
+//! When the budget runs out before every stratum has a label, the
+//! point estimate renormalizes the weights over the annotated strata,
+//! but the interval pools every stratum at its own weight: an
+//! unannotated one contributes its prior share `Beta(W_h·a, W_h·b)`, so
+//! the interval describes the whole KG, not only the sampled part of it.
 //!
 //! **Suspend/resume.** [`SessionEngine::snapshot`] writes a
 //! `KGAESNAP` record with its own record tag (4): the coordinator's
@@ -295,20 +301,21 @@ impl<'a> StratifiedSession<'a> {
 
     /// The pooled point estimate and interval; `None` while a stratum
     /// has no data. With `partial` (a budget can run out before every
-    /// stratum saw data) the weights renormalize over the annotated
-    /// strata, a best-effort partial estimate that is `None` only before
-    /// any data. With every stratum present the weights already sum to 1
-    /// and are used as they are.
+    /// stratum saw data) it is `None` only before any data: the point
+    /// estimate renormalizes the weights over the annotated strata, and
+    /// the interval still pools every stratum at its own weight, an
+    /// unannotated one as its prior share alone.
     ///
     /// The point estimate is the classical `Σ W_h μ̂_h`, a left fold in
     /// stratum order, bit-identical to folding the per-stratum
     /// estimators by hand. The interval is the aHPD race on the pooled
     /// posterior (module docs): [`pooled_ahpd`] under the method's
-    /// priors, the point interval once every annotated stratum is a
-    /// census, and the full-range sentinel if no prior matches a Beta.
+    /// priors, the point interval once every stratum is a census, and
+    /// the full-range sentinel if no prior matches a Beta.
     fn pooled(&self, partial: bool) -> PooledAnswer {
-        let present = || (0..self.sessions.len()).filter(|&h| self.observations(h) > 0);
-        let missing = present().count() < self.sessions.len();
+        let strata = 0..self.sessions.len();
+        let present = || strata.clone().filter(|&h| self.observations(h) > 0);
+        let missing = present().count() < strata.len();
         if present().next().is_none() || (missing && !partial) {
             return None;
         }
@@ -322,18 +329,18 @@ impl<'a> StratifiedSession<'a> {
         };
         let mu = |h: usize| self.sessions[h].sample_state().estimate().mu;
         let point = present().fold(0.0, |acc, h| acc + weight(h) * mu(h));
-        if present().all(|h| self.census(h)) {
+        if strata.clone().all(|h| self.census(h)) {
             return Some((point, Interval::new(point, point)));
         }
         let priors = self.method.priors().unwrap_or(&BetaPrior::UNINFORMATIVE);
         let selection = pooled_ahpd(priors, self.cfg.alpha, |prior| {
-            present().fold((0.0, 0.0), |(m, v), h| {
-                let w = weight(h);
+            strata.clone().fold((0.0, 0.0), |(m, v), h| {
+                let w = self.weights[h];
                 if self.census(h) {
                     return (m + w * mu(h), v);
                 }
                 // The prior, split across strata by weight, updated by
-                // the stratum's own labels.
+                // the stratum's own labels (none yet, on a budget stop).
                 let state = self.sessions[h].sample_state();
                 let tau = state.tau() as f64;
                 let a = w * prior.a + tau;
@@ -988,10 +995,12 @@ mod tests {
         let result = outcome(session);
         assert!(!result.result.converged);
         assert!(result.result.observations >= 90);
-        // The tail strata never saw data — the pooled answer is the
-        // renormalized partial estimate over the covered strata.
+        // The tail strata never saw data: the point estimate is the
+        // renormalized partial estimate over the covered strata, and the
+        // interval pools the rest as their prior shares.
         assert!(strata(&result).iter().any(|r| r.status.observations == 0));
         assert!(result.result.mu_hat > 0.0 && result.result.mu_hat <= 1.0);
+        assert!(result.result.interval.contains(result.result.mu_hat));
     }
 
     #[test]

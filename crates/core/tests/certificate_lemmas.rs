@@ -14,7 +14,10 @@
 //!   `hi(n+1) ≤ hi(n) + 1`: with two-tailedness, an outcome range that
 //!   can stop `k` annotations on can stop `k + 1` on, so the SRS
 //!   lookahead's search may gallop and bisect over the horizon. Cluster
-//!   designs have no lookahead and do not rest on this fact.
+//!   designs have no lookahead and do not rest on this fact. It fails
+//!   for a prior that stops on its own evidence, where the data conflict
+//!   with it (`Beta(90, 10)` at the first [`CONFLICT`] pair), so the
+//!   count sweep keeps to [`priors`].
 //! * **Two-tailed in `μ̂`.** At fixed `n_eff`, the stoppable `μ̂` of the
 //!   effective posterior are two-tailed, per prior and over a prior set,
 //!   and per prior they part at the centre `(n_eff + b − a)/(2·n_eff)`,
@@ -428,6 +431,26 @@ fn prior_data_conflict_is_not_monotone_in_n_eff() {
             "ε = {epsilon}: no μ̂ ≤ 0.3 stops and then does not"
         );
     }
+}
+
+#[test]
+fn prior_data_conflict_is_not_monotone_in_the_horizon() {
+    // Beta(90, 10) at (α, ε) = (0.05, 0.065) stops on its own evidence:
+    // at n = 4 every outcome stops, and at n = 5 the outcome τ = 0 does
+    // not, so the leading stoppable run shrinks as the horizon grows.
+    // The SRS skip assumes it never does; its stops under this prior are
+    // pinned against `EveryUnit` by `lookahead_equivalence`'s
+    // `gates_halt_identically_under_prior_data_conflict`.
+    let prior = informative(90.0, 10.0);
+    let (alpha, epsilon) = CONFLICT[0];
+    let table = Boundary::shared(&prior, alpha, 2.0 * epsilon);
+    let stop = |tau: u64, n: u64| {
+        let exact = hpd_width_achievable(&prior.posterior(tau, n), alpha, 2.0 * epsilon);
+        assert_eq!(table.stoppable(tau, n), exact, "(τ = {tau}, n = {n})");
+        exact
+    };
+    assert!((0..=4).all(|tau| stop(tau, 4)));
+    assert!(!stop(0, 5));
 }
 
 #[test]

@@ -71,8 +71,10 @@ fn run_campaign(
 }
 
 /// Stop-time coverage of the pooled interval: 4,000 aHPD campaigns per
-/// row at the default config and batch 8, seeds `0xC0FE + 100000 + i`.
-/// Each row's Clopper–Pearson 95% band on its coverage must reach the
+/// row at batch 8, seeds `0xC0FE + 100000 + i`, at the default config
+/// and, on NELL `by_predicate`, also at a budget of 90 observations,
+/// which ends each campaign before every stratum has a label. Each
+/// row's Clopper–Pearson 95% band on its coverage must reach the
 /// nominal 0.95 (ignored sweep, ~6 s release).
 #[test]
 #[ignore = "coverage sweep: cargo test --release --test stratified_allocation -- --ignored"]
@@ -85,33 +87,51 @@ fn pooled_interval_covers_at_the_stop() {
         kgae_graph::datasets::nell(),
     );
     let (nell_pred, by_predicate) = kgae_graph::datasets::nell_by_predicate();
-    let rows: [(&str, &kgae_graph::CompactKg, Stratification); 4] = [
+    let default = StratifiedConfig::default();
+    let budget = StratifiedConfig {
+        max_observations: Some(90),
+        ..StratifiedConfig::default()
+    };
+    let rows = [
         (
             "YAGO by_hash(8)",
             &yago,
             Stratification::by_hash(&yago, 8, 1),
+            &default,
         ),
         (
             "DBpedia by_hash(8)",
             &dbpedia,
             Stratification::by_hash(&dbpedia, 8, 1),
+            &default,
         ),
-        ("NELL by_predicate", &nell_pred, by_predicate),
+        (
+            "NELL by_predicate",
+            &nell_pred,
+            by_predicate.clone(),
+            &default,
+        ),
         (
             "NELL by_hash(8)",
             &nell,
             Stratification::by_hash(&nell, 8, 1),
+            &default,
+        ),
+        (
+            "NELL by_predicate, budget 90",
+            &nell_pred,
+            by_predicate,
+            &budget,
         ),
     ];
     let method = IntervalMethod::ahpd_default();
-    let cfg = StratifiedConfig::default();
     let mut failures = Vec::new();
-    for (name, kg, strat) in &rows {
+    for (name, kg, strat, cfg) in &rows {
         let truth = kg.true_accuracy();
         let start = std::time::Instant::now();
         let (mut covered, mut annotations) = (0u64, 0u64);
         for i in 0..REPS {
-            let result = run_campaign(*kg, strat, &method, &cfg, 0xC0FE + 100_000 + i);
+            let result = run_campaign(*kg, strat, &method, cfg, 0xC0FE + 100_000 + i);
             covered += u64::from(result.interval.contains(truth));
             annotations += result.observations;
         }

@@ -7,9 +7,9 @@
 //! has effective evidence `(μ̂, n_eff)` and the effective posterior
 //! `Beta(a + μ̂·n_eff, b + (1 − μ̂)·n_eff)`. A [`Boundary`] keeps rows of
 //! what the verdicts asked of it so far have settled, one per `n` for
-//! counts and one per grid point `k ≥ n_eff` for effective evidence (see
-//! below), and calls the predicate only for what nothing settles yet. The rows rest on
-//! two properties of the predicate, verified, not proven (kgae-core's
+//! counts and one per grid point `k ≥ n_eff` for effective evidence, and
+//! calls the predicate only for what nothing settles yet. The rows rest
+//! on two properties of the predicate, verified, not proven (kgae-core's
 //! `tests/certificate_lemmas.rs` pins them, and these tables against the
 //! predicate):
 //!
@@ -34,13 +34,14 @@
 //!   rows; their effective evidence is asked of the predicate directly.
 //!
 //! [`Boundary::stoppable`] answers counts from their row, exactly, and
-//! costs at most the one predicate call it replaces.
-//! For a symmetric prior, [`Boundary::stoppable_effective`] asks the
-//! row of the grid point `k ≥ n_eff` about `(μ̂, k)`: a refusal there
-//! answers `(μ̂, n_eff)`, and only a stoppable `(μ̂, k)` is followed by
-//! the predicate at `(μ̂, n_eff)` itself (none when `n_eff = k`). A lookup therefore costs at most one
-//! predicate call more than the direct check, and once the campaigns of
-//! a configuration have crossed a row, most of its lookups cost none.
+//! costs at most the one predicate call it replaces. For a symmetric
+//! prior, [`Boundary::stoppable_effective`] asks the row of the grid
+//! point `k ≥ n_eff` about `(μ̂, k)`: a refusal there answers
+//! `(μ̂, n_eff)`, and only a stoppable `(μ̂, k)` is followed by the
+//! predicate at `(μ̂, n_eff)` itself (none when `n_eff = k`). A lookup
+//! therefore costs at most one predicate call more than the direct
+//! check, and once the campaigns of a configuration have crossed a row,
+//! most of its lookups cost none.
 //! The grid is `k = ⌈n_eff⌉` up to 64 and 64 points an octave above
 //! (`ROWS_PER_OCTAVE`), so `k` is within 1/64 of `n_eff` and a long
 //! campaign's own refusals answer many of its later draws. Posteriors
@@ -48,48 +49,55 @@
 //! and effective evidence without a posterior are answered `true` before
 //! any row is read; no row holds them.
 //!
-//! Count rows are hashed by `n` behind a lock, since the SRS lookahead
-//! probes far horizons. Effective rows are dense chunks a cluster
-//! campaign crosses in turn, read and settled without a lock: every
-//! bound of a row holds a verdict's coordinate, so a racing reader sees
-//! only settled facts, and a cold lookup, the common case in a
-//! configuration's first campaign, costs a few loads and stores.
+//! Both kinds of rows live in one store, `Rows`: 64-row chunks (2 KiB),
+//! each allocated when a lookup first reaches it, read and settled
+//! without a lock: every bound of a row holds a verdict's coordinate, so
+//! a racing reader sees only settled facts. Count rows are indexed by
+//! exact `n` below `COUNT_ROWS` = 2¹⁶, so a table's count rows hold at
+//! most 2 MiB (plus 16 KiB of chunk slots); a larger `n`, like effective
+//! evidence past `MAX_EFFECTIVE_K`, is asked of the predicate directly.
+//! The SRS lookahead probes sparsely and not far: 100 SRS-aHPD campaigns
+//! at α = ε = 0.05 on NELL ask 71 count rows up to `n = 188` (3 chunks);
+//! at ε = 0.005 their probes reach `n = 3,788` on NELL (47 chunks) and
+//! 13,920 on DBpedia (112).
 //!
 //! [`Boundary::shared`] hands out the process-wide table of a
 //! configuration from a registry keyed by the exact bits of
 //! `(prior, α, width)`, so every session and engine with that
 //! configuration, SRS or cluster, reads and fills one table. Like the
 //! critical value `z`, a verdict depends on nothing else. The registry
-//! holds at most `CAPACITY` entries (tables and rows of both kinds). An
-//! insert past it drops the tables no handle outside the registry holds,
-//! and if the tables still held fill half of it, their count rows too
-//! (their effective rows, at most 54 KB a table, stay); a table in use
-//! stays registered. Nothing here is serialized.
+//! counts the bytes of its tables and of their chunks as each is
+//! allocated, at most `CAPACITY`; an allocation past it drops the tables
+//! no handle outside the registry holds, and a table in use keeps all
+//! its rows. Nothing here is serialized.
 //!
-//! Debug builds audit the inferences: a count verdict a settled row
-//! answers, and an effective refusal a settled row answers, is checked
-//! against the predicate it stands in for when the evidence falls in a
-//! fixed pseudo-random quarter (`audited`), so every debug test that
-//! reaches a table checks the properties on the evidence it visits.
-//! Auditing every answer added about a third to the debug test run; a
-//! quarter adds a few percent.
+//! Debug builds audit the inferences: wherever a settled row answers the
+//! evidence asked, that answer is checked against the predicate it
+//! stands in for when the evidence falls in a fixed pseudo-random
+//! quarter (`audited`), so every debug test that reaches a table checks
+//! the properties on the evidence it visits. Auditing every answer added
+//! about a third to the debug test run; a quarter adds a few percent.
 
 use crate::hpd::hpd_width_achievable;
 use crate::prior::BetaPrior;
-use kgae_stats::hash::BuildIntHasher;
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
-/// Registry entry cap: tables plus rows, about 16 MB of rows. The
-/// working set of a campaign mix is a few tables of a few thousand rows
-/// each, so the cap is a safety valve against tenants cycling
-/// configurations.
-const CAPACITY: usize = 1 << 18;
+/// Registry cap, in bytes of tables and chunks: a campaign mix uses a
+/// few tables of a few chunks, so this guards against cycling tenants.
+const CAPACITY: usize = 16 << 20;
 
-/// Effective rows an octave of `n_eff`, and the rows of a chunk. Up to
-/// `n_eff = ROWS_PER_OCTAVE` there is a row per integer `k = ⌈n_eff⌉`;
-/// for `⌈n_eff⌉` in `(2^m, 2^(m+1)]` the rows sit on the multiples of
+/// Rows a chunk of `Rows` holds.
+const CHUNK_ROWS: usize = 64;
+
+/// Count rows, one per `n` below it; a larger `n` goes to the predicate.
+const COUNT_ROWS: usize = 1 << 16;
+
+/// Effective rows an octave of `n_eff`. Up to `n_eff = ROWS_PER_OCTAVE`
+/// there is a row per integer `k = ⌈n_eff⌉`; for `⌈n_eff⌉` in
+/// `(2^m, 2^(m+1)]` the rows sit on the multiples of
 /// `2^m / ROWS_PER_OCTAVE`, and `k` is the first one at or past `n_eff`.
 /// So `k` exceeds `n_eff` by under 1/64 of it, and a campaign that
 /// gains little evidence a draw asks one row again and again: at
@@ -102,39 +110,24 @@ const ROWS_PER_OCTAVE: u64 = 64;
 /// asked of the predicate directly.
 const MAX_EFFECTIVE_K: u64 = 1 << 31;
 
-/// Chunks of effective rows, `ROWS_PER_OCTAVE` rows (2 KB) each: every
-/// row up to `MAX_EFFECTIVE_K`. A table allocates a chunk, and counts
-/// its rows toward the registry's cap, when a lookup first reaches one
-/// of its rows.
-const CHUNKS: usize = effective_row(MAX_EFFECTIVE_K).1 / ROWS_PER_OCTAVE as usize + 1;
-
-/// The effective row answering `n_eff ≥ 0`: its evidence `k ≥ n_eff` and
-/// its index, or `None` past `MAX_EFFECTIVE_K`.
+/// The effective row answering `n_eff ≥ 0`: its grid point `k ≥ n_eff`
+/// and its index, or `None` past `MAX_EFFECTIVE_K`.
 fn effective_key(n_eff: f64) -> Option<(f64, usize)> {
     let c = n_eff.ceil() as u64;
+    if c <= ROWS_PER_OCTAVE {
+        return Some((c as f64, c as usize));
+    }
     if c > MAX_EFFECTIVE_K {
         return None;
-    }
-    let (k, index) = effective_row(c);
-    Some((k as f64, index))
-}
-
-/// The grid point `k ≥ c` of the row answering `⌈n_eff⌉ = c`, and that
-/// row's index.
-const fn effective_row(c: u64) -> (u64, usize) {
-    if c <= ROWS_PER_OCTAVE {
-        return (c, c as usize);
     }
     // `c` lies in `(2^m, 2^(m+1)]`, octave `m − 5` past 64, whose rows sit
     // on the multiples of `2^(m−6)` and follow row `64·(m − 5)`, the row
     // of `k = 2^m`.
-    let octave = ((c - 1).ilog2() + 1 - ROWS_PER_OCTAVE.ilog2()) as u64;
+    let octave = u64::from((c - 1).ilog2() + 1 - ROWS_PER_OCTAVE.ilog2());
     let span = 1 << (octave - 1);
     let k = c.div_ceil(span) * span;
-    (
-        k,
-        (ROWS_PER_OCTAVE * octave + k / span - ROWS_PER_OCTAVE) as usize,
-    )
+    let index = ROWS_PER_OCTAVE * octave + k / span - ROWS_PER_OCTAVE;
+    Some((k as f64, index as usize))
 }
 
 /// What the verdicts on one row have settled, in the row's coordinate
@@ -199,6 +192,43 @@ impl Row {
     }
 }
 
+/// A chunk of rows.
+type Chunk = [Row; CHUNK_ROWS];
+
+/// The row store both kinds of rows share: rows by index in chunks of
+/// `CHUNK_ROWS`, each allocated on first reach and read without a lock.
+#[derive(Debug)]
+struct Rows(Box<[OnceLock<Box<Chunk>>]>);
+
+impl Rows {
+    /// Room for `rows` rows, none allocated.
+    fn new(rows: usize) -> Rows {
+        let chunks = rows.div_ceil(CHUNK_ROWS);
+        Rows((0..chunks).map(|_| OnceLock::new()).collect())
+    }
+
+    /// The row at `index`, allocating its chunk on first reach (and
+    /// counting it toward the registry's cap); `None` past the last chunk.
+    fn row(&self, index: usize) -> Option<&Row> {
+        let mut fresh = false;
+        let chunk = self.0.get(index / CHUNK_ROWS)?.get_or_init(|| {
+            fresh = true;
+            Box::new(std::array::from_fn(|_| Row::unsettled()))
+        });
+        if fresh {
+            let mut registry = registry().lock().expect("boundary registry");
+            add_bytes(&mut registry, size_of::<Chunk>());
+        }
+        Some(&chunk[index % CHUNK_ROWS])
+    }
+
+    /// Bytes the store holds: its slots and its chunks.
+    fn bytes(&self) -> usize {
+        let chunks = self.0.iter().filter(|slot| slot.get().is_some()).count();
+        self.0.len() * size_of::<OnceLock<Box<Chunk>>>() + chunks * size_of::<Chunk>()
+    }
+}
+
 /// The lazily settled boundary of one `(prior, α, width)`; see the module
 /// docs. Obtain it from [`Boundary::shared`].
 #[derive(Debug)]
@@ -206,28 +236,27 @@ pub struct Boundary {
     prior: BetaPrior,
     alpha: f64,
     width: f64,
-    /// Count rows by `n`: sparse, since the SRS lookahead probes far
-    /// horizons.
-    counts: RwLock<HashMap<u64, Row, BuildIntHasher>>,
-    /// Effective rows by `k`, in chunks: dense, since a cluster campaign
-    /// crosses every `k` in turn, and read without a lock.
-    effective: [OnceLock<Box<[Row]>>; CHUNKS],
+    /// Count rows by `n`.
+    counts: Rows,
+    /// Effective rows by the index of their grid point `k`.
+    effective: Rows,
 }
 
-/// Whether debug builds re-check a settled verdict on evidence `(x, n)`
-/// (`(τ, n)`, or the bits of `(μ̂, n_eff)`): a fixed quarter, by a
+/// Whether debug builds re-check a settled answer at evidence `(x, n)`
+/// (the bits of `(τ, n)` or `(μ̂, n_eff)`): a fixed quarter, by a
 /// multiplicative hash, so a run audits the same evidence whatever order
 /// its tables settle in.
-fn audited(x: u64, n: u64) -> bool {
+fn audited(x: f64, n: f64) -> bool {
+    let (x, n) = (x.to_bits(), n.to_bits());
     (x.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ n.wrapping_mul(0xC2B2_AE3D_27D4_EB4F)) >> 62 == 0
 }
 
-/// The registry: tables by the bits of `(a, b, α, width)`, and their
-/// entries (tables and rows) as last counted.
+/// The registry: tables by the bits of `(a, b, α, width)`, and the bytes
+/// of those tables and their chunks.
 #[derive(Default)]
 struct Registry {
     tables: HashMap<[u64; 4], Arc<Boundary>>,
-    entries: usize,
+    bytes: usize,
 }
 
 fn registry() -> &'static Mutex<Registry> {
@@ -235,37 +264,17 @@ fn registry() -> &'static Mutex<Registry> {
     REGISTRY.get_or_init(Mutex::default)
 }
 
-/// Counts `added` new entries. Past `CAPACITY` it drops the tables only
-/// the registry holds (a table a caller is reading is held by that
-/// caller), then, if the rest still fill half the cap, their count rows.
-/// The effective rows of a table in use stay until it is dropped: they
-/// are read without a lock, and `CHUNKS` bounds them. Lock order: a
-/// table's row lock is never held while taking the registry lock.
-fn add_entries(registry: &mut Registry, added: usize) {
-    registry.entries += added;
-    if registry.entries <= CAPACITY {
-        return;
-    }
-    registry
-        .tables
-        .retain(|_, table| Arc::strong_count(table) > 1);
-    let count_rows = |table: &Boundary| table.counts.read().expect("boundary rows").len();
-    let mut entries = registry
-        .tables
-        .values()
-        .map(|t| 1 + count_rows(t) + t.effective_entries())
-        .sum();
-    if entries > CAPACITY / 2 {
-        for table in registry.tables.values() {
-            table.counts.write().expect("boundary rows").clear();
-        }
-        entries = registry
+/// Counts `added` new bytes. Past `CAPACITY` it drops the tables only
+/// the registry holds: a table a caller is reading is held by that
+/// caller, and keeps its rows.
+fn add_bytes(registry: &mut Registry, added: usize) {
+    registry.bytes += added;
+    if registry.bytes > CAPACITY {
+        registry
             .tables
-            .values()
-            .map(|t| 1 + t.effective_entries())
-            .sum();
+            .retain(|_, table| Arc::strong_count(table) > 1);
+        registry.bytes = registry.tables.values().map(|table| table.bytes()).sum();
     }
-    registry.entries = entries;
 }
 
 impl Boundary {
@@ -279,7 +288,7 @@ impl Boundary {
             return Arc::clone(table);
         }
         let table = Arc::new(Boundary::new(prior, alpha, width));
-        add_entries(&mut registry, 1);
+        add_bytes(&mut registry, table.bytes());
         registry.tables.insert(key, Arc::clone(&table));
         table
     }
@@ -290,8 +299,8 @@ impl Boundary {
             prior: *prior,
             alpha,
             width,
-            counts: RwLock::default(),
-            effective: Default::default(),
+            counts: Rows::new(COUNT_ROWS),
+            effective: Rows::new(effective_key(MAX_EFFECTIVE_K as f64).unwrap().1 + 1),
         }
     }
 
@@ -306,42 +315,13 @@ impl Boundary {
     /// table when an earlier verdict settles it.
     #[must_use]
     pub fn stoppable(&self, tau: u64, n: u64) -> bool {
-        let x = tau as f64;
-        let below_centre = 2.0 * x <= n as f64 + self.prior.b - self.prior.a;
-        let settled = self
-            .counts
-            .read()
-            .expect("boundary rows")
-            .get(&n)
-            .and_then(|row| row.verdict(x));
-        if let Some(verdict) = settled {
-            debug_assert!(
-                !audited(tau, n) || verdict == self.predicate(tau, n),
-                "boundary table of {:?} at α = {}, width = {}: a settled row \
-                 answers (τ = {tau}, n = {n}) against the predicate",
-                self.prior,
-                self.alpha,
-                self.width
-            );
-            return verdict;
-        }
-        let stoppable = self.predicate(tau, n);
-        // Racing writers settle the same pure function; the merge only
-        // widens what is settled, so its order does not matter.
-        let mut fresh = false;
-        self.counts
-            .write()
-            .expect("boundary rows")
-            .entry(n)
-            .or_insert_with(|| {
-                fresh = true;
-                Row::unsettled()
-            })
-            .settle(x, stoppable, below_centre);
-        if fresh {
-            add_entries(&mut registry().lock().expect("boundary registry"), 1);
-        }
-        stoppable
+        let predicate = || self.predicate(tau, n);
+        let Some(row) = usize::try_from(n).ok().and_then(|n| self.counts.row(n)) else {
+            return predicate();
+        };
+        let (x, n) = (tau as f64, n as f64);
+        let below_centre = 2.0 * x <= n + self.prior.b - self.prior.a;
+        self.answer(row, (x, n), below_centre, predicate, None)
     }
 
     /// Whether some `1-α` window of the effective posterior at
@@ -365,54 +345,65 @@ impl Boundary {
         // Rows serve symmetric priors only: an asymmetric prior's
         // verdicts need not be monotone in `n_eff` (module docs).
         let symmetric = self.prior.a == self.prior.b;
-        let Some((k, index)) = effective_key(n_eff).filter(|_| symmetric) else {
+        let keyed = effective_key(n_eff).filter(|_| symmetric);
+        let Some((k, row)) = keyed.and_then(|(k, index)| Some((k, self.effective.row(index)?)))
+        else {
             return self.predicate_effective(mu, n_eff);
         };
-        let row = self.effective_row(index);
-        let at_k = match row.verdict(mu) {
-            Some(at_k) => {
+        let below_centre = 2.0 * k * mu <= k + self.prior.b - self.prior.a;
+        let at_n_eff: &dyn Fn() -> bool = &|| self.predicate_effective(mu, n_eff);
+        let at_k = || self.predicate_effective(mu, k);
+        self.answer(
+            row,
+            (mu, n_eff),
+            below_centre,
+            at_k,
+            (k != n_eff).then_some(at_n_eff),
+        )
+    }
+
+    /// Settles or answers, for both kinds of rows: the verdict of `row` at
+    /// `x`, the coordinate of the evidence asked `(x, n)`, read when an
+    /// earlier verdict settles it, else `at_row()` (the predicate on the
+    /// row's own evidence), which then settles the row; `below_centre`
+    /// places a stoppable `x` in its tail. `at_asked` is the predicate on
+    /// the evidence asked when the row's differs: a refusal answers, and
+    /// a stoppable verdict is followed by it. Debug builds check a read
+    /// verdict that answers against the predicate, when `audited(x, n)`.
+    fn answer(
+        &self,
+        row: &Row,
+        (x, n): (f64, f64),
+        below_centre: bool,
+        at_row: impl Fn() -> bool,
+        at_asked: Option<&dyn Fn() -> bool>,
+    ) -> bool {
+        let verdict = match row.verdict(x) {
+            Some(verdict) => {
                 debug_assert!(
-                    at_k || !audited(mu.to_bits(), n_eff.to_bits())
-                        || !self.predicate_effective(mu, n_eff),
+                    (verdict && at_asked.is_some())
+                        || !audited(x, n)
+                        || verdict == at_asked.map_or_else(&at_row, |at_asked| at_asked()),
                     "boundary table of {:?} at α = {}, width = {}: a settled row \
-                     answers (μ̂ = {mu}, n_eff = {n_eff}) against the predicate",
+                     answers ({x}, {n}) against the predicate",
                     self.prior,
                     self.alpha,
                     self.width
                 );
-                at_k
+                verdict
             }
             None => {
-                let at_k = self.predicate_effective(mu, k);
-                let below_centre = 2.0 * k * mu <= k + self.prior.b - self.prior.a;
-                row.settle(mu, at_k, below_centre);
-                at_k
+                let verdict = at_row();
+                row.settle(x, verdict, below_centre);
+                verdict
             }
         };
-        at_k && (k == n_eff || self.predicate_effective(mu, n_eff))
+        verdict && at_asked.is_none_or(|at_asked| at_asked())
     }
 
-    /// The effective row at `index`, allocating its chunk on first reach.
-    fn effective_row(&self, index: usize) -> &Row {
-        let per_chunk = ROWS_PER_OCTAVE as usize;
-        let mut added = 0;
-        let chunk = self.effective[index / per_chunk].get_or_init(|| {
-            added = per_chunk;
-            (0..per_chunk).map(|_| Row::unsettled()).collect()
-        });
-        if added > 0 {
-            add_entries(&mut registry().lock().expect("boundary registry"), added);
-        }
-        &chunk[index % per_chunk]
-    }
-
-    /// Registry entries the effective rows count for: their rows.
-    fn effective_entries(&self) -> usize {
-        self.effective
-            .iter()
-            .filter_map(OnceLock::get)
-            .map(|chunk| chunk.len())
-            .sum()
+    /// Bytes the table holds, itself and its rows.
+    fn bytes(&self) -> usize {
+        size_of::<Boundary>() + self.counts.bytes() + self.effective.bytes()
     }
 
     /// The verdict at `(τ, n)` straight from [`hpd_width_achievable`].
@@ -483,11 +474,31 @@ mod tests {
         for tau in [lo - 1, lo, hi - 1, hi] {
             let _ = table.stoppable(tau, n);
         }
-        let counts = table.counts.read().unwrap();
-        let row = &counts[&n];
+        let row = table.counts.row(n as usize).unwrap();
         let settled = ((lo - 1) as f64, hi as f64, (lo as f64, (hi - 1) as f64));
         assert_eq!(bounds(row), settled);
         assert!((0..=n).all(|tau| row.verdict(tau as f64) == Some(stop(tau))));
+    }
+
+    #[test]
+    fn counts_past_the_last_row_ask_the_predicate() {
+        // The last count row is n = COUNT_ROWS − 1; past it the predicate
+        // answers, and no chunk is allocated.
+        let table = Boundary::new(&BetaPrior::KERMAN, 0.05, 0.01);
+        assert!(table.counts.row(COUNT_ROWS - 1).is_some());
+        let bytes = table.bytes();
+        let n = COUNT_ROWS as u64;
+        for tau in [0, 1, n / 2, n - 100, n - 50, n] {
+            for _ in 0..2 {
+                assert_eq!(
+                    table.stoppable(tau, n),
+                    table.predicate(tau, n),
+                    "τ = {tau}"
+                );
+            }
+        }
+        assert!(table.counts.row(COUNT_ROWS).is_none());
+        assert_eq!(table.bytes(), bytes);
     }
 
     #[test]
@@ -501,16 +512,15 @@ mod tests {
         let (lo, n) = (300..)
             .find_map(|n| {
                 let lo = (0..=n).find(|&tau| !table.predicate(tau, n))?;
-                audited(lo, n).then_some((lo, n))
+                audited(lo as f64, n as f64).then_some((lo, n))
             })
             .unwrap();
         let hi = (lo..=n).find(|&tau| table.predicate(tau, n)).unwrap();
-        let mutant = Row::unsettled();
+        let mutant = table.counts.row(n as usize).unwrap();
         mutant.settle(lo as f64, true, true);
         mutant.settle(hi as f64, true, false);
         mutant.settle((lo + 1) as f64, false, true);
         mutant.settle((hi - 1) as f64, false, false);
-        table.counts.write().unwrap().insert(n, mutant);
         let _ = table.stoppable(lo, n);
     }
 
@@ -607,10 +617,10 @@ mod tests {
                 let hi = mus
                     .skip_while(|&mu| mu <= lo)
                     .find(|&mu| table.predicate_effective(mu, k))?;
-                audited(hi.to_bits(), k.to_bits()).then_some((lo, hi, k, index))
+                audited(hi, k).then_some((lo, hi, k, index))
             })
             .unwrap();
-        let mutant = table.effective_row(index);
+        let mutant = table.effective.row(index).unwrap();
         mutant.settle(lo, false, true);
         mutant.settle(hi, false, false);
         let _ = table.stoppable_effective(hi, k);
@@ -637,7 +647,9 @@ mod tests {
             }
         }
         let (k, index) = effective_key(MAX_EFFECTIVE_K as f64).unwrap();
-        assert_eq!((k, index / 64), (MAX_EFFECTIVE_K as f64, CHUNKS - 1));
+        let table = Boundary::new(&BetaPrior::KERMAN, 0.05, 0.1);
+        assert_eq!(k, MAX_EFFECTIVE_K as f64);
+        assert_eq!(index / CHUNK_ROWS, table.effective.0.len() - 1);
         assert_eq!(effective_key(MAX_EFFECTIVE_K as f64 + 0.5), None);
     }
 
@@ -654,19 +666,19 @@ mod tests {
     fn overflow_drops_only_tables_nobody_holds() {
         let mut registry = Registry::default();
         let table = |width: f64| Arc::new(Boundary::new(&BetaPrior::KERMAN, 0.05, width));
-        let held = table(0.1);
-        // Rows of both kinds count toward the cap: one count row, and the
-        // first chunk of effective rows.
-        held.counts.write().unwrap().insert(7, Row::unsettled());
-        let _ = held.effective_row(2);
-        assert_eq!(held.effective_entries(), ROWS_PER_OCTAVE as usize);
+        let (held, idle) = (table(0.1), table(0.2));
+        // Chunks of both kinds count toward the cap.
+        let _ = held.counts.row(7);
+        let _ = held.effective.row(2);
+        assert_eq!(held.bytes(), idle.bytes() + 2 * size_of::<Chunk>());
         registry.tables.insert([0; 4], Arc::clone(&held));
-        registry.tables.insert([1; 4], table(0.2));
-        registry.entries = CAPACITY;
-        add_entries(&mut registry, 1);
+        registry.tables.insert([1; 4], idle);
+        registry.bytes = CAPACITY;
+        add_bytes(&mut registry, 1);
         assert_eq!(registry.tables.len(), 1);
         assert!(Arc::ptr_eq(&registry.tables[&[0; 4]], &held));
-        assert_eq!(registry.entries, 2 + ROWS_PER_OCTAVE as usize);
-        assert_eq!(held.counts.read().unwrap().len(), 1);
+        // The table in use keeps its rows.
+        assert_eq!(registry.bytes, held.bytes());
+        assert!(held.counts.0[0].get().is_some());
     }
 }
