@@ -12,7 +12,7 @@ use kgae_core::{
     AnnotationRequest, EvalConfig, EvaluationSession, IntervalMethod, PreparedDesign, SampleState,
     SamplingDesign,
 };
-use kgae_graph::GroundTruth;
+use kgae_graph::{GroundTruth, KnowledgeGraph};
 use kgae_intervals::{
     clopper_pearson, et_interval, hpd_interval_exact, wald_from_variance, wilson, BetaPrior,
 };
@@ -51,6 +51,12 @@ fn bench_intervals(c: &mut Criterion) {
     g.finish();
 }
 
+/// Triples of NELL an SRS sample `state` has not annotated yet.
+fn left(state: &SampleState) -> u64 {
+    static TRIPLES: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    TRIPLES.get_or_init(|| kgae_graph::datasets::nell().num_triples()) - state.n()
+}
+
 /// The sample state after every annotation of one SRS campaign on NELL.
 fn campaign_states(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec<SampleState> {
     let kg = kgae_graph::datasets::nell();
@@ -85,7 +91,7 @@ fn lookahead_rounds(method: &IntervalMethod, cfg: &EvalConfig, seed: u64) -> Vec
     let mut rounds = Vec::new();
     let mut at = cfg.min_triples.saturating_sub(1) as usize;
     while at < states.len() {
-        let skip = boundary.certified_skip(states[at].tau(), states[at].n());
+        let skip = boundary.certified_skip(states[at].tau(), states[at].n(), left(&states[at]));
         rounds.push(states[at].clone());
         at += skip as usize + 1;
     }
@@ -107,13 +113,15 @@ fn bench_certified_skip_srs(c: &mut Criterion) {
     for state in &rounds[rounds.len().saturating_sub(4)..] {
         let id = format!("tau{}_n{}", state.tau(), state.n());
         g.bench_function(&id, |b| {
-            b.iter(|| boundary.certified_skip(black_box(state.tau()), black_box(state.n())))
+            b.iter(|| {
+                boundary.certified_skip(black_box(state.tau()), black_box(state.n()), left(state))
+            })
         });
         g.bench_function(format!("{id}_fresh"), |b| {
             b.iter(|| {
                 fresh.set(f64::from_bits(fresh.get().to_bits() + 1));
                 let boundary = method.stopping_boundary(cfg.alpha, fresh.get()).unwrap();
-                boundary.certified_skip(black_box(state.tau()), black_box(state.n()))
+                boundary.certified_skip(black_box(state.tau()), black_box(state.n()), left(state))
             })
         });
     }

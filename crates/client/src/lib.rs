@@ -70,7 +70,7 @@ use kgae_core::{DeltaBatch, DeltaOutcome};
 use kgae_service::api::{self, SessionSpec, WireRequest};
 use kgae_service::http;
 use kgae_service::json::{self, Json};
-use kgae_service::manager::SessionView;
+use kgae_service::manager::{ListedSession, SessionView};
 use kgae_service::server;
 use kgae_service::store::from_hex;
 use rand::rngs::SmallRng;
@@ -608,18 +608,20 @@ impl Client {
         view_from_json(&doc)
     }
 
-    /// `GET /v1/sessions` — every session the server knows.
+    /// `GET /v1/sessions` — every session the server knows: a view of
+    /// each one in memory, the id, state and stop reason of each one
+    /// only on disk.
     ///
     /// # Errors
     ///
     /// Transport/API/decoding failures.
-    pub fn sessions(&mut self) -> ClientResult<Vec<SessionView>> {
+    pub fn sessions(&mut self) -> ClientResult<Vec<ListedSession>> {
         let doc = self.call("GET", "/v1/sessions", "", true)?;
         doc.get("sessions")
             .and_then(Json::as_arr)
             .ok_or_else(|| ClientError::Protocol("missing sessions array".into()))?
             .iter()
-            .map(view_from_json)
+            .map(|v| server::listed_from_json(v).map_err(|e| ClientError::Protocol(e.to_string())))
             .collect()
     }
 

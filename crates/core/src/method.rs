@@ -270,7 +270,9 @@ impl StoppingBoundary {
     }
 
     /// Certified SRS lookahead: the number of further annotations that
-    /// cannot satisfy `MoE ≤ ε`, from `(τ, n)`.
+    /// cannot satisfy `MoE ≤ ε`, from `(τ, n)` with `left` triples not
+    /// yet annotated. No horizon past `left` is probed: a skip of `left`
+    /// says no outcome can stop before the population runs out.
     ///
     /// For each horizon `k`, every achievable posterior has
     /// `τ' ∈ [τ, τ+k]` at `n + k` observations. At fixed `n + k` the
@@ -301,7 +303,11 @@ impl StoppingBoundary {
     /// against a brute-force scan that rests on neither lemma nor the
     /// boundary tables (`audit_skip`).
     #[must_use]
-    pub fn certified_skip(&self, tau: u64, n: u64) -> u64 {
+    pub fn certified_skip(&self, tau: u64, n: u64, left: u64) -> u64 {
+        let max = left.min(MAX_SKIP);
+        if max == 0 {
+            return 0;
+        }
         let toward_one = 2 * tau >= n;
         let start = normal_start(self.alpha, self.epsilon, &self.start_prior, |k| {
             (
@@ -309,7 +315,7 @@ impl StoppingBoundary {
                 (if toward_one { tau + k } else { tau }) as f64,
             )
         });
-        let skip = self.skip_from(tau, n, start);
+        let skip = self.skip_from(tau, n, start, max);
         #[cfg(debug_assertions)]
         if skip_audited(tau, n, skip) {
             self.audit_skip(tau, n, skip);
@@ -348,8 +354,8 @@ impl StoppingBoundary {
     }
 
     /// [`Self::certified_skip`] with its decisive search started at
-    /// `start`.
-    fn skip_from(&self, tau: u64, n: u64, start: u64) -> u64 {
+    /// `start` and capped at `max ≥ 1`.
+    fn skip_from(&self, tau: u64, n: u64, start: u64, max: u64) -> u64 {
         // Whether the outcome `k` annotations on at the `toward_one` end
         // of `[τ, τ+k]` can stop.
         let stoppable =
@@ -357,6 +363,7 @@ impl StoppingBoundary {
         let toward_one = 2 * tau >= n;
         decisive_first_skip(
             start,
+            max,
             |k| stoppable(k, toward_one),
             |k, refuted| (!refuted && stoppable(k, toward_one)) || stoppable(k, !toward_one),
         )
@@ -534,7 +541,7 @@ fn normal_start(
 ) -> u64 {
     let z = upper_normal_quantile(alpha / 2.0);
     let pseudo = prior.a + prior.b - 2.0;
-    1 + find_certified_skip(1, |k| {
+    1 + find_certified_skip(1, MAX_SKIP, |k| {
         let (nu, t) = endpoint(k);
         let m = if nu + pseudo > 0.0 {
             (t + prior.a - 1.0) / (nu + pseudo)
@@ -545,9 +552,9 @@ fn normal_start(
     })
 }
 
-/// The lookahead's skip from a decisive-first search. The decisive
-/// outcome's last non-stoppable horizon, found by [`find_certified_skip`]
-/// from `start`, is the candidate: the union is stoppable one horizon
+/// The lookahead's skip from a decisive-first search, capped at `max`.
+/// The decisive outcome's last non-stoppable horizon, found by
+/// [`find_certified_skip`] from `start`, is the candidate: the union is stoppable one horizon
 /// later. One probe of the rest of the union at the candidate,
 /// `union(k, true)`, which leaves out the decisive outcome the search
 /// has just refuted there and so evaluates only the other end,
@@ -558,10 +565,11 @@ fn normal_start(
 /// whatever the start.
 fn decisive_first_skip(
     start: u64,
+    max: u64,
     decisive: impl Fn(u64) -> bool,
     union: impl Fn(u64, bool) -> bool,
 ) -> u64 {
-    let candidate = find_certified_skip(start, decisive);
+    let candidate = find_certified_skip(start, max, decisive);
     if candidate == 0 || !union(candidate, true) {
         return candidate;
     }
@@ -573,17 +581,18 @@ fn decisive_first_skip(
 }
 
 /// Searches for the number of units to skip: one less than the smallest
-/// horizon at which stopping becomes achievable, capped at `MAX_SKIP`.
-/// It exploits that achievability is monotone in the horizon (more
-/// evidence can only narrow the best achievable interval): an
-/// exponential search outward from `start` (clamped to `1..=MAX_SKIP`)
-/// brackets the first stoppable horizon, and bisection finds it. Every
+/// horizon at which stopping becomes achievable, capped at `max ≥ 1`,
+/// past which no horizon is evaluated. It exploits that achievability
+/// is monotone in the horizon (more evidence can only narrow the best
+/// achievable interval): an exponential search outward from `start`
+/// (clamped to `1..=max`) brackets the first stoppable horizon, and
+/// bisection finds it. Every
 /// start gives the same answer; a start near it costs O(log distance)
 /// predicate evaluations, most of which short-circuit on the
 /// one-density-evaluation necessary condition. A non-zero result was
 /// itself evaluated and found not stoppable.
-fn find_certified_skip(start: u64, stoppable_at: impl Fn(u64) -> bool) -> u64 {
-    let start = start.clamp(1, MAX_SKIP);
+fn find_certified_skip(start: u64, max: u64, stoppable_at: impl Fn(u64) -> bool) -> u64 {
+    let start = start.clamp(1, max);
     let mut step = 1;
     if stoppable_at(start) {
         // Down: invariant stoppable(hi); horizon 0 is "now", never
@@ -599,15 +608,15 @@ fn find_certified_skip(start: u64, stoppable_at: impl Fn(u64) -> bool) -> u64 {
     }
     // Up: invariant !stoppable(lo).
     let mut lo = start;
-    while lo < MAX_SKIP {
-        let hi = (lo + step).min(MAX_SKIP);
+    while lo < max {
+        let hi = (lo + step).min(max);
         if stoppable_at(hi) {
             return bisect_skip(stoppable_at, lo, hi);
         }
         lo = hi;
         step *= 2;
     }
-    MAX_SKIP
+    max
 }
 
 /// Binary search between a horizon `lo` that is not stoppable (or 0)
@@ -772,7 +781,7 @@ mod tests {
                 let skip = method
                     .stopping_boundary(0.05, 0.05)
                     .unwrap()
-                    .certified_skip(tau, n);
+                    .certified_skip(tau, n, u64::MAX);
                 // Brute-force: for each skipped horizon k and every
                 // achievable τ', the constructed interval is wider than ε.
                 for k in 1..=skip.min(60) {
@@ -802,7 +811,7 @@ mod tests {
             .stopping_boundary(0.05, 0.05)
             .unwrap();
         let (tau, n) = (27, 30);
-        let skip = boundary.certified_skip(tau, n);
+        let skip = boundary.certified_skip(tau, n, u64::MAX);
         assert!((1..MAX_SKIP).contains(&skip), "skip = {skip}");
         boundary.audit_skip(tau, n, skip);
         boundary.audit_skip(tau, n, skip + 1);
@@ -817,7 +826,7 @@ mod tests {
         let skip = ahpd
             .stopping_boundary(0.05, 0.05)
             .unwrap()
-            .certified_skip(15, 30);
+            .certified_skip(15, 30, u64::MAX);
         assert!(skip >= 30, "skip = {skip} is uselessly small");
         // And frequentist methods certify nothing.
         assert!(IntervalMethod::Wald.stopping_boundary(0.05, 0.05).is_none());
@@ -841,7 +850,7 @@ mod tests {
             return 0;
         };
         let (tau, n) = (state.tau(), state.n());
-        find_certified_skip(1, |k| {
+        find_certified_skip(1, MAX_SKIP, |k| {
             [tau, tau + 1, tau + k - 1, tau + k]
                 .into_iter()
                 .filter(|t| (tau..=tau + k).contains(t))
@@ -874,15 +883,20 @@ mod tests {
             start in prop_oneof![Just(1u64), Just(MAX_SKIP), 1..=MAX_SKIP, 1u64..=2000],
             alpha in prop_oneof![Just(0.01), Just(0.05), Just(0.1)],
             epsilon in 0.01f64..0.1,
+            // Triples left to annotate: the skip is capped there.
+            left in 0u64..=3000,
         ) {
             let state = srs_state(tau, n);
             for method in skip_methods() {
                 let want = skip_by_union_search(&method, &state, alpha, epsilon);
                 let boundary = method.stopping_boundary(alpha, epsilon).unwrap();
-                let got = boundary.certified_skip(tau, n);
+                let got = boundary.certified_skip(tau, n, u64::MAX);
                 prop_assert_eq!(got, want, "{:?} at (τ={}, n={}), α={}, ε={}",
                     method, tau, n, alpha, epsilon);
-                let from = boundary.skip_from(tau, n, start);
+                let capped = boundary.certified_skip(tau, n, left);
+                prop_assert_eq!(capped, want.min(left), "{:?} at (τ={}, n={}) with {} left",
+                    method, tau, n, left);
+                let from = boundary.skip_from(tau, n, start, MAX_SKIP);
                 prop_assert_eq!(from, want, "{:?} at (τ={}, n={}) from horizon {}, \
                     α={}, ε={}", method, tau, n, start, alpha, epsilon);
             }
@@ -900,7 +914,7 @@ mod tests {
                 let got = method
                     .stopping_boundary(0.01, 1e-5)
                     .unwrap()
-                    .certified_skip(tau, n);
+                    .certified_skip(tau, n, u64::MAX);
                 assert_eq!(got, MAX_SKIP, "{method:?} at (τ={tau}, n={n})");
                 assert_eq!(got, skip_by_union_search(&method, &state, 0.01, 1e-5));
             }
@@ -924,7 +938,7 @@ mod tests {
                     for tau in 0..=n {
                         let state = srs_state(tau, n);
                         assert_eq!(
-                            boundary.certified_skip(tau, n),
+                            boundary.certified_skip(tau, n, u64::MAX),
                             skip_by_union_search(method, &state, 0.05, epsilon),
                             "{method:?} at (τ={tau}, n={n}), ε={epsilon}"
                         );
@@ -950,22 +964,25 @@ mod tests {
         // Synthetic monotone predicates with first stoppable horizon T
         // ⇒ T − 1 units are skippable: immediately stoppable, mid-range,
         // at the cap, and never stoppable within the cap (capped skip).
-        // Every start gives the same answer, and a non-zero answer was
-        // itself evaluated (the union probe relies on it).
-        for threshold in [1, MAX_SKIP / 2 + 7, MAX_SKIP, u64::MAX] {
-            let want = threshold.saturating_sub(1).min(MAX_SKIP);
-            for start in 1..=MAX_SKIP + 1 {
-                let seen = std::cell::Cell::new(false);
-                let skip = find_certified_skip(start, |k| {
-                    assert!((1..=MAX_SKIP).contains(&k), "probed horizon {k}");
-                    seen.set(seen.get() || k == want);
-                    k >= threshold
-                });
-                assert_eq!(skip, want, "threshold {threshold}, start {start}");
-                assert!(
-                    want == 0 || seen.get(),
-                    "threshold {threshold}, start {start}"
-                );
+        // Every start gives the same answer, no horizon past the cap is
+        // probed, and a non-zero answer was itself evaluated (the union
+        // probe relies on it).
+        for max in [MAX_SKIP, 1_860, 1] {
+            for threshold in [1, 2, MAX_SKIP / 2 + 7, MAX_SKIP, u64::MAX] {
+                let want = threshold.saturating_sub(1).min(max);
+                for start in (1..=max + 1).chain([MAX_SKIP + 1]) {
+                    let seen = std::cell::Cell::new(false);
+                    let skip = find_certified_skip(start, max, |k| {
+                        assert!((1..=max).contains(&k), "probed horizon {k}");
+                        seen.set(seen.get() || k == want);
+                        k >= threshold
+                    });
+                    assert_eq!(skip, want, "threshold {threshold}, start {start}");
+                    assert!(
+                        want == 0 || seen.get(),
+                        "threshold {threshold}, start {start}"
+                    );
+                }
             }
         }
     }

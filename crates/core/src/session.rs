@@ -276,13 +276,15 @@ impl StoppingStep {
     /// (≥ `min_triples`, and ≥ `min_draws` stage-1 draws under cluster
     /// designs so the variance estimator exists), SRS lookahead
     /// countdown, exact one-step gate, interval construction and MoE
-    /// check, then the certified SRS skip. A cluster draw runs the gate
-    /// every time. The [`StoppingPolicy::EveryUnit`] reference path
-    /// constructs the interval at every check and never skips.
+    /// check, then the certified SRS skip, capped at the `population`'s
+    /// triples not yet annotated. A cluster draw runs the gate every
+    /// time. The [`StoppingPolicy::EveryUnit`] reference path constructs
+    /// the interval at every check and never skips.
     pub(crate) fn run(
         &mut self,
         state: &SampleState,
         cfg: &EvalConfig,
+        population: u64,
     ) -> Result<StepOutcome, SessionError> {
         if !ready(state, cfg) {
             return Ok(StepOutcome::NotReady);
@@ -313,7 +315,11 @@ impl StoppingStep {
         }
         if lookahead && state.kind() == DesignKind::Srs {
             self.skip_left = self.boundary.as_ref().map_or(0, |boundary| {
-                boundary.certified_skip(state.tau(), state.n())
+                boundary.certified_skip(
+                    state.tau(),
+                    state.n(),
+                    population.saturating_sub(state.n()),
+                )
             });
         }
         Ok(StepOutcome::Open)
@@ -681,7 +687,7 @@ impl<'a> EvaluationSession<'a> {
         &self,
         step: &mut StoppingStep,
     ) -> Result<StepOutcome, SessionError> {
-        step.run(&self.state, &self.cfg)
+        step.run(&self.state, &self.cfg, self.kg.num_triples())
     }
 
     fn stage1_draws(&self) -> u64 {
@@ -750,7 +756,9 @@ impl<'a> EvaluationSession<'a> {
     ) -> Result<(), SessionError> {
         let absorbed = self.absorb(triples, labels);
         debug_assert!(absorbed, "submit checked the label count");
-        let step = self.stop.run(&self.state, &self.cfg)?;
+        let step = self
+            .stop
+            .run(&self.state, &self.cfg, self.kg.num_triples())?;
         if !matches!(step, StepOutcome::NotReady) {
             let at_floor = std::mem::replace(&mut self.first_check, false);
             if let StepOutcome::Stop(interval) = step {

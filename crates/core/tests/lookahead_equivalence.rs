@@ -11,8 +11,8 @@ use kgae_core::{
     evaluate, EvalConfig, EvalResult, IntervalMethod, OracleAnnotator, SamplingDesign,
     StoppingPolicy,
 };
-use kgae_graph::CompactKg;
-use kgae_intervals::BetaPrior;
+use kgae_graph::{CompactKg, KnowledgeGraph};
+use kgae_intervals::{BetaPrior, Boundary};
 use proptest::prelude::*;
 
 fn datasets() -> impl Strategy<Value = &'static str> {
@@ -215,6 +215,47 @@ fn gates_halt_identically_under_prior_data_conflict() {
             }
         }
     }
+}
+
+#[test]
+fn srs_lookahead_probes_stay_inside_the_population() {
+    // At ε = 0.01 every SRS aHPD campaign on NELL (N = 1,860) runs to the
+    // census. The lookahead probes no horizon past the triples left, so
+    // no count row past N is allocated: a count chunk holds 64 rows, and
+    // the one holding row N ends before N + 64. Every campaign ends as
+    // the every-unit loop's does, bit for bit.
+    let nell = kgae_graph::datasets::nell();
+    let method = IntervalMethod::ahpd_default();
+    // Held, so the registry keeps the campaigns' tables to be read.
+    let tables: Vec<_> = [BetaPrior::KERMAN, BetaPrior::JEFFREYS, BetaPrior::UNIFORM]
+        .iter()
+        .map(|prior| Boundary::shared(prior, 0.05, 0.02))
+        .collect();
+    let default_cfg = EvalConfig {
+        epsilon: 0.01,
+        ..EvalConfig::default()
+    };
+    let reference_cfg = EvalConfig {
+        stopping: StoppingPolicy::EveryUnit,
+        ..default_cfg.clone()
+    };
+    for seed in 0..20 {
+        let reference = run(&nell, SamplingDesign::Srs, &method, &reference_cfg, seed);
+        let lookahead = run(&nell, SamplingDesign::Srs, &method, &default_cfg, seed);
+        assert_eq!(bits(&lookahead), bits(&reference), "seed {seed}");
+        assert_eq!(
+            lookahead.annotated_triples,
+            nell.num_triples(),
+            "seed {seed}"
+        );
+    }
+    let reached: Vec<u64> = tables.iter().map(|t| t.count_rows_reached()).collect();
+    assert!(reached.iter().any(|&r| r > 0), "{reached:?}");
+    assert!(
+        reached.iter().all(|&r| r <= nell.num_triples() + 64),
+        "count rows past N = {}: {reached:?}",
+        nell.num_triples()
+    );
 }
 
 /// Cluster campaigns at ε = 0.02, where they run longest and their

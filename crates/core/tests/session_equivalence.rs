@@ -14,7 +14,7 @@ use kgae_core::{
     evaluate, AnnotationRequest, EvalConfig, EvalResult, EvaluationSession, IntervalMethod,
     OracleAnnotator, PreparedDesign, SamplingDesign, StoppingPolicy,
 };
-use kgae_graph::{CompactKg, GroundTruth};
+use kgae_graph::{CompactKg, GroundTruth, KnowledgeGraph};
 use kgae_intervals::BetaPrior;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -327,7 +327,8 @@ fn late_stage_resume_without_the_search_hint_is_exact() {
             }
             snapshots.push(twin.snapshot().unwrap());
             let state = twin.sample_state();
-            let skip = boundary.certified_skip(state.tau(), state.n());
+            let left = kg.num_triples() - state.n();
+            let skip = boundary.certified_skip(state.tau(), state.n(), left);
             if late.is_none() && skip < 10 {
                 late = Some(snapshots.len() - 1);
             }

@@ -28,6 +28,7 @@
 //! |-------------------|-----------------------------------------------|
 //! | `store.write`     | record temp-file write in [`crate::store`]    |
 //! | `store.rename`    | between a completed temp write and its rename |
+//! | `store.dirsync`   | the directory fsync after a record's rename   |
 //! | `store.read`      | loading a stored record                       |
 //! | `conn.read`       | server about to act on a decoded request      |
 //! | `conn.write`      | server about to write a response              |
@@ -46,6 +47,8 @@ pub mod site {
     pub const STORE_WRITE: &str = "store.write";
     /// Between a completed temp write and its rename.
     pub const STORE_RENAME: &str = "store.rename";
+    /// The directory fsync after a record's rename.
+    pub const STORE_DIRSYNC: &str = "store.dirsync";
     /// Loading a stored record.
     pub const STORE_READ: &str = "store.read";
     /// Server about to act on a decoded request.
@@ -53,7 +56,14 @@ pub mod site {
     /// Server about to write a response.
     pub const CONN_WRITE: &str = "conn.write";
     /// Every site above: the names a spec may arm.
-    pub const ALL: [&str; 5] = [STORE_WRITE, STORE_RENAME, STORE_READ, CONN_READ, CONN_WRITE];
+    pub const ALL: [&str; 6] = [
+        STORE_WRITE,
+        STORE_RENAME,
+        STORE_DIRSYNC,
+        STORE_READ,
+        CONN_READ,
+        CONN_WRITE,
+    ];
 }
 
 /// What a firing failpoint does at its site.

@@ -66,9 +66,9 @@ pub mod store;
 pub use api::{SessionSpec, StratifySpec};
 pub use janitor::{Janitor, JanitorConfig, JanitorHandle, TickReport};
 pub use manager::{
-    DatasetEntry, DatasetRegistry, DrainReport, ManagerLimits, ServiceError, ServiceResult,
-    SessionManager, SessionState, SessionView,
+    DatasetEntry, DatasetRegistry, DrainReport, ListedSession, ManagerLimits, ServiceError,
+    ServiceResult, SessionManager, SessionState, SessionView,
 };
 pub use metrics::{LogFormat, LogLevel, Metrics, RequestLog};
 pub use server::{Server, ServerHandle};
-pub use store::{RecoveryReport, SnapshotStore};
+pub use store::{RecoveryReport, SnapshotStore, StoredEntry};

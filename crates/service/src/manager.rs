@@ -35,8 +35,8 @@ use crate::store::{valid_session_id, SnapshotStore, StoredSession};
 use crate::{api, json};
 use kgae_core::{
     compared_methods, AnnotationRequest, DeltaBatch, DeltaOutcome, EngineOutcome, EngineSpec,
-    EvalResult, MethodReport, MonitorReport, PreparedDesign, SamplingDesign, SessionEngine,
-    SessionError, SessionStatus, SessionStatusView, StopReason, StratumReport,
+    MethodReport, MonitorReport, PreparedDesign, SamplingDesign, SessionEngine, SessionError,
+    SessionStatus, SessionStatusView, StopReason, StratumReport,
 };
 use kgae_graph::stratify::Stratification;
 use kgae_graph::{CompactKg, KnowledgeGraph};
@@ -419,6 +419,32 @@ pub struct SessionView {
     pub snapshot_bytes: Option<u64>,
 }
 
+/// One entry of [`SessionManager::list`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum ListedSession {
+    /// A session in memory: its full view.
+    Held(Box<SessionView>),
+    /// A session only on disk ([`SessionState::Evicted`]), as the store's
+    /// index knows it; [`SessionManager::status`] derives its view.
+    Stored {
+        /// Session id.
+        id: String,
+        /// Why the session stopped; `None` while it is suspended.
+        reason: Option<StopReason>,
+    },
+}
+
+impl ListedSession {
+    /// The session id.
+    #[must_use]
+    pub fn id(&self) -> &str {
+        match self {
+            ListedSession::Held(view) => &view.id,
+            ListedSession::Stored { id, .. } => id,
+        }
+    }
+}
+
 struct Live<'a> {
     spec: SessionSpec,
     /// The engine behind the slot, whichever kind the spec denotes.
@@ -629,15 +655,6 @@ enum MetaRecord {
     Finished(FinishedSlot),
 }
 
-impl MetaRecord {
-    fn spec(&self) -> &SessionSpec {
-        match self {
-            MetaRecord::Suspended { spec, .. } => spec,
-            MetaRecord::Finished(finished) => &finished.spec,
-        }
-    }
-}
-
 fn meta_decode(id: &str, meta: &str) -> ServiceResult<MetaRecord> {
     let corrupt = |msg: String| ServiceError::Corrupt(format!("session {id:?}: {msg}"));
     let doc = json::parse(meta).map_err(|e| corrupt(e.to_string()))?;
@@ -737,18 +754,6 @@ fn tenant_key(spec: &SessionSpec) -> &str {
     spec.tenant.as_deref().unwrap_or("")
 }
 
-/// The tenant bucket a stored session counts against: an unreadable
-/// meta falls back to the default bucket (the session still occupies
-/// disk, and a later access quarantines it).
-fn stored_tenant(store: &SnapshotStore, id: &str) -> String {
-    store
-        .load(id)
-        .ok()
-        .flatten()
-        .and_then(|record| meta_decode(id, &record.meta).ok())
-        .map_or(String::new(), |meta| tenant_key(meta.spec()).to_string())
-}
-
 fn tenant_scope(tenant: &str) -> String {
     if tenant.is_empty() {
         "the default tenant".to_string()
@@ -792,7 +797,6 @@ pub struct SessionManager<'a> {
     prepared: Mutex<HashMap<(String, SamplingDesign), Arc<PreparedDesign>>>,
     limits: ManagerLimits,
     occupancy: Mutex<Occupancy>,
-    quarantined: Mutex<std::collections::BTreeSet<String>>,
     draining: std::sync::atomic::AtomicBool,
     /// Lifecycle counters; absent until
     /// [`SessionManager::set_metrics`] attaches a registry.
@@ -814,9 +818,9 @@ impl<'a> SessionManager<'a> {
     }
 
     /// [`SessionManager::new`] with admission limits. Quota counters
-    /// and the quarantine set are seeded from the store, so a restarted
-    /// server enforces the same quotas its predecessor did — suspended
-    /// campaigns on disk keep their reservations.
+    /// are seeded from the store's index, so a restarted server enforces
+    /// the same quotas its predecessor did — suspended campaigns on disk
+    /// keep their reservations.
     #[must_use]
     pub fn with_limits(
         registry: &'a DatasetRegistry,
@@ -826,19 +830,11 @@ impl<'a> SessionManager<'a> {
     ) -> Self {
         let shards = shards.max(1);
         let mut occupancy = Occupancy::default();
-        // Best-effort census: every stored id takes a quota slot.
-        if let Ok(ids) = store.list() {
-            for id in ids {
-                let tenant = stored_tenant(&store, &id);
-                occupancy.total += 1;
-                *occupancy.per_tenant.entry(tenant).or_insert(0) += 1;
-            }
+        // Every stored id takes a quota slot.
+        for (_, entry) in store.list() {
+            occupancy.total += 1;
+            *occupancy.per_tenant.entry(entry.tenant).or_insert(0) += 1;
         }
-        let quarantined = store
-            .quarantined_ids()
-            .unwrap_or_default()
-            .into_iter()
-            .collect();
         Self {
             registry,
             shards: (0..shards)
@@ -849,7 +845,6 @@ impl<'a> SessionManager<'a> {
             prepared: Mutex::new(HashMap::new()),
             limits,
             occupancy: Mutex::new(occupancy),
-            quarantined: Mutex::new(quarantined),
             draining: std::sync::atomic::AtomicBool::new(false),
             metrics: None,
             kernel: Arc::new(KernelCache::new()),
@@ -932,7 +927,7 @@ impl<'a> SessionManager<'a> {
                 }
             }
         }
-        for id in self.store.list().unwrap_or_default() {
+        for (id, _) in self.store.list() {
             if !seen.contains(&id) {
                 census[self.shard_index(&id)].evicted += 1;
             }
@@ -1026,12 +1021,7 @@ impl<'a> SessionManager<'a> {
     /// [`ServiceError::Quarantined`] (the wire's 410: the id existed,
     /// its bytes are preserved, but it is gone as a servable session).
     fn check_quarantined(&self, id: &str) -> ServiceResult<()> {
-        if self
-            .quarantined
-            .lock()
-            .expect("quarantine lock")
-            .contains(id)
-        {
+        if self.store.is_quarantined(id) {
             return Err(ServiceError::Quarantined(id.to_string()));
         }
         Ok(())
@@ -1041,20 +1031,15 @@ impl<'a> SessionManager<'a> {
     /// failures since, sorted.
     #[must_use]
     pub fn quarantined_sessions(&self) -> Vec<String> {
-        self.quarantined
-            .lock()
-            .expect("quarantine lock")
-            .iter()
-            .cloned()
-            .collect()
+        self.store.quarantined_ids()
     }
 
     /// Converts a deep-validation failure during rehydration into a
-    /// quarantine: the session's files move into the store's
-    /// quarantine directory (best effort — the in-memory set is the
-    /// authority for serving decisions), the id joins that set, and the
-    /// caller gets [`ServiceError::Quarantined`]. Non-corruption errors
-    /// (I/O, protocol) pass through untouched.
+    /// quarantine: the store's index refuses the id from now on, the
+    /// session's files move into the store's quarantine directory (best
+    /// effort — the index is the authority for serving decisions), and
+    /// the caller gets [`ServiceError::Quarantined`]. Non-corruption
+    /// errors (I/O, protocol) pass through untouched.
     fn quarantine_on_corruption(&self, id: &str, e: ServiceError) -> ServiceError {
         let corrupt = matches!(
             &e,
@@ -1067,10 +1052,6 @@ impl<'a> SessionManager<'a> {
             return e;
         }
         let _ = self.store.quarantine(id, &e.to_string());
-        self.quarantined
-            .lock()
-            .expect("quarantine lock")
-            .insert(id.to_string());
         ServiceError::Quarantined(id.to_string())
     }
 
@@ -1777,15 +1758,12 @@ impl<'a> SessionManager<'a> {
     /// store I/O failures.
     pub fn delete(&self, id: &str) -> ServiceResult<()> {
         let mut shard = self.shard(id).lock().expect("shard lock");
-        let mut tenant = shard
+        let held = shard
             .remove(id)
             .map(|slot| tenant_key(slot.spec()).to_string());
-        if self.store.contains(id) {
-            // A disk-only session's quota owner is in its meta record.
-            tenant = tenant.or_else(|| Some(stored_tenant(&self.store, id)));
-            self.store.remove(id)?;
-        }
-        match tenant {
+        // A disk-only session's quota owner is in the store's index.
+        let stored = self.store.remove(id)?.map(|entry| entry.tenant);
+        match held.or(stored) {
             Some(tenant) => {
                 self.release(&tenant);
                 self.bump(|m| &m.sessions_deleted);
@@ -1820,75 +1798,29 @@ impl<'a> SessionManager<'a> {
             .ok_or_else(|| ServiceError::NotSuspended(id.to_string()))
     }
 
-    /// The final result of a finished session.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::BadRequest`] if the session is still running,
-    /// [`ServiceError::UnknownSession`] if nothing exists under `id`,
-    /// [`ServiceError::Quarantined`] for a stored record that does not
-    /// decode, as [`SessionManager::status`] would answer.
-    pub fn final_result(&self, id: &str) -> ServiceResult<(StopReason, EvalResult)> {
-        self.check_quarantined(id)?;
-        {
-            let shard = self.shard(id).lock().expect("shard lock");
-            match shard.get(id) {
-                Some(Slot::Finished(finished)) => {
-                    return Ok((finished.outcome.reason, finished.outcome.result.clone()))
-                }
-                Some(_) => {
-                    return Err(ServiceError::BadRequest(format!(
-                        "session {id:?} has not finished"
-                    )))
-                }
-                None => {}
-            }
-        }
-        let record = match self.store.load(id) {
-            Ok(Some(record)) => meta_decode(id, &record.meta),
-            Ok(None) => return Err(ServiceError::UnknownSession(id.to_string())),
-            Err(e) => Err(e.into()),
-        };
-        match record.map_err(|e| self.quarantine_on_corruption(id, e))? {
-            MetaRecord::Finished(finished) => {
-                Ok((finished.outcome.reason, finished.outcome.result))
-            }
-            MetaRecord::Suspended { .. } => Err(ServiceError::BadRequest(format!(
-                "session {id:?} has not finished"
-            ))),
-        }
-    }
-
-    /// Views of every known session — in-memory ones live, on-disk-only
-    /// ones as [`SessionState::Evicted`] — sorted by id. A stored record
-    /// that is quarantined while it is read, or removed meanwhile, is
-    /// left out rather than failing the whole listing.
-    ///
-    /// # Errors
-    ///
-    /// Store I/O failures while listing evicted sessions.
-    pub fn list(&self) -> ServiceResult<Vec<SessionView>> {
-        let mut views = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+    /// Every known session, sorted by id: the view of each one in
+    /// memory, and each one only on disk as the store's index knows it.
+    /// No record is read, resumed or quarantined to list it, so a
+    /// damaged record stays listed until a per-id read quarantines it.
+    #[must_use]
+    pub fn list(&self) -> Vec<ListedSession> {
+        let mut listed = Vec::new();
+        let mut held = std::collections::HashSet::new();
         for shard in &self.shards {
             let shard = shard.lock().expect("shard lock");
             for (id, slot) in shard.iter() {
-                seen.insert(id.clone());
-                views.push(slot.view());
+                held.insert(id.clone());
+                listed.push(ListedSession::Held(Box::new(slot.view())));
             }
         }
-        for id in self.store.list()? {
-            if seen.contains(&id) {
-                continue;
-            }
-            match self.status(&id) {
-                Ok(view) => views.push(view),
-                Err(ServiceError::Quarantined(_) | ServiceError::UnknownSession(_)) => {}
-                Err(e) => return Err(e),
+        for (id, entry) in self.store.list() {
+            if !held.contains(&id) {
+                let reason = entry.reason;
+                listed.push(ListedSession::Stored { id, reason });
             }
         }
-        views.sort_by(|a, b| a.id.cmp(&b.id));
-        Ok(views)
+        listed.sort_by(|a, b| a.id().cmp(b.id()));
+        listed
     }
 }
 

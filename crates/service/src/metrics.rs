@@ -258,6 +258,9 @@ pub struct Metrics {
     pub(crate) store_fsyncs: AtomicU64,
     /// Records quarantined at runtime (corruption found in service).
     pub(crate) store_quarantined: AtomicU64,
+    /// Records read from the store (rehydration, evicted views,
+    /// snapshot export).
+    pub(crate) store_records_read: AtomicU64,
     /// Records quarantined by the recovery sweep at store open.
     pub(crate) store_recovery_quarantined: AtomicU64,
     /// Sessions created.
@@ -313,6 +316,7 @@ impl Metrics {
             store_bytes_written: AtomicU64::new(0),
             store_fsyncs: AtomicU64::new(0),
             store_quarantined: AtomicU64::new(0),
+            store_records_read: AtomicU64::new(0),
             store_recovery_quarantined: AtomicU64::new(0),
             sessions_created: AtomicU64::new(0),
             sessions_suspended: AtomicU64::new(0),
@@ -358,7 +362,7 @@ impl Metrics {
         if let Some(stats) = kernel {
             encode_kernel_cache(&mut out, stats);
         }
-        let counters: [(&str, &str, u64); 22] = [
+        let counters: [(&str, &str, u64); 23] = [
             (
                 "kgae_reactor_connections_open",
                 "gauge Connections currently registered in the reactor slab.",
@@ -393,6 +397,11 @@ impl Metrics {
                 "kgae_store_quarantined_total",
                 "counter Records quarantined at runtime for corruption.",
                 self.store_quarantined.load(Ordering::Relaxed),
+            ),
+            (
+                "kgae_store_records_read_total",
+                "counter Records read from the snapshot store.",
+                self.store_records_read.load(Ordering::Relaxed),
             ),
             (
                 "kgae_store_recovery_quarantined_total",

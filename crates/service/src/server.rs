@@ -35,7 +35,7 @@
 
 use crate::api::{SessionSpec, WireError};
 use crate::json::Json;
-use crate::manager::{ServiceError, SessionManager, SessionState, SessionView};
+use crate::manager::{ListedSession, ServiceError, SessionManager, SessionState, SessionView};
 use crate::metrics::{Metrics, RequestLog, Route};
 use crate::reactor::{self, Reply};
 use crate::store::to_hex;
@@ -285,6 +285,46 @@ pub fn view_to_json(view: &SessionView) -> Json {
     doc
 }
 
+/// Encodes a listing entry for the wire: a session in memory as its
+/// view, one only on disk as `{id, state: "evicted", reason?}`.
+#[must_use]
+pub fn listed_to_json(listed: &ListedSession) -> Json {
+    match listed {
+        ListedSession::Held(view) => view_to_json(view),
+        ListedSession::Stored { id, reason } => {
+            let mut doc = Json::obj(vec![
+                ("id", Json::str(id)),
+                ("state", Json::str(SessionState::Evicted.name())),
+            ]);
+            if let Some(reason) = reason {
+                doc.set("reason", Json::str(api::stop_reason_name(*reason)));
+            }
+            doc
+        }
+    }
+}
+
+/// Decodes a listing entry from its wire form ([`listed_to_json`]): an
+/// evicted entry is the store's, any other a view.
+///
+/// # Errors
+///
+/// [`WireError`] on a missing or mistyped field or an unknown state or
+/// stop reason.
+pub fn listed_from_json(v: &Json) -> Result<ListedSession, WireError> {
+    if api::req_str(v, "state")? != SessionState::Evicted.name() {
+        return view_from_json(v).map(|view| ListedSession::Held(Box::new(view)));
+    }
+    let reason = match v.get("reason") {
+        None | Some(Json::Null) => None,
+        Some(_) => Some(api::stop_reason_from_name(&api::req_str(v, "reason")?)?),
+    };
+    Ok(ListedSession::Stored {
+        id: api::req_str(v, "id")?,
+        reason,
+    })
+}
+
 /// Decodes a [`SessionView`] from its wire form ([`view_to_json`]).
 ///
 /// # Errors
@@ -387,9 +427,8 @@ fn dispatch(
             Ok(Json::obj(vec![("datasets", Json::Arr(datasets))]).encode())
         }
         Route::SessionsList => {
-            let views = manager.list().map_err(refuse)?;
-            let views = Json::Arr(views.iter().map(view_to_json).collect());
-            Ok(Json::obj(vec![("sessions", views)]).encode())
+            let listed = manager.list().iter().map(listed_to_json).collect();
+            Ok(Json::obj(vec![("sessions", Json::Arr(listed))]).encode())
         }
         Route::SessionStatus => manager.status(id).map(view_body).map_err(refuse),
         Route::SessionDelete => {

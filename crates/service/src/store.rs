@@ -16,6 +16,17 @@
 //! and any id ending in `.tmp` are reserved (they would collide with
 //! the recovery machinery below) and rejected at the same boundary.
 //!
+//! # The index
+//!
+//! The store keeps what its open sweep read in memory: every record's
+//! tenant and state (finished ones with their stop reason), and every
+//! quarantined id. Saves, removes and quarantines keep it current, so
+//! listing, counting or refusing a dormant session reads no record. A
+//! save indexes its record once the rename has put it in place, before
+//! the directory fsync, so the index always equals what a fresh open of
+//! the directory builds; a quarantine marks the id before it moves the
+//! file, so a failed move still refuses the id.
+//!
 //! # Crash safety
 //!
 //! A save writes the whole record to `<id>.rec.tmp`, fsyncs it, renames
@@ -31,28 +42,31 @@
 //! 1. Every orphaned `.tmp` is *discarded*: it is a save that never
 //!    returned, so nobody was told it succeeded.
 //! 2. Every record is validated: its meta must parse as JSON naming the
-//!    right id and a known state, a suspended record must carry a
-//!    snapshot with a well-formed header, and a finished one none.
-//!    Records that fail are moved into a `quarantine/` subdirectory
-//!    (never deleted, never panicked over) with a `.reason` note for
-//!    the operator. So are files of the retired two-file layout
-//!    (`<id>.meta.json` + `<id>.snap`), which this store does not read.
+//!    right id and a known state (a finished one with its stop reason),
+//!    a suspended record must carry a snapshot with a well-formed
+//!    header, and a finished one none. Records that fail are moved into
+//!    a `quarantine/` subdirectory (never deleted, never panicked over)
+//!    with a `.reason` note for the operator. So are files of the
+//!    retired two-file layout (`<id>.meta.json` + `<id>.snap`), which
+//!    this store does not read.
 //!
 //! The sweep's [`RecoveryReport`] lists what was discarded, quarantined
-//! and recovered; `kgae-serve` logs it at startup. Ids
-//! found in `quarantine/` persist across restarts via
-//! [`SnapshotStore::quarantined_ids`], so the manager can answer `410
-//! Gone` for them instead of `404`.
+//! and recovered; `kgae-serve` logs it at startup. Ids with a note in
+//! `quarantine/` stay quarantined across restarts, so the manager keeps
+//! answering `410 Gone` for them instead of `404`.
 //!
 //! [`open`]: SnapshotStore::open
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+use kgae_core::StopReason;
 
 use crate::fault;
+use crate::json::{self, Json};
 use crate::metrics::Metrics;
 
 /// Maximum length of a session id.
@@ -150,24 +164,54 @@ fn decode_record(bytes: &[u8]) -> Option<(&str, Option<&[u8]>)> {
     ))
 }
 
-/// Why the record `bytes` stored under `id` cannot be served, if it
-/// cannot: structural validation at the store level. Full spec decoding
-/// stays with the manager — rehydration re-checks everything and
-/// quarantines on failure; the sweep only needs to catch torn or
-/// foreign files.
-fn record_fault(id: &str, bytes: &[u8]) -> Option<String> {
-    let Some((meta, snapshot)) = decode_record(bytes) else {
-        return Some("truncated or malformed record".into());
-    };
-    match (meta_state(id, meta), snapshot) {
-        (None, _) => Some("unreadable meta record".into()),
-        (Some(MetaState::Suspended), None) => Some("suspended session missing its snapshot".into()),
-        (Some(MetaState::Suspended), Some(snapshot)) => kgae_core::snapshot_engine_kind(snapshot)
-            .err()
-            .map(|e| format!("corrupt or truncated snapshot: {e}")),
-        (Some(MetaState::Finished), Some(_)) => Some("finished record carrying a snapshot".into()),
-        (Some(MetaState::Finished), None) => None,
+/// What the index knows of one stored record, read from its meta.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct StoredEntry {
+    /// The tenant whose quota the session counts against (empty for the
+    /// default tenant).
+    pub tenant: String,
+    /// Why the session stopped; `None` while it is suspended.
+    pub reason: Option<StopReason>,
+}
+
+/// The index entry of the record `bytes` stored under `id`, or why the
+/// record cannot be served: structural validation at the store level.
+/// Full spec decoding stays with the manager — rehydration re-checks
+/// everything and quarantines on failure; the sweep only needs to catch
+/// torn or foreign files.
+fn record_entry(id: &str, bytes: &[u8]) -> Result<StoredEntry, String> {
+    let (meta, snapshot) = decode_record(bytes).ok_or("truncated or malformed record")?;
+    let entry = meta_entry(id, meta).ok_or("unreadable meta record")?;
+    match (entry.reason, snapshot) {
+        (None, None) => Err("suspended session missing its snapshot".into()),
+        (None, Some(snapshot)) => kgae_core::snapshot_engine_kind(snapshot)
+            .map(|_| entry)
+            .map_err(|e| format!("corrupt or truncated snapshot: {e}")),
+        (Some(_), Some(_)) => Err("finished record carrying a snapshot".into()),
+        (Some(_), None) => Ok(entry),
     }
+}
+
+/// The index entry a meta record describes: JSON whose spec names `id`,
+/// with a string tenant if any, in a known state, a finished one with a
+/// known stop reason. (The manager never persists a running session.)
+fn meta_entry(id: &str, meta: &str) -> Option<StoredEntry> {
+    let doc = json::parse(meta).ok()?;
+    let spec = doc.get("spec")?;
+    if spec.get("id")?.as_str()? != id {
+        return None;
+    }
+    let tenant = match spec.get("tenant") {
+        None | Some(Json::Null) => "",
+        Some(tenant) => tenant.as_str()?,
+    }
+    .to_string();
+    let reason = match doc.get("state")?.as_str()? {
+        "suspended" => None,
+        "finished" => Some(crate::api::stop_reason_from_name(doc.get("reason")?.as_str()?).ok()?),
+        _ => return None,
+    };
+    Some(StoredEntry { tenant, reason })
 }
 
 /// What the startup recovery sweep did (see the module docs).
@@ -195,6 +239,11 @@ impl RecoveryReport {
 pub struct SnapshotStore {
     dir: PathBuf,
     recovery: RecoveryReport,
+    /// The index (see the module docs): every record's entry, and every
+    /// quarantined id, each under its own lock so the quarantine check
+    /// on every request never waits on a listing.
+    records: Mutex<BTreeMap<String, StoredEntry>>,
+    quarantined: Mutex<BTreeSet<String>>,
     /// Durability counters (bytes written, fsyncs, quarantines); absent
     /// until [`SnapshotStore::set_metrics`] attaches a registry.
     metrics: Option<Arc<Metrics>>,
@@ -204,7 +253,8 @@ impl SnapshotStore {
     /// Opens (creating if needed) a store rooted at `dir`, running the
     /// recovery sweep described in the module docs before returning.
     /// The sweep's findings are kept on the store
-    /// ([`SnapshotStore::recovery_report`]).
+    /// ([`SnapshotStore::recovery_report`]), and what it read is its
+    /// index.
     ///
     /// # Errors
     ///
@@ -218,6 +268,8 @@ impl SnapshotStore {
         let mut store = Self {
             dir,
             recovery: RecoveryReport::default(),
+            records: Mutex::default(),
+            quarantined: Mutex::default(),
             metrics: None,
         };
         store.recovery = store.recover()?;
@@ -254,26 +306,53 @@ impl SnapshotStore {
         self.dir.join(QUARANTINE_DIR)
     }
 
-    fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    fn records(&self) -> MutexGuard<'_, BTreeMap<String, StoredEntry>> {
+        self.records.lock().expect("store index lock")
+    }
+
+    fn quarantined(&self) -> MutexGuard<'_, BTreeSet<String>> {
+        self.quarantined.lock().expect("store index lock")
+    }
+
+    /// Writes `bytes` as `id`'s record: write and fsync a temp file,
+    /// rename it over the record, index `entry` (see [`Self::save`]),
+    /// fsync the directory.
+    fn write_record(&self, id: &str, bytes: &[u8], entry: Option<StoredEntry>) -> io::Result<()> {
+        let path = self.record_path(id);
         // Appended (not substituted) extension: distinct target files
         // always get distinct temp files.
         let mut tmp = path.as_os_str().to_os_string();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
         let file = std::fs::File::create(&tmp)?;
-        let written = self.write_and_rename(file, &tmp, path, bytes);
-        if written.is_err() {
+        if let Err(e) = self.write_and_rename(file, &tmp, &path, bytes) {
             // A failed save takes its temp with it, so a `.tmp` outlives
             // its save only through a crash, and the open sweep owns
-            // those. (A failed directory fsync comes after the rename
-            // has consumed the temp: nothing is left to remove.)
+            // those.
             let _ = std::fs::remove_file(&tmp);
+            return Err(e);
         }
-        written
+        // The new record is in place: a fresh open would read it, so the
+        // index does, whether or not the directory fsync succeeds.
+        let mut records = self.records();
+        let entry = entry.or_else(|| records.get(id).cloned());
+        records.insert(id.to_string(), entry.unwrap_or_default());
+        drop(records);
+        // fsync the directory: until its entry is durable, a power cut
+        // can undo the rename of a save already acknowledged.
+        #[cfg(feature = "fault-injection")]
+        if fault::check(fault::site::STORE_DIRSYNC) == Some(fault::FaultAction::Err) {
+            return Err(fault::injected_error());
+        }
+        std::fs::File::open(&self.dir)?.sync_all()?;
+        if let Some(metrics) = &self.metrics {
+            metrics.store_fsyncs.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
-    /// The body of [`Self::write_atomic`] once `tmp` exists: write and
-    /// fsync it, rename it over `path`, fsync the directory.
+    /// The body of [`Self::write_record`] once `tmp` exists: write and
+    /// fsync it, rename it over `path`.
     fn write_and_rename(
         &self,
         mut file: std::fs::File,
@@ -316,26 +395,23 @@ impl SnapshotStore {
             }
             _ => {}
         }
-        std::fs::rename(tmp, path)?;
-        // fsync the directory: until its entry is durable, a power cut
-        // can undo the rename of a save already acknowledged.
-        std::fs::File::open(&self.dir)?.sync_all()?;
-        if let Some(metrics) = &self.metrics {
-            metrics.store_fsyncs.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
+        std::fs::rename(tmp, path)
     }
 
     /// Persists a session record, replacing any previous one in a
     /// single atomic write (see the module docs). `meta` is stored
-    /// verbatim; only the recovery sweep interprets it.
+    /// verbatim and indexed as the open sweep would read it; a meta the
+    /// sweep could not read keeps the id's previous entry (or a
+    /// suspended one in the default tenant) until a read of the record
+    /// quarantines it.
     ///
     /// # Errors
     ///
     /// `InvalidInput` for an invalid id or a meta over 4 GiB; otherwise
     /// filesystem errors, which leave the previous record in place (or,
-    /// when only the directory fsync fails, the previous or the new one:
-    /// whole records either way) and no temp file behind.
+    /// when only the directory fsync fails, the new one: whole records
+    /// either way, and the index naming the one in place) and no temp
+    /// file behind.
     pub fn save(&self, id: &str, meta: &str, snapshot: Option<&[u8]>) -> io::Result<()> {
         if !valid_session_id(id) {
             return Err(io::Error::new(
@@ -343,7 +419,7 @@ impl SnapshotStore {
                 format!("invalid session id {id:?}"),
             ));
         }
-        self.write_atomic(&self.record_path(id), &encode_record(meta, snapshot)?)
+        self.write_record(id, &encode_record(meta, snapshot)?, meta_entry(id, meta))
     }
 
     /// Loads a session record; `Ok(None)` when the id is unknown. One
@@ -369,6 +445,9 @@ impl SnapshotStore {
             Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e),
         };
+        if let Some(metrics) = &self.metrics {
+            metrics.store_records_read.fetch_add(1, Ordering::Relaxed);
+        }
         let (meta, snapshot) = decode_record(&bytes).ok_or_else(|| {
             io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -381,45 +460,42 @@ impl SnapshotStore {
         }))
     }
 
-    /// Whether a record exists for `id`.
+    /// Whether a record exists for `id`, by the index.
     #[must_use]
     pub fn contains(&self, id: &str) -> bool {
-        valid_session_id(id) && self.record_path(id).exists()
+        self.records().contains_key(id)
     }
 
-    /// Removes a session record (idempotent).
+    /// Removes a session record (idempotent), returning its index entry
+    /// if it had one.
     ///
     /// # Errors
     ///
     /// Filesystem errors other than a missing record.
-    pub fn remove(&self, id: &str) -> io::Result<()> {
+    pub fn remove(&self, id: &str) -> io::Result<Option<StoredEntry>> {
         if !valid_session_id(id) {
-            return Ok(());
+            return Ok(None);
         }
         match std::fs::remove_file(self.record_path(id)) {
             Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
+            _ => Ok(self.records().remove(id)),
         }
     }
 
-    /// Ids of every stored session, sorted.
-    ///
-    /// # Errors
-    ///
-    /// Directory-read failures.
-    pub fn list(&self) -> io::Result<Vec<String>> {
-        let mut ids: Vec<String> = self
-            .file_names()?
-            .into_iter()
-            .filter_map(|name| record_id(&name).map(str::to_string))
-            .collect();
-        ids.sort();
-        Ok(ids)
+    /// Every stored session with its index entry, sorted by id.
+    #[must_use]
+    pub fn list(&self) -> Vec<(String, StoredEntry)> {
+        let records = self.records();
+        records
+            .iter()
+            .map(|(id, e)| (id.clone(), e.clone()))
+            .collect()
     }
 
     /// Moves a session's record into `quarantine/`, replacing any older
-    /// quarantined copy, and writes a `<id>.reason` note. Used by the
-    /// recovery sweep and by the manager when a record turns out to be
+    /// quarantined copy, and writes a `<id>.reason` note. The index
+    /// marks the id quarantined first, so it is refused even when the
+    /// move fails. Used by the manager when a record turns out to be
     /// corrupt at rehydration time. Idempotent.
     ///
     /// # Errors
@@ -432,6 +508,8 @@ impl SnapshotStore {
                 format!("invalid session id {id:?}"),
             ));
         }
+        self.quarantined().insert(id.to_string());
+        self.records().remove(id);
         self.quarantine_file(&format!("{id}{RECORD_EXT}"), id, reason)
     }
 
@@ -452,31 +530,18 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Ids with a `.reason` note in `quarantine/`, sorted — persists
-    /// across restarts, so a restarted server keeps answering `410
-    /// Gone` for them.
-    ///
-    /// # Errors
-    ///
-    /// Directory-read failures.
-    pub fn quarantined_ids(&self) -> io::Result<Vec<String>> {
-        let entries = match std::fs::read_dir(self.quarantine_dir()) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut ids = Vec::new();
-        for entry in entries {
-            let name = entry?.file_name();
-            let Some(id) = name.to_str().and_then(|name| name.strip_suffix(".reason")) else {
-                continue;
-            };
-            if valid_session_id(id) {
-                ids.push(id.to_string());
-            }
-        }
-        ids.sort();
-        Ok(ids)
+    /// Whether `id` is quarantined, by the index.
+    #[must_use]
+    pub fn is_quarantined(&self, id: &str) -> bool {
+        self.quarantined().contains(id)
+    }
+
+    /// Quarantined ids, sorted: those with a `.reason` note in
+    /// `quarantine/` at open, and those quarantined since — so a
+    /// restarted server keeps answering `410 Gone` for them.
+    #[must_use]
+    pub fn quarantined_ids(&self) -> Vec<String> {
+        self.quarantined().iter().cloned().collect()
     }
 
     /// The UTF-8 names in the store directory, sorted.
@@ -508,16 +573,20 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Pass 2: validate every record, quarantining the broken ones and
-    /// the files of the retired two-file layout.
+    /// Pass 2: validate every record, indexing the sound ones and
+    /// quarantining the broken ones and the files of the retired
+    /// two-file layout.
     fn sweep_records(&self, report: &mut RecoveryReport) -> io::Result<()> {
         let mut legacy = BTreeSet::new();
         for name in self.file_names()? {
             if let Some(id) = record_id(&name) {
                 let bytes = std::fs::read(self.dir.join(&name))?;
-                match record_fault(id, &bytes) {
-                    None => report.recovered.push(id.to_string()),
-                    Some(reason) => {
+                match record_entry(id, &bytes) {
+                    Ok(entry) => {
+                        self.records().insert(id.to_string(), entry);
+                        report.recovered.push(id.to_string());
+                    }
+                    Err(reason) => {
                         self.quarantine_file(&name, id, &reason)?;
                         report.quarantined.push((id.to_string(), reason));
                     }
@@ -541,10 +610,26 @@ impl SnapshotStore {
         Ok(())
     }
 
+    /// Pass 3: index every id with a `.reason` note in `quarantine/`,
+    /// this sweep's and earlier ones'.
+    fn index_quarantine(&self) -> io::Result<()> {
+        let mut quarantined = self.quarantined();
+        for entry in std::fs::read_dir(self.quarantine_dir())? {
+            let name = entry?.file_name();
+            if let Some(id) = name.to_str().and_then(|name| name.strip_suffix(".reason")) {
+                if valid_session_id(id) {
+                    quarantined.insert(id.to_string());
+                }
+            }
+        }
+        Ok(())
+    }
+
     fn recover(&self) -> io::Result<RecoveryReport> {
         let mut report = RecoveryReport::default();
         self.sweep_tmp_files(&mut report)?;
         self.sweep_records(&mut report)?;
+        self.index_quarantine()?;
         report.recovered.sort();
         Ok(report)
     }
@@ -554,29 +639,6 @@ impl SnapshotStore {
 fn record_id(name: &str) -> Option<&str> {
     name.strip_suffix(RECORD_EXT)
         .filter(|id| valid_session_id(id))
-}
-
-/// The two states a persisted meta record can be in. (The manager never
-/// persists a running session.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MetaState {
-    Suspended,
-    Finished,
-}
-
-/// Structural validation of a meta record: JSON, names `id`, carries a
-/// known state.
-fn meta_state(id: &str, meta: &str) -> Option<MetaState> {
-    let doc = crate::json::parse(meta).ok()?;
-    let spec_id = doc.get("spec")?.get("id")?.as_str()?;
-    if spec_id != id {
-        return None;
-    }
-    match doc.get("state")?.as_str()? {
-        "suspended" => Some(MetaState::Suspended),
-        "finished" => Some(MetaState::Finished),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -590,8 +652,36 @@ mod tests {
         dir
     }
 
+    /// A meta in `state`; a finished one stopped on the MoE.
     fn meta_for(id: &str, state: &str) -> String {
-        format!(r#"{{"spec":{{"id":"{id}"}},"state":"{state}"}}"#)
+        let reason = if state == "finished" {
+            r#","reason":"moe_satisfied""#
+        } else {
+            ""
+        };
+        format!(r#"{{"spec":{{"id":"{id}"}},"state":"{state}"{reason}}}"#)
+    }
+
+    /// `id`'s index entry in `store`.
+    fn entry(store: &SnapshotStore, id: &str) -> Option<StoredEntry> {
+        store
+            .list()
+            .into_iter()
+            .find(|(at, _)| at == id)
+            .map(|(_, e)| e)
+    }
+
+    /// The ids `store` lists.
+    fn ids(store: &SnapshotStore) -> Vec<String> {
+        store.list().into_iter().map(|(id, _)| id).collect()
+    }
+
+    /// Asserts that `store`'s index equals the one a fresh open of its
+    /// directory builds.
+    fn assert_index_matches_a_fresh_open(store: &SnapshotStore, what: &str) {
+        let fresh = SnapshotStore::open(store.dir()).unwrap();
+        assert_eq!(store.list(), fresh.list(), "{what}");
+        assert_eq!(store.quarantined_ids(), fresh.quarantined_ids(), "{what}");
     }
 
     /// Writes the record `(meta, snapshot)` under the file name `name`.
@@ -679,12 +769,12 @@ mod tests {
             "one record file beside quarantine/"
         );
         store.save("s2", "{}", None).unwrap();
-        assert_eq!(store.list().unwrap(), vec!["s1".to_string(), "s2".into()]);
+        assert_eq!(ids(&store), ["s1", "s2"]);
         assert!(store.contains("s1"));
         store.remove("s1").unwrap();
         store.remove("s1").unwrap(); // idempotent
         assert!(!store.contains("s1"));
-        assert_eq!(store.list().unwrap(), vec!["s2".to_string()]);
+        assert_eq!(ids(&store), ["s2"]);
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -759,7 +849,7 @@ mod tests {
         assert_eq!(report.discarded, vec!["s1.rec.tmp".to_string()]);
         assert!(report.quarantined.is_empty() && report.recovered.is_empty());
         assert_eq!(store.load("s1").unwrap(), None);
-        assert!(store.quarantined_ids().unwrap().is_empty());
+        assert!(store.quarantined_ids().is_empty());
         assert_eq!(std::fs::read_dir(dir).unwrap().count(), 1);
         assert_eq!(
             std::fs::read_dir(dir.join(QUARANTINE_DIR)).unwrap().count(),
@@ -788,9 +878,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let record = encode_record(&meta_for("s1", "suspended"), Some(&real_snapshot())).unwrap();
         let torn = &record[..record.len() - 5];
-        assert_eq!(
-            record_fault("s1", torn),
-            None,
+        assert!(
+            record_entry("s1", torn).is_ok(),
             "torn past the identity prefix"
         );
         std::fs::write(dir.join("s1.rec.tmp"), torn).unwrap();
@@ -882,7 +971,7 @@ mod tests {
             );
         }
         assert_eq!(
-            store.quarantined_ids().unwrap(),
+            store.quarantined_ids(),
             vec![
                 "cut".to_string(),
                 "extra".into(),
@@ -893,7 +982,7 @@ mod tests {
         );
         // Quarantined records are out of the index but preserved on
         // disk, with a reason note.
-        assert_eq!(store.list().unwrap(), vec!["done".to_string(), "ok".into()]);
+        assert_eq!(ids(&store), ["done", "ok"]);
         assert!(dir.join(QUARANTINE_DIR).join("torn.rec").exists());
         let reason = std::fs::read_to_string(dir.join(QUARANTINE_DIR).join("torn.reason")).unwrap();
         assert!(reason.contains("snapshot"), "{reason:?}");
@@ -902,23 +991,88 @@ mod tests {
         let store = SnapshotStore::open(&dir).unwrap();
         assert!(store.recovery_report().is_clean());
         assert_eq!(store.recovery_report().recovered, report.recovered);
-        assert_eq!(store.quarantined_ids().unwrap().len(), 5);
+        assert_eq!(store.quarantined_ids().len(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn meta_state_rejects_foreign_and_mismatched_documents() {
+    fn meta_entry_reads_tenant_and_state_and_rejects_the_rest() {
+        let suspended = StoredEntry::default();
         assert_eq!(
-            meta_state("a", &meta_for("a", "suspended")),
-            Some(MetaState::Suspended)
+            meta_entry("a", &meta_for("a", "suspended")),
+            Some(suspended)
         );
+        let finished = StoredEntry {
+            tenant: String::new(),
+            reason: Some(StopReason::MoeSatisfied),
+        };
+        assert_eq!(meta_entry("a", &meta_for("a", "finished")), Some(finished));
+        let tenant = r#"{"spec":{"id":"a","tenant":"t"},"state":"suspended"}"#;
+        assert_eq!(meta_entry("a", tenant).unwrap().tenant, "t");
+        assert_eq!(meta_entry("a", &meta_for("b", "finished")), None);
+        assert_eq!(meta_entry("a", &meta_for("a", "running")), None);
+        for bad in [
+            r#"{"spec":{"id":"a"},"state":"finished"}"#,
+            r#"{"spec":{"id":"a"},"state":"finished","reason":"bored"}"#,
+            r#"{"spec":{"id":"a","tenant":7},"state":"suspended"}"#,
+            "not json",
+            "{}",
+        ] {
+            assert_eq!(meta_entry("a", bad), None, "{bad}");
+        }
+    }
+
+    #[test]
+    fn the_index_follows_saves_removes_and_quarantines() {
+        let _faults = fault::test_lock();
+        let store = SnapshotStore::open(temp_dir("index")).unwrap();
+        let snap = real_snapshot();
+        store
+            .save("a", &meta_for("a", "suspended"), Some(&snap))
+            .unwrap();
+        store.save("b", &meta_for("b", "finished"), None).unwrap();
+        store
+            .save("c", &meta_for("c", "suspended"), Some(&snap))
+            .unwrap();
+        assert_index_matches_a_fresh_open(&store, "after saves");
         assert_eq!(
-            meta_state("a", &meta_for("a", "finished")),
-            Some(MetaState::Finished)
+            entry(&store, "b").unwrap().reason,
+            Some(StopReason::MoeSatisfied)
         );
-        assert_eq!(meta_state("a", &meta_for("b", "finished")), None);
-        assert_eq!(meta_state("a", &meta_for("a", "running")), None);
-        assert_eq!(meta_state("a", "not json"), None);
-        assert_eq!(meta_state("a", "{}"), None);
+        // A meta the sweep cannot read keeps the id's entry until a read
+        // quarantines the record.
+        store.save("a", "{", Some(&snap)).unwrap();
+        assert_eq!(entry(&store, "a"), Some(StoredEntry::default()));
+        store.quarantine("a", "unreadable meta record").unwrap();
+        store.remove("c").unwrap();
+        assert_eq!(ids(&store), ["b"]);
+        assert!(store.is_quarantined("a") && !store.contains("a"));
+        assert_index_matches_a_fresh_open(&store, "after remove and quarantine");
+        let _ = std::fs::remove_dir_all(store.dir());
+    }
+
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn the_index_equals_a_fresh_open_after_every_failed_save() {
+        let _faults = fault::test_lock();
+        let store = SnapshotStore::open(temp_dir("index-faults")).unwrap();
+        let snap = real_snapshot();
+        store
+            .save("s1", &meta_for("s1", "suspended"), Some(&snap))
+            .unwrap();
+        // The write and rename faults leave the suspended record, the
+        // directory fsync fault the finished one it renamed into place.
+        for spec in ["store.write=err", "store.rename=err", "store.dirsync=err"] {
+            fault::configure(spec).unwrap();
+            assert!(
+                store.save("s1", &meta_for("s1", "finished"), None).is_err(),
+                "{spec}"
+            );
+            fault::clear();
+            let finished = spec == "store.dirsync=err";
+            assert_eq!(entry(&store, "s1").unwrap().reason.is_some(), finished);
+            assert_index_matches_a_fresh_open(&store, spec);
+        }
+        let _ = std::fs::remove_dir_all(store.dir());
     }
 }

@@ -503,6 +503,7 @@ fn failed_resuspend_write_keeps_the_seq_with_the_batch_it_fences() {
         let failed = manager.suspend("victim");
         fault::clear();
         assert!(failed.is_err(), "the injected write failure was not seen");
+        assert_index_matches_a_fresh_open(manager.store());
         (r2.triples, labels2)
     };
 
@@ -517,6 +518,15 @@ fn failed_resuspend_write_keeps_the_seq_with_the_batch_it_fences() {
     let view = manager.submit("victim", &labels2, Some(2)).unwrap();
     assert_eq!(view.status.observations, 8, "the retry landed past batch 2");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Asserts that `store`'s index equals the one a fresh open of its
+/// directory builds.
+#[cfg(feature = "fault-injection")]
+fn assert_index_matches_a_fresh_open(store: &kgae_service::SnapshotStore) {
+    let fresh = kgae_service::SnapshotStore::open(store.dir()).unwrap();
+    assert_eq!(store.list(), fresh.list());
+    assert_eq!(store.quarantined_ids(), fresh.quarantined_ids());
 }
 
 /// Evicting a finished, previously suspended session whose record
@@ -548,11 +558,13 @@ fn failed_evict_write_of_a_finished_session_keeps_it_resumable() {
             .unwrap();
         manager.suspend("victim").unwrap();
         drive(&manager);
-        let finished = manager.final_result("victim").unwrap();
+        let finished = manager.status("victim").unwrap().status;
+        assert!(finished.stopped.is_some());
         fault::configure("store.write=err").unwrap();
         let failed = manager.evict("victim");
         fault::clear();
         assert!(failed.is_err(), "the injected write failure was not seen");
+        assert_index_matches_a_fresh_open(manager.store());
         finished
     };
 
@@ -567,8 +579,8 @@ fn failed_evict_write_of_a_finished_session_keeps_it_resumable() {
     let view = manager.resume("victim").unwrap();
     assert_eq!(view.state.name(), "running");
     drive(&manager);
-    let (reason, result) = manager.final_result("victim").unwrap();
-    assert_eq!(reason, finished.0);
-    assert_eq!(format!("{result:?}"), format!("{:?}", finished.1));
+    let result = manager.status("victim").unwrap().status;
+    assert_eq!(result.stopped, finished.stopped);
+    assert_eq!(format!("{result:?}"), format!("{finished:?}"));
     let _ = std::fs::remove_dir_all(&dir);
 }

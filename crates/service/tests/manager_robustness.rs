@@ -9,7 +9,9 @@
 use kgae_core::{IntervalMethod, StopReason};
 use kgae_graph::GroundTruth;
 use kgae_service::api::SessionSpec;
-use kgae_service::manager::{DatasetRegistry, ManagerLimits, ServiceError, SessionState};
+use kgae_service::manager::{
+    DatasetRegistry, ManagerLimits, ServiceError, SessionState, SessionView,
+};
 use kgae_service::{SessionManager, SnapshotStore};
 use std::path::{Path, PathBuf};
 
@@ -168,9 +170,9 @@ fn drain_suspends_mid_batch_sessions_and_resume_is_exact() {
     drop(manager);
     let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 4);
     assert_eq!(manager.status("mid").unwrap().state, SessionState::Evicted);
-    let (reason, result) = manager.final_result("done").unwrap();
-    assert_eq!(reason, StopReason::MoeSatisfied);
-    assert!(result.converged);
+    // Converged: the MoE rule stopped it.
+    let done = manager.status("done").unwrap();
+    assert_eq!(done.status.stopped, Some(StopReason::MoeSatisfied));
 
     let (replayed, view) = manager.next_request("mid", 8).unwrap();
     let replayed = replayed.unwrap();
@@ -216,10 +218,18 @@ fn drain_suspends_mid_batch_sessions_and_resume_is_exact() {
         manager.next_request("twin", 8).unwrap().0.is_none(),
         "twin must finish in lockstep with mid"
     );
-    let (mid_reason, mid_result) = manager.final_result("mid").unwrap();
-    let (twin_reason, twin_result) = manager.final_result("twin").unwrap();
-    assert_eq!(mid_reason, twin_reason);
-    assert_eq!(mid_result, twin_result);
+    let (mid, twin) = (
+        manager.status("mid").unwrap(),
+        manager.status("twin").unwrap(),
+    );
+    assert!(mid.status.stopped.is_some());
+    assert_eq!(
+        SessionView {
+            id: twin.id.clone(),
+            ..mid
+        },
+        twin
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -281,7 +291,7 @@ fn corrupt_records_are_quarantined_as_410_not_500() {
     // no longer lists the session.
     assert!(dir.join("quarantine").join("victim.rec").exists());
     assert!(!record_path.exists());
-    assert!(manager.list().unwrap().is_empty());
+    assert!(manager.list().is_empty());
 
     // A restart re-learns the quarantine from the store.
     drop(manager);
@@ -382,7 +392,7 @@ fn out_of_range_alpha_is_refused_before_a_session_exists() {
             .collect();
         manager.submit("s", &labels, view.pending_seq).unwrap();
     }
-    let (reason, _) = manager.final_result("s").unwrap();
-    assert_eq!(reason, StopReason::MoeSatisfied);
+    let view = manager.status("s").unwrap();
+    assert_eq!(view.status.stopped, Some(StopReason::MoeSatisfied));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 //! batch-1 replay of the same spec (batching and suspension are proven
 //! trajectory-neutral, so any divergence here is a concurrency bug).
 
-use kgae_core::{DeltaBatch, EvalResult, IntervalMethod, MonitorReport, StopReason};
+use kgae_core::{DeltaBatch, IntervalMethod, MonitorReport, SessionStatus, StopReason};
 use kgae_graph::{DeltaKg, GroundTruth};
 use kgae_service::api::SessionSpec;
 use kgae_service::manager::{DatasetRegistry, ServiceError, SessionState, SessionView};
@@ -132,9 +132,16 @@ fn worker(
     }
 }
 
+/// A finished session's stop reason and final status, read from
+/// `status`.
+fn outcome(manager: &SessionManager<'_>, id: &str) -> (StopReason, SessionStatus) {
+    let status = manager.status(id).unwrap().status;
+    (status.stopped.expect("{id} finished"), status)
+}
+
 /// Single-threaded reference: the same spec driven to completion with
 /// batch 1 on a fresh manager.
-fn replay(spec: &SessionSpec, registry: &DatasetRegistry) -> (StopReason, EvalResult) {
+fn replay(spec: &SessionSpec, registry: &DatasetRegistry) -> (StopReason, SessionStatus) {
     let manager = SessionManager::new(registry, temp_store(&format!("replay-{}", spec.id)), 1);
     manager.create(spec).unwrap();
     let kg = registry.get(&spec.dataset).unwrap();
@@ -148,7 +155,7 @@ fn replay(spec: &SessionSpec, registry: &DatasetRegistry) -> (StopReason, EvalRe
             .collect();
         manager.submit(&spec.id, &labels, None).unwrap();
     }
-    let result = manager.final_result(&spec.id).unwrap();
+    let result = outcome(&manager, &spec.id);
     let _ = std::fs::remove_dir_all(manager.store().dir());
     result
 }
@@ -191,7 +198,7 @@ fn concurrent_chaos_preserves_every_trajectory() {
             view.state
         );
         assert!(view.status.stopped.is_some(), "{}", spec.id);
-        let (reason, result) = manager.final_result(&spec.id).unwrap();
+        let (reason, result) = outcome(&manager, &spec.id);
         let (ref_reason, ref_result) = replay(spec, &registry);
         assert_eq!(reason, ref_reason, "{}", spec.id);
         assert_eq!(
@@ -525,7 +532,7 @@ fn janitor_interleaving_preserves_every_trajectory() {
             spec.id,
             view.state
         );
-        let (reason, result) = manager.final_result(&spec.id).unwrap();
+        let (reason, result) = outcome(&manager, &spec.id);
         let (ref_reason, ref_result) = replay(spec, &registry);
         assert_eq!(reason, ref_reason, "{}", spec.id);
         assert_eq!(

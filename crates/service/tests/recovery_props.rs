@@ -392,9 +392,10 @@ fn recovery_sweep_checks_the_identity_prefix_of_every_record_tag() {
 fn retired_two_file_records_are_quarantined_at_open() {
     let dir = temp_dir("legacy");
     let meta = |id: &str, state: &str| format!(r#"{{"spec":{{"id":"{id}"}},"state":"{state}"}}"#);
+    let finished = r#"{"spec":{"id":"new"},"state":"finished","reason":"moe_satisfied"}"#;
     SnapshotStore::open(&dir)
         .unwrap()
-        .save("new", &meta("new", "finished"), None)
+        .save("new", finished, None)
         .unwrap();
     std::fs::write(dir.join("old.meta.json"), meta("old", "suspended")).unwrap();
     std::fs::write(dir.join("old.snap"), b"KGAESNAP").unwrap();
