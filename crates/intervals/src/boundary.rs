@@ -52,12 +52,10 @@
 //! Both kinds of rows live in one store, `Rows`: 64-row chunks (2 KiB),
 //! each allocated when a lookup first reaches it, read and settled
 //! without a lock: every bound of a row holds a verdict's coordinate, so
-//! a racing reader sees only settled facts. A store's chunk slots are
-//! allocated on its first lookup, so a table only cluster campaigns read
-//! holds no count slots. Count rows are indexed by exact `n` below
-//! `COUNT_ROWS` = 2¹⁶, so a table's count rows hold at most 2 MiB (plus
-//! 16 KiB of chunk slots); a larger `n`, like effective evidence past
-//! `MAX_EFFECTIVE_K`, is asked of the predicate directly.
+//! a racing reader sees only settled facts. Count rows are indexed by
+//! exact `n` below `COUNT_ROWS` = 2¹⁶, so a table's count rows hold at
+//! most 2 MiB (plus 16 KiB of chunk slots); a larger `n`, like effective
+//! evidence past `MAX_EFFECTIVE_K`, is asked of the predicate directly.
 //! The SRS lookahead probes sparsely and not far: 100 SRS-aHPD campaigns
 //! at α = ε = 0.05 on NELL ask 71 count rows up to `n = 188` (3 chunks);
 //! at ε = 0.005 their probes reach `n = 3,788` on NELL (47 chunks) and
@@ -197,60 +195,37 @@ impl Row {
 /// A chunk of rows.
 type Chunk = [Row; CHUNK_ROWS];
 
-/// The slot of a chunk.
-type Slot = OnceLock<Box<Chunk>>;
-
 /// The row store both kinds of rows share: rows by index in chunks of
-/// `CHUNK_ROWS`, each allocated on first reach and read without a lock,
-/// in slots allocated on the first lookup.
+/// `CHUNK_ROWS`, each allocated on first reach and read without a lock.
 #[derive(Debug)]
-struct Rows {
-    chunks: usize,
-    slots: OnceLock<Box<[Slot]>>,
-}
+struct Rows(Box<[OnceLock<Box<Chunk>>]>);
 
 impl Rows {
-    /// Room for `rows` rows, nothing allocated.
+    /// Room for `rows` rows, none allocated.
     fn new(rows: usize) -> Rows {
-        Rows {
-            chunks: rows.div_ceil(CHUNK_ROWS),
-            slots: OnceLock::new(),
-        }
+        let chunks = rows.div_ceil(CHUNK_ROWS);
+        Rows((0..chunks).map(|_| OnceLock::new()).collect())
     }
 
-    /// The row at `index`, allocating the slots and its chunk on first
-    /// reach (and counting them toward the registry's cap); `None` past
-    /// the last chunk.
+    /// The row at `index`, allocating its chunk on first reach (and
+    /// counting it toward the registry's cap); `None` past the last chunk.
     fn row(&self, index: usize) -> Option<&Row> {
-        if index / CHUNK_ROWS >= self.chunks {
-            return None;
-        }
-        let mut fresh = 0;
-        let slots = self.slots.get_or_init(|| {
-            fresh += self.chunks * size_of::<Slot>();
-            (0..self.chunks).map(|_| OnceLock::new()).collect()
-        });
-        let chunk = slots[index / CHUNK_ROWS].get_or_init(|| {
-            fresh += size_of::<Chunk>();
+        let mut fresh = false;
+        let chunk = self.0.get(index / CHUNK_ROWS)?.get_or_init(|| {
+            fresh = true;
             Box::new(std::array::from_fn(|_| Row::unsettled()))
         });
-        if fresh > 0 {
+        if fresh {
             let mut registry = registry().lock().expect("boundary registry");
-            add_bytes(&mut registry, fresh);
+            add_bytes(&mut registry, size_of::<Chunk>());
         }
         Some(&chunk[index % CHUNK_ROWS])
     }
 
-    /// The allocated chunks, by index.
-    fn allocated(&self) -> impl Iterator<Item = usize> + '_ {
-        let slots = self.slots.get().map_or(&[][..], |slots| &slots[..]);
-        (0..slots.len()).filter(|&i| slots[i].get().is_some())
-    }
-
     /// Bytes the store holds: its slots and its chunks.
     fn bytes(&self) -> usize {
-        let slots = self.slots.get().map_or(0, |slots| slots.len());
-        slots * size_of::<Slot>() + self.allocated().count() * size_of::<Chunk>()
+        let chunks = self.0.iter().filter(|slot| slot.get().is_some()).count();
+        self.0.len() * size_of::<OnceLock<Box<Chunk>>>() + chunks * size_of::<Chunk>()
     }
 }
 
@@ -334,8 +309,9 @@ impl Boundary {
     #[must_use]
     pub fn count_rows_reached(&self) -> u64 {
         self.counts
-            .allocated()
-            .last()
+            .0
+            .iter()
+            .rposition(|slot| slot.get().is_some())
             .map_or(0, |chunk| ((chunk + 1) * CHUNK_ROWS) as u64)
     }
 
@@ -461,15 +437,6 @@ impl Boundary {
 mod tests {
     use super::*;
 
-    /// Serializes the tests that allocate rows or tables, which all count
-    /// their bytes in the one registry, so a test can read that count.
-    fn quiet_registry() -> std::sync::MutexGuard<'static, ()> {
-        static QUIET: Mutex<()> = Mutex::new(());
-        QUIET
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// A row's bounds: `(lower, upper, refused)`.
     fn bounds(row: &Row) -> (f64, f64, (f64, f64)) {
         let bound = |bound: &AtomicU64| f64::from_bits(bound.load(Relaxed));
@@ -488,7 +455,6 @@ mod tests {
 
     #[test]
     fn verdicts_match_the_predicate_at_every_outcome() {
-        let _quiet = quiet_registry();
         let informative = BetaPrior::informative(8.0, 2.0).unwrap();
         for prior in BetaPrior::UNINFORMATIVE.into_iter().chain([informative]) {
             let table = Boundary::shared(&prior, 0.05, 0.1);
@@ -509,7 +475,6 @@ mod tests {
 
     #[test]
     fn four_verdicts_settle_a_row() {
-        let _quiet = quiet_registry();
         // The outcomes either side of each end of the refused run settle
         // every outcome at that n.
         let (prior, n, width) = (BetaPrior::KERMAN, 400, 0.09);
@@ -528,7 +493,6 @@ mod tests {
 
     #[test]
     fn counts_past_the_last_row_ask_the_predicate() {
-        let _quiet = quiet_registry();
         // The last count row is n = COUNT_ROWS − 1; past it the predicate
         // answers, and no chunk is allocated.
         let table = Boundary::new(&BetaPrior::KERMAN, 0.05, 0.01);
@@ -552,7 +516,6 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "a settled row answers")]
     fn audit_trips_on_a_row_that_settles_one_extra_outcome() {
-        let _quiet = quiet_registry();
         // A table outside the registry whose row at `n` claims that the
         // first refused outcome of the lower tail stops, at an `n` where
         // that outcome is audited.
@@ -604,7 +567,6 @@ mod tests {
 
     #[test]
     fn effective_verdicts_match_the_predicate() {
-        let _quiet = quiet_registry();
         // Fractional evidence at every offset below a row's k, and the
         // row's own k.
         let informative = BetaPrior::informative(8.0, 2.0).unwrap();
@@ -654,7 +616,6 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "a settled row answers")]
     fn audit_trips_on_an_effective_row_widened_past_its_last_refusal() {
-        let _quiet = quiet_registry();
         // A table outside the registry whose row at `k` stretches its
         // refused run over the first stoppable μ̂ of the upper tail, on a
         // grid of μ̂, at a `(μ̂, k)` that is audited.
@@ -699,13 +660,12 @@ mod tests {
         let (k, index) = effective_key(MAX_EFFECTIVE_K as f64).unwrap();
         let table = Boundary::new(&BetaPrior::KERMAN, 0.05, 0.1);
         assert_eq!(k, MAX_EFFECTIVE_K as f64);
-        assert_eq!(index / CHUNK_ROWS, table.effective.chunks - 1);
+        assert_eq!(index / CHUNK_ROWS, table.effective.0.len() - 1);
         assert_eq!(effective_key(MAX_EFFECTIVE_K as f64 + 0.5), None);
     }
 
     #[test]
     fn equal_bits_share_one_table() {
-        let _quiet = quiet_registry();
         let a = Boundary::shared(&BetaPrior::KERMAN, 0.05, 0.1);
         let b = Boundary::shared(&BetaPrior::KERMAN, 0.05, 0.1);
         let c = Boundary::shared(&BetaPrior::KERMAN, 0.05, 0.1 + f64::EPSILON);
@@ -715,15 +675,13 @@ mod tests {
 
     #[test]
     fn overflow_drops_only_tables_nobody_holds() {
-        let _quiet = quiet_registry();
         let mut registry = Registry::default();
         let table = |width: f64| Arc::new(Boundary::new(&BetaPrior::KERMAN, 0.05, width));
         let (held, idle) = (table(0.1), table(0.2));
-        // Slots and chunks of both kinds count toward the cap.
+        // Chunks of both kinds count toward the cap.
         let _ = held.counts.row(7);
         let _ = held.effective.row(2);
-        let slots = (held.counts.chunks + held.effective.chunks) * size_of::<Slot>();
-        assert_eq!(held.bytes(), idle.bytes() + slots + 2 * size_of::<Chunk>());
+        assert_eq!(held.bytes(), idle.bytes() + 2 * size_of::<Chunk>());
         registry.tables.insert([0; 4], Arc::clone(&held));
         registry.tables.insert([1; 4], idle);
         registry.bytes = CAPACITY;
@@ -733,25 +691,5 @@ mod tests {
         // The table in use keeps its rows.
         assert_eq!(registry.bytes, held.bytes());
         assert_eq!(held.count_rows_reached(), CHUNK_ROWS as u64);
-    }
-
-    #[test]
-    fn a_cluster_only_table_allocates_no_count_slots() {
-        // The registry counts a fresh table, then its effective slots
-        // and one chunk on a cluster lookup, and count slots only on a
-        // count lookup.
-        let _quiet = quiet_registry();
-        let bytes = || registry().lock().expect("boundary registry").bytes;
-        let before = bytes();
-        let table = Boundary::shared(&BetaPrior::JEFFREYS, 0.05, 0.0975);
-        assert_eq!(bytes() - before, size_of::<Boundary>());
-        let _ = table.stoppable_effective(0.9, 40.0);
-        let effective = table.effective.chunks * size_of::<Slot>() + size_of::<Chunk>();
-        assert_eq!(bytes() - before, size_of::<Boundary>() + effective);
-        assert_eq!(table.count_rows_reached(), 0);
-        let _ = table.stoppable(36, 40);
-        let counts = table.counts.chunks * size_of::<Slot>() + size_of::<Chunk>();
-        assert_eq!(bytes() - before, size_of::<Boundary>() + effective + counts);
-        assert_eq!(table.count_rows_reached(), CHUNK_ROWS as u64);
     }
 }

@@ -13,6 +13,9 @@
 //! one fresh connection per call keeps the test independent of
 //! keep-alive state across server generations.
 
+#[cfg(feature = "fault-injection")]
+mod common;
+
 use kgae_graph::GroundTruth;
 use kgae_service::http;
 use kgae_service::json::{self, Json};
@@ -531,7 +534,8 @@ fn assert_index_matches_a_fresh_open(store: &kgae_service::SnapshotStore) {
 
 /// Evicting a finished, previously suspended session whose record
 /// write fails keeps the suspended record, so a reopened manager can
-/// still resume the campaign and finish it to the same result.
+/// still resume the campaign and finish it to the result of an
+/// uninterrupted twin of the same spec.
 #[cfg(feature = "fault-injection")]
 #[test]
 fn failed_evict_write_of_a_finished_session_keeps_it_resumable() {
@@ -542,11 +546,11 @@ fn failed_evict_write_of_a_finished_session_keeps_it_resumable() {
     let registry = DatasetRegistry::standard();
     let kg = registry.get("nell").unwrap();
     let dir = temp_dir("evict-finished");
-    let drive = |manager: &SessionManager<'_>| loop {
-        let (request, view) = manager.next_request("victim", 4).unwrap();
+    let drive = |manager: &SessionManager<'_>, id: &str| loop {
+        let (request, view) = manager.next_request(id, 4).unwrap();
         let Some(request) = request else { break };
         manager
-            .submit("victim", &true_labels(kg, &request), view.pending_seq)
+            .submit(id, &true_labels(kg, &request), view.pending_seq)
             .unwrap();
     };
     let finished = {
@@ -557,9 +561,14 @@ fn failed_evict_write_of_a_finished_session_keeps_it_resumable() {
             .submit("victim", &true_labels(kg, &r1.unwrap()), view.pending_seq)
             .unwrap();
         manager.suspend("victim").unwrap();
-        drive(&manager);
-        let finished = manager.status("victim").unwrap().status;
-        assert!(finished.stopped.is_some());
+        drive(&manager, "victim");
+        manager.create(&in_process_spec("twin", 0.05)).unwrap();
+        drive(&manager, "twin");
+        let finished = common::final_result(&manager, "twin");
+        assert_eq!(
+            manager.status("victim").unwrap().status,
+            kgae_core::SessionStatus::stopped(&finished.1, finished.0)
+        );
         fault::configure("store.write=err").unwrap();
         let failed = manager.evict("victim");
         fault::clear();
@@ -578,9 +587,9 @@ fn failed_evict_write_of_a_finished_session_keeps_it_resumable() {
     assert!(manager.quarantined_sessions().is_empty());
     let view = manager.resume("victim").unwrap();
     assert_eq!(view.state.name(), "running");
-    drive(&manager);
-    let result = manager.status("victim").unwrap().status;
-    assert_eq!(result.stopped, finished.stopped);
-    assert_eq!(format!("{result:?}"), format!("{finished:?}"));
+    drive(&manager, "victim");
+    let (reason, result) = common::final_result(&manager, "victim");
+    assert_eq!(reason, finished.0);
+    assert_eq!(format!("{result:?}"), format!("{:?}", finished.1));
     let _ = std::fs::remove_dir_all(&dir);
 }

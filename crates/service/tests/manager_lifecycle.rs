@@ -3,7 +3,10 @@
 //! acceptance property that a suspend → evict → resume round trip
 //! through the snapshot store is byte-identical and trajectory-neutral.
 
-use kgae_core::{IntervalMethod, SessionStatus, StopReason};
+mod common;
+
+use common::final_result;
+use kgae_core::{EvalResult, IntervalMethod, StopReason};
 use kgae_graph::GroundTruth;
 use kgae_service::api::SessionSpec;
 use kgae_service::manager::{DatasetRegistry, ServiceError, SessionState};
@@ -32,22 +35,15 @@ fn spec(id: &str, dataset: &str, design: &str, seed: u64) -> SessionSpec {
     }
 }
 
-/// A finished session's stop reason and final status, read from
-/// `status`.
-fn outcome(manager: &SessionManager<'_>, id: &str) -> (StopReason, SessionStatus) {
-    let status = manager.status(id).unwrap().status;
-    (status.stopped.expect("{id} finished"), status)
-}
-
 /// Drives a session to completion through the manager, labeling with
-/// the dataset's ground truth; returns its stop reason and final status.
+/// the dataset's ground truth; returns its final result.
 fn drive(
     manager: &SessionManager<'_>,
     registry: &DatasetRegistry,
     id: &str,
     dataset: &str,
     batch: u64,
-) -> (StopReason, SessionStatus) {
+) -> (StopReason, EvalResult) {
     let kg = registry.get(dataset).unwrap();
     loop {
         let (request, view) = manager.next_request(id, batch).unwrap();
@@ -59,7 +55,7 @@ fn drive(
             .collect();
         manager.submit(id, &labels, view.pending_seq).unwrap();
     }
-    outcome(manager, id)
+    final_result(manager, id)
 }
 
 #[test]
@@ -72,9 +68,9 @@ fn create_drive_finish_across_designs() {
             .create(&spec(&id, "nell", design, 42 + i as u64))
             .unwrap();
         let (reason, result) = drive(&manager, &registry, &id, "nell", 16);
-        // Converged: the MoE rule stopped it.
         assert_eq!(reason, StopReason::MoeSatisfied, "{design}");
-        assert!(result.interval.unwrap().moe() <= 0.05 + 1e-12, "{design}");
+        assert!(result.converged, "{design}");
+        assert!(result.interval.moe() <= 0.05 + 1e-12, "{design}");
         let view = manager.status(&id).unwrap();
         assert_eq!(view.state, SessionState::Finished);
         assert_eq!(view.status.stopped, Some(StopReason::MoeSatisfied));
@@ -148,7 +144,7 @@ fn finished_sessions_survive_eviction_with_their_results() {
     assert_eq!(view.state, SessionState::Evicted);
     assert_eq!(view.status.stopped, Some(reason));
     // The result is reloadable from the meta record alone.
-    let (reason2, result2) = outcome(&manager, "done");
+    let (reason2, result2) = final_result(&manager, "done");
     assert_eq!(reason, reason2);
     assert_eq!(result, result2);
     // Resume brings it back as a Finished slot, and polls report done.
@@ -270,8 +266,8 @@ fn stratified_campaigns_run_report_rows_and_round_trip_snapshots() {
         .create(&stratified_spec("straight", "stratified", 11))
         .unwrap();
     let (reason, reference) = drive(&manager, &registry, "straight", "nell-pred", 8);
-    // Converged: the MoE rule stopped it.
     assert_eq!(reason, StopReason::MoeSatisfied);
+    assert!(reference.converged);
     let view = manager.status("straight").unwrap();
     assert_eq!(view.design, "stratified:width-greedy");
     let strata = view.strata.as_ref().expect("stratified view has rows");
@@ -348,9 +344,9 @@ fn stratified_hash_mode_works_on_any_dataset_and_bad_specs_are_typed() {
         ..spec("h", "yago", "stratified:equal", 21)
     };
     manager.create(&hash_spec).unwrap();
-    let (reason, _) = drive(&manager, &registry, "h", "yago", 16);
-    // Converged: the MoE rule stopped it.
+    let (reason, result) = drive(&manager, &registry, "h", "yago", 16);
     assert_eq!(reason, StopReason::MoeSatisfied);
+    assert!(result.converged);
     let view = manager.status("h").unwrap();
     assert_eq!(view.design, "stratified:equal");
     assert_eq!(view.strata.as_ref().unwrap().len(), 4);
@@ -430,7 +426,7 @@ fn comparative_campaigns_report_method_rows_and_round_trip_snapshots() {
             manager.resume("race").unwrap();
         }
     }
-    let (reason, result) = outcome(&manager, "race");
+    let (reason, result) = final_result(&manager, "race");
     assert_eq!(reason, StopReason::MoeSatisfied);
     assert_eq!(result, solo, "primary diverged from the standalone run");
 

@@ -6,12 +6,13 @@
 //! refusal of out-of-range α/ε before any session exists (400, never a
 //! poisoned shard).
 
+mod common;
+
+use common::final_result;
 use kgae_core::{IntervalMethod, StopReason};
 use kgae_graph::GroundTruth;
 use kgae_service::api::SessionSpec;
-use kgae_service::manager::{
-    DatasetRegistry, ManagerLimits, ServiceError, SessionState, SessionView,
-};
+use kgae_service::manager::{DatasetRegistry, ManagerLimits, ServiceError, SessionState};
 use kgae_service::{SessionManager, SnapshotStore};
 use std::path::{Path, PathBuf};
 
@@ -170,9 +171,9 @@ fn drain_suspends_mid_batch_sessions_and_resume_is_exact() {
     drop(manager);
     let manager = SessionManager::new(&registry, SnapshotStore::open(&dir).unwrap(), 4);
     assert_eq!(manager.status("mid").unwrap().state, SessionState::Evicted);
-    // Converged: the MoE rule stopped it.
-    let done = manager.status("done").unwrap();
-    assert_eq!(done.status.stopped, Some(StopReason::MoeSatisfied));
+    let (reason, result) = final_result(&manager, "done");
+    assert_eq!(reason, StopReason::MoeSatisfied);
+    assert!(result.converged);
 
     let (replayed, view) = manager.next_request("mid", 8).unwrap();
     let replayed = replayed.unwrap();
@@ -218,18 +219,10 @@ fn drain_suspends_mid_batch_sessions_and_resume_is_exact() {
         manager.next_request("twin", 8).unwrap().0.is_none(),
         "twin must finish in lockstep with mid"
     );
-    let (mid, twin) = (
-        manager.status("mid").unwrap(),
-        manager.status("twin").unwrap(),
-    );
-    assert!(mid.status.stopped.is_some());
-    assert_eq!(
-        SessionView {
-            id: twin.id.clone(),
-            ..mid
-        },
-        twin
-    );
+    let (mid_reason, mid_result) = final_result(&manager, "mid");
+    let (twin_reason, twin_result) = final_result(&manager, "twin");
+    assert_eq!(mid_reason, twin_reason);
+    assert_eq!(mid_result, twin_result);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -392,7 +385,7 @@ fn out_of_range_alpha_is_refused_before_a_session_exists() {
             .collect();
         manager.submit("s", &labels, view.pending_seq).unwrap();
     }
-    let view = manager.status("s").unwrap();
-    assert_eq!(view.status.stopped, Some(StopReason::MoeSatisfied));
+    let (reason, _) = final_result(&manager, "s");
+    assert_eq!(reason, StopReason::MoeSatisfied);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,10 @@
 //! batch-1 replay of the same spec (batching and suspension are proven
 //! trajectory-neutral, so any divergence here is a concurrency bug).
 
-use kgae_core::{DeltaBatch, IntervalMethod, MonitorReport, SessionStatus, StopReason};
+mod common;
+
+use common::final_result;
+use kgae_core::{DeltaBatch, EvalResult, IntervalMethod, MonitorReport, StopReason};
 use kgae_graph::{DeltaKg, GroundTruth};
 use kgae_service::api::SessionSpec;
 use kgae_service::manager::{DatasetRegistry, ServiceError, SessionState, SessionView};
@@ -132,17 +135,12 @@ fn worker(
     }
 }
 
-/// A finished session's stop reason and final status, read from
-/// `status`.
-fn outcome(manager: &SessionManager<'_>, id: &str) -> (StopReason, SessionStatus) {
-    let status = manager.status(id).unwrap().status;
-    (status.stopped.expect("{id} finished"), status)
-}
-
 /// Single-threaded reference: the same spec driven to completion with
-/// batch 1 on a fresh manager.
-fn replay(spec: &SessionSpec, registry: &DatasetRegistry) -> (StopReason, SessionStatus) {
-    let manager = SessionManager::new(registry, temp_store(&format!("replay-{}", spec.id)), 1);
+/// batch 1 on a fresh manager, in a store of its own under `tag` (tests
+/// that replay the same specs run in parallel).
+fn replay(tag: &str, spec: &SessionSpec, registry: &DatasetRegistry) -> (StopReason, EvalResult) {
+    let store = temp_store(&format!("replay-{tag}-{}", spec.id));
+    let manager = SessionManager::new(registry, store, 1);
     manager.create(spec).unwrap();
     let kg = registry.get(&spec.dataset).unwrap();
     loop {
@@ -155,7 +153,7 @@ fn replay(spec: &SessionSpec, registry: &DatasetRegistry) -> (StopReason, Sessio
             .collect();
         manager.submit(&spec.id, &labels, None).unwrap();
     }
-    let result = outcome(&manager, &spec.id);
+    let result = final_result(&manager, &spec.id);
     let _ = std::fs::remove_dir_all(manager.store().dir());
     result
 }
@@ -198,8 +196,8 @@ fn concurrent_chaos_preserves_every_trajectory() {
             view.state
         );
         assert!(view.status.stopped.is_some(), "{}", spec.id);
-        let (reason, result) = outcome(&manager, &spec.id);
-        let (ref_reason, ref_result) = replay(spec, &registry);
+        let (reason, result) = final_result(&manager, &spec.id);
+        let (ref_reason, ref_result) = replay("chaos", spec, &registry);
         assert_eq!(reason, ref_reason, "{}", spec.id);
         assert_eq!(
             result, ref_result,
@@ -532,8 +530,8 @@ fn janitor_interleaving_preserves_every_trajectory() {
             spec.id,
             view.state
         );
-        let (reason, result) = outcome(&manager, &spec.id);
-        let (ref_reason, ref_result) = replay(spec, &registry);
+        let (reason, result) = final_result(&manager, &spec.id);
+        let (ref_reason, ref_result) = replay("janitor", spec, &registry);
         assert_eq!(reason, ref_reason, "{}", spec.id);
         assert_eq!(
             result, ref_result,
