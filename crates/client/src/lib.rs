@@ -767,7 +767,8 @@ impl Client {
         Ok((outcome, info))
     }
 
-    /// `POST /v1/sessions/{id}/suspend` — spills the session to disk.
+    /// `POST /v1/sessions/{id}/suspend` — spills the session to disk;
+    /// the view it answers reads `evicted`.
     ///
     /// # Errors
     ///
@@ -809,7 +810,7 @@ impl Client {
     }
 
     /// `GET /v1/sessions/{id}/snapshot` — the stored snapshot bytes of
-    /// a suspended/evicted session, decoded from hex.
+    /// a session that lives only on disk mid-campaign, decoded from hex.
     ///
     /// # Errors
     ///

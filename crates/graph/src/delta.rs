@@ -23,11 +23,11 @@
 //!   base triple is `Base(base_id)`; an added triple is `Added(serial)`
 //!   where serials are handed out once and never reused. A label ledger
 //!   keyed by `StableId` never needs remapping across deltas: an entry
-//!   simply stops resolving ([`DeltaKg::current_of`] returns `None`)
-//!   when its triple is removed.
+//!   simply stops resolving (no current id resolves to it) when its
+//!   triple is removed.
 //!
-//! [`DeltaKg::resolve`] and [`DeltaKg::current_of`] convert between the
-//! current and stable spaces in `O(log removed)`.
+//! [`DeltaKg::resolve`] converts a current id to its stable id in
+//! `O(log removed)`.
 //!
 //! The overlay answers every [`KnowledgeGraph`] query arithmetically
 //! from the base answer (a base cluster's surviving triples stay
@@ -231,30 +231,6 @@ impl<'a> DeltaKg<'a> {
         }
     }
 
-    /// The current id of a stable triple, or `None` if it has been
-    /// removed (or never existed in this view).
-    #[must_use]
-    pub fn current_of(&self, id: StableId) -> Option<u64> {
-        match id {
-            StableId::Base(b) => {
-                if b >= self.base.num_triples() {
-                    return None;
-                }
-                let k = self.removed_before(b);
-                if self.removed.get(usize::try_from(k).ok()?) == Some(&b) {
-                    None
-                } else {
-                    Some(b - k)
-                }
-            }
-            StableId::Added(serial) => self
-                .added
-                .binary_search_by_key(&serial, |a| a.serial)
-                .ok()
-                .map(|j| self.survivors() + j as u64),
-        }
-    }
-
     /// Whether [`DeltaKg::apply`] would accept `removes` against the
     /// current view: no id named twice, none out of range. Adds are
     /// always valid, so this is the whole of `apply`'s validation.
@@ -418,7 +394,6 @@ mod tests {
             assert_eq!(kg.cluster_of(TripleId(t)), base.cluster_of(TripleId(t)));
             assert_eq!(kg.is_correct(TripleId(t)), base.is_correct(TripleId(t)));
             assert_eq!(kg.resolve(t), StableId::Base(t));
-            assert_eq!(kg.current_of(StableId::Base(t)), Some(t));
         }
         for c in 0..base.num_clusters() {
             assert_eq!(
@@ -440,11 +415,8 @@ mod tests {
         // Survivor order: base 0, 2, 3, 5 at current 0..4.
         for (cur, b) in [(0u64, 0u64), (1, 2), (2, 3), (3, 5)] {
             assert_eq!(kg.resolve(cur), StableId::Base(b));
-            assert_eq!(kg.current_of(StableId::Base(b)), Some(cur));
             assert_eq!(kg.is_correct(TripleId(cur)), base.is_correct(TripleId(b)));
         }
-        assert_eq!(kg.current_of(StableId::Base(1)), None);
-        assert_eq!(kg.current_of(StableId::Base(4)), None);
         // Cluster a = {0,1}, b = {2}, c = {3}; contiguous, sizes sum.
         assert_eq!(kg.cluster_triples(ClusterId(0)), 0..2);
         assert_eq!(kg.cluster_triples(ClusterId(1)), 2..3);
@@ -472,8 +444,8 @@ mod tests {
 
         // Removing an added triple retires its serial forever.
         kg.apply(&[6], &[]).unwrap();
-        assert_eq!(kg.current_of(StableId::Added(0)), None);
-        assert_eq!(kg.current_of(StableId::Added(1)), Some(6));
+        assert_eq!(kg.num_triples(), 7);
+        assert_eq!(kg.resolve(6), StableId::Added(1));
         let again = kg.apply(&[], &[true]).unwrap();
         assert_eq!(again.added_serials, vec![2]);
     }
@@ -499,17 +471,22 @@ mod tests {
         let base = crate::datasets::yago();
         let mut kg = DeltaKg::new(&base);
         let mut serial_expect = 0u64;
+        let mut retired = Vec::new();
         for round in 0u64..5 {
             let n = kg.num_triples();
             let removes: Vec<u64> = (0..n).filter(|t| t % 7 == round % 7).take(40).collect();
             let adds = vec![true; 10];
             let applied = kg.apply(&removes, &adds).unwrap();
             assert_eq!(applied.removed.len(), removes.len());
+            retired.extend(applied.removed);
             serial_expect += 10;
             assert_eq!(kg.next_serial(), serial_expect);
-            for t in (0..kg.num_triples()).step_by(13) {
-                assert_eq!(kg.current_of(kg.resolve(t)), Some(t));
-            }
+            // `resolve` follows the current-id layout: stable ids
+            // strictly increase over current ids (so no two share one)
+            // and no retired id resolves.
+            let resolved: Vec<StableId> = (0..kg.num_triples()).map(|t| kg.resolve(t)).collect();
+            assert!(resolved.windows(2).all(|pair| pair[0] < pair[1]));
+            assert!(retired.iter().all(|id| resolved.binary_search(id).is_err()));
             // Cluster ranges partition 0..n exactly.
             let mut cursor = 0u64;
             for c in 0..kg.num_clusters() {

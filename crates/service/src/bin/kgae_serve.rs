@@ -42,9 +42,9 @@
 //!   floor derives from the response status (5xx=error, 4xx=warn,
 //!   else info); default `json` at `warn`, `--log-level off` disables
 //!   request logging entirely.
-//! * `--janitor-ttl` — start the background janitor, which suspends
-//!   sessions idle for this many seconds to disk and evicts
-//!   already-suspended idle ones from memory (at least 1; no janitor
+//! * `--janitor-ttl` — start the background janitor, which moves
+//!   sessions idle for this many seconds to disk in one pass: running
+//!   ones are suspended, finished ones evicted (at least 1; no janitor
 //!   runs without it). `--janitor-tick` is the pause between its passes
 //!   (default 30, at least 1).
 //! * `--fault` — deterministic failpoint spec (also read from the

@@ -1,16 +1,14 @@
 //! The janitor: a background worker that ages idle sessions out of
 //! memory without operator attention.
 //!
-//! On a configurable tick the janitor ages idle sessions, reporting
-//! through the shared [`Metrics`] registry:
-//!
-//! 1. **TTL suspension**: live sessions idle past
-//!    [`JanitorConfig::idle_ttl`] are suspended to disk. "Idle" is
-//!    measured from the last create/poll/submit/resume — status reads
-//!    don't keep a session warm, and live sessions with an outstanding
-//!    annotation batch are never aged (labels are owed).
-//! 2. **TTL eviction**: suspended and finished sessions idle past the
-//!    TTL are evicted from memory.
+//! On a configurable tick the janitor ages every in-memory session idle
+//! past [`JanitorConfig::idle_ttl`] straight to disk, reporting through
+//! the shared [`Metrics`] registry: a running session is suspended (its
+//! record written, its engine dropped), a finished one evicted (its
+//! result written as a record). "Idle" is measured from the last
+//! create/poll/submit/resume — status reads don't keep a session warm,
+//! and live sessions with an outstanding annotation batch are never
+//! aged (labels are owed).
 //!
 //! The store's files are not the janitor's business: a failed save
 //! removes its own temp file, and the store's open sweep discards what
@@ -43,9 +41,9 @@ pub struct JanitorConfig {
 /// What one maintenance tick did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TickReport {
-    /// Idle live sessions suspended to disk.
+    /// Idle running sessions suspended to disk.
     pub aged_suspended: u64,
-    /// Idle suspended/finished sessions evicted from memory.
+    /// Idle finished sessions evicted from memory.
     pub aged_evicted: u64,
 }
 
@@ -144,14 +142,10 @@ impl Janitor {
     pub fn tick(&self, manager: &SessionManager<'_>) -> TickReport {
         let mut report = TickReport::default();
         for (id, state) in manager.idle_sessions(self.config.idle_ttl) {
-            match state {
-                SessionState::Running => {
-                    report.aged_suspended += u64::from(manager.suspend(&id).is_ok());
-                }
-                SessionState::Suspended | SessionState::Finished => {
-                    report.aged_evicted += u64::from(manager.evict(&id).is_ok());
-                }
-                SessionState::Evicted => {}
+            if state == SessionState::Running {
+                report.aged_suspended += u64::from(manager.suspend(&id).is_ok());
+            } else {
+                report.aged_evicted += u64::from(manager.evict(&id).is_ok());
             }
         }
         if let Some(metrics) = &self.metrics {

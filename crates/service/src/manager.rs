@@ -10,23 +10,23 @@
 //! only 1/N of the time and every operation holds exactly one shard
 //! lock (no lock order, no deadlock surface).
 //!
-//! Sessions move through three in-memory states plus one on-disk state:
+//! Sessions move through two in-memory states plus one on-disk state:
 //!
 //! ```text
 //!   create ──► Live ──submit──► Finished
-//!               │ ▲
-//!       suspend │ │ resume (lazy, fingerprint-validated)
-//!               ▼ │
-//!           Suspended ──evict──► (disk only)   resume ◄── disk
+//!               │ ▲                │
+//!     suspend / │ │ resume         │ evict
+//!       evict   ▼ │                ▼
+//!           (disk only) ◄──────────┘
 //! ```
 //!
-//! A suspended session is a PR-2 binary snapshot plus a small JSON meta
-//! record in the [`SnapshotStore`]; evicting it drops the last
-//! in-memory bytes, so a dormant campaign costs ~KBs of disk and zero
-//! RAM. Resume works from either state and re-validates the snapshot's
-//! design/KG/config/method fingerprints before the session touches
-//! traffic again — and restores the exact sampling/posterior
-//! trajectory, bit for bit.
+//! Suspending (or evicting) a running session writes its binary
+//! snapshot plus a small JSON meta record to the [`SnapshotStore`] and
+//! drops the engine, so a dormant campaign costs ~KBs of disk and zero
+//! RAM. Resume (explicit, or lazily on the next poll, submit or delta
+//! batch) re-validates the snapshot's design/KG/config/method
+//! fingerprints before the session touches traffic again, and restores
+//! the exact sampling/posterior trajectory, bit for bit.
 
 use crate::api::{SessionSpec, StratifySpec};
 use crate::json::Json;
@@ -348,21 +348,19 @@ impl DatasetRegistry {
 pub enum SessionState {
     /// In memory, accepting polls and labels.
     Running,
-    /// Snapshot on disk, its suspension-time view held in memory.
-    Suspended,
-    /// On disk only — zero in-memory footprint.
+    /// On disk only — zero in-memory footprint — whether `suspend` or
+    /// `evict` put it there.
     Evicted,
     /// Stopped; the final result is available.
     Finished,
 }
 
 impl SessionState {
-    /// Wire name (`"running"`, `"suspended"`, ...).
+    /// Wire name (`"running"`, `"evicted"`, ...).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
             SessionState::Running => "running",
-            SessionState::Suspended => "suspended",
             SessionState::Evicted => "evicted",
             SessionState::Finished => "finished",
         }
@@ -373,7 +371,6 @@ impl SessionState {
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
             "running" => Some(SessionState::Running),
-            "suspended" => Some(SessionState::Suspended),
             "evicted" => Some(SessionState::Evicted),
             "finished" => Some(SessionState::Finished),
             _ => None,
@@ -415,7 +412,7 @@ pub struct SessionView {
     /// Monitoring report — epoch, drift rows, alarms (monitor sessions
     /// only; omitted on the brief poll/submit views).
     pub monitor: Option<MonitorReport>,
-    /// Snapshot size on disk, for suspended/evicted sessions.
+    /// Snapshot size on disk, for an evicted session mid-campaign.
     pub snapshot_bytes: Option<u64>,
 }
 
@@ -424,8 +421,9 @@ pub struct SessionView {
 pub enum ListedSession {
     /// A session in memory: its full view.
     Held(Box<SessionView>),
-    /// A session only on disk ([`SessionState::Evicted`]), as the store's
-    /// index knows it; [`SessionManager::status`] derives its view.
+    /// A session only on disk ([`SessionState::Evicted`], whether
+    /// suspended or evicted), as the store's index knows it;
+    /// [`SessionManager::status`] derives its view.
     Stored {
         /// Session id.
         id: String,
@@ -478,23 +476,18 @@ impl Live<'_> {
     /// meta record of the spec and the fencing seq, in one atomic save
     /// — one record file, so a restart restores the seq and the engine
     /// state it fences as a pair, and a failed save leaves the previous
-    /// pair in place. Returns the snapshot.
+    /// pair in place. Refused while labels are owed. Returns the
+    /// snapshot.
     fn persist(&self, store: &SnapshotStore, id: &str) -> ServiceResult<Vec<u8>> {
+        if self.engine.has_pending_request() {
+            return Err(ServiceError::RequestOutstanding(id.to_string()));
+        }
         let snapshot = self.engine.snapshot()?;
-        let mut meta = meta_head(&self.spec, SessionState::Suspended);
+        let mut meta = meta_head(&self.spec, "suspended");
         meta.set("seq", Json::int(self.seq));
         store.save(id, &meta.encode(), Some(&snapshot))?;
         Ok(snapshot)
     }
-}
-
-struct Dormant {
-    spec: SessionSpec,
-    /// The engine's view at suspension.
-    view: SessionStatusView,
-    snapshot_bytes: u64,
-    /// When this stub last saw activity (see [`Live::touched`]).
-    touched: Instant,
 }
 
 struct FinishedSlot {
@@ -508,7 +501,7 @@ impl FinishedSlot {
     /// The meta-only record that persists this result.
     fn meta(&self) -> String {
         let outcome = &self.outcome;
-        let mut doc = meta_head(&self.spec, SessionState::Finished);
+        let mut doc = meta_head(&self.spec, "finished");
         doc.set("reason", Json::str(api::stop_reason_name(outcome.reason)));
         doc.set("result", api::result_to_json(&outcome.result));
         if let Some(strata) = &outcome.strata {
@@ -523,7 +516,6 @@ impl FinishedSlot {
 
 enum Slot<'a> {
     Live(Box<Live<'a>>),
-    Suspended(Box<Dormant>),
     Finished(Box<FinishedSlot>),
 }
 
@@ -541,7 +533,6 @@ impl Slot<'_> {
     fn spec(&self) -> &SessionSpec {
         match self {
             Slot::Live(live) => &live.spec,
-            Slot::Suspended(dormant) => &dormant.spec,
             Slot::Finished(finished) => &finished.spec,
         }
     }
@@ -549,7 +540,6 @@ impl Slot<'_> {
     fn touched(&self) -> Instant {
         match self {
             Slot::Live(live) => live.touched,
-            Slot::Suspended(dormant) => dormant.touched,
             Slot::Finished(finished) => finished.touched,
         }
     }
@@ -558,7 +548,6 @@ impl Slot<'_> {
         let now = Instant::now();
         match self {
             Slot::Live(live) => live.touched = now,
-            Slot::Suspended(dormant) => dormant.touched = now,
             Slot::Finished(finished) => finished.touched = now,
         }
     }
@@ -571,14 +560,14 @@ impl Slot<'_> {
     /// The poll/submit hot-path view: live engines report the headline
     /// status only — no per-stratum/per-method rows, each of which
     /// costs an interval construction per call on a unit-granular
-    /// stream. Dormant and finished slots return their cached rows
-    /// unchanged (a clone, not a computation).
+    /// stream. Finished slots return their outcome's rows unchanged (a
+    /// clone, not a computation).
     fn view_brief(&self) -> SessionView {
         self.view_impl(true)
     }
 
     fn view_impl(&self, brief: bool) -> SessionView {
-        let (state, view, snapshot_bytes) = match self {
+        let (state, view) = match self {
             Slot::Live(live) => {
                 // One status call: a stratified/comparative status
                 // computes every row's interval, so the view must
@@ -593,18 +582,9 @@ impl Slot<'_> {
                 } else {
                     live.engine.status()
                 };
-                (SessionState::Running, view, None)
+                (SessionState::Running, view)
             }
-            Slot::Suspended(dormant) => (
-                SessionState::Suspended,
-                dormant.view.clone(),
-                Some(dormant.snapshot_bytes),
-            ),
-            Slot::Finished(finished) => (
-                SessionState::Finished,
-                finished_view(&finished.outcome),
-                None,
-            ),
+            Slot::Finished(finished) => (SessionState::Finished, finished_view(&finished.outcome)),
         };
         let live = match self {
             Slot::Live(live) => Some(live),
@@ -624,7 +604,7 @@ impl Slot<'_> {
             strata: view.strata,
             methods: view.methods,
             monitor: view.monitor,
-            snapshot_bytes,
+            snapshot_bytes: None,
         }
     }
 }
@@ -638,12 +618,10 @@ impl Slot<'_> {
 // outcome. Fields an older layout also stored (a cached status and row
 // views) are ignored on read.
 
-/// The spec and state every meta record leads with.
-fn meta_head(spec: &SessionSpec, state: SessionState) -> Json {
-    Json::obj(vec![
-        ("spec", spec.to_json()),
-        ("state", Json::str(state.name())),
-    ])
+/// The spec and state (`"suspended"` or `"finished"`) every meta record
+/// leads with.
+fn meta_head(spec: &SessionSpec, state: &str) -> Json {
+    Json::obj(vec![("spec", spec.to_json()), ("state", Json::str(state))])
 }
 
 enum MetaRecord {
@@ -666,19 +644,18 @@ fn meta_decode(id: &str, meta: &str) -> ServiceResult<MetaRecord> {
     if spec.id != id {
         return Err(corrupt(format!("meta names id {:?}", spec.id)));
     }
-    let state = doc
-        .get("state")
-        .and_then(Json::as_str)
-        .and_then(SessionState::from_name)
-        .ok_or_else(|| corrupt("missing or unknown state".into()))?;
-    if state != SessionState::Finished {
-        let seq = match doc.get("seq") {
-            None => 0,
-            Some(field) => field
-                .as_u64()
-                .ok_or_else(|| corrupt("seq is not an integer".into()))?,
-        };
-        return Ok(MetaRecord::Suspended { spec, seq });
+    match doc.get("state").and_then(Json::as_str) {
+        Some("suspended") => {
+            let seq = match doc.get("seq") {
+                None => 0,
+                Some(field) => field
+                    .as_u64()
+                    .ok_or_else(|| corrupt("seq is not an integer".into()))?,
+            };
+            return Ok(MetaRecord::Suspended { spec, seq });
+        }
+        Some("finished") => {}
+        _ => return Err(corrupt("missing or unknown state".into())),
     }
     let reason = doc
         .get("reason")
@@ -716,9 +693,10 @@ fn meta_decode(id: &str, meta: &str) -> ServiceResult<MetaRecord> {
 
 /// Admission-control knobs for a [`SessionManager`]. `None` means
 /// unlimited. Quotas count every session that exists under a tenant —
-/// running, suspended, evicted or finished — and are released only by
-/// [`SessionManager::delete`], so a full quota is an explicit signal to
-/// clean up, not a transient hiccup.
+/// running, evicted or finished — and are released by
+/// [`SessionManager::delete`], or when a read quarantines the session's
+/// record, so a full quota is an explicit signal to clean up, not a
+/// transient hiccup.
 #[derive(Debug, Clone, Copy)]
 pub struct ManagerLimits {
     /// Ceiling on sessions per tenant (the spec's `tenant` field;
@@ -922,7 +900,6 @@ impl<'a> SessionManager<'a> {
                 seen.insert(id.clone());
                 match slot {
                     Slot::Live(_) => census[index].live += 1,
-                    Slot::Suspended(_) => census[index].suspended += 1,
                     Slot::Finished(_) => census[index].finished += 1,
                 }
             }
@@ -935,10 +912,10 @@ impl<'a> SessionManager<'a> {
         census
     }
 
-    /// Sessions idle past `ttl`, with the state they held at scan time
-    /// — the janitor's aging worklist. Live sessions with an
-    /// outstanding annotation request are skipped (labels are owed; a
-    /// suspend would be refused anyway), as are quarantined ids.
+    /// In-memory sessions idle past `ttl`, with the state they held at
+    /// scan time (running or finished) — the janitor's aging worklist.
+    /// Live sessions with an outstanding annotation request are skipped
+    /// (labels are owed; a suspend would be refused anyway).
     pub(crate) fn idle_sessions(&self, ttl: Duration) -> Vec<(String, SessionState)> {
         let now = Instant::now();
         let mut idle = Vec::new();
@@ -955,7 +932,6 @@ impl<'a> SessionManager<'a> {
                         }
                         SessionState::Running
                     }
-                    Slot::Suspended(_) => SessionState::Suspended,
                     Slot::Finished(_) => SessionState::Finished,
                 };
                 idle.push((id.clone(), state));
@@ -1037,9 +1013,10 @@ impl<'a> SessionManager<'a> {
     /// Converts a deep-validation failure during rehydration into a
     /// quarantine: the store's index refuses the id from now on, the
     /// session's files move into the store's quarantine directory (best
-    /// effort — the index is the authority for serving decisions), and
-    /// the caller gets [`ServiceError::Quarantined`]. Non-corruption
-    /// errors (I/O, protocol) pass through untouched.
+    /// effort — the index is the authority for serving decisions), the
+    /// quota slot of the tenant the index named is released, and the
+    /// caller gets [`ServiceError::Quarantined`]. Non-corruption errors
+    /// (I/O, protocol) pass through untouched.
     fn quarantine_on_corruption(&self, id: &str, e: ServiceError) -> ServiceError {
         let corrupt = matches!(
             &e,
@@ -1051,7 +1028,10 @@ impl<'a> SessionManager<'a> {
         if !corrupt {
             return e;
         }
-        let _ = self.store.quarantine(id, &e.to_string());
+        // Only the call that takes the id out of the index releases it.
+        if let (Some(entry), _) = self.store.quarantine(id, &e.to_string()) {
+            self.release(&entry.tenant);
+        }
         ServiceError::Quarantined(id.to_string())
     }
 
@@ -1089,11 +1069,6 @@ impl<'a> SessionManager<'a> {
                     continue;
                 };
                 match slot {
-                    Slot::Suspended(_) => {
-                        // Already on disk.
-                        shard.remove(&id);
-                        report.suspended.push(id);
-                    }
                     Slot::Finished(finished) => {
                         match self.store.save(&id, &finished.meta(), None) {
                             Ok(()) => {
@@ -1307,37 +1282,27 @@ impl<'a> SessionManager<'a> {
     }
 
     /// Brings the slot for `id` into the [`Slot::Live`] state inside an
-    /// already-held shard, rehydrating from disk if needed: a suspended
-    /// slot and an evicted session alike come back from their one
-    /// stored record. [`ServiceError::AlreadyFinished`] leaves the
-    /// finished slot in the map so the caller can still read its view.
-    /// A stored record that fails deep validation is quarantined (the
-    /// slot is dropped and the caller gets [`ServiceError::Quarantined`])
-    /// instead of surfacing as a 500 forever.
+    /// already-held shard, rehydrating a session that lives only on
+    /// disk from its one stored record.
+    /// [`ServiceError::AlreadyFinished`] leaves the finished slot in the
+    /// map so the caller can still read its view. A stored record that
+    /// fails deep validation is quarantined (the caller gets
+    /// [`ServiceError::Quarantined`]) instead of surfacing as a 500
+    /// forever.
     fn ensure_live(&self, shard: &mut HashMap<String, Slot<'a>>, id: &str) -> ServiceResult<()> {
-        let suspended = match shard.get(id) {
+        match shard.get(id) {
             Some(Slot::Live(_)) => return Ok(()),
             Some(Slot::Finished(finished)) => {
                 return Err(ServiceError::AlreadyFinished(finished.spec.id.clone()))
             }
-            Some(Slot::Suspended(_)) => true,
-            None => false,
-        };
+            None => {}
+        }
         let slot = match self.store.load(id) {
             Ok(Some(record)) => self.slot_from_store(id, &record),
-            Ok(None) if suspended => Err(ServiceError::Corrupt(format!(
-                "session {id:?}: record vanished"
-            ))),
             Ok(None) => return Err(ServiceError::UnknownSession(id.to_string())),
             Err(e) => Err(e.into()),
-        };
-        let slot = slot.map_err(|e| {
-            let e = self.quarantine_on_corruption(id, e);
-            if matches!(e, ServiceError::Quarantined(_)) {
-                shard.remove(id);
-            }
-            e
-        })?;
+        }
+        .map_err(|e| self.quarantine_on_corruption(id, e))?;
         let finished = matches!(slot, Slot::Finished(_));
         shard.insert(id.to_string(), slot);
         if finished {
@@ -1644,53 +1609,45 @@ impl<'a> SessionManager<'a> {
         .map_err(|e| self.quarantine_on_corruption(id, e))
     }
 
-    /// Suspends a running session: its record to disk, live state
-    /// dropped to a cached stub. Idempotent on already-suspended
-    /// sessions.
+    /// Suspends a running session: its record to disk, its engine
+    /// dropped. Returns the engine's view taken just before the drop,
+    /// as evicted with the record's snapshot size — the view
+    /// [`SessionManager::status`] derives from that record. Idempotent
+    /// on a session that lives only on disk.
     ///
     /// # Errors
     ///
     /// [`ServiceError::RequestOutstanding`] while labels are owed,
     /// [`ServiceError::AlreadyFinished`] after the stop,
-    /// [`ServiceError::UnknownSession`], or store I/O failures.
+    /// [`ServiceError::UnknownSession`], or store I/O failures (which
+    /// keep the session in memory and the previous record on disk).
     pub fn suspend(&self, id: &str) -> ServiceResult<SessionView> {
         self.check_quarantined(id)?;
         let mut shard = self.shard(id).lock().expect("shard lock");
-        match shard.get(id) {
-            Some(Slot::Suspended(_)) => Ok(shard.get(id).expect("slot exists").view()),
+        let view = match shard.get(id) {
             Some(Slot::Finished(finished)) => {
-                Err(ServiceError::AlreadyFinished(finished.spec.id.clone()))
+                return Err(ServiceError::AlreadyFinished(finished.spec.id.clone()))
             }
-            Some(Slot::Live(live)) => {
-                if live.engine.has_pending_request() {
-                    return Err(ServiceError::RequestOutstanding(id.to_string()));
-                }
+            Some(slot @ Slot::Live(live)) => {
                 let snapshot = live.persist(&self.store, id)?;
-                let dormant = Dormant {
-                    spec: live.spec.clone(),
-                    view: live.engine.status(),
-                    snapshot_bytes: snapshot.len() as u64,
-                    touched: Instant::now(),
-                };
-                shard.insert(id.to_string(), Slot::Suspended(Box::new(dormant)));
-                self.bump(|m| &m.sessions_suspended);
-                Ok(shard.get(id).expect("slot exists").view())
+                SessionView {
+                    state: SessionState::Evicted,
+                    snapshot_bytes: Some(snapshot.len() as u64),
+                    ..slot.view()
+                }
             }
             None => {
-                if self.store.contains(id) {
-                    // Evicted: already on disk, nothing to do.
-                    drop(shard);
-                    self.status(id)
-                } else {
-                    Err(ServiceError::UnknownSession(id.to_string()))
-                }
+                drop(shard);
+                return self.status(id);
             }
-        }
+        };
+        shard.remove(id);
+        self.bump(|m| &m.sessions_suspended);
+        Ok(view)
     }
 
-    /// Brings a suspended or evicted session back to memory,
-    /// re-validating the snapshot fingerprints. Idempotent on live and
-    /// finished sessions.
+    /// Brings an evicted session back to memory, re-validating the
+    /// snapshot fingerprints. Idempotent on live and finished sessions.
     ///
     /// # Errors
     ///
@@ -1709,11 +1666,11 @@ impl<'a> SessionManager<'a> {
         Ok(slot.view())
     }
 
-    /// Drops a session's last in-memory bytes, persisting it first if
-    /// needed (running sessions are suspended on the way out; finished
-    /// results are written as records without a snapshot). A failed
-    /// write keeps the slot in memory and the previous record on disk.
-    /// Idempotent on already-evicted sessions.
+    /// Drops a session's last in-memory bytes, persisting it first
+    /// (running sessions are written as [`SessionManager::suspend`]
+    /// writes them; finished results as records without a snapshot). A
+    /// failed write keeps the slot in memory and the previous record on
+    /// disk. Idempotent on a session that lives only on disk.
     ///
     /// # Errors
     ///
@@ -1724,29 +1681,15 @@ impl<'a> SessionManager<'a> {
         let mut shard = self.shard(id).lock().expect("shard lock");
         match shard.get(id) {
             Some(Slot::Live(live)) => {
-                if live.engine.has_pending_request() {
-                    return Err(ServiceError::RequestOutstanding(id.to_string()));
-                }
                 live.persist(&self.store, id)?;
-                shard.remove(id);
-                self.bump(|m| &m.sessions_evicted);
-                Ok(())
             }
-            Some(Slot::Suspended(_)) => {
-                // Already on disk.
-                shard.remove(id);
-                self.bump(|m| &m.sessions_evicted);
-                Ok(())
-            }
-            Some(Slot::Finished(finished)) => {
-                self.store.save(id, &finished.meta(), None)?;
-                shard.remove(id);
-                self.bump(|m| &m.sessions_evicted);
-                Ok(())
-            }
-            None if self.store.contains(id) => Ok(()),
-            None => Err(ServiceError::UnknownSession(id.to_string())),
+            Some(Slot::Finished(finished)) => self.store.save(id, &finished.meta(), None)?,
+            None if self.store.contains(id) => return Ok(()),
+            None => return Err(ServiceError::UnknownSession(id.to_string())),
         }
+        shard.remove(id);
+        self.bump(|m| &m.sessions_evicted);
+        Ok(())
     }
 
     /// Removes a session everywhere — memory and disk. Destructive and
@@ -1773,21 +1716,19 @@ impl<'a> SessionManager<'a> {
         }
     }
 
-    /// The stored snapshot bytes of a suspended/evicted session —
-    /// the exact bytes a resume would rehydrate from.
+    /// The stored snapshot bytes of a session that lives only on disk
+    /// mid-campaign — the exact bytes a resume would rehydrate from.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::NotSuspended`] for live/finished sessions,
-    /// [`ServiceError::UnknownSession`], store I/O failures.
+    /// [`ServiceError::NotSuspended`] for sessions in memory and
+    /// finished records, [`ServiceError::UnknownSession`], store I/O
+    /// failures.
     pub fn snapshot_bytes(&self, id: &str) -> ServiceResult<Vec<u8>> {
         self.check_quarantined(id)?;
         let shard = self.shard(id).lock().expect("shard lock");
-        match shard.get(id) {
-            Some(Slot::Live(_) | Slot::Finished(_)) => {
-                return Err(ServiceError::NotSuspended(id.to_string()))
-            }
-            Some(Slot::Suspended(_)) | None => {}
+        if shard.contains_key(id) {
+            return Err(ServiceError::NotSuspended(id.to_string()));
         }
         // Shard still held: the snapshot on disk cannot change under us.
         let Some(record) = self.store.load(id)? else {

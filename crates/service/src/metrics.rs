@@ -229,8 +229,6 @@ impl Histogram {
 pub struct ShardSessions {
     /// Sessions live in memory with a running engine.
     pub live: u64,
-    /// Sessions suspended in memory (dormant stub + snapshot on disk).
-    pub suspended: u64,
     /// Sessions finished but still held in memory.
     pub finished: u64,
     /// Sessions existing only in the store.
@@ -267,7 +265,7 @@ pub struct Metrics {
     pub(crate) sessions_created: AtomicU64,
     /// Live sessions suspended to disk.
     pub(crate) sessions_suspended: AtomicU64,
-    /// Suspended/evicted sessions rehydrated.
+    /// Sessions rehydrated from the store.
     pub(crate) sessions_resumed: AtomicU64,
     /// Sessions dropped from memory (state persisted first).
     pub(crate) sessions_evicted: AtomicU64,
@@ -289,7 +287,7 @@ pub struct Metrics {
     pub(crate) janitor_ticks: AtomicU64,
     /// Idle live sessions the janitor aged to disk.
     pub(crate) janitor_aged_suspended: AtomicU64,
-    /// Idle dormant/finished sessions the janitor dropped from memory.
+    /// Idle finished sessions the janitor dropped from memory.
     pub(crate) janitor_aged_evicted: AtomicU64,
 }
 
@@ -420,7 +418,7 @@ impl Metrics {
             ),
             (
                 "kgae_sessions_resumed_total",
-                "counter Suspended or evicted sessions rehydrated.",
+                "counter Sessions rehydrated from the store.",
                 self.sessions_resumed.load(Ordering::Relaxed),
             ),
             (
@@ -475,7 +473,7 @@ impl Metrics {
             ),
             (
                 "kgae_janitor_aged_evicted_total",
-                "counter Idle in-memory sessions the janitor evicted.",
+                "counter Idle finished sessions the janitor evicted.",
                 self.janitor_aged_evicted.load(Ordering::Relaxed),
             ),
         ];
@@ -570,7 +568,6 @@ fn encode_sessions(out: &mut String, census: &[ShardSessions]) {
     for (shard, counts) in census.iter().enumerate() {
         for (state, value) in [
             ("live", counts.live),
-            ("suspended", counts.suspended),
             ("finished", counts.finished),
             ("evicted", counts.evicted),
         ] {
@@ -927,7 +924,6 @@ mod tests {
         metrics.record_request(Route::SessionCreate, 429, 9_000, 80);
         let census = [ShardSessions {
             live: 2,
-            suspended: 1,
             finished: 0,
             evicted: 3,
         }];

@@ -494,23 +494,30 @@ impl SnapshotStore {
 
     /// Moves a session's record into `quarantine/`, replacing any older
     /// quarantined copy, and writes a `<id>.reason` note. The index
-    /// marks the id quarantined first, so it is refused even when the
-    /// move fails. Used by the manager when a record turns out to be
-    /// corrupt at rehydration time. Idempotent.
+    /// marks the id quarantined and drops its entry first, so it is
+    /// refused even when the move fails. Used by the manager when a
+    /// record turns out to be corrupt at rehydration time. Idempotent.
+    ///
+    /// Returns the index entry this call removed — `None` when the id
+    /// was not indexed, e.g. because a racing call quarantined it first
+    /// — whether or not the move succeeded, beside the move's outcome.
     ///
     /// # Errors
     ///
-    /// `InvalidInput` for an invalid id; otherwise filesystem errors.
-    pub fn quarantine(&self, id: &str, reason: &str) -> io::Result<()> {
+    /// The outcome is `InvalidInput` for an invalid id; otherwise
+    /// filesystem errors.
+    pub fn quarantine(&self, id: &str, reason: &str) -> (Option<StoredEntry>, io::Result<()>) {
         if !valid_session_id(id) {
-            return Err(io::Error::new(
+            let invalid = io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!("invalid session id {id:?}"),
-            ));
+            );
+            return (None, Err(invalid));
         }
         self.quarantined().insert(id.to_string());
-        self.records().remove(id);
-        self.quarantine_file(&format!("{id}{RECORD_EXT}"), id, reason)
+        let entry = self.records().remove(id);
+        let moved = self.quarantine_file(&format!("{id}{RECORD_EXT}"), id, reason);
+        (entry, moved)
     }
 
     /// Moves the store file `name`, which belongs to `id`, into
@@ -835,7 +842,7 @@ mod tests {
         assert!(!store.contains("../escape"));
         assert!(store.save("quarantine", "{}", None).is_err());
         assert!(store.save("x.tmp", "{}", None).is_err());
-        assert!(store.quarantine("../escape", "r").is_err());
+        assert!(store.quarantine("../escape", "r").1.is_err());
         let _ = std::fs::remove_dir_all(store.dir());
     }
 
@@ -1043,7 +1050,11 @@ mod tests {
         // quarantines the record.
         store.save("a", "{", Some(&snap)).unwrap();
         assert_eq!(entry(&store, "a"), Some(StoredEntry::default()));
-        store.quarantine("a", "unreadable meta record").unwrap();
+        let (removed, moved) = store.quarantine("a", "unreadable meta record");
+        moved.unwrap();
+        assert_eq!(removed, Some(StoredEntry::default()));
+        // Only the call that took the entry out of the index returns it.
+        assert_eq!(store.quarantine("a", "again").0, None);
         store.remove("c").unwrap();
         assert_eq!(ids(&store), ["b"]);
         assert!(store.is_quarantined("a") && !store.contains("a"));

@@ -32,9 +32,10 @@ fn spec(id: &str, max_observations: Option<u64>) -> SessionSpec {
     SessionSpec::from_json(&Json::obj(pairs)).expect("valid spec")
 }
 
-/// TTL aging: idle live sessions spill to disk, idle dormant ones are
-/// evicted from memory, and a session with an outstanding annotation
-/// batch is never touched — all visible in the census gauges.
+/// TTL aging: in one tick an idle running session is suspended straight
+/// to disk and an idle finished one is evicted, while a session with an
+/// outstanding annotation batch is never touched — all visible in the
+/// census gauges.
 #[test]
 fn ttl_aging_spills_idle_sessions_and_spares_outstanding_work() {
     let registry = DatasetRegistry::standard();
@@ -47,8 +48,21 @@ fn ttl_aging_spills_idle_sessions_and_spares_outstanding_work() {
     manager.create(&spec("busy", None)).expect("create busy");
     // `busy` owes labels: an outstanding batch pins it in memory.
     manager.next_request("busy", 4).expect("poll busy");
+    // `dormant` is already on disk: nothing in memory to age.
     manager.create(&spec("dormant", None)).expect("create");
     manager.suspend("dormant").expect("suspend dormant");
+    // `done` stops on its budget and stays in memory, finished.
+    manager.create(&spec("done", Some(8))).expect("create done");
+    while let (Some(request), view) = manager.next_request("done", 4).expect("poll done") {
+        let labels = vec![true; request.triples.len()];
+        manager
+            .submit("done", &labels, view.pending_seq)
+            .expect("label done");
+    }
+    assert_eq!(
+        manager.status("done").expect("done").state.name(),
+        "finished"
+    );
 
     let janitor = Janitor::new(JanitorConfig {
         tick: Duration::from_millis(1),
@@ -56,42 +70,42 @@ fn ttl_aging_spills_idle_sessions_and_spares_outstanding_work() {
     })
     .with_metrics(Arc::clone(&metrics));
 
-    // Tick 1: the idle live session is suspended to disk, the already
-    // dormant one is evicted from memory. `busy` is untouched.
+    // One tick: the idle running session is suspended to disk and the
+    // finished one evicted. `busy` is untouched.
     let report = janitor.tick(&manager);
-    assert_eq!(report.aged_suspended, 1, "idle → suspended");
-    assert_eq!(report.aged_evicted, 1, "dormant → evicted");
+    assert_eq!(report.aged_suspended, 1, "idle → disk");
+    assert_eq!(report.aged_evicted, 1, "finished → disk");
     assert!(dir.join("idle.rec").exists(), "idle not persisted");
+    assert!(dir.join("done.rec").exists(), "done not persisted");
 
-    // Tick 2: the session suspended by tick 1 is now the idle dormant
-    // one and ages out of memory entirely.
-    let report = janitor.tick(&manager);
-    assert_eq!(report.aged_suspended, 0);
-    assert_eq!(report.aged_evicted, 1, "suspended idle → evicted");
-
-    // The census agrees: one live session (busy), two on disk only.
+    // The census agrees: one live session (busy), three on disk only,
+    // and no lifecycle state between the two.
     let census = manager.census();
     let live: u64 = census.iter().map(|s| s.live).sum();
-    let in_memory_suspended: u64 = census.iter().map(|s| s.suspended).sum();
+    let finished: u64 = census.iter().map(|s| s.finished).sum();
     let evicted: u64 = census.iter().map(|s| s.evicted).sum();
     assert_eq!(live, 1, "busy must survive aging");
-    assert_eq!(in_memory_suspended, 0, "aged sessions left memory");
-    assert_eq!(evicted, 2, "idle + dormant live on disk only");
+    assert_eq!(finished, 0, "the finished session left memory");
+    assert_eq!(evicted, 3, "idle, dormant and done live on disk only");
+    let gauges = metrics.encode(&census, None);
+    assert!(!gauges.contains("state=\"suspended\""), "{gauges}");
 
-    // Tick 3 has nothing left to age; `busy` still owes labels.
+    // The next tick has nothing left to age; `busy` still owes labels.
     assert!(janitor.tick(&manager).is_idle());
     let view = manager.status("busy").expect("busy status");
     assert_eq!(view.state.name(), "running", "busy was aged while owed");
 
-    // The evicted sessions resume transparently — aging lost nothing.
+    // The aged sessions resume transparently — aging lost nothing.
     let view = manager.resume("idle").expect("resume idle");
     assert_eq!(view.state.name(), "running");
+    let view = manager.resume("done").expect("resume done");
+    assert_eq!(view.state.name(), "finished");
 
     let exposition = metrics.encode(&manager.census(), Some(&manager.kernel_stats()));
     for line in [
         "kgae_janitor_aged_suspended_total 1",
-        "kgae_janitor_aged_evicted_total 2",
-        "kgae_janitor_ticks_total 3",
+        "kgae_janitor_aged_evicted_total 1",
+        "kgae_janitor_ticks_total 2",
     ] {
         assert!(
             exposition.contains(&format!("\n{line}\n")),

@@ -104,9 +104,10 @@ fn suspend_evict_resume_is_byte_identical_and_trajectory_neutral() {
         manager.submit("probe", &labels, None).unwrap();
     }
     let view = manager.suspend("probe").unwrap();
-    assert_eq!(view.state, SessionState::Suspended);
+    assert_eq!(view.state, SessionState::Evicted);
     assert!(view.snapshot_bytes.unwrap() > 0);
     let before = manager.snapshot_bytes("probe").unwrap();
+    assert_eq!(view.snapshot_bytes, Some(before.len() as u64));
 
     manager.evict("probe").unwrap();
     assert_eq!(

@@ -1,7 +1,8 @@
 //! The crash-safe / backpressure half of the [`SessionManager`]
 //! contract: per-tenant quotas (429-shaped refusals that free on
-//! delete and survive restarts), graceful drain (mid-batch sessions
-//! suspend exactly and resume bit-identically), quarantine of
+//! delete or a runtime quarantine and survive restarts), graceful
+//! drain (mid-batch sessions suspend exactly and resume
+//! bit-identically), quarantine of
 //! records that fail deep validation (410, never a wedged 500), and
 //! refusal of out-of-range α/ε before any session exists (400, never a
 //! poisoned shard).
@@ -223,6 +224,72 @@ fn drain_suspends_mid_batch_sessions_and_resume_is_exact() {
     let (twin_reason, twin_result) = final_result(&manager, "twin");
     assert_eq!(mid_reason, twin_reason);
     assert_eq!(mid_result, twin_result);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(total, acme's count)` recounted from the specs a test created,
+/// minus the ids it knows are gone (deleted or quarantined).
+fn recount(created: &[SessionSpec], gone: &[&str]) -> (usize, usize) {
+    let left: Vec<&SessionSpec> = created
+        .iter()
+        .filter(|spec| !gone.contains(&spec.id.as_str()))
+        .collect();
+    let acme = left
+        .iter()
+        .filter(|spec| spec.tenant.as_deref() == Some("acme"))
+        .count();
+    (left.len(), acme)
+}
+
+#[test]
+fn a_runtime_quarantine_releases_its_tenant_slot() {
+    let registry = DatasetRegistry::standard();
+    let limits = ManagerLimits {
+        max_sessions_per_tenant: Some(1),
+        ..ManagerLimits::default()
+    };
+    let dir = temp_dir("quarantine-quota");
+    let open =
+        || SessionManager::with_limits(&registry, SnapshotStore::open(&dir).unwrap(), 4, limits);
+    let manager = open();
+    let mut created = vec![spec("q1", Some("acme"), 1)];
+    manager.create(&created[0]).unwrap();
+    let (request, view) = manager.next_request("q1", 8).unwrap();
+    let labels = vec![true; request.unwrap().triples.len()];
+    manager.submit("q1", &labels, view.pending_seq).unwrap();
+    manager.suspend("q1").unwrap();
+    assert!(matches!(
+        manager.create(&spec("q2", Some("acme"), 2)),
+        Err(ServiceError::QuotaExceeded { limit: 1, .. })
+    ));
+
+    // Damage the snapshot past the header the startup sweep checks; a
+    // status read quarantines the tenant's only session.
+    let (record_path, snapshot_at) = record_and_snapshot_offset(&manager, &dir, "q1");
+    let mut bytes = std::fs::read(&record_path).unwrap();
+    let mid = snapshot_at + (bytes.len() - snapshot_at) / 2;
+    for b in &mut bytes[mid..mid + 8] {
+        *b ^= 0xA5;
+    }
+    std::fs::write(&record_path, &bytes).unwrap();
+    let err = manager.status("q1").unwrap_err();
+    assert!(matches!(err, ServiceError::Quarantined(_)), "{err}");
+    assert_eq!(manager.occupancy("acme"), recount(&created, &["q1"]));
+    assert_eq!(manager.occupancy("acme"), (0, 0));
+
+    // The freed slot admits another session of the tenant.
+    created.push(spec("q2", Some("acme"), 2));
+    manager.create(&created[1]).unwrap();
+    assert_eq!(manager.occupancy("acme"), recount(&created, &["q1"]));
+    manager.delete("q2").unwrap();
+    assert_eq!(manager.occupancy("acme"), recount(&created, &["q1", "q2"]));
+
+    // A restart counts what the store indexes: the same (0, 0).
+    drop(manager);
+    let manager = open();
+    assert_eq!(manager.quarantined_sessions(), ["q1"]);
+    assert_eq!(manager.occupancy("acme"), recount(&created, &["q1", "q2"]));
+    assert_eq!(manager.occupancy("acme"), (0, 0));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

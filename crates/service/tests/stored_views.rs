@@ -3,10 +3,10 @@
 //! state, and a suspended session's fencing seq or a finished session's
 //! outcome. The view of an evicted session comes from its snapshot,
 //! resumed by the running binary, so it equals the live view taken just
-//! before `evict` in every field but where the session lives. The
-//! listing reads the store's index instead: an evicted entry is its id,
-//! its state and, once finished, its stop reason, and no record is read
-//! to list it.
+//! before `evict` in every field but where the session lives, and it is
+//! the view `suspend` answers. The listing reads the store's index
+//! instead: an evicted entry is its id, its state and, once finished,
+//! its stop reason, and no record is read to list it.
 
 use kgae_core::{DeltaBatch, IntervalMethod, StopReason};
 use kgae_graph::{DeltaKg, GroundTruth};
@@ -173,6 +173,46 @@ fn evicted_views_are_derived_from_the_resumed_snapshot() {
         keys.sort_unstable();
         assert_eq!(meta_keys(&manager, &spec.id), keys);
         assert_same_view(&finished, &manager.status(&spec.id).unwrap());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn suspend_answers_the_view_a_status_read_derives() {
+    let registry = DatasetRegistry::standard();
+    let dir = temp_dir("suspend");
+    let (manager, metrics) = reopen(&registry, &dir);
+    let reads = || counter(&metrics, "kgae_store_records_read_total");
+    for (spec, watch) in kind_specs() {
+        manager.create(&spec).unwrap();
+        let batches = if watch { usize::MAX } else { 3 };
+        drive(&manager, &registry, &spec, batches);
+        let suspended = manager.suspend(&spec.id).unwrap();
+        assert_eq!(suspended.state, SessionState::Evicted, "{}", spec.id);
+        // The engine is gone: the status read derives the view from
+        // the record, and it agrees field for field.
+        let before = reads();
+        assert_eq!(manager.status(&spec.id).unwrap(), suspended, "{}", spec.id);
+        assert_eq!(reads(), before + 1, "{}", spec.id);
+        let snapshot = manager.snapshot_bytes(&spec.id).unwrap();
+        assert_eq!(suspended.snapshot_bytes, Some(snapshot.len() as u64));
+        // Suspend → resume → suspend keeps the bytes and the view.
+        manager.resume(&spec.id).unwrap();
+        assert_eq!(manager.suspend(&spec.id).unwrap(), suspended, "{}", spec.id);
+        assert_eq!(
+            manager.snapshot_bytes(&spec.id).unwrap(),
+            snapshot,
+            "{}",
+            spec.id
+        );
+    }
+    // Every suspended session lives only on disk and is listed as such.
+    let census = manager.census();
+    assert_eq!(census.iter().map(|s| s.evicted).sum::<u64>(), 6);
+    assert_eq!(census.iter().map(|s| s.live + s.finished).sum::<u64>(), 0);
+    for entry in manager.list() {
+        let id = entry.id().to_string();
+        assert_eq!(entry, ListedSession::Stored { id, reason: None });
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
